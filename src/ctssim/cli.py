@@ -157,6 +157,15 @@ def _build_targets(raw: list) -> list:
     return out
 
 
+def _config_int(key: str, value) -> int:
+    """A config integer: a JSON integer, or a number with no fractional part."""
+    if isinstance(value, bool) or not (
+        isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+    ):
+        raise ConfigError(f"config {key!r} must be an integer, got {json.dumps(value)}")
+    return int(value)
+
+
 def load_run_config(path: str, seed_override: int | None = None) -> RunConfig:
     try:
         with open(path, encoding="utf-8") as fh:
@@ -190,11 +199,11 @@ def load_run_config(path: str, seed_override: int | None = None) -> RunConfig:
         probe = SimulationConfig(
             model=model,
             scenario=scenarios[0],
-            n_units=int(doc["n_units"]),
-            n_reps=int(doc.get("n_reps", 1000)),
-            n_bootstrap=int(doc.get("n_bootstrap", 100)),
+            n_units=_config_int("n_units", doc["n_units"]),
+            n_reps=_config_int("n_reps", doc.get("n_reps", 1000)),
+            n_bootstrap=_config_int("n_bootstrap", doc.get("n_bootstrap", 100)),
             alpha=float(doc.get("alpha", 0.05)),
-            seed=int(seed),
+            seed=_config_int("seed", seed),
             df=doc.get("df", "normal"),
             latent_diagnostics=bool(doc.get("latent_diagnostics", False)),
         )
@@ -339,14 +348,25 @@ def cmd_fit(args) -> int:
     return 0
 
 
+def _env_threads() -> int:
+    raw = os.environ.get(THREADS_ENV_VAR, "1")
+    try:
+        threads = int(raw)
+    except ValueError:
+        threads = 0
+    if threads < 1:
+        raise ConfigError(f"{THREADS_ENV_VAR} must be a positive integer, got {raw!r}")
+    return threads
+
+
 def cmd_simulate(args) -> int:
     started = time.time()
     try:
         run = load_run_config(args.config, args.seed)
+        threads = args.threads or _env_threads()
     except (ConfigError, SurveyFormatError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    threads = args.threads or int(os.environ.get(THREADS_ENV_VAR, "1"))
     out_dir = args.out_dir
     os.makedirs(out_dir, exist_ok=True)
 

@@ -5,7 +5,7 @@ The example model is the package's reference fixture: a 10-item instrument
 marginals calibrated so that roughly 40% of respondents report any act,
 and a latent correlation structure in which sexual violence rarely occurs
 without physical violence.  The bundled survey CSV under ``data/`` was
-generated from exactly this model (categories mode, n = 4000, seed 20260801)
+generated from exactly this model (categories mode, n = 8000, seed 20260801)
 so fitting it should recover these parameters.
 """
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy.special import ndtr, ndtri, stdtr, stdtrit
 
 
 class InferenceUndefinedError(ValueError):
@@ -69,11 +69,11 @@ def estimate_ols_hc2(y, z, alpha: float = 0.05, df: str = "normal") -> EstimateR
         num = (v1 / n1 + v0 / n0) ** 2
         den = (v1 / n1) ** 2 / (n1 - 1) + (v0 / n0) ** 2 / (n0 - 1)
         dof = num / den
-        crit = float(stats.t.ppf(1.0 - alpha / 2.0, dof))
-        p = float(2.0 * stats.t.sf(abs(t_stat), dof))
+        crit = float(stdtrit(dof, 1.0 - alpha / 2.0))
+        p = float(2.0 * stdtr(dof, -abs(t_stat)))
     else:
-        crit = float(stats.norm.ppf(1.0 - alpha / 2.0))
-        p = float(2.0 * stats.norm.sf(abs(t_stat)))
+        crit = float(ndtri(1.0 - alpha / 2.0))
+        p = float(2.0 * ndtr(-abs(t_stat)))
     return EstimateResult(tau, se, tau - crit * se, tau + crit * se, p, n1, n0)
 
 

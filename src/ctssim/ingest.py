@@ -24,8 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.optimize import brentq
-from scipy.special import ndtr, ndtri
-from scipy.stats import chi2
+from scipy.special import chdtrc, ndtr, ndtri
 
 from . import coding
 from .joint import ActSpec, MultiActModel, nearest_psd, validate_acts
@@ -392,7 +391,7 @@ def _category_gof(fit: FitResult, observed: np.ndarray) -> tuple[float, float | 
     stat = float(np.sum((observed[mask] - expected[mask]) ** 2 / expected[mask]))
     n_params = 2 if fit.params.family == "zip" else 3
     dof = (coding.MAX_CATEGORY + 1) - 1 - n_params
-    p = float(chi2.sf(stat, dof)) if dof >= 1 else None
+    p = float(chdtrc(dof, stat)) if dof >= 1 else None
     return stat, p
 
 

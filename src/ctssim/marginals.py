@@ -16,7 +16,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize, stats
+from scipy import optimize
+from scipy.special import gammaln, pdtr, pdtrc, pdtrik, xlog1py, xlogy
+
+# The Boost negative-binomial ufuncs that scipy.stats.nbinom dispatches to.
+# scipy exposes them only privately; tests/test_kernel.py pins every value
+# computed from them to scipy.stats bit for bit.
+from scipy.special._ufuncs import _nbinom_cdf, _nbinom_isf, _nbinom_pmf, _nbinom_sf
 
 ZIP = "zip"
 ZINB = "zinb"
@@ -27,6 +33,10 @@ N_CATEGORIES = 4
 
 _MAX_EM_ITER = 500
 _LOGLIK_TOL = 1e-8
+# A fit is converged when a start that L-BFGS-B reports successful ends this
+# close (relative) to the best objective; the best start itself may end in
+# an abnormal line search at the optimum.
+_CONVERGED_RTOL = 1e-10
 
 
 class DegenerateDataError(ValueError):
@@ -81,13 +91,6 @@ class MarginalParams:
             count_var = lam + lam * lam / self.dispersion
         return (1.0 - p) * count_var + p * (1.0 - p) * lam * lam
 
-    def count_dist(self):
-        """Frozen scipy distribution of the non-zero-inflated count part."""
-        if self.family == ZIP:
-            return stats.poisson(self.rate)
-        k = self.dispersion
-        return stats.nbinom(k, k / (k + self.rate))
-
 
 @dataclass(frozen=True)
 class FitResult:
@@ -122,10 +125,69 @@ def _as_counts(values) -> np.ndarray:
     return y.astype(np.int64)
 
 
+# ---------------------------------------------------------------------------
+# Count-part kernel
+#
+# pmf, cdf, sf and isf of the Poisson / negative-binomial count part, from the
+# special-function ufuncs that scipy.stats.poisson and scipy.stats.nbinom
+# dispatch to, combined the way scipy combines them: every value equals the
+# frozen-distribution call bit for bit, at a small fraction of its cost.
+
+
+def _poisson_logpmf(y, mu):
+    return xlogy(y, mu) - gammaln(y + 1) - mu
+
+
+def _nbinom_logpmf(y, n, p):
+    coeff = gammaln(n + y) - gammaln(y + 1) - gammaln(n)
+    return coeff + n * np.log(p) + xlog1py(y, -p)
+
+
+def _poisson_isf(q, mu):
+    # scipy's poisson._ppf at 1 - q
+    q = 1.0 - q
+    vals = np.ceil(pdtrik(q, mu))
+    vals1 = np.maximum(vals - 1, 0)
+    return np.where(pdtr(vals1, mu) >= q, vals1, vals)
+
+
+def _quiet_nbinom_isf(q, n, p):
+    with np.errstate(over="ignore"):
+        return _nbinom_isf(q, n, p)
+
+
+_COUNT_UFUNCS = {
+    (ZIP, "pmf"): lambda y, mu: np.exp(_poisson_logpmf(y, mu)),
+    (ZIP, "cdf"): lambda y, mu: pdtr(np.floor(y), mu),
+    (ZIP, "sf"): lambda y, mu: pdtrc(np.floor(y), mu),
+    (ZIP, "isf"): _poisson_isf,
+    (ZINB, "pmf"): _nbinom_pmf,
+    (ZINB, "cdf"): lambda y, n, p: _nbinom_cdf(np.floor(y), n, p),
+    (ZINB, "sf"): lambda y, n, p: _nbinom_sf(np.floor(y), n, p),
+    (ZINB, "isf"): _quiet_nbinom_isf,
+}
+
+
+def _count(params: MarginalParams, kind: str, y):
+    """``kind`` ("pmf", "cdf", "sf" or "isf") of the count part at ``y``.
+
+    pmf, cdf and sf take non-negative integer counts and are clipped to
+    [0, 1] as scipy.stats clips them; isf takes tail probabilities in (0, 1).
+    """
+    if params.family == ZIP:
+        shape = (params.rate,)
+    else:
+        k = params.dispersion
+        shape = (k, k / (k + params.rate))
+    out = _COUNT_UFUNCS[params.family, kind](np.asarray(y, dtype=float), *shape)
+    return out if kind == "isf" else np.clip(out, 0.0, 1.0)
+
+
 def zi_pmf(params: MarginalParams, y) -> np.ndarray | float:
     """Probability mass at count ``y`` (scalar or array)."""
     ya = np.asarray(y)
-    g = params.count_dist().pmf(ya)
+    support = (ya >= 0) & (np.floor(ya) == ya)
+    g = np.where(support, _count(params, "pmf", ya), 0.0)
     out = params.zero_prob * (ya == 0) + (1.0 - params.zero_prob) * g
     return float(out) if np.isscalar(y) else out
 
@@ -133,40 +195,23 @@ def zi_pmf(params: MarginalParams, y) -> np.ndarray | float:
 def zi_cdf(params: MarginalParams, y) -> np.ndarray | float:
     """P(Y <= y) for integer ``y`` (scalar or array)."""
     ya = np.asarray(y)
-    g = params.count_dist().cdf(ya)
+    g = _count(params, "cdf", np.maximum(ya, 0))
     out = np.where(ya < 0, 0.0, params.zero_prob + (1.0 - params.zero_prob) * g)
     return float(out) if np.isscalar(y) else out
 
 
 def zi_quantile(params: MarginalParams, u) -> np.ndarray | int:
-    """Generalized inverse CDF: smallest count y with cdf(y) >= u.
+    """Generalized inverse CDF, read from ``cdf_table`` as sampling reads it.
 
-    ``u`` must lie in [0, 1).
+    Returns the smallest count y with cdf(y) >= u; a ``u`` above the
+    table's last entry (beyond which less than 1e-12 of the mass lies)
+    maps to that entry's count.  ``u`` must lie in [0, 1).
     """
-    ua = np.atleast_1d(np.asarray(u, dtype=float))
+    ua = np.asarray(u, dtype=float)
     if np.any((ua < 0.0) | (ua >= 1.0)):
         raise ValueError("u must be in [0, 1)")
-    theta = params.zero_prob
-    q = np.zeros(ua.shape, dtype=np.int64)
-    if theta < 1.0:
-        dist = params.count_dist()
-        resid = (ua - theta) / (1.0 - theta)
-        above = resid > dist.cdf(0)
-        if np.any(above):
-            q[above] = dist.ppf(resid[above]).astype(np.int64)
-    # scipy's ppf uses its own cdf sweep; nudge so the generalized-inverse
-    # definition holds exactly against zi_cdf.
-    for _ in range(64):
-        low = zi_cdf(params, q) < ua
-        if not np.any(low):
-            break
-        q[low] += 1
-    for _ in range(64):
-        shrink = (q > 0) & (zi_cdf(params, q - 1) >= ua)
-        if not np.any(shrink):
-            break
-        q[shrink] -= 1
-    return int(q[0]) if np.isscalar(u) else q
+    q = counts_from_uniforms(cdf_table(params), ua)
+    return int(q) if np.isscalar(u) else q
 
 
 @functools.lru_cache(maxsize=512)
@@ -175,10 +220,12 @@ def _cdf_table_cached(params: MarginalParams, tail_mass: float) -> np.ndarray:
     if theta >= 1.0:
         out = np.array([1.0])
     else:
-        dist = params.count_dist()
-        y_max = int(dist.isf(tail_mass / (1.0 - theta))) + 1
+        q = tail_mass / (1.0 - theta)
+        # a count part whose whole mass is below the tail keeps only y = 0
+        # (scipy's isf(1) is -1)
+        y_max = int(_count(params, "isf", q)) + 1 if q < 1.0 else 0
         y = np.arange(y_max + 1)
-        out = theta + (1.0 - theta) * dist.cdf(y)
+        out = theta + (1.0 - theta) * _count(params, "cdf", y)
     out.setflags(write=False)
     return out
 
@@ -225,7 +272,7 @@ def _zip_loglik(values: np.ndarray, weights: np.ndarray, rate: float, zero_prob:
     if np.any(pos):
         yp = values[pos]
         ll += math.log1p(-zero_prob) * np.sum(weights[pos]) if zero_prob < 1 else -math.inf
-        ll += np.sum(weights[pos] * stats.poisson.logpmf(yp, rate))
+        ll += np.sum(weights[pos] * _poisson_logpmf(yp, rate))
     return float(ll)
 
 
@@ -249,7 +296,7 @@ def _zinb_loglik(
         if zero_prob >= 1.0:
             return -math.inf
         ll += math.log1p(-zero_prob) * np.sum(weights[pos])
-        ll += np.sum(weights[pos] * stats.nbinom.logpmf(values[pos], k, p_nb))
+        ll += np.sum(weights[pos] * _nbinom_logpmf(values[pos], k, p_nb))
     return float(ll)
 
 
@@ -265,12 +312,13 @@ def zi_loglik(params: MarginalParams, values, weights=None) -> float:
 def category_probs(params: MarginalParams) -> np.ndarray:
     """Interval masses of the 4 survey categories: {0}, {1}, {2..4}, {5+}."""
     theta = params.zero_prob
-    dist = params.count_dist()
-    p0 = theta + (1.0 - theta) * dist.pmf(0)
-    p1 = (1.0 - theta) * dist.pmf(1)
+    g0, g1 = _count(params, "pmf", (0, 1))
+    sf1, sf4 = _count(params, "sf", (1, 4))
+    p0 = theta + (1.0 - theta) * g0
+    p1 = (1.0 - theta) * g1
     # survival-form difference keeps the {2..4} cell accurate for small rates
-    p2 = (1.0 - theta) * (dist.sf(1) - dist.sf(4))
-    p3 = (1.0 - theta) * dist.sf(4)
+    p2 = (1.0 - theta) * (sf1 - sf4)
+    p3 = (1.0 - theta) * sf4
     return np.array([p0, p1, p2, p3])
 
 
@@ -337,17 +385,20 @@ def _fit_transformed(
     Parameter vector is (log rate, logit zero_prob) for ZIP and
     (log rate, log dispersion, logit zero_prob) for ZINB.
     """
-    best = None
-    for start in x0:
-        res = optimize.minimize(
+    results = [
+        optimize.minimize(
             objective,
             np.asarray(start, dtype=float),
             method="L-BFGS-B",
             bounds=bounds,
             options={"ftol": 1e-12, "gtol": 1e-10, "maxiter": _MAX_EM_ITER},
         )
-        if best is None or res.fun < best.fun:
-            best = res
+        for start in x0
+    ]
+    best = min(results, key=lambda res: res.fun)
+    converged = any(
+        res.success and res.fun - best.fun <= _CONVERGED_RTOL * abs(best.fun) for res in results
+    )
     x = best.x
     rate = math.exp(x[0])
     if family == ZIP:
@@ -357,7 +408,7 @@ def _fit_transformed(
         disp = math.exp(x[1])
         theta = 1.0 / (1.0 + math.exp(-x[2]))
         params = MarginalParams(ZINB, rate, theta, dispersion=disp)
-    return params, -float(best.fun), bool(best.success), int(best.nit)
+    return params, -float(best.fun), converged, int(best.nit)
 
 
 def _boundary_flag(params: MarginalParams, n_positive: float) -> bool:

@@ -2,10 +2,14 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import ctssim
 from ctssim.cli import RESULTS_SCHEMA_VERSION, main
 from ctssim.datasets import example_model, example_survey_paths
 from ctssim.ingest import load_model, save_model
@@ -263,3 +267,48 @@ class TestThreadsEnvVar:
         assert main(["simulate", "--config", str(cfg), "--out-dir", str(out_dir)]) == 0
         meta = json.loads((out_dir / "run_meta.json").read_text())
         assert meta["threads"] == 2
+
+    @pytest.mark.parametrize("value", ["abc", "1.5", "0", "-2"])
+    def test_bad_env_var_exits_2(self, workdir, monkeypatch, capsys, value):
+        from ctssim.cli import THREADS_ENV_VAR
+
+        monkeypatch.setenv(THREADS_ENV_VAR, value)
+        cfg = write_config(workdir / "run.json")
+        assert main(["simulate", "--config", str(cfg), "--out-dir", str(workdir / "x")]) == 2
+        err = capsys.readouterr().err
+        assert THREADS_ENV_VAR in err and repr(value) in err
+
+
+class TestConfigIntegers:
+    @pytest.mark.parametrize("key", ["n_units", "n_reps", "n_bootstrap", "seed"])
+    @pytest.mark.parametrize("value", [True, False, 1.7, "200", None])
+    def test_non_integers_exit_2(self, workdir, capsys, key, value):
+        cfg = write_config(workdir / "run.json", **{key: value})
+        assert main(["simulate", "--config", str(cfg), "--out-dir", str(workdir / "x")]) == 2
+        err = capsys.readouterr().err
+        assert f"'{key}' must be an integer, got {json.dumps(value)}" in err
+
+    def test_integral_float_accepted(self, workdir):
+        cfg = write_config(workdir / "run.json", n_units=200.0, n_reps=4, n_bootstrap=0)
+        assert main(["simulate", "--config", str(cfg), "--out-dir", str(workdir / "x")]) == 0
+        rows = read_rows(workdir / "x" / "results.csv")
+        assert {row["n_units"] for row in rows} == {"200"}
+
+
+def test_cli_never_imports_scipy_stats(tmp_path):
+    """The fit and simulate paths use scipy.special ufuncs only."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ctssim.__file__)))
+    script = (
+        "import sys, ctssim.cli\n"
+        "from ctssim.datasets import example_survey_paths\n"
+        "data, desc = example_survey_paths()\n"
+        "assert ctssim.cli.main(['fit', '--data', data, '--descriptor', desc,\n"
+        "                        '--family', 'zinb', '--out', 'model.json']) == 0\n"
+        "assert ctssim.cli.main(['simulate', '--config', 'run.json', '--out-dir', 'out']) == 0\n"
+        "assert 'scipy.stats' not in sys.modules, 'scipy.stats was imported'\n"
+    )
+    write_config(tmp_path / "run.json", n_units=100, n_reps=5, n_bootstrap=0, df="welch")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr

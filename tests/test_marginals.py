@@ -282,6 +282,20 @@ class TestFitCensored:
         assert abs(fit.params.rate - 2.36) <= 0.1
         assert abs(fit.params.zero_prob - 0.84) <= 0.01
 
+    def test_converged_when_best_start_ends_abnormally(self):
+        # On this survey column, the start that reaches the lowest objective
+        # ends in an abnormal line search at the optimum, while two other
+        # starts converge to within 1e-13 relative of it.
+        from ctssim.datasets import build_example_survey
+        from ctssim.marginals import category_probs
+
+        column = build_example_survey(8000, 2148111748).values[:, 1]
+        hist = np.bincount(column, minlength=4).astype(float)
+        fit = fit_mle_censored(hist, "zinb")
+        assert fit.converged
+        # the model is saturated, so the optimum reproduces the frequencies
+        assert np.max(np.abs(category_probs(fit.params) - hist / hist.sum())) < 1e-6
+
     def test_all_mass_in_zero_is_degenerate(self):
         fit = fit_mle_censored([120.0, 0.0, 0.0, 0.0], "zip")
         assert fit.degenerate
