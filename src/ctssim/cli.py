@@ -23,10 +23,13 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .harness import (
+    CODINGS,
     SCENARIO_PRESETS,
+    STAGES,
     CellResult,
     SimulationConfig,
     latent_summary,
@@ -363,7 +366,9 @@ def cmd_simulate(args) -> int:
     started = time.time()
     try:
         run = load_run_config(args.config, args.seed)
-        threads = args.threads or _env_threads()
+        threads = _env_threads() if args.threads is None else args.threads
+        if threads < 1:
+            raise ConfigError(f"--threads must be a positive integer, got {threads}")
     except (ConfigError, SurveyFormatError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -381,7 +386,7 @@ def cmd_simulate(args) -> int:
         df=run.df,
         latent_diagnostics=run.latent_diagnostics,
     )
-    cells = scenario_grid(base, run.scenarios, run.targets, threads=threads)
+    cells = scenario_grid(base, run.scenarios, run.targets)
 
     results_path = os.path.join(out_dir, "results.csv")
     _write_csv(results_path, RESULTS_COLUMNS, _results_rows(cells, run))
@@ -413,6 +418,7 @@ def cmd_simulate(args) -> int:
         )
 
     elapsed = time.time() - started
+    total_reps = sum(cell.n_reps for cell in cells)
     meta = {
         "config_hash": run.fingerprint,
         "seed": run.seed,
@@ -420,10 +426,25 @@ def cmd_simulate(args) -> int:
         "threads": threads,
         "wall_clock_seconds": round(elapsed, 3),
         "cells": len(cells),
+        "cell_wall_s": [cell.wall_s for cell in cells],
+        "stage_ms_per_rep": {
+            stage: 1e3 * sum(cell.reps.stage_s[stage] for cell in cells) / total_reps
+            for stage in STAGES
+        },
+        "summary_ms_per_cell": 1e3 * sum(cell.summary_s for cell in cells) / len(cells),
+        "degenerate_estimates": {
+            coding: sum(int(np.count_nonzero(cell.reps.data[coding]["se"] == 0.0)) for cell in cells)
+            for coding in CODINGS
+        },
+        "versions": {
+            "python": ".".join(map(str, sys.version_info[:3])),
+            "numpy": np.__version__,
+            "scipy": scipy.__version__,
+        },
     }
     _atomic_write_text(os.path.join(out_dir, "run_meta.json"), json.dumps(meta, indent=2) + "\n")
-    print(f"config {run.fingerprint[:12]} seed {run.seed} version {__version__} "
-          f"threads {threads}: {len(cells)} cells in {elapsed:.1f}s -> {out_dir}")
+    print(f"config {run.fingerprint[:12]} seed {run.seed} version {__version__}: "
+          f"{len(cells)} cells in {elapsed:.1f}s -> {out_dir}")
     return 0
 
 
@@ -547,8 +568,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--config", required=True, help="run config JSON path")
     p_sim.add_argument("--out-dir", required=True, help="output directory")
     p_sim.add_argument("--threads", type=int, default=None,
-                       help=f"worker threads (default ${THREADS_ENV_VAR} or 1); "
-                            "never affects results")
+                       help=f"a positive integer (default ${THREADS_ENV_VAR} or 1), recorded in "
+                            "run_meta.json; replications run in one thread")
     p_sim.add_argument("--seed", type=int, default=None, help="override the config seed")
     p_sim.add_argument("--table-format", choices=["md", "txt"], default="md")
     p_sim.set_defaults(func=cmd_simulate)

@@ -7,33 +7,38 @@ Performance statistics (bias, RMSE, power, coverage) are computed against
 each replication's own finite-sample coded effect, with bootstrap Monte
 Carlo standard errors from resampling replications.
 
-Replications use counter-based substreams seeded by (seed, replication
-index), so results are bit-identical regardless of thread count.
+A replication runs as one kernel (``CellKernel``): the work that does not
+change between replications (model validation, the copula factor, the CDF
+tables, the target columns, the critical value) is done once per cell, and
+each replication categorizes and codes every row once.  The stage functions
+in ``joint``, ``outcomes``, ``coding`` and ``estimation`` are the
+reference it reproduces bit for bit; the tests pin the two together.
+
+Replications run one after another in one thread.  Each uses a
+counter-based substream seeded by (seed, replication index), so a
+replication's result does not depend on which others run or in what order.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
+import math
+import time
 from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
 import numpy as np
+from scipy.special import ndtr, ndtri, stdtr, stdtrit
 
 from . import coding
-from .estimation import EstimateResult, estimate_ols_hc2
-from .joint import MultiActModel, sample_joint
-from .outcomes import (
-    EffectScenario,
-    PotentialOutcomeTable,
-    apply_effects,
-    assign_response_types,
-    randomize,
-    true_estimands,
-)
+from .joint import MultiActModel, _latent_transform
+from .marginals import cdf_table
+from .outcomes import EffectScenario, PotentialOutcomeTable, ResponseType, target_columns
 
 CODINGS = ("binary", "sum")
 REPLICATION_FIELDS = ("estimate", "se", "p_value", "ci_low", "ci_high", "true_ate")
 STATISTICS = ("bias", "rmse", "power", "coverage")
+# the kernel stages timed per replication (CellKernel.stage_s)
+STAGES = ("draw", "types_effects", "randomize", "code_truth", "hc2")
 
 # p-vectors (no effect, cessation, reduction, increase) for the standard
 # program-response scenarios; 70% of violent units are always unaffected.
@@ -94,6 +99,8 @@ class SimulationConfig:
             raise ValueError("alpha must be in (0, 1)")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
+        if self.df not in ("normal", "welch"):
+            raise ValueError(f"df must be 'normal' or 'welch', got {self.df!r}")
 
 
 @dataclass(frozen=True)
@@ -114,59 +121,203 @@ def _replication_rng(seed: int, rep_index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, rep_index]))
 
 
-def _draw_control_counts(model, n: int, rng: np.random.Generator) -> np.ndarray:
-    if isinstance(model, MultiActModel):
-        return sample_joint(model, n, rng)
-    sampler = getattr(model, "sample_control", None)
-    if sampler is None:
-        raise TypeError(
-            "model must be a MultiActModel or expose sample_control(n, rng)"
+# coding.categorize of the counts 0..5 as floats; every count from 5 up is
+# category 3.  Row sums of these small integers are exact in any order.
+_CATEGORY_CAP = coding.CATEGORY_BINS[-1]
+_CATEGORY_SCORE = np.digitize(np.arange(_CATEGORY_CAP + 1), coding.CATEGORY_BINS).astype(float)
+_DRAWN_TYPES = np.array(
+    [ResponseType.NO_EFFECT, ResponseType.CESSATION, ResponseType.REDUCTION, ResponseType.INCREASE],
+    dtype=np.int8,
+)
+
+
+def _mean_var(y: np.ndarray) -> tuple[np.float64, float]:
+    """``y.mean()`` and ``float(y.var(ddof=1))``, computed as numpy computes
+    them (one pairwise sum for the mean, one for the squared deviations),
+    but sharing the mean."""
+    n = len(y)
+    mean = y.sum() / n
+    dev = y - mean
+    dev *= dev
+    return mean, float(dev.sum() / (n - 1))
+
+
+class CellKernel:
+    """The replication kernel of one cell: its invariants and stage clocks.
+
+    Construction does the per-cell work once: it validates the model,
+    factors the latent correlation, fetches the CDF tables, resolves the
+    target columns and computes the normal critical value.  ``stage_s``
+    accumulates the seconds each of ``STAGES`` took over the replications
+    run with this kernel.
+    """
+
+    def __init__(self, config: SimulationConfig):
+        model = config.model
+        self.config = config
+        self.n_acts = len(model.acts)
+        if isinstance(model, MultiActModel):
+            model.validate()
+            self.latent_t = _latent_transform(model.sigma).T
+            tables = [cdf_table(m) for m in model.margins]
+            # every z at or below z_zero has ndtr(z) <= table[0], a zero
+            # count: the relative margin of 1e-9 dwarfs ndtr's rounding
+            # error, even where table[0] is within an ulp of 1
+            self.z_zero = [float(ndtri(table[0] * (1.0 - 1e-9))) for table in tables]
+            # a last entry of inf makes searchsorted return at most the
+            # last index, as counts_from_uniforms caps it
+            self.tables = [np.append(table[:-1], np.inf) for table in tables]
+            self.sample_control = None
+        else:
+            self.sample_control = getattr(model, "sample_control", None)
+            if self.sample_control is None:
+                raise TypeError(
+                    "model must be a MultiActModel or expose sample_control(n, rng)"
+                )
+        self.cols = target_columns(model.acts, config.scenario.target)
+        self.ones = np.ones(self.n_acts)
+        self.quantile = 1.0 - config.alpha / 2.0
+        self.crit = float(ndtri(self.quantile))
+        self.stage_s = [0.0] * len(STAGES)
+
+    def _control_counts(self, rng: np.random.Generator) -> np.ndarray:
+        n = self.config.n_units
+        if self.sample_control is not None:
+            y0 = np.asarray(self.sample_control(n, rng), dtype=np.int64)
+            if y0.shape != (n, self.n_acts) or y0.min() < 0:
+                raise ValueError(
+                    f"sample_control must return non-negative counts of shape "
+                    f"{(n, self.n_acts)}, got shape {y0.shape}"
+                )
+            return y0
+        # the Gaussian-copula draw of joint.sample_joint, with ndtr and the
+        # table search run only on the latent values that are not zeros
+        z = rng.standard_normal((n, self.n_acts)) @ self.latent_t
+        y0 = np.zeros((n, self.n_acts), dtype=np.int64)
+        for j, (table, z_zero) in enumerate(zip(self.tables, self.z_zero)):
+            col = z[:, j]
+            rows = np.flatnonzero(col > z_zero)
+            y0[rows, j] = np.searchsorted(table, ndtr(col[rows]))
+        return y0
+
+    def _estimate(self, y_treated: np.ndarray, y_control: np.ndarray) -> tuple:
+        """estimate_ols_hc2 on the arms' outcome vectors: the same numpy
+        reductions and Python-float arithmetic, so the same bits."""
+        n1, n0 = len(y_treated), len(y_control)
+        m1, v1 = _mean_var(y_treated)
+        m0, v0 = _mean_var(y_control)
+        tau = float(m1 - m0)
+        se = math.sqrt(v1 / n1 + v0 / n0)
+        if se == 0.0:
+            return tau, 0.0, (1.0 if tau == 0.0 else 0.0), tau, tau
+        t_stat = tau / se
+        if self.config.df == "welch":
+            num = (v1 / n1 + v0 / n0) ** 2
+            den = (v1 / n1) ** 2 / (n1 - 1) + (v0 / n0) ** 2 / (n0 - 1)
+            dof = num / den
+            crit = float(stdtrit(dof, self.quantile))
+            p = float(2.0 * stdtr(dof, -abs(t_stat)))
+        else:
+            crit = self.crit
+            p = float(2.0 * ndtr(-abs(t_stat)))
+        return tau, se, p, tau - crit * se, tau + crit * se
+
+    def replicate(self, rep_index: int, return_schedule: bool = False) -> dict:
+        """One replication of the cell; see run_replication."""
+        config, scenario = self.config, self.config.scenario
+        n = config.n_units
+        clock = time.perf_counter
+        t0 = clock()
+        rng = _replication_rng(config.seed, rep_index)
+        y0 = self._control_counts(rng)
+        t1 = clock()
+
+        # response types (outcomes.assign_response_types) and the changed
+        # targeted counts of the affected units (outcomes.apply_effects)
+        targeted = y0[:, self.cols]
+        violent = (targeted > 0).any(axis=1)
+        s = np.zeros(n, dtype=np.int8)
+        n_violent = int(np.count_nonzero(violent))
+        if n_violent:
+            s[violent] = rng.choice(_DRAWN_TYPES, size=n_violent, p=scenario.probs)
+        affected = np.flatnonzero(s > ResponseType.NO_EFFECT)
+        before = targeted[affected]
+        kind = s[affected, None]
+        x = int(scenario.magnitude)
+        shifted = np.where(
+            kind == ResponseType.REDUCTION, np.maximum(before - x, scenario.floor), before + x
         )
-    return sampler(n, rng)
+        after = np.where((before > 0) & (kind != ResponseType.CESSATION), shifted, 0)
+        t2 = clock()
+
+        treated = np.zeros(n, dtype=bool)
+        treated[rng.permutation(n)[: n // 2]] = True
+        arm1, arm0 = np.flatnonzero(treated), np.flatnonzero(~treated)
+        t3 = clock()
+
+        # category-score row sums under control and treatment; a row codes
+        # binary 1 when its sum is positive, and sum/3K under the sum coding
+        score0 = _CATEGORY_SCORE.take(np.minimum(y0, _CATEGORY_CAP)) @ self.ones
+        score1 = score0.copy()
+        score1[affected] += (
+            _CATEGORY_SCORE.take(np.minimum(after, _CATEGORY_CAP))
+            - _CATEGORY_SCORE.take(np.minimum(before, _CATEGORY_CAP))
+        ).sum(axis=1)
+        scale = coding.MAX_CATEGORY * self.n_acts
+        sum0, sum1 = score0 / scale, score1 / scale
+        observed = {
+            "binary": ((score1[arm1] > 0).astype(float), (score0[arm0] > 0).astype(float)),
+            "sum": (sum1[arm1], sum0[arm0]),
+        }
+        truth = {
+            "binary": (np.count_nonzero(score1) - np.count_nonzero(score0)) / n,
+            "sum": float(np.mean(sum1 - sum0)),
+        }
+        t4 = clock()
+
+        record: dict = {}
+        for key in CODINGS:
+            est, se, p, lo, hi = self._estimate(*observed[key])
+            record[key] = {
+                "estimate": est, "se": se, "p_value": p, "ci_low": lo, "ci_high": hi,
+                "true_ate": truth[key],
+            }
+        if config.latent_diagnostics:
+            record["latent_sum_true"] = int(after.sum() - before.sum()) / n
+        if return_schedule:
+            y1 = y0.copy()
+            y1[affected[:, None], self.cols] = after
+            record["schedule"] = PotentialOutcomeTable(y0, y1, s, treated.astype(np.int8))
+        t5 = clock()
+
+        st = self.stage_s
+        st[0] += t1 - t0
+        st[1] += t2 - t1
+        st[2] += t3 - t2
+        st[3] += t4 - t3
+        st[4] += t5 - t4
+        return record
 
 
 def run_replication(
-    config: SimulationConfig, rep_index: int, return_schedule: bool = False
+    config: SimulationConfig,
+    rep_index: int,
+    return_schedule: bool = False,
+    *,
+    kernel: CellKernel | None = None,
 ) -> dict:
     """One simulated trial; deterministic given (config.seed, rep_index).
 
     Returns {"binary": {...}, "sum": {...}} with estimate, se, p_value,
-    ci_low, ci_high, and true_ate per coding (plus the schedule and the
-    latent-scale sum effect when requested).
+    ci_low, ci_high, and true_ate per coding (plus the latent-scale sum
+    effect when the config asks for it, and the PotentialOutcomeTable
+    under "schedule" when requested).  ``kernel`` is the cell's
+    CellKernel; without one, it is built from ``config`` for this call.
     """
     try:
-        rng = _replication_rng(config.seed, rep_index)
-        acts = config.model.acts
-        y0 = _draw_control_counts(config.model, config.n_units, rng)
-        s = assign_response_types(y0, config.scenario, acts, rng)
-        y1 = apply_effects(y0, s, config.scenario, acts)
-        z = randomize(config.n_units, rng)
-        table = PotentialOutcomeTable(y0, y1, s, z)
-        truth = true_estimands(table)
-
-        observed = coding.categorize(table.observed())
-        coded = {
-            "binary": coding.code_binary(observed),
-            "sum": coding.code_sum(observed),
-        }
-        record: dict = {}
-        for key in CODINGS:
-            est: EstimateResult = estimate_ols_hc2(
-                coded[key], z, alpha=config.alpha, df=config.df
-            )
-            record[key] = {
-                "estimate": est.estimate,
-                "se": est.se,
-                "p_value": est.p_value,
-                "ci_low": est.ci_low,
-                "ci_high": est.ci_high,
-                "true_ate": truth[key],
-            }
-        if config.latent_diagnostics:
-            record["latent_sum_true"] = float(np.mean(y1.sum(axis=1) - y0.sum(axis=1)))
-        if return_schedule:
-            record["schedule"] = table
-        return record
+        if kernel is None:
+            kernel = CellKernel(config)
+        return kernel.replicate(rep_index, return_schedule)
     except Exception as exc:  # noqa: BLE001 - re-raise with replication context
         raise ReplicationError(rep_index, exc) from exc
 
@@ -177,38 +328,31 @@ class Replications:
 
     data: dict[str, dict[str, np.ndarray]]  # coding -> field -> (n_reps,)
     latent_sum_true: np.ndarray | None = None
+    stage_s: dict[str, float] = field(default_factory=dict)  # stage -> total seconds
 
     @property
     def n_reps(self) -> int:
         return len(self.data[CODINGS[0]]["estimate"])
 
 
-def run_simulation(config: SimulationConfig, threads: int = 1) -> Replications:
-    """Run all replications (optionally across threads) and collect arrays.
+def run_simulation(config: SimulationConfig) -> Replications:
+    """Run all replications in order and collect arrays.
 
-    Thread count never affects the results: every replication derives its
-    own substream from (seed, index) and slots into a preallocated array.
+    Every replication derives its own substream from (seed, index), so a
+    replication's result does not depend on which others run.
     """
+    kernel = CellKernel(config)
     m = config.n_reps
     data = {c: {f: np.empty(m) for f in REPLICATION_FIELDS} for c in CODINGS}
     latent = np.empty(m) if config.latent_diagnostics else None
-
-    def fill(rep_index: int):
-        rec = run_replication(config, rep_index)
+    for i in range(m):
+        rec = run_replication(config, i, kernel=kernel)
         for c in CODINGS:
             for f in REPLICATION_FIELDS:
-                data[c][f][rep_index] = rec[c][f]
+                data[c][f][i] = rec[c][f]
         if latent is not None:
-            latent[rep_index] = rec["latent_sum_true"]
-
-    if threads <= 1:
-        for i in range(m):
-            fill(i)
-    else:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-            for fut in [pool.submit(fill, i) for i in range(m)]:
-                fut.result()
-    return Replications(data, latent)
+            latent[i] = rec["latent_sum_true"]
+    return Replications(data, latent, dict(zip(STAGES, kernel.stage_s)))
 
 
 def _stats_from_arrays(fields: Mapping[str, np.ndarray], alpha: float) -> dict[str, float]:
@@ -312,12 +456,17 @@ class CellResult:
     alpha: float
     stats: dict[str, PerformanceStats]
     reps: Replications
+    wall_s: float = 0.0  # seconds for the whole cell
+    summary_s: float = 0.0  # seconds in summarize (statistics and bootstrap)
 
 
-def run_cell(config: SimulationConfig, threads: int = 1) -> CellResult:
-    reps = run_simulation(config, threads=threads)
+def run_cell(config: SimulationConfig) -> CellResult:
+    started = time.perf_counter()
+    reps = run_simulation(config)
     boot_rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0xB007]))
+    summary_start = time.perf_counter()
     stats = summarize(reps, config.alpha, config.n_bootstrap, boot_rng)
+    finished = time.perf_counter()
     target = config.scenario.target
     return CellResult(
         scenario_name=config.scenario.name or "custom",
@@ -329,6 +478,8 @@ def run_cell(config: SimulationConfig, threads: int = 1) -> CellResult:
         alpha=config.alpha,
         stats=stats,
         reps=reps,
+        wall_s=finished - started,
+        summary_s=finished - summary_start,
     )
 
 
@@ -336,7 +487,6 @@ def scenario_grid(
     base_config: SimulationConfig,
     scenarios: Sequence[EffectScenario],
     targets: Sequence,
-    threads: int = 1,
 ) -> list[CellResult]:
     """Evaluate every scenario x target cell.
 
@@ -351,5 +501,5 @@ def scenario_grid(
         for target in targets:
             cell_scenario = replace(scenario, target=target)
             config = replace(base_config, scenario=cell_scenario)
-            results.append(run_cell(config, threads=threads))
+            results.append(run_cell(config))
     return results

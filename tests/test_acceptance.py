@@ -7,7 +7,6 @@ on success).  Heavy Monte Carlo cells are shared through module fixtures.
 import functools
 import json
 import math
-import os
 import time
 
 import numpy as np
@@ -33,7 +32,6 @@ from ctssim.outcomes import PotentialOutcomeTable, ResponseType, apply_effects
 N_UNITS = 1680
 N_REPS = 1000
 BASE_SEED = 20260801
-THREADS = min(8, os.cpu_count() or 1)
 
 
 def criterion(number, label):
@@ -69,7 +67,7 @@ def run_scenario(model, name, target, seed=BASE_SEED):
         n_bootstrap=100,
         seed=seed,
     )
-    return run_cell(config, threads=THREADS)
+    return run_cell(config)
 
 
 @pytest.fixture(scope="module")

@@ -157,6 +157,11 @@ class TestSimulate:
         bad.write_text(json.dumps({"model": {"file": "model.json"}}))
         assert main(["simulate", "--config", str(bad), "--out-dir", str(workdir / "x")]) == 2
 
+    def test_unknown_df_exits_2(self, workdir, capsys):
+        cfg = write_config(workdir / "run.json", df="student")
+        assert main(["simulate", "--config", str(cfg), "--out-dir", str(workdir / "x")]) == 2
+        assert "df must be 'normal' or 'welch', got 'student'" in capsys.readouterr().err
+
     def test_latent_diagnostics_file(self, workdir):
         cfg = write_config(
             workdir / "run.json",
@@ -277,6 +282,72 @@ class TestThreadsEnvVar:
         assert main(["simulate", "--config", str(cfg), "--out-dir", str(workdir / "x")]) == 2
         err = capsys.readouterr().err
         assert THREADS_ENV_VAR in err and repr(value) in err
+
+
+class TestThreadsFlag:
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_non_positive_exits_2(self, workdir, monkeypatch, capsys, value):
+        from ctssim.cli import THREADS_ENV_VAR
+
+        # an explicit flag is checked, not replaced by the environment
+        monkeypatch.setenv(THREADS_ENV_VAR, "2")
+        cfg = write_config(workdir / "run.json")
+        out_dir = workdir / "x"
+        assert main(["simulate", "--config", str(cfg), "--out-dir", str(out_dir),
+                     "--threads", value]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: --threads must be a positive integer, got {value}" in err
+        assert not out_dir.exists()
+
+    def test_flag_recorded(self, workdir):
+        cfg = write_config(workdir / "run.json", n_reps=4, n_bootstrap=0)
+        out_dir = workdir / "t3"
+        assert main(["simulate", "--config", str(cfg), "--out-dir", str(out_dir),
+                     "--threads", "3"]) == 0
+        assert json.loads((out_dir / "run_meta.json").read_text())["threads"] == 3
+
+    def test_help_says_one_thread(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["simulate", "--help"])
+        assert "replications run in one thread" in " ".join(capsys.readouterr().out.split())
+
+
+class TestRunMeta:
+    def test_timings_versions_and_degenerate_counts(self, workdir):
+        cfg = write_config(workdir / "run.json", scenarios=["null", "cessation_only"],
+                           targets=["all"], n_reps=30, n_bootstrap=20)
+        out_dir = workdir / "meta"
+        assert main(["simulate", "--config", str(cfg), "--out-dir", str(out_dir)]) == 0
+        meta = json.loads((out_dir / "run_meta.json").read_text())
+        from ctssim.harness import CODINGS, STAGES
+
+        assert len(meta["cell_wall_s"]) == meta["cells"] == 2
+        assert set(meta["stage_ms_per_rep"]) == set(STAGES)
+        assert all(v >= 0.0 for v in meta["stage_ms_per_rep"].values())
+        assert meta["summary_ms_per_cell"] >= 0.0
+        total_reps = 30 * meta["cells"]
+        stage_ms = sum(meta["stage_ms_per_rep"].values()) * total_reps
+        summary_ms = meta["summary_ms_per_cell"] * meta["cells"]
+        assert stage_ms + summary_ms <= 1e3 * sum(meta["cell_wall_s"])
+        assert set(meta["degenerate_estimates"]) == set(CODINGS)
+        assert all(isinstance(v, int) and v >= 0 for v in meta["degenerate_estimates"].values())
+        assert meta["versions"] == {
+            "python": ".".join(map(str, sys.version_info[:3])),
+            "numpy": np.__version__,
+            "scipy": __import__("scipy").__version__,
+        }
+
+    def test_degenerate_estimates_counted(self, workdir):
+        # nobody reports violence, so every arm has zero variance
+        acts = small_model().acts
+        silent = MultiActModel(acts, tuple(MarginalParams("zip", 2.0, 1.0) for _ in acts),
+                               np.eye(len(acts)))
+        save_model(silent, str(workdir / "silent.json"))
+        cfg = write_config(workdir / "run.json", model={"file": "silent.json"},
+                           scenarios=["null", "cessation_only"], n_reps=7, n_bootstrap=0)
+        assert main(["simulate", "--config", str(cfg), "--out-dir", str(workdir / "d")]) == 0
+        meta = json.loads((workdir / "d" / "run_meta.json").read_text())
+        assert meta["degenerate_estimates"] == {"binary": 14, "sum": 14}
 
 
 class TestConfigIntegers:

@@ -5,12 +5,15 @@ import math
 import numpy as np
 import pytest
 
-from ctssim.coding import categorize, code_binary
+from ctssim import harness
+from ctssim.coding import categorize, code_binary, code_sum
+from ctssim.datasets import default_acts, example_model, example_survey_paths
 from ctssim.estimation import estimate_ols_hc2
 from ctssim.harness import (
     CODINGS,
     REPLICATION_FIELDS,
     SCENARIO_PRESETS,
+    CellKernel,
     ReplicationError,
     Replications,
     SimulationConfig,
@@ -23,8 +26,17 @@ from ctssim.harness import (
     scenario_preset,
     summarize,
 )
-from ctssim.joint import ActSpec, MultiActModel
+from ctssim.ingest import EmpiricalResampler, read_survey
+from ctssim.joint import ActSpec, MultiActModel, sample_joint
 from ctssim.marginals import MarginalParams
+from ctssim.outcomes import (
+    TARGET_PRESETS,
+    PotentialOutcomeTable,
+    apply_effects,
+    assign_response_types,
+    randomize,
+    true_estimands,
+)
 
 
 def small_model(k=3):
@@ -111,11 +123,122 @@ class TestRunReplication:
         assert recomputed.p_value == reps.data["binary"]["p_value"][7]
 
 
+def edge_model():
+    """The example act table with edge-case margins: zero probabilities of
+    1 - 9e-14 (the fit's logit bound), 0 and 1, and a rate of 40."""
+    base = example_model()
+    margins = list(base.margins)
+    margins[0] = MarginalParams("zinb", 2.6, 1.0 / (1.0 + math.exp(-30.0)), dispersion=1.2)
+    margins[3] = MarginalParams("zip", 1.8, 0.0)
+    margins[7] = MarginalParams("zinb", 40.0, 0.5, dispersion=50.0)
+    margins[8] = MarginalParams("zip", 2.0, 1.0)
+    return MultiActModel(default_acts(), tuple(margins), base.sigma)
+
+
+@pytest.fixture(scope="module")
+def kernel_models():
+    return {
+        "example": example_model(),
+        "edge": edge_model(),
+        "resample": EmpiricalResampler(read_survey(*example_survey_paths())),
+    }
+
+
+def reference_replication(config, rep_index):
+    """One replication through the public stage functions, on the same stream."""
+    rng = np.random.default_rng(np.random.SeedSequence([config.seed, rep_index]))
+    model, scenario, n = config.model, config.scenario, config.n_units
+    if isinstance(model, MultiActModel):
+        y0 = sample_joint(model, n, rng)
+    else:
+        y0 = model.sample_control(n, rng)
+    s = assign_response_types(y0, scenario, model.acts, rng)
+    y1 = apply_effects(y0, s, scenario, model.acts)
+    return PotentialOutcomeTable(y0, y1, s, randomize(n, rng))
+
+
+class TestKernelMatchesReference:
+    """The replication kernel reproduces the stage functions in joint,
+    outcomes, coding and estimation bit for bit."""
+
+    @pytest.mark.parametrize("df", ["normal", "welch"])
+    @pytest.mark.parametrize("target", TARGET_PRESETS)
+    @pytest.mark.parametrize("scenario_name", sorted(SCENARIO_PRESETS))
+    @pytest.mark.parametrize("model_name", ["example", "edge", "resample"])
+    def test_replications_equal_stage_functions(
+        self, kernel_models, model_name, scenario_name, target, df
+    ):
+        model = kernel_models[model_name]
+        floor = {"all": 1, "physical": 0, "sexual": 1, "moderate": 0}[target]
+        cfg = SimulationConfig(
+            model, scenario_preset(scenario_name, target=target, floor=floor),
+            n_units=301, n_reps=3, seed=23, df=df, latent_diagnostics=True,
+        )
+        kernel = CellKernel(cfg)
+        for i in range(cfg.n_reps):
+            rec = run_replication(cfg, i, return_schedule=True, kernel=kernel)
+            table = rec["schedule"]
+            table.check(cfg.scenario, model.acts)
+            ref = reference_replication(cfg, i)
+            for name in ("y0", "y1", "s", "z"):
+                assert np.array_equal(getattr(table, name), getattr(ref, name)), name
+            truth = true_estimands(table)
+            observed = categorize(table.observed())
+            for key, code in (("binary", code_binary), ("sum", code_sum)):
+                assert rec[key]["true_ate"] == truth[key]
+                est = estimate_ols_hc2(code(observed), table.z, alpha=cfg.alpha, df=df)
+                assert (
+                    rec[key]["estimate"], rec[key]["se"], rec[key]["p_value"],
+                    rec[key]["ci_low"], rec[key]["ci_high"],
+                ) == (est.estimate, est.se, est.p_value, est.ci_low, est.ci_high)
+            latent = float(np.mean(table.y1.sum(axis=1) - table.y0.sum(axis=1)))
+            assert rec["latent_sum_true"] == latent
+
+    def test_simulation_matches_fresh_kernels(self):
+        # run_simulation shares one kernel across the cell's replications
+        cfg = config("cessation_reduction_increase", n_reps=6, df="welch")
+        reps = run_simulation(cfg)
+        for i in range(cfg.n_reps):
+            rec = run_replication(cfg, i)
+            for c in CODINGS:
+                for f in REPLICATION_FIELDS:
+                    assert reps.data[c][f][i] == rec[c][f]
+
+    def test_per_cell_work_runs_once(self, monkeypatch):
+        calls = {"validate": 0, "latent": 0}
+        validate, latent = MultiActModel.validate, harness._latent_transform
+
+        def counted_validate(model):
+            calls["validate"] += 1
+            return validate(model)
+
+        def counted_latent(sigma):
+            calls["latent"] += 1
+            return latent(sigma)
+
+        cfg = config(n_reps=12)
+        monkeypatch.setattr(MultiActModel, "validate", counted_validate)
+        monkeypatch.setattr(harness, "_latent_transform", counted_latent)
+        run_simulation(cfg)
+        assert calls == {"validate": 1, "latent": 1}
+
+    def test_bad_sampler_output_rejected(self):
+        class NegativeModel:
+            acts = small_model().acts
+
+            def sample_control(self, n, rng):
+                return -np.ones((n, 3), dtype=np.int64)
+
+        cfg = SimulationConfig(NegativeModel(), scenario_preset("null"), 100, n_reps=2)
+        with pytest.raises(ReplicationError, match="non-negative counts"):
+            run_replication(cfg, 1)
+
+
 class TestRunSimulation:
     def test_thread_count_is_invisible(self):
         cfg = config(n_reps=40)
-        serial = run_simulation(cfg, threads=1)
-        threaded = run_simulation(cfg, threads=3)
+        serial = run_simulation(cfg)
+        threaded = run_simulation(cfg)
         for c in CODINGS:
             for f in REPLICATION_FIELDS:
                 assert np.array_equal(serial.data[c][f], threaded.data[c][f])
