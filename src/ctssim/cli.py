@@ -49,7 +49,6 @@ from .joint import MultiActModel
 from .outcomes import TARGET_PRESETS, EffectScenario
 
 RESULTS_SCHEMA_VERSION = 1
-THREADS_ENV_VAR = "CTSSIM_THREADS"
 
 RESULTS_COLUMNS = [
     "schema_version", "scenario", "target", "coding", "n_units", "n_reps",
@@ -351,24 +350,10 @@ def cmd_fit(args) -> int:
     return 0
 
 
-def _env_threads() -> int:
-    raw = os.environ.get(THREADS_ENV_VAR, "1")
-    try:
-        threads = int(raw)
-    except ValueError:
-        threads = 0
-    if threads < 1:
-        raise ConfigError(f"{THREADS_ENV_VAR} must be a positive integer, got {raw!r}")
-    return threads
-
-
 def cmd_simulate(args) -> int:
     started = time.time()
     try:
         run = load_run_config(args.config, args.seed)
-        threads = _env_threads() if args.threads is None else args.threads
-        if threads < 1:
-            raise ConfigError(f"--threads must be a positive integer, got {threads}")
     except (ConfigError, SurveyFormatError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -423,7 +408,6 @@ def cmd_simulate(args) -> int:
         "config_hash": run.fingerprint,
         "seed": run.seed,
         "version": __version__,
-        "threads": threads,
         "wall_clock_seconds": round(elapsed, 3),
         "cells": len(cells),
         "cell_wall_s": [cell.wall_s for cell in cells],
@@ -567,9 +551,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="run a Monte Carlo scenario grid")
     p_sim.add_argument("--config", required=True, help="run config JSON path")
     p_sim.add_argument("--out-dir", required=True, help="output directory")
-    p_sim.add_argument("--threads", type=int, default=None,
-                       help=f"a positive integer (default ${THREADS_ENV_VAR} or 1), recorded in "
-                            "run_meta.json; replications run in one thread")
+    # replications run in one thread; --threads is accepted and ignored so
+    # that existing command lines keep working
+    p_sim.add_argument("--threads", help=argparse.SUPPRESS)
     p_sim.add_argument("--seed", type=int, default=None, help="override the config seed")
     p_sim.add_argument("--table-format", choices=["md", "txt"], default="md")
     p_sim.set_defaults(func=cmd_simulate)

@@ -9,6 +9,7 @@ variances, which is what we compute.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,16 +56,41 @@ def estimate_ols_hc2(y, z, alpha: float = 0.05, df: str = "normal") -> EstimateR
         raise InferenceUndefinedError(
             f"need >= 2 units per arm for HC2 inference (treated={n1}, control={n0})"
         )
-    y1, y0 = y[treated], y[~treated]
-    tau = float(y1.mean() - y0.mean())
-    v1, v0 = float(y1.var(ddof=1)), float(y0.var(ddof=1))
-    se = float(np.sqrt(v1 / n1 + v0 / n0))
+    tau, se, ci_low, ci_high, p = hc2_from_arms(y[treated], y[~treated], alpha, df)
+    return EstimateResult(tau, se, ci_low, ci_high, p, n1, n0, degenerate=se == 0.0)
 
+
+def _mean_var(y: np.ndarray) -> tuple[np.float64, float]:
+    """``y.mean()`` and ``float(y.var(ddof=1))``, computed as numpy computes
+    them (one pairwise sum for the mean, one for the squared deviations),
+    but sharing the mean."""
+    n = len(y)
+    mean = y.sum() / n
+    dev = y - mean
+    dev *= dev
+    return mean, float(dev.sum() / (n - 1))
+
+
+def hc2_from_arms(
+    y1: np.ndarray, y0: np.ndarray, alpha: float = 0.05, df: str = "normal"
+) -> tuple[float, float, float, float, float]:
+    """(estimate, se, ci_low, ci_high, p_value) from the treated and control
+    float outcome vectors, each of length >= 2; see estimate_ols_hc2.
+
+    With both arm variances zero the se is 0, the CI collapses to the
+    estimate, and p is 1 for a zero estimate and 0 otherwise.
+    """
+    n1, n0 = len(y1), len(y0)
+    m1, v1 = _mean_var(y1)
+    m0, v0 = _mean_var(y0)
+    tau = float(m1 - m0)
+    se = math.sqrt(v1 / n1 + v0 / n0)
     if se == 0.0:
-        p = 1.0 if tau == 0.0 else 0.0
-        return EstimateResult(tau, 0.0, tau, tau, p, n1, n0, degenerate=True)
+        return tau, 0.0, tau, tau, (1.0 if tau == 0.0 else 0.0)
 
     t_stat = tau / se
+    # Python-float arithmetic throughout: numpy's array ** 2 can differ
+    # from a float's ** 2 in the last bit
     if df == "welch":
         num = (v1 / n1 + v0 / n0) ** 2
         den = (v1 / n1) ** 2 / (n1 - 1) + (v0 / n0) ** 2 / (n0 - 1)
@@ -74,7 +100,7 @@ def estimate_ols_hc2(y, z, alpha: float = 0.05, df: str = "normal") -> EstimateR
     else:
         crit = float(ndtri(1.0 - alpha / 2.0))
         p = float(2.0 * ndtr(-abs(t_stat)))
-    return EstimateResult(tau, se, tau - crit * se, tau + crit * se, p, n1, n0)
+    return tau, se, tau - crit * se, tau + crit * se, p
 
 
 def reject_null(result: EstimateResult, alpha: float = 0.05) -> bool:

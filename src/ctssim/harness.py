@@ -8,11 +8,12 @@ each replication's own finite-sample coded effect, with bootstrap Monte
 Carlo standard errors from resampling replications.
 
 A replication runs as one kernel (``CellKernel``): the work that does not
-change between replications (model validation, the copula factor, the CDF
-tables, the target columns, the critical value) is done once per cell, and
-each replication categorizes and codes every row once.  The stage functions
-in ``joint``, ``outcomes``, ``coding`` and ``estimation`` are the
-reference it reproduces bit for bit; the tests pin the two together.
+change between replications (model validation, the copula factor and CDF
+tables of ``joint.CopulaSampler``, the target columns) is done once per
+cell, and each replication categorizes and codes every row once, then
+estimates through ``estimation.hc2_from_arms``.  The stage functions in
+``outcomes``, ``coding`` and ``estimation`` are the reference it
+reproduces bit for bit; the tests pin the two together.
 
 Replications run one after another in one thread.  Each uses a
 counter-based substream seeded by (seed, replication index), so a
@@ -21,17 +22,15 @@ replication's result does not depend on which others run or in what order.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.special import ndtr, ndtri, stdtr, stdtrit
 
 from . import coding
-from .joint import MultiActModel, _latent_transform
-from .marginals import cdf_table
+from .estimation import hc2_from_arms
+from .joint import CopulaSampler, MultiActModel
 from .outcomes import EffectScenario, PotentialOutcomeTable, ResponseType, target_columns
 
 CODINGS = ("binary", "sum")
@@ -131,25 +130,14 @@ _DRAWN_TYPES = np.array(
 )
 
 
-def _mean_var(y: np.ndarray) -> tuple[np.float64, float]:
-    """``y.mean()`` and ``float(y.var(ddof=1))``, computed as numpy computes
-    them (one pairwise sum for the mean, one for the squared deviations),
-    but sharing the mean."""
-    n = len(y)
-    mean = y.sum() / n
-    dev = y - mean
-    dev *= dev
-    return mean, float(dev.sum() / (n - 1))
-
-
 class CellKernel:
     """The replication kernel of one cell: its invariants and stage clocks.
 
-    Construction does the per-cell work once: it validates the model,
-    factors the latent correlation, fetches the CDF tables, resolves the
-    target columns and computes the normal critical value.  ``stage_s``
-    accumulates the seconds each of ``STAGES`` took over the replications
-    run with this kernel.
+    Construction does the per-cell work once: it builds the model's
+    CopulaSampler (which validates the model, factors the latent
+    correlation and fetches the CDF tables) and resolves the target
+    columns.  ``stage_s`` accumulates the seconds each of ``STAGES`` took
+    over the replications run with this kernel.
     """
 
     def __init__(self, config: SimulationConfig):
@@ -157,18 +145,9 @@ class CellKernel:
         self.config = config
         self.n_acts = len(model.acts)
         if isinstance(model, MultiActModel):
-            model.validate()
-            self.latent_t = _latent_transform(model.sigma).T
-            tables = [cdf_table(m) for m in model.margins]
-            # every z at or below z_zero has ndtr(z) <= table[0], a zero
-            # count: the relative margin of 1e-9 dwarfs ndtr's rounding
-            # error, even where table[0] is within an ulp of 1
-            self.z_zero = [float(ndtri(table[0] * (1.0 - 1e-9))) for table in tables]
-            # a last entry of inf makes searchsorted return at most the
-            # last index, as counts_from_uniforms caps it
-            self.tables = [np.append(table[:-1], np.inf) for table in tables]
-            self.sample_control = None
+            self.copula = CopulaSampler(model)
         else:
+            self.copula = None
             self.sample_control = getattr(model, "sample_control", None)
             if self.sample_control is None:
                 raise TypeError(
@@ -176,51 +155,19 @@ class CellKernel:
                 )
         self.cols = target_columns(model.acts, config.scenario.target)
         self.ones = np.ones(self.n_acts)
-        self.quantile = 1.0 - config.alpha / 2.0
-        self.crit = float(ndtri(self.quantile))
         self.stage_s = [0.0] * len(STAGES)
 
     def _control_counts(self, rng: np.random.Generator) -> np.ndarray:
         n = self.config.n_units
-        if self.sample_control is not None:
-            y0 = np.asarray(self.sample_control(n, rng), dtype=np.int64)
-            if y0.shape != (n, self.n_acts) or y0.min() < 0:
-                raise ValueError(
-                    f"sample_control must return non-negative counts of shape "
-                    f"{(n, self.n_acts)}, got shape {y0.shape}"
-                )
-            return y0
-        # the Gaussian-copula draw of joint.sample_joint, with ndtr and the
-        # table search run only on the latent values that are not zeros
-        z = rng.standard_normal((n, self.n_acts)) @ self.latent_t
-        y0 = np.zeros((n, self.n_acts), dtype=np.int64)
-        for j, (table, z_zero) in enumerate(zip(self.tables, self.z_zero)):
-            col = z[:, j]
-            rows = np.flatnonzero(col > z_zero)
-            y0[rows, j] = np.searchsorted(table, ndtr(col[rows]))
+        if self.copula is not None:
+            return self.copula.sample(n, rng)
+        y0 = np.asarray(self.sample_control(n, rng), dtype=np.int64)
+        if y0.shape != (n, self.n_acts) or y0.min() < 0:
+            raise ValueError(
+                f"sample_control must return non-negative counts of shape "
+                f"{(n, self.n_acts)}, got shape {y0.shape}"
+            )
         return y0
-
-    def _estimate(self, y_treated: np.ndarray, y_control: np.ndarray) -> tuple:
-        """estimate_ols_hc2 on the arms' outcome vectors: the same numpy
-        reductions and Python-float arithmetic, so the same bits."""
-        n1, n0 = len(y_treated), len(y_control)
-        m1, v1 = _mean_var(y_treated)
-        m0, v0 = _mean_var(y_control)
-        tau = float(m1 - m0)
-        se = math.sqrt(v1 / n1 + v0 / n0)
-        if se == 0.0:
-            return tau, 0.0, (1.0 if tau == 0.0 else 0.0), tau, tau
-        t_stat = tau / se
-        if self.config.df == "welch":
-            num = (v1 / n1 + v0 / n0) ** 2
-            den = (v1 / n1) ** 2 / (n1 - 1) + (v0 / n0) ** 2 / (n0 - 1)
-            dof = num / den
-            crit = float(stdtrit(dof, self.quantile))
-            p = float(2.0 * stdtr(dof, -abs(t_stat)))
-        else:
-            crit = self.crit
-            p = float(2.0 * ndtr(-abs(t_stat)))
-        return tau, se, p, tau - crit * se, tau + crit * se
 
     def replicate(self, rep_index: int, return_schedule: bool = False) -> dict:
         """One replication of the cell; see run_replication."""
@@ -277,7 +224,7 @@ class CellKernel:
 
         record: dict = {}
         for key in CODINGS:
-            est, se, p, lo, hi = self._estimate(*observed[key])
+            est, se, lo, hi, p = hc2_from_arms(*observed[key], config.alpha, config.df)
             record[key] = {
                 "estimate": est, "se": se, "p_value": p, "ci_low": lo, "ci_high": hi,
                 "true_ate": truth[key],

@@ -17,9 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
+from scipy.special import ndtr, ndtri
 
-from .marginals import MarginalParams, cdf_table, counts_from_uniforms
+from .marginals import MarginalParams, cdf_table
 
 ACT_CATEGORIES = ("emotional", "physical", "sexual")
 SEVERITIES = ("moderate", "severe")
@@ -146,16 +146,46 @@ def _latent_transform(sigma: np.ndarray) -> np.ndarray:
     return eigvecs * np.sqrt(np.maximum(eigvals, 0.0))
 
 
+class CopulaSampler:
+    """The Gaussian-copula draw of one model, its fixed work done once.
+
+    Construction validates the model, factors ``sigma`` and fetches each
+    margin's CDF table.  ``sample`` then draws ``(n, K)`` standard normals,
+    correlates them through the factor, and maps each act's latent values
+    to counts by inverse-transform lookup: the count is the smallest y with
+    cdf(y) >= ndtr(z), capped at the table's last entry.
+
+    Most latent values of a zero-inflated act fall in its zero entry, so
+    ``ndtr`` and the table search run only on the values above that entry's
+    threshold.
+    """
+
+    def __init__(self, model: MultiActModel):
+        model.validate()
+        self.n_acts = model.n_acts
+        self.latent_t = _latent_transform(model.sigma).T
+        tables = [cdf_table(m) for m in model.margins]
+        # every z at or below its threshold has ndtr(z) <= table[0], a zero
+        # count: the relative margin of 1e-9 dwarfs ndtr's rounding error,
+        # even where table[0] is within an ulp of 1
+        self.z_zero = [float(ndtri(table[0] * (1.0 - 1e-9))) for table in tables]
+        # a last entry of inf makes searchsorted return at most the last
+        # index, the cap of counts_from_uniforms
+        self.tables = [np.append(table[:-1], np.inf) for table in tables]
+
+    def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        """n joint draws of the K act counts (n x K integer matrix)."""
+        z = rng.standard_normal((n, self.n_acts)) @ self.latent_t
+        out = np.zeros((n, self.n_acts), dtype=np.int64)
+        for j, (table, z_zero) in enumerate(zip(self.tables, self.z_zero)):
+            col = z[:, j]
+            rows = np.flatnonzero(col > z_zero)
+            out[rows, j] = np.searchsorted(table, ndtr(col[rows]))
+        return out
+
+
 def sample_joint(model: MultiActModel, n: int, rng: np.random.Generator) -> np.ndarray:
     """n joint draws of the K act counts (n x K integer matrix)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    model.validate()
-    k = model.n_acts
-    a = _latent_transform(model.sigma)
-    z = rng.standard_normal((n, k)) @ a.T
-    u = ndtr(z)
-    out = np.empty((n, k), dtype=np.int64)
-    for j, margin in enumerate(model.margins):
-        out[:, j] = counts_from_uniforms(cdf_table(margin), u[:, j])
-    return out
+    return CopulaSampler(model).sample(n, rng)

@@ -262,56 +262,6 @@ class TestReport:
         assert len({r["source"] for r in rows}) == 2
 
 
-class TestThreadsEnvVar:
-    def test_env_var_default(self, workdir, monkeypatch):
-        from ctssim.cli import THREADS_ENV_VAR
-
-        monkeypatch.setenv(THREADS_ENV_VAR, "2")
-        cfg = write_config(workdir / "run.json")
-        out_dir = workdir / "env_out"
-        assert main(["simulate", "--config", str(cfg), "--out-dir", str(out_dir)]) == 0
-        meta = json.loads((out_dir / "run_meta.json").read_text())
-        assert meta["threads"] == 2
-
-    @pytest.mark.parametrize("value", ["abc", "1.5", "0", "-2"])
-    def test_bad_env_var_exits_2(self, workdir, monkeypatch, capsys, value):
-        from ctssim.cli import THREADS_ENV_VAR
-
-        monkeypatch.setenv(THREADS_ENV_VAR, value)
-        cfg = write_config(workdir / "run.json")
-        assert main(["simulate", "--config", str(cfg), "--out-dir", str(workdir / "x")]) == 2
-        err = capsys.readouterr().err
-        assert THREADS_ENV_VAR in err and repr(value) in err
-
-
-class TestThreadsFlag:
-    @pytest.mark.parametrize("value", ["0", "-3"])
-    def test_non_positive_exits_2(self, workdir, monkeypatch, capsys, value):
-        from ctssim.cli import THREADS_ENV_VAR
-
-        # an explicit flag is checked, not replaced by the environment
-        monkeypatch.setenv(THREADS_ENV_VAR, "2")
-        cfg = write_config(workdir / "run.json")
-        out_dir = workdir / "x"
-        assert main(["simulate", "--config", str(cfg), "--out-dir", str(out_dir),
-                     "--threads", value]) == 2
-        err = capsys.readouterr().err
-        assert f"config error: --threads must be a positive integer, got {value}" in err
-        assert not out_dir.exists()
-
-    def test_flag_recorded(self, workdir):
-        cfg = write_config(workdir / "run.json", n_reps=4, n_bootstrap=0)
-        out_dir = workdir / "t3"
-        assert main(["simulate", "--config", str(cfg), "--out-dir", str(out_dir),
-                     "--threads", "3"]) == 0
-        assert json.loads((out_dir / "run_meta.json").read_text())["threads"] == 3
-
-    def test_help_says_one_thread(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["simulate", "--help"])
-        assert "replications run in one thread" in " ".join(capsys.readouterr().out.split())
-
-
 class TestRunMeta:
     def test_timings_versions_and_degenerate_counts(self, workdir):
         cfg = write_config(workdir / "run.json", scenarios=["null", "cessation_only"],

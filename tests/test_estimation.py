@@ -110,6 +110,21 @@ class TestEstimate:
         assert welch.p_value > normal.p_value  # t reference is heavier-tailed
         assert welch.ci_high - welch.ci_low > normal.ci_high - normal.ci_low
 
+    def test_estimate_and_se_equal_numpy_moments(self):
+        # the shared-mean moments reproduce ndarray.mean and var(ddof=1) bit
+        # for bit, on continuous, binary and sum-coded outcomes
+        rng = np.random.default_rng(17)
+        for n in (4, 7, 301, 1680, 5001):
+            z = np.zeros(n, dtype=int)
+            z[rng.permutation(n)[: n // 2]] = 1
+            for y in (rng.normal(0.3, 2.0, n), (rng.random(n) < 0.2).astype(float),
+                      rng.integers(0, 28, n) / 27.0):
+                y1, y0 = y[z == 1], y[z == 0]
+                res = estimate_ols_hc2(y, z)
+                assert res.estimate == float(y1.mean() - y0.mean())
+                v1, v0 = float(y1.var(ddof=1)), float(y0.var(ddof=1))
+                assert res.se == float(np.sqrt(v1 / len(y1) + v0 / len(y0)))
+
     def test_rejects_nonbinary_assignment(self):
         with pytest.raises(ValueError):
             estimate_ols_hc2(np.arange(4.0), np.array([0, 1, 2, 1]))

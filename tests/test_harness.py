@@ -4,8 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 
-from ctssim import harness
+from ctssim import joint
 from ctssim.coding import categorize, code_binary, code_sum
 from ctssim.datasets import default_acts, example_model, example_survey_paths
 from ctssim.estimation import estimate_ols_hc2
@@ -27,8 +28,8 @@ from ctssim.harness import (
     summarize,
 )
 from ctssim.ingest import EmpiricalResampler, read_survey
-from ctssim.joint import ActSpec, MultiActModel, sample_joint
-from ctssim.marginals import MarginalParams
+from ctssim.joint import ActSpec, MultiActModel, _latent_transform, sample_joint
+from ctssim.marginals import MarginalParams, cdf_table, counts_from_uniforms
 from ctssim.outcomes import (
     TARGET_PRESETS,
     PotentialOutcomeTable,
@@ -144,12 +145,21 @@ def kernel_models():
     }
 
 
+def reference_draw(model, n, rng):
+    """The Gaussian-copula draw in its plain form: ndtr of every latent
+    value, then counts_from_uniforms on each act's CDF table."""
+    u = ndtr(rng.standard_normal((n, model.n_acts)) @ _latent_transform(model.sigma).T)
+    return np.column_stack(
+        [counts_from_uniforms(cdf_table(m), u[:, j]) for j, m in enumerate(model.margins)]
+    )
+
+
 def reference_replication(config, rep_index):
     """One replication through the public stage functions, on the same stream."""
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, rep_index]))
     model, scenario, n = config.model, config.scenario, config.n_units
     if isinstance(model, MultiActModel):
-        y0 = sample_joint(model, n, rng)
+        y0 = reference_draw(model, n, rng)
     else:
         y0 = model.sample_control(n, rng)
     s = assign_response_types(y0, scenario, model.acts, rng)
@@ -158,8 +168,15 @@ def reference_replication(config, rep_index):
 
 
 class TestKernelMatchesReference:
-    """The replication kernel reproduces the stage functions in joint,
-    outcomes, coding and estimation bit for bit."""
+    """The replication kernel reproduces the plain copula draw and the stage
+    functions in outcomes, coding and estimation bit for bit."""
+
+    @pytest.mark.parametrize("model_name", ["example", "edge"])
+    def test_sample_joint_equals_reference_draw(self, kernel_models, model_name):
+        model = kernel_models[model_name]
+        for seed in range(5):
+            drawn = sample_joint(model, 4001, np.random.default_rng(seed))
+            assert np.array_equal(drawn, reference_draw(model, 4001, np.random.default_rng(seed)))
 
     @pytest.mark.parametrize("df", ["normal", "welch"])
     @pytest.mark.parametrize("target", TARGET_PRESETS)
@@ -206,7 +223,7 @@ class TestKernelMatchesReference:
 
     def test_per_cell_work_runs_once(self, monkeypatch):
         calls = {"validate": 0, "latent": 0}
-        validate, latent = MultiActModel.validate, harness._latent_transform
+        validate, latent = MultiActModel.validate, joint._latent_transform
 
         def counted_validate(model):
             calls["validate"] += 1
@@ -218,7 +235,7 @@ class TestKernelMatchesReference:
 
         cfg = config(n_reps=12)
         monkeypatch.setattr(MultiActModel, "validate", counted_validate)
-        monkeypatch.setattr(harness, "_latent_transform", counted_latent)
+        monkeypatch.setattr(joint, "_latent_transform", counted_latent)
         run_simulation(cfg)
         assert calls == {"validate": 1, "latent": 1}
 
