@@ -131,8 +131,8 @@ def _build_scenarios(raw: list, magnitude: int, floor: int) -> list[EffectScenar
                 out.append(
                     EffectScenario(
                         tuple(item["probs"]),
-                        magnitude=item.get("magnitude", magnitude),
-                        floor=item.get("floor", floor),
+                        magnitude=_config_int("magnitude", item.get("magnitude", magnitude)),
+                        floor=_config_int("floor", item.get("floor", floor)),
                         name=item.get("name", "custom"),
                     )
                 )
@@ -153,7 +153,7 @@ def _build_targets(raw: list) -> list:
                 raise ConfigError(f"unknown target preset {item!r}; have {TARGET_PRESETS}")
             out.append(item)
         elif isinstance(item, list):
-            out.append(tuple(int(i) for i in item))
+            out.append(tuple(_config_int("targets", i) for i in item))
         else:
             raise ConfigError(f"target entries must be presets or index lists, got {item!r}")
     return out
@@ -166,6 +166,19 @@ def _config_int(key: str, value) -> int:
     ):
         raise ConfigError(f"config {key!r} must be an integer, got {json.dumps(value)}")
     return int(value)
+
+
+def _config_number(key: str, value) -> float:
+    """A config real number: a JSON integer or float, not a bool or string."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"config {key!r} must be a number, got {json.dumps(value)}")
+    return float(value)
+
+
+def _config_bool(key: str, value) -> bool:
+    if not isinstance(value, bool):
+        raise ConfigError(f"config {key!r} must be true or false, got {json.dumps(value)}")
+    return value
 
 
 def load_run_config(path: str, seed_override: int | None = None) -> RunConfig:
@@ -192,8 +205,8 @@ def load_run_config(path: str, seed_override: int | None = None) -> RunConfig:
     if seed_override is not None:
         effective["seed"] = seed_override
     seed = effective.get("seed", 0)
-    magnitude = doc.get("magnitude", 2)
-    floor = doc.get("floor", 1)
+    magnitude = _config_int("magnitude", doc.get("magnitude", 2))
+    floor = _config_int("floor", doc.get("floor", 1))
     scenarios = _build_scenarios(doc.get("scenarios", list(SCENARIO_PRESETS)), magnitude, floor)
     targets = _build_targets(doc.get("targets", ["all"]))
     model = _build_model(doc["model"], os.path.dirname(os.path.abspath(path)))
@@ -204,10 +217,10 @@ def load_run_config(path: str, seed_override: int | None = None) -> RunConfig:
             n_units=_config_int("n_units", doc["n_units"]),
             n_reps=_config_int("n_reps", doc.get("n_reps", 1000)),
             n_bootstrap=_config_int("n_bootstrap", doc.get("n_bootstrap", 100)),
-            alpha=float(doc.get("alpha", 0.05)),
+            alpha=_config_number("alpha", doc.get("alpha", 0.05)),
             seed=_config_int("seed", seed),
             df=doc.get("df", "normal"),
-            latent_diagnostics=bool(doc.get("latent_diagnostics", False)),
+            latent_diagnostics=_config_bool("latent_diagnostics", doc.get("latent_diagnostics", False)),
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from None

@@ -75,8 +75,10 @@ class SurveyTable:
             raise ValueError("category responses must lie in 0..3")
         if self.weights is not None:
             self.weights = np.asarray(self.weights, dtype=float)
-            if self.weights.shape != (self.values.shape[0],) or np.any(self.weights < 0):
-                raise ValueError("weights must be a non-negative length-n vector")
+            if self.weights.shape != (self.values.shape[0],) or not np.all(
+                np.isfinite(self.weights) & (self.weights >= 0)
+            ):
+                raise ValueError("weights must be a finite, non-negative length-n vector")
 
     @property
     def n_rows(self) -> int:
@@ -433,81 +435,120 @@ def _category_hist(categories: np.ndarray, weights: np.ndarray | None) -> np.nda
 # Empirical resampling
 
 
-_CATEGORY_INTERVALS = {0: (0, 0), 1: (1, 1), 2: (2, 4), 3: (5, None)}
+# Categories 0 and 1 hold one count each and impute to themselves; 2 and 3
+# span counts 2..4 and 5.. and are imputed from the fitted margin.
+_IMPUTED_INTERVALS = ((2, 4), (5, None))
+# Key of entry i of imputation group g: g * 2**54 + floor(cdf_i * 2**53).
+# A conditional CDF ends within rounding of 1, so its scaled entries stay
+# below 2**54 and the groups cannot overlap; int64 keys allow 512 groups.
+_KEY_SHIFT = 54
+_U_SCALE = 2.0**53
+_MAX_IMPUTED_ACTS = 2 ** (63 - _KEY_SHIFT) // len(_IMPUTED_INTERVALS)
 
 
 class EmpiricalResampler:
     """Draws control-arm latent counts by bootstrapping survey rows.
 
-    Rows are resampled with replacement, preserving the joint empirical
-    distribution of responses.  For category-mode tables each reported
-    category is converted to a latent count by sampling the fitted marginal
-    conditional on the category's count interval, so the categorization of
-    the imputed count always reproduces the observed category.
+    Rows are resampled with replacement (with probability proportional to
+    the weights, if any), preserving the joint empirical distribution of
+    responses.  For category-mode tables each reported category is
+    converted to a latent count by sampling the fitted marginal conditional
+    on the category's count interval, so the categorization of the imputed
+    count always reproduces the observed category.
+
+    Imputation is one vectorized lookup.  Each (act, category 2 or 3)
+    group g has a conditional CDF over the contiguous counts lo, lo+1, ...
+    (just [lo] when the margin gives the interval no mass).  All groups'
+    CDFs are stored once as one sorted int64 key table, entry i of group g
+    holding ``g * 2**54 + floor(cdf_i * 2**53)``.  A uniform u imputes the
+    count ``lo + min(#{i : cdf_i < u}, len - 1)``; that count of entries
+    is ``searchsorted(keys, g * 2**54 + u * 2**53) - start[g]``.  The rule
+    is exact: ``Generator.random`` returns u = k / 2**53 for an integer k,
+    scaling by 2**53 is exact, and cdf * 2**53 < k exactly when its floor
+    is, so the result is the count a per-group ``searchsorted(cdf, u)``
+    gives.  An int16 copy of the table holds, per entry, its category (0
+    or 1) or 2 + its group, so a call gathers the drawn rows once and
+    touches only the category-2/3 entries after that.
     """
 
     def __init__(self, table: SurveyTable, margins=None, family: str = "zip"):
         self.table = table
         self.acts = table.acts
-        if table.mode == "counts":
-            self._imputation = None
-        else:
+        self._codes = None
+        if table.mode == "categories":
+            if table.n_acts > _MAX_IMPUTED_ACTS:
+                raise ValueError(
+                    f"category-mode resampling supports at most {_MAX_IMPUTED_ACTS} acts, "
+                    f"got {table.n_acts}"
+                )
             if margins is None:
                 margins = [
                     fit_mle_censored(_category_hist(table.values[:, j], table.weights), family).params
                     for j in range(table.n_acts)
                 ]
             self.margins = tuple(margins)
-            self._imputation = [self._conditional_tables(m) for m in self.margins]
+            if len(self.margins) != table.n_acts:
+                raise ValueError(f"{len(self.margins)} margins for {table.n_acts} acts")
+            groups = [g for m in self.margins for g in self._conditional_cdfs(m)]
+            sizes = np.array([len(cdf) for _, cdf in groups])
+            start = np.cumsum(sizes) - sizes
+            self._keys = np.concatenate([
+                (g << _KEY_SHIFT) + np.floor(cdf * _U_SCALE).astype(np.int64)
+                for g, (_, cdf) in enumerate(groups)
+            ])
+            # imputed count = lo + min(position - start, len - 1)
+            self._last = start + sizes - 1
+            self._value_shift = np.array([lo for lo, _ in groups]) - start
+            # per table entry: category 0 or 1 as is, or 2 + its imputation
+            # group; the group of category c >= 2 in column j is 2 * j + c - 2
+            values = table.values
+            self._codes = np.where(
+                values >= 2, values + 2 * np.arange(table.n_acts), values
+            ).astype(np.int16)
+        self._row_cdf = None
         if table.weights is not None:
             total = table.weights.sum()
             if total <= 0:
                 raise ValueError("weights sum to zero")
-            self._row_probs = table.weights / total
-        else:
-            self._row_probs = None
+            # the CDF that Generator.choice(p=weights / total) builds per call
+            self._row_cdf = (table.weights / total).cumsum()
+            self._row_cdf /= self._row_cdf[-1]
 
     @staticmethod
-    def _conditional_tables(margin: MarginalParams) -> dict[int, tuple[np.ndarray, np.ndarray]]:
-        """Per category: (support values, conditional CDF) under the margin."""
-        table = cdf_table(margin, 1e-12)
-        pmf = np.diff(np.concatenate([[0.0], table]))
-        out = {}
-        for cat, (lo, hi) in _CATEGORY_INTERVALS.items():
-            hi_eff = len(pmf) - 1 if hi is None else min(hi, len(pmf) - 1)
-            values = np.arange(lo, hi_eff + 1)
-            mass = pmf[lo : hi_eff + 1] if lo < len(pmf) else np.array([])
+    def _conditional_cdfs(margin: MarginalParams) -> list[tuple[int, np.ndarray]]:
+        """Per imputed category: (lowest count, conditional CDF over lo, lo+1, ...)."""
+        pmf = np.diff(np.concatenate([[0.0], cdf_table(margin, 1e-12)]))
+        out = []
+        for lo, hi in _IMPUTED_INTERVALS:
+            mass = pmf[lo : (None if hi is None else hi + 1)]
             if mass.size == 0 or mass.sum() <= 0:
                 # category unobservable under the fitted margin: impute the
                 # interval's smallest count
-                values = np.array([lo])
-                cdf = np.array([1.0])
+                out.append((lo, np.array([1.0])))
             else:
-                cdf = np.cumsum(mass) / mass.sum()
-            out[cat] = (values, cdf)
+                out.append((lo, np.cumsum(mass) / mass.sum()))
         return out
 
     def sample_control(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """n latent count rows resampled (and imputed) from the table."""
         if n < 1:
             raise ValueError("n must be >= 1")
-        if self._row_probs is None:
+        if self._row_cdf is None:
             idx = rng.integers(0, self.table.n_rows, size=n)
         else:
-            idx = rng.choice(self.table.n_rows, size=n, p=self._row_probs)
-        drawn = self.table.values[idx]
-        if self._imputation is None:
-            return drawn.astype(np.int64)
-        out = np.empty_like(drawn)
-        for j in range(self.table.n_acts):
-            tables = self._imputation[j]
-            column = drawn[:, j]
-            u = rng.random(n)
-            for cat, (values, cdf) in tables.items():
-                mask = column == cat
-                if not np.any(mask):
-                    continue
-                out[mask, j] = values[np.searchsorted(cdf, u[mask], side="left").clip(max=len(values) - 1)]
+            idx = self._row_cdf.searchsorted(rng.random(n), side="right")
+        if self._codes is None:
+            return self.table.values[idx]
+        n_acts = self.table.n_acts
+        code = self._codes[idx]
+        # row j holds act j's uniforms: the stream of n_acts calls rng.random(n)
+        u = rng.random((n_acts, n))
+        flat = np.flatnonzero(code >= 2)
+        row, act = np.divmod(flat, n_acts)
+        g = code.take(flat).astype(np.int64) - 2
+        position = self._keys.searchsorted((g << _KEY_SHIFT) + (u[act, row] * _U_SCALE).astype(np.int64))
+        out = code.astype(np.int64)
+        out.put(flat, self._value_shift[g] + np.minimum(position, self._last[g]))
         return out
 
 

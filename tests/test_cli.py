@@ -316,6 +316,54 @@ class TestConfigIntegers:
         assert {row["n_units"] for row in rows} == {"200"}
 
 
+
+class TestConfigTypes:
+    """Config values are checked as given, never coerced by bool()/float()/int()."""
+
+    @pytest.mark.parametrize("key,value,expected", [
+        ("latent_diagnostics", "false", "must be true or false"),
+        ("latent_diagnostics", 0, "must be true or false"),
+        ("latent_diagnostics", None, "must be true or false"),
+        ("alpha", "0.05", "must be a number"),
+        ("alpha", True, "must be a number"),
+        ("alpha", None, "must be a number"),
+        ("alpha", [0.05], "must be a number"),
+        ("magnitude", True, "must be an integer"),
+        ("magnitude", 1.5, "must be an integer"),
+        ("floor", "1", "must be an integer"),
+        ("floor", False, "must be an integer"),
+    ])
+    def test_wrong_type_exits_2(self, workdir, capsys, key, value, expected):
+        cfg = write_config(workdir / "run.json", **{key: value})
+        assert main(["simulate", "--config", str(cfg), "--out-dir", str(workdir / "x")]) == 2
+        err = capsys.readouterr().err
+        assert f"config '{key}' {expected}, got {json.dumps(value)}" in err
+        assert not (workdir / "x" / "latent_diagnostics.csv").exists()
+
+    @pytest.mark.parametrize("index", [1.9, "1", True, None])
+    def test_target_index_must_be_integer(self, workdir, capsys, index):
+        cfg = write_config(workdir / "run.json", targets=[[index, 2]])
+        assert main(["simulate", "--config", str(cfg), "--out-dir", str(workdir / "x")]) == 2
+        assert f"config 'targets' must be an integer, got {json.dumps(index)}" in capsys.readouterr().err
+
+    def test_custom_scenario_magnitude_must_be_integer(self, workdir, capsys):
+        custom = {"probs": [0.5, 0.0, 0.5, 0.0], "magnitude": True}
+        cfg = write_config(workdir / "run.json", scenarios=[custom])
+        assert main(["simulate", "--config", str(cfg), "--out-dir", str(workdir / "x")]) == 2
+        assert "config 'magnitude' must be an integer, got true" in capsys.readouterr().err
+
+    def test_well_typed_values_accepted(self, workdir):
+        cfg = write_config(workdir / "run.json", scenarios=["cessation_only"],
+                           targets=[[1, 3.0]], alpha=0.1, magnitude=3, floor=0,
+                           latent_diagnostics=False, n_reps=4, n_bootstrap=0)
+        out = workdir / "x"
+        assert main(["simulate", "--config", str(cfg), "--out-dir", str(out)]) == 0
+        rows = read_rows(out / "results.csv")
+        assert {row["alpha"] for row in rows} == {"0.1"}
+        assert not (out / "latent_diagnostics.csv").exists()
+        cfg = write_config(workdir / "run.json", alpha=1, n_reps=4, n_bootstrap=0)
+        assert main(["simulate", "--config", str(cfg), "--out-dir", str(out)]) == 2
+
 def test_cli_never_imports_scipy_stats(tmp_path):
     """The fit and simulate paths use scipy.special ufuncs only."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(ctssim.__file__)))

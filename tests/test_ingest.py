@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from ctssim.coding import categorize
+from ctssim.datasets import example_survey_paths
 from ctssim.ingest import (
     EmpiricalResampler,
     SurveyFormatError,
@@ -18,7 +19,7 @@ from ctssim.ingest import (
     write_survey,
 )
 from ctssim.joint import ActSpec, MultiActModel, sample_joint
-from ctssim.marginals import MarginalParams
+from ctssim.marginals import MarginalParams, cdf_table
 
 
 def make_acts(k):
@@ -127,6 +128,14 @@ class TestReadWrite:
         }))
         with pytest.raises(SurveyFormatError, match="zz"):
             read_survey(str(data), str(desc))
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan, -1.0])
+    def test_non_finite_or_negative_weight_rejected(self, bad):
+        table, _ = simulated_table(n=20)
+        weights = np.ones(20)
+        weights[3] = bad
+        with pytest.raises(ValueError, match="finite, non-negative"):
+            SurveyTable(table.acts, table.values, table.mode, weights=weights)
 
     def test_weights_round_trip(self, tmp_path):
         table, _ = simulated_table(n=50)
@@ -279,6 +288,166 @@ class TestEmpiricalResampler:
         drawn = sampler.sample_control(5000, np.random.default_rng(5))
         observed = {tuple(r) for r in table.values.tolist()}
         assert all(tuple(r) in observed for r in drawn.tolist())
+
+
+def reference_conditional_tables(margin):
+    """Per category: (support values, conditional CDF) under the margin."""
+    table = cdf_table(margin, 1e-12)
+    pmf = np.diff(np.concatenate([[0.0], table]))
+    out = {}
+    for cat, (lo, hi) in {0: (0, 0), 1: (1, 1), 2: (2, 4), 3: (5, None)}.items():
+        hi_eff = len(pmf) - 1 if hi is None else min(hi, len(pmf) - 1)
+        values = np.arange(lo, hi_eff + 1)
+        mass = pmf[lo : hi_eff + 1] if lo < len(pmf) else np.array([])
+        if mass.size == 0 or mass.sum() <= 0:
+            values = np.array([lo])
+            cdf = np.array([1.0])
+        else:
+            cdf = np.cumsum(mass) / mass.sum()
+        out[cat] = (values, cdf)
+    return out
+
+
+def reference_sample_control(table, margins, n, rng):
+    """Row draw plus one searchsorted per (act, category), as a plain loop."""
+    if table.weights is None:
+        idx = rng.integers(0, table.n_rows, size=n)
+    else:
+        idx = rng.choice(table.n_rows, size=n, p=table.weights / table.weights.sum())
+    drawn = table.values[idx]
+    if table.mode == "counts":
+        return drawn.astype(np.int64)
+    out = np.empty_like(drawn)
+    for j in range(table.n_acts):
+        tables = reference_conditional_tables(margins[j])
+        column = drawn[:, j]
+        u = rng.random(n)
+        for cat, (values, cdf) in tables.items():
+            mask = column == cat
+            if not np.any(mask):
+                continue
+            out[mask, j] = values[np.searchsorted(cdf, u[mask], side="left").clip(max=len(values) - 1)]
+    return out
+
+
+def random_category_table(n_rows, k, seed, weights=False):
+    rng = np.random.default_rng(seed)
+    values = rng.choice(4, size=(n_rows, k), p=[0.5, 0.2, 0.2, 0.1])
+    w = rng.gamma(1.0, size=n_rows) if weights else None
+    return SurveyTable(make_acts(k), values, "categories", weights=w)
+
+
+class TestResamplerMatchesReference:
+    """sample_control equals the per-(act, category) loop, draw for draw."""
+
+    @staticmethod
+    def assert_matches(table, margins=None, sizes=(1, 2, 17, 1680), seeds=range(25)):
+        sampler = EmpiricalResampler(table, margins=margins)
+        margins = getattr(sampler, "margins", None)
+        for seed in seeds:
+            for n in sizes:
+                rng, ref_rng = np.random.default_rng([seed, n]), np.random.default_rng([seed, n])
+                got = sampler.sample_control(n, rng)
+                want = reference_sample_control(table, margins, n, ref_rng)
+                assert got.dtype == np.int64 and want.dtype == np.int64
+                assert np.array_equal(got, want), (seed, n)
+                assert rng.random() == ref_rng.random(), (seed, n)
+
+    def test_bundled_survey(self):
+        self.assert_matches(read_survey(*example_survey_paths()))
+
+    def test_weighted_table(self):
+        table = read_survey(*example_survey_paths())
+        weights = np.random.default_rng(5).gamma(1.0, size=table.n_rows)
+        weights[::7] = 0.0
+        weighted = SurveyTable(table.acts, table.values, table.mode, weights=weights)
+        self.assert_matches(weighted)
+
+    def test_long_conditional_table(self):
+        margins = (
+            MarginalParams("zinb", 30.0, 0.3, dispersion=0.2),
+            MarginalParams("zip", 40.0, 0.1),
+            MarginalParams("zinb", 3.0, 0.6, dispersion=0.5),
+        )
+        assert len(cdf_table(margins[0], 1e-12)) > 1000
+        self.assert_matches(random_category_table(300, 3, seed=1), margins)
+
+    def test_unobservable_category_falls_back_to_lowest_count(self):
+        # rate 1e-3: counts of 4 or more carry less than 1e-12 of the mass,
+        # so category 3 is unobservable; zero_prob 1: only 0 is observable
+        margins = (
+            MarginalParams("zip", 1e-3, 0.2),
+            MarginalParams("zip", 2.0, 1.0),
+            MarginalParams("zinb", 1.5, 0.4, dispersion=1.0),
+        )
+        assert len(cdf_table(margins[0], 1e-12)) < 6
+        assert len(cdf_table(margins[1], 1e-12)) == 1
+        table = random_category_table(200, 3, seed=2)
+        self.assert_matches(table, margins)
+        drawn = EmpiricalResampler(table, margins=margins).sample_control(
+            2000, np.random.default_rng(0)
+        )
+        assert set(np.unique(drawn[:, 0])) <= {0, 1, 2, 3, 5}
+        assert set(np.unique(drawn[:, 1])) <= {0, 1, 2, 5}
+
+    def test_single_unit(self):
+        table = random_category_table(50, 4, seed=3, weights=True)
+        self.assert_matches(table, sizes=(1,), seeds=range(200))
+
+    def test_counts_mode_passthrough(self):
+        table, _ = simulated_table(n=2000, seed=108, mode="counts")
+        self.assert_matches(table)
+        weighted = SurveyTable(table.acts, table.values, table.mode,
+                               weights=np.linspace(0.0, 2.0, table.n_rows))
+        self.assert_matches(weighted)
+
+    def test_uniforms_on_and_beside_cdf_entries(self):
+        # ties (u equal to a CDF entry) and the neighbouring 2**-53 grid
+        # points decide the "left" rule and the floor in the key table
+        margins = (
+            MarginalParams("zinb", 30.0, 0.3, dispersion=0.2),
+            MarginalParams("zip", 5.0, 0.2),
+            MarginalParams("zip", 1e-3, 0.2),
+            MarginalParams("zip", 2.0, 1.0),
+        )
+        grids = []
+        for m in margins:
+            entries = np.concatenate([c for _, c in reference_conditional_tables(m).values()])
+            k = np.floor(entries * 2.0**53)
+            grid = np.concatenate([k - 1, k, k + 1, k + 2, [0.0, 2.0**53 - 1]])
+            grids.append(np.unique(np.clip(grid, 0.0, 2.0**53 - 1)) / 2.0**53)
+        size = max(len(g) for g in grids)
+        uniforms = np.stack([np.resize(g, size) for g in grids])  # one row per act
+        acts = make_acts(4)
+        table = SurveyTable(acts, np.array([[2] * 4, [3] * 4]), "categories")
+        rows = np.repeat([0, 1], size)
+
+        class ScriptedRng:
+            """Hands out fixed rows, then fixed uniforms in stream order."""
+
+            def __init__(self):
+                self.stream = np.tile(uniforms, 2).ravel()
+
+            def integers(self, low, high, size):
+                return rows
+
+            def random(self, size):
+                count = int(np.prod(size))
+                out, self.stream = self.stream[:count], self.stream[count:]
+                return out.reshape(size)
+
+        got = EmpiricalResampler(table, margins=margins).sample_control(2 * size, ScriptedRng())
+        want = reference_sample_control(table, margins, 2 * size, ScriptedRng())
+        assert np.array_equal(got, want)
+
+    def test_act_count_limited_by_key_width(self):
+        values = np.zeros((3, 257), dtype=np.int64)
+        margins = (MarginalParams("zip", 1.0, 0.5),) * 257
+        EmpiricalResampler(SurveyTable(make_acts(256), values[:, :256], "categories"), margins[:256])
+        with pytest.raises(ValueError, match="at most 256 acts"):
+            EmpiricalResampler(SurveyTable(make_acts(257), values, "categories"), margins)
+        with pytest.raises(ValueError, match="257 margins for 256 acts"):
+            EmpiricalResampler(SurveyTable(make_acts(256), values[:, :256], "categories"), margins)
 
 
 class TestModelFiles:
