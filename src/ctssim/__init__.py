@@ -17,8 +17,8 @@ from .harness import (
     PerformanceStats,
     Replications,
     SimulationConfig,
-    bootstrap_mc_se,
     latent_summary,
+    mc_standard_errors,
     run_cell,
     run_replication,
     run_simulation,
@@ -76,7 +76,6 @@ __all__ = [
     "SurveyTable",
     "apply_effects",
     "assign_response_types",
-    "bootstrap_mc_se",
     "categorize",
     "code_binary",
     "code_chronicity",
@@ -88,6 +87,7 @@ __all__ = [
     "latent_correlation_matrix",
     "latent_summary",
     "load_model",
+    "mc_standard_errors",
     "nearest_psd",
     "randomize",
     "read_survey",

@@ -30,6 +30,7 @@ from .harness import (
     CODINGS,
     SCENARIO_PRESETS,
     STAGES,
+    STATISTICS,
     CellResult,
     SimulationConfig,
     latent_summary,
@@ -48,13 +49,14 @@ from .ingest import (
 from .joint import MultiActModel
 from .outcomes import TARGET_PRESETS, EffectScenario
 
-RESULTS_SCHEMA_VERSION = 1
+# shared by results.csv, power_long.csv and latent_diagnostics.csv
+RESULTS_SCHEMA_VERSION = 2
 
 RESULTS_COLUMNS = [
     "schema_version", "scenario", "target", "coding", "n_units", "n_reps",
-    "n_bootstrap", "alpha", "seed", "mean_true_ate", "true_ate_is_zero",
+    "alpha", "seed", "mean_true_ate", "true_ate_is_zero",
     "bias", "bias_mc_se", "rmse", "rmse_mc_se", "power", "power_mc_se",
-    "coverage", "coverage_mc_se",
+    "coverage", "coverage_mc_se", "power_diff_mc_se",
 ]
 
 
@@ -68,16 +70,9 @@ class ConfigError(ValueError):
 
 @dataclass
 class RunConfig:
-    model: object
+    base: SimulationConfig  # every cell's settings; its scenario is the first
     scenarios: list[EffectScenario]
     targets: list
-    n_units: int
-    n_reps: int
-    n_bootstrap: int
-    alpha: float
-    seed: int
-    df: str
-    latent_diagnostics: bool
     fingerprint: str  # sha256 of the canonical effective config document
 
 
@@ -205,18 +200,20 @@ def load_run_config(path: str, seed_override: int | None = None) -> RunConfig:
     if seed_override is not None:
         effective["seed"] = seed_override
     seed = effective.get("seed", 0)
+    # MC SEs have closed forms; a config's n_bootstrap is checked and ignored
+    if "n_bootstrap" in doc:
+        _config_int("n_bootstrap", doc["n_bootstrap"])
     magnitude = _config_int("magnitude", doc.get("magnitude", 2))
     floor = _config_int("floor", doc.get("floor", 1))
     scenarios = _build_scenarios(doc.get("scenarios", list(SCENARIO_PRESETS)), magnitude, floor)
     targets = _build_targets(doc.get("targets", ["all"]))
     model = _build_model(doc["model"], os.path.dirname(os.path.abspath(path)))
     try:
-        probe = SimulationConfig(
+        base = SimulationConfig(
             model=model,
             scenario=scenarios[0],
             n_units=_config_int("n_units", doc["n_units"]),
             n_reps=_config_int("n_reps", doc.get("n_reps", 1000)),
-            n_bootstrap=_config_int("n_bootstrap", doc.get("n_bootstrap", 100)),
             alpha=_config_number("alpha", doc.get("alpha", 0.05)),
             seed=_config_int("seed", seed),
             df=doc.get("df", "normal"),
@@ -224,19 +221,7 @@ def load_run_config(path: str, seed_override: int | None = None) -> RunConfig:
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    return RunConfig(
-        model=model,
-        scenarios=scenarios,
-        targets=targets,
-        n_units=probe.n_units,
-        n_reps=probe.n_reps,
-        n_bootstrap=probe.n_bootstrap,
-        alpha=probe.alpha,
-        seed=probe.seed,
-        df=probe.df,
-        latent_diagnostics=probe.latent_diagnostics,
-        fingerprint=_canonical_hash(effective),
-    )
+    return RunConfig(base, scenarios, targets, _canonical_hash(effective))
 
 
 # ---------------------------------------------------------------------------
@@ -247,32 +232,28 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
-def _results_rows(cells: list[CellResult], run: RunConfig) -> list[dict]:
+def _results_rows(cells: list[CellResult]) -> list[dict]:
     rows = []
     for cell in cells:
         for coding in ("binary", "sum"):
             stats = cell.stats[coding]
-            rows.append({
+            row = {
                 "schema_version": RESULTS_SCHEMA_VERSION,
                 "scenario": cell.scenario_name,
                 "target": cell.target,
                 "coding": coding,
                 "n_units": cell.n_units,
                 "n_reps": cell.n_reps,
-                "n_bootstrap": run.n_bootstrap,
                 "alpha": _fmt(cell.alpha),
                 "seed": cell.seed,
                 "mean_true_ate": _fmt(stats.mean_true_ate),
                 "true_ate_is_zero": int(stats.true_ate_is_zero),
-                "bias": _fmt(stats.bias),
-                "bias_mc_se": _fmt(stats.mc_se.get("bias", float("nan"))),
-                "rmse": _fmt(stats.rmse),
-                "rmse_mc_se": _fmt(stats.mc_se.get("rmse", float("nan"))),
-                "power": _fmt(stats.power),
-                "power_mc_se": _fmt(stats.mc_se.get("power", float("nan"))),
-                "coverage": _fmt(stats.coverage),
-                "coverage_mc_se": _fmt(stats.mc_se.get("coverage", float("nan"))),
-            })
+                "power_diff_mc_se": _fmt(stats.mc_se["power_diff"]),
+            }
+            for name in STATISTICS:
+                row[name] = _fmt(getattr(stats, name))
+                row[f"{name}_mc_se"] = _fmt(stats.mc_se[name])
+            rows.append(row)
     return rows
 
 
@@ -332,7 +313,7 @@ def _power_long_rows(cells: list[CellResult]) -> list[dict]:
                 "target": cell.target,
                 "coding": coding,
                 "power": _fmt(s.power),
-                "power_mc_se": _fmt(s.mc_se.get("power", float("nan"))),
+                "power_mc_se": _fmt(s.mc_se["power"]),
                 "true_ate_is_zero": int(s.true_ate_is_zero),
             })
     return rows
@@ -352,14 +333,17 @@ def cmd_fit(args) -> int:
     save_model(model, args.out)
     print(f"fitted {table.n_acts} acts on {table.n_rows} rows "
           f"({table.n_dropped} dropped for missing values); model -> {args.out}")
-    header = f"{'act':40s} {'family':6s} {'rate':>8s} {'zero_prob':>10s} {'disp':>8s} {'loglik':>12s} {'gof_p':>7s}"
+    header = (f"{'act':40s} {'family':6s} {'rate':>8s} {'zero_prob':>10s} {'disp':>8s} "
+              f"{'loglik':>12s} {'gof_p':>7s} {'converged':>9s} {'boundary':>8s}")
     print(header)
     for act_fit, margin in zip(report.per_act, model.margins):
         disp = f"{margin.dispersion:.3f}" if margin.dispersion is not None else "-"
         gof = f"{act_fit.chi2_p:.3f}" if act_fit.chi2_p is not None else "-"
         flag = " [degenerate]" if act_fit.fit.degenerate else ""
         print(f"{act_fit.label[:40]:40s} {margin.family:6s} {margin.rate:8.3f} "
-              f"{margin.zero_prob:10.3f} {disp:>8s} {act_fit.fit.loglik:12.2f} {gof:>7s}{flag}")
+              f"{margin.zero_prob:10.3f} {disp:>8s} {act_fit.fit.loglik:12.2f} {gof:>7s} "
+              f"{str(act_fit.fit.converged):>9s} {str(act_fit.fit.boundary_flag):>8s}{flag}")
+    print(f"nearest_psd moved sigma by {report.sigma_psd_distance:.3g} (Frobenius norm)")
     return 0
 
 
@@ -373,21 +357,10 @@ def cmd_simulate(args) -> int:
     out_dir = args.out_dir
     os.makedirs(out_dir, exist_ok=True)
 
-    base = SimulationConfig(
-        model=run.model,
-        scenario=run.scenarios[0],
-        n_units=run.n_units,
-        n_reps=run.n_reps,
-        n_bootstrap=run.n_bootstrap,
-        alpha=run.alpha,
-        seed=run.seed,
-        df=run.df,
-        latent_diagnostics=run.latent_diagnostics,
-    )
-    cells = scenario_grid(base, run.scenarios, run.targets)
+    cells = scenario_grid(run.base, run.scenarios, run.targets)
 
     results_path = os.path.join(out_dir, "results.csv")
-    _write_csv(results_path, RESULTS_COLUMNS, _results_rows(cells, run))
+    _write_csv(results_path, RESULTS_COLUMNS, _results_rows(cells))
     long_path = os.path.join(out_dir, "power_long.csv")
     _write_csv(
         long_path,
@@ -397,8 +370,8 @@ def cmd_simulate(args) -> int:
     table_ext = "md" if args.table_format == "md" else "txt"
     table_path = os.path.join(out_dir, f"results.{table_ext}")
     _atomic_write_text(table_path, _human_table(cells, markdown=args.table_format == "md"))
-    if run.latent_diagnostics:
-        n_items = len(run.model.acts)
+    if run.base.latent_diagnostics:
+        n_items = len(run.base.model.acts)
         latent_rows = []
         for cell in cells:
             report = latent_summary(cell.reps, n_items)
@@ -419,7 +392,7 @@ def cmd_simulate(args) -> int:
     total_reps = sum(cell.n_reps for cell in cells)
     meta = {
         "config_hash": run.fingerprint,
-        "seed": run.seed,
+        "seed": run.base.seed,
         "version": __version__,
         "wall_clock_seconds": round(elapsed, 3),
         "cells": len(cells),
@@ -440,7 +413,7 @@ def cmd_simulate(args) -> int:
         },
     }
     _atomic_write_text(os.path.join(out_dir, "run_meta.json"), json.dumps(meta, indent=2) + "\n")
-    print(f"config {run.fingerprint[:12]} seed {run.seed} version {__version__}: "
+    print(f"config {run.fingerprint[:12]} seed {run.base.seed} version {__version__}: "
           f"{len(cells)} cells in {elapsed:.1f}s -> {out_dir}")
     return 0
 
@@ -462,7 +435,7 @@ def _read_results(path: str) -> list[dict]:
 
 
 def power_differences(rows: list[dict]) -> list[dict]:
-    """Per-cell power(binary) - power(sum) with propagated bootstrap SE."""
+    """Per-cell power(binary) - power(sum) with its paired MC SE."""
     cells: dict[tuple, dict[str, dict]] = {}
     for row in rows:
         key = (row["_source"], row["scenario"], row["target"], row["n_units"], row["seed"])
@@ -474,7 +447,6 @@ def power_differences(rows: list[dict]) -> list[dict]:
             raise ValueError(f"cell {key} lacks both codings")
         b, s = pair["binary"], pair["sum"]
         diff = float(b["power"]) - float(s["power"])
-        se = float(np.hypot(float(b["power_mc_se"]), float(s["power_mc_se"])))
         flags = []
         if int(b["true_ate_is_zero"]):
             flags.append("binary true effect = 0 (type-I rate)")
@@ -487,7 +459,7 @@ def power_differences(rows: list[dict]) -> list[dict]:
             "power_binary": float(b["power"]),
             "power_sum": float(s["power"]),
             "power_diff": diff,
-            "power_diff_se": se,
+            "power_diff_se": float(b["power_diff_mc_se"]),
             "flags": "; ".join(flags),
         })
     return out

@@ -4,8 +4,10 @@ One replication draws a fresh potential-outcome schedule, randomizes half
 the sample to treatment, reveals the assigned arm's counts, applies both
 outcome codings to the categorized counts, and estimates each coded effect.
 Performance statistics (bias, RMSE, power, coverage) are computed against
-each replication's own finite-sample coded effect, with bootstrap Monte
-Carlo standard errors from resampling replications.
+each replication's own finite-sample coded effect.  Their Monte Carlo
+standard errors have closed forms (``mc_standard_errors``); the SE of the
+power difference between the codings is paired, because both codings are
+scored on the same replications.
 
 A replication runs as one kernel (``CellKernel``): the work that does not
 change between replications (model validation, the copula factor and CDF
@@ -22,6 +24,7 @@ replication's result does not depend on which others run or in what order.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
@@ -81,7 +84,6 @@ class SimulationConfig:
     scenario: EffectScenario
     n_units: int
     n_reps: int = 1000
-    n_bootstrap: int = 100
     alpha: float = 0.05
     seed: int = 0
     df: str = "normal"
@@ -92,8 +94,6 @@ class SimulationConfig:
             raise ValueError("n_units must be >= 4")
         if self.n_reps < 1:
             raise ValueError("n_reps must be >= 1")
-        if self.n_bootstrap < 0:
-            raise ValueError("n_bootstrap must be >= 0")
         if not (0.0 < self.alpha < 1.0):
             raise ValueError("alpha must be in (0, 1)")
         if self.seed < 0:
@@ -313,58 +313,51 @@ def _stats_from_arrays(fields: Mapping[str, np.ndarray], alpha: float) -> dict[s
     }
 
 
-def summarize(
-    reps: Replications,
-    alpha: float = 0.05,
-    n_bootstrap: int = 0,
-    rng: np.random.Generator | None = None,
-) -> dict[str, PerformanceStats]:
-    """Performance statistics per coding, with bootstrap MC SEs if asked."""
-    mc = bootstrap_mc_se(reps, n_bootstrap, rng, alpha) if n_bootstrap >= 2 else {}
-    out = {}
+def summarize(reps: Replications, alpha: float = 0.05) -> dict[str, PerformanceStats]:
+    """Performance statistics per coding, with their closed-form MC SEs."""
+    mc = mc_standard_errors(reps, alpha)
+    return {
+        c: PerformanceStats(
+            coding=c,
+            mean_true_ate=float(np.mean(reps.data[c]["true_ate"])),
+            true_ate_is_zero=bool(np.all(reps.data[c]["true_ate"] == 0.0)),
+            mc_se=mc[c],
+            **_stats_from_arrays(reps.data[c], alpha),
+        )
+        for c in CODINGS
+    }
+
+
+def mc_standard_errors(reps: Replications, alpha: float = 0.05) -> dict[str, dict[str, float]]:
+    """Closed-form Monte Carlo SEs of each coding's performance statistics.
+
+    Morris, White & Crowther, Stat Med 38:2074-2102 (2019), with m
+    replications, err = estimate - true_ate, rej = p_value < alpha and sd at
+    ddof 1: bias sd(err)/sqrt(m); power and coverage sqrt(p(1-p)/m); rmse
+    sd(err**2)/sqrt(m), the SE of the MSE, over 2 rmse (0 when rmse is 0).
+    "power_diff", the SE of power(binary) - power(sum), is the same for both
+    codings and paired, as they share replications: sd(rej_b - rej_s)/sqrt(m)
+    at ddof 0, which is the binary power SE when the sum never rejects.
+    Every SE is NaN when there is only one replication.
+    """
+    m = reps.n_reps
+    if m < 2:
+        return {c: dict.fromkeys((*STATISTICS, "power_diff"), math.nan) for c in CODINGS}
+    out, rejected = {}, []
     for c in CODINGS:
         fields = reps.data[c]
         stats = _stats_from_arrays(fields, alpha)
-        out[c] = PerformanceStats(
-            coding=c,
-            mean_true_ate=float(np.mean(fields["true_ate"])),
-            true_ate_is_zero=bool(np.all(fields["true_ate"] == 0.0)),
-            mc_se=mc.get(c, {}),
-            **stats,
-        )
-    return out
-
-
-def bootstrap_mc_se(
-    reps: Replications,
-    n_bootstrap: int,
-    rng: np.random.Generator | None,
-    alpha: float = 0.05,
-) -> dict[str, dict[str, float]]:
-    """Bootstrap SEs of the performance statistics.
-
-    Replication records are resampled with replacement (the bootstrap is at
-    the replication level); the SE of each statistic is its standard
-    deviation across resamples.
-    """
-    if n_bootstrap < 2:
-        raise ValueError("n_bootstrap must be >= 2")
-    if rng is None:
-        rng = np.random.default_rng(0)
-    m = reps.n_reps
-    draws: dict[str, dict[str, list[float]]] = {
-        c: {s: [] for s in STATISTICS} for c in CODINGS
-    }
-    for _ in range(n_bootstrap):
-        idx = rng.integers(0, m, size=m)
-        for c in CODINGS:
-            resampled = {f: reps.data[c][f][idx] for f in REPLICATION_FIELDS}
-            for s, v in _stats_from_arrays(resampled, alpha).items():
-                draws[c][s].append(v)
-    return {
-        c: {s: float(np.std(v, ddof=1)) for s, v in per.items()}
-        for c, per in draws.items()
-    }
+        err = fields["estimate"] - fields["true_ate"]
+        rmse, power, coverage = stats["rmse"], stats["power"], stats["coverage"]
+        rejected.append((fields["p_value"] < alpha).astype(float))
+        out[c] = {
+            "bias": float(np.std(err, ddof=1)) / math.sqrt(m),
+            "rmse": float(np.std(err**2, ddof=1)) / math.sqrt(m) / (2.0 * rmse) if rmse > 0 else 0.0,
+            "power": math.sqrt(power * (1.0 - power) / m),
+            "coverage": math.sqrt(coverage * (1.0 - coverage) / m),
+        }
+    paired = float(np.std(rejected[0] - rejected[1])) / math.sqrt(m)
+    return {c: {**per, "power_diff": paired} for c, per in out.items()}
 
 
 def latent_summary(reps: Replications, n_items: int) -> dict[str, float]:
@@ -404,15 +397,14 @@ class CellResult:
     stats: dict[str, PerformanceStats]
     reps: Replications
     wall_s: float = 0.0  # seconds for the whole cell
-    summary_s: float = 0.0  # seconds in summarize (statistics and bootstrap)
+    summary_s: float = 0.0  # seconds in summarize (statistics and their MC SEs)
 
 
 def run_cell(config: SimulationConfig) -> CellResult:
     started = time.perf_counter()
     reps = run_simulation(config)
-    boot_rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0xB007]))
     summary_start = time.perf_counter()
-    stats = summarize(reps, config.alpha, config.n_bootstrap, boot_rng)
+    stats = summarize(reps, config.alpha)
     finished = time.perf_counter()
     target = config.scenario.target
     return CellResult(

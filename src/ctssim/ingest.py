@@ -380,6 +380,7 @@ class FitReport:
     n_rows: int
     n_dropped: int
     family: str
+    sigma_psd_distance: float  # Frobenius norm of nearest_psd(sigma) - sigma
 
     @property
     def loglik(self) -> float:
@@ -420,8 +421,10 @@ def fit_model(table: SurveyTable, family: str = "zip", sigma_method: str = "adju
         margins.append(fit.params)
         per_act.append(ActFit(act.label, fit, observed, category_probs(fit.params) * observed.sum(), stat, p))
     sigma = latent_correlation_matrix(table, margins, method=sigma_method)
-    model = MultiActModel(table.acts, tuple(margins), nearest_psd(sigma))
-    report = FitReport(per_act, sigma_method, table.n_rows, table.n_dropped, family)
+    projected = nearest_psd(sigma)
+    model = MultiActModel(table.acts, tuple(margins), projected)
+    distance = float(np.linalg.norm(projected - sigma))
+    report = FitReport(per_act, sigma_method, table.n_rows, table.n_dropped, family, distance)
     return model, report
 
 

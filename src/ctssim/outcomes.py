@@ -59,6 +59,9 @@ class EffectScenario:
         if p.shape != (4,) or np.any(p < 0) or abs(p.sum() - 1.0) > 1e-9:
             raise ValueError("probs must be 4 non-negative values summing to 1")
         object.__setattr__(self, "probs", tuple(float(x) for x in p))
+        for key in ("magnitude", "floor"):  # a bool would pass the value checks below
+            if isinstance(getattr(self, key), (bool, np.bool_)):
+                raise ValueError(f"{key} must be an integer, got a bool")
         if int(self.magnitude) != self.magnitude or self.magnitude < 1:
             raise ValueError("magnitude must be a positive integer")
         if self.floor not in (0, 1):

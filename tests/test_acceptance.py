@@ -64,7 +64,6 @@ def run_scenario(model, name, target, seed=BASE_SEED):
         scenario=scenario_preset(name, target=target),
         n_units=N_UNITS,
         n_reps=N_REPS,
-        n_bootstrap=100,
         seed=seed,
     )
     return run_cell(config)

@@ -38,7 +38,6 @@ def write_config(path, **overrides):
         "targets": ["all"],
         "n_units": 200,
         "n_reps": 40,
-        "n_bootstrap": 30,
         "seed": 7,
     }
     doc.update(overrides)
@@ -68,6 +67,10 @@ class TestFit:
         assert np.max(np.abs((fitted.sigma - generating.sigma)[upper])) <= 0.08
         table_out = capsys.readouterr().out
         assert "rate" in table_out and "zero_prob" in table_out
+        lines = table_out.splitlines()
+        assert lines[1].split()[-2:] == ["converged", "boundary"]
+        assert all(set(line.split()[-2:]) <= {"True", "False"} for line in lines[2:12])
+        assert lines[12].startswith("nearest_psd moved sigma by ")
 
     def test_missing_descriptor_usage_error(self, tmp_path):
         data, _ = example_survey_paths()
@@ -130,7 +133,7 @@ class TestSimulate:
 
     def test_null_calibration_through_cli(self, workdir):
         cfg = write_config(
-            workdir / "null.json", scenarios=["null"], n_units=300, n_reps=1000, n_bootstrap=50
+            workdir / "null.json", scenarios=["null"], n_units=300, n_reps=1000
         )
         out_dir = workdir / "null_out"
         assert main(["simulate", "--config", str(cfg), "--out-dir", str(out_dir)]) == 0
@@ -187,7 +190,6 @@ class TestSimulate:
             "targets": ["all"],
             "n_units": 200,
             "n_reps": 20,
-            "n_bootstrap": 10,
             "seed": 3,
         }))
         out_dir = workdir / "survey_out"
@@ -262,10 +264,70 @@ class TestReport:
         assert len({r["source"] for r in rows}) == 2
 
 
+V2_COLUMNS = [
+    "schema_version", "scenario", "target", "coding", "n_units", "n_reps", "alpha", "seed",
+    "mean_true_ate", "true_ate_is_zero", "bias", "bias_mc_se", "rmse", "rmse_mc_se",
+    "power", "power_mc_se", "coverage", "coverage_mc_se", "power_diff_mc_se",
+]
+V1_COLUMNS = [
+    "schema_version", "scenario", "target", "coding", "n_units", "n_reps", "n_bootstrap",
+    "alpha", "seed", "mean_true_ate", "true_ate_is_zero", "bias", "bias_mc_se", "rmse",
+    "rmse_mc_se", "power", "power_mc_se", "coverage", "coverage_mc_se",
+]
+
+
+class TestResultsSchema:
+    @pytest.fixture
+    def results_path(self, workdir):
+        # n_bootstrap as older configs (and the benchmark) still write it
+        cfg = write_config(workdir / "run.json", n_bootstrap=100)
+        out_dir = workdir / "out"
+        assert main(["simulate", "--config", str(cfg), "--out-dir", str(out_dir)]) == 0
+        return out_dir / "results.csv"
+
+    def test_v2_header(self, results_path):
+        with open(results_path, newline="") as fh:
+            assert next(csv.reader(fh)) == V2_COLUMNS
+        assert RESULTS_SCHEMA_VERSION == 2
+        assert {r["schema_version"] for r in read_rows(results_path)} == {"2"}
+
+    def test_mc_ses_finite_and_non_negative(self, results_path):
+        rows = read_rows(results_path)
+        assert len(rows) == 6
+        for row in rows:
+            for key in (k for k in V2_COLUMNS if k.endswith("_mc_se")):
+                assert np.isfinite(float(row[key])) and float(row[key]) >= 0.0, (row["scenario"], key)
+        cells = {}
+        for row in rows:
+            cells.setdefault(row["scenario"], set()).add(row["power_diff_mc_se"])
+        assert all(len(values) == 1 for values in cells.values())
+
+    def test_report_uses_paired_se(self, results_path, tmp_path):
+        out = tmp_path / "report.csv"
+        assert main(["report", "--results", str(results_path), "--format", "csv",
+                     "--out", str(out)]) == 0
+        paired = {r["scenario"]: r["power_diff_mc_se"] for r in read_rows(results_path)}
+        report = read_rows(out)
+        assert len(report) == 3
+        for row in report:
+            assert float(row["power_diff_se"]) == float(paired[row["scenario"]])
+
+    def test_v1_file_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "v1.csv"
+        with open(path, "w", newline="") as fh:
+            writer = csv.DictWriter(fh, fieldnames=V1_COLUMNS)
+            writer.writeheader()
+            for coding in ("binary", "sum"):
+                writer.writerow({**dict.fromkeys(V1_COLUMNS, "0"), "schema_version": "1",
+                                 "scenario": "null", "target": "all", "coding": coding})
+        assert main(["report", "--results", str(path)]) == 2
+        assert "schema version '1' does not match supported version 2" in capsys.readouterr().err
+
+
 class TestRunMeta:
     def test_timings_versions_and_degenerate_counts(self, workdir):
         cfg = write_config(workdir / "run.json", scenarios=["null", "cessation_only"],
-                           targets=["all"], n_reps=30, n_bootstrap=20)
+                           targets=["all"], n_reps=30)
         out_dir = workdir / "meta"
         assert main(["simulate", "--config", str(cfg), "--out-dir", str(out_dir)]) == 0
         meta = json.loads((out_dir / "run_meta.json").read_text())
@@ -294,7 +356,7 @@ class TestRunMeta:
                                np.eye(len(acts)))
         save_model(silent, str(workdir / "silent.json"))
         cfg = write_config(workdir / "run.json", model={"file": "silent.json"},
-                           scenarios=["null", "cessation_only"], n_reps=7, n_bootstrap=0)
+                           scenarios=["null", "cessation_only"], n_reps=7)
         assert main(["simulate", "--config", str(cfg), "--out-dir", str(workdir / "d")]) == 0
         meta = json.loads((workdir / "d" / "run_meta.json").read_text())
         assert meta["degenerate_estimates"] == {"binary": 14, "sum": 14}
@@ -310,7 +372,7 @@ class TestConfigIntegers:
         assert f"'{key}' must be an integer, got {json.dumps(value)}" in err
 
     def test_integral_float_accepted(self, workdir):
-        cfg = write_config(workdir / "run.json", n_units=200.0, n_reps=4, n_bootstrap=0)
+        cfg = write_config(workdir / "run.json", n_units=200.0, n_reps=4)
         assert main(["simulate", "--config", str(cfg), "--out-dir", str(workdir / "x")]) == 0
         rows = read_rows(workdir / "x" / "results.csv")
         assert {row["n_units"] for row in rows} == {"200"}
@@ -355,13 +417,13 @@ class TestConfigTypes:
     def test_well_typed_values_accepted(self, workdir):
         cfg = write_config(workdir / "run.json", scenarios=["cessation_only"],
                            targets=[[1, 3.0]], alpha=0.1, magnitude=3, floor=0,
-                           latent_diagnostics=False, n_reps=4, n_bootstrap=0)
+                           latent_diagnostics=False, n_reps=4)
         out = workdir / "x"
         assert main(["simulate", "--config", str(cfg), "--out-dir", str(out)]) == 0
         rows = read_rows(out / "results.csv")
         assert {row["alpha"] for row in rows} == {"0.1"}
         assert not (out / "latent_diagnostics.csv").exists()
-        cfg = write_config(workdir / "run.json", alpha=1, n_reps=4, n_bootstrap=0)
+        cfg = write_config(workdir / "run.json", alpha=1, n_reps=4)
         assert main(["simulate", "--config", str(cfg), "--out-dir", str(out)]) == 2
 
 def test_cli_never_imports_scipy_stats(tmp_path):
@@ -376,7 +438,7 @@ def test_cli_never_imports_scipy_stats(tmp_path):
         "assert ctssim.cli.main(['simulate', '--config', 'run.json', '--out-dir', 'out']) == 0\n"
         "assert 'scipy.stats' not in sys.modules, 'scipy.stats was imported'\n"
     )
-    write_config(tmp_path / "run.json", n_units=100, n_reps=5, n_bootstrap=0, df="welch")
+    write_config(tmp_path / "run.json", n_units=100, n_reps=5, df="welch")
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=300)

@@ -1,6 +1,7 @@
 """Tests for the Monte Carlo harness."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -18,8 +19,8 @@ from ctssim.harness import (
     ReplicationError,
     Replications,
     SimulationConfig,
-    bootstrap_mc_se,
     latent_summary,
+    mc_standard_errors,
     run_cell,
     run_replication,
     run_simulation,
@@ -54,7 +55,6 @@ def config(scenario_name="cessation_only", n_units=300, n_reps=200, seed=5, **kw
         scenario=scenario_preset(scenario_name),
         n_units=n_units,
         n_reps=n_reps,
-        n_bootstrap=kw.pop("n_bootstrap", 50),
         seed=seed,
         **kw,
     )
@@ -311,40 +311,114 @@ class TestSummarize:
             assert s.rmse >= abs(s.bias)
 
 
-class TestBootstrap:
+def paired_reps(m=200, seed=3):
+    """Handmade records whose codings differ: errors of both signs, and
+    rejection indicators that agree in part."""
+    rng = np.random.default_rng(seed)
+    reps = handmade_reps(rng.normal(0.1, 0.05, m), rng.normal(0.1, 0.01, m),
+                         p_values=rng.uniform(0, 0.3, m))
+    reps.data["sum"] = dict(reps.data["sum"], p_value=np.where(
+        rng.uniform(size=m) < 0.5, reps.data["binary"]["p_value"], rng.uniform(0, 0.3, m)))
+    return reps
+
+
+class TestMCStandardErrors:
     def test_constant_records_zero_se(self):
         reps = handmade_reps([0.2] * 20, [0.2] * 20, p_values=[0.01] * 20)
-        ses = bootstrap_mc_se(reps, 50, np.random.default_rng(0))
-        for stat_se in ses["binary"].values():
-            assert stat_se == 0.0
+        for per_coding in mc_standard_errors(reps).values():
+            assert per_coding == dict.fromkeys(("bias", "rmse", "power", "coverage", "power_diff"), 0.0)
 
-    def test_power_se_matches_binomial(self):
-        cfg = config("cessation_only", n_units=250, n_reps=1000, seed=9)
-        reps = run_simulation(cfg)
-        stats = summarize(reps, cfg.alpha, n_bootstrap=200, rng=np.random.default_rng(1))
+    def test_each_se_matches_its_formula(self):
+        reps = paired_reps()
+        m, alpha = reps.n_reps, 0.05
+        ses = mc_standard_errors(reps, alpha)
+        rejected = {}
         for c in CODINGS:
-            p = stats[c].power
-            expected = math.sqrt(p * (1 - p) / cfg.n_reps)
-            assert stats[c].mc_se["power"] == pytest.approx(expected, rel=0.30)
+            fields = reps.data[c]
+            err = fields["estimate"] - fields["true_ate"]
+            rmse = math.sqrt(np.mean(err**2))
+            power = np.mean(fields["p_value"] < alpha)
+            coverage = np.mean((fields["ci_low"] <= fields["true_ate"])
+                               & (fields["true_ate"] <= fields["ci_high"]))
+            rejected[c] = fields["p_value"] < alpha
+            expected = {
+                "bias": np.std(err, ddof=1) / math.sqrt(m),
+                "rmse": np.std(err**2, ddof=1) / math.sqrt(m) / (2 * rmse),
+                "power": math.sqrt(power * (1 - power) / m),
+                "coverage": math.sqrt(coverage * (1 - coverage) / m),
+            }
+            assert 0 < power < 1 and 0 < coverage < 1
+            for stat, value in expected.items():
+                assert ses[c][stat] == pytest.approx(value, rel=1e-15, abs=0), (c, stat)
+        diff = rejected["binary"].astype(float) - rejected["sum"]
+        assert 0 < np.std(diff)
+        for c in CODINGS:
+            assert ses[c]["power_diff"] == pytest.approx(np.std(diff) / math.sqrt(m), rel=1e-15, abs=0)
+
+    def test_summarize_stores_the_ses(self):
+        reps = paired_reps()
+        stats = summarize(reps)
+        ses = mc_standard_errors(reps)
+        for c in CODINGS:
+            assert stats[c].mc_se == ses[c]
+        assert stats["binary"].mc_se["power_diff"] == stats["sum"].mc_se["power_diff"]
+
+    def test_power_diff_reduces_to_binary_power_se(self):
+        # the sum coding never rejects, so the difference is the binary
+        # indicator alone
+        reps = paired_reps()
+        reps.data["sum"]["p_value"] = np.full(reps.n_reps, 0.9)
+        ses = mc_standard_errors(reps)
+        assert ses["sum"]["power"] == 0.0
+        assert ses["binary"]["power"] > 0.0
+        assert ses["binary"]["power_diff"] == pytest.approx(ses["binary"]["power"], rel=1e-15, abs=0)
+
+    def test_power_diff_is_paired(self):
+        # se_diff^2 = se_b^2 + se_s^2 - 2 cov(rej_b, rej_s) / m, covariance at ddof 0
+        reps = paired_reps()
+        m, alpha = reps.n_reps, 0.05
+        ses = mc_standard_errors(reps, alpha)
+        rej_b, rej_s = (reps.data[c]["p_value"] < alpha for c in CODINGS)
+        cov = np.cov(rej_b, rej_s, ddof=0)[0, 1]
+        assert cov > 0
+        expected = ses["binary"]["power"] ** 2 + ses["sum"]["power"] ** 2 - 2 * cov / m
+        assert ses["binary"]["power_diff"] ** 2 == pytest.approx(expected, rel=1e-12)
+
+    def test_one_replication_gives_nan_without_warning(self):
+        reps = handmade_reps([0.3], [0.2], p_values=[0.01])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ses = mc_standard_errors(reps)
+            stats = summarize(reps)
+        for c in CODINGS:
+            for per_coding in (ses[c], stats[c].mc_se):
+                assert set(per_coding) == {"bias", "rmse", "power", "coverage", "power_diff"}
+                assert all(math.isnan(v) for v in per_coding.values())
+
+    def test_zero_rmse_gives_zero_rmse_se(self):
+        # errors all 0 although the estimates vary
+        reps = handmade_reps([0.1, 0.2, 0.4], [0.1, 0.2, 0.4], p_values=[0.01, 0.5, 0.9])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            stats = summarize(reps)
+        for c in CODINGS:
+            assert stats[c].rmse == 0.0
+            assert stats[c].mc_se["rmse"] == 0.0
+            assert stats[c].mc_se["power"] > 0.0
 
     def test_doubling_reps_shrinks_se(self):
         small = run_simulation(config(n_reps=400, seed=21))
         large = run_simulation(config(n_reps=800, seed=21))
-        rng = np.random.default_rng(2)
-        se_small = bootstrap_mc_se(small, 300, rng)["sum"]
-        se_large = bootstrap_mc_se(large, 300, rng)["sum"]
+        se_small = mc_standard_errors(small)["sum"]
+        se_large = mc_standard_errors(large)["sum"]
         for stat in ("bias", "rmse"):
             ratio = se_small[stat] / se_large[stat]
             assert ratio == pytest.approx(math.sqrt(2.0), rel=0.25)
 
-    def test_requires_two_resamples(self):
-        with pytest.raises(ValueError):
-            bootstrap_mc_se(handmade_reps([0.1], [0.1]), 1, np.random.default_rng(0))
-
 
 class TestScenarioGrid:
     def test_grid_shape_and_names(self):
-        cfg = config(n_reps=10, n_bootstrap=10)
+        cfg = config(n_reps=10)
         scenarios = [scenario_preset("null"), scenario_preset("cessation_only")]
         cells = scenario_grid(cfg, scenarios, ["all", "physical"])
         assert len(cells) == 4
@@ -396,7 +470,7 @@ class TestOrderingRobustness:
 
         def powers(scenario_name, n_units):
             cfg = SimulationConfig(
-                model, scenario_preset(scenario_name), n_units, n_reps=400, n_bootstrap=0, seed=17
+                model, scenario_preset(scenario_name), n_units, n_reps=400, seed=17
             )
             stats = summarize(run_simulation(cfg))
             return stats["binary"].power, stats["sum"].power

@@ -1,6 +1,7 @@
 """Tests for the single-act zero-inflated distributions and MLE fitting."""
 
 import math
+import zlib
 
 import numpy as np
 import pytest
@@ -208,7 +209,9 @@ class TestFitExact:
     )
     def test_recovery_within_asymptotic_ses(self, truth):
         n = 20_000
-        y = zi_sample(truth, n, np.random.default_rng(truth.__hash__() % 2**31))
+        # a fixed per-case seed: hash(truth) includes a string, whose hash
+        # Python randomizes per process
+        y = zi_sample(truth, n, np.random.default_rng(zlib.crc32(repr(truth).encode())))
         fit = fit_mle_exact(y, "zip")
         se_rate, se_theta = self._observed_information_ses(fit.params, y)
         assert abs(fit.params.rate - truth.rate) <= 3 * se_rate

@@ -45,6 +45,14 @@ class TestScenarioValidation:
         with pytest.raises(ValueError):
             EffectScenario((1, 0, 0, 0), magnitude=0)
 
+    @pytest.mark.parametrize("kw", [
+        {"magnitude": True, "floor": True}, {"magnitude": True}, {"floor": True},
+        {"floor": False}, {"magnitude": np.True_},
+    ])
+    def test_bool_magnitude_or_floor_rejected(self, kw):
+        with pytest.raises(ValueError, match="got a bool"):
+            EffectScenario((1, 0, 0, 0), **kw)
+
     def test_unknown_target(self):
         with pytest.raises(ValueError):
             EffectScenario((1, 0, 0, 0), target="verbal")
