@@ -121,9 +121,10 @@ class MultiActModel:
 def nearest_psd(matrix: np.ndarray, eig_floor: float = 1e-8) -> np.ndarray:
     """Project a symmetric matrix to a PSD correlation matrix.
 
-    Eigenvalues below ``eig_floor`` are clipped up, the matrix is rebuilt,
-    and the diagonal is rescaled to 1.  Idempotent on matrices that already
-    satisfy both constraints.
+    A matrix that already is one (unit diagonal, smallest eigenvalue within
+    the tolerance ``MultiActModel.validate`` allows) is returned unchanged.
+    Otherwise eigenvalues below ``eig_floor`` are clipped up, the matrix is
+    rebuilt, and the diagonal is rescaled to 1; a second call returns that.
     """
     a = np.asarray(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -131,7 +132,7 @@ def nearest_psd(matrix: np.ndarray, eig_floor: float = 1e-8) -> np.ndarray:
     if not np.allclose(a, a.T, atol=1e-10):
         raise ValueError("expected a symmetric matrix")
     eigvals, eigvecs = np.linalg.eigh((a + a.T) / 2.0)
-    if eigvals[0] >= eig_floor and np.allclose(np.diag(a), 1.0, atol=1e-12):
+    if eigvals[0] >= _PSD_TOL and np.allclose(np.diag(a), 1.0, atol=1e-12):
         return a.copy()
     fixed = (eigvecs * np.maximum(eigvals, eig_floor)) @ eigvecs.T
     d = np.sqrt(np.diag(fixed))

@@ -11,7 +11,6 @@ negative binomial converges to the Poisson with the same mean.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -31,16 +30,10 @@ FAMILIES = (ZIP, ZINB)
 # Interval-censored survey categories: 0 -> {0}, 1 -> {1}, 2 -> {2..4}, 3 -> {5+}
 N_CATEGORIES = 4
 
-_MAX_EM_ITER = 500
-_LOGLIK_TOL = 1e-8
-# A fit is converged when a start that L-BFGS-B reports successful ends this
+# A ZINB fit is converged when a start that L-BFGS-B reports successful ends this
 # close (relative) to the best objective; the best start itself may end in
 # an abnormal line search at the optimum.
 _CONVERGED_RTOL = 1e-10
-
-
-class DegenerateDataError(ValueError):
-    """Raised when data cannot identify the requested parameters."""
 
 
 @dataclass(frozen=True)
@@ -99,7 +92,9 @@ class FitResult:
     ``degenerate`` marks data with no positive counts: ``zero_prob`` is pinned
     at 1 and ``rate`` is NOT identified (the reported value is a placeholder).
     ``boundary_flag`` marks fits with zero_prob > 0.999 or fewer than 5
-    positive observations, where estimates are unreliable.
+    positive observations, where estimates are unreliable, and ZIP fits with
+    zero_prob clipped to 0 or no finite rate.  ZIP's ``converged`` and
+    ``n_iter`` describe its rate root, ZINB's its L-BFGS-B runs.
     """
 
     params: MarginalParams
@@ -214,35 +209,24 @@ def zi_quantile(params: MarginalParams, u) -> np.ndarray | int:
     return int(q) if np.isscalar(u) else q
 
 
-@functools.lru_cache(maxsize=512)
-def _cdf_table_cached(params: MarginalParams, tail_mass: float) -> np.ndarray:
-    theta = params.zero_prob
-    if theta >= 1.0:
-        out = np.array([1.0])
-    else:
-        q = tail_mass / (1.0 - theta)
-        # a count part whose whole mass is below the tail keeps only y = 0
-        # (scipy's isf(1) is -1)
-        y_max = int(_count(params, "isf", q)) + 1 if q < 1.0 else 0
-        y = np.arange(y_max + 1)
-        out = theta + (1.0 - theta) * _count(params, "cdf", y)
-    out.setflags(write=False)
-    return out
-
-
 def cdf_table(params: MarginalParams, tail_mass: float = 1e-12) -> np.ndarray:
     """CDF values [cdf(0), cdf(1), ...] truncated where the tail is below
     ``tail_mass``.  Entry i is P(Y <= i); the last entry is ~1.
 
-    Used for O(1) inverse-transform sampling via ``np.searchsorted``; cached
-    per parameter set (hot path of the joint sampler).  The returned array
-    is read-only.
+    Used for O(1) inverse-transform sampling via ``np.searchsorted``.
     """
-    return _cdf_table_cached(params, tail_mass)
+    theta = params.zero_prob
+    if theta >= 1.0:
+        return np.array([1.0])
+    q = tail_mass / (1.0 - theta)
+    # a count part whose whole mass is below the tail keeps only y = 0
+    # (scipy's isf(1) is -1)
+    y_max = int(_count(params, "isf", q)) + 1 if q < 1.0 else 0
+    return theta + (1.0 - theta) * _count(params, "cdf", np.arange(y_max + 1))
 
 
 def counts_from_uniforms(table: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Map uniforms in [0, 1) to counts through a cached CDF table."""
+    """Map uniforms in [0, 1) to counts through a CDF table."""
     idx = np.searchsorted(table, u, side="left")
     return np.minimum(idx, len(table) - 1).astype(np.int64)
 
@@ -335,63 +319,85 @@ def censored_loglik(params: MarginalParams, category_counts) -> float:
 # Fitting
 
 
-def _moment_start(values: np.ndarray, weights: np.ndarray) -> tuple[float, float]:
-    """(rate, zero_prob) starting values from zero share and positive mean."""
-    w_total = np.sum(weights)
-    pos = values > 0
-    mean_pos = float(np.sum(weights[pos] * values[pos]) / np.sum(weights[pos]))
-    rate0 = max(mean_pos, 1e-3)
-    p0_hat = float(np.sum(weights[~pos]) / w_total)
-    g0 = math.exp(-rate0)
-    theta0 = (p0_hat - g0) / (1.0 - g0)
-    return rate0, min(max(theta0, 1e-6), 1.0 - 1e-6)
+# The ZINB fits' bound on log rate, where a ZIP rate with no finite maximum
+# (positive counts only in category 3, {5+}) ends.
+_MAX_RATE = math.exp(15.0)
 
 
-def _fit_zip_em(values: np.ndarray, weights: np.ndarray) -> tuple[MarginalParams, float, bool, int]:
-    rate, theta = _moment_start(values, weights)
-    zero = values == 0
-    w_total = float(np.sum(weights))
-    sum_y = float(np.sum(weights * values))
-    ll_prev = _zip_loglik(values, weights, rate, theta)
-    converged = False
-    it = 0
-    for it in range(1, _MAX_EM_ITER + 1):
-        # E-step: posterior probability each zero is structural
-        denom = theta + (1.0 - theta) * math.exp(-rate)
-        resp = theta / denom if denom > 0 else 1.0
-        w_struct = float(np.sum(weights[zero])) * resp
-        # M-step
-        theta = w_struct / w_total
-        w_count = w_total - w_struct
-        rate = sum_y / w_count if w_count > 0 else rate
-        ll = _zip_loglik(values, weights, rate, theta)
-        if ll - ll_prev < _LOGLIK_TOL:
-            converged = True
-            ll_prev = ll
-            break
-        ll_prev = ll
-    params = MarginalParams(ZIP, rate, min(max(theta, 0.0), 1.0))
-    return params, ll_prev, converged, it
+def _rate_root(score, lo: float, hi: float | None) -> tuple[float, bool, int]:
+    """(root, converged, iterations) of a score that is positive below its
+    roots and negative above them, all of which lie in [lo, hi].  A bracket
+    end where the score already has the far side's sign is a root to
+    rounding; lo <= 0 means no positive root (0), and ``hi`` None a score
+    that stays positive (_MAX_RATE, unconverged)."""
+    if lo <= 0.0 or not score(lo) > 0.0:
+        return max(lo, 0.0), True, 0
+    if hi is None:
+        return _MAX_RATE, False, 0
+    if not score(hi) < 0.0:
+        return hi, True, 0
+    # relative tolerance alone: rates span many orders of magnitude
+    rate, res = optimize.brentq(score, lo, hi, xtol=1e-300, full_output=True, disp=False)
+    return rate, res.converged, res.iterations
 
 
-_LOGIT_BOUND = 30.0
+def _fit_zip(q: float, positive_mean, mean_lo: float, mean_hi: float, slope: float):
+    """ZIP maximum likelihood, zero_prob profiled out: (params, converged,
+    boundary, root iterations).
 
-
-def _fit_transformed(
-    objective, x0: np.ndarray, bounds, family: str
-) -> tuple[MarginalParams, float, bool, int]:
-    """Minimize a negative log-likelihood over transformed parameters.
-
-    Parameter vector is (log rate, logit zero_prob) for ZIP and
-    (log rate, log dispersion, logit zero_prob) for ZINB.
+    With q = P(Y > 0) = (1 - zero_prob)(1 - e^-rate), the log-likelihood is
+    n_0 log(1 - q) + n_+ log q plus the zero-truncated Poisson log-likelihood
+    of the positive data, which depends on the rate alone (Mullahy, J
+    Econometrics 33:341-365, 1986).  So q-hat is the positive share ``q``,
+    and zero_prob = 1 - q / (1 - e^-rate).  As d/dlam log P(lo <= Y <= hi)
+    = (pmf(lo - 1) - pmf(hi)) / P(lo <= Y <= hi) = E[Y | lo <= Y <= hi] / lam
+    - 1, the truncated score vanishes where lam = ybar(lam) (1 - e^-lam), for
+    ybar = ``positive_mean`` the mean of the positive counts: observed for
+    exact counts (singleton cells), expected given the categories for a
+    histogram.  As mean_lo <= ybar(lam) <= mean_hi + slope * lam, its roots
+    lie in [mean_lo - 1, mean_hi / (1 - slope)].  Where zero_prob would be
+    negative, the maximum is the plain Poisson (zero_prob = 0), whose roots
+    of lam = q ybar(lam) lie in [q mean_lo, q mean_hi / (1 - q slope)];
+    ``boundary`` is set then, and for a rate left at _MAX_RATE.
     """
+
+    def upper(c: float) -> float | None:
+        return c * mean_hi / (1.0 - c * slope) if c * slope < 1.0 else None
+
+    rate, converged, n_iter = _rate_root(
+        lambda lam: positive_mean(lam) * -math.expm1(-lam) / lam - 1.0, mean_lo - 1.0, upper(1.0)
+    )
+    share = -math.expm1(-rate)
+    if q <= share:
+        return MarginalParams(ZIP, rate, 1.0 - q / share), converged, not converged, n_iter
+    rate, poisson_converged, more = _rate_root(
+        lambda lam: q * positive_mean(lam) / lam - 1.0, q * mean_lo, upper(q)
+    )
+    return MarginalParams(ZIP, rate, 0.0), converged and poisson_converged, True, n_iter + more
+
+
+def _zinb_start(mean_pos: float, p0_hat: float) -> tuple[float, float]:
+    """(rate, logit zero_prob) starting values from positive mean and zero share."""
+    rate0 = max(mean_pos, 1e-3)
+    g0 = math.exp(-rate0)
+    theta0 = min(max((p0_hat - g0) / (1.0 - g0), 1e-6), 1.0 - 1e-6)
+    return rate0, math.log(theta0 / (1.0 - theta0))
+
+
+# L-BFGS-B bounds on (log rate, log dispersion, logit zero_prob)
+_ZINB_BOUNDS = [(-10.0, 15.0), (-10.0, 20.0), (-30.0, 30.0)]
+
+
+def _fit_zinb(loglik, x0: list) -> tuple[MarginalParams, float, bool, int]:
+    """Maximize ``loglik(rate, dispersion, zero_prob)`` by L-BFGS-B over
+    (log rate, log dispersion, logit zero_prob) from each start in ``x0``."""
     results = [
         optimize.minimize(
-            objective,
+            lambda x: -loglik(math.exp(x[0]), math.exp(x[1]), _expit(x[2])),
             np.asarray(start, dtype=float),
             method="L-BFGS-B",
-            bounds=bounds,
-            options={"ftol": 1e-12, "gtol": 1e-10, "maxiter": _MAX_EM_ITER},
+            bounds=_ZINB_BOUNDS,
+            options={"ftol": 1e-12, "gtol": 1e-10, "maxiter": 500},
         )
         for start in x0
     ]
@@ -400,19 +406,8 @@ def _fit_transformed(
         res.success and res.fun - best.fun <= _CONVERGED_RTOL * abs(best.fun) for res in results
     )
     x = best.x
-    rate = math.exp(x[0])
-    if family == ZIP:
-        theta = 1.0 / (1.0 + math.exp(-x[1]))
-        params = MarginalParams(ZIP, rate, theta)
-    else:
-        disp = math.exp(x[1])
-        theta = 1.0 / (1.0 + math.exp(-x[2]))
-        params = MarginalParams(ZINB, rate, theta, dispersion=disp)
+    params = MarginalParams(ZINB, math.exp(x[0]), 1.0 / (1.0 + math.exp(-x[2])), math.exp(x[1]))
     return params, -float(best.fun), converged, int(best.nit)
-
-
-def _boundary_flag(params: MarginalParams, n_positive: float) -> bool:
-    return params.zero_prob > 0.999 or n_positive < 5
 
 
 def fit_mle_exact(values, family: str = ZIP, weights=None) -> FitResult:
@@ -428,33 +423,34 @@ def fit_mle_exact(values, family: str = ZIP, weights=None) -> FitResult:
     w = np.ones(y.shape) if weights is None else np.asarray(weights, dtype=float)
     if w.shape != y.shape or np.any(w < 0) or np.sum(w) <= 0:
         raise ValueError("weights must be non-negative with positive total")
-    n_pos = float(np.sum(w[y > 0]))
+    pos = y > 0
+    n_pos = float(np.sum(w[pos]))
     if n_pos == 0:
         params = MarginalParams(family, 1.0, 1.0, dispersion=1.0 if family == ZINB else None)
         return FitResult(params, 0.0, True, True, True, float(np.sum(w)), 0)
 
+    boundary = False
     if family == ZIP:
-        params, ll, converged, n_iter = _fit_zip_em(y, w)
+        mean_pos = float(np.sum(w * y)) / n_pos
+        params, converged, boundary, n_iter = _fit_zip(
+            n_pos / float(np.sum(w)), lambda lam: mean_pos, mean_pos, mean_pos, 0.0
+        )
+        ll = _zip_loglik(y, w, params.rate, params.zero_prob)
     else:
-        rate0, theta0 = _moment_start(y, w)
-        pos = y > 0
         mean_pos = float(np.sum(w[pos] * y[pos]) / np.sum(w[pos]))
         var_pos = float(np.sum(w[pos] * (y[pos] - mean_pos) ** 2) / np.sum(w[pos]))
+        rate0, logit0 = _zinb_start(mean_pos, float(np.sum(w[~pos]) / np.sum(w)))
         disp0 = rate0 * rate0 / max(var_pos - rate0, rate0 * 0.1)
-        logit0 = math.log(theta0 / (1.0 - theta0))
         starts = [
             [math.log(rate0), math.log(min(max(disp0, 1e-2), 1e4)), logit0],
             [math.log(rate0), math.log(1e4), logit0],
             [math.log(rate0), 0.0, logit0],
         ]
-        bounds = [(-10.0, 15.0), (-10.0, 20.0), (-_LOGIT_BOUND, _LOGIT_BOUND)]
-
-        def nll(x):
-            return -_zinb_loglik(y, w, math.exp(x[0]), math.exp(x[1]), _expit(x[2]))
-
-        params, ll, converged, n_iter = _fit_transformed(nll, starts, bounds, ZINB)
-
-    return FitResult(params, ll, converged, False, _boundary_flag(params, n_pos), float(np.sum(w)), n_iter)
+        params, ll, converged, n_iter = _fit_zinb(
+            lambda rate, disp, theta: _zinb_loglik(y, w, rate, disp, theta), starts
+        )
+    boundary = boundary or params.zero_prob > 0.999 or n_pos < 5
+    return FitResult(params, ll, converged, False, boundary, float(np.sum(w)), n_iter)
 
 
 def _expit(x: float) -> float:
@@ -480,34 +476,35 @@ def fit_mle_censored(category_counts, family: str = ZIP) -> FitResult:
         params = MarginalParams(family, 1.0, 1.0, dispersion=1.0 if family == ZINB else None)
         return FitResult(params, 0.0, True, True, True, float(np.sum(n)), 0)
 
-    # start from category midpoints (0, 1, 3, 7) among positives
-    mids = np.array([0.0, 1.0, 3.0, 7.0])
-    mean_pos = float(np.sum(n * mids) / n_pos)
-    rate0 = max(mean_pos, 1e-3)
-    p0_hat = float(n[0] / np.sum(n))
-    g0 = math.exp(-rate0)
-    theta0 = min(max((p0_hat - g0) / (1.0 - g0), 1e-6), 1.0 - 1e-6)
-    logit0 = math.log(theta0 / (1.0 - theta0))
-
+    boundary = False
     if family == ZIP:
-        starts = [[math.log(rate0), logit0], [math.log(rate0 * 2), logit0]]
-        bounds = [(-10.0, 15.0), (-_LOGIT_BOUND, _LOGIT_BOUND)]
+        def positive_mean(lam):  # E[Y | category] of Poisson(lam), over categories 1..3
+            # {2..4}: (2 p2 + 3 p3 + 4 p4) / (p2 + p3 + p4), p3 / p2 = lam / 3, p4 / p2 = lam^2 / 12
+            mid = (2.0 + lam + lam * lam / 3.0) / (1.0 + lam / 3.0 + lam * lam / 12.0)
+            top = lam * pdtrc(3, lam) / pdtrc(4, lam)  # {5+}: lam P(Y >= 4) / P(Y >= 5)
+            return float(n[1] + n[2] * mid + n[3] * top) / n_pos
 
-        def nll(x):
-            p = MarginalParams(ZIP, math.exp(x[0]), _expit(x[1]))
-            return -censored_loglik(p, n)
-
+        # the conditional means of {1}, {2..4} and {5+} lie in [1, 1], [2, 4], [5, 5 + lam]
+        params, converged, boundary, n_iter = _fit_zip(
+            n_pos / float(np.sum(n)),
+            positive_mean,
+            float(n[1] + 2.0 * n[2] + 5.0 * n[3]) / n_pos,
+            float(n[1] + 4.0 * n[2] + 5.0 * n[3]) / n_pos,
+            float(n[3]) / n_pos,
+        )
+        ll = censored_loglik(params, n)
     else:
+        # start from category midpoints (0, 1, 3, 7) among positives
+        mids = np.array([0.0, 1.0, 3.0, 7.0])
+        rate0, logit0 = _zinb_start(float(np.sum(n * mids) / n_pos), float(n[0] / np.sum(n)))
         starts = [
             [math.log(rate0), 0.0, logit0],
             [math.log(rate0), math.log(1e4), logit0],
             [math.log(rate0 * 2), math.log(0.3), logit0],
         ]
-        bounds = [(-10.0, 15.0), (-10.0, 20.0), (-_LOGIT_BOUND, _LOGIT_BOUND)]
-
-        def nll(x):
-            p = MarginalParams(ZINB, math.exp(x[0]), _expit(x[2]), dispersion=math.exp(x[1]))
-            return -censored_loglik(p, n)
-
-    params, ll, converged, n_iter = _fit_transformed(nll, starts, bounds, family)
-    return FitResult(params, ll, converged, False, _boundary_flag(params, n_pos), float(np.sum(n)), n_iter)
+        params, ll, converged, n_iter = _fit_zinb(
+            lambda rate, disp, theta: censored_loglik(MarginalParams(ZINB, rate, theta, disp), n),
+            starts,
+        )
+    boundary = boundary or params.zero_prob > 0.999 or n_pos < 5
+    return FitResult(params, ll, converged, False, boundary, float(np.sum(n)), n_iter)

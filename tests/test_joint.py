@@ -81,7 +81,7 @@ class TestNearestPsd:
         once = nearest_psd(valid)
         assert np.array_equal(once, valid)
         projected = nearest_psd(np.array([[1.0, 1.2], [1.2, 1.0]]))
-        assert np.allclose(nearest_psd(projected), projected, atol=1e-12)
+        assert np.array_equal(nearest_psd(projected), projected)
 
     def test_rejects_non_symmetric(self):
         with pytest.raises(ValueError):

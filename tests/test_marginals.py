@@ -5,11 +5,12 @@ import zlib
 
 import numpy as np
 import pytest
-from scipy import special
+from scipy import optimize, special
 
 from ctssim.marginals import (
     MarginalParams,
     cdf_table,
+    category_probs,
     censored_loglik,
     counts_from_uniforms,
     fit_mle_censored,
@@ -290,8 +291,6 @@ class TestFitCensored:
         # ends in an abnormal line search at the optimum, while two other
         # starts converge to within 1e-13 relative of it.
         from ctssim.datasets import build_example_survey
-        from ctssim.marginals import category_probs
-
         column = build_example_survey(8000, 2148111748).values[:, 1]
         hist = np.bincount(column, minlength=4).astype(float)
         fit = fit_mle_censored(hist, "zinb")
@@ -311,8 +310,6 @@ class TestFitCensored:
         assert fit.loglik >= censored_loglik(FIG_PARAMS, hist) - 1e-9
 
     def test_interval_probabilities_match_pmf_sums(self):
-        from ctssim.marginals import category_probs
-
         p = category_probs(FIG_PARAMS)
         y = np.arange(0, 400)
         pmf = zi_pmf(FIG_PARAMS, y)
@@ -348,3 +345,137 @@ class TestLoglik:
         y = zi_sample(params, 500, np.random.default_rng(20))
         direct = float(np.sum(np.log(zi_pmf(params, y))))
         assert zi_loglik(params, y) == pytest.approx(direct, abs=1e-8)
+
+
+def _em_loglik(y):
+    """Log-likelihood at the EM estimate that fit_mle_exact used for ZIP
+    before zero_prob was profiled out (same start and stopping rule)."""
+    zero = y == 0
+    rate = max(float(y[~zero].mean()), 1e-3)
+    g0 = math.exp(-rate)
+    theta = min(max((zero.mean() - g0) / (1.0 - g0), 1e-6), 1.0 - 1e-6)
+    ll_prev = zi_loglik(MarginalParams("zip", rate, theta), y)
+    for _ in range(500):
+        struct = zero.sum() * theta / (theta + (1.0 - theta) * math.exp(-rate))
+        theta, rate = struct / len(y), y.sum() / (len(y) - struct)
+        ll = zi_loglik(MarginalParams("zip", rate, theta), y)
+        if ll - ll_prev < 1e-8:
+            return ll
+        ll_prev = ll
+    return ll_prev
+
+
+def _lbfgs_loglik(hist):
+    """Log-likelihood at the two-start L-BFGS-B estimate that
+    fit_mle_censored used for ZIP before zero_prob was profiled out."""
+    rate0 = max(float(hist @ [0.0, 1.0, 3.0, 7.0] / hist[1:].sum()), 1e-3)
+    g0 = math.exp(-rate0)
+    theta0 = min(max((hist[0] / hist.sum() - g0) / (1.0 - g0), 1e-6), 1.0 - 1e-6)
+
+    def nll(x):
+        return -censored_loglik(MarginalParams("zip", math.exp(x[0]), special.expit(x[1])), hist)
+
+    runs = [
+        optimize.minimize(nll, [math.log(r), special.logit(theta0)], method="L-BFGS-B",
+                          bounds=[(-10.0, 15.0), (-30.0, 30.0)],
+                          options={"ftol": 1e-12, "gtol": 1e-10, "maxiter": 500})
+        for r in (rate0, 2.0 * rate0)
+    ]
+    return -min(run.fun for run in runs)
+
+
+def _example_counts(seed):
+    from ctssim.datasets import example_model
+    from ctssim.joint import sample_joint
+
+    return sample_joint(example_model(), 8000, np.random.default_rng(seed))
+
+
+class TestProfiledZip:
+    """ZIP fits profile zero_prob out: q = P(Y > 0) is the positive share in
+    closed form, and the rate is one root."""
+
+    @pytest.mark.parametrize("seed", [20260801, 1, 2, 3, 4, 5])
+    def test_at_least_the_replaced_optimizers_on_example_surveys(self, seed):
+        from ctssim.coding import categorize
+        from ctssim.datasets import EXAMPLE_SEED, build_example_survey
+
+        counts = _example_counts(seed)
+        cats = categorize(counts)
+        if seed == EXAMPLE_SEED:  # the counts behind the bundled survey
+            assert np.array_equal(cats, build_example_survey().values)
+        for j in range(counts.shape[1]):
+            y = counts[:, j]
+            hist = np.bincount(cats[:, j], minlength=4).astype(float)
+            exact, censored = fit_mle_exact(y, "zip"), fit_mle_censored(hist, "zip")
+            assert exact.loglik >= _em_loglik(y) - 1e-9
+            assert censored.loglik >= _lbfgs_loglik(hist) - 1e-9
+            q = np.mean(y > 0)
+            for fit in (exact, censored):
+                assert fit.converged and not fit.boundary_flag and fit.params.zero_prob > 0
+                rate, theta = fit.params.rate, fit.params.zero_prob
+                assert (1.0 - theta) * -math.expm1(-rate) == pytest.approx(q, abs=1e-12)
+
+    def test_bundled_survey(self):
+        from ctssim.datasets import example_survey_paths
+        from ctssim.ingest import read_survey
+
+        table = read_survey(*example_survey_paths())
+        for j in range(table.n_acts):
+            hist = np.bincount(table.values[:, j], minlength=4).astype(float)
+            fit = fit_mle_censored(hist, "zip")
+            assert fit.loglik >= _lbfgs_loglik(hist) - 1e-9
+            q = 1.0 - hist[0] / hist.sum()
+            assert (1.0 - fit.params.zero_prob) * -math.expm1(-fit.params.rate) == pytest.approx(
+                q, abs=1e-12
+            )
+
+    def test_exact_rate_solves_truncated_mean_equation(self):
+        y = zi_sample(FIG_PARAMS, 5000, np.random.default_rng(21))
+        rate = fit_mle_exact(y, "zip").params.rate
+        mean_pos = y[y > 0].mean()
+        assert rate == pytest.approx(mean_pos * -math.expm1(-rate), rel=1e-13)
+
+    def test_zero_share_below_poisson_zero_is_clipped_to_poisson(self):
+        # a Poisson(1.5) histogram with half its zeros removed
+        hist = 1000.0 * category_probs(MarginalParams("zip", 1.5, 0.0))
+        hist[0] *= 0.5
+        fit = fit_mle_censored(hist, "zip")
+        assert fit.params.zero_prob == 0.0
+        assert fit.boundary_flag and fit.converged
+        best = optimize.minimize_scalar(
+            lambda r: -censored_loglik(MarginalParams("zip", r, 0.0), hist),
+            bounds=(0.5, 5.0), method="bounded", options={"xatol": 1e-10},
+        )
+        assert fit.params.rate == pytest.approx(best.x, abs=1e-6)
+        assert fit.loglik >= -best.fun - 1e-9
+        assert fit.loglik >= _lbfgs_loglik(hist) - 1e-9
+
+    def test_all_positive_mass_in_category_one(self):
+        fit = fit_mle_censored([100.0, 40.0, 0.0, 0.0], "zip")
+        assert fit.boundary_flag and fit.converged and not fit.degenerate
+        # the Poisson maximum of n0 log e^-lam + n1 log(lam e^-lam)
+        assert fit.params.rate == pytest.approx(40.0 / 140.0, rel=1e-15)
+        assert fit.params.zero_prob == 0.0
+
+    def test_exact_positives_all_one(self):
+        y = np.array([0] * 10 + [1] * 5)
+        fit = fit_mle_exact(y, "zip")
+        assert fit.boundary_flag and fit.converged and not fit.degenerate
+        assert math.isfinite(fit.params.rate)
+        assert fit.params.rate == pytest.approx(y.mean(), rel=1e-15)
+        assert fit.params.zero_prob == 0.0
+        assert fit.loglik >= _em_loglik(y) - 1e-9
+
+    def test_positives_only_in_open_category_end_at_the_rate_cap(self):
+        # no finite maximum: the likelihood rises with the rate forever
+        fit = fit_mle_censored([50.0, 0.0, 0.0, 100.0], "zip")
+        assert not fit.converged and fit.boundary_flag
+        assert fit.params.rate == pytest.approx(math.exp(15.0))
+        assert fit.params.zero_prob == pytest.approx(1.0 / 3.0, rel=1e-15)
+
+    @pytest.mark.parametrize("hist", [[10.0, 1.0, 1.0, 1e-9], [0.0, 3.0, 2.0, 1.0], [5.0, 1e-9, 4.0, 0.0]])
+    def test_sparse_histograms_finite(self, hist):
+        fit = fit_mle_censored(hist, "zip")
+        assert fit.converged and math.isfinite(fit.params.rate) and math.isfinite(fit.loglik)
+        assert fit.loglik >= _lbfgs_loglik(np.asarray(hist)) - 1e-9

@@ -3,7 +3,7 @@
 * ``EmpiricalResampler`` imputes a latent count that categorizes back to
   the survey row it drew, for any category table and fitted margin.
 * ``nearest_psd`` returns a valid correlation matrix, keeps a valid one
-  unchanged, and moves its own output by at most about ``eig_floor``.
+  unchanged, and returns its own output unchanged.
 * Every potential-outcome schedule, from the replication kernel or from
   the stage functions, satisfies ``PotentialOutcomeTable.check``.
 
@@ -119,9 +119,7 @@ class TestNearestPsdProperty:
         assert np.all(np.abs(projected) <= 1.0)
         MultiActModel(tuple(ActSpec(i + 1, "a", "physical", "severe") for i in range(k)),
                       (MarginalParams("zip", 1.0, 0.5),) * k, projected)
-        # the diagonal rescaling can leave the smallest eigenvalue just under
-        # eig_floor, so a second projection may move entries by ~eig_floor
-        assert np.max(np.abs(nearest_psd(projected) - projected)) <= 1e-7
+        assert np.array_equal(nearest_psd(projected), projected)
 
     @PROPERTY
     @given(factors=st.integers(2, 6).flatmap(
