@@ -47,7 +47,7 @@ from .ingest import (
     save_model,
 )
 from .joint import MultiActModel
-from .outcomes import TARGET_PRESETS, EffectScenario
+from .outcomes import TARGET_PRESETS, EffectScenario, target_columns
 
 # shared by results.csv, power_long.csv and latent_diagnostics.csv
 RESULTS_SCHEMA_VERSION = 2
@@ -81,25 +81,35 @@ def _canonical_hash(document: dict) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-def _build_model(source: dict, base_dir: str):
-    kinds = [k for k in ("file", "inline", "survey") if k in source]
-    if len(kinds) != 1:
+def _build_model(source, base_dir: str):
+    source = _config_object("model", source)
+    _check_keys("model", source, {"file", "inline", "survey"})
+    if len(source) != 1:
         raise ConfigError(
-            f"config 'model' must have exactly one of file/inline/survey, got {kinds}"
+            f"config 'model' must have exactly one of file/inline/survey, got {sorted(source)}"
         )
-    kind = kinds[0]
-    if kind == "file":
-        return load_model(os.path.join(base_dir, source["file"]))
-    if kind == "inline":
-        return MultiActModel.from_dict(source["inline"])
-    survey = source["survey"]
+    (kind,) = source
+    try:
+        if kind == "file":
+            return load_model(os.path.join(base_dir, _config_str("model.file", source["file"])))
+        if kind == "inline":
+            return MultiActModel.from_dict(_config_object("model.inline", source["inline"]))
+    except OSError as exc:
+        raise ConfigError(f"cannot read the model file: {exc}") from None
+    except (AttributeError, KeyError, TypeError) as exc:
+        raise ConfigError(f"malformed {kind} model: {type(exc).__name__}: {exc}") from None
+    survey = _config_object("model.survey", source["survey"])
+    _check_keys("model.survey", survey, {"data", "descriptor", "family", "use", "sigma_method"})
     for key in ("data", "descriptor"):
         if key not in survey:
             raise ConfigError(f"config model.survey is missing {key!r}")
-    table = read_survey(
-        os.path.join(base_dir, survey["data"]),
-        os.path.join(base_dir, survey["descriptor"]),
-    )
+    try:
+        table = read_survey(
+            os.path.join(base_dir, _config_str("model.survey.data", survey["data"])),
+            os.path.join(base_dir, _config_str("model.survey.descriptor", survey["descriptor"])),
+        )
+    except OSError as exc:
+        raise ConfigError(f"cannot read the survey: {exc}") from None
     family = survey.get("family", "zip")
     use = survey.get("use", "fit")
     if use == "fit":
@@ -122,16 +132,21 @@ def _build_scenarios(raw: list, magnitude: int, floor: int) -> list[EffectScenar
                 )
             out.append(scenario_preset(item, magnitude=magnitude, floor=floor))
         elif isinstance(item, dict):
+            _check_keys("scenarios", item, {"probs", "magnitude", "floor", "name"})
+            if "probs" not in item:
+                raise ConfigError(f"custom scenario {item!r} is missing 'probs'")
+            probs = item["probs"]
+            if not isinstance(probs, list):
+                raise ConfigError(f"config 'probs' must be a list of 4 numbers, got {json.dumps(probs)}")
+            probs = tuple(_config_number("probs", p) for p in probs)
+            settings = {
+                "magnitude": _config_int("magnitude", item.get("magnitude", magnitude)),
+                "floor": _config_int("floor", item.get("floor", floor)),
+                "name": _config_str("name", item.get("name", "custom")),
+            }
             try:
-                out.append(
-                    EffectScenario(
-                        tuple(item["probs"]),
-                        magnitude=_config_int("magnitude", item.get("magnitude", magnitude)),
-                        floor=_config_int("floor", item.get("floor", floor)),
-                        name=item.get("name", "custom"),
-                    )
-                )
-            except (KeyError, ValueError) as exc:
+                out.append(EffectScenario(probs, **settings))
+            except ValueError as exc:
                 raise ConfigError(f"bad custom scenario {item!r}: {exc}") from None
         else:
             raise ConfigError(f"scenario entries must be names or objects, got {item!r}")
@@ -148,10 +163,30 @@ def _build_targets(raw: list) -> list:
                 raise ConfigError(f"unknown target preset {item!r}; have {TARGET_PRESETS}")
             out.append(item)
         elif isinstance(item, list):
+            if not item:
+                raise ConfigError("config 'targets' index lists must be non-empty")
             out.append(tuple(_config_int("targets", i) for i in item))
         else:
             raise ConfigError(f"target entries must be presets or index lists, got {item!r}")
     return out
+
+
+def _check_keys(key: str, obj: dict, known: set) -> None:
+    unknown = set(obj) - known
+    if unknown:
+        raise ConfigError(f"unknown keys in config {key!r}: {sorted(unknown)}")
+
+
+def _config_object(key: str, value) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"config {key!r} must be an object, got {json.dumps(value)}")
+    return value
+
+
+def _config_str(key: str, value) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"config {key!r} must be a string, got {json.dumps(value)}")
+    return value
 
 
 def _config_int(key: str, value) -> int:
@@ -184,6 +219,8 @@ def load_run_config(path: str, seed_override: int | None = None) -> RunConfig:
         raise ConfigError(f"config file not found: {path}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ConfigError(f"config must be a JSON object, got {json.dumps(doc)[:80]}")
     if "model" not in doc:
         raise ConfigError("config is missing 'model'")
     known = {
@@ -208,6 +245,11 @@ def load_run_config(path: str, seed_override: int | None = None) -> RunConfig:
     scenarios = _build_scenarios(doc.get("scenarios", list(SCENARIO_PRESETS)), magnitude, floor)
     targets = _build_targets(doc.get("targets", ["all"]))
     model = _build_model(doc["model"], os.path.dirname(os.path.abspath(path)))
+    for target in targets:  # resolved as each cell will, before any cell runs
+        try:
+            target_columns(model.acts, target)
+        except ValueError as exc:
+            raise ConfigError(f"config 'targets': {exc}") from None
     try:
         base = SimulationConfig(
             model=model,
@@ -348,7 +390,7 @@ def cmd_fit(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    started = time.time()
+    started = time.perf_counter()
     try:
         run = load_run_config(args.config, args.seed)
     except (ConfigError, SurveyFormatError, ValueError) as exc:
@@ -388,7 +430,7 @@ def cmd_simulate(args) -> int:
             latent_rows,
         )
 
-    elapsed = time.time() - started
+    elapsed = time.perf_counter() - started
     total_reps = sum(cell.n_reps for cell in cells)
     meta = {
         "config_hash": run.fingerprint,
@@ -396,6 +438,8 @@ def cmd_simulate(args) -> int:
         "version": __version__,
         "wall_clock_seconds": round(elapsed, 3),
         "cells": len(cells),
+        # every cell shares each replication's control draw
+        "draw_ms_per_rep": 1e3 * cells[0].draw_s / run.base.n_reps,
         "cell_wall_s": [cell.wall_s for cell in cells],
         "stage_ms_per_rep": {
             stage: 1e3 * sum(cell.reps.stage_s[stage] for cell in cells) / total_reps

@@ -20,10 +20,17 @@ reproduces bit for bit; the tests pin the two together.
 Replications run one after another in one thread.  Each uses a
 counter-based substream seeded by (seed, replication index), so a
 replication's result does not depend on which others run or in what order.
+The control draw is the first thing a replication takes from its stream,
+and the cells of a grid share the seed, so replication i's control counts
+are the same in every cell: the grid runs replication-major, drawing them
+once and running each cell's remaining stages on the generator state that
+follows the draw.  A model's ``sample_control(n, rng)`` must therefore
+depend on ``n`` and ``rng`` alone.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 import time
 from dataclasses import dataclass, field, replace
@@ -39,8 +46,9 @@ from .outcomes import EffectScenario, PotentialOutcomeTable, ResponseType, targe
 CODINGS = ("binary", "sum")
 REPLICATION_FIELDS = ("estimate", "se", "p_value", "ci_low", "ci_high", "true_ate")
 STATISTICS = ("bias", "rmse", "power", "coverage")
-# the kernel stages timed per replication (CellKernel.stage_s)
-STAGES = ("draw", "types_effects", "randomize", "code_truth", "hc2")
+# the stages of CellKernel.respond, timed per cell and replication
+# (CellKernel.stage_s); the control draw before them is timed on its own
+STAGES = ("types_effects", "randomize", "code_truth", "hc2")
 
 # p-vectors (no effect, cessation, reduction, increase) for the standard
 # program-response scenarios; 70% of violent units are always unaffected.
@@ -77,7 +85,9 @@ class SimulationConfig:
     """Everything one Monte Carlo cell needs.
 
     ``model`` is a MultiActModel or any source exposing ``acts`` and a
-    ``sample_control(n, rng)`` method (e.g. the empirical resampler).
+    ``sample_control(n, rng)`` method (e.g. the empirical resampler) whose
+    draw depends on ``n`` and ``rng`` alone: a grid shares each draw
+    among its cells.
     """
 
     model: object
@@ -136,8 +146,9 @@ class CellKernel:
     Construction does the per-cell work once: it builds the model's
     CopulaSampler (which validates the model, factors the latent
     correlation and fetches the CDF tables) and resolves the target
-    columns.  ``stage_s`` accumulates the seconds each of ``STAGES`` took
-    over the replications run with this kernel.
+    columns.  A replication is ``draw`` (the control counts) followed by
+    ``respond`` (everything after them); ``stage_s`` accumulates the
+    seconds each of ``STAGES`` took in ``respond``.
     """
 
     def __init__(self, config: SimulationConfig):
@@ -157,27 +168,50 @@ class CellKernel:
         self.ones = np.ones(self.n_acts)
         self.stage_s = [0.0] * len(STAGES)
 
-    def _control_counts(self, rng: np.random.Generator) -> np.ndarray:
+    def for_scenario(self, scenario: EffectScenario) -> CellKernel:
+        """The kernel of ``scenario`` on this kernel's model, size and seed.
+
+        It shares this kernel's copula sampler or ``sample_control``, so
+        its draws are this kernel's, and has stage clocks of its own.
+        """
+        kernel = copy.copy(self)
+        kernel.config = replace(self.config, scenario=scenario)
+        kernel.cols = target_columns(self.config.model.acts, scenario.target)
+        kernel.stage_s = [0.0] * len(STAGES)
+        return kernel
+
+    def draw(self, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+        """A replication's control counts ``y0`` and their category-score
+        row sums ``score0``; a row codes binary 1 when its score sum is
+        positive, and sum/3K under the sum coding."""
         n = self.config.n_units
         if self.copula is not None:
-            return self.copula.sample(n, rng)
-        y0 = np.asarray(self.sample_control(n, rng), dtype=np.int64)
-        if y0.shape != (n, self.n_acts) or y0.min() < 0:
-            raise ValueError(
-                f"sample_control must return non-negative counts of shape "
-                f"{(n, self.n_acts)}, got shape {y0.shape}"
-            )
-        return y0
+            y0 = self.copula.sample(n, rng)
+        else:
+            y0 = np.asarray(self.sample_control(n, rng), dtype=np.int64)
+            if y0.shape != (n, self.n_acts) or y0.min() < 0:
+                raise ValueError(
+                    f"sample_control must return non-negative counts of shape "
+                    f"{(n, self.n_acts)}, got shape {y0.shape}"
+                )
+        return y0, _CATEGORY_SCORE.take(np.minimum(y0, _CATEGORY_CAP)) @ self.ones
 
-    def replicate(self, rep_index: int, return_schedule: bool = False) -> dict:
-        """One replication of the cell; see run_replication."""
+    def respond(
+        self,
+        y0: np.ndarray,
+        score0: np.ndarray,
+        rng: np.random.Generator,
+        return_schedule: bool = False,
+    ) -> dict:
+        """The rest of a replication, from ``draw``'s output and the
+        generator as the draw left it: response types, effects,
+        randomization, coding, true effects and the HC2 estimates.
+        ``y0`` and ``score0`` are read, never written, so cells can share
+        them."""
         config, scenario = self.config, self.config.scenario
         n = config.n_units
         clock = time.perf_counter
         t0 = clock()
-        rng = _replication_rng(config.seed, rep_index)
-        y0 = self._control_counts(rng)
-        t1 = clock()
 
         # response types (outcomes.assign_response_types) and the changed
         # targeted counts of the affected units (outcomes.apply_effects)
@@ -195,16 +229,14 @@ class CellKernel:
             kind == ResponseType.REDUCTION, np.maximum(before - x, scenario.floor), before + x
         )
         after = np.where((before > 0) & (kind != ResponseType.CESSATION), shifted, 0)
-        t2 = clock()
+        t1 = clock()
 
         treated = np.zeros(n, dtype=bool)
         treated[rng.permutation(n)[: n // 2]] = True
         arm1, arm0 = np.flatnonzero(treated), np.flatnonzero(~treated)
-        t3 = clock()
+        t2 = clock()
 
-        # category-score row sums under control and treatment; a row codes
-        # binary 1 when its sum is positive, and sum/3K under the sum coding
-        score0 = _CATEGORY_SCORE.take(np.minimum(y0, _CATEGORY_CAP)) @ self.ones
+        # category-score row sums under treatment, from those under control
         score1 = score0.copy()
         score1[affected] += (
             _CATEGORY_SCORE.take(np.minimum(after, _CATEGORY_CAP))
@@ -220,7 +252,7 @@ class CellKernel:
             "binary": (np.count_nonzero(score1) - np.count_nonzero(score0)) / n,
             "sum": float(np.mean(sum1 - sum0)),
         }
-        t4 = clock()
+        t3 = clock()
 
         record: dict = {}
         for key in CODINGS:
@@ -235,15 +267,20 @@ class CellKernel:
             y1 = y0.copy()
             y1[affected[:, None], self.cols] = after
             record["schedule"] = PotentialOutcomeTable(y0, y1, s, treated.astype(np.int8))
-        t5 = clock()
+        t4 = clock()
 
         st = self.stage_s
         st[0] += t1 - t0
         st[1] += t2 - t1
         st[2] += t3 - t2
         st[3] += t4 - t3
-        st[4] += t5 - t4
         return record
+
+    def replicate(self, rep_index: int, return_schedule: bool = False) -> dict:
+        """One replication of the cell; see run_replication."""
+        rng = _replication_rng(self.config.seed, rep_index)
+        y0, score0 = self.draw(rng)
+        return self.respond(y0, score0, rng, return_schedule)
 
 
 def run_replication(
@@ -282,24 +319,69 @@ class Replications:
         return len(self.data[CODINGS[0]]["estimate"])
 
 
+def _run_replications(
+    kernels: Sequence[CellKernel],
+) -> tuple[list[Replications], list[float], float]:
+    """Every replication of one or more cells, replication-major.
+
+    The kernels are one CellKernel and kernels derived from it by
+    ``for_scenario``, so they share a model, size, seed and replication
+    count, and replication i's control draw is the same in each.  It is
+    drawn once, by the first kernel; each cell then restores the generator
+    state that followed the draw and runs ``respond``.  Every cell's
+    replications are thus those of ``CellKernel.replicate``, run alone.
+
+    Returns each cell's Replications, each cell's seconds after the draws
+    (``respond`` and storing its record), and the seconds of the draws.
+    """
+    base = kernels[0].config
+    m = base.n_reps
+    stores = [
+        (
+            {c: {f: np.empty(m) for f in REPLICATION_FIELDS} for c in CODINGS},
+            np.empty(m) if base.latent_diagnostics else None,
+        )
+        for _ in kernels
+    ]
+    cell_s = [0.0] * len(kernels)
+    draw_s = 0.0
+    clock = time.perf_counter
+    try:
+        for i in range(m):
+            t0 = clock()
+            rng = _replication_rng(base.seed, i)
+            y0, score0 = kernels[0].draw(rng)
+            state = rng.bit_generator.state
+            t1 = clock()
+            draw_s += t1 - t0
+            for j, kernel in enumerate(kernels):
+                rng.bit_generator.state = state
+                rec = kernel.respond(y0, score0, rng)
+                data, latent = stores[j]
+                for c in CODINGS:
+                    for f in REPLICATION_FIELDS:
+                        data[c][f][i] = rec[c][f]
+                if latent is not None:
+                    latent[i] = rec["latent_sum_true"]
+                t2 = clock()
+                cell_s[j] += t2 - t1
+                t1 = t2
+    except Exception as exc:  # noqa: BLE001 - re-raise with replication context
+        raise ReplicationError(i, exc) from exc
+    reps = [
+        Replications(data, latent, dict(zip(STAGES, kernel.stage_s)))
+        for (data, latent), kernel in zip(stores, kernels)
+    ]
+    return reps, cell_s, draw_s
+
+
 def run_simulation(config: SimulationConfig) -> Replications:
     """Run all replications in order and collect arrays.
 
     Every replication derives its own substream from (seed, index), so a
     replication's result does not depend on which others run.
     """
-    kernel = CellKernel(config)
-    m = config.n_reps
-    data = {c: {f: np.empty(m) for f in REPLICATION_FIELDS} for c in CODINGS}
-    latent = np.empty(m) if config.latent_diagnostics else None
-    for i in range(m):
-        rec = run_replication(config, i, kernel=kernel)
-        for c in CODINGS:
-            for f in REPLICATION_FIELDS:
-                data[c][f][i] = rec[c][f]
-        if latent is not None:
-            latent[i] = rec["latent_sum_true"]
-    return Replications(data, latent, dict(zip(STAGES, kernel.stage_s)))
+    return _run_replications([CellKernel(config)])[0][0]
 
 
 def _stats_from_arrays(fields: Mapping[str, np.ndarray], alpha: float) -> dict[str, float]:
@@ -396,30 +478,41 @@ class CellResult:
     alpha: float
     stats: dict[str, PerformanceStats]
     reps: Replications
-    wall_s: float = 0.0  # seconds for the whole cell
+    wall_s: float = 0.0  # seconds of the cell's own work: respond, and summarize
     summary_s: float = 0.0  # seconds in summarize (statistics and their MC SEs)
+    # seconds of the control draws, which every cell of one grid shares, so
+    # each carries the same value; not part of wall_s
+    draw_s: float = 0.0
+
+
+def _run_cells(kernels: Sequence[CellKernel]) -> list[CellResult]:
+    all_reps, cell_s, draw_s = _run_replications(kernels)
+    results = []
+    for kernel, reps, rep_s in zip(kernels, all_reps, cell_s):
+        config = kernel.config
+        summary_start = time.perf_counter()
+        stats = summarize(reps, config.alpha)
+        summary_s = time.perf_counter() - summary_start
+        target = config.scenario.target
+        results.append(CellResult(
+            scenario_name=config.scenario.name or "custom",
+            target=target if isinstance(target, str) else ",".join(map(str, target)),
+            scenario=config.scenario,
+            n_units=config.n_units,
+            n_reps=config.n_reps,
+            seed=config.seed,
+            alpha=config.alpha,
+            stats=stats,
+            reps=reps,
+            wall_s=rep_s + summary_s,
+            summary_s=summary_s,
+            draw_s=draw_s,
+        ))
+    return results
 
 
 def run_cell(config: SimulationConfig) -> CellResult:
-    started = time.perf_counter()
-    reps = run_simulation(config)
-    summary_start = time.perf_counter()
-    stats = summarize(reps, config.alpha)
-    finished = time.perf_counter()
-    target = config.scenario.target
-    return CellResult(
-        scenario_name=config.scenario.name or "custom",
-        target=target if isinstance(target, str) else ",".join(map(str, target)),
-        scenario=config.scenario,
-        n_units=config.n_units,
-        n_reps=config.n_reps,
-        seed=config.seed,
-        alpha=config.alpha,
-        stats=stats,
-        reps=reps,
-        wall_s=finished - started,
-        summary_s=finished - summary_start,
-    )
+    return _run_cells([CellKernel(config)])[0]
 
 
 def scenario_grid(
@@ -431,14 +524,14 @@ def scenario_grid(
 
     All cells share the base seed, so schedules use common random numbers:
     within a cell both codings see identical draws, and across cells the
-    control schedules are coupled for stable comparisons.
+    control schedules are coupled for stable comparisons.  They are in
+    fact identical: each replication's control counts are drawn once and
+    shared by every cell, which requires a model's ``sample_control(n,
+    rng)`` to depend on ``n`` and ``rng`` alone.  Every cell's results are
+    those of ``run_cell`` on that cell alone.
     """
     if not scenarios or not targets:
         raise ValueError("scenarios and targets must be non-empty")
-    results = []
-    for scenario in scenarios:
-        for target in targets:
-            cell_scenario = replace(scenario, target=target)
-            config = replace(base_config, scenario=cell_scenario)
-            results.append(run_cell(config))
-    return results
+    cells = [replace(scenario, target=target) for scenario in scenarios for target in targets]
+    first = CellKernel(replace(base_config, scenario=cells[0]))
+    return _run_cells([first.for_scenario(scenario) for scenario in cells])

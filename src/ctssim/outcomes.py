@@ -56,7 +56,7 @@ class EffectScenario:
 
     def __post_init__(self):
         p = np.asarray(self.probs, dtype=float)
-        if p.shape != (4,) or np.any(p < 0) or abs(p.sum() - 1.0) > 1e-9:
+        if p.shape != (4,) or not np.all(p >= 0) or abs(p.sum() - 1.0) > 1e-9:
             raise ValueError("probs must be 4 non-negative values summing to 1")
         object.__setattr__(self, "probs", tuple(float(x) for x in p))
         for key in ("magnitude", "floor"):  # a bool would pass the value checks below
@@ -92,6 +92,8 @@ def target_columns(acts: Sequence[ActSpec], target) -> np.ndarray:
             cols = [by_index[int(i)] for i in target]
         except KeyError as exc:
             raise ValueError(f"target act index {exc.args[0]} not in act table") from None
+        if len(set(cols)) != len(cols):
+            raise ValueError(f"target {tuple(target)} repeats an act index")
     if not cols:
         raise ValueError(f"target {target!r} selects no acts in this act table")
     return np.asarray(cols, dtype=np.intp)

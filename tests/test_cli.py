@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import ctssim
+from ctssim import cli
 from ctssim.cli import RESULTS_SCHEMA_VERSION, main
 from ctssim.datasets import example_model, example_survey_paths
 from ctssim.ingest import load_model, save_model
@@ -337,10 +338,15 @@ class TestRunMeta:
         assert set(meta["stage_ms_per_rep"]) == set(STAGES)
         assert all(v >= 0.0 for v in meta["stage_ms_per_rep"].values())
         assert meta["summary_ms_per_cell"] >= 0.0
+        assert meta["draw_ms_per_rep"] > 0.0
+        # each cell's stages and summary lie inside its wall time; the draw,
+        # shared by the cells, lies outside every cell's
         total_reps = 30 * meta["cells"]
         stage_ms = sum(meta["stage_ms_per_rep"].values()) * total_reps
         summary_ms = meta["summary_ms_per_cell"] * meta["cells"]
-        assert stage_ms + summary_ms <= 1e3 * sum(meta["cell_wall_s"])
+        cells_ms = 1e3 * sum(meta["cell_wall_s"])
+        assert stage_ms + summary_ms <= cells_ms
+        assert meta["draw_ms_per_rep"] * 30 + cells_ms <= 1e3 * meta["wall_clock_seconds"]
         assert set(meta["degenerate_estimates"]) == set(CODINGS)
         assert all(isinstance(v, int) and v >= 0 for v in meta["degenerate_estimates"].values())
         assert meta["versions"] == {
@@ -413,6 +419,51 @@ class TestConfigTypes:
         cfg = write_config(workdir / "run.json", scenarios=[custom])
         assert main(["simulate", "--config", str(cfg), "--out-dir", str(workdir / "x")]) == 2
         assert "config 'magnitude' must be an integer, got true" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("overrides,expected", [
+        ({"scenarios": [{"probs": 5}]}, "config 'probs' must be a list of 4 numbers, got 5"),
+        ({"scenarios": [{"probs": [None, 0, 0, 1]}]}, "config 'probs' must be a number, got null"),
+        ({"scenarios": [{"probs": [1, 0, 0, 0], "name": 7}]}, "config 'name' must be a string, got 7"),
+        ({"scenarios": [{"probs": [1, 0, 0, 0], "magnitud": 3}]},
+         "unknown keys in config 'scenarios': ['magnitud']"),
+        ({"scenarios": [{"name": "x"}]}, "is missing 'probs'"),
+        ({"model": 5}, "config 'model' must be an object, got 5"),
+        ({"model": {"file": "model.json", "seed": 1}}, "unknown keys in config 'model': ['seed']"),
+        ({"model": {"inline": 5}}, "config 'model.inline' must be an object, got 5"),
+        ({"model": {"inline": {"acts": 5}}}, "malformed inline model"),
+        ({"model": {"file": 5}}, "config 'model.file' must be a string, got 5"),
+        ({"model": {"file": "absent.json"}}, "cannot read the model file"),
+        ({"model": {"survey": 5}}, "config 'model.survey' must be an object, got 5"),
+        ({"model": {"survey": {"data": 5, "descriptor": "d.json"}}},
+         "config 'model.survey.data' must be a string, got 5"),
+        ({"model": {"survey": {"data": "absent.csv", "descriptor": example_survey_paths()[1]}}},
+         "cannot read the survey"),
+        ({"model": {"survey": {"data": "a.csv", "descriptor": "a.json", "famly": "zinb"}}},
+         "unknown keys in config 'model.survey': ['famly']"),
+        ({"targets": [[]]}, "config 'targets' index lists must be non-empty"),
+        ({"targets": [[99]]}, "target act index 99 not in act table"),
+        ({"targets": ["all", [99]]}, "target act index 99 not in act table"),
+        ({"targets": [[1, 2, 1]]}, "target (1, 2, 1) repeats an act index"),
+        ({"targets": ["sexual"]}, "selects no acts"),
+    ])
+    def test_malformed_config_exits_2_before_any_replication(
+        self, workdir, capsys, monkeypatch, overrides, expected
+    ):
+        def no_grid(*args, **kwargs):
+            raise AssertionError("the grid ran")
+
+        monkeypatch.setattr(cli, "scenario_grid", no_grid)
+        cfg = write_config(workdir / "run.json", **overrides)
+        assert main(["simulate", "--config", str(cfg), "--out-dir", str(workdir / "x")]) == 2
+        assert expected in capsys.readouterr().err
+        assert not (workdir / "x").exists()
+
+    @pytest.mark.parametrize("document", ["[1, 2]", "5", '"model"'])
+    def test_config_must_be_an_object(self, workdir, capsys, document):
+        cfg = workdir / "run.json"
+        cfg.write_text(document)
+        assert main(["simulate", "--config", str(cfg), "--out-dir", str(workdir / "x")]) == 2
+        assert "config must be a JSON object" in capsys.readouterr().err
 
     def test_well_typed_values_accepted(self, workdir):
         cfg = write_config(workdir / "run.json", scenarios=["cessation_only"],

@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from ctssim.harness import (
     scenario_preset,
     summarize,
 )
-from ctssim.ingest import EmpiricalResampler, read_survey
+from ctssim.ingest import EmpiricalResampler, SurveyTable, read_survey
 from ctssim.joint import ActSpec, MultiActModel, _latent_transform, sample_joint
 from ctssim.marginals import MarginalParams, cdf_table, counts_from_uniforms
 from ctssim.outcomes import (
@@ -221,7 +222,13 @@ class TestKernelMatchesReference:
                 for f in REPLICATION_FIELDS:
                     assert reps.data[c][f][i] == rec[c][f]
 
-    def test_per_cell_work_runs_once(self, monkeypatch):
+    @pytest.mark.parametrize("run", [
+        run_simulation,
+        lambda cfg: scenario_grid(cfg, [scenario_preset("null"), scenario_preset("cessation_only")],
+                                  ["all", "physical", (1, 3)]),
+    ], ids=["cell", "grid"])
+    def test_per_cell_work_runs_once(self, monkeypatch, run):
+        # a grid's cells share one copula sampler, so it too validates once
         calls = {"validate": 0, "latent": 0}
         validate, latent = MultiActModel.validate, joint._latent_transform
 
@@ -236,7 +243,7 @@ class TestKernelMatchesReference:
         cfg = config(n_reps=12)
         monkeypatch.setattr(MultiActModel, "validate", counted_validate)
         monkeypatch.setattr(joint, "_latent_transform", counted_latent)
-        run_simulation(cfg)
+        run(cfg)
         assert calls == {"validate": 1, "latent": 1}
 
     def test_bad_sampler_output_rejected(self):
@@ -249,6 +256,84 @@ class TestKernelMatchesReference:
         cfg = SimulationConfig(NegativeModel(), scenario_preset("null"), 100, n_reps=2)
         with pytest.raises(ReplicationError, match="non-negative counts"):
             run_replication(cfg, 1)
+
+
+def per_cell_reference(config):
+    """A cell run alone: CellKernel.replicate over the replications, each on
+    a fresh generator, collected as run_simulation collects them."""
+    kernel = CellKernel(config)
+    records = [kernel.replicate(i) for i in range(config.n_reps)]
+    data = {c: {f: np.array([r[c][f] for r in records]) for f in REPLICATION_FIELDS}
+            for c in CODINGS}
+    latent = np.array([r["latent_sum_true"] for r in records]) if config.latent_diagnostics else None
+    return data, latent
+
+
+class TestReplicationMajorGrid:
+    """scenario_grid draws each replication's control counts once for all of
+    its cells; every cell must still equal that cell run alone."""
+
+    @staticmethod
+    def assert_cells_match_reference(base, scenarios, targets):
+        cells = scenario_grid(base, scenarios, targets)
+        assert len(cells) == len(scenarios) * len(targets)
+        for cell in cells:
+            data, latent = per_cell_reference(replace(base, scenario=cell.scenario))
+            for c in CODINGS:
+                for f in REPLICATION_FIELDS:
+                    assert np.array_equal(cell.reps.data[c][f], data[c][f]), (cell.scenario, c, f)
+            if base.latent_diagnostics:
+                assert np.array_equal(cell.reps.latent_sum_true, latent), cell.scenario
+            else:
+                assert cell.reps.latent_sum_true is None
+
+    def test_copula_model_welch(self):
+        base = SimulationConfig(
+            example_model(), scenario_preset("null"), n_units=240, n_reps=12, seed=41,
+            df="welch", latent_diagnostics=True,
+        )
+        scenarios = [scenario_preset(name) for name in sorted(SCENARIO_PRESETS)]
+        self.assert_cells_match_reference(base, scenarios, ["all", "sexual", (2, 5, 9)])
+
+    def test_weighted_survey_resampler_floor_0(self):
+        table = read_survey(*example_survey_paths())
+        weighted = SurveyTable(
+            table.acts, table.values, table.mode, weights=np.linspace(0.2, 3.0, table.n_rows)
+        )
+        base = SimulationConfig(
+            EmpiricalResampler(weighted), scenario_preset("null"), n_units=301, n_reps=10,
+            seed=7, latent_diagnostics=True,
+        )
+        scenarios = [
+            scenario_preset(name, floor=0)
+            for name in ("cessation_only", "reduction_only", "cessation_reduction_increase")
+        ]
+        self.assert_cells_match_reference(base, scenarios, ["physical", "moderate", (1, 10)])
+
+    def test_index_list_target_without_latent(self):
+        base = config(n_reps=9)
+        scenarios = [scenario_preset("cessation_reduction"), scenario_preset("reduction_only")]
+        self.assert_cells_match_reference(base, scenarios, [(3,), (1, 2), "all"])
+
+    @pytest.mark.parametrize("grid", [False, True], ids=["cell", "grid"])
+    def test_sampler_error_carries_replication_index(self, grid):
+        class FailsAtThree:
+            acts = small_model().acts
+
+            def sample_control(self, n, rng):
+                if rng.bit_generator.seed_seq.entropy == [1, 3]:
+                    raise RuntimeError("sampler exploded")
+                return np.zeros((n, 3), dtype=np.int64)
+
+        cfg = SimulationConfig(FailsAtThree(), scenario_preset("null"), 100, n_reps=6, seed=1)
+        with pytest.raises(ReplicationError) as info:
+            if grid:
+                scenario_grid(cfg, [scenario_preset("null"), scenario_preset("cessation_only")],
+                              ["all", (2,)])
+            else:
+                run_simulation(cfg)
+        assert info.value.rep_index == 3
+        assert "sampler exploded" in str(info.value)
 
 
 class TestRunSimulation:

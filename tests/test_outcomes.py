@@ -41,6 +41,11 @@ class TestScenarioValidation:
         with pytest.raises(ValueError):
             EffectScenario((1.2, -0.2, 0.0, 0.0))
 
+    def test_probs_must_not_be_nan(self):
+        # NaN passes both a "< 0" test and a NaN sum's tolerance test
+        with pytest.raises(ValueError):
+            EffectScenario((np.nan, 0.0, 0.0, 1.0))
+
     def test_magnitude_positive_integer(self):
         with pytest.raises(ValueError):
             EffectScenario((1, 0, 0, 0), magnitude=0)
@@ -78,6 +83,11 @@ class TestTargetColumns:
     def test_unknown_index_errors(self):
         with pytest.raises(ValueError):
             target_columns(MIXED_ACTS, (9,))
+
+    def test_repeated_index_errors(self):
+        # a repeated act would count its effect twice in the replication kernel
+        with pytest.raises(ValueError, match="repeats an act index"):
+            target_columns(MIXED_ACTS, (2, 5, 2))
 
     def test_empty_selection_errors(self):
         with pytest.raises(ValueError):
