@@ -9,8 +9,7 @@ power, and coverage.
 
 __version__ = "0.1.0"
 
-from .coding import categorize, code_binary, code_chronicity, code_sum
-from .estimation import EstimateResult, estimate_ols_hc2, reject_null
+from .coding import categorize, code_binary, code_sum
 from .harness import (
     SCENARIO_PRESETS,
     CellResult,
@@ -20,8 +19,6 @@ from .harness import (
     latent_summary,
     mc_standard_errors,
     run_cell,
-    run_replication,
-    run_simulation,
     scenario_grid,
     scenario_preset,
     summarize,
@@ -48,22 +45,13 @@ from .marginals import (
     zi_quantile,
     zi_sample,
 )
-from .outcomes import (
-    EffectScenario,
-    PotentialOutcomeTable,
-    ResponseType,
-    apply_effects,
-    assign_response_types,
-    randomize,
-    true_estimands,
-)
+from .outcomes import EffectScenario, PotentialOutcomeTable, ResponseType
 
 __all__ = [
     "ActSpec",
     "CellResult",
     "EffectScenario",
     "EmpiricalResampler",
-    "EstimateResult",
     "FitResult",
     "MarginalParams",
     "MultiActModel",
@@ -74,13 +62,9 @@ __all__ = [
     "SCENARIO_PRESETS",
     "SimulationConfig",
     "SurveyTable",
-    "apply_effects",
-    "assign_response_types",
     "categorize",
     "code_binary",
-    "code_chronicity",
     "code_sum",
-    "estimate_ols_hc2",
     "fit_mle_censored",
     "fit_mle_exact",
     "fit_model",
@@ -89,18 +73,13 @@ __all__ = [
     "load_model",
     "mc_standard_errors",
     "nearest_psd",
-    "randomize",
     "read_survey",
-    "reject_null",
     "run_cell",
-    "run_replication",
-    "run_simulation",
     "sample_joint",
     "save_model",
     "scenario_grid",
     "scenario_preset",
     "summarize",
-    "true_estimands",
     "write_survey",
     "zi_cdf",
     "zi_loglik",

@@ -58,6 +58,10 @@ RESULTS_COLUMNS = [
     "bias", "bias_mc_se", "rmse", "rmse_mc_se", "power", "power_mc_se",
     "coverage", "coverage_mc_se", "power_diff_mc_se",
 ]
+# power_long.csv: a column subset of results.csv, row for row
+POWER_LONG_COLUMNS = [
+    "schema_version", "scenario", "target", "coding", "power", "power_mc_se", "true_ate_is_zero",
+]
 
 
 class ConfigError(ValueError):
@@ -299,22 +303,35 @@ def _results_rows(cells: list[CellResult]) -> list[dict]:
     return rows
 
 
-def _write_csv(path: str, columns: list[str], rows: list[dict]):
+def _csv_text(columns: list[str], rows: list[dict]) -> str:
+    """CSV of ``columns``, taken from each row; other keys are left out."""
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=columns, lineterminator="\n")
+    writer = csv.DictWriter(buf, fieldnames=columns, lineterminator="\n", extrasaction="ignore")
     writer.writeheader()
     writer.writerows(rows)
-    _atomic_write_text(path, buf.getvalue())
+    return buf.getvalue()
+
+
+def _write_csv(path: str, columns: list[str], rows: list[dict]):
+    _atomic_write_text(path, _csv_text(columns, rows))
+
+
+def _table(header: list[str], rows: list[list[str]], markdown: bool) -> list[str]:
+    """The lines of a markdown table, or of left-aligned columns two spaces apart."""
+    if markdown:
+        return [
+            "| " + " | ".join(header) + " |",
+            "|" + "|".join("---" for _ in header) + "|",
+            *("| " + " | ".join(r) + " |" for r in rows),
+        ]
+    widths = [max([len(h), *(len(r[i]) for r in rows)]) for i, h in enumerate(header)]
+    return ["  ".join(cell.ljust(w) for cell, w in zip(r, widths)) for r in (header, *rows)]
 
 
 def _human_table(cells: list[CellResult], markdown: bool) -> str:
     lines = []
-    targets = []
-    for cell in cells:
-        if cell.target not in targets:
-            targets.append(cell.target)
     flagged = False
-    for target in targets:
+    for target in dict.fromkeys(cell.target for cell in cells):  # first-seen order
         block = [c for c in cells if c.target == target]
         title = f"Target: {target}  (n_units={block[0].n_units}, n_reps={block[0].n_reps})"
         lines.append(f"## {title}" if markdown else title)
@@ -329,36 +346,12 @@ def _human_table(cells: list[CellResult], markdown: bool) -> str:
                     cell.scenario_name, coding, f"{s.bias:.4f}", f"{s.rmse:.4f}",
                     f"{s.power:.3f}{mark}", f"{s.coverage:.3f}",
                 ])
-        if markdown:
-            lines.append("| " + " | ".join(header) + " |")
-            lines.append("|" + "|".join("---" for _ in header) + "|")
-            lines.extend("| " + " | ".join(r) + " |" for r in rows)
-        else:
-            widths = [max(len(h), *(len(r[i]) for r in rows)) for i, h in enumerate(header)]
-            lines.append("  ".join(h.ljust(widths[i]) for i, h in enumerate(header)))
-            lines.extend("  ".join(r[i].ljust(widths[i]) for i in range(len(header))) for r in rows)
+        lines.extend(_table(header, rows, markdown))
         lines.append("")
     if flagged:
         lines.append("* true effect is 0 for this coding; the power column is a type-I error rate.")
         lines.append("")
     return "\n".join(lines)
-
-
-def _power_long_rows(cells: list[CellResult]) -> list[dict]:
-    rows = []
-    for cell in cells:
-        for coding in ("binary", "sum"):
-            s = cell.stats[coding]
-            rows.append({
-                "schema_version": RESULTS_SCHEMA_VERSION,
-                "scenario": cell.scenario_name,
-                "target": cell.target,
-                "coding": coding,
-                "power": _fmt(s.power),
-                "power_mc_se": _fmt(s.mc_se["power"]),
-                "true_ate_is_zero": int(s.true_ate_is_zero),
-            })
-    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -401,14 +394,9 @@ def cmd_simulate(args) -> int:
 
     cells = scenario_grid(run.base, run.scenarios, run.targets)
 
-    results_path = os.path.join(out_dir, "results.csv")
-    _write_csv(results_path, RESULTS_COLUMNS, _results_rows(cells))
-    long_path = os.path.join(out_dir, "power_long.csv")
-    _write_csv(
-        long_path,
-        ["schema_version", "scenario", "target", "coding", "power", "power_mc_se", "true_ate_is_zero"],
-        _power_long_rows(cells),
-    )
+    rows = _results_rows(cells)
+    _write_csv(os.path.join(out_dir, "results.csv"), RESULTS_COLUMNS, rows)
+    _write_csv(os.path.join(out_dir, "power_long.csv"), POWER_LONG_COLUMNS, rows)
     table_ext = "md" if args.table_format == "md" else "txt"
     table_path = os.path.join(out_dir, f"results.{table_ext}")
     _atomic_write_text(table_path, _human_table(cells, markdown=args.table_format == "md"))
@@ -521,32 +509,17 @@ def cmd_report(args) -> int:
     columns = ["source", "scenario", "target", "power_binary", "power_sum",
                "power_diff", "power_diff_se", "flags"]
     if args.format == "csv":
-        formatted = [
+        text = _csv_text(columns, [
             {k: (_fmt(v) if isinstance(v, float) else v) for k, v in d.items()} for d in diffs
-        ]
-        buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=columns, lineterminator="\n")
-        writer.writeheader()
-        writer.writerows(formatted)
-        text = buf.getvalue()
+        ])
     else:
-        header = columns
         body = [
             [d["source"], d["scenario"], d["target"], f"{d['power_binary']:.3f}",
              f"{d['power_sum']:.3f}", f"{d['power_diff']:+.3f}", f"{d['power_diff_se']:.3f}",
              d["flags"]]
             for d in diffs
         ]
-        if args.format == "md":
-            lines = ["| " + " | ".join(header) + " |",
-                     "|" + "|".join("---" for _ in header) + "|"]
-            lines += ["| " + " | ".join(r) + " |" for r in body]
-        else:
-            widths = [max(len(h), *(len(r[i]) for r in body)) if body else len(h)
-                      for i, h in enumerate(header)]
-            lines = ["  ".join(h.ljust(widths[i]) for i, h in enumerate(header))]
-            lines += ["  ".join(r[i].ljust(widths[i]) for i in range(len(header))) for r in body]
-        text = "\n".join(lines) + "\n"
+        text = "\n".join(_table(columns, body, args.format == "md")) + "\n"
     if args.out:
         _atomic_write_text(args.out, text)
         print(f"report -> {args.out}")

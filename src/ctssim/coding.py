@@ -52,16 +52,3 @@ def code_sum(categories) -> np.ndarray | float:
     k = v.shape[-1]
     out = v.sum(axis=-1) / (MAX_CATEGORY * k)
     return float(out) if out.ndim == 0 else out
-
-
-def code_chronicity(categories) -> np.ndarray | float:
-    """Raw category-score sum among respondents reporting any violence.
-
-    Respondents with no reported violence get NaN (the measure is defined
-    only on the violent subset).  Kept for exploration; not part of the
-    default report set.
-    """
-    v = _check_categories(categories)
-    total = v.sum(axis=-1).astype(float)
-    out = np.where(total > 0, total, np.nan)
-    return float(out) if out.ndim == 0 else out

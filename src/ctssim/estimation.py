@@ -10,54 +10,9 @@ variances, which is what we compute.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtr, ndtri, stdtr, stdtrit
-
-
-class InferenceUndefinedError(ValueError):
-    """Raised when an arm has too few units for a variance estimate."""
-
-
-@dataclass(frozen=True)
-class EstimateResult:
-    estimate: float
-    se: float
-    ci_low: float
-    ci_high: float
-    p_value: float
-    n_treated: int
-    n_control: int
-    degenerate: bool = False  # both arms had zero variance
-
-
-def estimate_ols_hc2(y, z, alpha: float = 0.05, df: str = "normal") -> EstimateResult:
-    """Difference in arm means with HC2 standard error, CI, and p-value.
-
-    Args:
-        y: outcome vector.
-        z: binary assignment vector (1 = treated).
-        alpha: CI level is 1 - alpha.
-        df: "normal" for z critical values (default), "welch" for a t
-            reference with Welch-Satterthwaite degrees of freedom.
-    """
-    y = np.asarray(y, dtype=float)
-    z = np.asarray(z)
-    if y.shape != z.shape or y.ndim != 1:
-        raise ValueError("y and z must be matching vectors")
-    if not np.isin(z, (0, 1)).all():
-        raise ValueError("z must be binary")
-    if df not in ("normal", "welch"):
-        raise ValueError(f"unknown df rule {df!r}")
-    treated = z == 1
-    n1, n0 = int(treated.sum()), int((~treated).sum())
-    if n1 < 2 or n0 < 2:
-        raise InferenceUndefinedError(
-            f"need >= 2 units per arm for HC2 inference (treated={n1}, control={n0})"
-        )
-    tau, se, ci_low, ci_high, p = hc2_from_arms(y[treated], y[~treated], alpha, df)
-    return EstimateResult(tau, se, ci_low, ci_high, p, n1, n0, degenerate=se == 0.0)
 
 
 def _mean_var(y: np.ndarray) -> tuple[np.float64, float]:
@@ -75,8 +30,11 @@ def hc2_from_arms(
     y1: np.ndarray, y0: np.ndarray, alpha: float = 0.05, df: str = "normal"
 ) -> tuple[float, float, float, float, float]:
     """(estimate, se, ci_low, ci_high, p_value) from the treated and control
-    float outcome vectors, each of length >= 2; see estimate_ols_hc2.
+    float outcome vectors, each of length >= 2.
 
+    The CI level is 1 - alpha.  ``df`` is "normal" for z critical values,
+    or "welch" for a t reference with Welch-Satterthwaite degrees of
+    freedom.
     With both arm variances zero the se is 0, the CI collapses to the
     estimate, and p is 1 for a zero estimate and 0 otherwise.
     """
@@ -101,10 +59,3 @@ def hc2_from_arms(
         crit = float(ndtri(1.0 - alpha / 2.0))
         p = float(2.0 * ndtr(-abs(t_stat)))
     return tau, se, tau - crit * se, tau + crit * se, p
-
-
-def reject_null(result: EstimateResult, alpha: float = 0.05) -> bool:
-    """Two-sided test decision: p strictly below alpha."""
-    if not (0.0 < alpha < 1.0):
-        raise ValueError("alpha must be in (0, 1)")
-    return result.p_value < alpha

@@ -13,9 +13,8 @@ A replication runs as one kernel (``CellKernel``): the work that does not
 change between replications (model validation, the copula factor and CDF
 tables of ``joint.CopulaSampler``, the target columns) is done once per
 cell, and each replication categorizes and codes every row once, then
-estimates through ``estimation.hc2_from_arms``.  The stage functions in
-``outcomes``, ``coding`` and ``estimation`` are the reference it
-reproduces bit for bit; the tests pin the two together.
+estimates through ``estimation.hc2_from_arms``.  The tests pin it, bit for
+bit, to a reference pipeline that runs each stage as a plain function.
 
 Replications run one after another in one thread.  Each uses a
 counter-based substream seeded by (seed, replication index), so a
@@ -77,7 +76,6 @@ class ReplicationError(RuntimeError):
     def __init__(self, rep_index: int, cause: Exception):
         super().__init__(f"replication {rep_index} failed: {cause}")
         self.rep_index = rep_index
-        self.__cause__ = cause
 
 
 @dataclass
@@ -213,8 +211,8 @@ class CellKernel:
         clock = time.perf_counter
         t0 = clock()
 
-        # response types (outcomes.assign_response_types) and the changed
-        # targeted counts of the affected units (outcomes.apply_effects)
+        # response types (never violent, or one drawn per violent unit) and
+        # the changed targeted counts of the affected units
         targeted = y0[:, self.cols]
         violent = (targeted > 0).any(axis=1)
         s = np.zeros(n, dtype=np.int8)
@@ -277,33 +275,16 @@ class CellKernel:
         return record
 
     def replicate(self, rep_index: int, return_schedule: bool = False) -> dict:
-        """One replication of the cell; see run_replication."""
+        """One simulated trial; deterministic given (seed, rep_index).
+
+        Returns {"binary": {...}, "sum": {...}} with estimate, se, p_value,
+        ci_low, ci_high, and true_ate per coding (plus the latent-scale sum
+        effect when the config asks for it, and the PotentialOutcomeTable
+        under "schedule" when requested).
+        """
         rng = _replication_rng(self.config.seed, rep_index)
         y0, score0 = self.draw(rng)
         return self.respond(y0, score0, rng, return_schedule)
-
-
-def run_replication(
-    config: SimulationConfig,
-    rep_index: int,
-    return_schedule: bool = False,
-    *,
-    kernel: CellKernel | None = None,
-) -> dict:
-    """One simulated trial; deterministic given (config.seed, rep_index).
-
-    Returns {"binary": {...}, "sum": {...}} with estimate, se, p_value,
-    ci_low, ci_high, and true_ate per coding (plus the latent-scale sum
-    effect when the config asks for it, and the PotentialOutcomeTable
-    under "schedule" when requested).  ``kernel`` is the cell's
-    CellKernel; without one, it is built from ``config`` for this call.
-    """
-    try:
-        if kernel is None:
-            kernel = CellKernel(config)
-        return kernel.replicate(rep_index, return_schedule)
-    except Exception as exc:  # noqa: BLE001 - re-raise with replication context
-        raise ReplicationError(rep_index, exc) from exc
 
 
 @dataclass
@@ -373,15 +354,6 @@ def _run_replications(
         for (data, latent), kernel in zip(stores, kernels)
     ]
     return reps, cell_s, draw_s
-
-
-def run_simulation(config: SimulationConfig) -> Replications:
-    """Run all replications in order and collect arrays.
-
-    Every replication derives its own substream from (seed, index), so a
-    replication's result does not depend on which others run.
-    """
-    return _run_replications([CellKernel(config)])[0][0]
 
 
 def _stats_from_arrays(fields: Mapping[str, np.ndarray], alpha: float) -> dict[str, float]:
@@ -485,7 +457,31 @@ class CellResult:
     draw_s: float = 0.0
 
 
-def _run_cells(kernels: Sequence[CellKernel]) -> list[CellResult]:
+def run_cell(config: SimulationConfig) -> CellResult:
+    """The one cell of ``config``: its scenario, on its own target."""
+    return scenario_grid(config, [config.scenario], [config.scenario.target])[0]
+
+
+def scenario_grid(
+    base_config: SimulationConfig,
+    scenarios: Sequence[EffectScenario],
+    targets: Sequence,
+) -> list[CellResult]:
+    """Evaluate every scenario x target cell.
+
+    All cells share the base seed, so schedules use common random numbers:
+    within a cell both codings see identical draws, and across cells the
+    control schedules are coupled for stable comparisons.  They are in
+    fact identical: each replication's control counts are drawn once and
+    shared by every cell, which requires a model's ``sample_control(n,
+    rng)`` to depend on ``n`` and ``rng`` alone.  Every cell's results are
+    those of ``run_cell`` on that cell alone.
+    """
+    if not scenarios or not targets:
+        raise ValueError("scenarios and targets must be non-empty")
+    cells = [replace(scenario, target=target) for scenario in scenarios for target in targets]
+    first = CellKernel(replace(base_config, scenario=cells[0]))
+    kernels = [first.for_scenario(scenario) for scenario in cells]
     all_reps, cell_s, draw_s = _run_replications(kernels)
     results = []
     for kernel, reps, rep_s in zip(kernels, all_reps, cell_s):
@@ -509,29 +505,3 @@ def _run_cells(kernels: Sequence[CellKernel]) -> list[CellResult]:
             draw_s=draw_s,
         ))
     return results
-
-
-def run_cell(config: SimulationConfig) -> CellResult:
-    return _run_cells([CellKernel(config)])[0]
-
-
-def scenario_grid(
-    base_config: SimulationConfig,
-    scenarios: Sequence[EffectScenario],
-    targets: Sequence,
-) -> list[CellResult]:
-    """Evaluate every scenario x target cell.
-
-    All cells share the base seed, so schedules use common random numbers:
-    within a cell both codings see identical draws, and across cells the
-    control schedules are coupled for stable comparisons.  They are in
-    fact identical: each replication's control counts are drawn once and
-    shared by every cell, which requires a model's ``sample_control(n,
-    rng)`` to depend on ``n`` and ``rng`` alone.  Every cell's results are
-    those of ``run_cell`` on that cell alone.
-    """
-    if not scenarios or not targets:
-        raise ValueError("scenarios and targets must be non-empty")
-    cells = [replace(scenario, target=target) for scenario in scenarios for target in targets]
-    first = CellKernel(replace(base_config, scenario=cells[0]))
-    return _run_cells([first.for_scenario(scenario) for scenario in cells])

@@ -103,15 +103,25 @@ def _parse_descriptor(descriptor_path: str) -> dict:
         raise SurveyFormatError(f"descriptor file not found: {descriptor_path}") from None
     except json.JSONDecodeError as exc:
         raise SurveyFormatError(f"descriptor is not valid JSON: {exc}") from None
+    if not isinstance(desc, dict):
+        raise SurveyFormatError(f"descriptor must be a JSON object, got {json.dumps(desc)[:80]}")
     if desc.get("mode") not in ("categories", "counts"):
         raise SurveyFormatError("descriptor 'mode' must be 'categories' or 'counts'")
     acts = desc.get("acts")
     if not isinstance(acts, list) or not acts:
         raise SurveyFormatError("descriptor 'acts' must be a non-empty list")
     for i, a in enumerate(acts):
+        if not isinstance(a, dict):
+            raise SurveyFormatError(
+                f"descriptor act {i + 1} must be an object, got {json.dumps(a)[:80]}"
+            )
         for key in ("column", "label", "category", "severity"):
             if key not in a:
                 raise SurveyFormatError(f"descriptor act {i + 1} is missing {key!r}")
+            if not isinstance(a[key], str):
+                raise SurveyFormatError(
+                    f"descriptor act {i + 1} {key!r} must be a string, got {json.dumps(a[key])[:80]}"
+                )
     return desc
 
 

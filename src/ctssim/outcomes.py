@@ -7,6 +7,9 @@ initiate violence).  Each remaining ("violent") unit draws one of four
 response types: no effect, cessation (all targeted violence stops),
 reduction (each positive targeted count drops by a fixed amount), or
 increase (each positive targeted count rises by that amount).
+
+This module holds the scenario, the target resolution and the schedule
+with its invariants; ``harness.CellKernel`` builds the schedules.
 """
 
 from __future__ import annotations
@@ -17,7 +20,6 @@ from typing import Sequence
 
 import numpy as np
 
-from . import coding
 from .joint import ActSpec
 
 
@@ -159,93 +161,3 @@ class PotentialOutcomeTable:
         untargeted = np.setdiff1d(np.arange(self.y0.shape[1]), cols)
         if not np.array_equal(self.y1[:, untargeted], self.y0[:, untargeted]):
             raise AssertionError("untargeted acts changed under treatment")
-
-
-def assign_response_types(
-    y0: np.ndarray,
-    scenario: EffectScenario,
-    acts: Sequence[ActSpec],
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Label each unit: never-violent, or one of the four drawn types.
-
-    A unit is "violent" (eligible for a type draw) if any targeted act is
-    positive under control; untargeted violence never triggers effects.
-    """
-    cols = target_columns(acts, scenario.target)
-    violent = (np.asarray(y0)[:, cols] > 0).any(axis=1)
-    s = np.full(y0.shape[0], ResponseType.NEVER_VIOLENT, dtype=np.int8)
-    n_violent = int(violent.sum())
-    if n_violent:
-        draws = rng.choice(
-            np.array(
-                [ResponseType.NO_EFFECT, ResponseType.CESSATION,
-                 ResponseType.REDUCTION, ResponseType.INCREASE],
-                dtype=np.int8,
-            ),
-            size=n_violent,
-            p=scenario.probs,
-        )
-        s[violent] = draws
-    return s
-
-
-def apply_effects(
-    y0: np.ndarray,
-    s: np.ndarray,
-    scenario: EffectScenario,
-    acts: Sequence[ActSpec],
-) -> np.ndarray:
-    """Build treated counts from control counts and response types.
-
-    Only positive targeted entries change; zero entries within a violent
-    unit's row stay zero (treatment never initiates an act).  Reductions
-    stop at ``scenario.floor`` rather than silently becoming cessations.
-    """
-    y0 = np.asarray(y0, dtype=np.int64)
-    s = np.asarray(s)
-    cols = target_columns(acts, scenario.target)
-    violent = (y0[:, cols] > 0).any(axis=1)
-    if np.any(violent != (s != ResponseType.NEVER_VIOLENT)):
-        raise ValueError("response-type labels inconsistent with y0 and target")
-    y1 = y0.copy()
-    x = int(scenario.magnitude)
-
-    sub = y1[np.ix_(s == ResponseType.CESSATION, cols)]
-    sub[:] = 0
-    y1[np.ix_(s == ResponseType.CESSATION, cols)] = sub
-
-    sub = y1[np.ix_(s == ResponseType.REDUCTION, cols)]
-    pos = sub > 0
-    sub[pos] = np.maximum(sub[pos] - x, scenario.floor)
-    y1[np.ix_(s == ResponseType.REDUCTION, cols)] = sub
-
-    sub = y1[np.ix_(s == ResponseType.INCREASE, cols)]
-    pos = sub > 0
-    sub[pos] = sub[pos] + x
-    y1[np.ix_(s == ResponseType.INCREASE, cols)] = sub
-    return y1
-
-
-def true_estimands(table: PotentialOutcomeTable) -> dict[str, float]:
-    """Finite-sample coded average treatment effects of a schedule.
-
-    Means of coded(y1) - coded(y0) over all units, for the binary and
-    normalized-sum codings applied to categorized counts.  Exact (no
-    sampling involved).
-    """
-    c0 = coding.categorize(table.y0)
-    c1 = coding.categorize(table.y1)
-    return {
-        "binary": float(np.mean(coding.code_binary(c1) - coding.code_binary(c0))),
-        "sum": float(np.mean(coding.code_sum(c1) - coding.code_sum(c0))),
-    }
-
-
-def randomize(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Complete randomization: exactly floor(n/2) treated, uniformly."""
-    if n < 2:
-        raise ValueError("need at least 2 units to randomize")
-    z = np.zeros(n, dtype=np.int8)
-    z[rng.permutation(n)[: n // 2]] = 1
-    return z

@@ -16,7 +16,6 @@ from scipy import stats as sps
 from ctssim.cli import main as cli_main
 from ctssim.coding import categorize
 from ctssim.datasets import example_survey_paths
-from ctssim.estimation import estimate_ols_hc2
 from ctssim.harness import SimulationConfig, run_cell, scenario_preset
 from ctssim.ingest import SurveyTable, fit_model, read_survey
 from ctssim.joint import ActSpec, MultiActModel, sample_joint
@@ -27,7 +26,9 @@ from ctssim.marginals import (
     fit_mle_exact,
     zi_sample,
 )
-from ctssim.outcomes import PotentialOutcomeTable, ResponseType, apply_effects
+from ctssim.outcomes import PotentialOutcomeTable, ResponseType
+
+from reference import apply_effects, estimate_ols_hc2
 
 N_UNITS = 1680
 N_REPS = 1000

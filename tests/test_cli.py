@@ -26,6 +26,17 @@ def small_model():
     return MultiActModel(acts, margins, sigma)
 
 
+# malformed survey descriptors, each with the error it must report
+BAD_DESCRIPTORS = [
+    (["x"], "descriptor must be a JSON object"),
+    ({"mode": "counts", "acts": [5, 6]}, "descriptor act 1 must be an object, got 5"),
+    ({"mode": "counts", "acts": ["column"]}, 'descriptor act 1 must be an object, got "column"'),
+    ({"mode": "counts", "acts": [{"column": "a", "label": 7, "category": "physical",
+                                  "severity": "severe"}]},
+     "descriptor act 1 'label' must be a string, got 7"),
+]
+
+
 @pytest.fixture
 def workdir(tmp_path):
     save_model(small_model(), str(tmp_path / "model.json"))
@@ -78,6 +89,17 @@ class TestFit:
         code = main(["fit", "--data", data, "--descriptor", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path / "m.json")])
         assert code == 2
+
+    @pytest.mark.parametrize("descriptor, expected", BAD_DESCRIPTORS)
+    def test_malformed_descriptor_exits_2(self, tmp_path, capsys, descriptor, expected):
+        data, _ = example_survey_paths()
+        desc = tmp_path / "desc.json"
+        desc.write_text(json.dumps(descriptor))
+        code = main(["fit", "--data", data, "--descriptor", str(desc),
+                     "--out", str(tmp_path / "m.json")])
+        assert code == 2
+        assert expected in capsys.readouterr().err
+        assert not (tmp_path / "m.json").exists()
 
     def test_zinb_fit_dominates_zip(self, tmp_path):
         data, desc = example_survey_paths()
@@ -197,6 +219,17 @@ class TestSimulate:
         assert main(["simulate", "--config", str(cfg), "--out-dir", str(out_dir)]) == 0
         rows = read_rows(out_dir / "results.csv")
         assert len(rows) == 2
+
+
+    @pytest.mark.parametrize("descriptor, expected", BAD_DESCRIPTORS)
+    def test_malformed_survey_descriptor_exits_2(self, workdir, capsys, descriptor, expected):
+        data, _ = example_survey_paths()
+        (workdir / "desc.json").write_text(json.dumps(descriptor))
+        cfg = write_config(workdir / "run.json",
+                           model={"survey": {"data": data, "descriptor": "desc.json"}})
+        assert main(["simulate", "--config", str(cfg), "--out-dir", str(workdir / "x")]) == 2
+        assert expected in capsys.readouterr().err
+        assert not (workdir / "x").exists()
 
 
 class TestReport:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from ctssim.coding import categorize, code_binary, code_chronicity, code_sum
+from ctssim.coding import categorize, code_binary, code_sum
 
 
 class TestCategorize:
@@ -105,15 +105,3 @@ class TestInvariants:
         assert np.array_equal(
             code_binary(categorize(counts)), code_binary(categorize(reduced))
         )
-
-
-class TestChronicity:
-    def test_sum_among_violent(self):
-        assert code_chronicity(np.array([2, 1, 0])) == 3.0
-
-    def test_nan_for_nonviolent(self):
-        assert np.isnan(code_chronicity(np.zeros(3, dtype=int)))
-
-    def test_matrix(self):
-        out = code_chronicity(np.array([[0, 0], [1, 3]]))
-        assert np.isnan(out[0]) and out[1] == 4.0

@@ -1,11 +1,12 @@
 """Golden-output pin: two small simulate configs must reproduce stored hashes.
 
 Rerun-equals-rerun cannot catch a change that moves every run the same
-way.  These tests compare the sha256 of ``results.csv`` and
-``latent_diagnostics.csv`` with the hashes in ``golden/sha256.json``, which
-also records the numpy and scipy versions that produced them: the random
-streams and the special functions both come from those libraries, so a
-mismatch under other versions may be the libraries, not ctssim.
+way.  These tests compare the sha256 of ``results.csv``,
+``latent_diagnostics.csv``, ``power_long.csv`` and ``results.md`` with the
+hashes in ``golden/sha256.json``, which also records the numpy and scipy
+versions that produced them: the random streams and the special functions
+both come from those libraries, so a mismatch under other versions may be
+the libraries, not ctssim.
 
 Regenerate the hashes only when a change to the results is deliberate, and
 say why in CHANGES.md:
@@ -26,7 +27,7 @@ from ctssim.cli import main
 from ctssim.datasets import example_model, example_survey_paths
 
 GOLDEN_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "sha256.json")
-HASHED_FILES = ("results.csv", "latent_diagnostics.csv")
+HASHED_FILES = ("results.csv", "latent_diagnostics.csv", "power_long.csv", "results.md")
 
 
 def golden_configs() -> dict[str, dict]:

@@ -11,7 +11,6 @@ from scipy.special import ndtr
 from ctssim import joint
 from ctssim.coding import categorize, code_binary, code_sum
 from ctssim.datasets import default_acts, example_model, example_survey_paths
-from ctssim.estimation import estimate_ols_hc2
 from ctssim.harness import (
     CODINGS,
     REPLICATION_FIELDS,
@@ -23,8 +22,6 @@ from ctssim.harness import (
     latent_summary,
     mc_standard_errors,
     run_cell,
-    run_replication,
-    run_simulation,
     scenario_grid,
     scenario_preset,
     summarize,
@@ -32,11 +29,12 @@ from ctssim.harness import (
 from ctssim.ingest import EmpiricalResampler, SurveyTable, read_survey
 from ctssim.joint import ActSpec, MultiActModel, _latent_transform, sample_joint
 from ctssim.marginals import MarginalParams, cdf_table, counts_from_uniforms
-from ctssim.outcomes import (
-    TARGET_PRESETS,
-    PotentialOutcomeTable,
+from ctssim.outcomes import TARGET_PRESETS, PotentialOutcomeTable
+
+from reference import (
     apply_effects,
     assign_response_types,
+    estimate_ols_hc2,
     randomize,
     true_estimands,
 )
@@ -78,44 +76,33 @@ class TestPresets:
         assert s.target == "sexual" and s.name == "cessation_only"
 
 
-class TestRunReplication:
+class TestReplicate:
     def test_deterministic(self):
         cfg = config()
-        a = run_replication(cfg, 3)
-        b = run_replication(cfg, 3)
+        a = CellKernel(cfg).replicate(3)
+        b = CellKernel(cfg).replicate(3)
         assert a == b
 
     def test_distinct_replications_differ(self):
-        cfg = config()
-        assert run_replication(cfg, 0) != run_replication(cfg, 1)
+        kernel = CellKernel(config())
+        assert kernel.replicate(0) != kernel.replicate(1)
 
     def test_null_scenario_true_ate_zero(self):
-        rec = run_replication(config("null"), 0)
+        rec = CellKernel(config("null")).replicate(0)
         assert rec["binary"]["true_ate"] == 0.0
         assert rec["sum"]["true_ate"] == 0.0
 
     def test_reduction_only_binary_ate_zero_every_rep(self):
-        cfg = config("reduction_only", n_reps=30)
+        kernel = CellKernel(config("reduction_only", n_reps=30))
         for m in range(30):
-            rec = run_replication(cfg, m)
+            rec = kernel.replicate(m)
             assert rec["binary"]["true_ate"] == 0.0
-
-    def test_error_carries_replication_index(self):
-        class BrokenModel:
-            acts = small_model().acts
-
-            def sample_control(self, n, rng):
-                raise RuntimeError("sampler exploded")
-
-        cfg = SimulationConfig(BrokenModel(), scenario_preset("null"), 100, n_reps=5, seed=1)
-        with pytest.raises(ReplicationError, match="replication 4"):
-            run_replication(cfg, 4)
 
     def test_schedule_reproduces_binary_estimate(self):
         # the stored statistics really are functions of the stored schedule
         cfg = config()
-        reps = run_simulation(cfg)
-        rec = run_replication(cfg, 7, return_schedule=True)
+        reps = run_cell(cfg).reps
+        rec = CellKernel(cfg).replicate(7, return_schedule=True)
         table = rec["schedule"]
         recomputed = estimate_ols_hc2(
             code_binary(categorize(table.observed())), table.z, alpha=cfg.alpha
@@ -170,7 +157,7 @@ def reference_replication(config, rep_index):
 
 class TestKernelMatchesReference:
     """The replication kernel reproduces the plain copula draw and the stage
-    functions in outcomes, coding and estimation bit for bit."""
+    functions of the reference pipeline (``reference``) bit for bit."""
 
     @pytest.mark.parametrize("model_name", ["example", "edge"])
     def test_sample_joint_equals_reference_draw(self, kernel_models, model_name):
@@ -194,7 +181,7 @@ class TestKernelMatchesReference:
         )
         kernel = CellKernel(cfg)
         for i in range(cfg.n_reps):
-            rec = run_replication(cfg, i, return_schedule=True, kernel=kernel)
+            rec = kernel.replicate(i, return_schedule=True)
             table = rec["schedule"]
             table.check(cfg.scenario, model.acts)
             ref = reference_replication(cfg, i)
@@ -213,17 +200,17 @@ class TestKernelMatchesReference:
             assert rec["latent_sum_true"] == latent
 
     def test_simulation_matches_fresh_kernels(self):
-        # run_simulation shares one kernel across the cell's replications
+        # run_cell shares one kernel across the cell's replications
         cfg = config("cessation_reduction_increase", n_reps=6, df="welch")
-        reps = run_simulation(cfg)
+        reps = run_cell(cfg).reps
         for i in range(cfg.n_reps):
-            rec = run_replication(cfg, i)
+            rec = CellKernel(cfg).replicate(i)
             for c in CODINGS:
                 for f in REPLICATION_FIELDS:
                     assert reps.data[c][f][i] == rec[c][f]
 
     @pytest.mark.parametrize("run", [
-        run_simulation,
+        run_cell,
         lambda cfg: scenario_grid(cfg, [scenario_preset("null"), scenario_preset("cessation_only")],
                                   ["all", "physical", (1, 3)]),
     ], ids=["cell", "grid"])
@@ -255,12 +242,12 @@ class TestKernelMatchesReference:
 
         cfg = SimulationConfig(NegativeModel(), scenario_preset("null"), 100, n_reps=2)
         with pytest.raises(ReplicationError, match="non-negative counts"):
-            run_replication(cfg, 1)
+            run_cell(cfg)
 
 
 def per_cell_reference(config):
     """A cell run alone: CellKernel.replicate over the replications, each on
-    a fresh generator, collected as run_simulation collects them."""
+    a fresh generator, collected as a cell's run collects them."""
     kernel = CellKernel(config)
     records = [kernel.replicate(i) for i in range(config.n_reps)]
     data = {c: {f: np.array([r[c][f] for r in records]) for f in REPLICATION_FIELDS}
@@ -331,23 +318,15 @@ class TestReplicationMajorGrid:
                 scenario_grid(cfg, [scenario_preset("null"), scenario_preset("cessation_only")],
                               ["all", (2,)])
             else:
-                run_simulation(cfg)
+                run_cell(cfg)
         assert info.value.rep_index == 3
         assert "sampler exploded" in str(info.value)
 
 
-class TestRunSimulation:
-    def test_thread_count_is_invisible(self):
-        cfg = config(n_reps=40)
-        serial = run_simulation(cfg)
-        threaded = run_simulation(cfg)
-        for c in CODINGS:
-            for f in REPLICATION_FIELDS:
-                assert np.array_equal(serial.data[c][f], threaded.data[c][f])
-
+class TestRunCell:
     def test_rerun_bit_identical(self):
         cfg = config(n_reps=25)
-        a, b = run_simulation(cfg), run_simulation(cfg)
+        a, b = run_cell(cfg).reps, run_cell(cfg).reps
         assert np.array_equal(a.data["sum"]["estimate"], b.data["sum"]["estimate"])
 
 
@@ -391,7 +370,7 @@ class TestSummarize:
         assert stats.true_ate_is_zero
 
     def test_rmse_at_least_abs_bias(self):
-        reps = run_simulation(config(n_reps=50))
+        reps = run_cell(config(n_reps=50)).reps
         for s in summarize(reps).values():
             assert s.rmse >= abs(s.bias)
 
@@ -492,8 +471,8 @@ class TestMCStandardErrors:
             assert stats[c].mc_se["power"] > 0.0
 
     def test_doubling_reps_shrinks_se(self):
-        small = run_simulation(config(n_reps=400, seed=21))
-        large = run_simulation(config(n_reps=800, seed=21))
+        small = run_cell(config(n_reps=400, seed=21)).reps
+        large = run_cell(config(n_reps=800, seed=21)).reps
         se_small = mc_standard_errors(small)["sum"]
         se_large = mc_standard_errors(large)["sum"]
         for stat in ("bias", "rmse"):
@@ -557,7 +536,7 @@ class TestOrderingRobustness:
             cfg = SimulationConfig(
                 model, scenario_preset(scenario_name), n_units, n_reps=400, seed=17
             )
-            stats = summarize(run_simulation(cfg))
+            stats = run_cell(cfg).stats
             return stats["binary"].power, stats["sum"].power
 
         cess_binary, cess_sum = powers("cessation_only", 700)
@@ -569,12 +548,12 @@ class TestOrderingRobustness:
 class TestLatentDiagnostics:
     def test_latent_sum_recorded(self):
         cfg = config("reduction_only", n_reps=20, latent_diagnostics=True)
-        reps = run_simulation(cfg)
+        reps = run_cell(cfg).reps
         assert reps.latent_sum_true is not None
         assert np.all(reps.latent_sum_true <= 0.0)
 
     def test_off_by_default(self):
-        reps = run_simulation(config(n_reps=5))
+        reps = run_cell(config(n_reps=5)).reps
         assert reps.latent_sum_true is None
         with pytest.raises(ValueError):
             latent_summary(reps, 3)
@@ -584,7 +563,7 @@ class TestLatentDiagnostics:
         # the coded sum, so the denormalized estimate understates the latent
         # count change
         cfg = config("reduction_only", n_units=900, n_reps=300, latent_diagnostics=True)
-        reps = run_simulation(cfg)
+        reps = run_cell(cfg).reps
         report = latent_summary(reps, n_items=3)
         assert report["mean_latent_count_ate"] < 0.0
         assert report["denormalized_sum_bias"] > 0.0

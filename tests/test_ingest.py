@@ -129,6 +129,33 @@ class TestReadWrite:
         with pytest.raises(SurveyFormatError, match="zz"):
             read_survey(str(data), str(desc))
 
+    @pytest.mark.parametrize("descriptor, expected", [
+        (["x"], 'descriptor must be a JSON object, got ["x"]'),
+        ({"mode": "counts", "acts": [5, 6]}, "descriptor act 1 must be an object, got 5"),
+        # a string act would pass a key check by substring match
+        ({"mode": "counts", "acts": ["column"]}, 'descriptor act 1 must be an object, got "column"'),
+        ({"mode": "counts", "acts": [{"column": 1, "label": "a", "category": "physical",
+                                      "severity": "severe"}]},
+         "descriptor act 1 'column' must be a string, got 1"),
+        ({"mode": "counts", "acts": [{"column": "a", "label": None, "category": "physical",
+                                      "severity": "severe"}]},
+         "descriptor act 1 'label' must be a string, got null"),
+        ({"mode": "counts", "acts": [{"column": "a", "label": "a", "category": ["physical"],
+                                      "severity": "severe"}]},
+         """descriptor act 1 'category' must be a string, got ["physical"]"""),
+        ({"mode": "counts", "acts": [{"column": "a", "label": "a", "category": "physical",
+                                      "severity": 3}]},
+         "descriptor act 1 'severity' must be a string, got 3"),
+    ])
+    def test_malformed_descriptor_rejected(self, tmp_path, descriptor, expected):
+        data = tmp_path / "d.csv"
+        data.write_text("a\n1\n")
+        desc = tmp_path / "d.json"
+        desc.write_text(json.dumps(descriptor))
+        with pytest.raises(SurveyFormatError) as info:
+            read_survey(str(data), str(desc))
+        assert str(info.value) == expected
+
     @pytest.mark.parametrize("bad", [np.inf, np.nan, -1.0])
     def test_non_finite_or_negative_weight_rejected(self, bad):
         table, _ = simulated_table(n=20)

@@ -15,7 +15,6 @@ import pytest
 from scipy import stats
 
 from ctssim import ingest, marginals
-from ctssim.estimation import estimate_ols_hc2
 from ctssim.marginals import (
     FitResult,
     MarginalParams,
@@ -25,6 +24,8 @@ from ctssim.marginals import (
     zi_loglik,
     zi_pmf,
 )
+
+from reference import estimate_ols_hc2
 
 # corners of the fit's bounds: log rate in [-10, 15], log dispersion in
 # [-10, 20], logit zero_prob in [-30, 30]

@@ -6,16 +6,9 @@ from scipy import stats
 
 from ctssim.coding import categorize
 from ctssim.joint import ActSpec
-from ctssim.outcomes import (
-    EffectScenario,
-    PotentialOutcomeTable,
-    ResponseType,
-    apply_effects,
-    assign_response_types,
-    randomize,
-    target_columns,
-    true_estimands,
-)
+from ctssim.outcomes import EffectScenario, PotentialOutcomeTable, ResponseType, target_columns
+
+from reference import apply_effects, assign_response_types, randomize, true_estimands
 
 SINGLE_ACT = (ActSpec(1, "slapped you", "physical", "moderate"),)
 

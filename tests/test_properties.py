@@ -5,7 +5,7 @@
 * ``nearest_psd`` returns a valid correlation matrix, keeps a valid one
   unchanged, and returns its own output unchanged.
 * Every potential-outcome schedule, from the replication kernel or from
-  the stage functions, satisfies ``PotentialOutcomeTable.check``.
+  the reference stage functions, satisfies ``PotentialOutcomeTable.check``.
 
 The examples are derandomized, so a run tests the same cases every time.
 """
@@ -16,19 +16,13 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from ctssim.coding import categorize
-from ctssim.harness import SimulationConfig, run_replication
+from ctssim.harness import CellKernel, SimulationConfig
 from ctssim.ingest import EmpiricalResampler, SurveyTable
 from ctssim.joint import ACT_CATEGORIES, SEVERITIES, ActSpec, MultiActModel, nearest_psd
 from ctssim.marginals import MarginalParams
-from ctssim.outcomes import (
-    TARGET_PRESETS,
-    EffectScenario,
-    PotentialOutcomeTable,
-    apply_effects,
-    assign_response_types,
-    randomize,
-    target_columns,
-)
+from ctssim.outcomes import TARGET_PRESETS, EffectScenario, PotentialOutcomeTable, target_columns
+
+from reference import apply_effects, assign_response_types, randomize
 
 PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 
@@ -146,7 +140,7 @@ class TestScheduleProperty:
         sigma = nearest_psd(data.draw(symmetric_unit_diagonal(k)))
         model = MultiActModel(acts, tuple(data.draw(margins()) for _ in acts), sigma)
         cfg = SimulationConfig(model, scenario, n_units=n_units, n_reps=1, seed=seed)
-        rec = run_replication(cfg, 0, return_schedule=True)
+        rec = CellKernel(cfg).replicate(0, return_schedule=True)
         rec["schedule"].check(scenario, acts)
 
         rng = np.random.default_rng(seed)
