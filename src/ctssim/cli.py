@@ -62,6 +62,21 @@ RESULTS_COLUMNS = [
 POWER_LONG_COLUMNS = [
     "schema_version", "scenario", "target", "coding", "power", "power_mc_se", "true_ate_is_zero",
 ]
+LATENT_COLUMNS = [
+    "schema_version", "scenario", "target", "mean_latent_count_ate",
+    "denormalized_sum_bias", "denormalized_sum_coverage",
+]
+# the results.csv columns that power_differences reads, each with the
+# parser its values must pass
+REPORT_FIELDS = {
+    "scenario": str, "target": str, "coding": str, "n_units": int, "seed": int,
+    "power": float, "true_ate_is_zero": int, "power_diff_mc_se": float,
+}
+# the top-level keys of a run config
+CONFIG_KEYS = frozenset({
+    "model", "scenarios", "targets", "n_units", "n_reps", "n_bootstrap",
+    "alpha", "seed", "df", "magnitude", "floor",
+})
 
 
 class ConfigError(ValueError):
@@ -209,12 +224,6 @@ def _config_number(key: str, value) -> float:
     return float(value)
 
 
-def _config_bool(key: str, value) -> bool:
-    if not isinstance(value, bool):
-        raise ConfigError(f"config {key!r} must be true or false, got {json.dumps(value)}")
-    return value
-
-
 def load_run_config(path: str, seed_override: int | None = None) -> RunConfig:
     try:
         with open(path, encoding="utf-8") as fh:
@@ -227,11 +236,7 @@ def load_run_config(path: str, seed_override: int | None = None) -> RunConfig:
         raise ConfigError(f"config must be a JSON object, got {json.dumps(doc)[:80]}")
     if "model" not in doc:
         raise ConfigError("config is missing 'model'")
-    known = {
-        "model", "scenarios", "targets", "n_units", "n_reps", "n_bootstrap",
-        "alpha", "seed", "df", "magnitude", "floor", "latent_diagnostics",
-    }
-    unknown = set(doc) - known
+    unknown = set(doc) - CONFIG_KEYS
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     if "n_units" not in doc:
@@ -263,7 +268,6 @@ def load_run_config(path: str, seed_override: int | None = None) -> RunConfig:
             alpha=_config_number("alpha", doc.get("alpha", 0.05)),
             seed=_config_int("seed", seed),
             df=doc.get("df", "normal"),
-            latent_diagnostics=_config_bool("latent_diagnostics", doc.get("latent_diagnostics", False)),
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
@@ -316,6 +320,15 @@ def _write_csv(path: str, columns: list[str], rows: list[dict]):
     _atomic_write_text(path, _csv_text(columns, rows))
 
 
+def _check_out_path(path: str) -> None:
+    """Reject an output file path that cannot be written, before any work."""
+    directory = os.path.dirname(path) or "."
+    if not os.path.isdir(directory):
+        raise ConfigError(f"cannot write {path}: directory {directory} does not exist")
+    if os.path.isdir(path):
+        raise ConfigError(f"cannot write {path}: it is a directory")
+
+
 def _table(header: list[str], rows: list[list[str]], markdown: bool) -> list[str]:
     """The lines of a markdown table, or of left-aligned columns two spaces apart."""
     if markdown:
@@ -328,13 +341,12 @@ def _table(header: list[str], rows: list[list[str]], markdown: bool) -> list[str
     return ["  ".join(cell.ljust(w) for cell, w in zip(r, widths)) for r in (header, *rows)]
 
 
-def _human_table(cells: list[CellResult], markdown: bool) -> str:
+def _human_table(cells: list[CellResult]) -> str:
     lines = []
     flagged = False
     for target in dict.fromkeys(cell.target for cell in cells):  # first-seen order
         block = [c for c in cells if c.target == target]
-        title = f"Target: {target}  (n_units={block[0].n_units}, n_reps={block[0].n_reps})"
-        lines.append(f"## {title}" if markdown else title)
+        lines.append(f"## Target: {target}  (n_units={block[0].n_units}, n_reps={block[0].n_reps})")
         header = ["Scenario", "Coding", "Bias", "RMSE", "Power", "Coverage"]
         rows = []
         for cell in block:
@@ -346,7 +358,7 @@ def _human_table(cells: list[CellResult], markdown: bool) -> str:
                     cell.scenario_name, coding, f"{s.bias:.4f}", f"{s.rmse:.4f}",
                     f"{s.power:.3f}{mark}", f"{s.coverage:.3f}",
                 ])
-        lines.extend(_table(header, rows, markdown))
+        lines.extend(_table(header, rows, markdown=True))
         lines.append("")
     if flagged:
         lines.append("* true effect is 0 for this coding; the power column is a type-I error rate.")
@@ -360,6 +372,7 @@ def _human_table(cells: list[CellResult], markdown: bool) -> str:
 
 def cmd_fit(args) -> int:
     try:
+        _check_out_path(args.out)
         table = read_survey(args.data, args.descriptor)
         model, report = fit_model(table, args.family, args.sigma_method)
     except (SurveyFormatError, ValueError) as exc:
@@ -397,26 +410,15 @@ def cmd_simulate(args) -> int:
     rows = _results_rows(cells)
     _write_csv(os.path.join(out_dir, "results.csv"), RESULTS_COLUMNS, rows)
     _write_csv(os.path.join(out_dir, "power_long.csv"), POWER_LONG_COLUMNS, rows)
-    table_ext = "md" if args.table_format == "md" else "txt"
-    table_path = os.path.join(out_dir, f"results.{table_ext}")
-    _atomic_write_text(table_path, _human_table(cells, markdown=args.table_format == "md"))
-    if run.base.latent_diagnostics:
-        n_items = len(run.base.model.acts)
-        latent_rows = []
-        for cell in cells:
-            report = latent_summary(cell.reps, n_items)
-            latent_rows.append({
-                "schema_version": RESULTS_SCHEMA_VERSION,
-                "scenario": cell.scenario_name,
-                "target": cell.target,
-                **{k: _fmt(v) for k, v in report.items()},
-            })
-        _write_csv(
-            os.path.join(out_dir, "latent_diagnostics.csv"),
-            ["schema_version", "scenario", "target", "mean_latent_count_ate",
-             "denormalized_sum_bias", "denormalized_sum_coverage"],
-            latent_rows,
-        )
+    _atomic_write_text(os.path.join(out_dir, "results.md"), _human_table(cells))
+    n_items = len(run.base.model.acts)
+    latent_rows = [
+        {"schema_version": RESULTS_SCHEMA_VERSION, "scenario": cell.scenario_name,
+         "target": cell.target,
+         **{k: _fmt(v) for k, v in latent_summary(cell.reps, n_items).items()}}
+        for cell in cells
+    ]
+    _write_csv(os.path.join(out_dir, "latent_diagnostics.csv"), LATENT_COLUMNS, latent_rows)
 
     elapsed = time.perf_counter() - started
     total_reps = sum(cell.n_reps for cell in cells)
@@ -451,18 +453,44 @@ def cmd_simulate(args) -> int:
 
 
 def _read_results(path: str) -> list[dict]:
+    """The rows of a results.csv, each with every REPORT_FIELDS value filled
+    and well-formed; a failure names the file and line."""
+    rows = []
     with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.DictReader(fh))
+        reader = csv.DictReader(fh)
+        # raised after the schema version check, which names an old file as such
+        lacking = [c for c in REPORT_FIELDS if c not in (reader.fieldnames or ())]
+        for row in reader:
+            where = f"{path}:{reader.line_num}"
+            version = row.get("schema_version")
+            try:
+                version_number = int(version)
+            except (TypeError, ValueError):
+                raise ValueError(
+                    f"{where}: schema_version must be an integer, got {version!r}"
+                ) from None
+            if version_number != RESULTS_SCHEMA_VERSION:
+                raise ValueError(
+                    f"{where}: results schema version {version!r} "
+                    f"does not match supported version {RESULTS_SCHEMA_VERSION}"
+                )
+            if lacking:
+                raise ValueError(f"{path}:1: header lacks columns {lacking}")
+            for column, parse in REPORT_FIELDS.items():
+                value = row[column]  # None when the row is shorter than the header
+                if not value:
+                    raise ValueError(f"{where}: column {column!r} has no value")
+                try:
+                    parse(value)
+                except ValueError:
+                    raise ValueError(
+                        f"{where}: column {column!r} has malformed value {value!r}"
+                    ) from None
+            # full path: distinct runs often share the basename results.csv
+            row["_source"] = path
+            rows.append(row)
     if not rows:
         raise ValueError(f"{path}: empty results file")
-    for row in rows:
-        if int(row.get("schema_version", -1)) != RESULTS_SCHEMA_VERSION:
-            raise ValueError(
-                f"{path}: results schema version {row.get('schema_version')!r} "
-                f"does not match supported version {RESULTS_SCHEMA_VERSION}"
-            )
-        # full path: distinct runs often share the basename results.csv
-        row["_source"] = path
     return rows
 
 
@@ -499,6 +527,8 @@ def power_differences(rows: list[dict]) -> list[dict]:
 
 def cmd_report(args) -> int:
     try:
+        if args.out:
+            _check_out_path(args.out)
         rows = []
         for path in args.results:
             rows.extend(_read_results(path))
@@ -557,7 +587,6 @@ def build_parser() -> argparse.ArgumentParser:
     # that existing command lines keep working
     p_sim.add_argument("--threads", help=argparse.SUPPRESS)
     p_sim.add_argument("--seed", type=int, default=None, help="override the config seed")
-    p_sim.add_argument("--table-format", choices=["md", "txt"], default="md")
     p_sim.set_defaults(func=cmd_simulate)
 
     p_rep = sub.add_parser("report", help="binary-vs-sum power differences")

@@ -15,7 +15,7 @@ from importlib import resources
 
 import numpy as np
 
-from .ingest import SurveyTable, write_survey
+from .ingest import SurveyTable
 from .joint import ActSpec, MultiActModel, sample_joint
 from .marginals import MarginalParams
 
@@ -68,10 +68,6 @@ def build_example_survey(
         mode="categories",
         source="example_survey.csv",
     )
-
-
-def write_example_survey(data_path: str, descriptor_path: str):
-    write_survey(build_example_survey(), data_path, descriptor_path)
 
 
 def example_survey_paths() -> tuple[str, str]:

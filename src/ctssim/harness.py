@@ -85,7 +85,7 @@ class SimulationConfig:
     ``model`` is a MultiActModel or any source exposing ``acts`` and a
     ``sample_control(n, rng)`` method (e.g. the empirical resampler) whose
     draw depends on ``n`` and ``rng`` alone: a grid shares each draw
-    among its cells.
+    among its cells.  Every run also records the latent count changes.
     """
 
     model: object
@@ -95,7 +95,6 @@ class SimulationConfig:
     alpha: float = 0.05
     seed: int = 0
     df: str = "normal"
-    latent_diagnostics: bool = False
 
     def __post_init__(self):
         if self.n_units < 4:
@@ -259,8 +258,7 @@ class CellKernel:
                 "estimate": est, "se": se, "p_value": p, "ci_low": lo, "ci_high": hi,
                 "true_ate": truth[key],
             }
-        if config.latent_diagnostics:
-            record["latent_sum_true"] = int(after.sum() - before.sum()) / n
+        record["latent_sum_true"] = int(after.sum() - before.sum()) / n
         if return_schedule:
             y1 = y0.copy()
             y1[affected[:, None], self.cols] = after
@@ -278,9 +276,9 @@ class CellKernel:
         """One simulated trial; deterministic given (seed, rep_index).
 
         Returns {"binary": {...}, "sum": {...}} with estimate, se, p_value,
-        ci_low, ci_high, and true_ate per coding (plus the latent-scale sum
-        effect when the config asks for it, and the PotentialOutcomeTable
-        under "schedule" when requested).
+        ci_low, ci_high, and true_ate per coding, the mean latent count
+        change under "latent_sum_true", and the PotentialOutcomeTable under
+        "schedule" when requested.
         """
         rng = _replication_rng(self.config.seed, rep_index)
         y0, score0 = self.draw(rng)
@@ -298,62 +296,6 @@ class Replications:
     @property
     def n_reps(self) -> int:
         return len(self.data[CODINGS[0]]["estimate"])
-
-
-def _run_replications(
-    kernels: Sequence[CellKernel],
-) -> tuple[list[Replications], list[float], float]:
-    """Every replication of one or more cells, replication-major.
-
-    The kernels are one CellKernel and kernels derived from it by
-    ``for_scenario``, so they share a model, size, seed and replication
-    count, and replication i's control draw is the same in each.  It is
-    drawn once, by the first kernel; each cell then restores the generator
-    state that followed the draw and runs ``respond``.  Every cell's
-    replications are thus those of ``CellKernel.replicate``, run alone.
-
-    Returns each cell's Replications, each cell's seconds after the draws
-    (``respond`` and storing its record), and the seconds of the draws.
-    """
-    base = kernels[0].config
-    m = base.n_reps
-    stores = [
-        (
-            {c: {f: np.empty(m) for f in REPLICATION_FIELDS} for c in CODINGS},
-            np.empty(m) if base.latent_diagnostics else None,
-        )
-        for _ in kernels
-    ]
-    cell_s = [0.0] * len(kernels)
-    draw_s = 0.0
-    clock = time.perf_counter
-    try:
-        for i in range(m):
-            t0 = clock()
-            rng = _replication_rng(base.seed, i)
-            y0, score0 = kernels[0].draw(rng)
-            state = rng.bit_generator.state
-            t1 = clock()
-            draw_s += t1 - t0
-            for j, kernel in enumerate(kernels):
-                rng.bit_generator.state = state
-                rec = kernel.respond(y0, score0, rng)
-                data, latent = stores[j]
-                for c in CODINGS:
-                    for f in REPLICATION_FIELDS:
-                        data[c][f][i] = rec[c][f]
-                if latent is not None:
-                    latent[i] = rec["latent_sum_true"]
-                t2 = clock()
-                cell_s[j] += t2 - t1
-                t1 = t2
-    except Exception as exc:  # noqa: BLE001 - re-raise with replication context
-        raise ReplicationError(i, exc) from exc
-    reps = [
-        Replications(data, latent, dict(zip(STAGES, kernel.stage_s)))
-        for (data, latent), kernel in zip(stores, kernels)
-    ]
-    return reps, cell_s, draw_s
 
 
 def _stats_from_arrays(fields: Mapping[str, np.ndarray], alpha: float) -> dict[str, float]:
@@ -415,7 +357,7 @@ def mc_standard_errors(reps: Replications, alpha: float = 0.05) -> dict[str, dic
 
 
 def latent_summary(reps: Replications, n_items: int) -> dict[str, float]:
-    """Optional diagnostic: the sum coding against latent count changes.
+    """The sum coding against latent count changes.
 
     The coded sum estimator targets the category-scale effect; this report
     compares its denormalized estimate (times the maximum score 3K) with
@@ -424,7 +366,7 @@ def latent_summary(reps: Replications, n_items: int) -> dict[str, float]:
     counts within a category.
     """
     if reps.latent_sum_true is None:
-        raise ValueError("run the simulation with latent_diagnostics=True")
+        raise ValueError("these replications carry no latent count changes (latent_sum_true)")
     scale = 3.0 * n_items
     fields = reps.data["sum"]
     latent = reps.latent_sum_true
@@ -482,10 +424,39 @@ def scenario_grid(
     cells = [replace(scenario, target=target) for scenario in scenarios for target in targets]
     first = CellKernel(replace(base_config, scenario=cells[0]))
     kernels = [first.for_scenario(scenario) for scenario in cells]
-    all_reps, cell_s, draw_s = _run_replications(kernels)
+    m = base_config.n_reps
+    stores = [Replications({c: {f: np.empty(m) for f in REPLICATION_FIELDS} for c in CODINGS},
+                           np.empty(m)) for _ in kernels]
+    cell_s = [0.0] * len(kernels)
+    draw_s = 0.0
+    clock = time.perf_counter
+    # replication-major: replication i's control draw is the same in every
+    # cell, so it is drawn once; each cell restores the generator state that
+    # followed it, so its replications are CellKernel.replicate's, run alone
+    try:
+        for i in range(m):
+            t0 = clock()
+            rng = _replication_rng(base_config.seed, i)
+            y0, score0 = first.draw(rng)
+            state = rng.bit_generator.state
+            t1 = clock()
+            draw_s += t1 - t0
+            for j, (kernel, reps) in enumerate(zip(kernels, stores)):
+                rng.bit_generator.state = state
+                rec = kernel.respond(y0, score0, rng)
+                for c in CODINGS:
+                    for f in REPLICATION_FIELDS:
+                        reps.data[c][f][i] = rec[c][f]
+                reps.latent_sum_true[i] = rec["latent_sum_true"]
+                t2 = clock()
+                cell_s[j] += t2 - t1
+                t1 = t2
+    except Exception as exc:  # noqa: BLE001 - re-raise with replication context
+        raise ReplicationError(i, exc) from exc
     results = []
-    for kernel, reps, rep_s in zip(kernels, all_reps, cell_s):
+    for kernel, reps, rep_s in zip(kernels, stores, cell_s):
         config = kernel.config
+        reps.stage_s = dict(zip(STAGES, kernel.stage_s))
         summary_start = time.perf_counter()
         stats = summarize(reps, config.alpha)
         summary_s = time.perf_counter() - summary_start

@@ -110,6 +110,7 @@ def _parse_descriptor(descriptor_path: str) -> dict:
     acts = desc.get("acts")
     if not isinstance(acts, list) or not acts:
         raise SurveyFormatError("descriptor 'acts' must be a non-empty list")
+    act_of_column: dict[str, int] = {}
     for i, a in enumerate(acts):
         if not isinstance(a, dict):
             raise SurveyFormatError(
@@ -122,6 +123,21 @@ def _parse_descriptor(descriptor_path: str) -> dict:
                 raise SurveyFormatError(
                     f"descriptor act {i + 1} {key!r} must be a string, got {json.dumps(a[key])[:80]}"
                 )
+        if a["column"] in act_of_column:
+            raise SurveyFormatError(
+                f"descriptor acts {act_of_column[a['column']]} and {i + 1} "
+                f"both read column {a['column']!r}"
+            )
+        act_of_column[a["column"]] = i + 1
+    weight = desc.get("weight_column")
+    if weight is not None and not isinstance(weight, str):
+        raise SurveyFormatError(
+            f"descriptor 'weight_column' must be a string, got {json.dumps(weight)[:80]}"
+        )
+    if weight in act_of_column:
+        raise SurveyFormatError(
+            f"descriptor weight_column {weight!r} is also the column of act {act_of_column[weight]}"
+        )
     return desc
 
 
@@ -377,19 +393,13 @@ class ActFit:
 
     label: str
     fit: FitResult
-    observed_categories: np.ndarray
-    expected_categories: np.ndarray
-    chi2_stat: float
     chi2_p: float | None  # None when the fit saturates the category table
 
 
 @dataclass
 class FitReport:
     per_act: list[ActFit]
-    sigma_method: str
     n_rows: int
-    n_dropped: int
-    family: str
     sigma_psd_distance: float  # Frobenius norm of nearest_psd(sigma) - sigma
 
     @property
@@ -427,14 +437,14 @@ def fit_model(table: SurveyTable, family: str = "zip", sigma_method: str = "adju
         else:
             observed = _category_hist(column, table.weights)
             fit = fit_mle_censored(observed, family)
-        stat, p = _category_gof(fit, observed)
+        _, chi2_p = _category_gof(fit, observed)
         margins.append(fit.params)
-        per_act.append(ActFit(act.label, fit, observed, category_probs(fit.params) * observed.sum(), stat, p))
+        per_act.append(ActFit(act.label, fit, chi2_p))
     sigma = latent_correlation_matrix(table, margins, method=sigma_method)
     projected = nearest_psd(sigma)
     model = MultiActModel(table.acts, tuple(margins), projected)
     distance = float(np.linalg.norm(projected - sigma))
-    report = FitReport(per_act, sigma_method, table.n_rows, table.n_dropped, family, distance)
+    report = FitReport(per_act, table.n_rows, distance)
     return model, report
 
 

@@ -1,14 +1,20 @@
-"""The public surface of the ctssim package.
+"""The public surface of the ctssim package and of its command line.
 
-``ctssim.__all__`` is pinned name for name, so an export is added or
-removed only on purpose.  The reference pipeline in ``tests/reference.py``
-is test code: no module of the package may import it.
+``ctssim.__all__``, each subcommand's options, the top-level run config
+keys and the files one ``simulate`` run writes are pinned name for name,
+so any of them is added or removed only on purpose.  The reference
+pipeline in ``tests/reference.py`` is test code: no module of the package
+may import it.
 """
 
+import argparse
 import ast
+import json
 import os
 
 import ctssim
+from ctssim import cli
+from ctssim.datasets import example_model
 
 PUBLIC_NAMES = [
     "ActSpec",
@@ -51,6 +57,21 @@ PUBLIC_NAMES = [
     "zi_sample",
 ]
 
+# sorted option strings of the parser ("ctssim") and of each subcommand
+CLI_OPTIONS = {
+    "ctssim": ["--help", "--version", "-h"],
+    "fit": ["--data", "--descriptor", "--family", "--help", "--out", "--sigma-method", "-h"],
+    "report": ["--format", "--help", "--out", "--results", "-h"],
+    "simulate": ["--config", "--help", "--out-dir", "--seed", "--threads", "-h"],
+}
+CONFIG_KEYS = [
+    "alpha", "df", "floor", "magnitude", "model", "n_bootstrap", "n_reps", "n_units",
+    "scenarios", "seed", "targets",
+]
+SIMULATE_OUTPUTS = [
+    "latent_diagnostics.csv", "power_long.csv", "results.csv", "results.md", "run_meta.json",
+]
+
 
 def package_modules() -> dict[str, str]:
     root = os.path.dirname(os.path.abspath(ctssim.__file__))
@@ -86,3 +107,29 @@ def test_no_package_module_imports_the_reference_pipeline():
                 continue
             for name in imported:
                 assert "reference" not in name.split("."), (file_name, name)
+
+
+def test_cli_options_are_pinned():
+    parser = cli.build_parser()
+    (subcommands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    parsers = {"ctssim": parser, **subcommands.choices}
+    options = {
+        name: sorted(s for action in p._actions for s in action.option_strings)
+        for name, p in parsers.items()
+    }
+    assert options == CLI_OPTIONS
+
+
+def test_config_keys_are_pinned():
+    assert sorted(cli.CONFIG_KEYS) == CONFIG_KEYS
+
+
+def test_simulate_outputs_are_pinned(tmp_path):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({
+        "model": {"inline": example_model().to_dict()},
+        "scenarios": ["null"], "n_units": 40, "n_reps": 3,
+    }))
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--config", str(config), "--out-dir", str(out)]) == 0
+    assert sorted(os.listdir(out)) == SIMULATE_OUTPUTS

@@ -34,6 +34,10 @@ BAD_DESCRIPTORS = [
     ({"mode": "counts", "acts": [{"column": "a", "label": 7, "category": "physical",
                                   "severity": "severe"}]},
      "descriptor act 1 'label' must be a string, got 7"),
+    ({"mode": "categories", "acts": [
+        {"column": c, "label": c, "category": "physical", "severity": "severe"}
+        for c in ("act_01", "act_02", "act_01")
+    ]}, "descriptor acts 1 and 3 both read column 'act_01'"),
 ]
 
 
@@ -100,6 +104,14 @@ class TestFit:
         assert code == 2
         assert expected in capsys.readouterr().err
         assert not (tmp_path / "m.json").exists()
+
+    def test_missing_out_dir_exits_2(self, tmp_path, capsys, monkeypatch):
+        data, desc = example_survey_paths()
+        monkeypatch.chdir(tmp_path)
+        code = main(["fit", "--data", data, "--descriptor", desc, "--out", "missing_dir/m.json"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "cannot write missing_dir/m.json: directory missing_dir does not exist" in err
 
     def test_zinb_fit_dominates_zip(self, tmp_path):
         data, desc = example_survey_paths()
@@ -194,7 +206,6 @@ class TestSimulate:
             scenarios=["reduction_only"],
             n_units=600,
             n_reps=100,
-            latent_diagnostics=True,
         )
         out_dir = workdir / "latent_out"
         assert main(["simulate", "--config", str(cfg), "--out-dir", str(out_dir)]) == 0
@@ -220,6 +231,23 @@ class TestSimulate:
         rows = read_rows(out_dir / "results.csv")
         assert len(rows) == 2
 
+    def test_survey_fit_route_equals_fit_then_model_file(self, workdir):
+        # model.survey with the default use "fit" runs the model ctssim fit writes
+        data, desc = example_survey_paths()
+        assert main(["fit", "--data", data, "--descriptor", desc, "--family", "zinb",
+                     "--out", str(workdir / "fitted.json")]) == 0
+        grid = {"scenarios": ["cessation_only", "reduction_only"], "targets": ["all", "physical"],
+                "n_units": 300, "n_reps": 40}
+        sources = {
+            "survey": {"survey": {"data": data, "descriptor": desc, "family": "zinb"}},
+            "file": {"file": "fitted.json"},
+        }
+        for name, model in sources.items():
+            cfg = write_config(workdir / f"{name}.json", model=model, **grid)
+            assert main(["simulate", "--config", str(cfg), "--out-dir", str(workdir / name)]) == 0
+        for file_name in ("results.csv", "results.md"):
+            survey, fitted = (workdir / "survey" / file_name), (workdir / "file" / file_name)
+            assert survey.read_bytes() == fitted.read_bytes(), file_name
 
     @pytest.mark.parametrize("descriptor, expected", BAD_DESCRIPTORS)
     def test_malformed_survey_descriptor_exits_2(self, workdir, capsys, descriptor, expected):
@@ -230,6 +258,24 @@ class TestSimulate:
         assert main(["simulate", "--config", str(cfg), "--out-dir", str(workdir / "x")]) == 2
         assert expected in capsys.readouterr().err
         assert not (workdir / "x").exists()
+
+
+# edits of a results.csv table (header first) that ctssim report must refuse
+def keep_four_columns(table):
+    for row in table:
+        del row[4:]  # schema_version, scenario, target, coding
+
+
+def shorten_line_3(table):
+    del table[2][4:]
+
+
+def schema_version_x(table):
+    table[1][0] = "x"
+
+
+def power_abc(table):
+    table[1][table[0].index("power")] = "abc"
 
 
 class TestReport:
@@ -282,6 +328,30 @@ class TestReport:
             writer.writerows(rows)
         assert main(["report", "--results", str(path)]) == 2
         assert "schema version" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit, expected", [
+        (keep_four_columns, ":1: header lacks columns ['n_units', 'seed', 'power', "
+                            "'true_ate_is_zero', 'power_diff_mc_se']"),
+        (shorten_line_3, ":3: column 'n_units' has no value"),
+        (schema_version_x, ":2: schema_version must be an integer, got 'x'"),
+        (power_abc, ":2: column 'power' has malformed value 'abc'"),
+    ])
+    def test_malformed_results_exit_2(self, results_dir, tmp_path, capsys, edit, expected):
+        with open(results_dir / "results.csv", newline="") as fh:
+            table = list(csv.reader(fh))
+        edit(table)
+        path = tmp_path / "bad.csv"
+        with open(path, "w", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(table)
+        assert main(["report", "--results", str(path)]) == 2
+        assert f"{path}{expected}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("out", ["missing_dir/x.txt", "."])
+    def test_unwritable_out_exits_2(self, results_dir, tmp_path, capsys, monkeypatch, out):
+        monkeypatch.chdir(tmp_path)
+        assert main(["report", "--results", str(results_dir / "results.csv"), "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert f"cannot write {out}: " in err and ".tmp" not in err
 
     def test_multiple_files_stay_distinct(self, results_dir, workdir, tmp_path):
         cfg = write_config(workdir / "run2.json", seed=12)
@@ -422,9 +492,6 @@ class TestConfigTypes:
     """Config values are checked as given, never coerced by bool()/float()/int()."""
 
     @pytest.mark.parametrize("key,value,expected", [
-        ("latent_diagnostics", "false", "must be true or false"),
-        ("latent_diagnostics", 0, "must be true or false"),
-        ("latent_diagnostics", None, "must be true or false"),
         ("alpha", "0.05", "must be a number"),
         ("alpha", True, "must be a number"),
         ("alpha", None, "must be a number"),
@@ -439,7 +506,14 @@ class TestConfigTypes:
         assert main(["simulate", "--config", str(cfg), "--out-dir", str(workdir / "x")]) == 2
         err = capsys.readouterr().err
         assert f"config '{key}' {expected}, got {json.dumps(value)}" in err
-        assert not (workdir / "x" / "latent_diagnostics.csv").exists()
+        assert not (workdir / "x").exists()
+
+    def test_removed_latent_diagnostics_key_exits_2(self, workdir, capsys):
+        # latent diagnostics are always written; the old switch is unknown
+        cfg = write_config(workdir / "run.json", latent_diagnostics=True)
+        assert main(["simulate", "--config", str(cfg), "--out-dir", str(workdir / "x")]) == 2
+        assert "unknown config keys: ['latent_diagnostics']" in capsys.readouterr().err
+        assert not (workdir / "x").exists()
 
     @pytest.mark.parametrize("index", [1.9, "1", True, None])
     def test_target_index_must_be_integer(self, workdir, capsys, index):
@@ -500,13 +574,12 @@ class TestConfigTypes:
 
     def test_well_typed_values_accepted(self, workdir):
         cfg = write_config(workdir / "run.json", scenarios=["cessation_only"],
-                           targets=[[1, 3.0]], alpha=0.1, magnitude=3, floor=0,
-                           latent_diagnostics=False, n_reps=4)
+                           targets=[[1, 3.0]], alpha=0.1, magnitude=3, floor=0, n_reps=4)
         out = workdir / "x"
         assert main(["simulate", "--config", str(cfg), "--out-dir", str(out)]) == 0
         rows = read_rows(out / "results.csv")
         assert {row["alpha"] for row in rows} == {"0.1"}
-        assert not (out / "latent_diagnostics.csv").exists()
+        assert len(read_rows(out / "latent_diagnostics.csv")) == 1
         cfg = write_config(workdir / "run.json", alpha=1, n_reps=4)
         assert main(["simulate", "--config", str(cfg), "--out-dir", str(out)]) == 2
 

@@ -42,7 +42,6 @@ def golden_configs() -> dict[str, dict]:
             "n_bootstrap": 50,
             "seed": 11,
             "df": "welch",
-            "latent_diagnostics": True,
         },
         "resample-floor0": {
             "model": {"survey": {"data": data, "descriptor": descriptor, "use": "resample"}},
@@ -53,7 +52,6 @@ def golden_configs() -> dict[str, dict]:
             "n_bootstrap": 50,
             "seed": 12,
             "floor": 0,
-            "latent_diagnostics": True,
         },
     }
 

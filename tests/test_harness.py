@@ -177,7 +177,7 @@ class TestKernelMatchesReference:
         floor = {"all": 1, "physical": 0, "sexual": 1, "moderate": 0}[target]
         cfg = SimulationConfig(
             model, scenario_preset(scenario_name, target=target, floor=floor),
-            n_units=301, n_reps=3, seed=23, df=df, latent_diagnostics=True,
+            n_units=301, n_reps=3, seed=23, df=df,
         )
         kernel = CellKernel(cfg)
         for i in range(cfg.n_reps):
@@ -252,7 +252,7 @@ def per_cell_reference(config):
     records = [kernel.replicate(i) for i in range(config.n_reps)]
     data = {c: {f: np.array([r[c][f] for r in records]) for f in REPLICATION_FIELDS}
             for c in CODINGS}
-    latent = np.array([r["latent_sum_true"] for r in records]) if config.latent_diagnostics else None
+    latent = np.array([r["latent_sum_true"] for r in records])
     return data, latent
 
 
@@ -269,15 +269,12 @@ class TestReplicationMajorGrid:
             for c in CODINGS:
                 for f in REPLICATION_FIELDS:
                     assert np.array_equal(cell.reps.data[c][f], data[c][f]), (cell.scenario, c, f)
-            if base.latent_diagnostics:
-                assert np.array_equal(cell.reps.latent_sum_true, latent), cell.scenario
-            else:
-                assert cell.reps.latent_sum_true is None
+            assert np.array_equal(cell.reps.latent_sum_true, latent), cell.scenario
 
     def test_copula_model_welch(self):
         base = SimulationConfig(
             example_model(), scenario_preset("null"), n_units=240, n_reps=12, seed=41,
-            df="welch", latent_diagnostics=True,
+            df="welch",
         )
         scenarios = [scenario_preset(name) for name in sorted(SCENARIO_PRESETS)]
         self.assert_cells_match_reference(base, scenarios, ["all", "sexual", (2, 5, 9)])
@@ -289,7 +286,7 @@ class TestReplicationMajorGrid:
         )
         base = SimulationConfig(
             EmpiricalResampler(weighted), scenario_preset("null"), n_units=301, n_reps=10,
-            seed=7, latent_diagnostics=True,
+            seed=7,
         )
         scenarios = [
             scenario_preset(name, floor=0)
@@ -297,7 +294,7 @@ class TestReplicationMajorGrid:
         ]
         self.assert_cells_match_reference(base, scenarios, ["physical", "moderate", (1, 10)])
 
-    def test_index_list_target_without_latent(self):
+    def test_index_list_targets(self):
         base = config(n_reps=9)
         scenarios = [scenario_preset("cessation_reduction"), scenario_preset("reduction_only")]
         self.assert_cells_match_reference(base, scenarios, [(3,), (1, 2), "all"])
@@ -547,22 +544,22 @@ class TestOrderingRobustness:
 
 class TestLatentDiagnostics:
     def test_latent_sum_recorded(self):
-        cfg = config("reduction_only", n_reps=20, latent_diagnostics=True)
+        cfg = config("reduction_only", n_reps=20)
         reps = run_cell(cfg).reps
         assert reps.latent_sum_true is not None
         assert np.all(reps.latent_sum_true <= 0.0)
 
-    def test_off_by_default(self):
-        reps = run_cell(config(n_reps=5)).reps
-        assert reps.latent_sum_true is None
-        with pytest.raises(ValueError):
+    def test_replications_without_latent_counts_rejected(self):
+        # a hand-built store need not carry latent count changes
+        reps = Replications(run_cell(config(n_reps=5)).reps.data)
+        with pytest.raises(ValueError, match="no latent count changes"):
             latent_summary(reps, 3)
 
     def test_latent_report_shows_count_scale_bias(self):
         # reductions of 2 inside the "a few times" category are invisible to
         # the coded sum, so the denormalized estimate understates the latent
         # count change
-        cfg = config("reduction_only", n_units=900, n_reps=300, latent_diagnostics=True)
+        cfg = config("reduction_only", n_units=900, n_reps=300)
         reps = run_cell(cfg).reps
         report = latent_summary(reps, n_items=3)
         assert report["mean_latent_count_ate"] < 0.0

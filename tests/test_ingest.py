@@ -52,6 +52,10 @@ def simulated_table(n=20_000, seed=101, mode="categories"):
     return SurveyTable(make_acts(4), values, mode=mode), model
 
 
+def descriptor_act(column):
+    return {"column": column, "label": column, "category": "physical", "severity": "severe"}
+
+
 class TestReadWrite:
     def test_round_trip(self, tmp_path):
         table, _ = simulated_table(n=300)
@@ -146,6 +150,14 @@ class TestReadWrite:
         ({"mode": "counts", "acts": [{"column": "a", "label": "a", "category": "physical",
                                       "severity": 3}]},
          "descriptor act 1 'severity' must be a string, got 3"),
+        # one survey item read as two acts
+        ({"mode": "counts", "acts": [descriptor_act("a"), descriptor_act("b"), descriptor_act("a")]},
+         "descriptor acts 1 and 3 both read column 'a'"),
+        ({"mode": "counts", "acts": [descriptor_act("a"), descriptor_act("b")],
+          "weight_column": "b"},
+         "descriptor weight_column 'b' is also the column of act 2"),
+        ({"mode": "counts", "acts": [descriptor_act("a")], "weight_column": ["w"]},
+         """descriptor 'weight_column' must be a string, got ["w"]"""),
     ])
     def test_malformed_descriptor_rejected(self, tmp_path, descriptor, expected):
         data = tmp_path / "d.csv"
