@@ -17,7 +17,6 @@ from .harness import (
     Replications,
     SimulationConfig,
     latent_summary,
-    mc_standard_errors,
     run_cell,
     scenario_grid,
     scenario_preset,
@@ -71,7 +70,6 @@ __all__ = [
     "latent_correlation_matrix",
     "latent_summary",
     "load_model",
-    "mc_standard_errors",
     "nearest_psd",
     "read_survey",
     "run_cell",

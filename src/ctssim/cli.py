@@ -282,20 +282,30 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
+def _cell_names(cell: CellResult) -> dict[str, str]:
+    """A cell's "scenario" name and "target" as the outputs write them."""
+    scenario = cell.config.scenario
+    target = scenario.target
+    return {
+        "scenario": scenario.name or "custom",
+        "target": target if isinstance(target, str) else ",".join(map(str, target)),
+    }
+
+
 def _results_rows(cells: list[CellResult]) -> list[dict]:
     rows = []
     for cell in cells:
-        for coding in ("binary", "sum"):
+        config = cell.config
+        for coding in CODINGS:
             stats = cell.stats[coding]
             row = {
                 "schema_version": RESULTS_SCHEMA_VERSION,
-                "scenario": cell.scenario_name,
-                "target": cell.target,
+                **_cell_names(cell),
                 "coding": coding,
-                "n_units": cell.n_units,
-                "n_reps": cell.n_reps,
-                "alpha": _fmt(cell.alpha),
-                "seed": cell.seed,
+                "n_units": config.n_units,
+                "n_reps": config.n_reps,
+                "alpha": _fmt(config.alpha),
+                "seed": config.seed,
                 "mean_true_ate": _fmt(stats.mean_true_ate),
                 "true_ate_is_zero": int(stats.true_ate_is_zero),
                 "power_diff_mc_se": _fmt(stats.mc_se["power_diff"]),
@@ -320,8 +330,17 @@ def _write_csv(path: str, columns: list[str], rows: list[dict]):
     _atomic_write_text(path, _csv_text(columns, rows))
 
 
-def _check_out_path(path: str) -> None:
-    """Reject an output file path that cannot be written, before any work."""
+def _check_out_path(path: str, is_dir: bool = False) -> None:
+    """Reject an output path that cannot be written, before any work: a file
+    path whose directory is missing or that is a directory, or (``is_dir``) an
+    output directory at or under something that is not a directory."""
+    if is_dir:
+        existing = os.path.abspath(path)
+        while not os.path.exists(existing):
+            existing = os.path.dirname(existing)
+        if not os.path.isdir(existing):
+            raise ConfigError(f"cannot write to {path}: {existing} is not a directory")
+        return
     directory = os.path.dirname(path) or "."
     if not os.path.isdir(directory):
         raise ConfigError(f"cannot write {path}: directory {directory} does not exist")
@@ -344,18 +363,20 @@ def _table(header: list[str], rows: list[list[str]], markdown: bool) -> list[str
 def _human_table(cells: list[CellResult]) -> str:
     lines = []
     flagged = False
-    for target in dict.fromkeys(cell.target for cell in cells):  # first-seen order
-        block = [c for c in cells if c.target == target]
-        lines.append(f"## Target: {target}  (n_units={block[0].n_units}, n_reps={block[0].n_reps})")
+    named = [(cell, _cell_names(cell)) for cell in cells]
+    for target in dict.fromkeys(names["target"] for _, names in named):  # first-seen order
+        block = [(cell, names["scenario"]) for cell, names in named if names["target"] == target]
+        first = block[0][0].config
+        lines.append(f"## Target: {target}  (n_units={first.n_units}, n_reps={first.n_reps})")
         header = ["Scenario", "Coding", "Bias", "RMSE", "Power", "Coverage"]
         rows = []
-        for cell in block:
-            for coding in ("binary", "sum"):
+        for cell, scenario in block:
+            for coding in CODINGS:
                 s = cell.stats[coding]
                 mark = "*" if s.true_ate_is_zero else ""
                 flagged = flagged or bool(mark)
                 rows.append([
-                    cell.scenario_name, coding, f"{s.bias:.4f}", f"{s.rmse:.4f}",
+                    scenario, coding, f"{s.bias:.4f}", f"{s.rmse:.4f}",
                     f"{s.power:.3f}{mark}", f"{s.coverage:.3f}",
                 ])
         lines.extend(_table(header, rows, markdown=True))
@@ -373,7 +394,10 @@ def _human_table(cells: list[CellResult]) -> str:
 def cmd_fit(args) -> int:
     try:
         _check_out_path(args.out)
-        table = read_survey(args.data, args.descriptor)
+        try:
+            table = read_survey(args.data, args.descriptor)
+        except OSError as exc:
+            raise ConfigError(f"cannot read the survey: {exc}") from None
         model, report = fit_model(table, args.family, args.sigma_method)
     except (SurveyFormatError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -398,6 +422,7 @@ def cmd_fit(args) -> int:
 def cmd_simulate(args) -> int:
     started = time.perf_counter()
     try:
+        _check_out_path(args.out_dir, is_dir=True)
         run = load_run_config(args.config, args.seed)
     except (ConfigError, SurveyFormatError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -413,15 +438,14 @@ def cmd_simulate(args) -> int:
     _atomic_write_text(os.path.join(out_dir, "results.md"), _human_table(cells))
     n_items = len(run.base.model.acts)
     latent_rows = [
-        {"schema_version": RESULTS_SCHEMA_VERSION, "scenario": cell.scenario_name,
-         "target": cell.target,
+        {"schema_version": RESULTS_SCHEMA_VERSION, **_cell_names(cell),
          **{k: _fmt(v) for k, v in latent_summary(cell.reps, n_items).items()}}
         for cell in cells
     ]
     _write_csv(os.path.join(out_dir, "latent_diagnostics.csv"), LATENT_COLUMNS, latent_rows)
 
     elapsed = time.perf_counter() - started
-    total_reps = sum(cell.n_reps for cell in cells)
+    total_reps = sum(cell.config.n_reps for cell in cells)
     meta = {
         "config_hash": run.fingerprint,
         "seed": run.base.seed,
@@ -432,7 +456,7 @@ def cmd_simulate(args) -> int:
         "draw_ms_per_rep": 1e3 * cells[0].draw_s / run.base.n_reps,
         "cell_wall_s": [cell.wall_s for cell in cells],
         "stage_ms_per_rep": {
-            stage: 1e3 * sum(cell.reps.stage_s[stage] for cell in cells) / total_reps
+            stage: 1e3 * sum(cell.stage_s[stage] for cell in cells) / total_reps
             for stage in STAGES
         },
         "summary_ms_per_cell": 1e3 * sum(cell.summary_s for cell in cells) / len(cells),

@@ -66,7 +66,6 @@ def build_example_survey(
         acts=model.acts,
         values=coding.categorize(counts),
         mode="categories",
-        source="example_survey.csv",
     )
 
 

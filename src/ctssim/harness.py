@@ -5,9 +5,9 @@ the sample to treatment, reveals the assigned arm's counts, applies both
 outcome codings to the categorized counts, and estimates each coded effect.
 Performance statistics (bias, RMSE, power, coverage) are computed against
 each replication's own finite-sample coded effect.  Their Monte Carlo
-standard errors have closed forms (``mc_standard_errors``); the SE of the
-power difference between the codings is paired, because both codings are
-scored on the same replications.
+standard errors have closed forms (``summarize``); the SE of the power
+difference between the codings is paired, because both codings are scored
+on the same replications.
 
 A replication runs as one kernel (``CellKernel``): the work that does not
 change between replications (model validation, the copula factor and CDF
@@ -32,8 +32,8 @@ from __future__ import annotations
 import copy
 import math
 import time
-from dataclasses import dataclass, field, replace
-from typing import Mapping, Sequence
+from dataclasses import dataclass, replace
+from typing import Sequence
 
 import numpy as np
 
@@ -46,7 +46,8 @@ CODINGS = ("binary", "sum")
 REPLICATION_FIELDS = ("estimate", "se", "p_value", "ci_low", "ci_high", "true_ate")
 STATISTICS = ("bias", "rmse", "power", "coverage")
 # the stages of CellKernel.respond, timed per cell and replication
-# (CellKernel.stage_s); the control draw before them is timed on its own
+# (CellKernel.stage_s, then CellResult.stage_s); the control draw before
+# them is timed on its own
 STAGES = ("types_effects", "randomize", "code_truth", "hc2")
 
 # p-vectors (no effect, cessation, reduction, increase) for the standard
@@ -113,14 +114,13 @@ class SimulationConfig:
 class PerformanceStats:
     """Monte Carlo performance of one coding in one cell."""
 
-    coding: str
     bias: float
     rmse: float
     power: float
     coverage: float
     mean_true_ate: float
     true_ate_is_zero: bool  # power column is a type-I error rate, not power
-    mc_se: dict[str, float] = field(default_factory=dict)
+    mc_se: dict[str, float]  # statistic or "power_diff" -> its Monte Carlo SE
 
 
 def _replication_rng(seed: int, rep_index: int) -> np.random.Generator:
@@ -290,70 +290,49 @@ class Replications:
     """Column-wise store of per-replication records for one cell."""
 
     data: dict[str, dict[str, np.ndarray]]  # coding -> field -> (n_reps,)
-    latent_sum_true: np.ndarray | None = None
-    stage_s: dict[str, float] = field(default_factory=dict)  # stage -> total seconds
+    latent_sum_true: np.ndarray  # (n_reps,) mean latent count change
 
     @property
     def n_reps(self) -> int:
         return len(self.data[CODINGS[0]]["estimate"])
 
 
-def _stats_from_arrays(fields: Mapping[str, np.ndarray], alpha: float) -> dict[str, float]:
-    err = fields["estimate"] - fields["true_ate"]
-    covered = (fields["ci_low"] <= fields["true_ate"]) & (fields["true_ate"] <= fields["ci_high"])
-    return {
-        "bias": float(np.mean(err)),
-        "rmse": float(np.sqrt(np.mean(err**2))),
-        "power": float(np.mean(fields["p_value"] < alpha)),
-        "coverage": float(np.mean(covered)),
-    }
-
-
 def summarize(reps: Replications, alpha: float = 0.05) -> dict[str, PerformanceStats]:
-    """Performance statistics per coding, with their closed-form MC SEs."""
-    mc = mc_standard_errors(reps, alpha)
-    return {
-        c: PerformanceStats(
-            coding=c,
-            mean_true_ate=float(np.mean(reps.data[c]["true_ate"])),
-            true_ate_is_zero=bool(np.all(reps.data[c]["true_ate"] == 0.0)),
-            mc_se=mc[c],
-            **_stats_from_arrays(reps.data[c], alpha),
-        )
-        for c in CODINGS
-    }
+    """Performance statistics per coding, with their closed-form MC SEs.
 
-
-def mc_standard_errors(reps: Replications, alpha: float = 0.05) -> dict[str, dict[str, float]]:
-    """Closed-form Monte Carlo SEs of each coding's performance statistics.
-
-    Morris, White & Crowther, Stat Med 38:2074-2102 (2019), with m
-    replications, err = estimate - true_ate, rej = p_value < alpha and sd at
-    ddof 1: bias sd(err)/sqrt(m); power and coverage sqrt(p(1-p)/m); rmse
-    sd(err**2)/sqrt(m), the SE of the MSE, over 2 rmse (0 when rmse is 0).
-    "power_diff", the SE of power(binary) - power(sum), is the same for both
-    codings and paired, as they share replications: sd(rej_b - rej_s)/sqrt(m)
-    at ddof 0, which is the binary power SE when the sum never rejects.
-    Every SE is NaN when there is only one replication.
+    The SEs follow Morris, White & Crowther, Stat Med 38:2074-2102 (2019),
+    with m replications, err = estimate - true_ate, rej = p_value < alpha and
+    sd at ddof 1: bias sd(err)/sqrt(m); power and coverage sqrt(p(1-p)/m);
+    rmse sd(err**2)/sqrt(m), the SE of the MSE, over 2 rmse (0 when rmse is
+    0).  "power_diff", the SE of power(binary) - power(sum), is the same for
+    both codings and paired, as they share replications: sd(rej_b -
+    rej_s)/sqrt(m) at ddof 0, which is the binary power SE when the sum never
+    rejects.  Every SE is NaN when there is only one replication.
     """
     m = reps.n_reps
-    if m < 2:
-        return {c: dict.fromkeys((*STATISTICS, "power_diff"), math.nan) for c in CODINGS}
-    out, rejected = {}, []
+    rejects = {c: reps.data[c]["p_value"] < alpha for c in CODINGS}
+    paired = (float(np.std(rejects["binary"].astype(float) - rejects["sum"])) / math.sqrt(m)
+              if m > 1 else math.nan)
+    out = {}
     for c in CODINGS:
         fields = reps.data[c]
-        stats = _stats_from_arrays(fields, alpha)
-        err = fields["estimate"] - fields["true_ate"]
-        rmse, power, coverage = stats["rmse"], stats["power"], stats["coverage"]
-        rejected.append((fields["p_value"] < alpha).astype(float))
-        out[c] = {
+        truth = fields["true_ate"]
+        err = fields["estimate"] - truth
+        covered = (fields["ci_low"] <= truth) & (truth <= fields["ci_high"])
+        rmse = float(np.sqrt(np.mean(err**2)))
+        power, coverage = float(np.mean(rejects[c])), float(np.mean(covered))
+        mc_se = dict.fromkeys(STATISTICS, math.nan) if m < 2 else {
             "bias": float(np.std(err, ddof=1)) / math.sqrt(m),
             "rmse": float(np.std(err**2, ddof=1)) / math.sqrt(m) / (2.0 * rmse) if rmse > 0 else 0.0,
             "power": math.sqrt(power * (1.0 - power) / m),
             "coverage": math.sqrt(coverage * (1.0 - coverage) / m),
         }
-    paired = float(np.std(rejected[0] - rejected[1])) / math.sqrt(m)
-    return {c: {**per, "power_diff": paired} for c, per in out.items()}
+        out[c] = PerformanceStats(
+            bias=float(np.mean(err)), rmse=rmse, power=power, coverage=coverage,
+            mean_true_ate=float(np.mean(truth)), true_ate_is_zero=bool(np.all(truth == 0.0)),
+            mc_se={**mc_se, "power_diff": paired},
+        )
+    return out
 
 
 def latent_summary(reps: Replications, n_items: int) -> dict[str, float]:
@@ -365,9 +344,7 @@ def latent_summary(reps: Replications, n_items: int) -> dict[str, float]:
     truth, bias and under-coverage are expected whenever effects move
     counts within a category.
     """
-    if reps.latent_sum_true is None:
-        raise ValueError("these replications carry no latent count changes (latent_sum_true)")
-    scale = 3.0 * n_items
+    scale = coding.MAX_CATEGORY * n_items
     fields = reps.data["sum"]
     latent = reps.latent_sum_true
     denorm = fields["estimate"] * scale
@@ -381,22 +358,18 @@ def latent_summary(reps: Replications, n_items: int) -> dict[str, float]:
 
 @dataclass
 class CellResult:
-    """One (scenario, target) cell of a simulation grid."""
+    """One (scenario, target) cell of a simulation grid: its config, whose
+    scenario carries the target, its statistics, records and clocks."""
 
-    scenario_name: str
-    target: str
-    scenario: EffectScenario
-    n_units: int
-    n_reps: int
-    seed: int
-    alpha: float
+    config: SimulationConfig
     stats: dict[str, PerformanceStats]
     reps: Replications
-    wall_s: float = 0.0  # seconds of the cell's own work: respond, and summarize
-    summary_s: float = 0.0  # seconds in summarize (statistics and their MC SEs)
+    wall_s: float  # seconds of the cell's own work: respond, and summarize
+    summary_s: float  # seconds in summarize (statistics and their MC SEs)
     # seconds of the control draws, which every cell of one grid shares, so
     # each carries the same value; not part of wall_s
-    draw_s: float = 0.0
+    draw_s: float
+    stage_s: dict[str, float]  # stage of STAGES -> seconds over the replications
 
 
 def run_cell(config: SimulationConfig) -> CellResult:
@@ -455,24 +428,11 @@ def scenario_grid(
         raise ReplicationError(i, exc) from exc
     results = []
     for kernel, reps, rep_s in zip(kernels, stores, cell_s):
-        config = kernel.config
-        reps.stage_s = dict(zip(STAGES, kernel.stage_s))
         summary_start = time.perf_counter()
-        stats = summarize(reps, config.alpha)
+        stats = summarize(reps, kernel.config.alpha)
         summary_s = time.perf_counter() - summary_start
-        target = config.scenario.target
         results.append(CellResult(
-            scenario_name=config.scenario.name or "custom",
-            target=target if isinstance(target, str) else ",".join(map(str, target)),
-            scenario=config.scenario,
-            n_units=config.n_units,
-            n_reps=config.n_reps,
-            seed=config.seed,
-            alpha=config.alpha,
-            stats=stats,
-            reps=reps,
-            wall_s=rep_s + summary_s,
-            summary_s=summary_s,
-            draw_s=draw_s,
+            kernel.config, stats, reps, wall_s=rep_s + summary_s, summary_s=summary_s,
+            draw_s=draw_s, stage_s=dict(zip(STAGES, kernel.stage_s)),
         ))
     return results

@@ -60,7 +60,6 @@ class SurveyTable:
     mode: str  # "categories" | "counts"
     weights: np.ndarray | None = None
     n_dropped: int = 0
-    source: str | None = None
 
     def __post_init__(self):
         self.acts = validate_acts(self.acts)
@@ -87,12 +86,6 @@ class SurveyTable:
     @property
     def n_acts(self) -> int:
         return len(self.acts)
-
-    def categories(self) -> np.ndarray:
-        """Responses on the 4-level category scale (categorizing counts)."""
-        if self.mode == "categories":
-            return self.values
-        return coding.categorize(self.values)
 
 
 def _parse_descriptor(descriptor_path: str) -> dict:
@@ -225,7 +218,6 @@ def read_survey(data_path: str, descriptor_path: str) -> SurveyTable:
         mode=desc["mode"],
         weights=np.asarray(weights) if weight_col is not None else None,
         n_dropped=n_dropped,
-        source=os.path.basename(data_path),
     )
 
 
@@ -399,7 +391,6 @@ class ActFit:
 @dataclass
 class FitReport:
     per_act: list[ActFit]
-    n_rows: int
     sigma_psd_distance: float  # Frobenius norm of nearest_psd(sigma) - sigma
 
     @property
@@ -407,15 +398,16 @@ class FitReport:
         return float(sum(a.fit.loglik for a in self.per_act))
 
 
-def _category_gof(fit: FitResult, observed: np.ndarray) -> tuple[float, float | None]:
+def _category_gof(fit: FitResult, observed: np.ndarray) -> float | None:
+    """The p-value of Pearson's chi-squared test of the fitted category
+    probabilities against ``observed``; None when no degree of freedom is left."""
     total = observed.sum()
     expected = category_probs(fit.params) * total
     mask = expected > 0
     stat = float(np.sum((observed[mask] - expected[mask]) ** 2 / expected[mask]))
     n_params = 2 if fit.params.family == "zip" else 3
     dof = (coding.MAX_CATEGORY + 1) - 1 - n_params
-    p = float(chdtrc(dof, stat)) if dof >= 1 else None
-    return stat, p
+    return float(chdtrc(dof, stat)) if dof >= 1 else None
 
 
 def fit_model(table: SurveyTable, family: str = "zip", sigma_method: str = "adjusted"):
@@ -437,15 +429,13 @@ def fit_model(table: SurveyTable, family: str = "zip", sigma_method: str = "adju
         else:
             observed = _category_hist(column, table.weights)
             fit = fit_mle_censored(observed, family)
-        _, chi2_p = _category_gof(fit, observed)
         margins.append(fit.params)
-        per_act.append(ActFit(act.label, fit, chi2_p))
+        per_act.append(ActFit(act.label, fit, _category_gof(fit, observed)))
     sigma = latent_correlation_matrix(table, margins, method=sigma_method)
     projected = nearest_psd(sigma)
     model = MultiActModel(table.acts, tuple(margins), projected)
     distance = float(np.linalg.norm(projected - sigma))
-    report = FitReport(per_act, table.n_rows, distance)
-    return model, report
+    return model, FitReport(per_act, distance)
 
 
 def _category_hist(categories: np.ndarray, weights: np.ndarray | None) -> np.ndarray:

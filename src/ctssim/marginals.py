@@ -102,7 +102,6 @@ class FitResult:
     converged: bool
     degenerate: bool
     boundary_flag: bool
-    n_obs: float
     n_iter: int
 
 
@@ -427,7 +426,7 @@ def fit_mle_exact(values, family: str = ZIP, weights=None) -> FitResult:
     n_pos = float(np.sum(w[pos]))
     if n_pos == 0:
         params = MarginalParams(family, 1.0, 1.0, dispersion=1.0 if family == ZINB else None)
-        return FitResult(params, 0.0, True, True, True, float(np.sum(w)), 0)
+        return FitResult(params, 0.0, True, True, True, 0)
 
     boundary = False
     if family == ZIP:
@@ -450,7 +449,7 @@ def fit_mle_exact(values, family: str = ZIP, weights=None) -> FitResult:
             lambda rate, disp, theta: _zinb_loglik(y, w, rate, disp, theta), starts
         )
     boundary = boundary or params.zero_prob > 0.999 or n_pos < 5
-    return FitResult(params, ll, converged, False, boundary, float(np.sum(w)), n_iter)
+    return FitResult(params, ll, converged, False, boundary, n_iter)
 
 
 def _expit(x: float) -> float:
@@ -474,7 +473,7 @@ def fit_mle_censored(category_counts, family: str = ZIP) -> FitResult:
     n_pos = float(np.sum(n[1:]))
     if n_pos == 0:
         params = MarginalParams(family, 1.0, 1.0, dispersion=1.0 if family == ZINB else None)
-        return FitResult(params, 0.0, True, True, True, float(np.sum(n)), 0)
+        return FitResult(params, 0.0, True, True, True, 0)
 
     boundary = False
     if family == ZIP:
@@ -507,4 +506,4 @@ def fit_mle_censored(category_counts, family: str = ZIP) -> FitResult:
             starts,
         )
     boundary = boundary or params.zero_prob > 0.999 or n_pos < 5
-    return FitResult(params, ll, converged, False, boundary, float(np.sum(n)), n_iter)
+    return FitResult(params, ll, converged, False, boundary, n_iter)

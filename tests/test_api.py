@@ -40,7 +40,6 @@ PUBLIC_NAMES = [
     "latent_correlation_matrix",
     "latent_summary",
     "load_model",
-    "mc_standard_errors",
     "nearest_psd",
     "read_survey",
     "run_cell",

@@ -113,6 +113,16 @@ class TestFit:
         err = capsys.readouterr().err
         assert "cannot write missing_dir/m.json: directory missing_dir does not exist" in err
 
+    def test_missing_data_file_exits_2(self, tmp_path, capsys):
+        _, desc = example_survey_paths()
+        missing = str(tmp_path / "missing.csv")
+        code = main(["fit", "--data", missing, "--descriptor", desc,
+                     "--out", str(tmp_path / "m.json")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "cannot read the survey: [Errno 2]" in err and missing in err
+        assert not (tmp_path / "m.json").exists()
+
     def test_zinb_fit_dominates_zip(self, tmp_path):
         data, desc = example_survey_paths()
         from ctssim.ingest import fit_model, read_survey
@@ -194,6 +204,20 @@ class TestSimulate:
 
         bad.write_text(json.dumps({"model": {"file": "model.json"}}))
         assert main(["simulate", "--config", str(bad), "--out-dir", str(workdir / "x")]) == 2
+
+    @pytest.mark.parametrize("out_dir", ["taken", "taken/sub"])
+    def test_out_dir_under_a_file_exits_2(self, workdir, capsys, monkeypatch, out_dir):
+        def no_grid(*args, **kwargs):
+            raise AssertionError("the grid ran")
+
+        monkeypatch.setattr(cli, "scenario_grid", no_grid)
+        (workdir / "taken").write_text("")
+        cfg = write_config(workdir / "run.json")
+        out = str(workdir / out_dir)
+        assert main(["simulate", "--config", str(cfg), "--out-dir", out]) == 2
+        err = capsys.readouterr().err
+        assert f"cannot write to {out}: {workdir / 'taken'} is not a directory" in err
+        assert (workdir / "taken").read_text() == ""
 
     def test_unknown_df_exits_2(self, workdir, capsys):
         cfg = write_config(workdir / "run.json", df="student")

@@ -20,7 +20,6 @@ from ctssim.harness import (
     Replications,
     SimulationConfig,
     latent_summary,
-    mc_standard_errors,
     run_cell,
     scenario_grid,
     scenario_preset,
@@ -265,11 +264,12 @@ class TestReplicationMajorGrid:
         cells = scenario_grid(base, scenarios, targets)
         assert len(cells) == len(scenarios) * len(targets)
         for cell in cells:
-            data, latent = per_cell_reference(replace(base, scenario=cell.scenario))
+            assert cell.config == replace(base, scenario=cell.config.scenario)
+            data, latent = per_cell_reference(cell.config)
             for c in CODINGS:
                 for f in REPLICATION_FIELDS:
-                    assert np.array_equal(cell.reps.data[c][f], data[c][f]), (cell.scenario, c, f)
-            assert np.array_equal(cell.reps.latent_sum_true, latent), cell.scenario
+                    assert np.array_equal(cell.reps.data[c][f], data[c][f]), (cell.config.scenario, c, f)
+            assert np.array_equal(cell.reps.latent_sum_true, latent), cell.config.scenario
 
     def test_copula_model_welch(self):
         base = SimulationConfig(
@@ -342,7 +342,12 @@ def handmade_reps(estimates, trues, p_values=None, half_width=0.1):
             "ci_high": est + half_width,
             "true_ate": tru,
         }
-    return Replications(data)
+    return Replications(data, np.zeros(m))
+
+
+def mc_ses(reps, alpha=0.05):
+    """Each coding's Monte Carlo SEs, as summarize stores them."""
+    return {c: stats.mc_se for c, stats in summarize(reps, alpha).items()}
 
 
 class TestSummarize:
@@ -386,13 +391,13 @@ def paired_reps(m=200, seed=3):
 class TestMCStandardErrors:
     def test_constant_records_zero_se(self):
         reps = handmade_reps([0.2] * 20, [0.2] * 20, p_values=[0.01] * 20)
-        for per_coding in mc_standard_errors(reps).values():
+        for per_coding in mc_ses(reps).values():
             assert per_coding == dict.fromkeys(("bias", "rmse", "power", "coverage", "power_diff"), 0.0)
 
     def test_each_se_matches_its_formula(self):
         reps = paired_reps()
         m, alpha = reps.n_reps, 0.05
-        ses = mc_standard_errors(reps, alpha)
+        ses = mc_ses(reps, alpha)
         rejected = {}
         for c in CODINGS:
             fields = reps.data[c]
@@ -417,11 +422,9 @@ class TestMCStandardErrors:
             assert ses[c]["power_diff"] == pytest.approx(np.std(diff) / math.sqrt(m), rel=1e-15, abs=0)
 
     def test_summarize_stores_the_ses(self):
-        reps = paired_reps()
-        stats = summarize(reps)
-        ses = mc_standard_errors(reps)
+        stats = summarize(paired_reps())
         for c in CODINGS:
-            assert stats[c].mc_se == ses[c]
+            assert set(stats[c].mc_se) == {"bias", "rmse", "power", "coverage", "power_diff"}
         assert stats["binary"].mc_se["power_diff"] == stats["sum"].mc_se["power_diff"]
 
     def test_power_diff_reduces_to_binary_power_se(self):
@@ -429,7 +432,7 @@ class TestMCStandardErrors:
         # indicator alone
         reps = paired_reps()
         reps.data["sum"]["p_value"] = np.full(reps.n_reps, 0.9)
-        ses = mc_standard_errors(reps)
+        ses = mc_ses(reps)
         assert ses["sum"]["power"] == 0.0
         assert ses["binary"]["power"] > 0.0
         assert ses["binary"]["power_diff"] == pytest.approx(ses["binary"]["power"], rel=1e-15, abs=0)
@@ -438,7 +441,7 @@ class TestMCStandardErrors:
         # se_diff^2 = se_b^2 + se_s^2 - 2 cov(rej_b, rej_s) / m, covariance at ddof 0
         reps = paired_reps()
         m, alpha = reps.n_reps, 0.05
-        ses = mc_standard_errors(reps, alpha)
+        ses = mc_ses(reps, alpha)
         rej_b, rej_s = (reps.data[c]["p_value"] < alpha for c in CODINGS)
         cov = np.cov(rej_b, rej_s, ddof=0)[0, 1]
         assert cov > 0
@@ -449,12 +452,10 @@ class TestMCStandardErrors:
         reps = handmade_reps([0.3], [0.2], p_values=[0.01])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            ses = mc_standard_errors(reps)
             stats = summarize(reps)
         for c in CODINGS:
-            for per_coding in (ses[c], stats[c].mc_se):
-                assert set(per_coding) == {"bias", "rmse", "power", "coverage", "power_diff"}
-                assert all(math.isnan(v) for v in per_coding.values())
+            assert set(stats[c].mc_se) == {"bias", "rmse", "power", "coverage", "power_diff"}
+            assert all(math.isnan(v) for v in stats[c].mc_se.values())
 
     def test_zero_rmse_gives_zero_rmse_se(self):
         # errors all 0 although the estimates vary
@@ -470,8 +471,8 @@ class TestMCStandardErrors:
     def test_doubling_reps_shrinks_se(self):
         small = run_cell(config(n_reps=400, seed=21)).reps
         large = run_cell(config(n_reps=800, seed=21)).reps
-        se_small = mc_standard_errors(small)["sum"]
-        se_large = mc_standard_errors(large)["sum"]
+        se_small = mc_ses(small)["sum"]
+        se_large = mc_ses(large)["sum"]
         for stat in ("bias", "rmse"):
             ratio = se_small[stat] / se_large[stat]
             assert ratio == pytest.approx(math.sqrt(2.0), rel=0.25)
@@ -483,7 +484,7 @@ class TestScenarioGrid:
         scenarios = [scenario_preset("null"), scenario_preset("cessation_only")]
         cells = scenario_grid(cfg, scenarios, ["all", "physical"])
         assert len(cells) == 4
-        assert {(c.scenario_name, c.target) for c in cells} == {
+        assert {(c.config.scenario.name, c.config.scenario.target) for c in cells} == {
             ("null", "all"), ("null", "physical"),
             ("cessation_only", "all"), ("cessation_only", "physical"),
         }
@@ -546,14 +547,7 @@ class TestLatentDiagnostics:
     def test_latent_sum_recorded(self):
         cfg = config("reduction_only", n_reps=20)
         reps = run_cell(cfg).reps
-        assert reps.latent_sum_true is not None
         assert np.all(reps.latent_sum_true <= 0.0)
-
-    def test_replications_without_latent_counts_rejected(self):
-        # a hand-built store need not carry latent count changes
-        reps = Replications(run_cell(config(n_reps=5)).reps.data)
-        with pytest.raises(ValueError, match="no latent count changes"):
-            latent_summary(reps, 3)
 
     def test_latent_report_shows_count_scale_bias(self):
         # reductions of 2 inside the "a few times" category are invisible to

@@ -190,13 +190,12 @@ class TestReadWrite:
 class TestFitModel:
     def test_simulate_then_refit_round_trip(self):
         table, truth = simulated_table(n=20_000, seed=101)
-        model, report = fit_model(table, family="zip")
+        model, _ = fit_model(table, family="zip")
         for fitted, true in zip(model.margins, truth.margins):
             assert abs(fitted.rate - true.rate) <= 0.1
             assert abs(fitted.zero_prob - true.zero_prob) <= 0.02
         upper = np.triu_indices(4, 1)
         assert np.max(np.abs((model.sigma - truth.sigma)[upper])) <= 0.05
-        assert report.n_rows == 20_000
 
     def test_counts_mode_also_recovers(self):
         table, truth = simulated_table(n=20_000, seed=102, mode="counts")
