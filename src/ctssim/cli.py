@@ -20,7 +20,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy
@@ -253,6 +253,12 @@ def load_run_config(path: str, seed_override: int | None = None) -> RunConfig:
     floor = _config_int("floor", doc.get("floor", 1))
     scenarios = _build_scenarios(doc.get("scenarios", list(SCENARIO_PRESETS)), magnitude, floor)
     targets = _build_targets(doc.get("targets", ["all"]))
+    # the outputs key a cell by these names, so two cells must not share them
+    names = [tuple(_cell_names(replace(s, target=t)).values()) for s in scenarios for t in targets]
+    repeated = sorted({cell for cell in names if names.count(cell) > 1})
+    if repeated:
+        raise ConfigError(f"config names more than one cell (scenario, target) {repeated}; "
+                          "give each custom scenario its own 'name'")
     model = _build_model(doc["model"], os.path.dirname(os.path.abspath(path)))
     for target in targets:  # resolved as each cell will, before any cell runs
         try:
@@ -282,9 +288,8 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
-def _cell_names(cell: CellResult) -> dict[str, str]:
-    """A cell's "scenario" name and "target" as the outputs write them."""
-    scenario = cell.config.scenario
+def _cell_names(scenario: EffectScenario) -> dict[str, str]:
+    """A cell's "scenario" name and "target", from its scenario, as the outputs write them."""
     target = scenario.target
     return {
         "scenario": scenario.name or "custom",
@@ -300,7 +305,7 @@ def _results_rows(cells: list[CellResult]) -> list[dict]:
             stats = cell.stats[coding]
             row = {
                 "schema_version": RESULTS_SCHEMA_VERSION,
-                **_cell_names(cell),
+                **_cell_names(cell.config.scenario),
                 "coding": coding,
                 "n_units": config.n_units,
                 "n_reps": config.n_reps,
@@ -363,7 +368,7 @@ def _table(header: list[str], rows: list[list[str]], markdown: bool) -> list[str
 def _human_table(cells: list[CellResult]) -> str:
     lines = []
     flagged = False
-    named = [(cell, _cell_names(cell)) for cell in cells]
+    named = [(cell, _cell_names(cell.config.scenario)) for cell in cells]
     for target in dict.fromkeys(names["target"] for _, names in named):  # first-seen order
         block = [(cell, names["scenario"]) for cell, names in named if names["target"] == target]
         first = block[0][0].config
@@ -438,7 +443,7 @@ def cmd_simulate(args) -> int:
     _atomic_write_text(os.path.join(out_dir, "results.md"), _human_table(cells))
     n_items = len(run.base.model.acts)
     latent_rows = [
-        {"schema_version": RESULTS_SCHEMA_VERSION, **_cell_names(cell),
+        {"schema_version": RESULTS_SCHEMA_VERSION, **_cell_names(cell.config.scenario),
          **{k: _fmt(v) for k, v in latent_summary(cell.reps, n_items).items()}}
         for cell in cells
     ]
@@ -452,8 +457,9 @@ def cmd_simulate(args) -> int:
         "version": __version__,
         "wall_clock_seconds": round(elapsed, 3),
         "cells": len(cells),
-        # every cell shares each replication's control draw
+        # shared by every cell, and by the cells of one target: not in cell_wall_s
         "draw_ms_per_rep": 1e3 * cells[0].draw_s / run.base.n_reps,
+        "target_ms_per_rep": 1e3 * cells[0].target_s / run.base.n_reps,
         "cell_wall_s": [cell.wall_s for cell in cells],
         "stage_ms_per_rep": {
             stage: 1e3 * sum(cell.stage_s[stage] for cell in cells) / total_reps
@@ -523,7 +529,11 @@ def power_differences(rows: list[dict]) -> list[dict]:
     cells: dict[tuple, dict[str, dict]] = {}
     for row in rows:
         key = (row["_source"], row["scenario"], row["target"], row["n_units"], row["seed"])
-        cells.setdefault(key, {})[row["coding"]] = row
+        pair = cells.setdefault(key, {})
+        if row["coding"] in pair:
+            raise ValueError(f"{key[0]}: more than one row for (scenario, target, n_units, seed, "
+                             f"coding) {(*key[1:], row['coding'])}")
+        pair[row["coding"]] = row
     out = []
     for key in sorted(cells):
         pair = cells[key]

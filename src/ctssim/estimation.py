@@ -4,7 +4,7 @@ The average treatment effect is estimated by least squares of the outcome
 on the assignment indicator; the slope equals the difference in arm means.
 For a binary regressor the HC2 sandwich variance reduces exactly to the
 two-sample Neyman form s1^2/n1 + s0^2/n0 with (n-1)-denominator arm
-variances, which is what we compute.
+variances, which is what we compute, from each arm's mean and variance.
 """
 
 from __future__ import annotations
@@ -26,21 +26,24 @@ def _mean_var(y: np.ndarray) -> tuple[np.float64, float]:
     return mean, float(dev.sum() / (n - 1))
 
 
-def hc2_from_arms(
-    y1: np.ndarray, y0: np.ndarray, alpha: float = 0.05, df: str = "normal"
-) -> tuple[float, float, float, float, float]:
-    """(estimate, se, ci_low, ci_high, p_value) from the treated and control
-    float outcome vectors, each of length >= 2.
+def z_critical(alpha: float) -> float:
+    """The two-sided normal critical value at level 1 - alpha."""
+    return float(ndtri(1.0 - alpha / 2.0))
+
+
+def hc2_from_moments(m1: float, v1: float, n1: int, m0: float, v0: float, n0: int,
+                     alpha: float = 0.05, df: str = "normal",
+                     z_crit: float | None = None) -> tuple[float, float, float, float, float]:
+    """(estimate, se, ci_low, ci_high, p_value) from each arm's ``_mean_var``
+    and size: treated (m1, v1, n1) and control (m0, v0, n0), each n >= 2.
 
     The CI level is 1 - alpha.  ``df`` is "normal" for z critical values,
     or "welch" for a t reference with Welch-Satterthwaite degrees of
-    freedom.
+    freedom.  ``z_crit``, when given, is ``z_critical(alpha)``, which a
+    caller with many estimates at one alpha computes once.
     With both arm variances zero the se is 0, the CI collapses to the
     estimate, and p is 1 for a zero estimate and 0 otherwise.
     """
-    n1, n0 = len(y1), len(y0)
-    m1, v1 = _mean_var(y1)
-    m0, v0 = _mean_var(y0)
     tau = float(m1 - m0)
     se = math.sqrt(v1 / n1 + v0 / n0)
     if se == 0.0:
@@ -56,6 +59,14 @@ def hc2_from_arms(
         crit = float(stdtrit(dof, 1.0 - alpha / 2.0))
         p = float(2.0 * stdtr(dof, -abs(t_stat)))
     else:
-        crit = float(ndtri(1.0 - alpha / 2.0))
+        crit = z_critical(alpha) if z_crit is None else z_crit
         p = float(2.0 * ndtr(-abs(t_stat)))
     return tau, se, tau - crit * se, tau + crit * se, p
+
+
+def hc2_from_arms(
+    y1: np.ndarray, y0: np.ndarray, alpha: float = 0.05, df: str = "normal"
+) -> tuple[float, float, float, float, float]:
+    """``hc2_from_moments`` of the treated and control float outcome
+    vectors, each of length >= 2."""
+    return hc2_from_moments(*_mean_var(y1), len(y1), *_mean_var(y0), len(y0), alpha, df)

@@ -11,34 +11,33 @@ on the same replications.
 
 A replication runs as one kernel (``CellKernel``): the work that does not
 change between replications (model validation, the copula factor and CDF
-tables of ``joint.CopulaSampler``, the target columns) is done once per
-cell, and each replication categorizes and codes every row once, then
-estimates through ``estimation.hc2_from_arms``.  The tests pin it, bit for
-bit, to a reference pipeline that runs each stage as a plain function.
+tables of ``joint.CopulaSampler``, the target columns, the response-type
+CDF) is done once per cell, and each replication codes every row once and
+estimates through ``estimation.hc2_from_moments``.  The tests pin it, bit
+for bit, to a reference pipeline that runs each stage as a plain function.
 
 Replications run one after another in one thread.  Each uses a
 counter-based substream seeded by (seed, replication index), so a
 replication's result does not depend on which others run or in what order.
-The control draw is the first thing a replication takes from its stream,
-and the cells of a grid share the seed, so replication i's control counts
-are the same in every cell: the grid runs replication-major, drawing them
-once and running each cell's remaining stages on the generator state that
-follows the draw.  A model's ``sample_control(n, rng)`` must therefore
-depend on ``n`` and ``rng`` alone.
+A grid draws once what its cells would draw alike: first the control
+counts (so a model's ``sample_control(n, rng)`` must depend on ``n`` and
+``rng`` alone), then, once per set of target columns, the uniforms that
+``rng.choice`` maps to response types and the permutation behind the arms
+(``CellKernel.share``); each scenario maps the uniforms through its own
+CDF (``CellKernel.respond``).
 """
 
 from __future__ import annotations
 
-import copy
 import math
 import time
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from . import coding
-from .estimation import hc2_from_arms
+from .estimation import _mean_var, hc2_from_moments, z_critical
 from .joint import CopulaSampler, MultiActModel
 from .outcomes import EffectScenario, PotentialOutcomeTable, ResponseType, target_columns
 
@@ -46,9 +45,9 @@ CODINGS = ("binary", "sum")
 REPLICATION_FIELDS = ("estimate", "se", "p_value", "ci_low", "ci_high", "true_ate")
 STATISTICS = ("bias", "rmse", "power", "coverage")
 # the stages of CellKernel.respond, timed per cell and replication
-# (CellKernel.stage_s, then CellResult.stage_s); the control draw before
-# them is timed on its own
-STAGES = ("types_effects", "randomize", "code_truth", "hc2")
+# (CellKernel.stage_s, then CellResult.stage_s); the control draw and the
+# target's shared work before them are timed on their own
+STAGES = ("types_effects", "code_truth", "hc2")
 
 # p-vectors (no effect, cessation, reduction, increase) for the standard
 # program-response scenarios; 70% of violent units are always unaffected.
@@ -135,47 +134,52 @@ _DRAWN_TYPES = np.array(
     [ResponseType.NO_EFFECT, ResponseType.CESSATION, ResponseType.REDUCTION, ResponseType.INCREASE],
     dtype=np.int8,
 )
+# numpy compares arrays with plain ints faster than with IntEnum members
+_CESSATION, _REDUCTION = int(ResponseType.CESSATION), int(ResponseType.REDUCTION)
+
+
+class TargetDraw(NamedTuple):
+    """One replication's work that the scenarios of one target share."""
+
+    y0: np.ndarray  # the replication's control counts, shared by every target
+    score0: np.ndarray  # their category-score row sums
+    sum0: np.ndarray  # score0 under the sum coding
+    nonzero0: int  # rows coding binary 1 under control
+    targeted: np.ndarray  # y0 on the target's columns
+    violent: np.ndarray  # rows with targeted violence, ascending
+    u: np.ndarray  # one uniform per violent row
+    arm1: np.ndarray  # treated rows
+    control: dict[str, tuple[np.float64, float]]  # coding -> control-arm _mean_var
 
 
 class CellKernel:
     """The replication kernel of one cell: its invariants and stage clocks.
 
-    Construction does the per-cell work once: it builds the model's
-    CopulaSampler (which validates the model, factors the latent
-    correlation and fetches the CDF tables) and resolves the target
-    columns.  A replication is ``draw`` (the control counts) followed by
-    ``respond`` (everything after them); ``stage_s`` accumulates the
+    Construction does the per-cell work once; ``copula`` is a CopulaSampler
+    of the model that other cells already built.  A replication is ``draw``
+    (the control counts), ``share`` (its target's uniforms and arms) and
+    ``respond`` (the scenario's own work); ``stage_s`` accumulates the
     seconds each of ``STAGES`` took in ``respond``.
     """
 
-    def __init__(self, config: SimulationConfig):
+    def __init__(self, config: SimulationConfig, copula: CopulaSampler | None = None):
         model = config.model
         self.config = config
         self.n_acts = len(model.acts)
         if isinstance(model, MultiActModel):
-            self.copula = CopulaSampler(model)
+            self.copula = copula or CopulaSampler(model)
         else:
             self.copula = None
             self.sample_control = getattr(model, "sample_control", None)
             if self.sample_control is None:
-                raise TypeError(
-                    "model must be a MultiActModel or expose sample_control(n, rng)"
-                )
+                raise TypeError("model must be a MultiActModel or expose sample_control(n, rng)")
         self.cols = target_columns(model.acts, config.scenario.target)
-        self.ones = np.ones(self.n_acts)
+        self.scale = coding.MAX_CATEGORY * self.n_acts
+        # Generator.choice's own rule: cumsum(p) over its last entry
+        self.cdf = np.cumsum(config.scenario.probs)
+        self.cdf /= self.cdf[-1]
+        self.z_crit = z_critical(config.alpha)
         self.stage_s = [0.0] * len(STAGES)
-
-    def for_scenario(self, scenario: EffectScenario) -> CellKernel:
-        """The kernel of ``scenario`` on this kernel's model, size and seed.
-
-        It shares this kernel's copula sampler or ``sample_control``, so
-        its draws are this kernel's, and has stage clocks of its own.
-        """
-        kernel = copy.copy(self)
-        kernel.config = replace(self.config, scenario=scenario)
-        kernel.cols = target_columns(self.config.model.acts, scenario.target)
-        kernel.stage_s = [0.0] * len(STAGES)
-        return kernel
 
     def draw(self, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
         """A replication's control counts ``y0`` and their category-score
@@ -191,85 +195,83 @@ class CellKernel:
                     f"sample_control must return non-negative counts of shape "
                     f"{(n, self.n_acts)}, got shape {y0.shape}"
                 )
-        return y0, _CATEGORY_SCORE.take(np.minimum(y0, _CATEGORY_CAP)) @ self.ones
+        return y0, _CATEGORY_SCORE.take(np.minimum(y0, _CATEGORY_CAP)).sum(axis=1)
 
-    def respond(
-        self,
-        y0: np.ndarray,
-        score0: np.ndarray,
-        rng: np.random.Generator,
-        return_schedule: bool = False,
-    ) -> dict:
-        """The rest of a replication, from ``draw``'s output and the
-        generator as the draw left it: response types, effects,
-        randomization, coding, true effects and the HC2 estimates.
-        ``y0`` and ``score0`` are read, never written, so cells can share
-        them."""
+    def share(self, y0: np.ndarray, score0: np.ndarray, rng: np.random.Generator) -> TargetDraw:
+        """The work of this kernel's target, from ``draw``'s output and the
+        generator as the draw left it: one uniform per violent row, the
+        randomization, and the control arm's codings and moments.  Every
+        cell whose target has these columns can ``respond`` to it."""
+        n = self.config.n_units
+        targeted = y0[:, self.cols]
+        violent = np.flatnonzero((targeted > 0).any(axis=1))
+        # rng.choice draws these uniforms whatever p is; none when there are none
+        u = rng.random(len(violent))
+        treated = np.zeros(n, dtype=bool)
+        treated[rng.permutation(n)[: n // 2]] = True
+        arm1, arm0 = np.flatnonzero(treated), np.flatnonzero(~treated)
+        sum0 = score0 / self.scale
+        control = {"binary": _mean_var((score0[arm0] > 0).astype(float)),
+                   "sum": _mean_var(sum0[arm0])}
+        return TargetDraw(y0, score0, sum0, np.count_nonzero(score0), targeted, violent, u,
+                          arm1, control)
+
+    def respond(self, shared: TargetDraw, return_schedule: bool = False) -> dict:
+        """The rest of a replication, from ``share``'s output: response
+        types, effects, treated coding, true effects and the HC2 estimates.
+        ``shared`` is read, never written, so cells can share it."""
         config, scenario = self.config, self.config.scenario
         n = config.n_units
         clock = time.perf_counter
         t0 = clock()
 
-        # response types (never violent, or one drawn per violent unit) and
-        # the changed targeted counts of the affected units
-        targeted = y0[:, self.cols]
-        violent = (targeted > 0).any(axis=1)
-        s = np.zeros(n, dtype=np.int8)
-        n_violent = int(np.count_nonzero(violent))
-        if n_violent:
-            s[violent] = rng.choice(_DRAWN_TYPES, size=n_violent, p=scenario.probs)
-        affected = np.flatnonzero(s > ResponseType.NO_EFFECT)
-        before = targeted[affected]
-        kind = s[affected, None]
+        # response types (index into _DRAWN_TYPES per violent row) and the
+        # changed targeted counts of the affected units
+        drawn = self.cdf.searchsorted(shared.u, side="right")
+        hit = drawn > 0
+        affected = shared.violent[hit]
+        before = shared.targeted[affected]
+        kind = _DRAWN_TYPES.take(drawn[hit])[:, None]
         x = int(scenario.magnitude)
-        shifted = np.where(
-            kind == ResponseType.REDUCTION, np.maximum(before - x, scenario.floor), before + x
-        )
-        after = np.where((before > 0) & (kind != ResponseType.CESSATION), shifted, 0)
+        shifted = np.where(kind == _REDUCTION, np.maximum(before - x, scenario.floor), before + x)
+        after = np.where((before > 0) & (kind != _CESSATION), shifted, 0)
         t1 = clock()
 
-        treated = np.zeros(n, dtype=bool)
-        treated[rng.permutation(n)[: n // 2]] = True
-        arm1, arm0 = np.flatnonzero(treated), np.flatnonzero(~treated)
-        t2 = clock()
-
         # category-score row sums under treatment, from those under control
-        score1 = score0.copy()
+        score1 = shared.score0.copy()
         score1[affected] += (
             _CATEGORY_SCORE.take(np.minimum(after, _CATEGORY_CAP))
             - _CATEGORY_SCORE.take(np.minimum(before, _CATEGORY_CAP))
         ).sum(axis=1)
-        scale = coding.MAX_CATEGORY * self.n_acts
-        sum0, sum1 = score0 / scale, score1 / scale
-        observed = {
-            "binary": ((score1[arm1] > 0).astype(float), (score0[arm0] > 0).astype(float)),
-            "sum": (sum1[arm1], sum0[arm0]),
-        }
+        sum1 = score1 / self.scale
+        arm1 = shared.arm1
+        treated = {"binary": (score1[arm1] > 0).astype(float), "sum": sum1[arm1]}
         truth = {
-            "binary": (np.count_nonzero(score1) - np.count_nonzero(score0)) / n,
-            "sum": float(np.mean(sum1 - sum0)),
+            "binary": (np.count_nonzero(score1) - shared.nonzero0) / n,
+            "sum": float((sum1 - shared.sum0).sum() / n),  # np.mean's own arithmetic
         }
-        t3 = clock()
+        t2 = clock()
 
+        n1 = len(arm1)
         record: dict = {}
         for key in CODINGS:
-            est, se, lo, hi, p = hc2_from_arms(*observed[key], config.alpha, config.df)
-            record[key] = {
-                "estimate": est, "se": se, "p_value": p, "ci_low": lo, "ci_high": hi,
-                "true_ate": truth[key],
-            }
+            est, se, lo, hi, p = hc2_from_moments(*_mean_var(treated[key]), n1,
+                                                  *shared.control[key], n - n1,
+                                                  config.alpha, config.df, self.z_crit)
+            record[key] = {"estimate": est, "se": se, "p_value": p, "ci_low": lo,
+                           "ci_high": hi, "true_ate": truth[key]}
         record["latent_sum_true"] = int(after.sum() - before.sum()) / n
         if return_schedule:
-            y1 = y0.copy()
+            y1 = shared.y0.copy()
             y1[affected[:, None], self.cols] = after
-            record["schedule"] = PotentialOutcomeTable(y0, y1, s, treated.astype(np.int8))
-        t4 = clock()
+            s, z = np.zeros(n, dtype=np.int8), np.zeros(n, dtype=np.int8)
+            s[shared.violent] = _DRAWN_TYPES.take(drawn)
+            z[arm1] = 1
+            record["schedule"] = PotentialOutcomeTable(shared.y0, y1, s, z)
+        t3 = clock()
 
-        st = self.stage_s
-        st[0] += t1 - t0
-        st[1] += t2 - t1
-        st[2] += t3 - t2
-        st[3] += t4 - t3
+        for k, dt in enumerate((t1 - t0, t2 - t1, t3 - t2)):
+            self.stage_s[k] += dt
         return record
 
     def replicate(self, rep_index: int, return_schedule: bool = False) -> dict:
@@ -281,8 +283,7 @@ class CellKernel:
         "schedule" when requested.
         """
         rng = _replication_rng(self.config.seed, rep_index)
-        y0, score0 = self.draw(rng)
-        return self.respond(y0, score0, rng, return_schedule)
+        return self.respond(self.share(*self.draw(rng), rng), return_schedule)
 
 
 @dataclass
@@ -366,9 +367,11 @@ class CellResult:
     reps: Replications
     wall_s: float  # seconds of the cell's own work: respond, and summarize
     summary_s: float  # seconds in summarize (statistics and their MC SEs)
-    # seconds of the control draws, which every cell of one grid shares, so
-    # each carries the same value; not part of wall_s
+    # seconds of the control draws and of the targets' shared work (uniforms,
+    # arms, control-arm moments), which the cells of one grid share, so each
+    # carries the grid's totals; not part of wall_s
     draw_s: float
+    target_s: float
     stage_s: dict[str, float]  # stage of STAGES -> seconds over the replications
 
 
@@ -384,28 +387,29 @@ def scenario_grid(
 ) -> list[CellResult]:
     """Evaluate every scenario x target cell.
 
-    All cells share the base seed, so schedules use common random numbers:
-    within a cell both codings see identical draws, and across cells the
-    control schedules are coupled for stable comparisons.  They are in
-    fact identical: each replication's control counts are drawn once and
-    shared by every cell, which requires a model's ``sample_control(n,
-    rng)`` to depend on ``n`` and ``rng`` alone.  Every cell's results are
-    those of ``run_cell`` on that cell alone.
+    All cells share the base seed, so schedules use common random numbers;
+    what the cells would draw alike is drawn once (see the module
+    docstring).  Every cell's results are those of ``run_cell`` on that
+    cell alone.
     """
     if not scenarios or not targets:
         raise ValueError("scenarios and targets must be non-empty")
     cells = [replace(scenario, target=target) for scenario in scenarios for target in targets]
     first = CellKernel(replace(base_config, scenario=cells[0]))
-    kernels = [first.for_scenario(scenario) for scenario in cells]
+    kernels = [first] + [CellKernel(replace(base_config, scenario=scenario), first.copula)
+                         for scenario in cells[1:]]
+    # cells whose targets resolve to the same columns share the target work
+    groups: dict[tuple, list[int]] = {}
+    for j, kernel in enumerate(kernels):
+        groups.setdefault(tuple(kernel.cols), []).append(j)
     m = base_config.n_reps
     stores = [Replications({c: {f: np.empty(m) for f in REPLICATION_FIELDS} for c in CODINGS},
                            np.empty(m)) for _ in kernels]
     cell_s = [0.0] * len(kernels)
-    draw_s = 0.0
+    draw_s = target_s = 0.0
     clock = time.perf_counter
-    # replication-major: replication i's control draw is the same in every
-    # cell, so it is drawn once; each cell restores the generator state that
-    # followed it, so its replications are CellKernel.replicate's, run alone
+    # each target restores the generator state that followed the control
+    # draw, so every cell's replications are CellKernel.replicate's
     try:
         for i in range(m):
             t0 = clock()
@@ -414,16 +418,21 @@ def scenario_grid(
             state = rng.bit_generator.state
             t1 = clock()
             draw_s += t1 - t0
-            for j, (kernel, reps) in enumerate(zip(kernels, stores)):
+            for members in groups.values():
                 rng.bit_generator.state = state
-                rec = kernel.respond(y0, score0, rng)
-                for c in CODINGS:
-                    for f in REPLICATION_FIELDS:
-                        reps.data[c][f][i] = rec[c][f]
-                reps.latent_sum_true[i] = rec["latent_sum_true"]
+                shared = kernels[members[0]].share(y0, score0, rng)
                 t2 = clock()
-                cell_s[j] += t2 - t1
+                target_s += t2 - t1
                 t1 = t2
+                for j in members:
+                    rec = kernels[j].respond(shared)
+                    for c in CODINGS:
+                        for f in REPLICATION_FIELDS:
+                            stores[j].data[c][f][i] = rec[c][f]
+                    stores[j].latent_sum_true[i] = rec["latent_sum_true"]
+                    t2 = clock()
+                    cell_s[j] += t2 - t1
+                    t1 = t2
     except Exception as exc:  # noqa: BLE001 - re-raise with replication context
         raise ReplicationError(i, exc) from exc
     results = []
@@ -433,6 +442,6 @@ def scenario_grid(
         summary_s = time.perf_counter() - summary_start
         results.append(CellResult(
             kernel.config, stats, reps, wall_s=rep_s + summary_s, summary_s=summary_s,
-            draw_s=draw_s, stage_s=dict(zip(STAGES, kernel.stage_s)),
+            draw_s=draw_s, target_s=target_s, stage_s=dict(zip(STAGES, kernel.stage_s)),
         ))
     return results

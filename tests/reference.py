@@ -33,6 +33,9 @@ def assign_response_types(
 
     A unit is "violent" (eligible for a type draw) if any targeted act is
     positive under control; untargeted violence never triggers effects.
+    ``rng.choice`` is the specification: the kernel draws the uniforms
+    itself and maps them through the scenario's CDF, which
+    ``test_harness.TestSamplingRule`` pins to this call.
     """
     cols = target_columns(acts, scenario.target)
     violent = (np.asarray(y0)[:, cols] > 0).any(axis=1)

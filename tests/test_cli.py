@@ -377,6 +377,29 @@ class TestReport:
         err = capsys.readouterr().err
         assert f"cannot write {out}: " in err and ".tmp" not in err
 
+    def test_repeated_cell_rows_exit_2(self, results_dir, tmp_path, capsys):
+        # two unnamed custom scenarios on one target once wrote this file:
+        # two cells named "custom", "all", of which the report kept one
+        rows = read_rows(results_dir / "results.csv")[:4]
+        for row in rows:
+            row["scenario"] = "custom"
+        path = tmp_path / "twice.csv"
+        with open(path, "w", newline="") as fh:
+            writer = csv.DictWriter(fh, fieldnames=list(rows[0]), lineterminator="\n")
+            writer.writeheader()
+            writer.writerows(rows)
+        assert main(["report", "--results", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"{path}: more than one row for (scenario, target, n_units, seed, coding) " \
+               "('custom', 'all', '200', '7', 'binary')" in err
+
+    def test_power_differences_names_file_and_key(self, results_dir):
+        rows = cli._read_results(str(results_dir / "results.csv"))
+        assert len(cli.power_differences(rows)) == 3
+        with pytest.raises(ValueError, match=r"results\.csv: more than one row for .*"
+                                             r"\('reduction_only', 'all', '200', '7', 'sum'\)"):
+            cli.power_differences(rows + rows[-1:])
+
     def test_multiple_files_stay_distinct(self, results_dir, workdir, tmp_path):
         cfg = write_config(workdir / "run2.json", seed=12)
         main(["simulate", "--config", str(cfg), "--out-dir", str(workdir / "out2")])
@@ -466,14 +489,16 @@ class TestRunMeta:
         assert all(v >= 0.0 for v in meta["stage_ms_per_rep"].values())
         assert meta["summary_ms_per_cell"] >= 0.0
         assert meta["draw_ms_per_rep"] > 0.0
-        # each cell's stages and summary lie inside its wall time; the draw,
-        # shared by the cells, lies outside every cell's
+        assert meta["target_ms_per_rep"] > 0.0
+        # each cell's stages and summary lie inside its wall time; the draw
+        # and the target work, shared by the cells, lie outside every cell's
         total_reps = 30 * meta["cells"]
         stage_ms = sum(meta["stage_ms_per_rep"].values()) * total_reps
         summary_ms = meta["summary_ms_per_cell"] * meta["cells"]
         cells_ms = 1e3 * sum(meta["cell_wall_s"])
         assert stage_ms + summary_ms <= cells_ms
-        assert meta["draw_ms_per_rep"] * 30 + cells_ms <= 1e3 * meta["wall_clock_seconds"]
+        shared_ms = (meta["draw_ms_per_rep"] + meta["target_ms_per_rep"]) * 30
+        assert shared_ms + cells_ms <= 1e3 * meta["wall_clock_seconds"]
         assert set(meta["degenerate_estimates"]) == set(CODINGS)
         assert all(isinstance(v, int) and v >= 0 for v in meta["degenerate_estimates"].values())
         assert meta["versions"] == {
@@ -588,6 +613,36 @@ class TestConfigTypes:
         assert main(["simulate", "--config", str(cfg), "--out-dir", str(workdir / "x")]) == 2
         assert expected in capsys.readouterr().err
         assert not (workdir / "x").exists()
+
+    @pytest.mark.parametrize("overrides, cells", [
+        ({"scenarios": [{"probs": [0.7, 0.3, 0, 0]}, {"probs": [1, 0, 0, 0]}]},
+         "[('custom', 'all')]"),
+        ({"scenarios": ["null", {"probs": [1, 0, 0, 0], "name": "null"}, "cessation_only"],
+          "targets": ["all", [1, 2], [1, 2]]},
+         "[('cessation_only', '1,2'), ('null', '1,2'), ('null', 'all')]"),
+    ])
+    def test_repeated_cell_names_exit_2(self, workdir, capsys, monkeypatch, overrides, cells):
+        def no_grid(*args, **kwargs):
+            raise AssertionError("the grid ran")
+
+        monkeypatch.setattr(cli, "scenario_grid", no_grid)
+        cfg = write_config(workdir / "run.json", **overrides)
+        assert main(["simulate", "--config", str(cfg), "--out-dir", str(workdir / "x")]) == 2
+        assert f"config names more than one cell (scenario, target) {cells}" \
+            in capsys.readouterr().err
+
+    def test_named_custom_scenarios_and_aliased_targets_run(self, workdir):
+        # distinct names, and targets whose columns coincide but whose names do not
+        scenarios = [{"probs": [0.7, 0.3, 0, 0], "name": "a"}, {"probs": [1, 0, 0, 0], "name": "b"}]
+        cfg = write_config(workdir / "run.json", scenarios=scenarios, targets=["all", [1, 2, 3]],
+                           n_reps=5)
+        out = workdir / "x"
+        assert main(["simulate", "--config", str(cfg), "--out-dir", str(out)]) == 0
+        rows = read_rows(out / "results.csv")
+        assert {(r["scenario"], r["target"]) for r in rows} == {
+            ("a", "all"), ("a", "1,2,3"), ("b", "all"), ("b", "1,2,3")}
+        report = cli.power_differences(cli._read_results(str(out / "results.csv")))
+        assert len(report) == 4
 
     @pytest.mark.parametrize("document", ["[1, 2]", "5", '"model"'])
     def test_config_must_be_an_object(self, workdir, capsys, document):

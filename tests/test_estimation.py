@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from ctssim.estimation import _mean_var, hc2_from_arms, hc2_from_moments, z_critical
 
 from reference import EstimateResult, InferenceUndefinedError, estimate_ols_hc2, reject_null
 
@@ -124,6 +125,42 @@ class TestEstimate:
     def test_rejects_nonbinary_assignment(self):
         with pytest.raises(ValueError):
             estimate_ols_hc2(np.arange(4.0), np.array([0, 1, 2, 1]))
+
+
+def arm_pairs():
+    rng = np.random.default_rng(17)
+    for n1, n0 in [(2, 2), (25, 26), (840, 840)]:
+        yield rng.normal(0.3, 1.0, n1), rng.normal(0.0, 2.0, n0)
+        yield (rng.random(n1) < 0.4).astype(float), (rng.random(n0) < 0.3).astype(float)
+    yield np.full(4, 0.5), np.full(3, 0.5)  # se 0, estimate 0: p 1
+    yield np.ones(5), np.zeros(5)  # se 0, estimate 1: p 0
+
+
+class TestMomentsForm:
+    """The kernel estimates from each arm's moments; hc2_from_arms, which
+    the reference pipeline uses, composes the same two steps."""
+
+    def test_mean_var_is_numpys(self):
+        for y1, y0 in arm_pairs():
+            for y in (y1, y0):
+                mean, var = _mean_var(y)
+                assert (mean, var) == (y.mean(), float(y.var(ddof=1)))
+
+    @pytest.mark.parametrize("alpha", [0.05, 0.01, 0.3])
+    @pytest.mark.parametrize("df", ["normal", "welch"])
+    def test_moments_equal_arms(self, df, alpha):
+        zero_se = []
+        for y1, y0 in arm_pairs():
+            want = hc2_from_arms(y1, y0, alpha, df)
+            moments = (*_mean_var(y1), len(y1), *_mean_var(y0), len(y0))
+            for z_crit in (None, z_critical(alpha)):
+                got = hc2_from_moments(*moments, alpha, df, z_crit)
+                assert got == want
+                assert all(type(v) is float for v in got)
+            zero_se.append(want[1] == 0.0)
+        assert zero_se[-2:] == [True, True] and False in zero_se
+        assert hc2_from_arms(np.full(4, 0.5), np.full(3, 0.5), alpha, df) == (0.0, 0.0, 0.0, 0.0, 1.0)
+        assert hc2_from_arms(np.ones(5), np.zeros(5), alpha, df) == (1.0, 0.0, 1.0, 1.0, 0.0)
 
 
 class TestRejectNull:

@@ -15,10 +15,12 @@ from ctssim.harness import (
     CODINGS,
     REPLICATION_FIELDS,
     SCENARIO_PRESETS,
+    _DRAWN_TYPES,
     CellKernel,
     ReplicationError,
     Replications,
     SimulationConfig,
+    _replication_rng,
     latent_summary,
     run_cell,
     scenario_grid,
@@ -28,7 +30,7 @@ from ctssim.harness import (
 from ctssim.ingest import EmpiricalResampler, SurveyTable, read_survey
 from ctssim.joint import ActSpec, MultiActModel, _latent_transform, sample_joint
 from ctssim.marginals import MarginalParams, cdf_table, counts_from_uniforms
-from ctssim.outcomes import TARGET_PRESETS, PotentialOutcomeTable
+from ctssim.outcomes import TARGET_PRESETS, EffectScenario, PotentialOutcomeTable
 
 from reference import (
     apply_effects,
@@ -244,6 +246,38 @@ class TestKernelMatchesReference:
             run_cell(cfg)
 
 
+def random_probs(rng):
+    """A probability vector with zero entries in random places."""
+    p = rng.dirichlet(np.ones(4)) * (rng.random(4) < 0.6)
+    if not p.any():
+        p[rng.integers(4)] = 1.0
+    return tuple(p / p.sum())
+
+
+class TestSamplingRule:
+    """The kernel maps one uniform per violent unit through the scenario's
+    CDF; the reference draws the types with rng.choice.  numpy 2.4.6's
+    choice(p=...) is that rule, on the same uniforms."""
+
+    PROBS = [SCENARIO_PRESETS[name] for name in sorted(SCENARIO_PRESETS)] + [
+        random_probs(np.random.default_rng(seed)) for seed in range(40)
+    ]
+
+    @pytest.mark.parametrize("n", [0, 1, 17, 1680])
+    def test_searchsorted_equals_choice(self, n):
+        assert (1.0, 0.0, 0.0, 0.0) in self.PROBS
+        assert any(0.0 in p[:3] and p[3] > 0 for p in self.PROBS[5:])
+        for seed, probs in enumerate(self.PROBS):
+            cfg = replace(config(n_units=4), scenario=EffectScenario(probs))
+            cdf = CellKernel(cfg).cdf
+            kernel_rng, choice_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            drawn = _DRAWN_TYPES.take(cdf.searchsorted(kernel_rng.random(n), side="right"))
+            chosen = choice_rng.choice(_DRAWN_TYPES, size=n, p=probs)
+            assert np.array_equal(drawn, chosen), probs
+            assert drawn.dtype == chosen.dtype
+            assert kernel_rng.random() == choice_rng.random(), probs
+
+
 def per_cell_reference(config):
     """A cell run alone: CellKernel.replicate over the replications, each on
     a fresh generator, collected as a cell's run collects them."""
@@ -298,6 +332,50 @@ class TestReplicationMajorGrid:
         base = config(n_reps=9)
         scenarios = [scenario_preset("cessation_reduction"), scenario_preset("reduction_only")]
         self.assert_cells_match_reference(base, scenarios, [(3,), (1, 2), "all"])
+
+    @pytest.mark.parametrize("df", ["normal", "welch"])
+    def test_aliased_targets_share_target_work(self, monkeypatch, df):
+        # "all" and the full index list resolve to the same columns, so their
+        # cells share each replication's target work; the reversed list is
+        # a column set of its own
+        calls = []
+        share = CellKernel.share
+
+        def counted_share(kernel, *args):
+            calls.append(tuple(kernel.cols))
+            return share(kernel, *args)
+
+        monkeypatch.setattr(CellKernel, "share", counted_share)
+        base = config(n_reps=8, df=df)
+        scenarios = [scenario_preset("cessation_reduction_increase"), scenario_preset("null")]
+        self.assert_cells_match_reference(base, scenarios, ["all", (1, 2, 3), (2,), (3, 2, 1)])
+        # the grid shares 3 column sets over 8 replications; then the reference
+        # runs each of the 8 cells alone
+        assert calls[:3 * 8] == [(0, 1, 2), (1,), (2, 1, 0)] * 8
+        assert len(calls) == 3 * 8 + 8 * 8
+
+    @pytest.mark.parametrize("df", ["normal", "welch"])
+    def test_custom_magnitude_and_floor_on_one_target(self, df):
+        base = config(n_units=250, n_reps=8, df=df)
+        probs = (0.4, 0.1, 0.3, 0.2)
+        scenarios = [
+            EffectScenario(probs, magnitude=1, floor=0, name="m1f0"),
+            EffectScenario(probs, magnitude=3, floor=1, name="m3f1"),
+            EffectScenario(probs, magnitude=6, floor=0, name="m6f0"),
+            EffectScenario((0.0, 0.0, 0.5, 0.5), magnitude=2, floor=1, name="split"),
+        ]
+        self.assert_cells_match_reference(base, scenarios, [(2, 3)])
+
+    @pytest.mark.parametrize("df", ["normal", "welch"])
+    def test_replications_without_violent_units(self, df):
+        # at n_units 4, some replications have no violence on act 1 alone
+        base = config(n_units=4, n_reps=40, seed=3, df=df)
+        kernel = CellKernel(replace(base, scenario=scenario_preset("null", target=(1,))))
+        violent = [np.count_nonzero(kernel.draw(_replication_rng(3, i))[0][:, 0])
+                   for i in range(base.n_reps)]
+        assert 0 in violent and max(violent) > 0
+        scenarios = [scenario_preset(name) for name in sorted(SCENARIO_PRESETS)]
+        self.assert_cells_match_reference(base, scenarios, [(1,), "all"])
 
     @pytest.mark.parametrize("grid", [False, True], ids=["cell", "grid"])
     def test_sampler_error_carries_replication_index(self, grid):
