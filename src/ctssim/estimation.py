@@ -15,15 +15,15 @@ import numpy as np
 from scipy.special import ndtr, ndtri, stdtr, stdtrit
 
 
-def _mean_var(y: np.ndarray) -> tuple[np.float64, float]:
-    """``y.mean()`` and ``float(y.var(ddof=1))``, computed as numpy computes
-    them (one pairwise sum for the mean, one for the squared deviations),
-    but sharing the mean."""
-    n = len(y)
-    mean = y.sum() / n
-    dev = y - mean
+def _mean_var(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``y.mean(-1)`` and ``y.var(-1, ddof=1)``, row by row along the last
+    axis, computed as numpy computes them for one row (one pairwise sum
+    for the mean, one for the squared deviations), but sharing the mean."""
+    n = y.shape[-1]
+    mean = y.sum(axis=-1) / n
+    dev = y - mean[..., None]
     dev *= dev
-    return mean, float(dev.sum() / (n - 1))
+    return mean, dev.sum(axis=-1) / (n - 1)
 
 
 def z_critical(alpha: float) -> float:
@@ -69,4 +69,5 @@ def hc2_from_arms(
 ) -> tuple[float, float, float, float, float]:
     """``hc2_from_moments`` of the treated and control float outcome
     vectors, each of length >= 2."""
-    return hc2_from_moments(*_mean_var(y1), len(y1), *_mean_var(y0), len(y0), alpha, df)
+    (m1, v1), (m0, v0) = _mean_var(y1), _mean_var(y0)
+    return hc2_from_moments(m1, float(v1), len(y1), m0, float(v0), len(y0), alpha, df)

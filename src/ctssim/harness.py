@@ -9,22 +9,29 @@ standard errors have closed forms (``summarize``); the SE of the power
 difference between the codings is paired, because both codings are scored
 on the same replications.
 
-A replication runs as one kernel (``CellKernel``): the work that does not
+Replications run as one kernel (``CellKernel``): the work that does not
 change between replications (model validation, the copula factor and CDF
 tables of ``joint.CopulaSampler``, the target columns, the response-type
 CDF) is done once per cell, and each replication codes every row once and
 estimates through ``estimation.hc2_from_moments``.  The tests pin it, bit
 for bit, to a reference pipeline that runs each stage as a plain function.
 
-Replications run one after another in one thread.  Each uses a
-counter-based substream seeded by (seed, replication index), so a
-replication's result does not depend on which others run or in what order.
-A grid draws once what its cells would draw alike: first the control
-counts (so a model's ``sample_control(n, rng)`` must depend on ``n`` and
-``rng`` alone), then, once per set of target columns, the uniforms that
-``rng.choice`` maps to response types and the permutation behind the arms
-(``CellKernel.share``); each scenario maps the uniforms through its own
-CDF (``CellKernel.respond``).
+Replications run in blocks of at most ``_BLOCK_ROWS`` rows of control
+counts (at least one replication), one block after another in one thread.
+Each replication uses a counter-based substream seeded by (seed,
+replication index) and makes its own random calls, in the order it makes
+them alone: its standard normals (or ``sample_control``), then per target
+its response-type uniforms and its permutation.  So a replication's result
+does not depend on which others run, in what order or in which block.
+Everything else runs once per block on the block's stacked arrays: the
+copula lookup, the codings, the arms' moments; only the HC2 estimate is a
+scalar call per replication and coding.  A grid draws once what its cells
+would draw alike: first the control counts (so a model's
+``sample_control(n, rng)`` must depend on ``n`` and ``rng`` alone), then,
+once per set of target columns, the uniforms that ``rng.choice`` maps to
+response types and the permutation behind the arms (``CellKernel.share``);
+each scenario maps the uniforms through its own CDF
+(``CellKernel.respond``).
 """
 
 from __future__ import annotations
@@ -44,7 +51,7 @@ from .outcomes import EffectScenario, PotentialOutcomeTable, ResponseType, targe
 CODINGS = ("binary", "sum")
 REPLICATION_FIELDS = ("estimate", "se", "p_value", "ci_low", "ci_high", "true_ate")
 STATISTICS = ("bias", "rmse", "power", "coverage")
-# the stages of CellKernel.respond, timed per cell and replication
+# the stages of CellKernel.respond, timed per cell over its blocks
 # (CellKernel.stage_s, then CellResult.stage_s); the control draw and the
 # target's shared work before them are timed on their own
 STAGES = ("types_effects", "code_truth", "hc2")
@@ -71,7 +78,12 @@ def scenario_preset(
 
 
 class ReplicationError(RuntimeError):
-    """An error inside one replication, tagged with its index."""
+    """An error inside one replication, tagged with its index.
+
+    A replication's own draw (its standard normals, or ``sample_control``)
+    that fails names that replication; an error in the work a block of
+    replications shares names the block's first replication.
+    """
 
     def __init__(self, rep_index: int, cause: Exception):
         super().__init__(f"replication {rep_index} failed: {cause}")
@@ -136,30 +148,50 @@ _DRAWN_TYPES = np.array(
 )
 # numpy compares arrays with plain ints faster than with IntEnum members
 _CESSATION, _REDUCTION = int(ResponseType.CESSATION), int(ResponseType.REDUCTION)
+# a block of replications holds at most this many rows of control counts,
+# and at least one replication: larger blocks save few numpy calls more
+# and cost memory
+_BLOCK_ROWS = 8192
+
+
+def _category_scores(rows: np.ndarray, counts: np.ndarray, n_rows: int) -> np.ndarray:
+    """The category-score row sums of ``n_rows`` rows of counts, from the
+    row and the count of every entry that may be positive."""
+    scores = np.bincount(rows, weights=_CATEGORY_SCORE.take(np.minimum(counts, _CATEGORY_CAP)),
+                         minlength=n_rows)
+    # bincount returns integer zeros when there are no entries at all
+    return scores.astype(float, copy=False)
 
 
 class TargetDraw(NamedTuple):
-    """One replication's work that the scenarios of one target share."""
+    """A block of replications' work that the scenarios of one target share.
 
-    y0: np.ndarray  # the replication's control counts, shared by every target
-    score0: np.ndarray  # their category-score row sums
+    The block's B replications of n units are its B * n rows: row r is unit
+    r % n of the block's replication r // n.
+    """
+
+    y0: np.ndarray  # (B, n, K) control counts, shared by every target
+    score0: np.ndarray  # (B * n,) their category-score row sums
     sum0: np.ndarray  # score0 under the sum coding
-    nonzero0: int  # rows coding binary 1 under control
-    targeted: np.ndarray  # y0 on the target's columns
+    nonzero0: np.ndarray  # (B,) rows coding binary 1 under control
+    targeted: np.ndarray  # (B * n, k) y0 on the target's columns
     violent: np.ndarray  # rows with targeted violence, ascending
-    u: np.ndarray  # one uniform per violent row
-    arm1: np.ndarray  # treated rows
-    control: dict[str, tuple[np.float64, float]]  # coding -> control-arm _mean_var
+    u: np.ndarray  # one uniform per violent row, each replication's in a run
+    arm1: np.ndarray  # (B, n // 2) treated rows, one replication per row
+    control: dict[str, tuple[np.ndarray, np.ndarray]]  # coding -> control-arm _mean_var
 
 
 class CellKernel:
     """The replication kernel of one cell: its invariants and stage clocks.
 
     Construction does the per-cell work once; ``copula`` is a CopulaSampler
-    of the model that other cells already built.  A replication is ``draw``
-    (the control counts), ``share`` (its target's uniforms and arms) and
-    ``respond`` (the scenario's own work); ``stage_s`` accumulates the
-    seconds each of ``STAGES`` took in ``respond``.
+    of the model that other cells already built.  The kernel runs a block of
+    replications at a time: ``draw`` (the control counts), ``share`` (the
+    target's uniforms and arms) and ``respond`` (the scenario's own work).
+    Every random call is made on the replication's own generator, in the
+    order a replication alone makes them; the rest runs once per block.
+    ``stage_s`` accumulates the seconds each of ``STAGES`` took in
+    ``respond``.
     """
 
     def __init__(self, config: SimulationConfig, copula: CopulaSampler | None = None):
@@ -181,47 +213,73 @@ class CellKernel:
         self.z_crit = z_critical(config.alpha)
         self.stage_s = [0.0] * len(STAGES)
 
-    def draw(self, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-        """A replication's control counts ``y0`` and their category-score
-        row sums ``score0``; a row codes binary 1 when its score sum is
-        positive, and sum/3K under the sum coding."""
-        n = self.config.n_units
+    def draw(self, reps: range) -> tuple[list[np.random.Generator], np.ndarray, np.ndarray]:
+        """The control counts of the block of replications ``reps``: each
+        one's generator as its draw left it, the (B, n, K) counts ``y0``,
+        and their category-score row sums ``score0`` over the block's
+        B * n rows.  A row codes binary 1 when its score sum is positive,
+        and sum/3K under the sum coding.  A replication whose own draw
+        fails raises ReplicationError with its index."""
+        n, k = self.config.n_units, self.n_acts
+        rngs = []
+        block = np.empty((len(reps), n, k), dtype=np.int64 if self.copula is None else float)
+        for j, i in enumerate(reps):
+            rng = _replication_rng(self.config.seed, i)
+            try:
+                if self.copula is not None:
+                    rng.standard_normal(out=block[j])
+                else:
+                    y0 = np.asarray(self.sample_control(n, rng), dtype=np.int64)
+                    if y0.shape != (n, k) or y0.min() < 0:
+                        raise ValueError(
+                            f"sample_control must return non-negative counts of shape "
+                            f"{(n, k)}, got shape {y0.shape}"
+                        )
+                    block[j] = y0
+            except Exception as exc:  # noqa: BLE001 - re-raise with replication context
+                raise ReplicationError(i, exc) from exc
+            rngs.append(rng)
         if self.copula is not None:
-            y0 = self.copula.sample(n, rng)
+            y0, rows, counts = self.copula.counts(block)
         else:
-            y0 = np.asarray(self.sample_control(n, rng), dtype=np.int64)
-            if y0.shape != (n, self.n_acts) or y0.min() < 0:
-                raise ValueError(
-                    f"sample_control must return non-negative counts of shape "
-                    f"{(n, self.n_acts)}, got shape {y0.shape}"
-                )
-        return y0, _CATEGORY_SCORE.take(np.minimum(y0, _CATEGORY_CAP)).sum(axis=1)
+            y0 = block
+            rows, acts = np.nonzero(y0.reshape(-1, k))
+            counts = y0.reshape(-1, k)[rows, acts]
+        return rngs, y0, _category_scores(rows, counts, y0.size // k)
 
-    def share(self, y0: np.ndarray, score0: np.ndarray, rng: np.random.Generator) -> TargetDraw:
+    def share(self, y0: np.ndarray, score0: np.ndarray,
+              rngs: Sequence[np.random.Generator]) -> TargetDraw:
         """The work of this kernel's target, from ``draw``'s output and the
-        generator as the draw left it: one uniform per violent row, the
+        generators as the draw left them: one uniform per violent row, the
         randomization, and the control arm's codings and moments.  Every
         cell whose target has these columns can ``respond`` to it."""
-        n = self.config.n_units
-        targeted = y0[:, self.cols]
-        violent = np.flatnonzero((targeted > 0).any(axis=1))
-        # rng.choice draws these uniforms whatever p is; none when there are none
-        u = rng.random(len(violent))
-        treated = np.zeros(n, dtype=bool)
-        treated[rng.permutation(n)[: n // 2]] = True
-        arm1, arm0 = np.flatnonzero(treated), np.flatnonzero(~treated)
+        b, n, k = y0.shape
+        targeted = y0.reshape(b * n, k)[:, self.cols]
+        violent = targeted.any(axis=1)  # counts are never negative
+        u = []
+        treated = np.zeros((b, n), dtype=bool)
+        for j, (rng, n_violent) in enumerate(zip(rngs, violent.reshape(b, n).sum(axis=1).tolist())):
+            # rng.choice draws these uniforms whatever p is; none when there are none
+            u.append(rng.random(n_violent))
+            treated[j, rng.permutation(n)[: n // 2]] = True
+        # each replication's arms, in ascending rows
+        arm1 = np.flatnonzero(treated).reshape(b, n // 2)
+        arm0 = np.flatnonzero(~treated).reshape(b, n - n // 2)
         sum0 = score0 / self.scale
         control = {"binary": _mean_var((score0[arm0] > 0).astype(float)),
                    "sum": _mean_var(sum0[arm0])}
-        return TargetDraw(y0, score0, sum0, np.count_nonzero(score0), targeted, violent, u,
-                          arm1, control)
+        return TargetDraw(y0, score0, sum0, np.count_nonzero(score0.reshape(b, n), axis=1),
+                          targeted, np.flatnonzero(violent), np.concatenate(u), arm1, control)
 
     def respond(self, shared: TargetDraw, return_schedule: bool = False) -> dict:
-        """The rest of a replication, from ``share``'s output: response
-        types, effects, treated coding, true effects and the HC2 estimates.
+        """The rest of a block's replications, from ``share``'s output:
+        response types, effects, treated coding, true effects and the HC2
+        estimates.  Returns {coding: {field: (B,) values}}, the (B,) mean
+        latent count changes under "latent_sum_true" and, when requested,
+        a PotentialOutcomeTable per replication under "schedule".
         ``shared`` is read, never written, so cells can share it."""
         config, scenario = self.config, self.config.scenario
-        n = config.n_units
+        b, n, _ = shared.y0.shape
         clock = time.perf_counter
         t0 = clock()
 
@@ -247,27 +305,36 @@ class CellKernel:
         arm1 = shared.arm1
         treated = {"binary": (score1[arm1] > 0).astype(float), "sum": sum1[arm1]}
         truth = {
-            "binary": (np.count_nonzero(score1) - shared.nonzero0) / n,
-            "sum": float((sum1 - shared.sum0).sum() / n),  # np.mean's own arithmetic
+            "binary": (np.count_nonzero(score1.reshape(b, n), axis=1) - shared.nonzero0) / n,
+            # np.mean's own arithmetic, row by row
+            "sum": (sum1 - shared.sum0).reshape(b, n).sum(axis=1) / n,
         }
         t2 = clock()
 
-        n1 = len(arm1)
+        n1 = arm1.shape[1]
         record: dict = {}
         for key in CODINGS:
-            est, se, lo, hi, p = hc2_from_moments(*_mean_var(treated[key]), n1,
-                                                  *shared.control[key], n - n1,
-                                                  config.alpha, config.df, self.z_crit)
+            (m1, v1), (m0, v0) = _mean_var(treated[key]), shared.control[key]
+            # one scalar estimate per replication, on Python floats
+            est, se, lo, hi, p = np.array([
+                hc2_from_moments(mean1, var1, n1, mean0, var0, n - n1,
+                                 config.alpha, config.df, self.z_crit)
+                for mean1, var1, mean0, var0 in zip(m1.tolist(), v1.tolist(),
+                                                    m0.tolist(), v0.tolist())
+            ]).T
             record[key] = {"estimate": est, "se": se, "p_value": p, "ci_low": lo,
                            "ci_high": hi, "true_ate": truth[key]}
-        record["latent_sum_true"] = int(after.sum() - before.sum()) / n
+        # each replication's integer count change, summed exactly as floats
+        record["latent_sum_true"] = np.bincount(
+            affected // n, weights=(after - before).sum(axis=1), minlength=b) / n
         if return_schedule:
             y1 = shared.y0.copy()
-            y1[affected[:, None], self.cols] = after
-            s, z = np.zeros(n, dtype=np.int8), np.zeros(n, dtype=np.int8)
+            y1.reshape(b * n, -1)[affected[:, None], self.cols] = after
+            s, z = np.zeros(b * n, dtype=np.int8), np.zeros(b * n, dtype=np.int8)
             s[shared.violent] = _DRAWN_TYPES.take(drawn)
             z[arm1] = 1
-            record["schedule"] = PotentialOutcomeTable(shared.y0, y1, s, z)
+            record["schedule"] = [PotentialOutcomeTable(*table) for table in
+                                  zip(shared.y0, y1, s.reshape(b, n), z.reshape(b, n))]
         t3 = clock()
 
         for k, dt in enumerate((t1 - t0, t2 - t1, t3 - t2)):
@@ -275,15 +342,21 @@ class CellKernel:
         return record
 
     def replicate(self, rep_index: int, return_schedule: bool = False) -> dict:
-        """One simulated trial; deterministic given (seed, rep_index).
+        """One simulated trial, a block of one; deterministic given (seed,
+        rep_index).
 
         Returns {"binary": {...}, "sum": {...}} with estimate, se, p_value,
         ci_low, ci_high, and true_ate per coding, the mean latent count
         change under "latent_sum_true", and the PotentialOutcomeTable under
         "schedule" when requested.
         """
-        rng = _replication_rng(self.config.seed, rep_index)
-        return self.respond(self.share(*self.draw(rng), rng), return_schedule)
+        rngs, y0, score0 = self.draw(range(rep_index, rep_index + 1))
+        block = self.respond(self.share(y0, score0, rngs), return_schedule)
+        record = {c: {f: float(v[0]) for f, v in block[c].items()} for c in CODINGS}
+        record["latent_sum_true"] = float(block["latent_sum_true"][0])
+        if return_schedule:
+            record["schedule"] = block["schedule"][0]
+        return record
 
 
 @dataclass
@@ -403,24 +476,27 @@ def scenario_grid(
     for j, kernel in enumerate(kernels):
         groups.setdefault(tuple(kernel.cols), []).append(j)
     m = base_config.n_reps
+    size = max(1, _BLOCK_ROWS // base_config.n_units)
     stores = [Replications({c: {f: np.empty(m) for f in REPLICATION_FIELDS} for c in CODINGS},
                            np.empty(m)) for _ in kernels]
     cell_s = [0.0] * len(kernels)
     draw_s = target_s = 0.0
     clock = time.perf_counter
-    # each target restores the generator state that followed the control
-    # draw, so every cell's replications are CellKernel.replicate's
+    # each target restores the generator states that followed the control
+    # draws, so every cell's replications are CellKernel.replicate's
     try:
-        for i in range(m):
+        for start in range(0, m, size):
             t0 = clock()
-            rng = _replication_rng(base_config.seed, i)
-            y0, score0 = first.draw(rng)
-            state = rng.bit_generator.state
+            reps = range(start, min(start + size, m))
+            rngs, y0, score0 = first.draw(reps)
+            states = [rng.bit_generator.state for rng in rngs]
             t1 = clock()
             draw_s += t1 - t0
+            block = slice(reps.start, reps.stop)
             for members in groups.values():
-                rng.bit_generator.state = state
-                shared = kernels[members[0]].share(y0, score0, rng)
+                for rng, state in zip(rngs, states):
+                    rng.bit_generator.state = state
+                shared = kernels[members[0]].share(y0, score0, rngs)
                 t2 = clock()
                 target_s += t2 - t1
                 t1 = t2
@@ -428,13 +504,15 @@ def scenario_grid(
                     rec = kernels[j].respond(shared)
                     for c in CODINGS:
                         for f in REPLICATION_FIELDS:
-                            stores[j].data[c][f][i] = rec[c][f]
-                    stores[j].latent_sum_true[i] = rec["latent_sum_true"]
+                            stores[j].data[c][f][block] = rec[c][f]
+                    stores[j].latent_sum_true[block] = rec["latent_sum_true"]
                     t2 = clock()
                     cell_s[j] += t2 - t1
                     t1 = t2
+    except ReplicationError:
+        raise
     except Exception as exc:  # noqa: BLE001 - re-raise with replication context
-        raise ReplicationError(i, exc) from exc
+        raise ReplicationError(start, exc) from exc
     results = []
     for kernel, reps, rep_s in zip(kernels, stores, cell_s):
         summary_start = time.perf_counter()

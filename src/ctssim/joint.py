@@ -151,14 +151,19 @@ class CopulaSampler:
     """The Gaussian-copula draw of one model, its fixed work done once.
 
     Construction validates the model, factors ``sigma`` and fetches each
-    margin's CDF table.  ``sample`` then draws ``(n, K)`` standard normals,
-    correlates them through the factor, and maps each act's latent values
-    to counts by inverse-transform lookup: the count is the smallest y with
-    cdf(y) >= ndtr(z), capped at the table's last entry.
+    margin's CDF table.  ``counts`` maps a block of replications' standard
+    normals to counts: each replication's ``(n, K)`` draw is correlated
+    through the factor (one matrix product per replication, so a block
+    gives each replication the values it gets alone), and each act's
+    latent values are mapped to counts by inverse-transform lookup: the
+    count is the smallest y with cdf(y) >= ndtr(z), capped at the table's
+    last entry.  ``sample`` is a block of one replication.
 
     Most latent values of a zero-inflated act fall in its zero entry, so
     ``ndtr`` and the table search run only on the values above that entry's
-    threshold.
+    threshold.  The lookup is act-major: one comparison finds every such
+    value of the block, grouped by act, one ``ndtr`` call maps them all,
+    and each act searches its own table once, on its contiguous share.
     """
 
     def __init__(self, model: MultiActModel):
@@ -169,20 +174,39 @@ class CopulaSampler:
         # every z at or below its threshold has ndtr(z) <= table[0], a zero
         # count: the relative margin of 1e-9 dwarfs ndtr's rounding error,
         # even where table[0] is within an ulp of 1
-        self.z_zero = [float(ndtri(table[0] * (1.0 - 1e-9))) for table in tables]
+        self.z_zero = np.array([ndtri(table[0] * (1.0 - 1e-9)) for table in tables])
         # a last entry of inf makes searchsorted return at most the last
         # index, the cap of counts_from_uniforms
         self.tables = [np.append(table[:-1], np.inf) for table in tables]
 
+    def counts(self, normals: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The counts of a block of B replications' standard normals.
+
+        ``normals`` is (B, n, K).  Returns the (B, n, K) integer counts and
+        the entries above their act's zero threshold, the only ones that
+        can be positive: each one's row in the (B * n, K) view of the
+        counts, and its count.
+        """
+        z = np.matmul(normals, self.latent_t)
+        k = self.n_acts
+        m = z.size // k
+        # act-major: entry a * m + r is row r of act a
+        flat = np.flatnonzero(z.reshape(m, k).T > self.z_zero[:, None])
+        act, row = np.divmod(flat, m)
+        index = row * k + act
+        u = ndtr(z.reshape(-1)[index])
+        values = np.empty(len(flat), dtype=np.int64)
+        start = 0
+        for table, end in zip(self.tables, flat.searchsorted(np.arange(1, k + 1) * m)):
+            values[start:end] = table.searchsorted(u[start:end])
+            start = end
+        out = np.zeros(z.shape, dtype=np.int64)
+        out.reshape(-1)[index] = values
+        return out, row, values
+
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """n joint draws of the K act counts (n x K integer matrix)."""
-        z = rng.standard_normal((n, self.n_acts)) @ self.latent_t
-        out = np.zeros((n, self.n_acts), dtype=np.int64)
-        for j, (table, z_zero) in enumerate(zip(self.tables, self.z_zero)):
-            col = z[:, j]
-            rows = np.flatnonzero(col > z_zero)
-            out[rows, j] = np.searchsorted(table, ndtr(col[rows]))
-        return out
+        return self.counts(rng.standard_normal((1, n, self.n_acts)))[0][0]
 
 
 def sample_joint(model: MultiActModel, n: int, rng: np.random.Generator) -> np.ndarray:

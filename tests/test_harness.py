@@ -15,12 +15,12 @@ from ctssim.harness import (
     CODINGS,
     REPLICATION_FIELDS,
     SCENARIO_PRESETS,
+    _BLOCK_ROWS,
     _DRAWN_TYPES,
     CellKernel,
     ReplicationError,
     Replications,
     SimulationConfig,
-    _replication_rng,
     latent_summary,
     run_cell,
     scenario_grid,
@@ -28,7 +28,7 @@ from ctssim.harness import (
     summarize,
 )
 from ctssim.ingest import EmpiricalResampler, SurveyTable, read_survey
-from ctssim.joint import ActSpec, MultiActModel, _latent_transform, sample_joint
+from ctssim.joint import ActSpec, CopulaSampler, MultiActModel, _latent_transform, sample_joint
 from ctssim.marginals import MarginalParams, cdf_table, counts_from_uniforms
 from ctssim.outcomes import TARGET_PRESETS, EffectScenario, PotentialOutcomeTable
 
@@ -58,6 +58,17 @@ def config(scenario_name="cessation_only", n_units=300, n_reps=200, seed=5, **kw
         seed=seed,
         **kw,
     )
+
+
+# 4 replications a block: n_reps of 1, B - 1, B and B + 1 fill a block in
+# part, in full, and spill into a second one
+BLOCK_UNITS = 2000
+B = _BLOCK_ROWS // BLOCK_UNITS
+BLOCK_CASES = [
+    (BLOCK_UNITS, 1), (BLOCK_UNITS, B - 1), (BLOCK_UNITS, B), (BLOCK_UNITS, B + 1),
+    (_BLOCK_ROWS + 1, 2),  # one replication a block
+    (4, 3),
+]
 
 
 class TestPresets:
@@ -156,16 +167,41 @@ def reference_replication(config, rep_index):
     return PotentialOutcomeTable(y0, y1, s, randomize(n, rng))
 
 
+def reference_record(config, table):
+    """A replication's record, from its schedule through the stage functions."""
+    truth = true_estimands(table)
+    observed = categorize(table.observed())
+    record = {}
+    for key, code in (("binary", code_binary), ("sum", code_sum)):
+        est = estimate_ols_hc2(code(observed), table.z, alpha=config.alpha, df=config.df)
+        record[key] = {"estimate": est.estimate, "se": est.se, "p_value": est.p_value,
+                       "ci_low": est.ci_low, "ci_high": est.ci_high, "true_ate": truth[key]}
+    record["latent_sum_true"] = float(np.mean(table.y1.sum(axis=1) - table.y0.sum(axis=1)))
+    return record
+
+
 class TestKernelMatchesReference:
     """The replication kernel reproduces the plain copula draw and the stage
     functions of the reference pipeline (``reference``) bit for bit."""
 
+    @pytest.mark.parametrize("n", [1, 7, 4001])
     @pytest.mark.parametrize("model_name", ["example", "edge"])
-    def test_sample_joint_equals_reference_draw(self, kernel_models, model_name):
+    def test_sample_joint_equals_reference_draw(self, kernel_models, model_name, n):
         model = kernel_models[model_name]
         for seed in range(5):
-            drawn = sample_joint(model, 4001, np.random.default_rng(seed))
-            assert np.array_equal(drawn, reference_draw(model, 4001, np.random.default_rng(seed)))
+            drawn = sample_joint(model, n, np.random.default_rng(seed))
+            assert np.array_equal(drawn, reference_draw(model, n, np.random.default_rng(seed)))
+        # a block of the five seeds' draws: each replication's counts, and
+        # the entries that may be positive, row by row of the block
+        normals = np.stack([np.random.default_rng(seed).standard_normal((n, model.n_acts))
+                            for seed in range(5)])
+        counts, rows, values = CopulaSampler(model).counts(normals)
+        for seed in range(5):
+            expected = reference_draw(model, n, np.random.default_rng(seed))
+            assert np.array_equal(counts[seed], expected)
+        flat = counts.reshape(-1, model.n_acts)
+        assert np.array_equal(np.sort(rows[values > 0]), np.nonzero(flat)[0])
+        assert values.sum() == flat.sum()
 
     @pytest.mark.parametrize("df", ["normal", "welch"])
     @pytest.mark.parametrize("target", TARGET_PRESETS)
@@ -188,17 +224,25 @@ class TestKernelMatchesReference:
             ref = reference_replication(cfg, i)
             for name in ("y0", "y1", "s", "z"):
                 assert np.array_equal(getattr(table, name), getattr(ref, name)), name
-            truth = true_estimands(table)
-            observed = categorize(table.observed())
-            for key, code in (("binary", code_binary), ("sum", code_sum)):
-                assert rec[key]["true_ate"] == truth[key]
-                est = estimate_ols_hc2(code(observed), table.z, alpha=cfg.alpha, df=df)
-                assert (
-                    rec[key]["estimate"], rec[key]["se"], rec[key]["p_value"],
-                    rec[key]["ci_low"], rec[key]["ci_high"],
-                ) == (est.estimate, est.se, est.p_value, est.ci_low, est.ci_high)
-            latent = float(np.mean(table.y1.sum(axis=1) - table.y0.sum(axis=1)))
-            assert rec["latent_sum_true"] == latent
+            del rec["schedule"]
+            assert rec == reference_record(cfg, ref)
+
+    @pytest.mark.parametrize("df", ["normal", "welch"])
+    @pytest.mark.parametrize("model_name", ["example", "edge", "resample"])
+    @pytest.mark.parametrize("n_units, n_reps", BLOCK_CASES)
+    def test_blocks_equal_stage_functions(self, kernel_models, model_name, n_units, n_reps, df):
+        assert B > 1
+        cfg = SimulationConfig(
+            kernel_models[model_name], scenario_preset("cessation_reduction_increase", floor=0),
+            n_units=n_units, n_reps=n_reps, seed=29, df=df,
+        )
+        reps = run_cell(cfg).reps
+        for i in range(n_reps):
+            ref = reference_record(cfg, reference_replication(cfg, i))
+            for c in CODINGS:
+                for f in REPLICATION_FIELDS:
+                    assert reps.data[c][f][i] == ref[c][f], (i, c, f)
+            assert reps.latent_sum_true[i] == ref["latent_sum_true"], i
 
     def test_simulation_matches_fresh_kernels(self):
         # run_cell shares one kernel across the cell's replications
@@ -336,8 +380,8 @@ class TestReplicationMajorGrid:
     @pytest.mark.parametrize("df", ["normal", "welch"])
     def test_aliased_targets_share_target_work(self, monkeypatch, df):
         # "all" and the full index list resolve to the same columns, so their
-        # cells share each replication's target work; the reversed list is
-        # a column set of its own
+        # cells share each block's target work; the reversed list is a
+        # column set of its own
         calls = []
         share = CellKernel.share
 
@@ -346,13 +390,13 @@ class TestReplicationMajorGrid:
             return share(kernel, *args)
 
         monkeypatch.setattr(CellKernel, "share", counted_share)
-        base = config(n_reps=8, df=df)
+        base = config(n_units=BLOCK_UNITS, n_reps=2 * B, df=df)
         scenarios = [scenario_preset("cessation_reduction_increase"), scenario_preset("null")]
         self.assert_cells_match_reference(base, scenarios, ["all", (1, 2, 3), (2,), (3, 2, 1)])
-        # the grid shares 3 column sets over 8 replications; then the reference
-        # runs each of the 8 cells alone
-        assert calls[:3 * 8] == [(0, 1, 2), (1,), (2, 1, 0)] * 8
-        assert len(calls) == 3 * 8 + 8 * 8
+        # the grid shares 3 column sets over 2 blocks; then the reference runs
+        # each of the 8 cells alone, a block of one per replication
+        assert calls[:3 * 2] == [(0, 1, 2), (1,), (2, 1, 0)] * 2
+        assert len(calls) == 3 * 2 + 8 * base.n_reps
 
     @pytest.mark.parametrize("df", ["normal", "welch"])
     def test_custom_magnitude_and_floor_on_one_target(self, df):
@@ -371,31 +415,56 @@ class TestReplicationMajorGrid:
         # at n_units 4, some replications have no violence on act 1 alone
         base = config(n_units=4, n_reps=40, seed=3, df=df)
         kernel = CellKernel(replace(base, scenario=scenario_preset("null", target=(1,))))
-        violent = [np.count_nonzero(kernel.draw(_replication_rng(3, i))[0][:, 0])
-                   for i in range(base.n_reps)]
+        violent = np.count_nonzero(kernel.draw(range(base.n_reps))[1][:, :, 0], axis=1)
         assert 0 in violent and max(violent) > 0
         scenarios = [scenario_preset(name) for name in sorted(SCENARIO_PRESETS)]
         self.assert_cells_match_reference(base, scenarios, [(1,), "all"])
 
+    @pytest.mark.parametrize("n_units, failing", [
+        (100, 3),  # inside the one block
+        (BLOCK_UNITS, B + 1),  # the second replication of the second block
+    ])
     @pytest.mark.parametrize("grid", [False, True], ids=["cell", "grid"])
-    def test_sampler_error_carries_replication_index(self, grid):
-        class FailsAtThree:
+    def test_sampler_error_carries_replication_index(self, grid, n_units, failing):
+        class FailsAtOne:
             acts = small_model().acts
 
             def sample_control(self, n, rng):
-                if rng.bit_generator.seed_seq.entropy == [1, 3]:
+                if rng.bit_generator.seed_seq.entropy == [1, failing]:
                     raise RuntimeError("sampler exploded")
                 return np.zeros((n, 3), dtype=np.int64)
 
-        cfg = SimulationConfig(FailsAtThree(), scenario_preset("null"), 100, n_reps=6, seed=1)
+        cfg = SimulationConfig(FailsAtOne(), scenario_preset("null"), n_units, n_reps=2 * B, seed=1)
         with pytest.raises(ReplicationError) as info:
             if grid:
                 scenario_grid(cfg, [scenario_preset("null"), scenario_preset("cessation_only")],
                               ["all", (2,)])
             else:
                 run_cell(cfg)
-        assert info.value.rep_index == 3
+        assert info.value.rep_index == failing
         assert "sampler exploded" in str(info.value)
+
+    def test_block_work_error_names_the_blocks_first_replication(self, monkeypatch):
+        share = CellKernel.share
+
+        def fails_in_second_block(kernel, y0, score0, rngs):
+            if rngs[0].bit_generator.seed_seq.entropy[1] == B:
+                raise FloatingPointError("block work failed")
+            return share(kernel, y0, score0, rngs)
+
+        monkeypatch.setattr(CellKernel, "share", fails_in_second_block)
+        with pytest.raises(ReplicationError, match="block work failed") as info:
+            run_cell(config(n_units=BLOCK_UNITS, n_reps=2 * B))
+        assert info.value.rep_index == B
+
+    @pytest.mark.parametrize("df", ["normal", "welch"])
+    @pytest.mark.parametrize("model_name", ["example", "resample"])
+    @pytest.mark.parametrize("n_units, n_reps", BLOCK_CASES)
+    def test_block_boundaries(self, kernel_models, model_name, n_units, n_reps, df):
+        base = SimulationConfig(kernel_models[model_name], scenario_preset("null"),
+                                n_units=n_units, n_reps=n_reps, seed=13, df=df)
+        scenarios = [scenario_preset("cessation_reduction"), scenario_preset("reduction_only")]
+        self.assert_cells_match_reference(base, scenarios, ["physical", "all"])
 
 
 class TestRunCell:
