@@ -38,11 +38,6 @@ from .marginals import (
     MarginalParams,
     fit_mle_censored,
     fit_mle_exact,
-    zi_cdf,
-    zi_loglik,
-    zi_pmf,
-    zi_quantile,
-    zi_sample,
 )
 from .outcomes import EffectScenario, PotentialOutcomeTable, ResponseType
 
@@ -79,9 +74,4 @@ __all__ = [
     "scenario_preset",
     "summarize",
     "write_survey",
-    "zi_cdf",
-    "zi_loglik",
-    "zi_pmf",
-    "zi_quantile",
-    "zi_sample",
 ]

@@ -38,6 +38,7 @@ from .harness import (
     scenario_preset,
 )
 from .ingest import (
+    SIGMA_METHODS,
     EmpiricalResampler,
     SurveyFormatError,
     _atomic_write_text,
@@ -47,6 +48,7 @@ from .ingest import (
     save_model,
 )
 from .joint import MultiActModel
+from .marginals import FAMILIES, ZIP
 from .outcomes import TARGET_PRESETS, EffectScenario, target_columns
 
 # shared by results.csv, power_long.csv and latent_diagnostics.csv
@@ -122,6 +124,14 @@ def _build_model(source, base_dir: str):
     for key in ("data", "descriptor"):
         if key not in survey:
             raise ConfigError(f"config model.survey is missing {key!r}")
+    family = survey.get("family", ZIP)
+    sigma_method = survey.get("sigma_method", "adjusted")
+    use = survey.get("use", "fit")
+    for key, value, known in (("family", family, FAMILIES), ("use", use, ("fit", "resample")),
+                              ("sigma_method", sigma_method, SIGMA_METHODS)):
+        if value not in known:
+            raise ConfigError(f"config model.survey.{key} must be one of {list(known)}, "
+                              f"got {json.dumps(value)}")
     try:
         table = read_survey(
             os.path.join(base_dir, _config_str("model.survey.data", survey["data"])),
@@ -129,14 +139,10 @@ def _build_model(source, base_dir: str):
         )
     except OSError as exc:
         raise ConfigError(f"cannot read the survey: {exc}") from None
-    family = survey.get("family", "zip")
-    use = survey.get("use", "fit")
     if use == "fit":
-        model, _ = fit_model(table, family, survey.get("sigma_method", "adjusted"))
+        model, _ = fit_model(table, family, sigma_method)
         return model
-    if use == "resample":
-        return EmpiricalResampler(table, family=family)
-    raise ConfigError(f"config model.survey.use must be 'fit' or 'resample', got {use!r}")
+    return EmpiricalResampler(table, family=family)
 
 
 def _build_scenarios(raw: list, magnitude: int, floor: int) -> list[EffectScenario]:
@@ -608,8 +614,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit = sub.add_parser("fit", help="fit a model to survey data")
     p_fit.add_argument("--data", required=True, help="survey CSV path")
     p_fit.add_argument("--descriptor", required=True, help="survey descriptor JSON path")
-    p_fit.add_argument("--family", choices=["zip", "zinb"], default="zip")
-    p_fit.add_argument("--sigma-method", choices=["adjusted", "raw"], default="adjusted",
+    p_fit.add_argument("--family", choices=FAMILIES, default=ZIP)
+    p_fit.add_argument("--sigma-method", choices=SIGMA_METHODS, default="adjusted",
                        help="latent correlation estimator (default adjusted)")
     p_fit.add_argument("--out", required=True, help="output model JSON path")
     p_fit.set_defaults(func=cmd_fit)

@@ -4,7 +4,7 @@ The average treatment effect is estimated by least squares of the outcome
 on the assignment indicator; the slope equals the difference in arm means.
 For a binary regressor the HC2 sandwich variance reduces exactly to the
 two-sample Neyman form s1^2/n1 + s0^2/n0 with (n-1)-denominator arm
-variances, which is what we compute, from each arm's mean and variance.
+variances, which ``hc2_from_moments`` computes from each arm's moments.
 """
 
 from __future__ import annotations
@@ -63,11 +63,3 @@ def hc2_from_moments(m1: float, v1: float, n1: int, m0: float, v0: float, n0: in
         p = float(2.0 * ndtr(-abs(t_stat)))
     return tau, se, tau - crit * se, tau + crit * se, p
 
-
-def hc2_from_arms(
-    y1: np.ndarray, y0: np.ndarray, alpha: float = 0.05, df: str = "normal"
-) -> tuple[float, float, float, float, float]:
-    """``hc2_from_moments`` of the treated and control float outcome
-    vectors, each of length >= 2."""
-    (m1, v1), (m0, v0) = _mean_var(y1), _mean_var(y0)
-    return hc2_from_moments(m1, float(v1), len(y1), m0, float(v0), len(y0), alpha, df)

@@ -341,23 +341,6 @@ class CellKernel:
             self.stage_s[k] += dt
         return record
 
-    def replicate(self, rep_index: int, return_schedule: bool = False) -> dict:
-        """One simulated trial, a block of one; deterministic given (seed,
-        rep_index).
-
-        Returns {"binary": {...}, "sum": {...}} with estimate, se, p_value,
-        ci_low, ci_high, and true_ate per coding, the mean latent count
-        change under "latent_sum_true", and the PotentialOutcomeTable under
-        "schedule" when requested.
-        """
-        rngs, y0, score0 = self.draw(range(rep_index, rep_index + 1))
-        block = self.respond(self.share(y0, score0, rngs), return_schedule)
-        record = {c: {f: float(v[0]) for f, v in block[c].items()} for c in CODINGS}
-        record["latent_sum_true"] = float(block["latent_sum_true"][0])
-        if return_schedule:
-            record["schedule"] = block["schedule"][0]
-        return record
-
 
 @dataclass
 class Replications:
@@ -483,7 +466,7 @@ def scenario_grid(
     draw_s = target_s = 0.0
     clock = time.perf_counter
     # each target restores the generator states that followed the control
-    # draws, so every cell's replications are CellKernel.replicate's
+    # draws, so every cell's replications are those it makes alone
     try:
         for start in range(0, m, size):
             t0 = clock()

@@ -38,6 +38,7 @@ from .marginals import (
 )
 
 MODEL_SCHEMA_VERSION = 1
+SIGMA_METHODS = ("adjusted", "raw")
 
 MISSING_TOKENS = {"", "na", "nan", "none", "null", "."}
 
@@ -208,6 +209,9 @@ def read_survey(data_path: str, descriptor_path: str) -> SurveyTable:
                     raise SurveyFormatError(
                         f"{data_path}:{line_no}: weight column has non-numeric value {cell!r}"
                     ) from None
+                if not 0.0 <= weights[-1] < np.inf:
+                    raise SurveyFormatError(f"{data_path}:{line_no}: weight {cell!r} is not "
+                                            "a finite, non-negative number")
             rows.append(parsed)
 
     if not rows:
@@ -342,7 +346,7 @@ def latent_correlation_matrix(
     (zero_prob = 1) get zero correlation.  The result is symmetric but not
     necessarily PSD; project with ``nearest_psd`` before use.
     """
-    if method not in ("adjusted", "raw"):
+    if method not in SIGMA_METHODS:
         raise ValueError(f"unknown method {method!r}")
     k = table.n_acts
     margins = tuple(margins)
@@ -392,10 +396,6 @@ class ActFit:
 class FitReport:
     per_act: list[ActFit]
     sigma_psd_distance: float  # Frobenius norm of nearest_psd(sigma) - sigma
-
-    @property
-    def loglik(self) -> float:
-        return float(sum(a.fit.loglik for a in self.per_act))
 
 
 def _category_gof(fit: FitResult, observed: np.ndarray) -> float | None:
@@ -576,12 +576,14 @@ def save_model(model: MultiActModel, path: str):
 
 
 def load_model(path: str) -> MultiActModel:
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    version = payload.get("schema_version")
-    if version != MODEL_SCHEMA_VERSION:
-        raise ValueError(
-            f"model file schema version {version!r} not supported "
-            f"(expected {MODEL_SCHEMA_VERSION})"
-        )
-    return MultiActModel.from_dict(payload)
+    """Read a model file; a malformed one raises ValueError naming ``path``."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            payload = json.load(fh)
+        version = payload.get("schema_version")
+        if version != MODEL_SCHEMA_VERSION:
+            raise ValueError(f"model file schema version {version!r} not supported "
+                             f"(expected {MODEL_SCHEMA_VERSION})")
+        return MultiActModel.from_dict(payload)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: {type(exc).__name__}: {exc}") from None

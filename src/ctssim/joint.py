@@ -157,7 +157,7 @@ class CopulaSampler:
     gives each replication the values it gets alone), and each act's
     latent values are mapped to counts by inverse-transform lookup: the
     count is the smallest y with cdf(y) >= ndtr(z), capped at the table's
-    last entry.  ``sample`` is a block of one replication.
+    last entry.
 
     Most latent values of a zero-inflated act fall in its zero entry, so
     ``ndtr`` and the table search run only on the values above that entry's
@@ -176,7 +176,7 @@ class CopulaSampler:
         # even where table[0] is within an ulp of 1
         self.z_zero = np.array([ndtri(table[0] * (1.0 - 1e-9)) for table in tables])
         # a last entry of inf makes searchsorted return at most the last
-        # index, the cap of counts_from_uniforms
+        # index: a u above the table's last entry maps to its count
         self.tables = [np.append(table[:-1], np.inf) for table in tables]
 
     def counts(self, normals: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -204,13 +204,9 @@ class CopulaSampler:
         out.reshape(-1)[index] = values
         return out, row, values
 
-    def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        """n joint draws of the K act counts (n x K integer matrix)."""
-        return self.counts(rng.standard_normal((1, n, self.n_acts)))[0][0]
-
 
 def sample_joint(model: MultiActModel, n: int, rng: np.random.Generator) -> np.ndarray:
     """n joint draws of the K act counts (n x K integer matrix)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return CopulaSampler(model).sample(n, rng)
+    return CopulaSampler(model).counts(rng.standard_normal((1, n, model.n_acts)))[0][0]

@@ -1,4 +1,4 @@
-"""Single-act zero-inflated count distributions and maximum-likelihood fitting.
+"""Single-act zero-inflated count margins: CDF tables, category masses, fits.
 
 A marginal is a two-part mixture: with probability ``zero_prob`` the count is
 a structural zero (a "nonviolent" relationship), otherwise it is drawn from a
@@ -7,6 +7,9 @@ Poisson or negative-binomial count distribution with mean ``rate``.
 Negative-binomial parameterization: mean ``rate``, dispersion ``dispersion``,
 variance ``rate + rate**2 / dispersion``.  As ``dispersion`` grows the
 negative binomial converges to the Poisson with the same mean.
+
+``fit`` and ``simulate`` use a margin's CDF table (``cdf_table``), its survey
+category masses (``category_probs``) and its fits (``fit_mle_*``).
 """
 
 from __future__ import annotations
@@ -70,19 +73,6 @@ class MarginalParams:
                 raise ValueError(f"zinb requires positive dispersion, got {self.dispersion}")
         elif self.dispersion is not None:
             raise ValueError("dispersion is only meaningful for family 'zinb'")
-
-    @property
-    def mean(self) -> float:
-        return (1.0 - self.zero_prob) * self.rate
-
-    @property
-    def variance(self) -> float:
-        p, lam = self.zero_prob, self.rate
-        if self.family == ZIP:
-            count_var = lam
-        else:
-            count_var = lam + lam * lam / self.dispersion
-        return (1.0 - p) * count_var + p * (1.0 - p) * lam * lam
 
 
 @dataclass(frozen=True)
@@ -177,37 +167,6 @@ def _count(params: MarginalParams, kind: str, y):
     return out if kind == "isf" else np.clip(out, 0.0, 1.0)
 
 
-def zi_pmf(params: MarginalParams, y) -> np.ndarray | float:
-    """Probability mass at count ``y`` (scalar or array)."""
-    ya = np.asarray(y)
-    support = (ya >= 0) & (np.floor(ya) == ya)
-    g = np.where(support, _count(params, "pmf", ya), 0.0)
-    out = params.zero_prob * (ya == 0) + (1.0 - params.zero_prob) * g
-    return float(out) if np.isscalar(y) else out
-
-
-def zi_cdf(params: MarginalParams, y) -> np.ndarray | float:
-    """P(Y <= y) for integer ``y`` (scalar or array)."""
-    ya = np.asarray(y)
-    g = _count(params, "cdf", np.maximum(ya, 0))
-    out = np.where(ya < 0, 0.0, params.zero_prob + (1.0 - params.zero_prob) * g)
-    return float(out) if np.isscalar(y) else out
-
-
-def zi_quantile(params: MarginalParams, u) -> np.ndarray | int:
-    """Generalized inverse CDF, read from ``cdf_table`` as sampling reads it.
-
-    Returns the smallest count y with cdf(y) >= u; a ``u`` above the
-    table's last entry (beyond which less than 1e-12 of the mass lies)
-    maps to that entry's count.  ``u`` must lie in [0, 1).
-    """
-    ua = np.asarray(u, dtype=float)
-    if np.any((ua < 0.0) | (ua >= 1.0)):
-        raise ValueError("u must be in [0, 1)")
-    q = counts_from_uniforms(cdf_table(params), ua)
-    return int(q) if np.isscalar(u) else q
-
-
 def cdf_table(params: MarginalParams, tail_mass: float = 1e-12) -> np.ndarray:
     """CDF values [cdf(0), cdf(1), ...] truncated where the tail is below
     ``tail_mass``.  Entry i is P(Y <= i); the last entry is ~1.
@@ -222,25 +181,6 @@ def cdf_table(params: MarginalParams, tail_mass: float = 1e-12) -> np.ndarray:
     # (scipy's isf(1) is -1)
     y_max = int(_count(params, "isf", q)) + 1 if q < 1.0 else 0
     return theta + (1.0 - theta) * _count(params, "cdf", np.arange(y_max + 1))
-
-
-def counts_from_uniforms(table: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Map uniforms in [0, 1) to counts through a CDF table."""
-    idx = np.searchsorted(table, u, side="left")
-    return np.minimum(idx, len(table) - 1).astype(np.int64)
-
-
-def zi_sample(params: MarginalParams, n: int, rng: np.random.Generator) -> np.ndarray:
-    """n i.i.d. draws; deterministic given the generator state."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    violent = rng.random(n) >= params.zero_prob
-    if params.family == ZIP:
-        counts = rng.poisson(params.rate, size=n)
-    else:
-        k = params.dispersion
-        counts = rng.negative_binomial(k, k / (k + params.rate), size=n)
-    return np.where(violent, counts, 0).astype(np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -281,15 +221,6 @@ def _zinb_loglik(
         ll += math.log1p(-zero_prob) * np.sum(weights[pos])
         ll += np.sum(weights[pos] * _nbinom_logpmf(values[pos], k, p_nb))
     return float(ll)
-
-
-def zi_loglik(params: MarginalParams, values, weights=None) -> float:
-    """Weighted log-likelihood of exact counts under ``params``."""
-    y = _as_counts(values)
-    w = np.ones(y.shape) if weights is None else np.asarray(weights, dtype=float)
-    if params.family == ZIP:
-        return _zip_loglik(y, w, params.rate, params.zero_prob)
-    return _zinb_loglik(y, w, params.rate, params.dispersion, params.zero_prob)
 
 
 def category_probs(params: MarginalParams) -> np.ndarray:

@@ -9,7 +9,7 @@ reduction (each positive targeted count drops by a fixed amount), or
 increase (each positive targeted count rises by that amount).
 
 This module holds the scenario, the target resolution and the schedule
-with its invariants; ``harness.CellKernel`` builds the schedules.
+record; ``harness.CellKernel`` builds the schedules.
 """
 
 from __future__ import annotations
@@ -124,40 +124,6 @@ class PotentialOutcomeTable:
         if not np.isin(self.z, (0, 1)).all():
             raise ValueError("z must be binary")
 
-    @property
-    def n_units(self) -> int:
-        return self.y0.shape[0]
-
     def observed(self) -> np.ndarray:
         """Revealed counts: treated units show y1, controls show y0."""
         return np.where(self.z[:, None] == 1, self.y1, self.y0)
-
-    def check(self, scenario: EffectScenario, acts: Sequence[ActSpec]):
-        """Verify the schedule invariants; raises on violation."""
-        cols = target_columns(acts, scenario.target)
-        t0, t1 = self.y0[:, cols], self.y1[:, cols]
-        never = self.s == ResponseType.NEVER_VIOLENT
-        if np.any(t0[never].sum(axis=1) > 0):
-            raise AssertionError("never-violent unit has targeted violence under control")
-        if not np.array_equal(self.y1[never], self.y0[never]):
-            raise AssertionError("never-violent unit changed under treatment")
-        if np.any((t1 > 0) & (t0 == 0)):
-            raise AssertionError("treatment initiated a previously-zero targeted act")
-        cess = self.s == ResponseType.CESSATION
-        if np.any(t1[cess] != 0):
-            raise AssertionError("cessation unit keeps targeted violence")
-        red = self.s == ResponseType.REDUCTION
-        r0, r1 = t0[red], t1[red]
-        # entries already at the floor cannot drop further
-        if np.any(r1[r0 > scenario.floor] >= r0[r0 > scenario.floor]):
-            raise AssertionError("reduction did not lower a positive targeted count")
-        at_floor = (r0 > 0) & (r0 <= scenario.floor)
-        if np.any(r1[at_floor] != r0[at_floor]):
-            raise AssertionError("reduction changed a count already at the floor")
-        inc = self.s == ResponseType.INCREASE
-        pos = t0[inc] > 0
-        if np.any(t1[inc][pos] <= t0[inc][pos]):
-            raise AssertionError("increase did not raise a positive targeted count")
-        untargeted = np.setdiff1d(np.arange(self.y0.shape[1]), cols)
-        if not np.array_equal(self.y1[:, untargeted], self.y0[:, untargeted]):
-            raise AssertionError("untargeted acts changed under treatment")

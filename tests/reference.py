@@ -4,6 +4,9 @@
 the same steps written plainly, one function each, as the specification
 the kernel is pinned to: ``test_harness`` checks that a replication of the
 kernel equals these functions run on the same random stream, bit for bit.
+``counts_from_uniforms`` is the inverse-transform rule of the copula draw,
+``hc2_from_arms`` the HC2 estimate from the arms' outcome vectors, and
+``check_schedule`` the invariants every potential-outcome schedule keeps.
 They are test code, not part of the ctssim package.
 """
 
@@ -15,9 +18,20 @@ from typing import Sequence
 import numpy as np
 
 from ctssim import coding
-from ctssim.estimation import hc2_from_arms
+from ctssim.estimation import _mean_var, hc2_from_moments
 from ctssim.joint import ActSpec
 from ctssim.outcomes import EffectScenario, PotentialOutcomeTable, ResponseType, target_columns
+
+# ---------------------------------------------------------------------------
+# Control counts
+
+
+def counts_from_uniforms(table: np.ndarray, u) -> np.ndarray:
+    """Map uniforms in [0, 1) to counts through a CDF table: the smallest
+    count y with table[y] >= u, capped at the table's last entry."""
+    idx = np.searchsorted(table, u, side="left")
+    return np.minimum(idx, len(table) - 1).astype(np.int64)
+
 
 # ---------------------------------------------------------------------------
 # Potential-outcome schedules
@@ -107,6 +121,38 @@ def true_estimands(table: PotentialOutcomeTable) -> dict[str, float]:
     }
 
 
+def check_schedule(table: PotentialOutcomeTable, scenario: EffectScenario,
+                   acts: Sequence[ActSpec]) -> None:
+    """Verify a schedule's invariants under ``scenario``; raises on violation."""
+    cols = target_columns(acts, scenario.target)
+    t0, t1 = table.y0[:, cols], table.y1[:, cols]
+    never = table.s == ResponseType.NEVER_VIOLENT
+    if np.any(t0[never].sum(axis=1) > 0):
+        raise AssertionError("never-violent unit has targeted violence under control")
+    if not np.array_equal(table.y1[never], table.y0[never]):
+        raise AssertionError("never-violent unit changed under treatment")
+    if np.any((t1 > 0) & (t0 == 0)):
+        raise AssertionError("treatment initiated a previously-zero targeted act")
+    cess = table.s == ResponseType.CESSATION
+    if np.any(t1[cess] != 0):
+        raise AssertionError("cessation unit keeps targeted violence")
+    red = table.s == ResponseType.REDUCTION
+    r0, r1 = t0[red], t1[red]
+    # entries already at the floor cannot drop further
+    if np.any(r1[r0 > scenario.floor] >= r0[r0 > scenario.floor]):
+        raise AssertionError("reduction did not lower a positive targeted count")
+    at_floor = (r0 > 0) & (r0 <= scenario.floor)
+    if np.any(r1[at_floor] != r0[at_floor]):
+        raise AssertionError("reduction changed a count already at the floor")
+    inc = table.s == ResponseType.INCREASE
+    pos = t0[inc] > 0
+    if np.any(t1[inc][pos] <= t0[inc][pos]):
+        raise AssertionError("increase did not raise a positive targeted count")
+    untargeted = np.setdiff1d(np.arange(table.y0.shape[1]), cols)
+    if not np.array_equal(table.y1[:, untargeted], table.y0[:, untargeted]):
+        raise AssertionError("untargeted acts changed under treatment")
+
+
 def randomize(n: int, rng: np.random.Generator) -> np.ndarray:
     """Complete randomization: exactly floor(n/2) treated, uniformly."""
     if n < 2:
@@ -118,6 +164,15 @@ def randomize(n: int, rng: np.random.Generator) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # Estimation
+
+
+def hc2_from_arms(
+    y1: np.ndarray, y0: np.ndarray, alpha: float = 0.05, df: str = "normal"
+) -> tuple[float, float, float, float, float]:
+    """``hc2_from_moments`` of the treated and control float outcome
+    vectors, each of length >= 2."""
+    (m1, v1), (m0, v0) = _mean_var(y1), _mean_var(y0)
+    return hc2_from_moments(m1, float(v1), len(y1), m0, float(v0), len(y0), alpha, df)
 
 
 class InferenceUndefinedError(ValueError):

@@ -19,16 +19,11 @@ from ctssim.datasets import example_survey_paths
 from ctssim.harness import SimulationConfig, run_cell, scenario_preset
 from ctssim.ingest import SurveyTable, fit_model, read_survey
 from ctssim.joint import ActSpec, MultiActModel, sample_joint
-from ctssim.marginals import (
-    MarginalParams,
-    category_probs,
-    fit_mle_censored,
-    fit_mle_exact,
-    zi_sample,
-)
+from ctssim.marginals import MarginalParams, category_probs, fit_mle_censored, fit_mle_exact
 from ctssim.outcomes import PotentialOutcomeTable, ResponseType
 
-from reference import apply_effects, estimate_ols_hc2
+from helpers import zi_sample
+from reference import apply_effects, check_schedule, estimate_ols_hc2
 
 N_UNITS = 1680
 N_REPS = 1000
@@ -281,4 +276,4 @@ def test_criterion_10_reference_schedule():
     assert np.array_equal(categorize(y0), [[0], [2], [3], [2], [1]])
     table = PotentialOutcomeTable(y0, y1, s, z)
     assert np.array_equal(categorize(table.observed()), [[0], [2], [0], [2], [2]])
-    table.check(scenario, act)
+    check_schedule(table, scenario, act)

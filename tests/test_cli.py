@@ -17,6 +17,8 @@ from ctssim.ingest import load_model, save_model
 from ctssim.joint import ActSpec, MultiActModel
 from ctssim.marginals import MarginalParams
 
+from helpers import report_loglik
+
 
 def small_model():
     acts = tuple(ActSpec(i + 1, f"act {i + 1}", "physical", "severe") for i in range(3))
@@ -39,6 +41,13 @@ BAD_DESCRIPTORS = [
         for c in ("act_01", "act_02", "act_01")
     ]}, "descriptor acts 1 and 3 both read column 'act_01'"),
 ]
+
+
+# malformed model files, by name, that config cases below point model.file at
+BAD_MODEL_FILES = {
+    "not_json.json": "{x}",
+    "string_sigma.json": json.dumps({"schema_version": 1, **small_model().to_dict(), "sigma": "x"}),
+}
 
 
 @pytest.fixture
@@ -130,7 +139,7 @@ class TestFit:
         table = read_survey(data, desc)
         _, zip_report = fit_model(table, "zip")
         _, zinb_report = fit_model(table, "zinb")
-        assert zinb_report.loglik >= zip_report.loglik - 1e-6
+        assert report_loglik(zinb_report) >= report_loglik(zip_report) - 1e-6
 
 
 class TestSimulate:
@@ -601,6 +610,22 @@ class TestConfigTypes:
         ({"targets": ["all", [99]]}, "target act index 99 not in act table"),
         ({"targets": [[1, 2, 1]]}, "target (1, 2, 1) repeats an act index"),
         ({"targets": ["sexual"]}, "selects no acts"),
+        # model files that name themselves in their errors (BAD_MODEL_FILES)
+        ({"model": {"file": "not_json.json"}}, "not_json.json: JSONDecodeError: Expecting property "
+         "name enclosed in double quotes: line 1 column 2 (char 1)"),
+        ({"model": {"file": "string_sigma.json"}},
+         "string_sigma.json: ValueError: could not convert string to float: 'x'"),
+        # settings are checked before the (here absent) survey is read
+        ({"model": {"survey": {"data": "a.csv", "descriptor": "a.json", "use": "resample",
+                               "family": "bogus"}}},
+         "config model.survey.family must be one of ['zip', 'zinb'], got \"bogus\""),
+        ({"model": {"survey": {"data": "a.csv", "descriptor": "a.json", "use": "resample",
+                               "sigma_method": "nope"}}},
+         "config model.survey.sigma_method must be one of ['adjusted', 'raw'], got \"nope\""),
+        ({"model": {"survey": {"data": "a.csv", "descriptor": "a.json", "sigma_method": "nope"}}},
+         "config model.survey.sigma_method must be one of ['adjusted', 'raw'], got \"nope\""),
+        ({"model": {"survey": {"data": "a.csv", "descriptor": "a.json", "use": "bogus"}}},
+         "config model.survey.use must be one of ['fit', 'resample'], got \"bogus\""),
     ])
     def test_malformed_config_exits_2_before_any_replication(
         self, workdir, capsys, monkeypatch, overrides, expected
@@ -609,6 +634,8 @@ class TestConfigTypes:
             raise AssertionError("the grid ran")
 
         monkeypatch.setattr(cli, "scenario_grid", no_grid)
+        for name, text in BAD_MODEL_FILES.items():
+            (workdir / name).write_text(text)
         cfg = write_config(workdir / "run.json", **overrides)
         assert main(["simulate", "--config", str(cfg), "--out-dir", str(workdir / "x")]) == 2
         assert expected in capsys.readouterr().err

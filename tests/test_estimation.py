@@ -4,9 +4,15 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from ctssim.estimation import _mean_var, hc2_from_arms, hc2_from_moments, z_critical
+from ctssim.estimation import _mean_var, hc2_from_moments, z_critical
 
-from reference import EstimateResult, InferenceUndefinedError, estimate_ols_hc2, reject_null
+from reference import (
+    EstimateResult,
+    InferenceUndefinedError,
+    estimate_ols_hc2,
+    hc2_from_arms,
+    reject_null,
+)
 
 
 def hc2_sandwich_oracle(y, z):

@@ -29,12 +29,15 @@ from ctssim.harness import (
 )
 from ctssim.ingest import EmpiricalResampler, SurveyTable, read_survey
 from ctssim.joint import ActSpec, CopulaSampler, MultiActModel, _latent_transform, sample_joint
-from ctssim.marginals import MarginalParams, cdf_table, counts_from_uniforms
+from ctssim.marginals import MarginalParams, cdf_table
 from ctssim.outcomes import TARGET_PRESETS, EffectScenario, PotentialOutcomeTable
 
+from helpers import replicate
 from reference import (
     apply_effects,
     assign_response_types,
+    check_schedule,
+    counts_from_uniforms,
     estimate_ols_hc2,
     randomize,
     true_estimands,
@@ -91,30 +94,30 @@ class TestPresets:
 class TestReplicate:
     def test_deterministic(self):
         cfg = config()
-        a = CellKernel(cfg).replicate(3)
-        b = CellKernel(cfg).replicate(3)
+        a = replicate(CellKernel(cfg), 3)
+        b = replicate(CellKernel(cfg), 3)
         assert a == b
 
     def test_distinct_replications_differ(self):
         kernel = CellKernel(config())
-        assert kernel.replicate(0) != kernel.replicate(1)
+        assert replicate(kernel, 0) != replicate(kernel, 1)
 
     def test_null_scenario_true_ate_zero(self):
-        rec = CellKernel(config("null")).replicate(0)
+        rec = replicate(CellKernel(config("null")), 0)
         assert rec["binary"]["true_ate"] == 0.0
         assert rec["sum"]["true_ate"] == 0.0
 
     def test_reduction_only_binary_ate_zero_every_rep(self):
         kernel = CellKernel(config("reduction_only", n_reps=30))
         for m in range(30):
-            rec = kernel.replicate(m)
+            rec = replicate(kernel, m)
             assert rec["binary"]["true_ate"] == 0.0
 
     def test_schedule_reproduces_binary_estimate(self):
         # the stored statistics really are functions of the stored schedule
         cfg = config()
         reps = run_cell(cfg).reps
-        rec = CellKernel(cfg).replicate(7, return_schedule=True)
+        rec = replicate(CellKernel(cfg), 7, return_schedule=True)
         table = rec["schedule"]
         recomputed = estimate_ols_hc2(
             code_binary(categorize(table.observed())), table.z, alpha=cfg.alpha
@@ -218,9 +221,9 @@ class TestKernelMatchesReference:
         )
         kernel = CellKernel(cfg)
         for i in range(cfg.n_reps):
-            rec = kernel.replicate(i, return_schedule=True)
+            rec = replicate(kernel, i, return_schedule=True)
             table = rec["schedule"]
-            table.check(cfg.scenario, model.acts)
+            check_schedule(table, cfg.scenario, model.acts)
             ref = reference_replication(cfg, i)
             for name in ("y0", "y1", "s", "z"):
                 assert np.array_equal(getattr(table, name), getattr(ref, name)), name
@@ -249,7 +252,7 @@ class TestKernelMatchesReference:
         cfg = config("cessation_reduction_increase", n_reps=6, df="welch")
         reps = run_cell(cfg).reps
         for i in range(cfg.n_reps):
-            rec = CellKernel(cfg).replicate(i)
+            rec = replicate(CellKernel(cfg), i)
             for c in CODINGS:
                 for f in REPLICATION_FIELDS:
                     assert reps.data[c][f][i] == rec[c][f]
@@ -323,10 +326,10 @@ class TestSamplingRule:
 
 
 def per_cell_reference(config):
-    """A cell run alone: CellKernel.replicate over the replications, each on
+    """A cell run alone: its kernel's replications one at a time, each on
     a fresh generator, collected as a cell's run collects them."""
     kernel = CellKernel(config)
-    records = [kernel.replicate(i) for i in range(config.n_reps)]
+    records = [replicate(kernel, i) for i in range(config.n_reps)]
     data = {c: {f: np.array([r[c][f] for r in records]) for f in REPLICATION_FIELDS}
             for c in CODINGS}
     latent = np.array([r["latent_sum_true"] for r in records])

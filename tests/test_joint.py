@@ -8,7 +8,9 @@ from scipy import stats
 
 from ctssim.ingest import SurveyTable, latent_correlation_matrix
 from ctssim.joint import ActSpec, MultiActModel, nearest_psd, sample_joint
-from ctssim.marginals import MarginalParams, category_probs, zi_sample
+from ctssim.marginals import MarginalParams, category_probs
+
+from helpers import zi_sample
 
 FIG_MARGIN = MarginalParams("zip", 2.36, 0.84)
 

@@ -9,20 +9,40 @@ from scipy import optimize, special
 
 from ctssim.marginals import (
     MarginalParams,
+    _count,
+    _zinb_loglik,
+    _zip_loglik,
     cdf_table,
     category_probs,
     censored_loglik,
-    counts_from_uniforms,
     fit_mle_censored,
     fit_mle_exact,
-    zi_cdf,
-    zi_loglik,
-    zi_pmf,
-    zi_quantile,
-    zi_sample,
 )
 
+from helpers import zi_mean, zi_sample, zi_variance
+from reference import counts_from_uniforms
+
 FIG_PARAMS = MarginalParams("zip", 2.36, 0.84)
+
+
+def zi_pmf(params, y):
+    """The zero-inflated mass at the non-negative integers ``y``."""
+    theta = params.zero_prob
+    return theta * (np.asarray(y) == 0) + (1.0 - theta) * _count(params, "pmf", y)
+
+
+def zi_cdf(params, y):
+    """P(Y <= y) at the non-negative integers ``y``."""
+    return params.zero_prob + (1.0 - params.zero_prob) * _count(params, "cdf", y)
+
+
+def zi_loglik(params, y, weights=None):
+    """The weighted log-likelihood fit_mle_exact maximizes."""
+    y = np.asarray(y, dtype=np.int64)
+    w = np.ones(y.shape) if weights is None else np.asarray(weights, dtype=float)
+    if params.family == "zip":
+        return _zip_loglik(y, w, params.rate, params.zero_prob)
+    return _zinb_loglik(y, w, params.rate, params.dispersion, params.zero_prob)
 
 PARAM_GRID = [
     MarginalParams("zip", 0.5, 0.2),
@@ -48,7 +68,7 @@ class TestParams:
             MarginalParams("poisson", 1.0, 0.5)
 
     def test_mean_formula(self):
-        assert FIG_PARAMS.mean == pytest.approx((1 - 0.84) * 2.36)
+        assert zi_mean(FIG_PARAMS) == pytest.approx((1 - 0.84) * 2.36)
 
 
 class TestPmf:
@@ -79,24 +99,21 @@ class TestPmf:
 
 
 class TestCdfQuantile:
+    """counts_from_uniforms on a cdf_table is the generalized inverse of the
+    cdf, capped at the table's last entry."""
+
     def test_median_is_zero_at_fig_params(self):
         # cdf(0) ~ 0.855 > 0.5, so the generalized inverse at 0.5 is 0
         assert zi_cdf(FIG_PARAMS, 0) > 0.5
-        assert zi_quantile(FIG_PARAMS, 0.5) == 0
+        assert counts_from_uniforms(cdf_table(FIG_PARAMS), 0.5) == 0
 
     def test_quantile_at_zero(self):
-        assert zi_quantile(FIG_PARAMS, 0.0) == 0
-
-    def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            zi_quantile(FIG_PARAMS, 1.0)
-        with pytest.raises(ValueError):
-            zi_quantile(FIG_PARAMS, -0.01)
+        assert counts_from_uniforms(cdf_table(FIG_PARAMS), 0.0) == 0
 
     @pytest.mark.parametrize("params", PARAM_GRID)
     def test_generalized_inverse_round_trip(self, params):
         u = np.linspace(0.01, 0.99, 99)
-        q = zi_quantile(params, u)
+        q = counts_from_uniforms(cdf_table(params), u)
         assert np.all(zi_cdf(params, q) >= u)
         # minimality: the next-smaller count falls short of u
         positive = q > 0
@@ -106,13 +123,19 @@ class TestCdfQuantile:
     def test_quantile_of_cdf_round_trip(self, params):
         y = np.arange(0, 12)
         u = np.minimum(zi_cdf(params, y), 1.0 - 1e-12)
-        assert np.all(zi_quantile(params, u) >= y)
+        assert np.all(counts_from_uniforms(cdf_table(params), u) >= y)
 
     @pytest.mark.parametrize("params", PARAM_GRID)
     def test_table_agrees_with_quantile(self, params):
+        # the smallest y with cdf(y) >= u by direct search, or the table's
+        # last count for the u above its last entry
         table = cdf_table(params)
-        u = np.linspace(0.0, 0.9999, 600)
-        assert np.array_equal(counts_from_uniforms(table, u), zi_quantile(params, u))
+        assert 1.0 - 1e-12 <= table[-1] < 1.0
+        u = np.append(np.linspace(0.0, 0.9999, 600), [np.nextafter(table[-1], 1.0), 1.0 - 2**-53])
+        hits = zi_cdf(params, np.arange(len(table))) >= u[:, None]
+        expected = np.where(hits.any(axis=1), hits.argmax(axis=1), len(table) - 1)
+        assert not hits[-2:].any()
+        assert np.array_equal(counts_from_uniforms(table, u), expected)
 
 
 class TestSampling:
@@ -128,14 +151,14 @@ class TestSampling:
     def test_mean_fig_params(self):
         n = 1_000_000
         y = zi_sample(FIG_PARAMS, n, np.random.default_rng(3))
-        se = math.sqrt(FIG_PARAMS.variance / n)
+        se = math.sqrt(zi_variance(FIG_PARAMS) / n)
         assert abs(y.mean() - 0.3776) <= 3 * se
 
     def test_zinb_variance_oracle(self):
         params = MarginalParams("zinb", 2.36, 0.84, dispersion=0.5)
         lam, theta, phi = 2.36, 0.84, 0.5
         expected = (1 - theta) * (lam + lam**2 / phi) + theta * (1 - theta) * lam**2
-        assert params.variance == pytest.approx(expected, rel=1e-12)
+        assert zi_variance(params) == pytest.approx(expected, rel=1e-12)
         n = 1_000_000
         y = zi_sample(params, n, np.random.default_rng(4)).astype(float)
         s2 = y.var(ddof=1)
@@ -147,11 +170,11 @@ class TestSampling:
     def test_moments_grid(self, params):
         n = 200_000
         y = zi_sample(params, n, np.random.default_rng(99)).astype(float)
-        se_mean = math.sqrt(params.variance / n)
-        assert abs(y.mean() - params.mean) <= 4 * se_mean
+        se_mean = math.sqrt(zi_variance(params) / n)
+        assert abs(y.mean() - zi_mean(params)) <= 4 * se_mean
         m4 = np.mean((y - y.mean()) ** 4)
         se_var = math.sqrt(max(m4 - y.var() ** 2, 0.0) / n)
-        assert abs(y.var(ddof=1) - params.variance) <= 4 * se_var
+        assert abs(y.var(ddof=1) - zi_variance(params)) <= 4 * se_var
 
 
 def zip_loglik_oracle(rate, theta, n_zero, n_pos, sum_pos, sum_gammaln):

@@ -8,7 +8,13 @@ from ctssim.coding import categorize
 from ctssim.joint import ActSpec
 from ctssim.outcomes import EffectScenario, PotentialOutcomeTable, ResponseType, target_columns
 
-from reference import apply_effects, assign_response_types, randomize, true_estimands
+from reference import (
+    apply_effects,
+    assign_response_types,
+    check_schedule,
+    randomize,
+    true_estimands,
+)
 
 SINGLE_ACT = (ActSpec(1, "slapped you", "physical", "moderate"),)
 
@@ -156,7 +162,8 @@ class TestApplyEffects:
         y1 = apply_effects(y0, s, sc, MIXED_ACTS)
         cols = target_columns(MIXED_ACTS, "physical")
         assert not np.any((y1[:, cols] > 0) & (y0[:, cols] == 0))
-        PotentialOutcomeTable(y0, y1, s, np.zeros(len(y0), dtype=np.int8)).check(sc, MIXED_ACTS)
+        table = PotentialOutcomeTable(y0, y1, s, np.zeros(len(y0), dtype=np.int8))
+        check_schedule(table, sc, MIXED_ACTS)
 
 
 class TestAssignResponseTypes:

@@ -5,7 +5,7 @@
 * ``nearest_psd`` returns a valid correlation matrix, keeps a valid one
   unchanged, and returns its own output unchanged.
 * Every potential-outcome schedule, from the replication kernel or from
-  the reference stage functions, satisfies ``PotentialOutcomeTable.check``.
+  the reference stage functions, satisfies ``reference.check_schedule``.
 
 The examples are derandomized, so a run tests the same cases every time.
 """
@@ -22,7 +22,8 @@ from ctssim.joint import ACT_CATEGORIES, SEVERITIES, ActSpec, MultiActModel, nea
 from ctssim.marginals import MarginalParams
 from ctssim.outcomes import TARGET_PRESETS, EffectScenario, PotentialOutcomeTable, target_columns
 
-from reference import apply_effects, assign_response_types, randomize
+from helpers import replicate
+from reference import apply_effects, assign_response_types, check_schedule, randomize
 
 PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 
@@ -140,12 +141,12 @@ class TestScheduleProperty:
         sigma = nearest_psd(data.draw(symmetric_unit_diagonal(k)))
         model = MultiActModel(acts, tuple(data.draw(margins()) for _ in acts), sigma)
         cfg = SimulationConfig(model, scenario, n_units=n_units, n_reps=1, seed=seed)
-        rec = CellKernel(cfg).replicate(0, return_schedule=True)
-        rec["schedule"].check(scenario, acts)
+        rec = replicate(CellKernel(cfg), 0, return_schedule=True)
+        check_schedule(rec["schedule"], scenario, acts)
 
         rng = np.random.default_rng(seed)
         y0 = data.draw(arrays(np.int64, (n_units, k),
                               elements=st.one_of(st.just(0), st.integers(0, 40))))
         s = assign_response_types(y0, scenario, acts, rng)
         y1 = apply_effects(y0, s, scenario, acts)
-        PotentialOutcomeTable(y0, y1, s, randomize(n_units, rng)).check(scenario, acts)
+        check_schedule(PotentialOutcomeTable(y0, y1, s, randomize(n_units, rng)), scenario, acts)
