@@ -9,12 +9,13 @@ standard errors have closed forms (``summarize``); the SE of the power
 difference between the codings is paired, because both codings are scored
 on the same replications.
 
-Replications run as one kernel (``CellKernel``): the work that does not
-change between replications (model validation, the copula factor and CDF
-tables of ``joint.CopulaSampler``, the target columns, the response-type
-CDF) is done once per cell, and each replication codes every row once and
-estimates through ``estimation.hc2_from_moments``.  The tests pin it, bit
-for bit, to a reference pipeline that runs each stage as a plain function.
+Replications run as one kernel: the work that does not change between
+replications is done once, per grid (model validation, the copula factor
+and CDF tables of ``joint.CopulaSampler``) or per cell (``CellKernel``: the
+target columns, the response-type CDF), and each replication codes every
+row once and estimates through ``estimation.hc2_from_moments``.  The tests
+pin it, bit for bit, to a reference pipeline that runs each stage as a
+plain function.
 
 Replications run in blocks of at most ``_BLOCK_ROWS`` rows of control
 counts (at least one replication), one block after another in one thread.
@@ -24,14 +25,13 @@ them alone: its standard normals (or ``sample_control``), then per target
 its response-type uniforms and its permutation.  So a replication's result
 does not depend on which others run, in what order or in which block.
 Everything else runs once per block on the block's stacked arrays: the
-copula lookup, the codings, the arms' moments; only the HC2 estimate is a
-scalar call per replication and coding.  A grid draws once what its cells
-would draw alike: first the control counts (so a model's
-``sample_control(n, rng)`` must depend on ``n`` and ``rng`` alone), then,
-once per set of target columns, the uniforms that ``rng.choice`` maps to
-response types and the permutation behind the arms (``CellKernel.share``);
-each scenario maps the uniforms through its own CDF
-(``CellKernel.respond``).
+copula lookup, the codings, the arms' moments and the HC2 estimates (both
+codings in one call).  Each level of a grid does its own work once: the
+grid draws the control counts (``draw``; so a model's
+``sample_control(n, rng)`` must depend on ``n`` and ``rng`` alone), each
+set of target columns draws the uniforms that ``rng.choice`` maps to
+response types and the permutation behind the arms (``share``), and each
+scenario maps the uniforms through its own CDF (``CellKernel.respond``).
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import coding
-from .estimation import _mean_var, hc2_from_moments, z_critical
+from .estimation import _mean_var, hc2_from_moments
 from .joint import CopulaSampler, MultiActModel
 from .outcomes import EffectScenario, PotentialOutcomeTable, ResponseType, target_columns
 
@@ -154,6 +154,12 @@ _CESSATION, _REDUCTION = int(ResponseType.CESSATION), int(ResponseType.REDUCTION
 _BLOCK_ROWS = 8192
 
 
+def _coded(sums: np.ndarray) -> np.ndarray:
+    """Rows of sum-coded outcomes under each of CODINGS, stacked on a new
+    first axis: binary 1 where the sum is positive, then the sum itself."""
+    return np.stack([sums > 0, sums])
+
+
 def _category_scores(rows: np.ndarray, counts: np.ndarray, n_rows: int) -> np.ndarray:
     """The category-score row sums of ``n_rows`` rows of counts, from the
     row and the count of every entry that may be positive."""
@@ -178,108 +184,96 @@ class TargetDraw(NamedTuple):
     violent: np.ndarray  # rows with targeted violence, ascending
     u: np.ndarray  # one uniform per violent row, each replication's in a run
     arm1: np.ndarray  # (B, n // 2) treated rows, one replication per row
-    control: dict[str, tuple[np.ndarray, np.ndarray]]  # coding -> control-arm _mean_var
+    control: tuple[np.ndarray, np.ndarray]  # (2, B) control-arm _mean_var of _coded
+
+
+def draw(config: SimulationConfig, copula: CopulaSampler | None,
+         reps: range) -> tuple[list[np.random.Generator], np.ndarray, np.ndarray]:
+    """The control counts of the block of replications ``reps``, drawn with
+    the grid's ``copula`` sampler, or with ``config.model.sample_control``
+    when it is None: each replication's generator as its draw left it, the
+    (B, n, K) counts ``y0``, and their category-score row sums ``score0``
+    over the block's B * n rows.  A row codes binary 1 when its score sum
+    is positive, and sum/3K under the sum coding.  A replication whose own
+    draw fails raises ReplicationError with its index."""
+    n, k = config.n_units, len(config.model.acts)
+    rngs = []
+    block = np.empty((len(reps), n, k), dtype=np.int64 if copula is None else float)
+    for j, i in enumerate(reps):
+        rng = _replication_rng(config.seed, i)
+        try:
+            if copula is not None:
+                rng.standard_normal(out=block[j])
+            else:
+                y0 = np.asarray(config.model.sample_control(n, rng), dtype=np.int64)
+                if y0.shape != (n, k) or y0.min() < 0:
+                    raise ValueError(
+                        f"sample_control must return non-negative counts of shape "
+                        f"{(n, k)}, got shape {y0.shape}"
+                    )
+                block[j] = y0
+        except Exception as exc:  # noqa: BLE001 - re-raise with replication context
+            raise ReplicationError(i, exc) from exc
+        rngs.append(rng)
+    if copula is not None:
+        y0, rows, counts = copula.counts(block)
+    else:
+        y0 = block
+        rows, acts = np.nonzero(y0.reshape(-1, k))
+        counts = y0.reshape(-1, k)[rows, acts]
+    return rngs, y0, _category_scores(rows, counts, y0.size // k)
+
+
+def share(y0: np.ndarray, score0: np.ndarray, rngs: Sequence[np.random.Generator],
+          cols: np.ndarray) -> TargetDraw:
+    """The work of the target with columns ``cols``, from ``draw``'s output
+    and the generators as the draw left them: one uniform per violent row,
+    the randomization, and the control arm's codings and moments.  Every
+    cell whose target has these columns can ``respond`` to it."""
+    b, n, k = y0.shape
+    targeted = y0.reshape(b * n, k)[:, cols]
+    violent = targeted.any(axis=1)  # counts are never negative
+    u = []
+    treated = np.zeros((b, n), dtype=bool)
+    for j, (rng, n_violent) in enumerate(zip(rngs, violent.reshape(b, n).sum(axis=1).tolist())):
+        # rng.choice draws these uniforms whatever p is; none when there are none
+        u.append(rng.random(n_violent))
+        treated[j, rng.permutation(n)[: n // 2]] = True
+    # each replication's arms, in ascending rows
+    arm1 = np.flatnonzero(treated).reshape(b, n // 2)
+    arm0 = np.flatnonzero(~treated).reshape(b, n - n // 2)
+    sum0 = score0 / (coding.MAX_CATEGORY * k)
+    return TargetDraw(y0, score0, sum0, np.count_nonzero(score0.reshape(b, n), axis=1),
+                      targeted, np.flatnonzero(violent), np.concatenate(u), arm1,
+                      _mean_var(_coded(sum0[arm0])))
 
 
 class CellKernel:
-    """The replication kernel of one cell: its invariants and stage clocks.
-
-    Construction does the per-cell work once; ``copula`` is a CopulaSampler
-    of the model that other cells already built.  The kernel runs a block of
-    replications at a time: ``draw`` (the control counts), ``share`` (the
-    target's uniforms and arms) and ``respond`` (the scenario's own work).
-    Every random call is made on the replication's own generator, in the
-    order a replication alone makes them; the rest runs once per block.
-    ``stage_s`` accumulates the seconds each of ``STAGES`` took in
-    ``respond``.
+    """The replication kernel of one cell: its scenario's invariants (the
+    target columns and the response-type CDF), done once, and its stage
+    clocks.  ``respond`` runs the scenario's own work on a block of
+    replications that ``draw`` and ``share`` prepared; ``stage_s``
+    accumulates the seconds each of ``STAGES`` took in it.
     """
 
-    def __init__(self, config: SimulationConfig, copula: CopulaSampler | None = None):
-        model = config.model
+    def __init__(self, config: SimulationConfig):
         self.config = config
-        self.n_acts = len(model.acts)
-        if isinstance(model, MultiActModel):
-            self.copula = copula or CopulaSampler(model)
-        else:
-            self.copula = None
-            self.sample_control = getattr(model, "sample_control", None)
-            if self.sample_control is None:
-                raise TypeError("model must be a MultiActModel or expose sample_control(n, rng)")
-        self.cols = target_columns(model.acts, config.scenario.target)
-        self.scale = coding.MAX_CATEGORY * self.n_acts
+        self.cols = target_columns(config.model.acts, config.scenario.target)
         # Generator.choice's own rule: cumsum(p) over its last entry
         self.cdf = np.cumsum(config.scenario.probs)
         self.cdf /= self.cdf[-1]
-        self.z_crit = z_critical(config.alpha)
         self.stage_s = [0.0] * len(STAGES)
 
-    def draw(self, reps: range) -> tuple[list[np.random.Generator], np.ndarray, np.ndarray]:
-        """The control counts of the block of replications ``reps``: each
-        one's generator as its draw left it, the (B, n, K) counts ``y0``,
-        and their category-score row sums ``score0`` over the block's
-        B * n rows.  A row codes binary 1 when its score sum is positive,
-        and sum/3K under the sum coding.  A replication whose own draw
-        fails raises ReplicationError with its index."""
-        n, k = self.config.n_units, self.n_acts
-        rngs = []
-        block = np.empty((len(reps), n, k), dtype=np.int64 if self.copula is None else float)
-        for j, i in enumerate(reps):
-            rng = _replication_rng(self.config.seed, i)
-            try:
-                if self.copula is not None:
-                    rng.standard_normal(out=block[j])
-                else:
-                    y0 = np.asarray(self.sample_control(n, rng), dtype=np.int64)
-                    if y0.shape != (n, k) or y0.min() < 0:
-                        raise ValueError(
-                            f"sample_control must return non-negative counts of shape "
-                            f"{(n, k)}, got shape {y0.shape}"
-                        )
-                    block[j] = y0
-            except Exception as exc:  # noqa: BLE001 - re-raise with replication context
-                raise ReplicationError(i, exc) from exc
-            rngs.append(rng)
-        if self.copula is not None:
-            y0, rows, counts = self.copula.counts(block)
-        else:
-            y0 = block
-            rows, acts = np.nonzero(y0.reshape(-1, k))
-            counts = y0.reshape(-1, k)[rows, acts]
-        return rngs, y0, _category_scores(rows, counts, y0.size // k)
-
-    def share(self, y0: np.ndarray, score0: np.ndarray,
-              rngs: Sequence[np.random.Generator]) -> TargetDraw:
-        """The work of this kernel's target, from ``draw``'s output and the
-        generators as the draw left them: one uniform per violent row, the
-        randomization, and the control arm's codings and moments.  Every
-        cell whose target has these columns can ``respond`` to it."""
-        b, n, k = y0.shape
-        targeted = y0.reshape(b * n, k)[:, self.cols]
-        violent = targeted.any(axis=1)  # counts are never negative
-        u = []
-        treated = np.zeros((b, n), dtype=bool)
-        for j, (rng, n_violent) in enumerate(zip(rngs, violent.reshape(b, n).sum(axis=1).tolist())):
-            # rng.choice draws these uniforms whatever p is; none when there are none
-            u.append(rng.random(n_violent))
-            treated[j, rng.permutation(n)[: n // 2]] = True
-        # each replication's arms, in ascending rows
-        arm1 = np.flatnonzero(treated).reshape(b, n // 2)
-        arm0 = np.flatnonzero(~treated).reshape(b, n - n // 2)
-        sum0 = score0 / self.scale
-        control = {"binary": _mean_var((score0[arm0] > 0).astype(float)),
-                   "sum": _mean_var(sum0[arm0])}
-        return TargetDraw(y0, score0, sum0, np.count_nonzero(score0.reshape(b, n), axis=1),
-                          targeted, np.flatnonzero(violent), np.concatenate(u), arm1, control)
-
     def respond(self, shared: TargetDraw, return_schedule: bool = False) -> dict:
-        """The rest of a block's replications, from ``share``'s output:
-        response types, effects, treated coding, true effects and the HC2
-        estimates.  Returns {coding: {field: (B,) values}}, the (B,) mean
-        latent count changes under "latent_sum_true" and, when requested,
-        a PotentialOutcomeTable per replication under "schedule".
-        ``shared`` is read, never written, so cells can share it."""
+        """The rest of a block's replications, from ``share``'s output for
+        this kernel's target columns: response types, effects, treated
+        coding, true effects and the HC2 estimates.  Returns
+        {coding: {field: (B,) values}}, the (B,) mean latent count changes
+        under "latent_sum_true" and, when requested, a PotentialOutcomeTable
+        per replication under "schedule".  ``shared`` is read, never
+        written, so cells can share it."""
         config, scenario = self.config, self.config.scenario
-        b, n, _ = shared.y0.shape
+        b, n, k = shared.y0.shape
         clock = time.perf_counter
         t0 = clock()
 
@@ -301,9 +295,9 @@ class CellKernel:
             _CATEGORY_SCORE.take(np.minimum(after, _CATEGORY_CAP))
             - _CATEGORY_SCORE.take(np.minimum(before, _CATEGORY_CAP))
         ).sum(axis=1)
-        sum1 = score1 / self.scale
+        sum1 = score1 / (coding.MAX_CATEGORY * k)
         arm1 = shared.arm1
-        treated = {"binary": (score1[arm1] > 0).astype(float), "sum": sum1[arm1]}
+        treated = _coded(sum1[arm1])
         truth = {
             "binary": (np.count_nonzero(score1.reshape(b, n), axis=1) - shared.nonzero0) / n,
             # np.mean's own arithmetic, row by row
@@ -311,19 +305,13 @@ class CellKernel:
         }
         t2 = clock()
 
+        # both codings of every replication in one call, in rows of (2, B)
         n1 = arm1.shape[1]
-        record: dict = {}
-        for key in CODINGS:
-            (m1, v1), (m0, v0) = _mean_var(treated[key]), shared.control[key]
-            # one scalar estimate per replication, on Python floats
-            est, se, lo, hi, p = np.array([
-                hc2_from_moments(mean1, var1, n1, mean0, var0, n - n1,
-                                 config.alpha, config.df, self.z_crit)
-                for mean1, var1, mean0, var0 in zip(m1.tolist(), v1.tolist(),
-                                                    m0.tolist(), v0.tolist())
-            ]).T
-            record[key] = {"estimate": est, "se": se, "p_value": p, "ci_low": lo,
-                           "ci_high": hi, "true_ate": truth[key]}
+        est, se, lo, hi, p = hc2_from_moments(*_mean_var(treated), n1,
+                                              *shared.control, n - n1, config.alpha, config.df)
+        record: dict = {key: {"estimate": est[i], "se": se[i], "p_value": p[i], "ci_low": lo[i],
+                              "ci_high": hi[i], "true_ate": truth[key]}
+                        for i, key in enumerate(CODINGS)}
         # each replication's integer count change, summed exactly as floats
         record["latent_sum_true"] = np.bincount(
             affected // n, weights=(after - before).sum(axis=1), minlength=b) / n
@@ -450,10 +438,15 @@ def scenario_grid(
     """
     if not scenarios or not targets:
         raise ValueError("scenarios and targets must be non-empty")
-    cells = [replace(scenario, target=target) for scenario in scenarios for target in targets]
-    first = CellKernel(replace(base_config, scenario=cells[0]))
-    kernels = [first] + [CellKernel(replace(base_config, scenario=scenario), first.copula)
-                         for scenario in cells[1:]]
+    model = base_config.model
+    if isinstance(model, MultiActModel):
+        copula = CopulaSampler(model)
+    elif hasattr(model, "sample_control"):
+        copula = None
+    else:
+        raise TypeError("model must be a MultiActModel or expose sample_control(n, rng)")
+    kernels = [CellKernel(replace(base_config, scenario=replace(scenario, target=target)))
+               for scenario in scenarios for target in targets]
     # cells whose targets resolve to the same columns share the target work
     groups: dict[tuple, list[int]] = {}
     for j, kernel in enumerate(kernels):
@@ -471,7 +464,7 @@ def scenario_grid(
         for start in range(0, m, size):
             t0 = clock()
             reps = range(start, min(start + size, m))
-            rngs, y0, score0 = first.draw(reps)
+            rngs, y0, score0 = draw(base_config, copula, reps)
             states = [rng.bit_generator.state for rng in rngs]
             t1 = clock()
             draw_s += t1 - t0
@@ -479,7 +472,7 @@ def scenario_grid(
             for members in groups.values():
                 for rng, state in zip(rngs, states):
                     rng.bit_generator.state = state
-                shared = kernels[members[0]].share(y0, score0, rngs)
+                shared = share(y0, score0, rngs, kernels[members[0]].cols)
                 t2 = clock()
                 target_s += t2 - t1
                 t1 = t2

@@ -138,9 +138,11 @@ def _parse_descriptor(descriptor_path: str) -> dict:
 def read_survey(data_path: str, descriptor_path: str) -> SurveyTable:
     """Read and validate a survey file against its descriptor.
 
-    Rows with any missing act value are dropped (and counted); a
-    non-integer cell is a parse error reporting the file line; a category
-    outside 0..3 is a validation error naming the row and column.
+    Rows with any missing act value are dropped (and counted); a row with
+    fewer fields than the header, or more that are not empty, and a
+    non-integer cell are parse errors reporting the file line; a category
+    outside 0..3 is a validation error naming the row and column.  A header
+    must name each column the descriptor reads exactly once.
     """
     desc = _parse_descriptor(descriptor_path)
     acts = tuple(
@@ -166,13 +168,18 @@ def read_survey(data_path: str, descriptor_path: str) -> SurveyTable:
             raise SurveyFormatError(f"{data_path}: header lacks act columns {missing_cols}")
         if weight_col is not None and weight_col not in header:
             raise SurveyFormatError(f"{data_path}: header lacks weight column {weight_col!r}")
+        read = columns + ([weight_col] if weight_col is not None else [])
+        repeated = [c for c in read if header.count(c) > 1]
+        if repeated:
+            raise SurveyFormatError(f"{data_path}: header repeats columns {repeated}")
         col_idx = [header.index(c) for c in columns]
         w_idx = header.index(weight_col) if weight_col is not None else None
 
         for line_no, raw in enumerate(reader, start=2):
             if not raw or all(not cell.strip() for cell in raw):
                 continue
-            if len(raw) < len(header):
+            # trailing empty fields are accepted
+            if len(raw) < len(header) or any(cell.strip() for cell in raw[len(header):]):
                 raise SurveyFormatError(
                     f"{data_path}:{line_no}: expected {len(header)} fields, got {len(raw)}"
                 )

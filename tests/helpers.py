@@ -6,8 +6,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from ctssim import harness
 from ctssim.harness import CODINGS, CellKernel
 from ctssim.ingest import FitReport
+from ctssim.joint import CopulaSampler, MultiActModel
 from ctssim.marginals import ZIP, MarginalParams
 
 
@@ -48,8 +50,10 @@ def replicate(kernel: CellKernel, rep_index: int, return_schedule: bool = False)
     count change under "latent_sum_true", and the PotentialOutcomeTable
     under "schedule" when requested.
     """
-    rngs, y0, score0 = kernel.draw(range(rep_index, rep_index + 1))
-    block = kernel.respond(kernel.share(y0, score0, rngs), return_schedule)
+    model = kernel.config.model
+    copula = CopulaSampler(model) if isinstance(model, MultiActModel) else None
+    rngs, y0, score0 = harness.draw(kernel.config, copula, range(rep_index, rep_index + 1))
+    block = kernel.respond(harness.share(y0, score0, rngs, kernel.cols), return_schedule)
     record = {c: {f: float(v[0]) for f, v in block[c].items()} for c in CODINGS}
     record["latent_sum_true"] = float(block["latent_sum_true"][0])
     if return_schedule:

@@ -1,24 +1,28 @@
 """The reference replication pipeline: one stage function per step.
 
-``harness.CellKernel`` runs a replication as one fused kernel.  These are
-the same steps written plainly, one function each, as the specification
-the kernel is pinned to: ``test_harness`` checks that a replication of the
-kernel equals these functions run on the same random stream, bit for bit.
+``harness`` runs a replication as one fused kernel (``draw``, ``share``
+and ``CellKernel.respond``).  These are the same steps written plainly,
+one function each, as the specification the kernel is pinned to:
+``test_harness`` checks that a replication of the kernel equals these
+functions run on the same random stream, bit for bit.
 ``counts_from_uniforms`` is the inverse-transform rule of the copula draw,
-``hc2_from_arms`` the HC2 estimate from the arms' outcome vectors, and
+``hc2_from_moments`` the HC2 estimate of one replication on Python floats,
+``hc2_from_arms`` that estimate from the arms' outcome vectors, and
 ``check_schedule`` the invariants every potential-outcome schedule keeps.
 They are test code, not part of the ctssim package.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from scipy.special import ndtr, ndtri, stdtr, stdtrit
 
 from ctssim import coding
-from ctssim.estimation import _mean_var, hc2_from_moments
+from ctssim.estimation import _mean_var
 from ctssim.joint import ActSpec
 from ctssim.outcomes import EffectScenario, PotentialOutcomeTable, ResponseType, target_columns
 
@@ -164,6 +168,38 @@ def randomize(n: int, rng: np.random.Generator) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # Estimation
+
+
+def hc2_from_moments(
+    m1: float, v1: float, n1: int, m0: float, v0: float, n0: int, alpha: float = 0.05,
+    df: str = "normal",
+) -> tuple[float, float, float, float, float]:
+    """(estimate, se, ci_low, ci_high, p_value) of one replication, on
+    Python floats, from each arm's ``_mean_var`` and size: treated
+    (m1, v1, n1) and control (m0, v0, n0), each n >= 2.  The array form
+    ``estimation.hc2_from_moments`` is pinned to it.
+
+    The CI level is 1 - alpha.  ``df`` is "normal" for z critical values,
+    or "welch" for a t reference with Welch-Satterthwaite degrees of
+    freedom.  With both arm variances zero the se is 0, the CI collapses
+    to the estimate, and p is 1 for a zero estimate and 0 otherwise.
+    """
+    tau = float(m1 - m0)
+    se = math.sqrt(v1 / n1 + v0 / n0)
+    if se == 0.0:
+        return tau, 0.0, tau, tau, (1.0 if tau == 0.0 else 0.0)
+
+    t_stat = tau / se
+    if df == "welch":
+        num = (v1 / n1 + v0 / n0) ** 2
+        den = (v1 / n1) ** 2 / (n1 - 1) + (v0 / n0) ** 2 / (n0 - 1)
+        dof = num / den
+        crit = float(stdtrit(dof, 1.0 - alpha / 2.0))
+        p = float(2.0 * stdtr(dof, -abs(t_stat)))
+    else:
+        crit = float(ndtri(1.0 - alpha / 2.0))
+        p = float(2.0 * ndtr(-abs(t_stat)))
+    return tau, se, tau - crit * se, tau + crit * se, p
 
 
 def hc2_from_arms(

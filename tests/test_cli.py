@@ -30,16 +30,18 @@ def small_model():
 
 # malformed survey descriptors, each with the error it must report
 BAD_DESCRIPTORS = [
-    (["x"], "descriptor must be a JSON object"),
-    ({"mode": "counts", "acts": [5, 6]}, "descriptor act 1 must be an object, got 5"),
-    ({"mode": "counts", "acts": ["column"]}, 'descriptor act 1 must be an object, got "column"'),
-    ({"mode": "counts", "acts": [{"column": "a", "label": 7, "category": "physical",
-                                  "severity": "severe"}]},
-     "descriptor act 1 'label' must be a string, got 7"),
-    ({"mode": "categories", "acts": [
+    pytest.param(["x"], "descriptor must be a JSON object", id="not-an-object"),
+    pytest.param({"mode": "counts", "acts": [5, 6]}, "descriptor act 1 must be an object, got 5",
+                 id="act-is-a-number"),
+    pytest.param({"mode": "counts", "acts": ["column"]},
+                 'descriptor act 1 must be an object, got "column"', id="act-is-a-string"),
+    pytest.param({"mode": "counts", "acts": [{"column": "a", "label": 7, "category": "physical",
+                                              "severity": "severe"}]},
+                 "descriptor act 1 'label' must be a string, got 7", id="label-not-a-string"),
+    pytest.param({"mode": "categories", "acts": [
         {"column": c, "label": c, "category": "physical", "severity": "severe"}
         for c in ("act_01", "act_02", "act_01")
-    ]}, "descriptor acts 1 and 3 both read column 'act_01'"),
+    ]}, "descriptor acts 1 and 3 both read column 'act_01'", id="column-read-twice"),
 ]
 
 
@@ -112,6 +114,23 @@ class TestFit:
                      "--out", str(tmp_path / "m.json")])
         assert code == 2
         assert expected in capsys.readouterr().err
+        assert not (tmp_path / "m.json").exists()
+
+    @pytest.mark.parametrize("edit, fields", [
+        pytest.param(lambda line: line + ",7", 11, id="extra-field"),
+        pytest.param(lambda line: line.rsplit(",", 1)[0], 9, id="short-row"),
+    ])
+    def test_survey_row_field_count_exits_2(self, tmp_path, capsys, edit, fields):
+        data, desc = example_survey_paths()
+        with open(data, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+        lines[2] = edit(lines[2])
+        bad = tmp_path / "survey.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        code = main(["fit", "--data", str(bad), "--descriptor", desc, "--family", "zip",
+                     "--out", str(tmp_path / "m.json")])
+        assert code == 2
+        assert f"{bad}:3: expected 10 fields, got {fields}" in capsys.readouterr().err
         assert not (tmp_path / "m.json").exists()
 
     def test_missing_out_dir_exits_2(self, tmp_path, capsys, monkeypatch):
@@ -363,11 +382,14 @@ class TestReport:
         assert "schema version" in capsys.readouterr().err
 
     @pytest.mark.parametrize("edit, expected", [
-        (keep_four_columns, ":1: header lacks columns ['n_units', 'seed', 'power', "
-                            "'true_ate_is_zero', 'power_diff_mc_se']"),
-        (shorten_line_3, ":3: column 'n_units' has no value"),
-        (schema_version_x, ":2: schema_version must be an integer, got 'x'"),
-        (power_abc, ":2: column 'power' has malformed value 'abc'"),
+        pytest.param(keep_four_columns, ":1: header lacks columns ['n_units', 'seed', 'power', "
+                                        "'true_ate_is_zero', 'power_diff_mc_se']",
+                     id="header-lacks-columns"),
+        pytest.param(shorten_line_3, ":3: column 'n_units' has no value", id="short-line"),
+        pytest.param(schema_version_x, ":2: schema_version must be an integer, got 'x'",
+                     id="schema-version-not-an-integer"),
+        pytest.param(power_abc, ":2: column 'power' has malformed value 'abc'",
+                     id="power-not-a-number"),
     ])
     def test_malformed_results_exit_2(self, results_dir, tmp_path, capsys, edit, expected):
         with open(results_dir / "results.csv", newline="") as fh:
@@ -550,14 +572,14 @@ class TestConfigTypes:
     """Config values are checked as given, never coerced by bool()/float()/int()."""
 
     @pytest.mark.parametrize("key,value,expected", [
-        ("alpha", "0.05", "must be a number"),
-        ("alpha", True, "must be a number"),
-        ("alpha", None, "must be a number"),
-        ("alpha", [0.05], "must be a number"),
-        ("magnitude", True, "must be an integer"),
-        ("magnitude", 1.5, "must be an integer"),
-        ("floor", "1", "must be an integer"),
-        ("floor", False, "must be an integer"),
+        pytest.param("alpha", "0.05", "must be a number", id="alpha-string"),
+        pytest.param("alpha", True, "must be a number", id="alpha-bool"),
+        pytest.param("alpha", None, "must be a number", id="alpha-null"),
+        pytest.param("alpha", [0.05], "must be a number", id="alpha-list"),
+        pytest.param("magnitude", True, "must be an integer", id="magnitude-bool"),
+        pytest.param("magnitude", 1.5, "must be an integer", id="magnitude-float"),
+        pytest.param("floor", "1", "must be an integer", id="floor-string"),
+        pytest.param("floor", False, "must be an integer", id="floor-bool"),
     ])
     def test_wrong_type_exits_2(self, workdir, capsys, key, value, expected):
         cfg = write_config(workdir / "run.json", **{key: value})
@@ -586,46 +608,72 @@ class TestConfigTypes:
         assert "config 'magnitude' must be an integer, got true" in capsys.readouterr().err
 
     @pytest.mark.parametrize("overrides,expected", [
-        ({"scenarios": [{"probs": 5}]}, "config 'probs' must be a list of 4 numbers, got 5"),
-        ({"scenarios": [{"probs": [None, 0, 0, 1]}]}, "config 'probs' must be a number, got null"),
-        ({"scenarios": [{"probs": [1, 0, 0, 0], "name": 7}]}, "config 'name' must be a string, got 7"),
-        ({"scenarios": [{"probs": [1, 0, 0, 0], "magnitud": 3}]},
-         "unknown keys in config 'scenarios': ['magnitud']"),
-        ({"scenarios": [{"name": "x"}]}, "is missing 'probs'"),
-        ({"model": 5}, "config 'model' must be an object, got 5"),
-        ({"model": {"file": "model.json", "seed": 1}}, "unknown keys in config 'model': ['seed']"),
-        ({"model": {"inline": 5}}, "config 'model.inline' must be an object, got 5"),
-        ({"model": {"inline": {"acts": 5}}}, "malformed inline model"),
-        ({"model": {"file": 5}}, "config 'model.file' must be a string, got 5"),
-        ({"model": {"file": "absent.json"}}, "cannot read the model file"),
-        ({"model": {"survey": 5}}, "config 'model.survey' must be an object, got 5"),
-        ({"model": {"survey": {"data": 5, "descriptor": "d.json"}}},
-         "config 'model.survey.data' must be a string, got 5"),
-        ({"model": {"survey": {"data": "absent.csv", "descriptor": example_survey_paths()[1]}}},
-         "cannot read the survey"),
-        ({"model": {"survey": {"data": "a.csv", "descriptor": "a.json", "famly": "zinb"}}},
-         "unknown keys in config 'model.survey': ['famly']"),
-        ({"targets": [[]]}, "config 'targets' index lists must be non-empty"),
-        ({"targets": [[99]]}, "target act index 99 not in act table"),
-        ({"targets": ["all", [99]]}, "target act index 99 not in act table"),
-        ({"targets": [[1, 2, 1]]}, "target (1, 2, 1) repeats an act index"),
-        ({"targets": ["sexual"]}, "selects no acts"),
+        pytest.param({"scenarios": [{"probs": 5}]},
+                     "config 'probs' must be a list of 4 numbers, got 5", id="probs-not-a-list"),
+        pytest.param({"scenarios": [{"probs": [None, 0, 0, 1]}]},
+                     "config 'probs' must be a number, got null", id="probs-entry-null"),
+        pytest.param({"scenarios": [{"probs": [1, 0, 0, 0], "name": 7}]},
+                     "config 'name' must be a string, got 7", id="name-not-a-string"),
+        pytest.param({"scenarios": [{"probs": [1, 0, 0, 0], "magnitud": 3}]},
+                     "unknown keys in config 'scenarios': ['magnitud']", id="scenario-unknown-key"),
+        pytest.param({"scenarios": [{"name": "x"}]}, "is missing 'probs'",
+                     id="scenario-missing-probs"),
+        pytest.param({"model": 5}, "config 'model' must be an object, got 5",
+                     id="model-not-an-object"),
+        pytest.param({"model": {"file": "model.json", "seed": 1}},
+                     "unknown keys in config 'model': ['seed']", id="model-unknown-key"),
+        pytest.param({"model": {"inline": 5}}, "config 'model.inline' must be an object, got 5",
+                     id="inline-not-an-object"),
+        pytest.param({"model": {"inline": {"acts": 5}}}, "malformed inline model",
+                     id="inline-malformed"),
+        pytest.param({"model": {"file": 5}}, "config 'model.file' must be a string, got 5",
+                     id="file-not-a-string"),
+        pytest.param({"model": {"file": "absent.json"}}, "cannot read the model file",
+                     id="file-absent"),
+        pytest.param({"model": {"survey": 5}}, "config 'model.survey' must be an object, got 5",
+                     id="survey-not-an-object"),
+        pytest.param({"model": {"survey": {"data": 5, "descriptor": "d.json"}}},
+                     "config 'model.survey.data' must be a string, got 5",
+                     id="survey-data-not-a-string"),
+        pytest.param({"model": {"survey": {"data": "absent.csv",
+                                           "descriptor": example_survey_paths()[1]}}},
+                     "cannot read the survey", id="survey-data-absent"),
+        pytest.param({"model": {"survey": {"data": "a.csv", "descriptor": "a.json",
+                                           "famly": "zinb"}}},
+                     "unknown keys in config 'model.survey': ['famly']", id="survey-unknown-key"),
+        pytest.param({"targets": [[]]}, "config 'targets' index lists must be non-empty",
+                     id="target-empty-list"),
+        pytest.param({"targets": [[99]]}, "target act index 99 not in act table",
+                     id="target-index-not-in-table"),
+        pytest.param({"targets": ["all", [99]]}, "target act index 99 not in act table",
+                     id="target-index-not-in-table-after-preset"),
+        pytest.param({"targets": [[1, 2, 1]]}, "target (1, 2, 1) repeats an act index",
+                     id="target-repeats-index"),
+        pytest.param({"targets": ["sexual"]}, "selects no acts", id="target-selects-no-acts"),
         # model files that name themselves in their errors (BAD_MODEL_FILES)
-        ({"model": {"file": "not_json.json"}}, "not_json.json: JSONDecodeError: Expecting property "
-         "name enclosed in double quotes: line 1 column 2 (char 1)"),
-        ({"model": {"file": "string_sigma.json"}},
-         "string_sigma.json: ValueError: could not convert string to float: 'x'"),
+        pytest.param({"model": {"file": "not_json.json"}},
+                     "not_json.json: JSONDecodeError: Expecting property name enclosed in "
+                     "double quotes: line 1 column 2 (char 1)", id="model-file-not-json"),
+        pytest.param({"model": {"file": "string_sigma.json"}},
+                     "string_sigma.json: ValueError: could not convert string to float: 'x'",
+                     id="model-file-string-sigma"),
         # settings are checked before the (here absent) survey is read
-        ({"model": {"survey": {"data": "a.csv", "descriptor": "a.json", "use": "resample",
-                               "family": "bogus"}}},
-         "config model.survey.family must be one of ['zip', 'zinb'], got \"bogus\""),
-        ({"model": {"survey": {"data": "a.csv", "descriptor": "a.json", "use": "resample",
-                               "sigma_method": "nope"}}},
-         "config model.survey.sigma_method must be one of ['adjusted', 'raw'], got \"nope\""),
-        ({"model": {"survey": {"data": "a.csv", "descriptor": "a.json", "sigma_method": "nope"}}},
-         "config model.survey.sigma_method must be one of ['adjusted', 'raw'], got \"nope\""),
-        ({"model": {"survey": {"data": "a.csv", "descriptor": "a.json", "use": "bogus"}}},
-         "config model.survey.use must be one of ['fit', 'resample'], got \"bogus\""),
+        pytest.param({"model": {"survey": {"data": "a.csv", "descriptor": "a.json",
+                                           "use": "resample", "family": "bogus"}}},
+                     "config model.survey.family must be one of ['zip', 'zinb'], got \"bogus\"",
+                     id="resample-bad-family"),
+        pytest.param({"model": {"survey": {"data": "a.csv", "descriptor": "a.json",
+                                           "use": "resample", "sigma_method": "nope"}}},
+                     "config model.survey.sigma_method must be one of ['adjusted', 'raw'], "
+                     "got \"nope\"", id="resample-bad-sigma-method"),
+        pytest.param({"model": {"survey": {"data": "a.csv", "descriptor": "a.json",
+                                           "sigma_method": "nope"}}},
+                     "config model.survey.sigma_method must be one of ['adjusted', 'raw'], "
+                     "got \"nope\"", id="fit-bad-sigma-method"),
+        pytest.param({"model": {"survey": {"data": "a.csv", "descriptor": "a.json",
+                                           "use": "bogus"}}},
+                     "config model.survey.use must be one of ['fit', 'resample'], got \"bogus\"",
+                     id="survey-bad-use"),
     ])
     def test_malformed_config_exits_2_before_any_replication(
         self, workdir, capsys, monkeypatch, overrides, expected
@@ -642,11 +690,13 @@ class TestConfigTypes:
         assert not (workdir / "x").exists()
 
     @pytest.mark.parametrize("overrides, cells", [
-        ({"scenarios": [{"probs": [0.7, 0.3, 0, 0]}, {"probs": [1, 0, 0, 0]}]},
-         "[('custom', 'all')]"),
-        ({"scenarios": ["null", {"probs": [1, 0, 0, 0], "name": "null"}, "cessation_only"],
-          "targets": ["all", [1, 2], [1, 2]]},
-         "[('cessation_only', '1,2'), ('null', '1,2'), ('null', 'all')]"),
+        pytest.param({"scenarios": [{"probs": [0.7, 0.3, 0, 0]}, {"probs": [1, 0, 0, 0]}]},
+                     "[('custom', 'all')]", id="unnamed-customs"),
+        pytest.param({"scenarios": ["null", {"probs": [1, 0, 0, 0], "name": "null"},
+                                    "cessation_only"],
+                      "targets": ["all", [1, 2], [1, 2]]},
+                     "[('cessation_only', '1,2'), ('null', '1,2'), ('null', 'all')]",
+                     id="named-custom-and-repeated-target"),
     ])
     def test_repeated_cell_names_exit_2(self, workdir, capsys, monkeypatch, overrides, cells):
         def no_grid(*args, **kwargs):

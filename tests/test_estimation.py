@@ -1,11 +1,14 @@
 """Tests for the difference-in-means estimator with HC2 robust SEs."""
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy import stats
 
-from ctssim.estimation import _mean_var, hc2_from_moments, z_critical
+from ctssim.estimation import _mean_var, hc2_from_moments
 
+import reference
 from reference import (
     EstimateResult,
     InferenceUndefinedError,
@@ -142,9 +145,21 @@ def arm_pairs():
     yield np.ones(5), np.zeros(5)  # se 0, estimate 1: p 0
 
 
+def arm_block(n1, n0, rng):
+    """Eight pairs of arms of sizes n1 and n0, one pair a row: six ordinary
+    rows, then two with both variances zero, at estimate 0 and at 1."""
+    y1 = np.vstack([rng.normal(0.3, 1.0, (3, n1)), (rng.random((3, n1)) < 0.4).astype(float),
+                    np.full((1, n1), 0.5), np.ones((1, n1))])
+    y0 = np.vstack([rng.normal(0.0, 2.0, (3, n0)), (rng.random((3, n0)) < 0.3).astype(float),
+                    np.full((1, n0), 0.5), np.zeros((1, n0))])
+    return y1, y0
+
+
 class TestMomentsForm:
-    """The kernel estimates from each arm's moments; hc2_from_arms, which
-    the reference pipeline uses, composes the same two steps."""
+    """The kernel estimates a block of replications from each arm's moments
+    in one array call, pinned to the scalar reference row by row;
+    hc2_from_arms, which the reference pipeline uses, composes the
+    reference with _mean_var."""
 
     def test_mean_var_is_numpys(self):
         for y1, y0 in arm_pairs():
@@ -154,17 +169,24 @@ class TestMomentsForm:
 
     @pytest.mark.parametrize("alpha", [0.05, 0.01, 0.3])
     @pytest.mark.parametrize("df", ["normal", "welch"])
-    def test_moments_equal_arms(self, df, alpha):
-        zero_se = []
-        for y1, y0 in arm_pairs():
-            want = hc2_from_arms(y1, y0, alpha, df)
-            moments = (*_mean_var(y1), len(y1), *_mean_var(y0), len(y0))
-            for z_crit in (None, z_critical(alpha)):
-                got = hc2_from_moments(*moments, alpha, df, z_crit)
-                assert got == want
-                assert all(type(v) is float for v in got)
-            zero_se.append(want[1] == 0.0)
-        assert zero_se[-2:] == [True, True] and False in zero_se
+    def test_array_form_equals_reference(self, df, alpha):
+        rng = np.random.default_rng(17)
+        for n1, n0 in [(2, 2), (25, 26), (840, 840)]:
+            y1, y0 = arm_block(n1, n0, rng)
+            (m1, v1), (m0, v0) = _mean_var(y1), _mean_var(y0)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = hc2_from_moments(m1, v1, n1, m0, v0, n0, alpha, df)
+            assert all(v.shape == (len(y1),) and v.dtype == np.float64 for v in got)
+            rows = [tuple(v[i].item() for v in got) for i in range(len(y1))]
+            for i, row in enumerate(rows):
+                want = reference.hc2_from_moments(m1[i].item(), v1[i].item(), n1,
+                                                  m0[i].item(), v0[i].item(), n0, alpha, df)
+                assert row == want
+                assert row == hc2_from_arms(y1[i], y0[i], alpha, df)
+            zero_se = [row[1] == 0.0 for row in rows]
+            assert zero_se[-2:] == [True, True] and False in zero_se[:-2]
+            assert rows[-2:] == [(0.0, 0.0, 0.0, 0.0, 1.0), (1.0, 0.0, 1.0, 1.0, 0.0)]
         assert hc2_from_arms(np.full(4, 0.5), np.full(3, 0.5), alpha, df) == (0.0, 0.0, 0.0, 0.0, 1.0)
         assert hc2_from_arms(np.ones(5), np.zeros(5), alpha, df) == (1.0, 0.0, 1.0, 1.0, 0.0)
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
-from ctssim import joint
+from ctssim import harness, joint
 from ctssim.coding import categorize, code_binary, code_sum
 from ctssim.datasets import default_acts, example_model, example_survey_paths
 from ctssim.harness import (
@@ -386,13 +386,13 @@ class TestReplicationMajorGrid:
         # cells share each block's target work; the reversed list is a
         # column set of its own
         calls = []
-        share = CellKernel.share
+        share = harness.share
 
-        def counted_share(kernel, *args):
-            calls.append(tuple(kernel.cols))
-            return share(kernel, *args)
+        def counted_share(y0, score0, rngs, cols):
+            calls.append(tuple(cols))
+            return share(y0, score0, rngs, cols)
 
-        monkeypatch.setattr(CellKernel, "share", counted_share)
+        monkeypatch.setattr(harness, "share", counted_share)
         base = config(n_units=BLOCK_UNITS, n_reps=2 * B, df=df)
         scenarios = [scenario_preset("cessation_reduction_increase"), scenario_preset("null")]
         self.assert_cells_match_reference(base, scenarios, ["all", (1, 2, 3), (2,), (3, 2, 1)])
@@ -417,8 +417,8 @@ class TestReplicationMajorGrid:
     def test_replications_without_violent_units(self, df):
         # at n_units 4, some replications have no violence on act 1 alone
         base = config(n_units=4, n_reps=40, seed=3, df=df)
-        kernel = CellKernel(replace(base, scenario=scenario_preset("null", target=(1,))))
-        violent = np.count_nonzero(kernel.draw(range(base.n_reps))[1][:, :, 0], axis=1)
+        y0 = harness.draw(base, CopulaSampler(base.model), range(base.n_reps))[1]
+        violent = np.count_nonzero(y0[:, :, 0], axis=1)
         assert 0 in violent and max(violent) > 0
         scenarios = [scenario_preset(name) for name in sorted(SCENARIO_PRESETS)]
         self.assert_cells_match_reference(base, scenarios, [(1,), "all"])
@@ -448,14 +448,14 @@ class TestReplicationMajorGrid:
         assert "sampler exploded" in str(info.value)
 
     def test_block_work_error_names_the_blocks_first_replication(self, monkeypatch):
-        share = CellKernel.share
+        share = harness.share
 
-        def fails_in_second_block(kernel, y0, score0, rngs):
+        def fails_in_second_block(y0, score0, rngs, cols):
             if rngs[0].bit_generator.seed_seq.entropy[1] == B:
                 raise FloatingPointError("block work failed")
-            return share(kernel, y0, score0, rngs)
+            return share(y0, score0, rngs, cols)
 
-        monkeypatch.setattr(CellKernel, "share", fails_in_second_block)
+        monkeypatch.setattr(harness, "share", fails_in_second_block)
         with pytest.raises(ReplicationError, match="block work failed") as info:
             run_cell(config(n_units=BLOCK_UNITS, n_reps=2 * B))
         assert info.value.rep_index == B

@@ -170,6 +170,31 @@ class TestReadWrite:
             read_survey(str(data), str(desc))
         assert str(info.value) == expected
 
+    @pytest.mark.parametrize("header, repeated", [
+        pytest.param("a,b,a,w", "a", id="act"),
+        pytest.param("w,a,b,w", "w", id="weight"),
+    ])
+    def test_repeated_header_column_rejected(self, tmp_path, header, repeated):
+        # a column the descriptor reads must not be ambiguous; an unread
+        # repeated column would be harmless
+        data = tmp_path / "r.csv"
+        data.write_text(f"{header},x,x\n1,2,3,1.0,0,0\n")
+        desc = tmp_path / "r.json"
+        desc.write_text(json.dumps({"mode": "counts", "acts": [descriptor_act("a"),
+                                                               descriptor_act("b")],
+                                    "weight_column": "w"}))
+        with pytest.raises(SurveyFormatError) as info:
+            read_survey(str(data), str(desc))
+        assert str(info.value) == f"{data}: header repeats columns [{repeated!r}]"
+
+    def test_trailing_empty_fields_accepted(self, tmp_path):
+        data = tmp_path / "t.csv"
+        data.write_text("a,b\n1,2,\n3,0, ,\n")
+        desc = tmp_path / "t.json"
+        desc.write_text(json.dumps({"mode": "counts",
+                                    "acts": [descriptor_act("a"), descriptor_act("b")]}))
+        assert np.array_equal(read_survey(str(data), str(desc)).values, [[1, 2], [3, 0]])
+
     @pytest.mark.parametrize("bad", [np.inf, np.nan, -1.0])
     def test_non_finite_or_negative_weight_rejected(self, bad):
         table, _ = simulated_table(n=20)
