@@ -7,6 +7,16 @@ and a Monte Carlo harness that scores each outcome coding's bias, RMSE,
 power, and coverage.
 """
 
+import os
+
+# One OpenBLAS thread unless the caller chose otherwise; this must run before
+# anything imports numpy.  ctssim's largest BLAS call, one (n, K) @ (K, K)
+# product per replication, is already below OpenBLAS's own threshold for
+# using threads, yet each of the two OpenBLAS libraries numpy and scipy load
+# would start a worker thread at import, and scipy's busy-spins through the
+# L-BFGS-B fits.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 __version__ = "0.1.0"
 
 from .coding import categorize, code_binary, code_sum

@@ -343,20 +343,26 @@ def _write_csv(path: str, columns: list[str], rows: list[dict]):
 
 def _check_out_path(path: str, is_dir: bool = False) -> None:
     """Reject an output path that cannot be written, before any work: a file
-    path whose directory is missing or that is a directory, or (``is_dir``) an
-    output directory at or under something that is not a directory."""
+    path whose directory is missing or not writable, or that is a directory,
+    or (``is_dir``) an output directory at or under something that is not a
+    directory, or whose nearest existing ancestor (itself, if it exists) is
+    not writable."""
     if is_dir:
         existing = os.path.abspath(path)
         while not os.path.exists(existing):
             existing = os.path.dirname(existing)
         if not os.path.isdir(existing):
             raise ConfigError(f"cannot write to {path}: {existing} is not a directory")
+        if not os.access(existing, os.W_OK):
+            raise ConfigError(f"cannot write to {path}: {existing} is not writable")
         return
     directory = os.path.dirname(path) or "."
     if not os.path.isdir(directory):
         raise ConfigError(f"cannot write {path}: directory {directory} does not exist")
     if os.path.isdir(path):
         raise ConfigError(f"cannot write {path}: it is a directory")
+    if not os.access(directory, os.W_OK):
+        raise ConfigError(f"cannot write {path}: directory {directory} is not writable")
 
 
 def _table(header: list[str], rows: list[list[str]], markdown: bool) -> list[str]:

@@ -140,9 +140,16 @@ def read_survey(data_path: str, descriptor_path: str) -> SurveyTable:
 
     Rows with any missing act value are dropped (and counted); a row with
     fewer fields than the header, or more that are not empty, and a
-    non-integer cell are parse errors reporting the file line; a category
-    outside 0..3 is a validation error naming the row and column.  A header
-    must name each column the descriptor reads exactly once.
+    non-integer cell are parse errors reporting the file line; a negative
+    cell, or a category outside 0..3, is a validation error naming the row
+    and column.  A header must name each column the descriptor reads
+    exactly once.
+
+    Each row is checked whole: one join finds a blank row or non-empty
+    trailing fields, one set test a missing token, and one integer parse
+    and the parsed row's min and max a bad value.  Only a row that fails
+    is checked again cell by cell, so that its error names its first bad
+    cell, as a cell-by-cell read would.
     """
     desc = _parse_descriptor(descriptor_path)
     acts = tuple(
@@ -176,35 +183,25 @@ def read_survey(data_path: str, descriptor_path: str) -> SurveyTable:
         w_idx = header.index(weight_col) if weight_col is not None else None
 
         for line_no, raw in enumerate(reader, start=2):
-            if not raw or all(not cell.strip() for cell in raw):
+            if not "".join(raw).strip():
                 continue
             # trailing empty fields are accepted
-            if len(raw) < len(header) or any(cell.strip() for cell in raw[len(header):]):
+            if len(raw) < len(header) or "".join(raw[len(header):]).strip():
                 raise SurveyFormatError(
                     f"{data_path}:{line_no}: expected {len(header)} fields, got {len(raw)}"
                 )
             cells = [raw[i].strip() for i in col_idx]
-            if any(c.lower() in MISSING_TOKENS for c in cells):
+            if not MISSING_TOKENS.isdisjoint(map(str.lower, cells)):
                 n_dropped += 1
                 continue
-            parsed = []
-            for name, cell in zip(columns, cells):
-                try:
-                    value = int(cell)
-                except ValueError:
-                    raise SurveyFormatError(
-                        f"{data_path}:{line_no}: column {name!r} has non-integer value {cell!r}"
-                    ) from None
-                if value < 0:
-                    raise SurveyFormatError(
-                        f"{data_path}:{line_no}: column {name!r} is negative ({value})"
-                    )
-                if max_allowed is not None and value > max_allowed:
-                    raise SurveyFormatError(
-                        f"{data_path}:{line_no}: column {name!r} has category {value} "
-                        f"outside 0..{max_allowed}"
-                    )
-                parsed.append(value)
+            try:
+                parsed = list(map(int, cells))
+            except ValueError:
+                parsed = None
+            if parsed is None or min(parsed) < 0 or (
+                max_allowed is not None and max(parsed) > max_allowed
+            ):
+                raise _cell_error(f"{data_path}:{line_no}", columns, cells, max_allowed) from None
             if w_idx is not None:
                 cell = raw[w_idx].strip()
                 if cell.lower() in MISSING_TOKENS:
@@ -230,6 +227,23 @@ def read_survey(data_path: str, descriptor_path: str) -> SurveyTable:
         weights=np.asarray(weights) if weight_col is not None else None,
         n_dropped=n_dropped,
     )
+
+
+def _cell_error(where: str, columns, cells, max_allowed) -> SurveyFormatError:
+    """The error of the first act cell of a row that is not an integer, is
+    negative, or is a category above ``max_allowed`` (None in counts mode)."""
+    for name, cell in zip(columns, cells):
+        try:
+            value = int(cell)
+        except ValueError:
+            return SurveyFormatError(f"{where}: column {name!r} has non-integer value {cell!r}")
+        if value < 0:
+            return SurveyFormatError(f"{where}: column {name!r} is negative ({value})")
+        if max_allowed is not None and value > max_allowed:
+            return SurveyFormatError(
+                f"{where}: column {name!r} has category {value} outside 0..{max_allowed}"
+            )
+    raise ValueError(f"{where}: no bad cell in {cells}")
 
 
 def write_survey(table: SurveyTable, data_path: str, descriptor_path: str):
@@ -292,15 +306,23 @@ _GL_NODES, _GL_WEIGHTS = leggauss(12)
 _Z_LIMIT = 8.5
 
 
-def _score_corr_theory(rho: float, cell_j, cell_k) -> float:
-    """Correlation of the two acts' discretized normal scores implied by a
-    Gaussian copula with latent correlation ``rho``."""
+def _score_corr_theory(cell_j, cell_k):
+    """The correlation of two acts' discretized normal scores implied by a
+    Gaussian copula, as a function of its latent correlation rho.
+
+    E[s_j s_k] integrates act j's latent value over each of its cells by
+    Gauss-Legendre quadrature, with act k's cell probabilities given that
+    value.  ``cell_j`` and ``cell_k`` are ``_cell_structure`` results.
+    Everything but act k's conditional probabilities (the score moments,
+    the nodes, weights and normal densities) is free of rho and computed
+    here, once per pair; the returned function does the rest.
+    """
     pj, bj, sj = cell_j
     pk, bk, sk = cell_k
     mu_j, mu_k = float(pj @ sj), float(pk @ sk)
     sd_j = float(np.sqrt(pj @ (sj * sj) - mu_j * mu_j))
     sd_k = float(np.sqrt(pk @ (sk * sk) - mu_k * mu_k))
-    tau = np.sqrt(max(1.0 - rho * rho, 1e-12))
+    mu_jk, sd_jk = mu_j * mu_k, sd_j * sd_k
     lo = np.concatenate([[-_Z_LIMIT], bj[:-1]])
     hi = np.minimum(bj, _Z_LIMIT)
     lo = np.minimum(lo, hi)
@@ -309,12 +331,17 @@ def _score_corr_theory(rho: float, cell_j, cell_k) -> float:
     weights = half[:, None] * _GL_WEIGHTS[None, :]
     z = nodes.ravel()
     density = np.exp(-0.5 * z * z) / np.sqrt(2.0 * np.pi)
+    z = z[:, None]
     bk_low = np.concatenate([[-np.inf], bk[:-1]])
-    cond = (ndtr((bk[None, :] - rho * z[:, None]) / tau)
-            - ndtr((bk_low[None, :] - rho * z[:, None]) / tau)) @ sk
-    per_cell = np.sum((density * cond).reshape(nodes.shape) * weights, axis=1)
-    cross = float(sj @ per_cell)
-    return (cross - mu_j * mu_k) / (sd_j * sd_k)
+
+    def corr(rho: float) -> float:
+        tau = np.sqrt(max(1.0 - rho * rho, 1e-12))
+        rz = rho * z
+        cond = (ndtr((bk - rz) / tau) - ndtr((bk_low - rz) / tau)) @ sk
+        per_cell = np.sum((density * cond).reshape(weights.shape) * weights, axis=1)
+        return (float(sj @ per_cell) - mu_jk) / sd_jk
+
+    return corr
 
 
 def _empirical_scores(column: np.ndarray, weights: np.ndarray | None) -> np.ndarray:
@@ -349,9 +376,13 @@ def latent_correlation_matrix(
     "raw" returns the plain Pearson correlation of mid-rank normal scores;
     it is attenuated by the discreteness of the responses.  "adjusted"
     (default) inverts the score correlation implied by the fitted marginals
-    under the Gaussian copula, removing that attenuation.  Degenerate acts
-    (zero_prob = 1) get zero correlation.  The result is symmetric but not
-    necessarily PSD; project with ``nearest_psd`` before use.
+    under the Gaussian copula, removing that attenuation: a root search
+    over rho, each step of which evaluates the pair's score correlation by
+    quadrature.  The quadrature's rho-free part (score moments, nodes,
+    weights, normal densities) is computed once per pair, before the
+    search starts.  Degenerate acts (zero_prob = 1) get zero correlation.  The
+    result is symmetric but not necessarily PSD; project with
+    ``nearest_psd`` before use.
     """
     if method not in SIGMA_METHODS:
         raise ValueError(f"unknown method {method!r}")
@@ -373,8 +404,10 @@ def latent_correlation_matrix(
             if method == "raw":
                 rho = r_obs
             else:
-                def gap(r, _j=j, _l=l):
-                    return _score_corr_theory(r, cells[_j], cells[_l]) - r_obs
+                corr = _score_corr_theory(cells[j], cells[l])
+
+                def gap(r, _corr=corr):
+                    return _corr(r) - r_obs
 
                 if gap(_RHO_LIMIT) <= 0.0:
                     rho = _RHO_LIMIT

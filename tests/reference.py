@@ -9,11 +9,18 @@ functions run on the same random stream, bit for bit.
 ``hc2_from_moments`` the HC2 estimate of one replication on Python floats,
 ``hc2_from_arms`` that estimate from the arms' outcome vectors, and
 ``check_schedule`` the invariants every potential-outcome schedule keeps.
-They are test code, not part of the ctssim package.
+
+The fit path has its own plain forms: ``read_survey`` validates each
+cell of a survey file in turn, ``zinb_censored_loglik`` builds the
+``MarginalParams`` the ZINB fit's objective evaluates, and
+``score_corr_theory`` computes a pair's quadrature afresh for every rho.
+``test_ingest`` and ``test_marginals`` pin the fit path to them, bit for
+bit.  They are test code, not part of the ctssim package.
 """
 
 from __future__ import annotations
 
+import csv
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -23,8 +30,146 @@ from scipy.special import ndtr, ndtri, stdtr, stdtrit
 
 from ctssim import coding
 from ctssim.estimation import _mean_var
+from ctssim.ingest import (
+    _GL_NODES,
+    _GL_WEIGHTS,
+    _Z_LIMIT,
+    MISSING_TOKENS,
+    SurveyFormatError,
+    SurveyTable,
+    _parse_descriptor,
+)
 from ctssim.joint import ActSpec
+from ctssim.marginals import ZINB, MarginalParams, censored_loglik
 from ctssim.outcomes import EffectScenario, PotentialOutcomeTable, ResponseType, target_columns
+
+# ---------------------------------------------------------------------------
+# Surveys and fits
+
+
+def read_survey(data_path: str, descriptor_path: str) -> SurveyTable:
+    """``ingest.read_survey`` with every cell checked on its own: the same
+    table, or the same ``SurveyFormatError`` text, for every file."""
+    desc = _parse_descriptor(descriptor_path)
+    acts = tuple(
+        ActSpec(i + 1, a["label"], a["category"], a["severity"])
+        for i, a in enumerate(desc["acts"])
+    )
+    columns = [a["column"] for a in desc["acts"]]
+    weight_col = desc.get("weight_column")
+    max_allowed = coding.MAX_CATEGORY if desc["mode"] == "categories" else None
+
+    rows: list[list[int]] = []
+    weights: list[float] = []
+    n_dropped = 0
+    with open(data_path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise SurveyFormatError(f"{data_path}: file is empty") from None
+        header = [h.strip() for h in header]
+        missing_cols = [c for c in columns if c not in header]
+        if missing_cols:
+            raise SurveyFormatError(f"{data_path}: header lacks act columns {missing_cols}")
+        if weight_col is not None and weight_col not in header:
+            raise SurveyFormatError(f"{data_path}: header lacks weight column {weight_col!r}")
+        read = columns + ([weight_col] if weight_col is not None else [])
+        repeated = [c for c in read if header.count(c) > 1]
+        if repeated:
+            raise SurveyFormatError(f"{data_path}: header repeats columns {repeated}")
+        col_idx = [header.index(c) for c in columns]
+        w_idx = header.index(weight_col) if weight_col is not None else None
+
+        for line_no, raw in enumerate(reader, start=2):
+            if not raw or all(not cell.strip() for cell in raw):
+                continue
+            # trailing empty fields are accepted
+            if len(raw) < len(header) or any(cell.strip() for cell in raw[len(header):]):
+                raise SurveyFormatError(
+                    f"{data_path}:{line_no}: expected {len(header)} fields, got {len(raw)}"
+                )
+            cells = [raw[i].strip() for i in col_idx]
+            if any(c.lower() in MISSING_TOKENS for c in cells):
+                n_dropped += 1
+                continue
+            parsed = []
+            for name, cell in zip(columns, cells):
+                try:
+                    value = int(cell)
+                except ValueError:
+                    raise SurveyFormatError(
+                        f"{data_path}:{line_no}: column {name!r} has non-integer value {cell!r}"
+                    ) from None
+                if value < 0:
+                    raise SurveyFormatError(
+                        f"{data_path}:{line_no}: column {name!r} is negative ({value})"
+                    )
+                if max_allowed is not None and value > max_allowed:
+                    raise SurveyFormatError(
+                        f"{data_path}:{line_no}: column {name!r} has category {value} "
+                        f"outside 0..{max_allowed}"
+                    )
+                parsed.append(value)
+            if w_idx is not None:
+                cell = raw[w_idx].strip()
+                if cell.lower() in MISSING_TOKENS:
+                    n_dropped += 1
+                    continue
+                try:
+                    weights.append(float(cell))
+                except ValueError:
+                    raise SurveyFormatError(
+                        f"{data_path}:{line_no}: weight column has non-numeric value {cell!r}"
+                    ) from None
+                if not 0.0 <= weights[-1] < np.inf:
+                    raise SurveyFormatError(f"{data_path}:{line_no}: weight {cell!r} is not "
+                                            "a finite, non-negative number")
+            rows.append(parsed)
+
+    if not rows:
+        raise SurveyFormatError(f"{data_path}: no complete rows")
+    return SurveyTable(
+        acts=acts,
+        values=np.asarray(rows, dtype=np.int64),
+        mode=desc["mode"],
+        weights=np.asarray(weights) if weight_col is not None else None,
+        n_dropped=n_dropped,
+    )
+
+
+def zinb_censored_loglik(category_counts, rate: float, dispersion: float,
+                         zero_prob: float) -> float:
+    """The objective of a ZINB fit to a category histogram, as the
+    composition of the margin's public parts."""
+    return censored_loglik(MarginalParams(ZINB, rate, zero_prob, dispersion), category_counts)
+
+
+def score_corr_theory(rho: float, cell_j, cell_k) -> float:
+    """Correlation of the two acts' discretized normal scores implied by a
+    Gaussian copula with latent correlation ``rho``; ``cell_j`` and
+    ``cell_k`` are ``ingest._cell_structure`` results."""
+    pj, bj, sj = cell_j
+    pk, bk, sk = cell_k
+    mu_j, mu_k = float(pj @ sj), float(pk @ sk)
+    sd_j = float(np.sqrt(pj @ (sj * sj) - mu_j * mu_j))
+    sd_k = float(np.sqrt(pk @ (sk * sk) - mu_k * mu_k))
+    tau = np.sqrt(max(1.0 - rho * rho, 1e-12))
+    lo = np.concatenate([[-_Z_LIMIT], bj[:-1]])
+    hi = np.minimum(bj, _Z_LIMIT)
+    lo = np.minimum(lo, hi)
+    mid, half = (hi + lo) / 2.0, (hi - lo) / 2.0
+    nodes = mid[:, None] + half[:, None] * _GL_NODES[None, :]
+    weights = half[:, None] * _GL_WEIGHTS[None, :]
+    z = nodes.ravel()
+    density = np.exp(-0.5 * z * z) / np.sqrt(2.0 * np.pi)
+    bk_low = np.concatenate([[-np.inf], bk[:-1]])
+    cond = (ndtr((bk[None, :] - rho * z[:, None]) / tau)
+            - ndtr((bk_low[None, :] - rho * z[:, None]) / tau)) @ sk
+    per_cell = np.sum((density * cond).reshape(nodes.shape) * weights, axis=1)
+    cross = float(sj @ per_cell)
+    return (cross - mu_j * mu_k) / (sd_j * sd_k)
+
 
 # ---------------------------------------------------------------------------
 # Control counts

@@ -11,6 +11,10 @@ import argparse
 import ast
 import json
 import os
+import subprocess
+import sys
+
+import pytest
 
 import ctssim
 from ctssim import cli
@@ -127,3 +131,29 @@ def test_simulate_outputs_are_pinned(tmp_path):
     out = tmp_path / "out"
     assert cli.main(["simulate", "--config", str(config), "--out-dir", str(out)]) == 0
     assert sorted(os.listdir(out)) == SIMULATE_OUTPUTS
+
+
+def run_python(script: str, blas_threads: str | None) -> str:
+    """The standard output of ``script`` in a fresh interpreter that imports
+    ctssim from this checkout, with OPENBLAS_NUM_THREADS unset or preset."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(os.path.abspath(ctssim.__file__)))
+    if blas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = blas_threads
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
+@pytest.mark.parametrize("preset, expected", [(None, "1"), ("3", "3")])
+def test_import_defaults_to_one_blas_thread(preset, expected):
+    script = "import os, ctssim; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    assert run_python(script, preset) == expected
+
+
+def test_cli_import_starts_no_thread():
+    if not os.path.isdir("/proc/self/task"):
+        pytest.skip("no /proc/self/task to count threads in")
+    script = "import os, ctssim.cli; print(len(os.listdir('/proc/self/task')))"
+    assert run_python(script, None) == "1"

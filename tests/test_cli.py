@@ -72,6 +72,18 @@ def write_config(path, **overrides):
     return path
 
 
+def deny_writes_to(monkeypatch, directory):
+    """Make ``os.access`` report ``directory`` as not writable."""
+    real_access = os.access
+
+    def access(path, mode, *args, **kwargs):
+        if mode & os.W_OK and os.path.abspath(path) == str(directory):
+            return False
+        return real_access(path, mode, *args, **kwargs)
+
+    monkeypatch.setattr(cli.os, "access", access)
+
+
 def read_rows(path):
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))
@@ -140,6 +152,21 @@ class TestFit:
         assert code == 2
         err = capsys.readouterr().err
         assert "cannot write missing_dir/m.json: directory missing_dir does not exist" in err
+
+    def test_unwritable_out_dir_exits_2_before_reading(self, tmp_path, capsys, monkeypatch):
+        # os.access, not file modes: root may write to any directory
+        def no_read(*args, **kwargs):
+            raise AssertionError("the survey was read")
+
+        locked = tmp_path / "locked"
+        locked.mkdir()
+        deny_writes_to(monkeypatch, locked)
+        monkeypatch.setattr(cli, "read_survey", no_read)
+        data, desc = example_survey_paths()
+        out = str(locked / "m.json")
+        assert main(["fit", "--data", data, "--descriptor", desc, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert f"cannot write {out}: directory {locked} is not writable" in err
 
     def test_missing_data_file_exits_2(self, tmp_path, capsys):
         _, desc = example_survey_paths()
@@ -246,6 +273,24 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert f"cannot write to {out}: {workdir / 'taken'} is not a directory" in err
         assert (workdir / "taken").read_text() == ""
+
+    @pytest.mark.parametrize("out_dir", ["locked", "locked/new/sub"])
+    def test_unwritable_out_dir_exits_2_before_any_work(self, workdir, capsys, monkeypatch,
+                                                        out_dir):
+        def no_work(*args, **kwargs):
+            raise AssertionError("the run started")
+
+        locked = workdir / "locked"
+        locked.mkdir()
+        deny_writes_to(monkeypatch, locked)
+        monkeypatch.setattr(cli, "load_run_config", no_work)
+        monkeypatch.setattr(cli, "scenario_grid", no_work)
+        cfg = write_config(workdir / "run.json")
+        out = str(workdir / out_dir)
+        assert main(["simulate", "--config", str(cfg), "--out-dir", out]) == 2
+        err = capsys.readouterr().err
+        assert f"cannot write to {out}: {locked} is not writable" in err
+        assert os.listdir(locked) == []
 
     def test_unknown_df_exits_2(self, workdir, capsys):
         cfg = write_config(workdir / "run.json", df="student")

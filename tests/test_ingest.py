@@ -1,16 +1,20 @@
 """Tests for survey ingestion, model calibration, and resampling."""
 
+import itertools
 import json
 
 import numpy as np
 import pytest
 
+import reference
 from ctssim.coding import categorize
 from ctssim.datasets import example_survey_paths
 from ctssim.ingest import (
     EmpiricalResampler,
     SurveyFormatError,
     SurveyTable,
+    _cell_structure,
+    _score_corr_theory,
     fit_model,
     latent_correlation_matrix,
     load_model,
@@ -223,6 +227,134 @@ class TestReadWrite:
         write_survey(weighted, data, desc)
         back = read_survey(data, desc)
         assert np.allclose(back.weights, weighted.weights)
+
+
+# Row kinds of a generated survey, each with its chance: a valid row, a row
+# dropped for a missing value, a row that is skipped or accepted as it is,
+# and a row that is malformed.
+ROW_KINDS = {
+    "valid": 0.72, "missing": 0.06, "blank": 0.03, "trailing-empty": 0.03,
+    "trailing-value": 0.02, "short": 0.02, "odd-cell": 0.06, "negative-then-text": 0.02,
+    "bad-weight": 0.02, "missing-weight": 0.02,
+}
+# act cells that are valid, or not, depending on the mode
+ODD_CELLS = [" 3 ", "+3", "3.0", "-1", "4", "x", "1_0"]
+MISSING_CELLS = ["", "NA", "nan", "None", "null", ".", " na ", " "]
+
+
+def fuzz_survey(rng, mode: str, weighted: bool) -> tuple[str, dict]:
+    """The text and descriptor of a random survey mixing every row kind of
+    ROW_KINDS, or (one in ten) of missing rows only; the header has an
+    unread column and the acts out of descriptor order."""
+    header = ["id", "a2", "a1", "a3"] + (["w"] if weighted else [])
+    top = 3 if mode == "categories" else 9
+    lines = [",".join(header)]
+    kinds, chances = list(ROW_KINDS), list(ROW_KINDS.values())
+    all_missing = rng.random() < 0.1
+    for i in range(int(rng.integers(1, 16))):
+        kind = "missing" if all_missing else kinds[rng.choice(len(kinds), p=chances)]
+        acts = [str(v) for v in rng.integers(0, top + 1, 3)]
+        weight = [f"{rng.uniform(0.1, 3.0):.3f}"] if weighted else []
+        if kind == "missing":
+            acts[rng.integers(3)] = MISSING_CELLS[rng.integers(len(MISSING_CELLS))]
+        elif kind == "odd-cell":
+            acts[rng.integers(3)] = ODD_CELLS[rng.integers(len(ODD_CELLS))]
+        elif kind == "negative-then-text":
+            acts = ["-2", "1", "2.5"]
+        elif kind == "bad-weight" and weighted:
+            weight = [["abc", "-1", "inf", "1e999"][rng.integers(4)]]
+        elif kind == "missing-weight" and weighted:
+            weight = [["", "NA", "."][rng.integers(3)]]
+        fields = [str(i), *acts, *weight]
+        if kind == "blank":
+            fields = [" " * int(rng.integers(2))] * int(rng.integers(1, len(header) + 2))
+        elif kind == "trailing-empty":
+            fields += ["", " "][: int(rng.integers(1, 3))]
+        elif kind == "trailing-value":
+            fields += ["", "7"]
+        elif kind == "short":
+            fields = fields[: int(rng.integers(1, len(header)))]
+        lines.append(",".join(fields))
+    desc = {"mode": mode, "acts": [descriptor_act(c) for c in ("a1", "a2", "a3")]}
+    if weighted:
+        desc["weight_column"] = "w"
+    return "\n".join(lines) + "\n", desc
+
+
+def read_or_error(read, data, desc):
+    try:
+        return read(data, desc)
+    except SurveyFormatError as exc:
+        return str(exc)
+
+
+class TestReadSurveyMatchesReference:
+    """``read_survey`` checks a row whole and a failed row cell by cell;
+    ``reference.read_survey`` checks every cell on its own.  Both give the
+    same table, or the same error text, for every file."""
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize("mode", ["categories", "counts"])
+    def test_generated_files(self, tmp_path, mode, weighted):
+        rng = np.random.default_rng([17, mode == "counts", weighted])
+        data, desc = str(tmp_path / "s.csv"), str(tmp_path / "s.json")
+        outcomes = []
+        for _ in range(150):
+            text, descriptor = fuzz_survey(rng, mode, weighted)
+            with open(data, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            with open(desc, "w", encoding="utf-8") as fh:
+                json.dump(descriptor, fh)
+            got = read_or_error(read_survey, data, desc)
+            want = read_or_error(reference.read_survey, data, desc)
+            if isinstance(want, str):
+                assert got == want, text
+            else:
+                assert isinstance(got, SurveyTable), (got, text)
+                assert got.values.dtype == want.values.dtype
+                assert np.array_equal(got.values, want.values), text
+                assert got.n_dropped == want.n_dropped and got.acts == want.acts
+                assert got.mode == want.mode
+                assert (got.weights is None) == (want.weights is None)
+                if want.weights is not None:
+                    assert np.array_equal(got.weights, want.weights)
+            outcomes.append(want)
+        tables = [o for o in outcomes if not isinstance(o, str)]
+        errors = " ".join(o for o in outcomes if isinstance(o, str))
+        assert tables and any(t.n_dropped for t in tables)
+        expected = ["non-integer value", "is negative", "expected", "no complete rows"]
+        expected += ["outside 0..3"] if mode == "categories" else []
+        expected += ["non-numeric value", "not a finite"] if weighted else []
+        assert all(e in errors for e in expected), errors
+
+    @pytest.mark.parametrize("mode", ["categories", "counts"])
+    def test_first_bad_cell_is_named(self, tmp_path, mode):
+        data, desc = tmp_path / "s.csv", tmp_path / "s.json"
+        data.write_text("a,b,c\n1,2,3\n2,-1,x\n")
+        desc.write_text(json.dumps({"mode": mode, "acts": [descriptor_act(c) for c in "abc"]}))
+        with pytest.raises(SurveyFormatError) as info:
+            read_survey(str(data), str(desc))
+        assert str(info.value) == f"{data}:3: column 'b' is negative (-1)"
+
+
+class TestScoreCorrelationMatchesReference:
+    """The split quadrature (its rho-free part once per pair, then the ndtr
+    calls per rho) equals ``reference.score_corr_theory`` bit for bit."""
+
+    MARGINS = [
+        MarginalParams("zip", 2.36, 0.84),
+        MarginalParams("zinb", 1.5, 0.6, 0.7),
+        MarginalParams("zip", 0.3, 0.1),
+        MarginalParams("zinb", 6.0, 0.2, 3.0),
+    ]
+
+    @pytest.mark.parametrize("mode", ["categories", "counts"])
+    def test_every_pair_and_rho(self, mode):
+        cells = [_cell_structure(m, mode) for m in self.MARGINS]
+        for cell_j, cell_k in itertools.permutations(cells, 2):
+            corr = _score_corr_theory(cell_j, cell_k)
+            for rho in (-0.9995, -0.5, 0.0, 0.5, 0.9995):
+                assert corr(rho) == reference.score_corr_theory(rho, cell_j, cell_k)
 
 
 class TestFitModel:

@@ -1,5 +1,6 @@
 """Tests for the single-act zero-inflated distributions and MLE fitting."""
 
+import itertools
 import math
 import zlib
 
@@ -7,9 +8,12 @@ import numpy as np
 import pytest
 from scipy import optimize, special
 
+from ctssim import marginals
 from ctssim.marginals import (
+    ZINB,
     MarginalParams,
     _count,
+    _zinb_censored_loglik,
     _zinb_loglik,
     _zip_loglik,
     cdf_table,
@@ -20,7 +24,7 @@ from ctssim.marginals import (
 )
 
 from helpers import zi_mean, zi_sample, zi_variance
-from reference import counts_from_uniforms
+from reference import counts_from_uniforms, zinb_censored_loglik
 
 FIG_PARAMS = MarginalParams("zip", 2.36, 0.84)
 
@@ -368,6 +372,55 @@ class TestLoglik:
         y = zi_sample(params, 500, np.random.default_rng(20))
         direct = float(np.sum(np.log(zi_pmf(params, y))))
         assert zi_loglik(params, y) == pytest.approx(direct, abs=1e-8)
+
+
+# (rate, dispersion, zero_prob) over and past the ZINB fits' bounds
+ZINB_GRID = [
+    (float(rate), float(disp), theta)
+    for rate, disp, theta in itertools.product(
+        np.logspace(-4, 4, 17), np.logspace(-3, 8, 23), (0.0, 1e-12, 0.5, 1.0 - 1e-12, 1.0)
+    )
+]
+HISTOGRAMS = [np.array([5000.0, 1000.0, 1500.0, 500.0]), np.array([0.0, 3.0, 0.0, 7.5])]
+
+
+class TestZinbCensoredObjective:
+    """The ZINB fit's objective equals ``censored_loglik`` of the margin it
+    stands for (``reference.zinb_censored_loglik``) bit for bit."""
+
+    @staticmethod
+    def assert_matches_reference():
+        for rate, disp, theta in ZINB_GRID:
+            for n in HISTOGRAMS:
+                assert _zinb_censored_loglik(n, rate, disp, theta) == zinb_censored_loglik(
+                    n, rate, disp, theta
+                ), (rate, disp, theta, n)
+
+    def test_grid(self):
+        floored = [
+            np.any(category_probs(MarginalParams(ZINB, rate, theta, disp)) < 1e-300)
+            for rate, disp, theta in ZINB_GRID
+        ]
+        assert any(floored) and not all(floored)  # the grid reaches the 1e-300 floor
+        self.assert_matches_reference()
+
+    def test_grid_where_the_clip_acts(self, monkeypatch):
+        # scipy's ufuncs stay in [0, 1] at valid parameters; stretched copies
+        # leave it on both sides, so the clip to [0, 1] changes values
+        def stretched(ufunc):
+            return lambda y, n, p: 1.5 * ufunc(y, n, p) - 0.25
+
+        pmf, sf = stretched(marginals._nbinom_pmf), stretched(marginals._nbinom_sf)
+        raw = np.array([
+            [*pmf(np.array([0.0, 1.0]), disp, disp / (disp + rate)),
+             *sf(np.array([1.0, 4.0]), disp, disp / (disp + rate))]
+            for rate, disp, _ in ZINB_GRID
+        ])
+        assert np.any(raw < 0.0) and np.any(raw > 1.0)
+        monkeypatch.setattr(marginals, "_nbinom_pmf", pmf)
+        monkeypatch.setattr(marginals, "_nbinom_sf", sf)
+        monkeypatch.setitem(marginals._COUNT_UFUNCS, (ZINB, "pmf"), pmf)
+        self.assert_matches_reference()
 
 
 def _em_loglik(y):
