@@ -12,8 +12,10 @@ functions run on the same random stream, bit for bit.
 
 The fit path has its own plain forms: ``read_survey`` validates each
 cell of a survey file in turn, ``zinb_censored_loglik`` builds the
-``MarginalParams`` the ZINB fit's objective evaluates, and
-``score_corr_theory`` computes a pair's quadrature afresh for every rho.
+``MarginalParams`` the ZINB fit's objective evaluates, ``fit_zinb`` runs
+L-BFGS-B on a scalar objective with scipy's own finite-difference
+gradient, and ``score_corr_theory`` computes a pair's quadrature afresh
+for every rho.
 ``test_ingest`` and ``test_marginals`` pin the fit path to them, bit for
 bit.  They are test code, not part of the ctssim package.
 """
@@ -26,6 +28,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from scipy import optimize
 from scipy.special import ndtr, ndtri, stdtr, stdtrit
 
 from ctssim import coding
@@ -40,7 +43,14 @@ from ctssim.ingest import (
     _parse_descriptor,
 )
 from ctssim.joint import ActSpec
-from ctssim.marginals import ZINB, MarginalParams, censored_loglik
+from ctssim.marginals import (
+    _CONVERGED_RTOL,
+    _ZINB_BOUNDS,
+    ZINB,
+    MarginalParams,
+    _expit,
+    censored_loglik,
+)
 from ctssim.outcomes import EffectScenario, PotentialOutcomeTable, ResponseType, target_columns
 
 # ---------------------------------------------------------------------------
@@ -143,6 +153,28 @@ def zinb_censored_loglik(category_counts, rate: float, dispersion: float,
     """The objective of a ZINB fit to a category histogram, as the
     composition of the margin's public parts."""
     return censored_loglik(MarginalParams(ZINB, rate, zero_prob, dispersion), category_counts)
+
+
+def fit_zinb(loglik, x0: list) -> tuple[MarginalParams, float, bool, int]:
+    """Maximize ``loglik(rate, dispersion, zero_prob)`` by L-BFGS-B over
+    (log rate, log dispersion, logit zero_prob) from each start in ``x0``."""
+    results = [
+        optimize.minimize(
+            lambda x: -loglik(math.exp(x[0]), math.exp(x[1]), _expit(x[2])),
+            np.asarray(start, dtype=float),
+            method="L-BFGS-B",
+            bounds=_ZINB_BOUNDS,
+            options={"ftol": 1e-12, "gtol": 1e-10, "maxiter": 500},
+        )
+        for start in x0
+    ]
+    best = min(results, key=lambda res: res.fun)
+    converged = any(
+        res.success and res.fun - best.fun <= _CONVERGED_RTOL * abs(best.fun) for res in results
+    )
+    x = best.x
+    params = MarginalParams(ZINB, math.exp(x[0]), 1.0 / (1.0 + math.exp(-x[2])), math.exp(x[1]))
+    return params, -float(best.fun), converged, int(best.nit)
 
 
 def score_corr_theory(rho: float, cell_j, cell_k) -> float:

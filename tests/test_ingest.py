@@ -672,8 +672,10 @@ class TestModelFiles:
         model = reference_model()
         path = str(tmp_path / "model.json")
         save_model(model, path)
-        payload = json.loads(open(path).read())
+        with open(path) as fh:
+            payload = json.load(fh)
         payload["schema_version"] = 99
-        open(path, "w").write(json.dumps(payload))
+        with open(path, "w") as fh:
+            json.dump(payload, fh)
         with pytest.raises(ValueError, match="schema version"):
             load_model(path)

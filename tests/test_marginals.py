@@ -7,6 +7,7 @@ import zlib
 import numpy as np
 import pytest
 from scipy import optimize, special
+from scipy.optimize._numdiff import _adjust_scheme_to_bounds
 
 from ctssim import marginals
 from ctssim.marginals import (
@@ -24,7 +25,7 @@ from ctssim.marginals import (
 )
 
 from helpers import zi_mean, zi_sample, zi_variance
-from reference import counts_from_uniforms, zinb_censored_loglik
+from reference import counts_from_uniforms, fit_zinb, zinb_censored_loglik
 
 FIG_PARAMS = MarginalParams("zip", 2.36, 0.84)
 
@@ -390,11 +391,15 @@ class TestZinbCensoredObjective:
 
     @staticmethod
     def assert_matches_reference():
-        for rate, disp, theta in ZINB_GRID:
+        # the grid in batches of 4 points, the last one filled with its first point
+        for batch in np.array(ZINB_GRID + ZINB_GRID[:1]).reshape(-1, 4, 3):
+            rate, disp, theta = batch.T
             for n in HISTOGRAMS:
-                assert _zinb_censored_loglik(n, rate, disp, theta) == zinb_censored_loglik(
-                    n, rate, disp, theta
-                ), (rate, disp, theta, n)
+                got = _zinb_censored_loglik(n, rate, disp, theta)
+                expected = [zinb_censored_loglik(n, *point) for point in batch.tolist()]
+                assert got.tolist() == expected, (batch, n)
+                one_row = [_zinb_censored_loglik(n, *point[:, None]) for point in batch]
+                assert np.array_equal(got, np.concatenate(one_row)), (batch, n)
 
     def test_grid(self):
         floored = [
@@ -421,6 +426,94 @@ class TestZinbCensoredObjective:
         monkeypatch.setattr(marginals, "_nbinom_sf", sf)
         monkeypatch.setitem(marginals._COUNT_UFUNCS, (ZINB, "pmf"), pmf)
         self.assert_matches_reference()
+
+
+def _survey_histograms():
+    """The act histograms of build_example_survey(8000, seed) for seeds 1-30,
+    20260801 and 4242: 320 histograms."""
+    from ctssim.datasets import build_example_survey
+    from ctssim.ingest import _category_hist
+
+    hists = []
+    for seed in [*range(1, 31), 20260801, 4242]:
+        values = build_example_survey(8000, seed).values
+        hists += [_category_hist(values[:, j], None) for j in range(values.shape[1])]
+    return hists
+
+
+def _sparse_histograms(count=300):
+    """Seeded small histograms with empty categories, some of whose ZINB fits
+    end on the upper bound of the log rate or the log dispersion."""
+    rng = np.random.default_rng(16)
+    hists = []
+    while len(hists) < count:
+        n = (rng.integers(0, 40, 4) * (rng.random(4) < 0.8)).astype(float)
+        n[0] += rng.integers(0, 200)
+        if n[1:].sum() > 0:
+            hists.append(n)
+    return hists
+
+
+class TestZinbFitMatchesReference:
+    """A ZINB fit makes one objective call over 4 points per L-BFGS-B step
+    and forms the finite-difference gradient itself.  Its results equal
+    ``reference.fit_zinb``'s, a scalar objective with scipy's own
+    ``approx_derivative``, in every field: the same starts, paths and
+    iteration counts."""
+
+    @staticmethod
+    def reference_fit(monkeypatch, loglik, fit, *args):
+        with monkeypatch.context() as patch:
+            patch.setattr(marginals, "_fit_zinb", lambda _points, x0: fit_zinb(loglik, x0))
+            return fit(*args)
+
+    @pytest.mark.parametrize("source", ["survey", "sparse"])
+    def test_censored(self, monkeypatch, source):
+        hists = _survey_histograms() if source == "survey" else _sparse_histograms()
+        on_upper = np.zeros(2, dtype=bool)  # log rate, log dispersion
+        for n in hists:
+            expected = self.reference_fit(
+                monkeypatch,
+                lambda rate, disp, theta: zinb_censored_loglik(n, rate, disp, theta),
+                fit_mle_censored, n, ZINB,
+            )
+            fit = fit_mle_censored(n, ZINB)
+            assert fit == expected, n
+            on_upper |= [fit.params.rate == math.exp(15.0), fit.params.dispersion == math.exp(20.0)]
+        if source == "sparse":  # fits that end where the step flips
+            assert on_upper.all()
+
+    def test_exact(self, monkeypatch):
+        rng = np.random.default_rng(17)
+        cases = [
+            (zi_sample(params, size, rng), weighted)
+            for params in PARAM_GRID[3:] + [MarginalParams(ZINB, 0.4, 0.5, dispersion=50.0)]
+            for size in (40, 400)
+            for weighted in (False, True)
+        ]
+        cases.append((np.array([0] * 20 + [1] * 12 + [2] * 3), False))  # under-dispersed positives
+        for y, weighted in cases:
+            w = rng.uniform(0.5, 2.0, y.size) if weighted else np.ones(y.size)
+            weights = w if weighted else None
+            expected = self.reference_fit(
+                monkeypatch,
+                lambda rate, disp, theta: _zinb_loglik(y, w, rate, disp, theta),
+                fit_mle_exact, y, ZINB, weights,
+            )
+            fit = fit_mle_exact(y, ZINB, weights)
+            assert fit == expected, (y, weighted)
+
+    def test_step_flips_where_scipy_flips(self):
+        lower, upper = np.array(marginals._ZINB_BOUNDS).T
+        inside = (lower + upper) / 2.0
+        for i in range(3):
+            for xi, flipped in [(upper[i], True), (upper[i] - 1e-9, True), (upper[i] - 1e-7, False),
+                                (lower[i], False)]:
+                x = inside.copy()
+                x[i] = xi
+                expected, _ = _adjust_scheme_to_bounds(x, np.full(3, 1e-8), 1, "1-sided", lower, upper)
+                assert np.array_equal(marginals._fd_step(x), expected), x
+                assert (expected[i] < 0) == flipped
 
 
 def _em_loglik(y):
