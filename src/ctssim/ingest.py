@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import json
+import operator
 import os
 import tempfile
 from dataclasses import dataclass
@@ -41,6 +42,7 @@ MODEL_SCHEMA_VERSION = 1
 SIGMA_METHODS = ("adjusted", "raw")
 
 MISSING_TOKENS = {"", "na", "nan", "none", "null", "."}
+_MAX_COUNT = int(np.iinfo(np.int64).max)
 
 
 class SurveyFormatError(ValueError):
@@ -97,6 +99,8 @@ def _parse_descriptor(descriptor_path: str) -> dict:
         raise SurveyFormatError(f"descriptor file not found: {descriptor_path}") from None
     except json.JSONDecodeError as exc:
         raise SurveyFormatError(f"descriptor is not valid JSON: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise SurveyFormatError(f"descriptor is not UTF-8: {descriptor_path}: {exc}") from None
     if not isinstance(desc, dict):
         raise SurveyFormatError(f"descriptor must be a JSON object, got {json.dumps(desc)[:80]}")
     if desc.get("mode") not in ("categories", "counts"):
@@ -141,15 +145,22 @@ def read_survey(data_path: str, descriptor_path: str) -> SurveyTable:
     Rows with any missing act value are dropped (and counted); a row with
     fewer fields than the header, or more that are not empty, and a
     non-integer cell are parse errors reporting the file line; a negative
-    cell, or a category outside 0..3, is a validation error naming the row
-    and column.  A header must name each column the descriptor reads
-    exactly once.
+    cell, a category outside 0..3, or a count above the int64 maximum is a
+    validation error naming the row and column.  A header must name each
+    column the descriptor reads exactly once.  A file that is not UTF-8,
+    or that the csv module cannot split, is an error naming the file and
+    line.
 
-    Each row is checked whole: one join finds a blank row or non-empty
-    trailing fields, one set test a missing token, and one integer parse
-    and the parsed row's min and max a bad value.  Only a row that fails
-    is checked again cell by cell, so that its error names its first bad
-    cell, as a cell-by-cell read would.
+    Each distinct tuple of act cells, as read, is checked once.  A row
+    first passes the checks that need all of it: one join finds a blank row
+    or non-empty trailing fields.  Its act cells then key a memo that holds
+    the index of their parsed values, or -1 when one of them is missing.
+    The first row with a key checks its cells whole (``_parse_acts``) and
+    raises, with its own line, if one is bad, so the memo never holds an
+    error; later rows with the key reuse the entry.  The weight cell is
+    checked on every row whose acts are not missing.  Respondents repeat
+    each other's answers, so a survey parses each answer pattern once and
+    ``values`` is gathered from the distinct patterns.
     """
     desc = _parse_descriptor(descriptor_path)
     acts = tuple(
@@ -158,80 +169,117 @@ def read_survey(data_path: str, descriptor_path: str) -> SurveyTable:
     )
     columns = [a["column"] for a in desc["acts"]]
     weight_col = desc.get("weight_column")
-    max_allowed = coding.MAX_CATEGORY if desc["mode"] == "categories" else None
+    max_allowed = coding.MAX_CATEGORY if desc["mode"] == "categories" else _MAX_COUNT
 
-    rows: list[list[int]] = []
+    distinct: list[list[int]] = []  # each valid tuple of act values, once
+    picks: list[int] = []  # per kept row, the index of its values in ``distinct``
     weights: list[float] = []
     n_dropped = 0
-    with open(data_path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise SurveyFormatError(f"{data_path}: file is empty") from None
-        header = [h.strip() for h in header]
-        missing_cols = [c for c in columns if c not in header]
-        if missing_cols:
-            raise SurveyFormatError(f"{data_path}: header lacks act columns {missing_cols}")
-        if weight_col is not None and weight_col not in header:
-            raise SurveyFormatError(f"{data_path}: header lacks weight column {weight_col!r}")
-        read = columns + ([weight_col] if weight_col is not None else [])
-        repeated = [c for c in read if header.count(c) > 1]
-        if repeated:
-            raise SurveyFormatError(f"{data_path}: header repeats columns {repeated}")
-        col_idx = [header.index(c) for c in columns]
-        w_idx = header.index(weight_col) if weight_col is not None else None
+    try:
+        with open(data_path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
+                raise SurveyFormatError(f"{data_path}: file is empty")
+            header = [h.strip() for h in header]
+            missing_cols = [c for c in columns if c not in header]
+            if missing_cols:
+                raise SurveyFormatError(f"{data_path}: header lacks act columns {missing_cols}")
+            if weight_col is not None and weight_col not in header:
+                raise SurveyFormatError(f"{data_path}: header lacks weight column {weight_col!r}")
+            read = columns + ([weight_col] if weight_col is not None else [])
+            repeated = [c for c in read if header.count(c) > 1]
+            if repeated:
+                raise SurveyFormatError(f"{data_path}: header repeats columns {repeated}")
+            col_idx = [header.index(c) for c in columns]
+            w_idx = header.index(weight_col) if weight_col is not None else None
+            n_fields = len(header)
+            act_cells = _row_key(col_idx)
+            index_of: dict[tuple, int] = {}
 
-        for line_no, raw in enumerate(reader, start=2):
-            if not "".join(raw).strip():
-                continue
-            # trailing empty fields are accepted
-            if len(raw) < len(header) or "".join(raw[len(header):]).strip():
-                raise SurveyFormatError(
-                    f"{data_path}:{line_no}: expected {len(header)} fields, got {len(raw)}"
-                )
-            cells = [raw[i].strip() for i in col_idx]
-            if not MISSING_TOKENS.isdisjoint(map(str.lower, cells)):
-                n_dropped += 1
-                continue
-            try:
-                parsed = list(map(int, cells))
-            except ValueError:
-                parsed = None
-            if parsed is None or min(parsed) < 0 or (
-                max_allowed is not None and max(parsed) > max_allowed
-            ):
-                raise _cell_error(f"{data_path}:{line_no}", columns, cells, max_allowed) from None
-            if w_idx is not None:
-                cell = raw[w_idx].strip()
-                if cell.lower() in MISSING_TOKENS:
+            for line_no, raw in enumerate(reader, start=2):
+                if not "".join(raw).strip():
+                    continue
+                # trailing empty fields are accepted
+                if len(raw) != n_fields and (
+                    len(raw) < n_fields or "".join(raw[n_fields:]).strip()
+                ):
+                    raise SurveyFormatError(
+                        f"{data_path}:{line_no}: expected {n_fields} fields, got {len(raw)}"
+                    )
+                key = act_cells(raw)
+                index = index_of.get(key)
+                if index is None:
+                    parsed = _parse_acts(key, columns, max_allowed, f"{data_path}:{line_no}")
+                    index = index_of[key] = -1 if parsed is None else len(distinct)
+                    if parsed is not None:
+                        distinct.append(parsed)
+                if index < 0:
                     n_dropped += 1
                     continue
-                try:
-                    weights.append(float(cell))
-                except ValueError:
-                    raise SurveyFormatError(
-                        f"{data_path}:{line_no}: weight column has non-numeric value {cell!r}"
-                    ) from None
-                if not 0.0 <= weights[-1] < np.inf:
-                    raise SurveyFormatError(f"{data_path}:{line_no}: weight {cell!r} is not "
-                                            "a finite, non-negative number")
-            rows.append(parsed)
+                if w_idx is not None:
+                    cell = raw[w_idx].strip()
+                    if cell.lower() in MISSING_TOKENS:
+                        n_dropped += 1
+                        continue
+                    try:
+                        weights.append(float(cell))
+                    except ValueError:
+                        raise SurveyFormatError(
+                            f"{data_path}:{line_no}: weight column has non-numeric value {cell!r}"
+                        ) from None
+                    if not 0.0 <= weights[-1] < np.inf:
+                        raise SurveyFormatError(f"{data_path}:{line_no}: weight {cell!r} is not "
+                                                "a finite, non-negative number")
+                picks.append(index)
+    except csv.Error as exc:
+        raise SurveyFormatError(f"{data_path}:{reader.line_num}: {exc}") from None
+    except UnicodeDecodeError:
+        raise _not_utf8(data_path) from None
 
-    if not rows:
+    if not picks:
         raise SurveyFormatError(f"{data_path}: no complete rows")
     return SurveyTable(
         acts=acts,
-        values=np.asarray(rows, dtype=np.int64),
+        values=np.asarray(distinct, dtype=np.int64)[picks],
         mode=desc["mode"],
         weights=np.asarray(weights) if weight_col is not None else None,
         n_dropped=n_dropped,
     )
 
 
-def _cell_error(where: str, columns, cells, max_allowed) -> SurveyFormatError:
+def _row_key(col_idx: list[int]):
+    """The function that takes a row to its act cells, as a tuple."""
+    cells = operator.itemgetter(*col_idx)
+    return cells if len(col_idx) > 1 else lambda raw: (cells(raw),)
+
+
+def _parse_acts(cells: tuple, columns, max_allowed: int, where: str) -> list[int] | None:
+    """A row's act cells as integers, or None when one is a missing token;
+    raises the error of the first bad cell.
+
+    ``int`` ignores the whitespace that ``str.strip`` removes, and no
+    missing token parses as an integer, so a row that parses and lies in
+    range has no missing token; only one that does not is stripped and
+    tested for a missing token, then reported.
+    """
+    try:
+        parsed = list(map(int, cells))
+    except ValueError:
+        parsed = None
+    if parsed is not None and min(parsed) >= 0 and max(parsed) <= max_allowed:
+        return parsed
+    cells = [c.strip() for c in cells]
+    if not MISSING_TOKENS.isdisjoint(map(str.lower, cells)):
+        return None
+    raise _cell_error(where, columns, cells, max_allowed)
+
+
+def _cell_error(where: str, columns, cells, max_allowed: int) -> SurveyFormatError:
     """The error of the first act cell of a row that is not an integer, is
-    negative, or is a category above ``max_allowed`` (None in counts mode)."""
+    negative, or is above ``max_allowed`` (the top category, or the int64
+    maximum in counts mode)."""
+    kind = "category" if max_allowed == coding.MAX_CATEGORY else "count"
     for name, cell in zip(columns, cells):
         try:
             value = int(cell)
@@ -239,11 +287,28 @@ def _cell_error(where: str, columns, cells, max_allowed) -> SurveyFormatError:
             return SurveyFormatError(f"{where}: column {name!r} has non-integer value {cell!r}")
         if value < 0:
             return SurveyFormatError(f"{where}: column {name!r} is negative ({value})")
-        if max_allowed is not None and value > max_allowed:
+        if value > max_allowed:
             return SurveyFormatError(
-                f"{where}: column {name!r} has category {value} outside 0..{max_allowed}"
+                f"{where}: column {name!r} has {kind} {value} outside 0..{max_allowed}"
             )
     raise ValueError(f"{where}: no bad cell in {cells}")
+
+
+def _not_utf8(data_path: str) -> SurveyFormatError:
+    """The error of a survey file that is not UTF-8, naming the line and the
+    file offset of its first bad byte (the codec's own position counts from
+    the chunk the text reader was decoding)."""
+    with open(data_path, "rb") as fh:
+        data = fh.read()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        return SurveyFormatError(
+            f"{data_path}:{line}: not UTF-8: byte {data[exc.start]:#04x} at offset "
+            f"{exc.start} ({exc.reason})"
+        )
+    return SurveyFormatError(f"{data_path}: not UTF-8")
 
 
 def write_survey(table: SurveyTable, data_path: str, descriptor_path: str):

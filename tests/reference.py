@@ -23,6 +23,7 @@ bit.  They are test code, not part of the ctssim package.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -59,7 +60,8 @@ from ctssim.outcomes import EffectScenario, PotentialOutcomeTable, ResponseType,
 
 def read_survey(data_path: str, descriptor_path: str) -> SurveyTable:
     """``ingest.read_survey`` with every cell checked on its own: the same
-    table, or the same ``SurveyFormatError`` text, for every file."""
+    table, or the same ``SurveyFormatError`` text, for every file.  The
+    file is decoded whole before any row is split."""
     desc = _parse_descriptor(descriptor_path)
     acts = tuple(
         ActSpec(i + 1, a["label"], a["category"], a["severity"])
@@ -67,13 +69,26 @@ def read_survey(data_path: str, descriptor_path: str) -> SurveyTable:
     )
     columns = [a["column"] for a in desc["acts"]]
     weight_col = desc.get("weight_column")
-    max_allowed = coding.MAX_CATEGORY if desc["mode"] == "categories" else None
+    if desc["mode"] == "categories":
+        kind, max_allowed = "category", coding.MAX_CATEGORY
+    else:
+        kind, max_allowed = "count", int(np.iinfo(np.int64).max)
 
     rows: list[list[int]] = []
     weights: list[float] = []
     n_dropped = 0
-    with open(data_path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+    with open(data_path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data[: exc.start].count(b"\n") + 1
+        raise SurveyFormatError(
+            f"{data_path}:{line}: not UTF-8: byte {data[exc.start]:#04x} at offset "
+            f"{exc.start} ({exc.reason})"
+        ) from None
+    with io.StringIO(text, newline="") as fh:
+        reader = _records(data_path, csv.reader(fh))
         try:
             header = next(reader)
         except StopIteration:
@@ -115,9 +130,9 @@ def read_survey(data_path: str, descriptor_path: str) -> SurveyTable:
                     raise SurveyFormatError(
                         f"{data_path}:{line_no}: column {name!r} is negative ({value})"
                     )
-                if max_allowed is not None and value > max_allowed:
+                if value > max_allowed:
                     raise SurveyFormatError(
-                        f"{data_path}:{line_no}: column {name!r} has category {value} "
+                        f"{data_path}:{line_no}: column {name!r} has {kind} {value} "
                         f"outside 0..{max_allowed}"
                     )
                 parsed.append(value)
@@ -146,6 +161,15 @@ def read_survey(data_path: str, descriptor_path: str) -> SurveyTable:
         weights=np.asarray(weights) if weight_col is not None else None,
         n_dropped=n_dropped,
     )
+
+
+def _records(data_path: str, reader):
+    """The rows of ``reader``; a row the csv module cannot split raises a
+    ``SurveyFormatError`` naming the file and line."""
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise SurveyFormatError(f"{data_path}:{reader.line_num}: {exc}") from None
 
 
 def zinb_censored_loglik(category_counts, rate: float, dispersion: float,

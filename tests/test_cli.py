@@ -52,6 +52,38 @@ BAD_MODEL_FILES = {
 }
 
 
+# edits of one line of the bundled survey, read as counts, that fit and
+# simulate must refuse with exit 2: (line index, edit, error after "<path>:")
+BAD_SURVEY_LINES = [
+    pytest.param(2, lambda line: b"7" * 200_000 + line[1:],
+                 "3: field larger than field limit (131072)", id="huge-field"),
+    pytest.param(0, lambda line: line + b"," + b"x" * 200_000,
+                 "1: field larger than field limit (131072)", id="huge-header-field"),
+    pytest.param(4, lambda line: line[:-1] + b"9" * 25,
+                 "5: column 'act_10' has count 9999999999999999999999999 outside "
+                 "0..9223372036854775807", id="count-beyond-int64"),
+    # a 70-byte header line, then 20-byte rows
+    pytest.param(5000, lambda line: b"\xff" + line[1:],
+                 f"5001: not UTF-8: byte 0xff at offset {70 + 4999 * 20} (invalid start byte)",
+                 id="not-utf8"),
+]
+
+
+def write_bad_survey(directory, index, edit):
+    """The bundled survey with line ``index`` edited, and a counts
+    descriptor of its columns."""
+    data, desc = example_survey_paths()
+    with open(data, "rb") as fh:
+        lines = fh.read().split(b"\n")
+    lines[index] = edit(lines[index])
+    bad = directory / "survey.csv"
+    bad.write_bytes(b"\n".join(lines))
+    with open(desc, encoding="utf-8") as fh:
+        counts = {**json.load(fh), "mode": "counts"}
+    (directory / "counts.json").write_text(json.dumps(counts))
+    return bad, directory / "counts.json"
+
+
 @pytest.fixture
 def workdir(tmp_path):
     save_model(small_model(), str(tmp_path / "model.json"))
@@ -144,6 +176,25 @@ class TestFit:
         assert code == 2
         assert f"{bad}:3: expected 10 fields, got {fields}" in capsys.readouterr().err
         assert not (tmp_path / "m.json").exists()
+
+    @pytest.mark.parametrize("index, edit, expected", BAD_SURVEY_LINES)
+    def test_unreadable_survey_exits_2_naming_file_and_line(self, tmp_path, capsys, index, edit,
+                                                            expected):
+        bad, desc = write_bad_survey(tmp_path, index, edit)
+        code = main(["fit", "--data", str(bad), "--descriptor", str(desc),
+                     "--out", str(tmp_path / "m.json")])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {bad}:{expected}\n"
+        assert not (tmp_path / "m.json").exists()
+
+    def test_descriptor_not_utf8_exits_2_naming_it(self, tmp_path, capsys):
+        data, _ = example_survey_paths()
+        desc = tmp_path / "desc.json"
+        desc.write_bytes(b'{"mode": "\xff"}')
+        code = main(["fit", "--data", data, "--descriptor", str(desc),
+                     "--out", str(tmp_path / "m.json")])
+        assert code == 2
+        assert f"descriptor is not UTF-8: {desc}: " in capsys.readouterr().err
 
     def test_missing_out_dir_exits_2(self, tmp_path, capsys, monkeypatch):
         data, desc = example_survey_paths()
@@ -345,6 +396,16 @@ class TestSimulate:
         for file_name in ("results.csv", "results.md"):
             survey, fitted = (workdir / "survey" / file_name), (workdir / "file" / file_name)
             assert survey.read_bytes() == fitted.read_bytes(), file_name
+
+    @pytest.mark.parametrize("index, edit, expected", BAD_SURVEY_LINES)
+    def test_unreadable_survey_exits_2_naming_file_and_line(self, workdir, capsys, index, edit,
+                                                            expected):
+        bad, desc = write_bad_survey(workdir, index, edit)
+        cfg = write_config(workdir / "run.json",
+                           model={"survey": {"data": bad.name, "descriptor": desc.name}})
+        assert main(["simulate", "--config", str(cfg), "--out-dir", str(workdir / "x")]) == 2
+        assert capsys.readouterr().err == f"config error: {bad}:{expected}\n"
+        assert not (workdir / "x").exists()
 
     @pytest.mark.parametrize("descriptor, expected", BAD_DESCRIPTORS)
     def test_malformed_survey_descriptor_exits_2(self, workdir, capsys, descriptor, expected):

@@ -1,10 +1,12 @@
-"""Golden-output pin: two small simulate configs must reproduce stored hashes.
+"""Golden-output pin: two small simulate configs and the ZIP and ZINB fits
+of the bundled survey must reproduce stored hashes.
 
 Rerun-equals-rerun cannot catch a change that moves every run the same
 way.  These tests compare the sha256 of ``results.csv``,
-``latent_diagnostics.csv``, ``power_long.csv`` and ``results.md`` with the
-hashes in ``golden/sha256.json``, which also records the numpy and scipy
-versions that produced them: the random streams and the special functions
+``latent_diagnostics.csv``, ``power_long.csv`` and ``results.md``, and of
+the ``model.json`` that ``ctssim fit`` writes, with the hashes in
+``golden/sha256.json``, which also records the numpy and scipy versions
+that produced them: the random streams and the special functions
 both come from those libraries, so a mismatch under other versions may be
 the libraries, not ctssim.
 
@@ -28,6 +30,8 @@ from ctssim.datasets import example_model, example_survey_paths
 
 GOLDEN_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "sha256.json")
 HASHED_FILES = ("results.csv", "latent_diagnostics.csv", "power_long.csv", "results.md")
+# golden name -> the --family of a ``ctssim fit`` of the bundled survey
+FIT_FAMILIES = {"fit-zinb": "zinb", "fit-zip": "zip"}
 
 
 def golden_configs() -> dict[str, dict]:
@@ -60,17 +64,32 @@ def versions() -> dict[str, str]:
     return {"numpy": np.__version__, "scipy": scipy.__version__}
 
 
-def run_hashes(name: str, work_dir: str) -> dict[str, str]:
-    config_path = os.path.join(work_dir, f"{name}.json")
-    with open(config_path, "w", encoding="utf-8") as fh:
-        json.dump(golden_configs()[name], fh)
-    out_dir = os.path.join(work_dir, name)
-    assert main(["simulate", "--config", config_path, "--out-dir", out_dir]) == 0
+def file_hashes(out_dir: str, file_names) -> dict[str, str]:
     hashes = {}
-    for file_name in HASHED_FILES:
+    for file_name in file_names:
         with open(os.path.join(out_dir, file_name), "rb") as fh:
             hashes[file_name] = hashlib.sha256(fh.read()).hexdigest()
     return hashes
+
+
+def run_hashes(name: str, work_dir: str) -> dict[str, str]:
+    out_dir = os.path.join(work_dir, name)
+    if name in FIT_FAMILIES:
+        data, descriptor = example_survey_paths()
+        os.makedirs(out_dir)
+        assert main(["fit", "--data", data, "--descriptor", descriptor,
+                     "--family", FIT_FAMILIES[name],
+                     "--out", os.path.join(out_dir, "model.json")]) == 0
+        return file_hashes(out_dir, ["model.json"])
+    config_path = os.path.join(work_dir, f"{name}.json")
+    with open(config_path, "w", encoding="utf-8") as fh:
+        json.dump(golden_configs()[name], fh)
+    assert main(["simulate", "--config", config_path, "--out-dir", out_dir]) == 0
+    return file_hashes(out_dir, HASHED_FILES)
+
+
+def golden_names() -> list[str]:
+    return sorted([*golden_configs(), *FIT_FAMILIES])
 
 
 def load_golden() -> dict:
@@ -78,7 +97,7 @@ def load_golden() -> dict:
         return json.load(fh)
 
 
-@pytest.mark.parametrize("name", sorted(golden_configs()))
+@pytest.mark.parametrize("name", golden_names())
 def test_outputs_match_golden_hashes(name, tmp_path):
     golden = load_golden()
     got = run_hashes(name, str(tmp_path))
@@ -100,7 +119,7 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         doc = {
             "versions": versions(),
-            "sha256": {name: run_hashes(name, tmp) for name in sorted(golden_configs())},
+            "sha256": {name: run_hashes(name, tmp) for name in golden_names()},
         }
     os.makedirs(os.path.dirname(GOLDEN_PATH), exist_ok=True)
     with open(GOLDEN_PATH, "w", encoding="utf-8") as fh:

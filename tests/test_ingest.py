@@ -1,5 +1,7 @@
 """Tests for survey ingestion, model calibration, and resampling."""
 
+import csv
+import io
 import itertools
 import json
 
@@ -240,24 +242,46 @@ ROW_KINDS = {
 # act cells that are valid, or not, depending on the mode
 ODD_CELLS = [" 3 ", "+3", "3.0", "-1", "4", "x", "1_0"]
 MISSING_CELLS = ["", "NA", "nan", "None", "null", ".", " na ", " "]
+# kinds whose act cells may repeat an earlier row's, by the kind of acts
+# they take: valid act cells, or act cells with a missing value
+REUSED_ACTS = {"valid": "valid", "trailing-empty": "valid", "trailing-value": "valid",
+               "short": "valid", "bad-weight": "valid", "missing-weight": "valid",
+               "odd-cell": "valid", "missing": "missing"}
 
 
 def fuzz_survey(rng, mode: str, weighted: bool) -> tuple[str, dict]:
     """The text and descriptor of a random survey mixing every row kind of
     ROW_KINDS, or (one in ten) of missing rows only; the header has an
-    unread column and the acts out of descriptor order."""
+    unread column and the acts out of descriptor order.
+
+    Like a real survey's respondents, rows repeat earlier rows' act cells
+    under their own id and weight: half the rows of a kind in REUSED_ACTS
+    take the act cells of an earlier row of the same kind of acts, one in
+    four of those with the spaces around one cell changed, and an
+    odd-cell row then spoils one of them.  Blank rows come in runs.
+    """
     header = ["id", "a2", "a1", "a3"] + (["w"] if weighted else [])
     top = 3 if mode == "categories" else 9
     lines = [",".join(header)]
     kinds, chances = list(ROW_KINDS), list(ROW_KINDS.values())
     all_missing = rng.random() < 0.1
-    for i in range(int(rng.integers(1, 16))):
+    earlier = {"valid": [], "missing": []}
+    for i in range(int(rng.integers(1, 24))):
         kind = "missing" if all_missing else kinds[rng.choice(len(kinds), p=chances)]
         acts = [str(v) for v in rng.integers(0, top + 1, 3)]
         weight = [f"{rng.uniform(0.1, 3.0):.3f}"] if weighted else []
         if kind == "missing":
             acts[rng.integers(3)] = MISSING_CELLS[rng.integers(len(MISSING_CELLS))]
-        elif kind == "odd-cell":
+        pool = earlier.get(REUSED_ACTS.get(kind), [])
+        if pool and rng.random() < 0.5:
+            acts = list(pool[rng.integers(len(pool))])
+            if rng.random() < 0.25:
+                j = rng.integers(3)
+                acts[j] = " " * int(rng.integers(2)) + acts[j].strip() + " " * int(rng.integers(2))
+        if kind in REUSED_ACTS:
+            earlier[REUSED_ACTS[kind]].append(acts)
+        if kind == "odd-cell":
+            acts = list(acts)  # the pool keeps the valid cells
             acts[rng.integers(3)] = ODD_CELLS[rng.integers(len(ODD_CELLS))]
         elif kind == "negative-then-text":
             acts = ["-2", "1", "2.5"]
@@ -266,19 +290,30 @@ def fuzz_survey(rng, mode: str, weighted: bool) -> tuple[str, dict]:
         elif kind == "missing-weight" and weighted:
             weight = [["", "NA", "."][rng.integers(3)]]
         fields = [str(i), *acts, *weight]
+        repeat = 1
         if kind == "blank":
             fields = [" " * int(rng.integers(2))] * int(rng.integers(1, len(header) + 2))
+            repeat = int(rng.integers(1, 4))
         elif kind == "trailing-empty":
             fields += ["", " "][: int(rng.integers(1, 3))]
         elif kind == "trailing-value":
             fields += ["", "7"]
         elif kind == "short":
             fields = fields[: int(rng.integers(1, len(header)))]
-        lines.append(",".join(fields))
+        lines += [",".join(fields)] * repeat
     desc = {"mode": mode, "acts": [descriptor_act(c) for c in ("a1", "a2", "a3")]}
     if weighted:
         desc["weight_column"] = "w"
     return "\n".join(lines) + "\n", desc
+
+
+def act_repeats(text: str) -> tuple[int, int]:
+    """In a generated survey's rows that have act cells: how many repeat an
+    earlier row's act cells as read, and how many distinct tuples of act
+    cells as read equal another after ``strip``."""
+    rows = [tuple(r[1:4]) for r in csv.reader(io.StringIO(text)) if len(r) >= 4][1:]
+    stripped = {tuple(c.strip() for c in r) for r in rows}
+    return len(rows) - len(set(rows)), len(set(rows)) - len(stripped)
 
 
 def read_or_error(read, data, desc):
@@ -298,9 +333,10 @@ class TestReadSurveyMatchesReference:
     def test_generated_files(self, tmp_path, mode, weighted):
         rng = np.random.default_rng([17, mode == "counts", weighted])
         data, desc = str(tmp_path / "s.csv"), str(tmp_path / "s.json")
-        outcomes = []
+        outcomes, repeats = [], np.zeros(2, dtype=int)
         for _ in range(150):
             text, descriptor = fuzz_survey(rng, mode, weighted)
+            repeats += act_repeats(text)
             with open(data, "w", encoding="utf-8") as fh:
                 fh.write(text)
             with open(desc, "w", encoding="utf-8") as fh:
@@ -326,6 +362,59 @@ class TestReadSurveyMatchesReference:
         expected += ["outside 0..3"] if mode == "categories" else []
         expected += ["non-numeric value", "not a finite"] if weighted else []
         assert all(e in errors for e in expected), errors
+        # act cells repeated as read, and repeated only after strip()
+        assert np.all(repeats > 0), repeats
+
+    @pytest.mark.parametrize("lines, expected", [
+        pytest.param(["a,b", "1,2", " 1,2", "1 ,2", "1,2"], ([[1, 2]] * 4, 0),
+                     id="whitespace-twins"),
+        pytest.param(["a,b", "NA,1", "1,2", "NA,1", " na,1"], ([[1, 2]], 3),
+                     id="repeated-missing"),
+        pytest.param(["a,b", "1,1", ",", " ,", ",", "1,1"], ([[1, 1]] * 2, 0),
+                     id="repeated-blank"),
+        pytest.param(["a,b,w", "1,1,1.0", "1,1,NA", "1,1,2.0"], ([[1, 1]] * 2, 1),
+                     id="missing-weight-on-twin"),
+        pytest.param(["a,b,w", "1,1,1.0", "1,1,1.0", "1,1,abc"],
+                     "4: weight column has non-numeric value 'abc'", id="bad-weight-on-twin"),
+        pytest.param(["a,b", "1,1", "1,1", "1,1,7"], "4: expected 2 fields, got 3",
+                     id="extra-field-after-twins"),
+        pytest.param(["a,b", "1,1", "1,1", "1"], "4: expected 2 fields, got 1",
+                     id="short-row-after-twins"),
+        pytest.param(["a,b", "1,1", "1,1", "1,-1"], "4: column 'b' is negative (-1)",
+                     id="bad-cell-after-twins"),
+        pytest.param(["a,b", "1,1", "1,99999999999999999999"],
+                     "3: column 'b' has count 99999999999999999999 outside 0..9223372036854775807",
+                     id="count-beyond-int64"),
+        pytest.param(["a,b", "1,1", "2," + "7" * 200_000],
+                     "3: field larger than field limit (131072)", id="huge-field"),
+        pytest.param(["a,b," + "x" * 200_000, "1,1"],
+                     "1: field larger than field limit (131072)", id="huge-header-field"),
+        pytest.param(["a,b", "1,1", "1,\udcff"],
+                     "3: not UTF-8: byte 0xff at offset 10 (invalid start byte)", id="not-utf8"),
+        pytest.param(["a,b", *["1,1"] * 4000, "1,\udcff"],
+                     "4002: not UTF-8: byte 0xff at offset 16006 (invalid start byte)",
+                     id="not-utf8-past-first-chunk"),
+    ])
+    def test_repeated_and_unreadable_rows(self, tmp_path, lines, expected):
+        """Rows that repeat an earlier row's act cells, and files that the
+        csv module or the UTF-8 codec refuses: the values and n_dropped, or
+        the error after "<path>:", of both readers."""
+        data, desc = tmp_path / "s.csv", tmp_path / "s.json"
+        # lone surrogates stand for the raw bytes they escape
+        data.write_bytes("\n".join(lines).encode("utf-8", "surrogateescape") + b"\n")
+        descriptor = {"mode": "counts", "acts": [descriptor_act("a"), descriptor_act("b")]}
+        if lines[0].startswith("a,b,w"):
+            descriptor["weight_column"] = "w"
+        desc.write_text(json.dumps(descriptor))
+        got = read_or_error(read_survey, str(data), str(desc))
+        want = read_or_error(reference.read_survey, str(data), str(desc))
+        if isinstance(expected, str):
+            assert got == want == f"{data}:{expected}"
+        else:
+            values, n_dropped = expected
+            assert np.array_equal(got.values, values) and got.values.flags.c_contiguous
+            assert np.array_equal(got.values, want.values)
+            assert got.n_dropped == want.n_dropped == n_dropped
 
     @pytest.mark.parametrize("mode", ["categories", "counts"])
     def test_first_bad_cell_is_named(self, tmp_path, mode):
