@@ -7,15 +7,8 @@ Performance statistics (bias, RMSE, power, coverage) are computed against
 each replication's own finite-sample coded effect.  Their Monte Carlo
 standard errors have closed forms (``summarize``); the SE of the power
 difference between the codings is paired, because both codings are scored
-on the same replications.
-
-Replications run as one kernel: the work that does not change between
-replications is done once, per grid (model validation, the copula factor
-and CDF tables of ``joint.CopulaSampler``) or per cell (``CellKernel``: the
-target columns, the response-type CDF), and each replication codes every
-row once and estimates through ``estimation.hc2_from_moments``.  The tests
-pin it, bit for bit, to a reference pipeline that runs each stage as a
-plain function.
+on the same replications.  The tests pin the kernel below, bit for bit, to
+a reference pipeline that runs each stage as a plain function.
 
 Replications run in blocks of at most ``_BLOCK_ROWS`` rows of control
 counts (at least one replication), one block after another in one thread.
@@ -24,14 +17,15 @@ replication index) and makes its own random calls, in the order it makes
 them alone: its standard normals (or ``sample_control``), then per target
 its response-type uniforms and its permutation.  So a replication's result
 does not depend on which others run, in what order or in which block.
-Everything else runs once per block on the block's stacked arrays: the
-copula lookup, the codings, the arms' moments and the HC2 estimates (both
-codings in one call).  Each level of a grid does its own work once: the
-grid draws the control counts (``draw``; so a model's
-``sample_control(n, rng)`` must depend on ``n`` and ``rng`` alone), each
-set of target columns draws the uniforms that ``rng.choice`` maps to
-response types and the permutation behind the arms (``share``), and each
-scenario maps the uniforms through its own CDF (``CellKernel.respond``).
+Each level of a grid does its own work once, on a block's stacked arrays:
+the grid builds the copula sampler and draws the control counts (``draw``;
+so ``sample_control(n, rng)`` must depend on ``n`` and ``rng`` alone), each
+set of target columns draws the uniforms and the permutation behind the
+arms and takes the control arm's moments (``share``), and each cell maps
+the uniforms through its CDF, looks its effects up in its tables and takes
+the treated arm's moments and the true effects (``CellKernel.respond``).
+A cell keeps these per replication and estimates them all, both codings,
+in one ``estimation.hc2_from_moments`` call after the last block.
 """
 
 from __future__ import annotations
@@ -46,14 +40,14 @@ import numpy as np
 from . import coding
 from .estimation import _mean_var, hc2_from_moments
 from .joint import CopulaSampler, MultiActModel
-from .outcomes import EffectScenario, PotentialOutcomeTable, ResponseType, target_columns
+from .outcomes import EffectScenario, ResponseType, target_columns
 
 CODINGS = ("binary", "sum")
 REPLICATION_FIELDS = ("estimate", "se", "p_value", "ci_low", "ci_high", "true_ate")
 STATISTICS = ("bias", "rmse", "power", "coverage")
-# the stages of CellKernel.respond, timed per cell over its blocks
-# (CellKernel.stage_s, then CellResult.stage_s); the control draw and the
-# target's shared work before them are timed on their own
+# a cell's stages, timed over its blocks (CellKernel.stage_s, then
+# CellResult.stage_s): the two of CellKernel.respond, then the cell's one
+# HC2 call; the control draw and the target's shared work are timed apart
 STAGES = ("types_effects", "code_truth", "hc2")
 
 # p-vectors (no effect, cessation, reduction, increase) for the standard
@@ -146,8 +140,8 @@ _DRAWN_TYPES = np.array(
     [ResponseType.NO_EFFECT, ResponseType.CESSATION, ResponseType.REDUCTION, ResponseType.INCREASE],
     dtype=np.int8,
 )
-# numpy compares arrays with plain ints faster than with IntEnum members
-_CESSATION, _REDUCTION = int(ResponseType.CESSATION), int(ResponseType.REDUCTION)
+# classes of a targeted count that CellKernel's effect tables tell apart
+_CLASSES = 2 * _CATEGORY_CAP + 1
 # a block of replications holds at most this many rows of control counts,
 # and at least one replication: larger blocks save few numpy calls more
 # and cost memory
@@ -179,7 +173,6 @@ class TargetDraw(NamedTuple):
     y0: np.ndarray  # (B, n, K) control counts, shared by every target
     score0: np.ndarray  # (B * n,) their category-score row sums
     sum0: np.ndarray  # score0 under the sum coding
-    nonzero0: np.ndarray  # (B,) rows coding binary 1 under control
     targeted: np.ndarray  # (B * n, k) y0 on the target's columns
     violent: np.ndarray  # rows with targeted violence, ascending
     u: np.ndarray  # one uniform per violent row, each replication's in a run
@@ -243,18 +236,14 @@ def share(y0: np.ndarray, score0: np.ndarray, rngs: Sequence[np.random.Generator
     arm1 = np.flatnonzero(treated).reshape(b, n // 2)
     arm0 = np.flatnonzero(~treated).reshape(b, n - n // 2)
     sum0 = score0 / (coding.MAX_CATEGORY * k)
-    return TargetDraw(y0, score0, sum0, np.count_nonzero(score0.reshape(b, n), axis=1),
-                      targeted, np.flatnonzero(violent), np.concatenate(u), arm1,
+    return TargetDraw(y0, score0, sum0, targeted, np.flatnonzero(violent), np.concatenate(u), arm1,
                       _mean_var(_coded(sum0[arm0])))
 
 
 class CellKernel:
     """The replication kernel of one cell: its scenario's invariants (the
-    target columns and the response-type CDF), done once, and its stage
-    clocks.  ``respond`` runs the scenario's own work on a block of
-    replications that ``draw`` and ``share`` prepared; ``stage_s``
-    accumulates the seconds each of ``STAGES`` took in it.
-    """
+    target columns, the response-type CDF, the effect tables), built once,
+    and ``stage_s``, the seconds each of ``STAGES`` took in it."""
 
     def __init__(self, config: SimulationConfig):
         self.config = config
@@ -263,71 +252,70 @@ class CellKernel:
         self.cdf = np.cumsum(config.scenario.probs)
         self.cdf /= self.cdf[-1]
         self.stage_s = [0.0] * len(STAGES)
+        # The effect tables hold an affected entry's score change and latent
+        # count change intercept + slope * count (slope 0 or -1: cessation's
+        # -count is exact for any int64 count) at _CLASSES * type + class,
+        # for its type (index into _DRAWN_TYPES) and its count's class
+        # min(count, 5) + clip(count, *span) - span[0]: the counts from 5 to
+        # x + floor, where a reduction ends at the floor, share one, as do
+        # those from x + 5 up, so few classes serve any x and any counts.
+        x, floor, cap = int(config.scenario.magnitude), config.scenario.floor, _CATEGORY_CAP
+        self.span = (x + floor, x + cap)
+        # the smallest count of each class, and each type's entry for it
+        counts = np.r_[0 : cap + 1, max(cap, x + floor) + 1 : x + cap + 1]
+        keys = (_CLASSES * np.arange(1, len(_DRAWN_TYPES))[:, None] + np.minimum(counts, cap)
+                + np.clip(counts, *self.span) - (x + floor))
 
-    def respond(self, shared: TargetDraw, return_schedule: bool = False) -> dict:
-        """The rest of a block's replications, from ``share``'s output for
-        this kernel's target columns: response types, effects, treated
-        coding, true effects and the HC2 estimates.  Returns
-        {coding: {field: (B,) values}}, the (B,) mean latent count changes
-        under "latent_sum_true" and, when requested, a PotentialOutcomeTable
-        per replication under "schedule".  ``shared`` is read, never
-        written, so cells can share it."""
-        config, scenario = self.config, self.config.scenario
+        def treated(counts):  # under cessation, reduction and increase
+            return np.where(counts > 0, [0 * counts, np.maximum(counts - x, floor), counts + x], 0)
+
+        after = treated(counts)
+        self.score_change = np.zeros(_CLASSES * len(_DRAWN_TYPES))
+        self.score_change[keys] = (_CATEGORY_SCORE.take(np.minimum(after, cap))
+                                   - _CATEGORY_SCORE.take(np.minimum(counts, cap)))
+        # on a class of several counts the latent change is linear: there
+        # the treated count is constant, or its change is
+        wide = np.append(counts[1:], -1) != counts + 1
+        slope = np.where(wide, treated(counts + 1) - after - 1, 0)
+        self.slope, self.intercept = np.zeros((2, self.score_change.size), dtype=np.int64)
+        self.slope[keys], self.intercept[keys] = slope, after - counts - slope * counts
+
+    def respond(self, shared: TargetDraw) -> tuple[tuple, np.ndarray, np.ndarray]:
+        """The cell's own work on a block of B replications, from ``share``'s
+        output for its target columns (read, never written): response types,
+        effects, the treated arm's codings and the true effects.  Returns
+        the treated arm's ``_mean_var`` and the true effects, (2, B) each, a
+        row per coding, and the (B,) mean latent count changes."""
         b, n, k = shared.y0.shape
-        clock = time.perf_counter
-        t0 = clock()
-
-        # response types (index into _DRAWN_TYPES per violent row) and the
-        # changed targeted counts of the affected units
-        drawn = self.cdf.searchsorted(shared.u, side="right")
-        hit = drawn > 0
+        t0 = time.perf_counter()
+        # the affected rows (violent, of a type with an effect), their keys
+        hit = np.flatnonzero(shared.u >= self.cdf[0])
         affected = shared.violent[hit]
         before = shared.targeted[affected]
-        kind = _DRAWN_TYPES.take(drawn[hit])[:, None]
-        x = int(scenario.magnitude)
-        shifted = np.where(kind == _REDUCTION, np.maximum(before - x, scenario.floor), before + x)
-        after = np.where((before > 0) & (kind != _CESSATION), shifted, 0)
-        t1 = clock()
-
-        # category-score row sums under treatment, from those under control
-        score1 = shared.score0.copy()
-        score1[affected] += (
-            _CATEGORY_SCORE.take(np.minimum(after, _CATEGORY_CAP))
-            - _CATEGORY_SCORE.take(np.minimum(before, _CATEGORY_CAP))
-        ).sum(axis=1)
-        sum1 = score1 / (coding.MAX_CATEGORY * k)
-        arm1 = shared.arm1
-        treated = _coded(sum1[arm1])
-        truth = {
-            "binary": (np.count_nonzero(score1.reshape(b, n), axis=1) - shared.nonzero0) / n,
-            # np.mean's own arithmetic, row by row
-            "sum": (sum1 - shared.sum0).reshape(b, n).sum(axis=1) / n,
-        }
-        t2 = clock()
-
-        # both codings of every replication in one call, in rows of (2, B)
-        n1 = arm1.shape[1]
-        est, se, lo, hi, p = hc2_from_moments(*_mean_var(treated), n1,
-                                              *shared.control, n - n1, config.alpha, config.df)
-        record: dict = {key: {"estimate": est[i], "se": se[i], "p_value": p[i], "ci_low": lo[i],
-                              "ci_high": hi[i], "true_ate": truth[key]}
-                        for i, key in enumerate(CODINGS)}
+        key = np.minimum(before, _CATEGORY_CAP)
+        key += np.clip(before, *self.span)
+        drawn = self.cdf.searchsorted(shared.u[hit], side="right")
+        key += (_CLASSES * drawn - self.span[0])[:, None]
+        # row sums as products with ones: exact, of small integers or int64
+        ones = np.ones(before.shape[1], dtype=np.int64)
+        score1 = shared.score0[affected] + self.score_change.take(key) @ ones.astype(float)
+        latent = (self.intercept.take(key) + self.slope.take(key) * before) @ ones
+        t1 = time.perf_counter()
+        # the sum coding under treatment, the codings' true effects, and
         # each replication's integer count change, summed exactly as floats
-        record["latent_sum_true"] = np.bincount(
-            affected // n, weights=(after - before).sum(axis=1), minlength=b) / n
-        if return_schedule:
-            y1 = shared.y0.copy()
-            y1.reshape(b * n, -1)[affected[:, None], self.cols] = after
-            s, z = np.zeros(b * n, dtype=np.int8), np.zeros(b * n, dtype=np.int8)
-            s[shared.violent] = _DRAWN_TYPES.take(drawn)
-            z[arm1] = 1
-            record["schedule"] = [PotentialOutcomeTable(*table) for table in
-                                  zip(shared.y0, y1, s.reshape(b, n), z.reshape(b, n))]
-        t3 = clock()
-
-        for k, dt in enumerate((t1 - t0, t2 - t1, t3 - t2)):
-            self.stage_s[k] += dt
-        return record
+        sum1 = shared.sum0.copy()
+        sum1[affected] = score1 / (coding.MAX_CATEGORY * k)
+        rows = affected // n
+        truth = np.stack([
+            np.bincount(rows, weights=np.subtract(score1 > 0, shared.score0[affected] > 0,
+                                                  dtype=float), minlength=b),
+            (sum1 - shared.sum0).reshape(b, n).sum(axis=1),  # np.mean's own arithmetic
+        ]) / n
+        treated = _mean_var(_coded(sum1[shared.arm1]))
+        latent = np.bincount(rows, weights=latent, minlength=b) / n
+        self.stage_s[0] += t1 - t0
+        self.stage_s[1] += time.perf_counter() - t1
+        return treated, truth, latent
 
 
 @dataclass
@@ -340,6 +328,17 @@ class Replications:
     @property
     def n_reps(self) -> int:
         return len(self.data[CODINGS[0]]["estimate"])
+
+
+def _replications(moments: np.ndarray, latent: np.ndarray,
+                  config: SimulationConfig) -> Replications:
+    """A cell's records, from the (5, 2, n_reps) stack of its treated and
+    control arms' ``_mean_var`` and true effects: one HC2 call in all."""
+    n1 = config.n_units // 2
+    est, se, lo, hi, p = hc2_from_moments(*moments[:2], n1, *moments[2:4], config.n_units - n1,
+                                          config.alpha, config.df)
+    return Replications({c: dict(zip(REPLICATION_FIELDS, row)) for c, row in
+                         zip(CODINGS, zip(est, se, p, lo, hi, moments[4]))}, latent)
 
 
 def summarize(reps: Replications, alpha: float = 0.05) -> dict[str, PerformanceStats]:
@@ -409,7 +408,7 @@ class CellResult:
     config: SimulationConfig
     stats: dict[str, PerformanceStats]
     reps: Replications
-    wall_s: float  # seconds of the cell's own work: respond, and summarize
+    wall_s: float  # seconds of the cell's own work: respond, its HC2 call and summarize
     summary_s: float  # seconds in summarize (statistics and their MC SEs)
     # seconds of the control draws and of the targets' shared work (uniforms,
     # arms, control-arm moments), which the cells of one grid share, so each
@@ -453,8 +452,9 @@ def scenario_grid(
         groups.setdefault(tuple(kernel.cols), []).append(j)
     m = base_config.n_reps
     size = max(1, _BLOCK_ROWS // base_config.n_units)
-    stores = [Replications({c: {f: np.empty(m) for f in REPLICATION_FIELDS} for c in CODINGS},
-                           np.empty(m)) for _ in kernels]
+    # per cell: the (5, 2, m) arguments of _replications, and the latent changes
+    moments = [np.empty((5, len(CODINGS), m)) for _ in kernels]
+    latents = [np.empty(m) for _ in kernels]
     cell_s = [0.0] * len(kernels)
     draw_s = target_s = 0.0
     clock = time.perf_counter
@@ -477,11 +477,8 @@ def scenario_grid(
                 target_s += t2 - t1
                 t1 = t2
                 for j in members:
-                    rec = kernels[j].respond(shared)
-                    for c in CODINGS:
-                        for f in REPLICATION_FIELDS:
-                            stores[j].data[c][f][block] = rec[c][f]
-                    stores[j].latent_sum_true[block] = rec["latent_sum_true"]
+                    treated, truth, latents[j][block] = kernels[j].respond(shared)
+                    moments[j][:, :, block] = (*treated, *shared.control, truth)
                     t2 = clock()
                     cell_s[j] += t2 - t1
                     t1 = t2
@@ -490,12 +487,15 @@ def scenario_grid(
     except Exception as exc:  # noqa: BLE001 - re-raise with replication context
         raise ReplicationError(start, exc) from exc
     results = []
-    for kernel, reps, rep_s in zip(kernels, stores, cell_s):
-        summary_start = time.perf_counter()
+    for kernel, cell, latent, rep_s in zip(kernels, moments, latents, cell_s):
+        t0 = clock()
+        reps = _replications(cell, latent, kernel.config)
+        t1 = clock()
         stats = summarize(reps, kernel.config.alpha)
-        summary_s = time.perf_counter() - summary_start
+        summary_s = clock() - t1
+        kernel.stage_s[2] += t1 - t0
         results.append(CellResult(
-            kernel.config, stats, reps, wall_s=rep_s + summary_s, summary_s=summary_s,
+            kernel.config, stats, reps, wall_s=rep_s + t1 - t0 + summary_s, summary_s=summary_s,
             draw_s=draw_s, target_s=target_s, stage_s=dict(zip(STAGES, kernel.stage_s)),
         ))
     return results

@@ -28,7 +28,7 @@ from scipy.optimize import brentq
 from scipy.special import chdtrc, ndtr, ndtri
 
 from . import coding
-from .joint import ActSpec, MultiActModel, nearest_psd, validate_acts
+from .joint import ActSpec, MultiActModel, nearest_psd, validate_acts, validate_margins
 from .marginals import (
     FitResult,
     MarginalParams,
@@ -92,15 +92,23 @@ class SurveyTable:
 
 
 def _parse_descriptor(descriptor_path: str) -> dict:
+    """The survey descriptor at ``descriptor_path``, checked; each error
+    names the path."""
     try:
         with open(descriptor_path, encoding="utf-8") as fh:
-            desc = json.load(fh)
+            return _check_descriptor(json.load(fh))
     except FileNotFoundError:
-        raise SurveyFormatError(f"descriptor file not found: {descriptor_path}") from None
+        error = "descriptor file not found"
     except json.JSONDecodeError as exc:
-        raise SurveyFormatError(f"descriptor is not valid JSON: {exc}") from None
+        error = f"descriptor is not valid JSON: {exc}"
     except UnicodeDecodeError as exc:
-        raise SurveyFormatError(f"descriptor is not UTF-8: {descriptor_path}: {exc}") from None
+        error = f"descriptor is not UTF-8: {exc}"
+    except SurveyFormatError as exc:
+        error = str(exc)
+    raise SurveyFormatError(f"{descriptor_path}: {error}")
+
+
+def _check_descriptor(desc) -> dict:
     if not isinstance(desc, dict):
         raise SurveyFormatError(f"descriptor must be a JSON object, got {json.dumps(desc)[:80]}")
     if desc.get("mode") not in ("categories", "counts"):
@@ -197,7 +205,10 @@ def read_survey(data_path: str, descriptor_path: str) -> SurveyTable:
             act_cells = _row_key(col_idx)
             index_of: dict[tuple, int] = {}
 
-            for line_no, raw in enumerate(reader, start=2):
+            last = reader.line_num
+            for raw in reader:
+                # the record's first file line: a quoted field may span lines
+                line_no, last = last + 1, reader.line_num
                 if not "".join(raw).strip():
                     continue
                 # trailing empty fields are accepted
@@ -536,6 +547,7 @@ def fit_model(table: SurveyTable, family: str = "zip", sigma_method: str = "adju
             fit = fit_mle_censored(observed, family)
         margins.append(fit.params)
         per_act.append(ActFit(act.label, fit, _category_gof(fit, observed)))
+    validate_margins(table.acts, margins)
     sigma = latent_correlation_matrix(table, margins, method=sigma_method)
     projected = nearest_psd(sigma)
     model = MultiActModel(table.acts, tuple(margins), projected)
@@ -607,6 +619,7 @@ class EmpiricalResampler:
             self.margins = tuple(margins)
             if len(self.margins) != table.n_acts:
                 raise ValueError(f"{len(self.margins)} margins for {table.n_acts} acts")
+            validate_margins(table.acts, self.margins)
             groups = [g for m in self.margins for g in self._conditional_cdfs(m)]
             sizes = np.array([len(cdf) for _, cdf in groups])
             start = np.cumsum(sizes) - sizes

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .marginals import MarginalParams, cdf_table
+from .marginals import MarginalParams, cdf_table, cdf_table_size
 
 ACT_CATEGORIES = ("emotional", "physical", "sexual")
 SEVERITIES = ("moderate", "severe")
@@ -54,6 +54,17 @@ def validate_acts(acts) -> tuple[ActSpec, ...]:
     return acts
 
 
+def validate_margins(acts, margins) -> None:
+    """Refuse a margin whose CDF table, as the copula draw builds it, would
+    be longer than ``marginals.CDF_TABLE_MAX``: a ValueError that names
+    its act and its parameters."""
+    for act, margin in zip(acts, margins):
+        try:
+            cdf_table_size(margin)
+        except ValueError as exc:
+            raise ValueError(f"act {act.index} ({act.label!r}): {exc}") from None
+
+
 @dataclass
 class MultiActModel:
     """K act specs, their marginals, and the latent correlation matrix."""
@@ -76,6 +87,7 @@ class MultiActModel:
         k = len(self.acts)
         if len(self.margins) != k:
             raise ValueError(f"{len(self.margins)} margins for {k} acts")
+        validate_margins(self.acts, self.margins)
         if self.sigma.shape != (k, k):
             raise ValueError(f"sigma shape {self.sigma.shape} does not match K={k}")
         if not np.allclose(self.sigma, self.sigma.T, atol=1e-12):

@@ -30,6 +30,10 @@ ZIP = "zip"
 ZINB = "zinb"
 FAMILIES = (ZIP, ZINB)
 
+# The longest CDF table ``cdf_table`` builds: 32 MiB of float64.  A Poisson
+# margin at the fit's largest rate, exp(15), needs about 3.3e6 entries.
+CDF_TABLE_MAX = 2**22
+
 # Interval-censored survey categories: 0 -> {0}, 1 -> {1}, 2 -> {2..4}, 3 -> {5+}
 N_CATEGORIES = 4
 
@@ -167,20 +171,34 @@ def _count(params: MarginalParams, kind: str, y):
     return out if kind == "isf" else np.clip(out, 0.0, 1.0)
 
 
+def cdf_table_size(params: MarginalParams, tail_mass: float = 1e-12) -> int:
+    """The number of entries of ``cdf_table(params, tail_mass)``.  Raises
+    ValueError, naming ``params``, when it would pass CDF_TABLE_MAX."""
+    theta = params.zero_prob
+    if theta >= 1.0:
+        return 1
+    q = tail_mass / (1.0 - theta)
+    # a count part whose whole mass is below the tail keeps only y = 0
+    # (scipy's isf(1) is -1); a NaN or infinite quantile fails the bound
+    isf = _count(params, "isf", q) if q < 1.0 else -1.0
+    if not isf + 2 <= CDF_TABLE_MAX:
+        raise ValueError(f"{params} needs a CDF table of {isf + 2:.6g} entries to tail mass "
+                         f"{tail_mass:g}, more than the limit of {CDF_TABLE_MAX}")
+    return int(isf) + 2
+
+
 def cdf_table(params: MarginalParams, tail_mass: float = 1e-12) -> np.ndarray:
     """CDF values [cdf(0), cdf(1), ...] truncated where the tail is below
-    ``tail_mass``.  Entry i is P(Y <= i); the last entry is ~1.
+    ``tail_mass``.  Entry i is P(Y <= i); the last entry is ~1.  A table
+    longer than CDF_TABLE_MAX entries is refused (``cdf_table_size``).
 
     Used for O(1) inverse-transform sampling via ``np.searchsorted``.
     """
+    size = cdf_table_size(params, tail_mass)
     theta = params.zero_prob
     if theta >= 1.0:
         return np.array([1.0])
-    q = tail_mass / (1.0 - theta)
-    # a count part whose whole mass is below the tail keeps only y = 0
-    # (scipy's isf(1) is -1)
-    y_max = int(_count(params, "isf", q)) + 1 if q < 1.0 else 0
-    return theta + (1.0 - theta) * _count(params, "cdf", np.arange(y_max + 1))
+    return theta + (1.0 - theta) * _count(params, "cdf", np.arange(size))
 
 
 # ---------------------------------------------------------------------------

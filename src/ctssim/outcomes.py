@@ -9,7 +9,9 @@ reduction (each positive targeted count drops by a fixed amount), or
 increase (each positive targeted count rises by that amount).
 
 This module holds the scenario, the target resolution and the schedule
-record; ``harness.CellKernel`` builds the schedules.
+record.  ``harness.CellKernel`` applies these rules to a block of
+replications at once without building the record; the tests build it
+(``tests/reference.py``) to check the kernel against.
 """
 
 from __future__ import annotations

@@ -11,6 +11,9 @@ from ctssim.harness import CODINGS, CellKernel
 from ctssim.ingest import FitReport
 from ctssim.joint import CopulaSampler, MultiActModel
 from ctssim.marginals import ZIP, MarginalParams
+from ctssim.outcomes import PotentialOutcomeTable
+
+from reference import apply_effects
 
 
 def zi_sample(params: MarginalParams, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -46,16 +49,28 @@ def replicate(kernel: CellKernel, rep_index: int, return_schedule: bool = False)
     one; deterministic given (seed, rep_index).
 
     Returns {"binary": {...}, "sum": {...}} with estimate, se, p_value,
-    ci_low, ci_high and true_ate per coding as floats, the mean latent
-    count change under "latent_sum_true", and the PotentialOutcomeTable
-    under "schedule" when requested.
+    ci_low, ci_high and true_ate per coding as floats, and the mean latent
+    count change under "latent_sum_true".  When requested, "schedule"
+    holds the replication's PotentialOutcomeTable, rebuilt from ``share``'s
+    output: the response types from the kernel's CDF and the treated
+    counts from ``reference.apply_effects``.
     """
-    model = kernel.config.model
+    config = kernel.config
+    model = config.model
     copula = CopulaSampler(model) if isinstance(model, MultiActModel) else None
-    rngs, y0, score0 = harness.draw(kernel.config, copula, range(rep_index, rep_index + 1))
-    block = kernel.respond(harness.share(y0, score0, rngs, kernel.cols), return_schedule)
-    record = {c: {f: float(v[0]) for f, v in block[c].items()} for c in CODINGS}
-    record["latent_sum_true"] = float(block["latent_sum_true"][0])
+    rngs, y0, score0 = harness.draw(config, copula, range(rep_index, rep_index + 1))
+    shared = harness.share(y0, score0, rngs, kernel.cols)
+    treated, truth, latent = kernel.respond(shared)
+    reps = harness._replications(np.stack([*treated, *shared.control, truth]), latent, config)
+    record = {c: {f: float(v[0]) for f, v in reps.data[c].items()} for c in CODINGS}
+    record["latent_sum_true"] = float(reps.latent_sum_true[0])
     if return_schedule:
-        record["schedule"] = block["schedule"][0]
+        n = config.n_units
+        s = np.zeros(n, dtype=np.int8)
+        drawn = kernel.cdf.searchsorted(shared.u, side="right")
+        s[shared.violent] = harness._DRAWN_TYPES.take(drawn)
+        z = np.zeros(n, dtype=np.int8)
+        z[shared.arm1] = 1
+        y1 = apply_effects(shared.y0[0], s, config.scenario, model.acts)
+        record["schedule"] = PotentialOutcomeTable(shared.y0[0], y1, s, z)
     return record

@@ -90,7 +90,7 @@ def read_survey(data_path: str, descriptor_path: str) -> SurveyTable:
     with io.StringIO(text, newline="") as fh:
         reader = _records(data_path, csv.reader(fh))
         try:
-            header = next(reader)
+            _, header = next(reader)
         except StopIteration:
             raise SurveyFormatError(f"{data_path}: file is empty") from None
         header = [h.strip() for h in header]
@@ -106,7 +106,7 @@ def read_survey(data_path: str, descriptor_path: str) -> SurveyTable:
         col_idx = [header.index(c) for c in columns]
         w_idx = header.index(weight_col) if weight_col is not None else None
 
-        for line_no, raw in enumerate(reader, start=2):
+        for line_no, raw in reader:
             if not raw or all(not cell.strip() for cell in raw):
                 continue
             # trailing empty fields are accepted
@@ -164,10 +164,14 @@ def read_survey(data_path: str, descriptor_path: str) -> SurveyTable:
 
 
 def _records(data_path: str, reader):
-    """The rows of ``reader``; a row the csv module cannot split raises a
-    ``SurveyFormatError`` naming the file and line."""
+    """(first file line, row) for each row of ``reader``; a row the csv
+    module cannot split raises a ``SurveyFormatError`` naming the file and
+    line."""
     try:
-        yield from reader
+        line = 1
+        for row in reader:
+            yield line, row
+            line = reader.line_num + 1
     except csv.Error as exc:
         raise SurveyFormatError(f"{data_path}:{reader.line_num}: {exc}") from None
 

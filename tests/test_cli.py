@@ -45,10 +45,35 @@ BAD_DESCRIPTORS = [
 ]
 
 
+# descriptor files that are not JSON objects at all, each with the start of
+# the error that must follow "<path>: "
+DESCRIPTOR_FILE_ERRORS = [
+    pytest.param(b'{"mode":', "descriptor is not valid JSON: Expecting value: line 1 column 9",
+                 id="not-json"),
+    pytest.param(b'{"mode": "\xff"}', "descriptor is not UTF-8: 'utf-8' codec can't decode",
+                 id="not-utf8"),
+]
+
+
+def long_table_model() -> dict:
+    """small_model's dict with a margin whose CDF table would hold about
+    10**9 entries."""
+    doc = small_model().to_dict()
+    doc["margins"][1]["rate"] = 1e9
+    return doc
+
+
+# the start of the error for long_table_model's second act
+LONG_TABLE_ERROR = ("act 2 ('act 2'): MarginalParams(family='zip', rate=1000000000.0, "
+                    "zero_prob=0.6, dispersion=None) needs a CDF table of 1.00022e+09 entries "
+                    "to tail mass 1e-12, more than the limit of 4194304")
+
+
 # malformed model files, by name, that config cases below point model.file at
 BAD_MODEL_FILES = {
     "not_json.json": "{x}",
     "string_sigma.json": json.dumps({"schema_version": 1, **small_model().to_dict(), "sigma": "x"}),
+    "long_table.json": json.dumps({"schema_version": 1, **long_table_model()}),
 }
 
 
@@ -157,8 +182,34 @@ class TestFit:
         code = main(["fit", "--data", data, "--descriptor", str(desc),
                      "--out", str(tmp_path / "m.json")])
         assert code == 2
-        assert expected in capsys.readouterr().err
+        assert f"error: {desc}: {expected}" in capsys.readouterr().err
         assert not (tmp_path / "m.json").exists()
+
+    def test_count_needing_a_huge_table_exits_2(self, tmp_path, capsys):
+        # one count of about 10**11: the fitted margin's CDF table would
+        # hold about 3.3e10 entries, which used to be allocated
+        data, desc = tmp_path / "s.csv", tmp_path / "s.json"
+        data.write_text("a,b\n1,0\n0,2\n99999999999,1\n3,0\n")
+        desc.write_text(json.dumps({"mode": "counts", "acts": [
+            {"column": c, "label": c, "category": "physical", "severity": "severe"}
+            for c in ("a", "b")]}))
+        code = main(["fit", "--data", str(data), "--descriptor", str(desc),
+                     "--out", str(tmp_path / "m.json")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: act 1 ('a'): MarginalParams(family='zip', rate=33333333334.")
+        assert err.endswith("more than the limit of 4194304\n")
+        assert not (tmp_path / "m.json").exists()
+
+    @pytest.mark.parametrize("text, expected", DESCRIPTOR_FILE_ERRORS)
+    def test_unreadable_descriptor_exits_2_naming_it(self, tmp_path, capsys, text, expected):
+        data, _ = example_survey_paths()
+        desc = tmp_path / "desc.json"
+        desc.write_bytes(text)
+        code = main(["fit", "--data", data, "--descriptor", str(desc),
+                     "--out", str(tmp_path / "m.json")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: {desc}: {expected}")
 
     @pytest.mark.parametrize("edit, fields", [
         pytest.param(lambda line: line + ",7", 11, id="extra-field"),
@@ -186,15 +237,6 @@ class TestFit:
         assert code == 2
         assert capsys.readouterr().err == f"error: {bad}:{expected}\n"
         assert not (tmp_path / "m.json").exists()
-
-    def test_descriptor_not_utf8_exits_2_naming_it(self, tmp_path, capsys):
-        data, _ = example_survey_paths()
-        desc = tmp_path / "desc.json"
-        desc.write_bytes(b'{"mode": "\xff"}')
-        code = main(["fit", "--data", data, "--descriptor", str(desc),
-                     "--out", str(tmp_path / "m.json")])
-        assert code == 2
-        assert f"descriptor is not UTF-8: {desc}: " in capsys.readouterr().err
 
     def test_missing_out_dir_exits_2(self, tmp_path, capsys, monkeypatch):
         data, desc = example_survey_paths()
@@ -414,7 +456,19 @@ class TestSimulate:
         cfg = write_config(workdir / "run.json",
                            model={"survey": {"data": data, "descriptor": "desc.json"}})
         assert main(["simulate", "--config", str(cfg), "--out-dir", str(workdir / "x")]) == 2
-        assert expected in capsys.readouterr().err
+        assert f"config error: {workdir / 'desc.json'}: {expected}" in capsys.readouterr().err
+        assert not (workdir / "x").exists()
+
+    @pytest.mark.parametrize("text, expected", DESCRIPTOR_FILE_ERRORS)
+    def test_unreadable_survey_descriptor_exits_2_naming_it(self, workdir, capsys, text,
+                                                            expected):
+        data, _ = example_survey_paths()
+        (workdir / "desc.json").write_bytes(text)
+        cfg = write_config(workdir / "run.json",
+                           model={"survey": {"data": data, "descriptor": "desc.json"}})
+        assert main(["simulate", "--config", str(cfg), "--out-dir", str(workdir / "x")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {workdir / 'desc.json'}: {expected}")
         assert not (workdir / "x").exists()
 
 
@@ -763,6 +817,12 @@ class TestConfigTypes:
         pytest.param({"model": {"file": "string_sigma.json"}},
                      "string_sigma.json: ValueError: could not convert string to float: 'x'",
                      id="model-file-string-sigma"),
+        # a margin whose CDF table would pass marginals.CDF_TABLE_MAX
+        pytest.param({"model": {"file": "long_table.json"}},
+                     "long_table.json: ValueError: " + LONG_TABLE_ERROR,
+                     id="model-file-long-table"),
+        pytest.param({"model": {"inline": long_table_model()}}, "config error: " + LONG_TABLE_ERROR,
+                     id="inline-model-long-table"),
         # settings are checked before the (here absent) survey is read
         pytest.param({"model": {"survey": {"data": "a.csv", "descriptor": "a.json",
                                            "use": "resample", "family": "bogus"}}},

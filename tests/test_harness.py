@@ -139,12 +139,23 @@ def edge_model():
     return MultiActModel(default_acts(), tuple(margins), base.sigma)
 
 
+def counts_survey():
+    """A counts-mode survey of the example acts: mostly small counts, some
+    in the thousands, and counts of 10**6 and 3 * 10**9."""
+    rng = np.random.default_rng(17)
+    values = rng.negative_binomial(0.4, 0.1, size=(500, 10)) * (rng.random((500, 10)) < 0.4)
+    values[rng.integers(500, size=20), rng.integers(10, size=20)] = rng.integers(1000, 5000, 20)
+    values[3, 2], values[40, 0], values[41, 7] = 10**6, 3 * 10**9, 10**6 + 1
+    return SurveyTable(default_acts(), values, "counts")
+
+
 @pytest.fixture(scope="module")
 def kernel_models():
     return {
         "example": example_model(),
         "edge": edge_model(),
         "resample": EmpiricalResampler(read_survey(*example_survey_paths())),
+        "counts": EmpiricalResampler(counts_survey()),
     }
 
 
@@ -229,6 +240,31 @@ class TestKernelMatchesReference:
                 assert np.array_equal(getattr(table, name), getattr(ref, name)), name
             del rec["schedule"]
             assert rec == reference_record(cfg, ref)
+
+    @pytest.mark.parametrize("df", ["normal", "welch"])
+    @pytest.mark.parametrize("floor", [0, 1])
+    @pytest.mark.parametrize("magnitude", [1, 2, 7, 10**9])
+    @pytest.mark.parametrize("model_name", ["example", "edge", "resample", "counts"])
+    def test_magnitudes_and_floors_equal_stage_functions(
+        self, kernel_models, model_name, magnitude, floor, df
+    ):
+        # every response type, on counts below, inside and above each
+        # class of the effect tables, up to 3 * 10**9 in the counts survey
+        model = kernel_models[model_name]
+        cfg = SimulationConfig(
+            model, EffectScenario((0.25, 0.25, 0.25, 0.25), magnitude, "all", floor),
+            n_units=301, n_reps=3, seed=31, alpha=0.1, df=df,
+        )
+        kernel = CellKernel(cfg)
+        for i in range(cfg.n_reps):
+            rec = replicate(kernel, i)
+            assert rec == reference_record(cfg, reference_replication(cfg, i))
+
+    def test_counts_survey_reaches_the_large_counts(self, kernel_models):
+        cfg = SimulationConfig(kernel_models["counts"], scenario_preset("cessation_only"),
+                               n_units=301, n_reps=3, seed=31)
+        drawn = np.concatenate([reference_replication(cfg, i).y0 for i in range(3)])
+        assert drawn.max() >= 10**6 and ((drawn >= 6) & (drawn <= 1000)).any()
 
     @pytest.mark.parametrize("df", ["normal", "welch"])
     @pytest.mark.parametrize("model_name", ["example", "edge", "resample"])
@@ -412,6 +448,18 @@ class TestReplicationMajorGrid:
             EffectScenario((0.0, 0.0, 0.5, 0.5), magnitude=2, floor=1, name="split"),
         ]
         self.assert_cells_match_reference(base, scenarios, [(2, 3)])
+
+    @pytest.mark.parametrize("model_name", ["example", "counts"])
+    def test_several_blocks_magnitudes_and_floors(self, kernel_models, model_name):
+        # every field of every cell, over three blocks, equals (==, entry by
+        # entry) the cell's replications run one at a time
+        base = SimulationConfig(kernel_models[model_name], scenario_preset("null"),
+                                n_units=BLOCK_UNITS, n_reps=2 * B + 1, seed=43, alpha=0.1,
+                                df="welch")
+        probs = (0.1, 0.3, 0.3, 0.3)
+        scenarios = [EffectScenario(probs, magnitude, floor=floor, name=f"m{magnitude}f{floor}")
+                     for magnitude, floor in ((1, 0), (2, 1), (7, 0), (10**9, 1))]
+        self.assert_cells_match_reference(base, scenarios, ["all", (2, 5)])
 
     @pytest.mark.parametrize("df", ["normal", "welch"])
     def test_replications_without_violent_units(self, df):

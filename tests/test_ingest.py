@@ -174,7 +174,7 @@ class TestReadWrite:
         desc.write_text(json.dumps(descriptor))
         with pytest.raises(SurveyFormatError) as info:
             read_survey(str(data), str(desc))
-        assert str(info.value) == expected
+        assert str(info.value) == f"{desc}: {expected}"
 
     @pytest.mark.parametrize("header, repeated", [
         pytest.param("a,b,a,w", "a", id="act"),
@@ -391,6 +391,12 @@ class TestReadSurveyMatchesReference:
                      "1: field larger than field limit (131072)", id="huge-header-field"),
         pytest.param(["a,b", "1,1", "1,\udcff"],
                      "3: not UTF-8: byte 0xff at offset 10 (invalid start byte)", id="not-utf8"),
+        pytest.param(["a,b", '"1\n",2', "x,1"], "4: column 'a' has non-integer value 'x'",
+                     id="after-a-field-over-two-lines"),
+        pytest.param(["a,b", "1,1", '"x\n\n",2', "1,1"], "3: column 'a' has non-integer value 'x'",
+                     id="field-over-three-lines"),
+        pytest.param(['"a\n",b', "1,1", "1,-2"], "4: column 'b' is negative (-2)",
+                     id="header-over-two-lines"),
         pytest.param(["a,b", *["1,1"] * 4000, "1,\udcff"],
                      "4002: not UTF-8: byte 0xff at offset 16006 (invalid start byte)",
                      id="not-utf8-past-first-chunk"),

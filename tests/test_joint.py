@@ -24,6 +24,14 @@ def pair_model(rho, margin=FIG_MARGIN):
     return MultiActModel(make_acts(2), (margin, margin), sigma)
 
 
+class TestMarginTables:
+    def test_margin_needing_a_huge_table_names_its_act(self):
+        margins = (FIG_MARGIN, MarginalParams("zinb", 1e7, 0.5, dispersion=0.5))
+        with pytest.raises(ValueError, match=r"^act 2 \('act 2'\): MarginalParams\(family='zinb', "
+                                             r"rate=10000000\.0.* more than the limit of 4194304$"):
+            MultiActModel(make_acts(2), margins, np.eye(2))
+
+
 class TestActSpec:
     def test_rejects_bad_category(self):
         with pytest.raises(ValueError):

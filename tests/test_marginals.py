@@ -17,7 +17,9 @@ from ctssim.marginals import (
     _zinb_censored_loglik,
     _zinb_loglik,
     _zip_loglik,
+    CDF_TABLE_MAX,
     cdf_table,
+    cdf_table_size,
     category_probs,
     censored_loglik,
     fit_mle_censored,
@@ -96,6 +98,29 @@ class TestPmf:
         y_max = len(table) + 20
         total = np.sum(zi_pmf(params, np.arange(y_max)))
         assert 1.0 - 1e-10 < total <= 1.0 + 1e-12
+
+    @pytest.mark.parametrize("params", PARAM_GRID)
+    @pytest.mark.parametrize("tail_mass", [1e-10, 1e-12])
+    def test_table_size_is_the_tables_length(self, params, tail_mass):
+        assert cdf_table_size(params, tail_mass) == len(cdf_table(params, tail_mass))
+
+    @pytest.mark.parametrize("params, entries", [
+        (MarginalParams("zip", 4.3e6, 0.5), "4.3144e+06"),
+        (MarginalParams("zip", 1e11, 0.0), "1.00002e+11"),
+        (MarginalParams("zinb", 3.3e6, 1e-9, dispersion=1e-4), "5.15263e+11"),
+        (MarginalParams("zip", 1e300, 0.0), "nan"),  # scipy's quantile is NaN there
+    ])
+    def test_table_past_the_limit_is_refused(self, params, entries):
+        # the size is found before any table is built
+        message = (f"{params} needs a CDF table of {entries} entries to tail mass 1e-12, "
+                   f"more than the limit of {CDF_TABLE_MAX}")
+        for call in (cdf_table_size, cdf_table):
+            with pytest.raises(ValueError) as info:
+                call(params)
+            assert str(info.value) == message
+
+    def test_largest_fitted_poisson_rate_fits_the_limit(self):
+        assert cdf_table_size(MarginalParams("zip", math.exp(15.0), 0.0)) < CDF_TABLE_MAX
 
     def test_zinb_converges_to_zip(self):
         huge = MarginalParams("zinb", 2.36, 0.84, dispersion=1e6)
