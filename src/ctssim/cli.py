@@ -38,7 +38,6 @@ from .harness import (
     scenario_preset,
 )
 from .ingest import (
-    SIGMA_METHODS,
     EmpiricalResampler,
     SurveyFormatError,
     _atomic_write_text,
@@ -79,6 +78,8 @@ CONFIG_KEYS = frozenset({
     "model", "scenarios", "targets", "n_units", "n_reps", "n_bootstrap",
     "alpha", "seed", "df", "magnitude", "floor",
 })
+# the keys of a config's model.survey
+SURVEY_KEYS = frozenset({"data", "descriptor", "family", "use"})
 
 
 class ConfigError(ValueError):
@@ -120,15 +121,13 @@ def _build_model(source, base_dir: str):
     except (AttributeError, KeyError, TypeError) as exc:
         raise ConfigError(f"malformed {kind} model: {type(exc).__name__}: {exc}") from None
     survey = _config_object("model.survey", source["survey"])
-    _check_keys("model.survey", survey, {"data", "descriptor", "family", "use", "sigma_method"})
+    _check_keys("model.survey", survey, SURVEY_KEYS)
     for key in ("data", "descriptor"):
         if key not in survey:
             raise ConfigError(f"config model.survey is missing {key!r}")
     family = survey.get("family", ZIP)
-    sigma_method = survey.get("sigma_method", "adjusted")
     use = survey.get("use", "fit")
-    for key, value, known in (("family", family, FAMILIES), ("use", use, ("fit", "resample")),
-                              ("sigma_method", sigma_method, SIGMA_METHODS)):
+    for key, value, known in (("family", family, FAMILIES), ("use", use, ("fit", "resample"))):
         if value not in known:
             raise ConfigError(f"config model.survey.{key} must be one of {list(known)}, "
                               f"got {json.dumps(value)}")
@@ -140,8 +139,7 @@ def _build_model(source, base_dir: str):
     except OSError as exc:
         raise ConfigError(f"cannot read the survey: {exc}") from None
     if use == "fit":
-        model, _ = fit_model(table, family, sigma_method)
-        return model
+        return fit_model(table, family)[0]
     return EmpiricalResampler(table, family=family)
 
 
@@ -415,7 +413,7 @@ def cmd_fit(args) -> int:
             table = read_survey(args.data, args.descriptor)
         except OSError as exc:
             raise ConfigError(f"cannot read the survey: {exc}") from None
-        model, report = fit_model(table, args.family, args.sigma_method)
+        model, report = fit_model(table, args.family)
     except (SurveyFormatError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -621,8 +619,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--data", required=True, help="survey CSV path")
     p_fit.add_argument("--descriptor", required=True, help="survey descriptor JSON path")
     p_fit.add_argument("--family", choices=FAMILIES, default=ZIP)
-    p_fit.add_argument("--sigma-method", choices=SIGMA_METHODS, default="adjusted",
-                       help="latent correlation estimator (default adjusted)")
     p_fit.add_argument("--out", required=True, help="output model JSON path")
     p_fit.set_defaults(func=cmd_fit)
 

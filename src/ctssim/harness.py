@@ -296,10 +296,10 @@ class CellKernel:
         key += np.clip(before, *self.span)
         drawn = self.cdf.searchsorted(shared.u[hit], side="right")
         key += (_CLASSES * drawn - self.span[0])[:, None]
-        # row sums as products with ones: exact, of small integers or int64
-        ones = np.ones(before.shape[1], dtype=np.int64)
-        score1 = shared.score0[affected] + self.score_change.take(key) @ ones.astype(float)
-        latent = (self.intercept.take(key) + self.slope.take(key) * before) @ ones
+        # row sums as float products with ones: exact below 2**53, never wrapping
+        ones = np.ones(before.shape[1])
+        score1 = shared.score0[affected] + self.score_change.take(key) @ ones
+        latent = (self.intercept.take(key) + self.slope.take(key) * before).astype(float) @ ones
         t1 = time.perf_counter()
         # the sum coding under treatment, the codings' true effects, and
         # each replication's integer count change, summed exactly as floats

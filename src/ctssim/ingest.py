@@ -39,7 +39,6 @@ from .marginals import (
 )
 
 MODEL_SCHEMA_VERSION = 1
-SIGMA_METHODS = ("adjusted", "raw")
 
 MISSING_TOKENS = {"", "na", "nan", "none", "null", "."}
 _MAX_COUNT = int(np.iinfo(np.int64).max)
@@ -380,6 +379,11 @@ def _cell_structure(margin: MarginalParams, mode: str):
 
 _GL_NODES, _GL_WEIGHTS = leggauss(12)
 _Z_LIMIT = 8.5
+# The most entries of a pair's (12 L_j, L_k) quadrature table, evaluated about
+# QUADRATURE_BLOCK (8 MiB of float64) at a time: it bounds time, not memory (5e7
+# entries took 26 s at 108 MB peak RSS on one Xeon core).
+QUADRATURE_MAX = 2**26
+QUADRATURE_BLOCK = 2**20
 
 
 def _score_corr_theory(cell_j, cell_k):
@@ -391,7 +395,8 @@ def _score_corr_theory(cell_j, cell_k):
     value.  ``cell_j`` and ``cell_k`` are ``_cell_structure`` results.
     Everything but act k's conditional probabilities (the score moments,
     the nodes, weights and normal densities) is free of rho and computed
-    here, once per pair; the returned function does the rest.
+    here, once per pair; the returned function does the rest, a block of
+    rows of the (12 L_j, L_k) table at a time.
     """
     pj, bj, sj = cell_j
     pk, bk, sk = cell_k
@@ -409,11 +414,14 @@ def _score_corr_theory(cell_j, cell_k):
     density = np.exp(-0.5 * z * z) / np.sqrt(2.0 * np.pi)
     z = z[:, None]
     bk_low = np.concatenate([[-np.inf], bk[:-1]])
+    # blocks of 4k rows keep each row's product with sk as in one block
+    rows = max(4, QUADRATURE_BLOCK // len(bk) // 4 * 4)
 
     def corr(rho: float) -> float:
         tau = np.sqrt(max(1.0 - rho * rho, 1e-12))
-        rz = rho * z
-        cond = (ndtr((bk - rz) / tau) - ndtr((bk_low - rz) / tau)) @ sk
+        cond = np.concatenate([
+            (ndtr((bk - rz) / tau) - ndtr((bk_low - rz) / tau)) @ sk
+            for rz in (rho * z[a:a + rows] for a in range(0, len(z), rows))])
         per_cell = np.sum((density * cond).reshape(weights.shape) * weights, axis=1)
         return (float(sj @ per_cell) - mu_jk) / sd_jk
 
@@ -442,55 +450,49 @@ def _weighted_corr(a: np.ndarray, b: np.ndarray, weights: np.ndarray | None) -> 
 _RHO_LIMIT = 0.9995
 
 
-def latent_correlation_matrix(
-    table: SurveyTable,
-    margins,
-    method: str = "adjusted",
-) -> np.ndarray:
+def latent_correlation_matrix(table: SurveyTable, margins) -> np.ndarray:
     """Pairwise latent-normal correlations of the acts.
 
-    "raw" returns the plain Pearson correlation of mid-rank normal scores;
-    it is attenuated by the discreteness of the responses.  "adjusted"
-    (default) inverts the score correlation implied by the fitted marginals
-    under the Gaussian copula, removing that attenuation: a root search
-    over rho, each step of which evaluates the pair's score correlation by
-    quadrature.  The quadrature's rho-free part (score moments, nodes,
-    weights, normal densities) is computed once per pair, before the
-    search starts.  Degenerate acts (zero_prob = 1) get zero correlation.  The
-    result is symmetric but not necessarily PSD; project with
-    ``nearest_psd`` before use.
+    The plain Pearson correlation of mid-rank normal scores is attenuated
+    by the discreteness of the responses.  Each pair's rho instead inverts
+    the score correlation that the fitted marginals imply under the
+    Gaussian copula: a root search over rho, each step of which evaluates
+    the pair's score correlation by quadrature.  The quadrature's rho-free
+    part (score moments, nodes, weights, normal densities) is computed once
+    per pair, before the search starts; a pair whose quadrature table would
+    pass QUADRATURE_MAX entries is refused with a ValueError.  Degenerate
+    acts (zero_prob = 1) get zero correlation.  The result is symmetric but
+    not necessarily PSD; project with ``nearest_psd`` before use.
     """
-    if method not in SIGMA_METHODS:
-        raise ValueError(f"unknown method {method!r}")
     k = table.n_acts
     margins = tuple(margins)
     if len(margins) != k:
         raise ValueError("need one marginal per act")
     scores = [_empirical_scores(table.values[:, j], table.weights) for j in range(k)]
     degenerate = [m.zero_prob >= 1.0 or np.ptp(table.values[:, j]) == 0 for j, m in enumerate(margins)]
-    cells = [
-        None if degenerate[j] else _cell_structure(margins[j], table.mode) for j in range(k)
-    ]
+    cells = [None if degenerate[j] else _cell_structure(margins[j], table.mode) for j in range(k)]
     sigma = np.eye(k)
     for j in range(k):
         for l in range(j + 1, k):
             if degenerate[j] or degenerate[l]:
                 continue
+            entries = len(_GL_NODES) * len(cells[j][0]) * len(cells[l][0])
+            if entries > QUADRATURE_MAX:
+                raise ValueError(f"the latent correlation of acts {table.acts[j].label!r} and "
+                                 f"{table.acts[l].label!r} needs a quadrature table of {entries} "
+                                 f"entries, more than the limit of {QUADRATURE_MAX}")
             r_obs = _weighted_corr(scores[j], scores[l], table.weights)
-            if method == "raw":
-                rho = r_obs
+            corr = _score_corr_theory(cells[j], cells[l])
+
+            def gap(r, _corr=corr):
+                return _corr(r) - r_obs
+
+            if gap(_RHO_LIMIT) <= 0.0:
+                rho = _RHO_LIMIT
+            elif gap(-_RHO_LIMIT) >= 0.0:
+                rho = -_RHO_LIMIT
             else:
-                corr = _score_corr_theory(cells[j], cells[l])
-
-                def gap(r, _corr=corr):
-                    return _corr(r) - r_obs
-
-                if gap(_RHO_LIMIT) <= 0.0:
-                    rho = _RHO_LIMIT
-                elif gap(-_RHO_LIMIT) >= 0.0:
-                    rho = -_RHO_LIMIT
-                else:
-                    rho = brentq(gap, -_RHO_LIMIT, _RHO_LIMIT, xtol=1e-6)
+                rho = brentq(gap, -_RHO_LIMIT, _RHO_LIMIT, xtol=1e-6)
             sigma[j, l] = sigma[l, j] = float(np.clip(rho, -_RHO_LIMIT, _RHO_LIMIT))
     return sigma
 
@@ -526,7 +528,7 @@ def _category_gof(fit: FitResult, observed: np.ndarray) -> float | None:
     return float(chdtrc(dof, stat)) if dof >= 1 else None
 
 
-def fit_model(table: SurveyTable, family: str = "zip", sigma_method: str = "adjusted"):
+def fit_model(table: SurveyTable, family: str = "zip"):
     """Calibrate a MultiActModel to a survey table.
 
     Returns (model, report).  Acts with no positive responses are flagged
@@ -535,8 +537,7 @@ def fit_model(table: SurveyTable, family: str = "zip", sigma_method: str = "adju
     """
     if table.n_acts < 2:
         raise ValueError("need at least 2 acts to fit a joint model")
-    margins = []
-    per_act = []
+    margins, per_act = [], []
     for j, act in enumerate(table.acts):
         column = table.values[:, j]
         if table.mode == "counts":
@@ -548,7 +549,7 @@ def fit_model(table: SurveyTable, family: str = "zip", sigma_method: str = "adju
         margins.append(fit.params)
         per_act.append(ActFit(act.label, fit, _category_gof(fit, observed)))
     validate_margins(table.acts, margins)
-    sigma = latent_correlation_matrix(table, margins, method=sigma_method)
+    sigma = latent_correlation_matrix(table, margins)
     projected = nearest_psd(sigma)
     model = MultiActModel(table.acts, tuple(margins), projected)
     distance = float(np.linalg.norm(projected - sigma))

@@ -9,7 +9,7 @@ variance ``rate + rate**2 / dispersion``.  As ``dispersion`` grows the
 negative binomial converges to the Poisson with the same mean.
 
 ``fit`` and ``simulate`` use a margin's CDF table (``cdf_table``), its survey
-category masses (``category_probs``) and its fits (``fit_mle_*``).
+category masses (``category_masses``) and its fits (``fit_mle_*``).
 """
 
 from __future__ import annotations
@@ -156,19 +156,24 @@ _COUNT_UFUNCS = {
 }
 
 
+def _count_shape(family: str, rate, dispersion):
+    """scipy's shape arguments of a count part: scalars or arrays."""
+    return (rate,) if family == ZIP else (dispersion, dispersion / (dispersion + rate))
+
+
+def _unit_clip(p: np.ndarray) -> np.ndarray:  # as scipy.stats clips pmf, cdf and sf
+    return np.minimum(np.maximum(p, 0.0), 1.0)
+
+
 def _count(params: MarginalParams, kind: str, y):
     """``kind`` ("pmf", "cdf", "sf" or "isf") of the count part at ``y``.
 
     pmf, cdf and sf take non-negative integer counts and are clipped to
-    [0, 1] as scipy.stats clips them; isf takes tail probabilities in (0, 1).
+    [0, 1]; isf takes tail probabilities in (0, 1).
     """
-    if params.family == ZIP:
-        shape = (params.rate,)
-    else:
-        k = params.dispersion
-        shape = (k, k / (k + params.rate))
+    shape = _count_shape(params.family, params.rate, params.dispersion)
     out = _COUNT_UFUNCS[params.family, kind](np.asarray(y, dtype=float), *shape)
-    return out if kind == "isf" else np.clip(out, 0.0, 1.0)
+    return out if kind == "isf" else _unit_clip(out)
 
 
 def cdf_table_size(params: MarginalParams, tail_mass: float = 1e-12) -> int:
@@ -241,17 +246,30 @@ def _zinb_loglik(
     return float(ll)
 
 
-def category_probs(params: MarginalParams) -> np.ndarray:
-    """Interval masses of the 4 survey categories: {0}, {1}, {2..4}, {5+}."""
-    theta = params.zero_prob
-    g0, g1 = _count(params, "pmf", (0, 1))
-    sf1, sf4 = _count(params, "sf", (1, 4))
-    p0 = theta + (1.0 - theta) * g0
-    p1 = (1.0 - theta) * g1
+_PMF_POINTS, _SF_POINTS = np.array([0.0, 1.0]), np.array([1.0, 4.0])
+
+
+def category_masses(family: str, rate, zero_prob, dispersion=None) -> np.ndarray:
+    """Interval masses of the 4 survey categories, {0}, {1}, {2..4} and {5+},
+    at each point of the scalars or 1-D arrays ``rate``, ``zero_prob`` and,
+    for ZINB, ``dispersion``: a 4-array per point, in the last axis."""
+    k = None if dispersion is None else np.asarray(dispersion, dtype=float)[..., None]
+    shape = _count_shape(family, np.asarray(rate, dtype=float)[..., None], k)
+    g0, g1 = _unit_clip(_COUNT_UFUNCS[family, "pmf"](_PMF_POINTS, *shape)).T
+    sf1, sf4 = _unit_clip(_COUNT_UFUNCS[family, "sf"](_SF_POINTS, *shape)).T
+    w = 1.0 - zero_prob
     # survival-form difference keeps the {2..4} cell accurate for small rates
-    p2 = (1.0 - theta) * (sf1 - sf4)
-    p3 = (1.0 - theta) * sf4
-    return np.array([p0, p1, p2, p3])
+    return np.array([zero_prob + w * g0, w * g1, w * (sf1 - sf4), w * sf4]).T
+
+
+def category_probs(params: MarginalParams) -> np.ndarray:
+    """``category_masses`` of one margin: a 4-array."""
+    return category_masses(params.family, params.rate, params.zero_prob, params.dispersion)
+
+
+def _multinomial_loglik(masses: np.ndarray, n: np.ndarray):
+    """The log-likelihood of the histogram ``n`` at each row of ``masses``."""
+    return (n * np.log(np.maximum(masses, 1e-300))).sum(axis=-1)
 
 
 def censored_loglik(params: MarginalParams, category_counts) -> float:
@@ -259,28 +277,7 @@ def censored_loglik(params: MarginalParams, category_counts) -> float:
     n = np.asarray(category_counts, dtype=float)
     if n.shape != (N_CATEGORIES,):
         raise ValueError(f"expected {N_CATEGORIES} category counts, got shape {n.shape}")
-    p = np.maximum(category_probs(params), 1e-300)
-    return float(np.sum(n * np.log(p)))
-
-
-# The counts at which category_probs evaluates a ZINB count part's pmf and sf.
-_PMF_AT = np.array([0.0, 1.0])
-_SF_AT = np.array([1.0, 4.0])
-
-
-def _zinb_censored_loglik(n: np.ndarray, rate, dispersion, zero_prob) -> np.ndarray:
-    """``censored_loglik(MarginalParams(ZINB, rate[i], zero_prob[i],
-    dispersion[i]), n)`` value for value at each point i of the 1-D arrays
-    ``rate``, ``dispersion`` and ``zero_prob``, for a float 4-array ``n``,
-    without building the margins: the objective of a ZINB fit to a
-    histogram, which evaluates it at thousands of points."""
-    k = dispersion[:, None]
-    p_nb = (dispersion / (dispersion + rate))[:, None]
-    g0, g1 = np.minimum(np.maximum(_nbinom_pmf(_PMF_AT, k, p_nb), 0.0), 1.0).T
-    sf1, sf4 = np.minimum(np.maximum(_nbinom_sf(_SF_AT, k, p_nb), 0.0), 1.0).T
-    w = 1.0 - zero_prob
-    p = np.array([zero_prob + w * g0, w * g1, w * (sf1 - sf4), w * sf4]).T
-    return (n * np.log(np.maximum(p, 1e-300))).sum(axis=1)
+    return float(_multinomial_loglik(category_probs(params), n))
 
 
 # ---------------------------------------------------------------------------
@@ -516,7 +513,8 @@ def fit_mle_censored(category_counts, family: str = ZIP) -> FitResult:
             [math.log(rate0 * 2), math.log(0.3), logit0],
         ]
         params, ll, converged, n_iter = _fit_zinb(
-            lambda rate, disp, theta: _zinb_censored_loglik(n, rate, disp, theta),
+            lambda rate, disp, theta: _multinomial_loglik(
+                category_masses(ZINB, rate, theta, disp), n),
             starts,
         )
     boundary = boundary or params.zero_prob > 0.999 or n_pos < 5

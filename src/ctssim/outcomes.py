@@ -34,6 +34,8 @@ class ResponseType(IntEnum):
 
 
 TARGET_PRESETS = ("all", "physical", "sexual", "moderate")
+# The largest magnitude x for which 2 x + 6, in harness.CellKernel's effect tables, fits in int64
+MAX_MAGNITUDE = (2**63 - 1 - 6) // 2
 
 
 @dataclass(frozen=True)
@@ -43,7 +45,7 @@ class EffectScenario:
     Attributes:
         probs: probabilities of (no effect, cessation, reduction, increase)
             among violent units; must sum to 1.
-        magnitude: fixed count change for reduction/increase types (>= 1).
+        magnitude: fixed count change for reduction/increase types, 1..MAX_MAGNITUDE.
         target: which acts the program affects: "all", "physical", "sexual",
             "moderate", or an explicit sequence of 1-based act indices.
         floor: lower bound for reduced counts.  The default 1 keeps
@@ -66,8 +68,9 @@ class EffectScenario:
         for key in ("magnitude", "floor"):  # a bool would pass the value checks below
             if isinstance(getattr(self, key), (bool, np.bool_)):
                 raise ValueError(f"{key} must be an integer, got a bool")
-        if int(self.magnitude) != self.magnitude or self.magnitude < 1:
-            raise ValueError("magnitude must be a positive integer")
+        if int(self.magnitude) != self.magnitude or not 1 <= self.magnitude <= MAX_MAGNITUDE:
+            raise ValueError(f"magnitude must be an integer from 1 to {MAX_MAGNITUDE}, "
+                             f"got {self.magnitude}")
         if self.floor not in (0, 1):
             raise ValueError("floor must be 0 or 1")
         if isinstance(self.target, str):

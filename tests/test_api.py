@@ -1,10 +1,11 @@
 """The public surface of the ctssim package and of its command line.
 
 ``ctssim.__all__``, each subcommand's options, the top-level run config
-keys and the files one ``simulate`` run writes are pinned name for name,
-so any of them is added or removed only on purpose.  The reference
-pipeline in ``tests/reference.py`` and the fixtures in ``tests/helpers.py``
-are test code: no module of the package may import them.
+keys, the ``model.survey`` keys and the files one ``simulate`` run writes
+are pinned name for name, so any of them is added or removed only on
+purpose.  The reference pipeline in ``tests/reference.py`` and the
+fixtures in ``tests/helpers.py`` are test code: no module of the package
+may import them.
 """
 
 import argparse
@@ -58,7 +59,7 @@ PUBLIC_NAMES = [
 # sorted option strings of the parser ("ctssim") and of each subcommand
 CLI_OPTIONS = {
     "ctssim": ["--help", "--version", "-h"],
-    "fit": ["--data", "--descriptor", "--family", "--help", "--out", "--sigma-method", "-h"],
+    "fit": ["--data", "--descriptor", "--family", "--help", "--out", "-h"],
     "report": ["--format", "--help", "--out", "--results", "-h"],
     "simulate": ["--config", "--help", "--out-dir", "--seed", "--threads", "-h"],
 }
@@ -66,6 +67,7 @@ CONFIG_KEYS = [
     "alpha", "df", "floor", "magnitude", "model", "n_bootstrap", "n_reps", "n_units",
     "scenarios", "seed", "targets",
 ]
+SURVEY_KEYS = ["data", "descriptor", "family", "use"]
 SIMULATE_OUTPUTS = [
     "latent_diagnostics.csv", "power_long.csv", "results.csv", "results.md", "run_meta.json",
 ]
@@ -120,6 +122,10 @@ def test_cli_options_are_pinned():
 
 def test_config_keys_are_pinned():
     assert sorted(cli.CONFIG_KEYS) == CONFIG_KEYS
+
+
+def test_survey_keys_are_pinned():
+    assert sorted(cli.SURVEY_KEYS) == SURVEY_KEYS
 
 
 def test_simulate_outputs_are_pinned(tmp_path):

@@ -13,9 +13,10 @@ import ctssim
 from ctssim import cli
 from ctssim.cli import RESULTS_SCHEMA_VERSION, main
 from ctssim.datasets import example_model, example_survey_paths
-from ctssim.ingest import load_model, save_model
+from ctssim.ingest import QUADRATURE_MAX, load_model, save_model
 from ctssim.joint import ActSpec, MultiActModel
 from ctssim.marginals import MarginalParams
+from ctssim.outcomes import MAX_MAGNITUDE
 
 from helpers import report_loglik
 
@@ -107,6 +108,28 @@ def write_bad_survey(directory, index, edit):
         counts = {**json.load(fh), "mode": "counts"}
     (directory / "counts.json").write_text(json.dumps(counts))
     return bad, directory / "counts.json"
+
+
+def write_wide_counts_survey(directory):
+    """A 2-act counts survey with counts near 6000 and 5000: the latent
+    correlation's quadrature table would hold 425396520 entries."""
+    rng = np.random.default_rng(5)
+    values = np.column_stack([rng.poisson(6000, 200), rng.poisson(5000, 200)])
+    values *= rng.random((200, 2)) < 0.7
+    data, desc = directory / "wide.csv", directory / "wide.json"
+    data.write_text("a,b\n" + "".join(f"{a},{b}\n" for a, b in values))
+    desc.write_text(json.dumps({"mode": "counts", "acts": [
+        {"column": c, "label": c, "category": "physical", "severity": "severe"}
+        for c in ("a", "b")]}))
+    return data, desc
+
+
+# the start of the error for a magnitude past the bound
+MAGNITUDE_ERROR = f"magnitude must be an integer from 1 to {MAX_MAGNITUDE}, got "
+
+# the error for write_wide_counts_survey's survey
+WIDE_QUADRATURE_ERROR = ("the latent correlation of acts 'a' and 'b' needs a quadrature table "
+                         f"of 425396520 entries, more than the limit of {QUADRATURE_MAX}")
 
 
 @pytest.fixture
@@ -269,6 +292,23 @@ class TestFit:
         assert code == 2
         err = capsys.readouterr().err
         assert "cannot read the survey: [Errno 2]" in err and missing in err
+        assert not (tmp_path / "m.json").exists()
+
+    def test_removed_sigma_method_option_exits_2(self, tmp_path, capsys):
+        data, desc = example_survey_paths()
+        with pytest.raises(SystemExit) as exc:
+            main(["fit", "--data", data, "--descriptor", desc, "--sigma-method", "adjusted",
+                  "--out", str(tmp_path / "m.json")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --sigma-method adjusted" in capsys.readouterr().err
+        assert not (tmp_path / "m.json").exists()
+
+    def test_quadrature_past_its_limit_exits_2(self, tmp_path, capsys):
+        data, desc = write_wide_counts_survey(tmp_path)
+        code = main(["fit", "--data", str(data), "--descriptor", str(desc),
+                     "--out", str(tmp_path / "m.json")])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {WIDE_QUADRATURE_ERROR}\n"
         assert not (tmp_path / "m.json").exists()
 
     def test_zinb_fit_dominates_zip(self, tmp_path):
@@ -438,6 +478,14 @@ class TestSimulate:
         for file_name in ("results.csv", "results.md"):
             survey, fitted = (workdir / "survey" / file_name), (workdir / "file" / file_name)
             assert survey.read_bytes() == fitted.read_bytes(), file_name
+
+    def test_survey_fit_past_the_quadrature_limit_exits_2(self, workdir, capsys):
+        data, desc = write_wide_counts_survey(workdir)
+        cfg = write_config(workdir / "run.json",
+                           model={"survey": {"data": str(data), "descriptor": str(desc)}})
+        assert main(["simulate", "--config", str(cfg), "--out-dir", str(workdir / "x")]) == 2
+        assert capsys.readouterr().err == f"config error: {WIDE_QUADRATURE_ERROR}\n"
+        assert not (workdir / "x").exists()
 
     @pytest.mark.parametrize("index, edit, expected", BAD_SURVEY_LINES)
     def test_unreadable_survey_exits_2_naming_file_and_line(self, workdir, capsys, index, edit,
@@ -828,14 +876,22 @@ class TestConfigTypes:
                                            "use": "resample", "family": "bogus"}}},
                      "config model.survey.family must be one of ['zip', 'zinb'], got \"bogus\"",
                      id="resample-bad-family"),
+        # the removed sigma_method key is unknown, whatever its value
         pytest.param({"model": {"survey": {"data": "a.csv", "descriptor": "a.json",
                                            "use": "resample", "sigma_method": "nope"}}},
-                     "config model.survey.sigma_method must be one of ['adjusted', 'raw'], "
-                     "got \"nope\"", id="resample-bad-sigma-method"),
+                     "unknown keys in config 'model.survey': ['sigma_method']",
+                     id="resample-removed-sigma-method"),
         pytest.param({"model": {"survey": {"data": "a.csv", "descriptor": "a.json",
-                                           "sigma_method": "nope"}}},
-                     "config model.survey.sigma_method must be one of ['adjusted', 'raw'], "
-                     "got \"nope\"", id="fit-bad-sigma-method"),
+                                           "sigma_method": "adjusted"}}},
+                     "unknown keys in config 'model.survey': ['sigma_method']",
+                     id="fit-removed-sigma-method"),
+        # magnitudes past outcomes.MAX_MAGNITUDE, for presets and a custom scenario
+        pytest.param({"magnitude": MAX_MAGNITUDE + 1}, f"{MAGNITUDE_ERROR}{MAX_MAGNITUDE + 1}",
+                     id="magnitude-past-bound"),
+        pytest.param({"magnitude": 2**70}, f"{MAGNITUDE_ERROR}{2**70}",
+                     id="magnitude-past-int64"),
+        pytest.param({"scenarios": [{"probs": [0, 0, 0, 1], "magnitude": MAX_MAGNITUDE + 1}]},
+                     f"{MAGNITUDE_ERROR}{MAX_MAGNITUDE + 1}", id="custom-magnitude-past-bound"),
         pytest.param({"model": {"survey": {"data": "a.csv", "descriptor": "a.json",
                                            "use": "bogus"}}},
                      "config model.survey.use must be one of ['fit', 'resample'], got \"bogus\"",
@@ -893,6 +949,13 @@ class TestConfigTypes:
         cfg.write_text(document)
         assert main(["simulate", "--config", str(cfg), "--out-dir", str(workdir / "x")]) == 2
         assert "config must be a JSON object" in capsys.readouterr().err
+
+    def test_largest_magnitude_runs(self, workdir):
+        cfg = write_config(workdir / "run.json", scenarios=["cessation_reduction_increase"],
+                           magnitude=MAX_MAGNITUDE, n_reps=4)
+        assert main(["simulate", "--config", str(cfg), "--out-dir", str(workdir / "x")]) == 0
+        latent = read_rows(workdir / "x" / "latent_diagnostics.csv")
+        assert len(latent) == 1 and np.isfinite(float(latent[0]["mean_latent_count_ate"]))
 
     def test_well_typed_values_accepted(self, workdir):
         cfg = write_config(workdir / "run.json", scenarios=["cessation_only"],

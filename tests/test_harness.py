@@ -747,6 +747,22 @@ class TestLatentDiagnostics:
         reps = run_cell(cfg).reps
         assert np.all(reps.latent_sum_true <= 0.0)
 
+    # latent changes whose row sums pass the int64 range keep their sign
+    def test_huge_cessations_stay_non_positive(self):
+        acts = tuple(ActSpec(i + 1, f"act {i + 1}", "physical", "severe") for i in range(2))
+        big = 5 * 10**18
+        table = SurveyTable(acts, np.array([[big, big], [0, 0], [big, 3], [1, 2]]), "counts")
+        cfg = SimulationConfig(EmpiricalResampler(table), EffectScenario((0.0, 1.0, 0.0, 0.0)),
+                               n_units=40, n_reps=4, seed=3)
+        latent = run_cell(cfg).reps.latent_sum_true
+        assert np.all(latent <= 0.0) and np.any(latent < -10**18)
+
+    def test_huge_increases_stay_non_negative(self):
+        cfg = SimulationConfig(example_model(), EffectScenario((0.0, 0.0, 0.0, 1.0), 2**61),
+                               n_units=40, n_reps=4, seed=3)
+        latent = run_cell(cfg).reps.latent_sum_true
+        assert np.all(latent >= 0.0) and np.any(latent > 2**61)
+
     def test_latent_report_shows_count_scale_bias(self):
         # reductions of 2 inside the "a few times" category are invisible to
         # the coded sum, so the denormalized estimate understates the latent

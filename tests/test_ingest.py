@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import reference
+from ctssim import ingest
 from ctssim.coding import categorize
 from ctssim.datasets import example_survey_paths
 from ctssim.ingest import (
@@ -451,6 +452,16 @@ class TestScoreCorrelationMatchesReference:
             for rho in (-0.9995, -0.5, 0.0, 0.5, 0.9995):
                 assert corr(rho) == reference.score_corr_theory(rho, cell_j, cell_k)
 
+    @pytest.mark.parametrize("block", [1, 100, 1000])
+    def test_blocked_table_equals_one_block(self, monkeypatch, block):
+        # blocks of 4, then a multiple of 4, rows of the quadrature table
+        monkeypatch.setattr(ingest, "QUADRATURE_BLOCK", block)
+        cells = [_cell_structure(m, "counts") for m in self.MARGINS]
+        for cell_j, cell_k in itertools.permutations(cells, 2):
+            corr = _score_corr_theory(cell_j, cell_k)
+            for rho in (-0.9995, -0.5, 0.0, 0.5, 0.9995):
+                assert corr(rho) == reference.score_corr_theory(rho, cell_j, cell_k)
+
 
 class TestFitModel:
     def test_simulate_then_refit_round_trip(self):
@@ -531,14 +542,44 @@ class TestFitModel:
             assert act_fit.chi2_p is not None
             assert act_fit.chi2_p > 0.001  # data generated from the fitted family
 
-    def test_raw_sigma_method_is_attenuated(self):
-        table, truth = simulated_table(n=20_000, seed=106)
+    @pytest.mark.parametrize("family", ["zip", "zinb"])
+    def test_fit_reproduces_survey_prevalence_and_sum_variance(self, family):
+        # binary power hinges on the any-act prevalence, sum power on the
+        # variance of the sum score; the plain (attenuated) score correlation
+        # put the prevalence 21 SEs and the variance 11 SEs off
+        table = read_survey(*example_survey_paths())
+        model, _ = fit_model(table, family)
+        drawn = categorize(sample_joint(model, 80_000, np.random.default_rng(1))).sum(axis=1)
+        survey = table.values.sum(axis=1)
+        root_n = np.sqrt(len(survey))
+        prevalence = np.mean(survey > 0)  # 0.399, SE 0.0055
+        prevalence_se = np.sqrt(prevalence * (1 - prevalence)) / root_n
+        variance_se = np.std((survey - survey.mean()) ** 2, ddof=1) / root_n  # 16.05, SE 0.57
+        assert abs(np.mean(drawn > 0) - prevalence) < 3 * prevalence_se
+        assert abs(np.var(drawn, ddof=1) - np.var(survey, ddof=1)) < 3 * variance_se
+
+    def test_pair_past_the_quadrature_limit_refused(self, monkeypatch):
+        table, _ = simulated_table(n=2000, seed=106)
         margins = fit_model(table, family="zip")[0].margins
-        raw = latent_correlation_matrix(table, margins, method="raw")
-        adjusted = latent_correlation_matrix(table, margins, method="adjusted")
-        upper = np.triu_indices(4, 1)
-        assert np.all(raw[upper] < adjusted[upper])
-        assert np.all(raw[upper] < truth.sigma[upper] - 0.05)
+        expected = latent_correlation_matrix(table, margins)
+        # 12 nodes by 4 categories by 4 categories a pair
+        monkeypatch.setattr(ingest, "QUADRATURE_MAX", 12 * 4 * 4)
+        assert np.array_equal(latent_correlation_matrix(table, margins), expected)
+        monkeypatch.setattr(ingest, "QUADRATURE_MAX", 12 * 4 * 4 - 1)
+        with pytest.raises(ValueError, match="^the latent correlation of acts 'act 1' and "
+                                             "'act 2' needs a quadrature table of 192 entries, "
+                                             "more than the limit of 191$"):
+            latent_correlation_matrix(table, margins)
+
+    def test_overdispersed_counts_pair_fits(self):
+        # heavy ZINB tails need long CDF tables, though few counts pass 100
+        margins = tuple(MarginalParams("zinb", 10.0, 0.5, dispersion=0.3) for _ in range(2))
+        truth = MultiActModel(make_acts(2), margins, np.array([[1.0, 0.5], [0.5, 1.0]]))
+        counts = sample_joint(truth, 2000, np.random.default_rng(12))
+        model, _ = fit_model(SurveyTable(make_acts(2), counts, mode="counts"), family="zinb")
+        sizes = [len(_cell_structure(m, "counts")[0]) for m in model.margins]
+        assert 12 * sizes[0] * sizes[1] > 4_000_000
+        assert abs(model.sigma[0, 1] - 0.5) < 0.1
 
 
 @pytest.fixture(scope="module")

@@ -6,7 +6,13 @@ from scipy import stats
 
 from ctssim.coding import categorize
 from ctssim.joint import ActSpec
-from ctssim.outcomes import EffectScenario, PotentialOutcomeTable, ResponseType, target_columns
+from ctssim.outcomes import (
+    MAX_MAGNITUDE,
+    EffectScenario,
+    PotentialOutcomeTable,
+    ResponseType,
+    target_columns,
+)
 
 from reference import (
     apply_effects,
@@ -48,6 +54,13 @@ class TestScenarioValidation:
     def test_magnitude_positive_integer(self):
         with pytest.raises(ValueError):
             EffectScenario((1, 0, 0, 0), magnitude=0)
+
+    def test_magnitude_bounded(self):
+        assert EffectScenario((1, 0, 0, 0), magnitude=MAX_MAGNITUDE).magnitude == MAX_MAGNITUDE
+        # the effect tables reach 2 * magnitude + 6, the int64 maximum at the bound
+        assert 2 * MAX_MAGNITUDE + 6 <= np.iinfo(np.int64).max < 2 * (MAX_MAGNITUDE + 1) + 6
+        with pytest.raises(ValueError, match=f"must be an integer from 1 to {MAX_MAGNITUDE}, got"):
+            EffectScenario((1, 0, 0, 0), magnitude=MAX_MAGNITUDE + 1)
 
     @pytest.mark.parametrize("kw", [
         {"magnitude": True, "floor": True}, {"magnitude": True}, {"floor": True},
