@@ -34,6 +34,7 @@ from .marginals import (
     MarginalParams,
     category_probs,
     cdf_table,
+    count_cells,
     fit_mle_censored,
     fit_mle_exact,
 )
@@ -361,14 +362,9 @@ def _atomic_write_text(path: str, text: str):
 # Latent correlation estimation
 
 
-def _cell_structure(margin: MarginalParams, mode: str):
-    """Cell probabilities, upper latent-normal bounds, and model-implied
-    mid-distribution normal scores for one act's observable values."""
-    if mode == "categories":
-        p = category_probs(margin)
-    else:
-        table = cdf_table(margin, 1e-10)
-        p = np.diff(np.concatenate([[0.0], table]))
+def _cell_structure(p: np.ndarray):
+    """Cell probabilities ``p``, upper latent-normal bounds, and model-implied
+    mid-distribution normal scores for one act's cells."""
     cum = np.cumsum(p)
     cum[-1] = 1.0
     low = np.concatenate([[0.0], cum[:-1]])
@@ -379,11 +375,6 @@ def _cell_structure(margin: MarginalParams, mode: str):
 
 _GL_NODES, _GL_WEIGHTS = leggauss(12)
 _Z_LIMIT = 8.5
-# The most entries of a pair's (12 L_j, L_k) quadrature table, evaluated about
-# QUADRATURE_BLOCK (8 MiB of float64) at a time: it bounds time, not memory (5e7
-# entries took 26 s at 108 MB peak RSS on one Xeon core).
-QUADRATURE_MAX = 2**26
-QUADRATURE_BLOCK = 2**20
 
 
 def _score_corr_theory(cell_j, cell_k):
@@ -395,8 +386,7 @@ def _score_corr_theory(cell_j, cell_k):
     value.  ``cell_j`` and ``cell_k`` are ``_cell_structure`` results.
     Everything but act k's conditional probabilities (the score moments,
     the nodes, weights and normal densities) is free of rho and computed
-    here, once per pair; the returned function does the rest, a block of
-    rows of the (12 L_j, L_k) table at a time.
+    here, once per pair; the returned function does the rest.
     """
     pj, bj, sj = cell_j
     pk, bk, sk = cell_k
@@ -414,30 +404,22 @@ def _score_corr_theory(cell_j, cell_k):
     density = np.exp(-0.5 * z * z) / np.sqrt(2.0 * np.pi)
     z = z[:, None]
     bk_low = np.concatenate([[-np.inf], bk[:-1]])
-    # blocks of 4k rows keep each row's product with sk as in one block
-    rows = max(4, QUADRATURE_BLOCK // len(bk) // 4 * 4)
 
     def corr(rho: float) -> float:
         tau = np.sqrt(max(1.0 - rho * rho, 1e-12))
-        cond = np.concatenate([
-            (ndtr((bk - rz) / tau) - ndtr((bk_low - rz) / tau)) @ sk
-            for rz in (rho * z[a:a + rows] for a in range(0, len(z), rows))])
+        cond = (ndtr((bk - rho * z) / tau) - ndtr((bk_low - rho * z) / tau)) @ sk
         per_cell = np.sum((density * cond).reshape(weights.shape) * weights, axis=1)
         return (float(sj @ per_cell) - mu_jk) / sd_jk
 
     return corr
 
 
-def _empirical_scores(column: np.ndarray, weights: np.ndarray | None) -> np.ndarray:
-    """Normal scores of mid-distribution ranks of one response column."""
-    values, inverse = np.unique(column, return_inverse=True)
-    if weights is None:
-        counts = np.bincount(inverse, minlength=len(values)).astype(float)
-    else:
-        counts = np.bincount(inverse, weights=weights, minlength=len(values))
+def _empirical_scores(codes: np.ndarray, weights: np.ndarray | None) -> np.ndarray:
+    """Normal scores of mid-distribution ranks of one act's cell codes."""
+    counts = np.bincount(codes, weights)
     cum = np.cumsum(counts) / counts.sum()
     low = np.concatenate([[0.0], cum[:-1]])
-    return ndtri(np.clip((cum + low) / 2.0, 1e-12, 1.0 - 1e-12))[inverse]
+    return ndtri(np.clip((cum + low) / 2.0, 1e-12, 1.0 - 1e-12))[codes]
 
 
 def _weighted_corr(a: np.ndarray, b: np.ndarray, weights: np.ndarray | None) -> float:
@@ -457,30 +439,28 @@ def latent_correlation_matrix(table: SurveyTable, margins) -> np.ndarray:
     by the discreteness of the responses.  Each pair's rho instead inverts
     the score correlation that the fitted marginals imply under the
     Gaussian copula: a root search over rho, each step of which evaluates
-    the pair's score correlation by quadrature.  The quadrature's rho-free
+    the pair's score correlation by quadrature over the acts' cells (their
+    categories, or ``count_cells``, which also bin the survey).  The rho-free
     part (score moments, nodes, weights, normal densities) is computed once
-    per pair, before the search starts; a pair whose quadrature table would
-    pass QUADRATURE_MAX entries is refused with a ValueError.  Degenerate
-    acts (zero_prob = 1) get zero correlation.  The result is symmetric but
-    not necessarily PSD; project with ``nearest_psd`` before use.
+    per pair, before the search starts.  An act with zero_prob = 1, or with
+    its rows of positive weight in one cell, gets zero correlation.  The
+    result is symmetric but not necessarily PSD; project with ``nearest_psd``.
     """
     k = table.n_acts
     margins = tuple(margins)
     if len(margins) != k:
         raise ValueError("need one marginal per act")
-    scores = [_empirical_scores(table.values[:, j], table.weights) for j in range(k)]
-    degenerate = [m.zero_prob >= 1.0 or np.ptp(table.values[:, j]) == 0 for j, m in enumerate(margins)]
-    cells = [None if degenerate[j] else _cell_structure(margins[j], table.mode) for j in range(k)]
+    coded = [count_cells(m, c) if table.mode == "counts" else (c, category_probs(m))
+             for c, m in zip(table.values.T, margins)]
+    positive = slice(None) if table.weights is None else table.weights > 0
+    scores = [_empirical_scores(c, table.weights) for c, _ in coded]
+    degenerate = [m.zero_prob >= 1 or np.ptp(c[positive]) == 0 for m, (c, _) in zip(margins, coded)]
+    cells = [_cell_structure(p) for _, p in coded]
     sigma = np.eye(k)
     for j in range(k):
         for l in range(j + 1, k):
             if degenerate[j] or degenerate[l]:
                 continue
-            entries = len(_GL_NODES) * len(cells[j][0]) * len(cells[l][0])
-            if entries > QUADRATURE_MAX:
-                raise ValueError(f"the latent correlation of acts {table.acts[j].label!r} and "
-                                 f"{table.acts[l].label!r} needs a quadrature table of {entries} "
-                                 f"entries, more than the limit of {QUADRATURE_MAX}")
             r_obs = _weighted_corr(scores[j], scores[l], table.weights)
             corr = _score_corr_theory(cells[j], cells[l])
 

@@ -34,6 +34,8 @@ FAMILIES = (ZIP, ZINB)
 # margin at the fit's largest rate, exp(15), needs about 3.3e6 entries.
 CDF_TABLE_MAX = 2**22
 
+COUNT_CELLS_MAX = 64  # bounds a pair's latent correlation quadrature at 12 * 64 * 64 entries
+
 # Interval-censored survey categories: 0 -> {0}, 1 -> {1}, 2 -> {2..4}, 3 -> {5+}
 N_CATEGORIES = 4
 
@@ -204,6 +206,23 @@ def cdf_table(params: MarginalParams, tail_mass: float = 1e-12) -> np.ndarray:
     if theta >= 1.0:
         return np.array([1.0])
     return theta + (1.0 - theta) * _count(params, "cdf", np.arange(size))
+
+
+def count_cells(params: MarginalParams, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The cell of each of an act's ``counts``, and each cell's probability.
+    Each count up to 5 has its own cell, and so does each count up to the
+    largest when that is below COUNT_CELLS_MAX; otherwise cells past 5 start
+    at quantiles geometric in tail mass down to the largest count, floor 1e-10.
+    The largest count's cell holds the tail."""
+    largest = int(counts.max())
+    if largest < COUNT_CELLS_MAX:
+        starts = np.arange(largest + 1.0)
+    else:
+        tail = np.maximum(_count(params, "sf", [5, largest]), 1e-10)
+        levels = np.geomspace(*tail, COUNT_CELLS_MAX - 6, endpoint=False)[1:]
+        starts = np.unique(np.r_[0:7, np.minimum(_count(params, "isf", levels) + 1, largest)])
+    cum = params.zero_prob + (1.0 - params.zero_prob) * _count(params, "cdf", starts[1:] - 1)
+    return np.searchsorted(starts, counts, side="right") - 1, np.diff(cum, prepend=0.0, append=1.0)
 
 
 # ---------------------------------------------------------------------------

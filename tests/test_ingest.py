@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 import reference
-from ctssim import ingest
 from ctssim.coding import categorize
 from ctssim.datasets import example_survey_paths
 from ctssim.ingest import (
@@ -19,14 +18,20 @@ from ctssim.ingest import (
     _cell_structure,
     _score_corr_theory,
     fit_model,
-    latent_correlation_matrix,
     load_model,
     read_survey,
     save_model,
     write_survey,
 )
 from ctssim.joint import ActSpec, MultiActModel, sample_joint
-from ctssim.marginals import MarginalParams, cdf_table
+from ctssim.marginals import (
+    COUNT_CELLS_MAX,
+    MarginalParams,
+    category_probs,
+    cdf_table,
+    cdf_table_size,
+    count_cells,
+)
 
 from helpers import report_loglik
 
@@ -444,19 +449,14 @@ class TestScoreCorrelationMatchesReference:
         MarginalParams("zinb", 6.0, 0.2, 3.0),
     ]
 
+    # counts-mode largest counts: two acts with a cell per count, two cut at quantiles
+    LARGEST = [40, 63, 64, 300]
+
     @pytest.mark.parametrize("mode", ["categories", "counts"])
     def test_every_pair_and_rho(self, mode):
-        cells = [_cell_structure(m, mode) for m in self.MARGINS]
-        for cell_j, cell_k in itertools.permutations(cells, 2):
-            corr = _score_corr_theory(cell_j, cell_k)
-            for rho in (-0.9995, -0.5, 0.0, 0.5, 0.9995):
-                assert corr(rho) == reference.score_corr_theory(rho, cell_j, cell_k)
-
-    @pytest.mark.parametrize("block", [1, 100, 1000])
-    def test_blocked_table_equals_one_block(self, monkeypatch, block):
-        # blocks of 4, then a multiple of 4, rows of the quadrature table
-        monkeypatch.setattr(ingest, "QUADRATURE_BLOCK", block)
-        cells = [_cell_structure(m, "counts") for m in self.MARGINS]
+        cells = [_cell_structure(category_probs(m) if mode == "categories"
+                                 else count_cells(m, np.arange(largest + 1))[1])
+                 for m, largest in zip(self.MARGINS, self.LARGEST)]
         for cell_j, cell_k in itertools.permutations(cells, 2):
             corr = _score_corr_theory(cell_j, cell_k)
             for rho in (-0.9995, -0.5, 0.0, 0.5, 0.9995):
@@ -558,28 +558,62 @@ class TestFitModel:
         assert abs(np.mean(drawn > 0) - prevalence) < 3 * prevalence_se
         assert abs(np.var(drawn, ddof=1) - np.var(survey, ddof=1)) < 3 * variance_se
 
-    def test_pair_past_the_quadrature_limit_refused(self, monkeypatch):
-        table, _ = simulated_table(n=2000, seed=106)
-        margins = fit_model(table, family="zip")[0].margins
-        expected = latent_correlation_matrix(table, margins)
-        # 12 nodes by 4 categories by 4 categories a pair
-        monkeypatch.setattr(ingest, "QUADRATURE_MAX", 12 * 4 * 4)
-        assert np.array_equal(latent_correlation_matrix(table, margins), expected)
-        monkeypatch.setattr(ingest, "QUADRATURE_MAX", 12 * 4 * 4 - 1)
-        with pytest.raises(ValueError, match="^the latent correlation of acts 'act 1' and "
-                                             "'act 2' needs a quadrature table of 192 entries, "
-                                             "more than the limit of 191$"):
-            latent_correlation_matrix(table, margins)
+    @pytest.mark.parametrize("mode", ["categories", "counts"])
+    def test_act_constant_on_weighted_rows_gets_zero_correlation(self, mode):
+        # act 2 varies only on rows of zero weight: scored with them, its
+        # weighted scores had no variance and the root search met a NaN
+        table, _ = simulated_table(n=300, seed=106, mode=mode)
+        weights = np.tile([1.0, 1.0, 0.0], 100)
+        values = table.values.copy()
+        values[weights > 0, 1] = 2
+        assert np.ptp(values[:, 1]) > 0
+        model, _ = fit_model(SurveyTable(table.acts, values, mode, weights), family="zip")
+        assert np.array_equal(model.sigma[1], np.eye(4)[1])
+        assert np.all(model.sigma[np.ix_([0, 2, 3], [0, 2, 3])] != 0.0)
 
-    def test_overdispersed_counts_pair_fits(self):
-        # heavy ZINB tails need long CDF tables, though few counts pass 100
-        margins = tuple(MarginalParams("zinb", 10.0, 0.5, dispersion=0.3) for _ in range(2))
+    @pytest.mark.parametrize("dispersion", [0.3, 0.07])
+    def test_overdispersed_counts_pair_fits(self, dispersion):
+        # heavy ZINB tails run each margin's 1e-10 quantile to thousands of
+        # counts, far past the largest observed count
+        margins = tuple(MarginalParams("zinb", 10.0, 0.5, dispersion=dispersion) for _ in range(2))
         truth = MultiActModel(make_acts(2), margins, np.array([[1.0, 0.5], [0.5, 1.0]]))
         counts = sample_joint(truth, 2000, np.random.default_rng(12))
         model, _ = fit_model(SurveyTable(make_acts(2), counts, mode="counts"), family="zinb")
-        sizes = [len(_cell_structure(m, "counts")[0]) for m in model.margins]
-        assert 12 * sizes[0] * sizes[1] > 4_000_000
+        for margin, column in zip(model.margins, counts.T):
+            assert column.max() >= COUNT_CELLS_MAX
+            assert len(count_cells(margin, column)[1]) <= COUNT_CELLS_MAX
         assert abs(model.sigma[0, 1] - 0.5) < 0.1
+
+
+class TestCountCells:
+    """A counts-mode act's cells: counts 0-5 alone, at most COUNT_CELLS_MAX in
+    all, the last holding the largest observed count and the whole tail."""
+
+    MARGINS = [MarginalParams("zip", 2.0, 0.3), MarginalParams("zinb", 10.0, 0.5, 0.3)]
+
+    @pytest.mark.parametrize("margin", MARGINS, ids=["zip", "zinb"])
+    @pytest.mark.parametrize("largest", [0, 3, 5, 6, 63, 64, 65, 300, "past-tail"])
+    def test_rule(self, margin, largest):
+        if largest == "past-tail":
+            largest = cdf_table_size(margin, 1e-10)
+        codes, p = count_cells(margin, np.arange(largest + 1))
+        assert len(p) <= COUNT_CELLS_MAX
+        # every cell holds a count, the largest count's cell is the last
+        assert np.array_equal(np.unique(codes), np.arange(len(p)))
+        assert np.all(np.diff(codes) >= 0)
+        assert np.array_equal(codes[:7], np.arange(min(largest, 6) + 1))
+        assert p.sum() == pytest.approx(1.0, abs=1e-12)
+        # each cell's probability is the mass of the counts binned into it,
+        # the tail past the largest count in the last
+        cdf = np.pad(cdf_table(margin, 1e-13), (0, largest), constant_values=1.0)[:largest]
+        pmf = np.diff(cdf, prepend=0.0, append=1.0)
+        assert np.allclose(np.bincount(codes, pmf, minlength=len(p)), p, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("margin", MARGINS, ids=["zip", "zinb"])
+    def test_largest_int64_count(self, margin):
+        codes, p = count_cells(margin, np.array([0, 5, 2**63 - 1]))
+        assert len(p) <= COUNT_CELLS_MAX and p.sum() == pytest.approx(1.0, abs=1e-12)
+        assert codes.tolist() == [0, 5, len(p) - 1]
 
 
 @pytest.fixture(scope="module")
