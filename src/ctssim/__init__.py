@@ -19,7 +19,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 __version__ = "0.1.0"
 
-from .coding import categorize, code_binary, code_sum
+from .coding import categorize
 from .harness import (
     SCENARIO_PRESETS,
     CellResult,
@@ -49,7 +49,7 @@ from .marginals import (
     fit_mle_censored,
     fit_mle_exact,
 )
-from .outcomes import EffectScenario, PotentialOutcomeTable, ResponseType
+from .outcomes import EffectScenario
 
 __all__ = [
     "ActSpec",
@@ -60,15 +60,11 @@ __all__ = [
     "MarginalParams",
     "MultiActModel",
     "PerformanceStats",
-    "PotentialOutcomeTable",
     "Replications",
-    "ResponseType",
     "SCENARIO_PRESETS",
     "SimulationConfig",
     "SurveyTable",
     "categorize",
-    "code_binary",
-    "code_sum",
     "fit_mle_censored",
     "fit_mle_exact",
     "fit_model",

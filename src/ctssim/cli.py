@@ -96,6 +96,8 @@ class RunConfig:
     scenarios: list[EffectScenario]
     targets: list
     fingerprint: str  # sha256 of the canonical effective config document
+    model_sha256: str | None  # _canonical_hash of the model's to_dict(); None when resampling
+    survey_sha256: dict | None  # a model.survey's "data" and "descriptor" file hashes
 
 
 def _canonical_hash(document: dict) -> str:
@@ -103,7 +105,14 @@ def _canonical_hash(document: dict) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
+def _file_sha256(path: str) -> str:
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
 def _build_model(source, base_dir: str):
+    """The model a config's ``model`` names, and its survey's file hashes
+    (None unless it names a survey)."""
     source = _config_object("model", source)
     _check_keys("model", source, {"file", "inline", "survey"})
     if len(source) != 1:
@@ -113,9 +122,10 @@ def _build_model(source, base_dir: str):
     (kind,) = source
     try:
         if kind == "file":
-            return load_model(os.path.join(base_dir, _config_str("model.file", source["file"])))
+            path = os.path.join(base_dir, _config_str("model.file", source["file"]))
+            return load_model(path), None
         if kind == "inline":
-            return MultiActModel.from_dict(_config_object("model.inline", source["inline"]))
+            return MultiActModel.from_dict(_config_object("model.inline", source["inline"])), None
     except OSError as exc:
         raise ConfigError(f"cannot read the model file: {exc}") from None
     except (AttributeError, KeyError, TypeError) as exc:
@@ -131,16 +141,16 @@ def _build_model(source, base_dir: str):
         if value not in known:
             raise ConfigError(f"config model.survey.{key} must be one of {list(known)}, "
                               f"got {json.dumps(value)}")
+    paths = {key: os.path.join(base_dir, _config_str(f"model.survey.{key}", survey[key]))
+             for key in ("data", "descriptor")}
     try:
-        table = read_survey(
-            os.path.join(base_dir, _config_str("model.survey.data", survey["data"])),
-            os.path.join(base_dir, _config_str("model.survey.descriptor", survey["descriptor"])),
-        )
+        table = read_survey(paths["data"], paths["descriptor"])
+        hashes = {key: _file_sha256(path) for key, path in paths.items()}
     except OSError as exc:
         raise ConfigError(f"cannot read the survey: {exc}") from None
     if use == "fit":
-        return fit_model(table, family)[0]
-    return EmpiricalResampler(table, family=family)
+        return fit_model(table, family)[0], hashes
+    return EmpiricalResampler(table, family=family), hashes
 
 
 def _build_scenarios(raw: list, magnitude: int, floor: int) -> list[EffectScenario]:
@@ -263,7 +273,7 @@ def load_run_config(path: str, seed_override: int | None = None) -> RunConfig:
     if repeated:
         raise ConfigError(f"config names more than one cell (scenario, target) {repeated}; "
                           "give each custom scenario its own 'name'")
-    model = _build_model(doc["model"], os.path.dirname(os.path.abspath(path)))
+    model, survey_sha256 = _build_model(doc["model"], os.path.dirname(os.path.abspath(path)))
     for target in targets:  # resolved as each cell will, before any cell runs
         try:
             target_columns(model.acts, target)
@@ -281,7 +291,9 @@ def load_run_config(path: str, seed_override: int | None = None) -> RunConfig:
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    return RunConfig(base, scenarios, targets, _canonical_hash(effective))
+    model_sha256 = _canonical_hash(model.to_dict()) if isinstance(model, MultiActModel) else None
+    return RunConfig(base, scenarios, targets, _canonical_hash(effective), model_sha256,
+                     survey_sha256)
 
 
 # ---------------------------------------------------------------------------
@@ -463,6 +475,8 @@ def cmd_simulate(args) -> int:
     total_reps = sum(cell.config.n_reps for cell in cells)
     meta = {
         "config_hash": run.fingerprint,
+        "model_sha256": run.model_sha256,
+        "survey_sha256": run.survey_sha256,
         "seed": run.base.seed,
         "version": __version__,
         "wall_clock_seconds": round(elapsed, 3),

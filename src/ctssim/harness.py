@@ -40,7 +40,7 @@ import numpy as np
 from . import coding
 from .estimation import _mean_var, hc2_from_moments
 from .joint import CopulaSampler, MultiActModel
-from .outcomes import EffectScenario, ResponseType, target_columns
+from .outcomes import EffectScenario, target_columns
 
 CODINGS = ("binary", "sum")
 REPLICATION_FIELDS = ("estimate", "se", "p_value", "ci_low", "ci_high", "true_ate")
@@ -136,10 +136,6 @@ def _replication_rng(seed: int, rep_index: int) -> np.random.Generator:
 # category 3.  Row sums of these small integers are exact in any order.
 _CATEGORY_CAP = coding.CATEGORY_BINS[-1]
 _CATEGORY_SCORE = np.digitize(np.arange(_CATEGORY_CAP + 1), coding.CATEGORY_BINS).astype(float)
-_DRAWN_TYPES = np.array(
-    [ResponseType.NO_EFFECT, ResponseType.CESSATION, ResponseType.REDUCTION, ResponseType.INCREASE],
-    dtype=np.int8,
-)
 # classes of a targeted count that CellKernel's effect tables tell apart
 _CLASSES = 2 * _CATEGORY_CAP + 1
 # a block of replications holds at most this many rows of control counts,
@@ -255,7 +251,7 @@ class CellKernel:
         # The effect tables hold an affected entry's score change and latent
         # count change intercept + slope * count (slope 0 or -1: cessation's
         # -count is exact for any int64 count) at _CLASSES * type + class,
-        # for its type (index into _DRAWN_TYPES) and its count's class
+        # for its type (index into the scenario's probs) and its count's class
         # min(count, 5) + clip(count, *span) - span[0]: the counts from 5 to
         # x + floor, where a reduction ends at the floor, share one, as do
         # those from x + 5 up, so few classes serve any x and any counts.
@@ -263,14 +259,14 @@ class CellKernel:
         self.span = (x + floor, x + cap)
         # the smallest count of each class, and each type's entry for it
         counts = np.r_[0 : cap + 1, max(cap, x + floor) + 1 : x + cap + 1]
-        keys = (_CLASSES * np.arange(1, len(_DRAWN_TYPES))[:, None] + np.minimum(counts, cap)
+        keys = (_CLASSES * np.arange(1, len(self.cdf))[:, None] + np.minimum(counts, cap)
                 + np.clip(counts, *self.span) - (x + floor))
 
         def treated(counts):  # under cessation, reduction and increase
             return np.where(counts > 0, [0 * counts, np.maximum(counts - x, floor), counts + x], 0)
 
         after = treated(counts)
-        self.score_change = np.zeros(_CLASSES * len(_DRAWN_TYPES))
+        self.score_change = np.zeros(_CLASSES * len(self.cdf))
         self.score_change[keys] = (_CATEGORY_SCORE.take(np.minimum(after, cap))
                                    - _CATEGORY_SCORE.take(np.minimum(counts, cap)))
         # on a class of several counts the latent change is linear: there

@@ -34,6 +34,7 @@ from .marginals import (
     MarginalParams,
     category_probs,
     cdf_table,
+    cdf_table_size,
     count_cells,
     fit_mle_censored,
     fit_mle_exact,
@@ -522,6 +523,11 @@ def fit_model(table: SurveyTable, family: str = "zip"):
         column = table.values[:, j]
         if table.mode == "counts":
             fit = fit_mle_exact(column, family, weights=table.weights)
+            try:
+                cdf_table_size(fit.params)
+            except ValueError as exc:
+                raise ValueError(f"act {act.index} ({act.label!r}), largest count "
+                                 f"{column.max()}: {exc}") from None
             observed = _category_hist(coding.categorize(column), table.weights)
         else:
             observed = _category_hist(column, table.weights)
@@ -629,7 +635,7 @@ class EmpiricalResampler:
     @staticmethod
     def _conditional_cdfs(margin: MarginalParams) -> list[tuple[int, np.ndarray]]:
         """Per imputed category: (lowest count, conditional CDF over lo, lo+1, ...)."""
-        pmf = np.diff(np.concatenate([[0.0], cdf_table(margin, 1e-12)]))
+        pmf = np.diff(np.concatenate([[0.0], cdf_table(margin)]))
         out = []
         for lo, hi in _IMPUTED_INTERVALS:
             mass = pmf[lo : (None if hi is None else hi + 1)]

@@ -25,6 +25,8 @@ ACT_CATEGORIES = ("emotional", "physical", "sexual")
 SEVERITIES = ("moderate", "severe")
 
 _PSD_TOL = -1e-10
+# nearest_psd clips a projected matrix's eigenvalues up to this floor
+_EIG_FLOOR = 1e-8
 
 
 @dataclass(frozen=True)
@@ -130,12 +132,12 @@ class MultiActModel:
         return cls(acts, margins, np.asarray(d["sigma"], dtype=float))
 
 
-def nearest_psd(matrix: np.ndarray, eig_floor: float = 1e-8) -> np.ndarray:
+def nearest_psd(matrix: np.ndarray) -> np.ndarray:
     """Project a symmetric matrix to a PSD correlation matrix.
 
     A matrix that already is one (unit diagonal, smallest eigenvalue within
     the tolerance ``MultiActModel.validate`` allows) is returned unchanged.
-    Otherwise eigenvalues below ``eig_floor`` are clipped up, the matrix is
+    Otherwise eigenvalues below _EIG_FLOOR are clipped up, the matrix is
     rebuilt, and the diagonal is rescaled to 1; a second call returns that.
     """
     a = np.asarray(matrix, dtype=float)
@@ -146,7 +148,7 @@ def nearest_psd(matrix: np.ndarray, eig_floor: float = 1e-8) -> np.ndarray:
     eigvals, eigvecs = np.linalg.eigh((a + a.T) / 2.0)
     if eigvals[0] >= _PSD_TOL and np.allclose(np.diag(a), 1.0, atol=1e-12):
         return a.copy()
-    fixed = (eigvecs * np.maximum(eigvals, eig_floor)) @ eigvecs.T
+    fixed = (eigvecs * np.maximum(eigvals, _EIG_FLOOR)) @ eigvecs.T
     d = np.sqrt(np.diag(fixed))
     out = fixed / np.outer(d, d)
     np.fill_diagonal(out, 1.0)

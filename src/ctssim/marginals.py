@@ -33,6 +33,8 @@ FAMILIES = (ZIP, ZINB)
 # The longest CDF table ``cdf_table`` builds: 32 MiB of float64.  A Poisson
 # margin at the fit's largest rate, exp(15), needs about 3.3e6 entries.
 CDF_TABLE_MAX = 2**22
+# A CDF table ends where the tail beyond its last count holds less than this mass
+CDF_TAIL_MASS = 1e-12
 
 COUNT_CELLS_MAX = 64  # bounds a pair's latent correlation quadrature at 12 * 64 * 64 entries
 
@@ -124,12 +126,13 @@ def _as_counts(values) -> np.ndarray:
 # frozen-distribution call bit for bit, at a small fraction of its cost.
 
 
+# gammaln(y + 1.0), not y + 1: an int64 count of 2**63 - 1 plus 1 wraps to a negative
 def _poisson_logpmf(y, mu):
-    return xlogy(y, mu) - gammaln(y + 1) - mu
+    return xlogy(y, mu) - gammaln(y + 1.0) - mu
 
 
 def _nbinom_logpmf(y, n, p):
-    coeff = gammaln(n + y) - gammaln(y + 1) - gammaln(n)
+    coeff = gammaln(n + y) - gammaln(y + 1.0) - gammaln(n)
     return coeff + n * np.log(p) + xlog1py(y, -p)
 
 
@@ -178,30 +181,34 @@ def _count(params: MarginalParams, kind: str, y):
     return out if kind == "isf" else _unit_clip(out)
 
 
-def cdf_table_size(params: MarginalParams, tail_mass: float = 1e-12) -> int:
-    """The number of entries of ``cdf_table(params, tail_mass)``.  Raises
-    ValueError, naming ``params``, when it would pass CDF_TABLE_MAX."""
+def cdf_table_size(params: MarginalParams) -> int:
+    """The number of entries of ``cdf_table(params)``.  Raises ValueError,
+    naming ``params``, when it would pass CDF_TABLE_MAX."""
     theta = params.zero_prob
     if theta >= 1.0:
         return 1
-    q = tail_mass / (1.0 - theta)
+    q = CDF_TAIL_MASS / (1.0 - theta)
     # a count part whose whole mass is below the tail keeps only y = 0
-    # (scipy's isf(1) is -1); a NaN or infinite quantile fails the bound
+    # (scipy's isf(1) is -1); scipy's quantile turns NaN far past the limit
+    # (at a Poisson rate of 1e12, for one), so NaN fails the bound too
     isf = _count(params, "isf", q) if q < 1.0 else -1.0
-    if not isf + 2 <= CDF_TABLE_MAX:
+    if not math.isfinite(isf):
+        raise ValueError(f"{params} needs a CDF table to tail mass {CDF_TAIL_MASS:g} longer than "
+                         f"the limit of {CDF_TABLE_MAX}: its tail quantile cannot be computed")
+    if isf + 2 > CDF_TABLE_MAX:
         raise ValueError(f"{params} needs a CDF table of {isf + 2:.6g} entries to tail mass "
-                         f"{tail_mass:g}, more than the limit of {CDF_TABLE_MAX}")
+                         f"{CDF_TAIL_MASS:g}, more than the limit of {CDF_TABLE_MAX}")
     return int(isf) + 2
 
 
-def cdf_table(params: MarginalParams, tail_mass: float = 1e-12) -> np.ndarray:
+def cdf_table(params: MarginalParams) -> np.ndarray:
     """CDF values [cdf(0), cdf(1), ...] truncated where the tail is below
-    ``tail_mass``.  Entry i is P(Y <= i); the last entry is ~1.  A table
+    CDF_TAIL_MASS.  Entry i is P(Y <= i); the last entry is ~1.  A table
     longer than CDF_TABLE_MAX entries is refused (``cdf_table_size``).
 
     Used for O(1) inverse-transform sampling via ``np.searchsorted``.
     """
-    size = cdf_table_size(params, tail_mass)
+    size = cdf_table_size(params)
     theta = params.zero_prob
     if theta >= 1.0:
         return np.array([1.0])

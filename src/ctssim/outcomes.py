@@ -8,30 +8,21 @@ response types: no effect, cessation (all targeted violence stops),
 reduction (each positive targeted count drops by a fixed amount), or
 increase (each positive targeted count rises by that amount).
 
-This module holds the scenario, the target resolution and the schedule
-record.  ``harness.CellKernel`` applies these rules to a block of
-replications at once without building the record; the tests build it
-(``tests/reference.py``) to check the kernel against.
+This module holds the effect scenario and the target resolution.
+``harness.CellKernel`` applies these rules to a block of replications at
+once, through lookup tables; the tests' reference pipeline
+(``tests/reference.py``) builds each schedule stage by stage, with its
+response-type labels, to check the kernel against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import IntEnum
 from typing import Sequence
 
 import numpy as np
 
 from .joint import ActSpec
-
-
-class ResponseType(IntEnum):
-    NEVER_VIOLENT = 0
-    NO_EFFECT = 1
-    CESSATION = 2
-    REDUCTION = 3
-    INCREASE = 4
-
 
 TARGET_PRESETS = ("all", "physical", "sexual", "moderate")
 # The largest magnitude x for which 2 x + 6, in harness.CellKernel's effect tables, fits in int64
@@ -105,30 +96,3 @@ def target_columns(acts: Sequence[ActSpec], target) -> np.ndarray:
         raise ValueError(f"target {target!r} selects no acts in this act table")
     return np.asarray(cols, dtype=np.intp)
 
-
-@dataclass
-class PotentialOutcomeTable:
-    """Per-unit latent schedule: counts under control/treatment, response
-    type, and treatment assignment."""
-
-    y0: np.ndarray
-    y1: np.ndarray
-    s: np.ndarray
-    z: np.ndarray
-
-    def __post_init__(self):
-        self.y0 = np.asarray(self.y0, dtype=np.int64)
-        self.y1 = np.asarray(self.y1, dtype=np.int64)
-        self.s = np.asarray(self.s, dtype=np.int8)
-        self.z = np.asarray(self.z, dtype=np.int8)
-        n = self.y0.shape[0]
-        if self.y0.ndim != 2 or self.y1.shape != self.y0.shape:
-            raise ValueError("y0 and y1 must be matching n x K matrices")
-        if self.s.shape != (n,) or self.z.shape != (n,):
-            raise ValueError("s and z must be length-n vectors")
-        if not np.isin(self.z, (0, 1)).all():
-            raise ValueError("z must be binary")
-
-    def observed(self) -> np.ndarray:
-        """Revealed counts: treated units show y1, controls show y0."""
-        return np.where(self.z[:, None] == 1, self.y1, self.y0)

@@ -11,9 +11,8 @@ from ctssim.harness import CODINGS, CellKernel
 from ctssim.ingest import FitReport
 from ctssim.joint import CopulaSampler, MultiActModel
 from ctssim.marginals import ZIP, MarginalParams
-from ctssim.outcomes import PotentialOutcomeTable
 
-from reference import apply_effects
+from reference import DRAWN_TYPES, PotentialOutcomeTable, apply_effects
 
 
 def zi_sample(params: MarginalParams, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -68,7 +67,7 @@ def replicate(kernel: CellKernel, rep_index: int, return_schedule: bool = False)
         n = config.n_units
         s = np.zeros(n, dtype=np.int8)
         drawn = kernel.cdf.searchsorted(shared.u, side="right")
-        s[shared.violent] = harness._DRAWN_TYPES.take(drawn)
+        s[shared.violent] = DRAWN_TYPES.take(drawn)
         z = np.zeros(n, dtype=np.int8)
         z[shared.arm1] = 1
         y1 = apply_effects(shared.y0[0], s, config.scenario, model.acts)

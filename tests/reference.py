@@ -9,6 +9,10 @@ functions run on the same random stream, bit for bit.
 ``hc2_from_moments`` the HC2 estimate of one replication on Python floats,
 ``hc2_from_arms`` that estimate from the arms' outcome vectors, and
 ``check_schedule`` the invariants every potential-outcome schedule keeps.
+A schedule is a ``PotentialOutcomeTable``, its units labelled with
+``ResponseType``; ``code_binary`` and ``code_sum`` are the two outcome
+codings of a category vector, which the kernel computes from its score
+table instead.
 
 The fit path has its own plain forms: ``read_survey`` validates each
 cell of a survey file in turn, ``zinb_censored_loglik`` builds the
@@ -26,6 +30,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass
+from enum import IntEnum
 from typing import Sequence
 
 import numpy as np
@@ -52,7 +57,7 @@ from ctssim.marginals import (
     _expit,
     censored_loglik,
 )
-from ctssim.outcomes import EffectScenario, PotentialOutcomeTable, ResponseType, target_columns
+from ctssim.outcomes import EffectScenario, target_columns
 
 # ---------------------------------------------------------------------------
 # Surveys and fits
@@ -243,7 +248,82 @@ def counts_from_uniforms(table: np.ndarray, u) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# Outcome codings
+
+
+def _check_categories(values) -> np.ndarray:
+    v = np.asarray(values)
+    if v.size == 0:
+        raise ValueError("empty category vector")
+    if np.any((v < 0) | (v > coding.MAX_CATEGORY)):
+        raise ValueError(f"categories must lie in 0..{coding.MAX_CATEGORY}")
+    return v
+
+
+def code_binary(categories) -> np.ndarray | float:
+    """1.0 if any item category is positive, else 0.0.
+
+    Accepts a length-K vector (one respondent) or an n x K matrix; the item
+    axis is always the last one.
+    """
+    v = _check_categories(categories)
+    out = np.any(v > 0, axis=-1).astype(float)
+    return float(out) if out.ndim == 0 else out
+
+
+def code_sum(categories) -> np.ndarray | float:
+    """Sum of item categories normalized by the maximum score 3K."""
+    v = _check_categories(categories)
+    k = v.shape[-1]
+    out = v.sum(axis=-1) / (coding.MAX_CATEGORY * k)
+    return float(out) if out.ndim == 0 else out
+
+
+# ---------------------------------------------------------------------------
 # Potential-outcome schedules
+
+
+class ResponseType(IntEnum):
+    NEVER_VIOLENT = 0
+    NO_EFFECT = 1
+    CESSATION = 2
+    REDUCTION = 3
+    INCREASE = 4
+
+
+# the four types a violent unit draws, in the order of EffectScenario.probs
+DRAWN_TYPES = np.array(
+    [ResponseType.NO_EFFECT, ResponseType.CESSATION, ResponseType.REDUCTION, ResponseType.INCREASE],
+    dtype=np.int8,
+)
+
+
+@dataclass
+class PotentialOutcomeTable:
+    """Per-unit latent schedule: counts under control/treatment, response
+    type, and treatment assignment."""
+
+    y0: np.ndarray
+    y1: np.ndarray
+    s: np.ndarray
+    z: np.ndarray
+
+    def __post_init__(self):
+        self.y0 = np.asarray(self.y0, dtype=np.int64)
+        self.y1 = np.asarray(self.y1, dtype=np.int64)
+        self.s = np.asarray(self.s, dtype=np.int8)
+        self.z = np.asarray(self.z, dtype=np.int8)
+        n = self.y0.shape[0]
+        if self.y0.ndim != 2 or self.y1.shape != self.y0.shape:
+            raise ValueError("y0 and y1 must be matching n x K matrices")
+        if self.s.shape != (n,) or self.z.shape != (n,):
+            raise ValueError("s and z must be length-n vectors")
+        if not np.isin(self.z, (0, 1)).all():
+            raise ValueError("z must be binary")
+
+    def observed(self) -> np.ndarray:
+        """Revealed counts: treated units show y1, controls show y0."""
+        return np.where(self.z[:, None] == 1, self.y1, self.y0)
 
 
 def assign_response_types(
@@ -265,16 +345,7 @@ def assign_response_types(
     s = np.full(y0.shape[0], ResponseType.NEVER_VIOLENT, dtype=np.int8)
     n_violent = int(violent.sum())
     if n_violent:
-        draws = rng.choice(
-            np.array(
-                [ResponseType.NO_EFFECT, ResponseType.CESSATION,
-                 ResponseType.REDUCTION, ResponseType.INCREASE],
-                dtype=np.int8,
-            ),
-            size=n_violent,
-            p=scenario.probs,
-        )
-        s[violent] = draws
+        s[violent] = rng.choice(DRAWN_TYPES, size=n_violent, p=scenario.probs)
     return s
 
 
@@ -325,8 +396,8 @@ def true_estimands(table: PotentialOutcomeTable) -> dict[str, float]:
     c0 = coding.categorize(table.y0)
     c1 = coding.categorize(table.y1)
     return {
-        "binary": float(np.mean(coding.code_binary(c1) - coding.code_binary(c0))),
-        "sum": float(np.mean(coding.code_sum(c1) - coding.code_sum(c0))),
+        "binary": float(np.mean(code_binary(c1) - code_binary(c0))),
+        "sum": float(np.mean(code_sum(c1) - code_sum(c0))),
     }
 
 

@@ -20,10 +20,15 @@ from ctssim.harness import SimulationConfig, run_cell, scenario_preset
 from ctssim.ingest import SurveyTable, fit_model, read_survey
 from ctssim.joint import ActSpec, MultiActModel, sample_joint
 from ctssim.marginals import MarginalParams, category_probs, fit_mle_censored, fit_mle_exact
-from ctssim.outcomes import PotentialOutcomeTable, ResponseType
 
 from helpers import zi_sample
-from reference import apply_effects, check_schedule, estimate_ols_hc2
+from reference import (
+    PotentialOutcomeTable,
+    ResponseType,
+    apply_effects,
+    check_schedule,
+    estimate_ols_hc2,
+)
 
 N_UNITS = 1680
 N_REPS = 1000

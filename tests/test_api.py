@@ -5,11 +5,14 @@ keys, the ``model.survey`` keys and the files one ``simulate`` run writes
 are pinned name for name, so any of them is added or removed only on
 purpose.  The reference pipeline in ``tests/reference.py`` and the
 fixtures in ``tests/helpers.py`` are test code: no module of the package
-may import them.
+may import them.  The package attributes that the benchmark's scripts
+call are listed too, so that none of them moves out of the package
+unnoticed.
 """
 
 import argparse
 import ast
+import importlib
 import json
 import os
 import subprocess
@@ -21,6 +24,8 @@ import ctssim
 from ctssim import cli
 from ctssim.datasets import example_model
 
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
 PUBLIC_NAMES = [
     "ActSpec",
     "CellResult",
@@ -30,15 +35,11 @@ PUBLIC_NAMES = [
     "MarginalParams",
     "MultiActModel",
     "PerformanceStats",
-    "PotentialOutcomeTable",
     "Replications",
-    "ResponseType",
     "SCENARIO_PRESETS",
     "SimulationConfig",
     "SurveyTable",
     "categorize",
-    "code_binary",
-    "code_sum",
     "fit_mle_censored",
     "fit_mle_exact",
     "fit_model",
@@ -71,6 +72,12 @@ SURVEY_KEYS = ["data", "descriptor", "family", "use"]
 SIMULATE_OUTPUTS = [
     "latent_diagnostics.csv", "power_long.csv", "results.csv", "results.md", "run_meta.json",
 ]
+# the ctssim attributes, as "module.name", that bench/run_bench.py and
+# bench/worker.py call in an untraced benchmark run
+BENCH_CALLS = [
+    "cli.main", "cli.fit_model", "datasets.build_example_survey", "datasets.example_model",
+    "ingest.write_survey",
+]
 
 
 def package_modules() -> dict[str, str]:
@@ -90,6 +97,17 @@ def test_public_names_are_pinned():
 def test_every_public_name_resolves():
     for name in ctssim.__all__:
         assert getattr(ctssim, name, None) is not None, name
+
+
+def test_what_the_benchmark_calls_exists():
+    scripts = ""
+    for name in ("run_bench.py", "worker.py"):
+        with open(os.path.join(REPO_ROOT, "bench", name), encoding="utf-8") as fh:
+            scripts += fh.read()
+    for call in BENCH_CALLS:
+        module, name = call.split(".")
+        assert callable(getattr(importlib.import_module(f"ctssim.{module}"), name, None)), call
+        assert call in scripts, f"{call} is not called in bench/run_bench.py or bench/worker.py"
 
 
 def test_no_package_module_imports_the_reference_pipeline():

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface."""
 
 import csv
+import hashlib
 import json
 import os
 import subprocess
@@ -13,7 +14,7 @@ import ctssim
 from ctssim import cli
 from ctssim.cli import RESULTS_SCHEMA_VERSION, main
 from ctssim.datasets import example_model, example_survey_paths
-from ctssim.ingest import load_model, save_model
+from ctssim.ingest import fit_model, load_model, read_survey, save_model
 from ctssim.joint import ActSpec, MultiActModel
 from ctssim.marginals import MarginalParams
 from ctssim.outcomes import MAX_MAGNITUDE
@@ -124,6 +125,24 @@ def write_wide_counts_survey(directory):
     return data, desc
 
 
+def write_int64_count_survey(directory):
+    """A 2-act counts survey of 300 rows of Poisson(2) counts, one of which
+    is the largest int64, 2**63 - 1."""
+    values = np.random.default_rng(0).poisson(2, (300, 2)).astype(object)
+    values[17, 0] = 2**63 - 1
+    data, desc = directory / "int64.csv", directory / "int64.json"
+    data.write_text("a,b\n" + "".join(f"{a},{b}\n" for a, b in values))
+    desc.write_text(json.dumps({"mode": "counts", "acts": [
+        {"column": c, "label": c, "category": "physical", "severity": "severe"}
+        for c in ("a", "b")]}))
+    return data, desc
+
+
+def file_sha256(path) -> str:
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
 # the start of the error for a magnitude past the bound
 MAGNITUDE_ERROR = f"magnitude must be an integer from 1 to {MAX_MAGNITUDE}, got "
 
@@ -216,8 +235,22 @@ class TestFit:
                      "--out", str(tmp_path / "m.json")])
         assert code == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: act 1 ('a'): MarginalParams(family='zip', rate=33333333334.")
+        assert err.startswith("error: act 1 ('a'), largest count 99999999999: "
+                              "MarginalParams(family='zip', rate=33333333334.")
         assert err.endswith("more than the limit of 4194304\n")
+        assert not (tmp_path / "m.json").exists()
+
+    @pytest.mark.parametrize("family", ["zip", "zinb"])
+    def test_largest_int64_count_exits_2_naming_it(self, tmp_path, capsys, family):
+        # the tests turn any RuntimeWarning into an error, which would exit 1
+        data, desc = write_int64_count_survey(tmp_path)
+        code = main(["fit", "--data", str(data), "--descriptor", str(desc), "--family", family,
+                     "--out", str(tmp_path / "m.json")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: act 1 ('a'), largest count {2**63 - 1}: "
+                              f"MarginalParams(family='{family}', ")
+        assert err.count("\n") == 1 and "nan" not in err
         assert not (tmp_path / "m.json").exists()
 
     @pytest.mark.parametrize("text, expected", DESCRIPTOR_FILE_ERRORS)
@@ -309,8 +342,6 @@ class TestFit:
 
     def test_zinb_fit_dominates_zip(self, tmp_path):
         data, desc = example_survey_paths()
-        from ctssim.ingest import fit_model, read_survey
-
         table = read_survey(data, desc)
         _, zip_report = fit_model(table, "zip")
         _, zinb_report = fit_model(table, "zinb")
@@ -740,6 +771,41 @@ class TestRunMeta:
             "numpy": np.__version__,
             "scipy": __import__("scipy").__version__,
         }
+
+    def test_model_sha256_tells_models_at_one_path_apart(self, workdir):
+        # one config, run with the ZIP and then the ZINB fit at the same path
+        data, desc = example_survey_paths()
+        cfg = write_config(workdir / "run.json", model={"file": "fitted.json"}, n_reps=5)
+        metas = {}
+        for family in ("zip", "zinb"):
+            assert main(["fit", "--data", data, "--descriptor", desc, "--family", family,
+                         "--out", str(workdir / "fitted.json")]) == 0
+            assert main(["simulate", "--config", str(cfg), "--out-dir", str(workdir / family)]) == 0
+            metas[family] = json.loads((workdir / family / "run_meta.json").read_text())
+            model = load_model(str(workdir / "fitted.json"))
+            assert metas[family]["model_sha256"] == cli._canonical_hash(model.to_dict())
+            assert metas[family]["survey_sha256"] is None
+        assert metas["zip"]["config_hash"] == metas["zinb"]["config_hash"]
+        assert metas["zip"]["model_sha256"] != metas["zinb"]["model_sha256"]
+        # the same model given inline has the same hash
+        inline = write_config(workdir / "inline.json", model={"inline": model.to_dict()}, n_reps=5)
+        assert main(["simulate", "--config", str(inline), "--out-dir", str(workdir / "in")]) == 0
+        meta = json.loads((workdir / "in" / "run_meta.json").read_text())
+        assert meta["model_sha256"] == metas["zinb"]["model_sha256"]
+
+    @pytest.mark.parametrize("use", ["fit", "resample"])
+    def test_survey_hashes(self, workdir, use):
+        data, desc = example_survey_paths()
+        survey = {"data": str(data), "descriptor": str(desc), "use": use}
+        cfg = write_config(workdir / "run.json", model={"survey": survey}, n_reps=5)
+        assert main(["simulate", "--config", str(cfg), "--out-dir", str(workdir / "out")]) == 0
+        meta = json.loads((workdir / "out" / "run_meta.json").read_text())
+        assert meta["survey_sha256"] == {"data": file_sha256(data), "descriptor": file_sha256(desc)}
+        if use == "resample":
+            assert meta["model_sha256"] is None
+        else:
+            model, _ = fit_model(read_survey(data, desc))
+            assert meta["model_sha256"] == cli._canonical_hash(model.to_dict())
 
     def test_degenerate_estimates_counted(self, workdir):
         # nobody reports violence, so every arm has zero variance

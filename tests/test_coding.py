@@ -1,9 +1,12 @@
-"""Tests for survey categorization and the outcome codings."""
+"""Tests for survey categorization, and for the reference outcome codings
+that the replication kernel is pinned to."""
 
 import numpy as np
 import pytest
 
-from ctssim.coding import categorize, code_binary, code_sum
+from ctssim.coding import categorize
+
+from reference import code_binary, code_sum
 
 
 class TestCategorize:

@@ -9,14 +9,13 @@ import pytest
 from scipy.special import ndtr
 
 from ctssim import harness, joint
-from ctssim.coding import categorize, code_binary, code_sum
+from ctssim.coding import categorize
 from ctssim.datasets import default_acts, example_model, example_survey_paths
 from ctssim.harness import (
     CODINGS,
     REPLICATION_FIELDS,
     SCENARIO_PRESETS,
     _BLOCK_ROWS,
-    _DRAWN_TYPES,
     CellKernel,
     ReplicationError,
     Replications,
@@ -30,13 +29,17 @@ from ctssim.harness import (
 from ctssim.ingest import EmpiricalResampler, SurveyTable, read_survey
 from ctssim.joint import ActSpec, CopulaSampler, MultiActModel, _latent_transform, sample_joint
 from ctssim.marginals import MarginalParams, cdf_table
-from ctssim.outcomes import TARGET_PRESETS, EffectScenario, PotentialOutcomeTable
+from ctssim.outcomes import TARGET_PRESETS, EffectScenario
 
 from helpers import replicate
 from reference import (
+    DRAWN_TYPES,
+    PotentialOutcomeTable,
     apply_effects,
     assign_response_types,
     check_schedule,
+    code_binary,
+    code_sum,
     counts_from_uniforms,
     estimate_ols_hc2,
     randomize,
@@ -354,8 +357,8 @@ class TestSamplingRule:
             cfg = replace(config(n_units=4), scenario=EffectScenario(probs))
             cdf = CellKernel(cfg).cdf
             kernel_rng, choice_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-            drawn = _DRAWN_TYPES.take(cdf.searchsorted(kernel_rng.random(n), side="right"))
-            chosen = choice_rng.choice(_DRAWN_TYPES, size=n, p=probs)
+            drawn = DRAWN_TYPES.take(cdf.searchsorted(kernel_rng.random(n), side="right"))
+            chosen = choice_rng.choice(DRAWN_TYPES, size=n, p=probs)
             assert np.array_equal(drawn, chosen), probs
             assert drawn.dtype == chosen.dtype
             assert kernel_rng.random() == choice_rng.random(), probs

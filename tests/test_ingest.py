@@ -27,9 +27,9 @@ from ctssim.joint import ActSpec, MultiActModel, sample_joint
 from ctssim.marginals import (
     COUNT_CELLS_MAX,
     MarginalParams,
+    _count,
     category_probs,
     cdf_table,
-    cdf_table_size,
     count_cells,
 )
 
@@ -594,8 +594,9 @@ class TestCountCells:
     @pytest.mark.parametrize("margin", MARGINS, ids=["zip", "zinb"])
     @pytest.mark.parametrize("largest", [0, 3, 5, 6, 63, 64, 65, 300, "past-tail"])
     def test_rule(self, margin, largest):
-        if largest == "past-tail":
-            largest = cdf_table_size(margin, 1e-10)
+        theta = margin.zero_prob
+        if largest == "past-tail":  # one count past the 1e-10 tail quantile
+            largest = int(_count(margin, "isf", 1e-10 / (1.0 - theta))) + 2
         codes, p = count_cells(margin, np.arange(largest + 1))
         assert len(p) <= COUNT_CELLS_MAX
         # every cell holds a count, the largest count's cell is the last
@@ -605,7 +606,7 @@ class TestCountCells:
         assert p.sum() == pytest.approx(1.0, abs=1e-12)
         # each cell's probability is the mass of the counts binned into it,
         # the tail past the largest count in the last
-        cdf = np.pad(cdf_table(margin, 1e-13), (0, largest), constant_values=1.0)[:largest]
+        cdf = theta + (1.0 - theta) * _count(margin, "cdf", np.arange(largest))
         pmf = np.diff(cdf, prepend=0.0, append=1.0)
         assert np.allclose(np.bincount(codes, pmf, minlength=len(p)), p, rtol=0, atol=1e-12)
 
@@ -670,7 +671,7 @@ class TestEmpiricalResampler:
 
 def reference_conditional_tables(margin):
     """Per category: (support values, conditional CDF) under the margin."""
-    table = cdf_table(margin, 1e-12)
+    table = cdf_table(margin)
     pmf = np.diff(np.concatenate([[0.0], table]))
     out = {}
     for cat, (lo, hi) in {0: (0, 0), 1: (1, 1), 2: (2, 4), 3: (5, None)}.items():
@@ -747,7 +748,7 @@ class TestResamplerMatchesReference:
             MarginalParams("zip", 40.0, 0.1),
             MarginalParams("zinb", 3.0, 0.6, dispersion=0.5),
         )
-        assert len(cdf_table(margins[0], 1e-12)) > 1000
+        assert len(cdf_table(margins[0])) > 1000
         self.assert_matches(random_category_table(300, 3, seed=1), margins)
 
     def test_unobservable_category_falls_back_to_lowest_count(self):
@@ -758,8 +759,8 @@ class TestResamplerMatchesReference:
             MarginalParams("zip", 2.0, 1.0),
             MarginalParams("zinb", 1.5, 0.4, dispersion=1.0),
         )
-        assert len(cdf_table(margins[0], 1e-12)) < 6
-        assert len(cdf_table(margins[1], 1e-12)) == 1
+        assert len(cdf_table(margins[0])) < 6
+        assert len(cdf_table(margins[1])) == 1
         table = random_category_table(200, 3, seed=2)
         self.assert_matches(table, margins)
         drawn = EmpiricalResampler(table, margins=margins).sample_control(

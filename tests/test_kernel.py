@@ -16,6 +16,7 @@ from scipy import stats
 
 from ctssim import ingest, marginals
 from ctssim.marginals import (
+    CDF_TAIL_MASS,
     FitResult,
     MarginalParams,
     _count,
@@ -93,15 +94,14 @@ def test_pmf_and_cdf():
         assert np.array_equal(_count(params, "cdf", y), dist.cdf(y)), params
 
 
-@pytest.mark.parametrize("tail_mass", [1e-10, 1e-12])
-def test_cdf_table(tail_mass):
+def test_cdf_table():
     for params in TABLE_GRID:
         theta, dist = params.zero_prob, frozen(params)
-        table = cdf_table(params, tail_mass)
+        table = cdf_table(params)
         if theta >= 1.0:
             assert np.array_equal(table, [1.0]), params
             continue
-        q = tail_mass / (1.0 - theta)
+        q = CDF_TAIL_MASS / (1.0 - theta)
         y_max = int(dist.isf(q)) + 1 if q < 1.0 else 0
         expected = theta + (1.0 - theta) * dist.cdf(np.arange(y_max + 1))
         assert len(table) == y_max + 1, params

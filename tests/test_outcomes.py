@@ -6,15 +6,11 @@ from scipy import stats
 
 from ctssim.coding import categorize
 from ctssim.joint import ActSpec
-from ctssim.outcomes import (
-    MAX_MAGNITUDE,
-    EffectScenario,
-    PotentialOutcomeTable,
-    ResponseType,
-    target_columns,
-)
+from ctssim.outcomes import MAX_MAGNITUDE, EffectScenario, target_columns
 
 from reference import (
+    PotentialOutcomeTable,
+    ResponseType,
     apply_effects,
     assign_response_types,
     check_schedule,

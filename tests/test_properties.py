@@ -20,10 +20,16 @@ from ctssim.harness import CellKernel, SimulationConfig
 from ctssim.ingest import EmpiricalResampler, SurveyTable
 from ctssim.joint import ACT_CATEGORIES, SEVERITIES, ActSpec, MultiActModel, nearest_psd
 from ctssim.marginals import MarginalParams
-from ctssim.outcomes import TARGET_PRESETS, EffectScenario, PotentialOutcomeTable, target_columns
+from ctssim.outcomes import TARGET_PRESETS, EffectScenario, target_columns
 
 from helpers import replicate
-from reference import apply_effects, assign_response_types, check_schedule, randomize
+from reference import (
+    PotentialOutcomeTable,
+    apply_effects,
+    assign_response_types,
+    check_schedule,
+    randomize,
+)
 
 PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 
