@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import optimize
-from scipy.special import gammaln, pdtr, pdtrc, pdtrik, xlog1py, xlogy
+from scipy.special import digamma, gammaln, pdtr, pdtrc, pdtrik, xlog1py, xlogy
 
 # The Boost negative-binomial ufuncs that scipy.stats.nbinom dispatches to.
 # scipy exposes them only privately; tests/test_kernel.py pins every value
@@ -41,9 +41,9 @@ COUNT_CELLS_MAX = 64  # bounds a pair's latent correlation quadrature at 12 * 64
 # Interval-censored survey categories: 0 -> {0}, 1 -> {1}, 2 -> {2..4}, 3 -> {5+}
 N_CATEGORIES = 4
 
-# A ZINB fit is converged when a start that L-BFGS-B reports successful ends this
-# close (relative) to the best objective; the best start itself may end in
-# an abnormal line search at the optimum.
+# A censored ZINB fit is converged when a start that L-BFGS-B reports successful
+# ends this close (relative) to the best objective; the best start itself may
+# end in an abnormal line search at the optimum.
 _CONVERGED_RTOL = 1e-10
 
 
@@ -90,9 +90,12 @@ class FitResult:
     ``degenerate`` marks data with no positive counts: ``zero_prob`` is pinned
     at 1 and ``rate`` is NOT identified (the reported value is a placeholder).
     ``boundary_flag`` marks fits with zero_prob > 0.999 or fewer than 5
-    positive observations, where estimates are unreliable, and ZIP fits with
-    zero_prob clipped to 0 or no finite rate.  ZIP's ``converged`` and
-    ``n_iter`` describe its rate root, ZINB's its L-BFGS-B runs.
+    positives, where estimates are unreliable; fits with zero_prob clipped to
+    0; ZIP fits with no finite rate; and exact ZINB fits that take ZIP's
+    estimate.  ``converged`` and ``n_iter`` describe ZIP's rate roots (all
+    bracketed; Brent iterations), an exact ZINB fit's L-BFGS-B runs (all
+    successful; their iterations), or a censored ZINB fit's three starts (one
+    successful within _CONVERGED_RTOL of the best objective; the best's).
     """
 
     params: MarginalParams
@@ -188,10 +191,13 @@ def cdf_table_size(params: MarginalParams) -> int:
     if theta >= 1.0:
         return 1
     q = CDF_TAIL_MASS / (1.0 - theta)
-    # a count part whose whole mass is below the tail keeps only y = 0
-    # (scipy's isf(1) is -1); scipy's quantile turns NaN far past the limit
-    # (at a Poisson rate of 1e12, for one), so NaN fails the bound too
-    isf = _count(params, "isf", q) if q < 1.0 else -1.0
+    # a count part whose whole mass is below the tail keeps only y = 0 (scipy's
+    # isf(1) is -1).  Far past the limit scipy's quantile turns NaN (Poisson rate
+    # 1e12) or stalls (NB rate 1e150): a tail that reaches 2**53 fails as NaN.
+    if q >= 1.0:
+        isf = -1.0
+    else:
+        isf = math.nan if _count(params, "sf", 2.0**53) > q else _count(params, "isf", q)
     if not math.isfinite(isf):
         raise ValueError(f"{params} needs a CDF table to tail mass {CDF_TAIL_MASS:g} longer than "
                          f"the limit of {CDF_TABLE_MAX}: its tail quantile cannot be computed")
@@ -236,40 +242,15 @@ def count_cells(params: MarginalParams, counts: np.ndarray) -> tuple[np.ndarray,
 # Log-likelihoods
 
 
-def _zip_loglik(values: np.ndarray, weights: np.ndarray, rate: float, zero_prob: float) -> float:
-    zero = values == 0
-    p0 = zero_prob + (1.0 - zero_prob) * math.exp(-rate)
-    ll = np.sum(weights[zero]) * math.log(max(p0, 1e-300))
-    pos = ~zero
-    if np.any(pos):
-        yp = values[pos]
-        ll += math.log1p(-zero_prob) * np.sum(weights[pos]) if zero_prob < 1 else -math.inf
-        ll += np.sum(weights[pos] * _poisson_logpmf(yp, rate))
-    return float(ll)
-
-
-def _zinb_loglik(
-    values: np.ndarray, weights: np.ndarray, rate: float, dispersion: float, zero_prob: float
-) -> float:
-    k = dispersion
-    p_nb = k / (k + rate)
-    zero = values == 0
-    log_g0 = k * math.log(p_nb)
-    # log(theta + (1-theta) * g0), stable for tiny components
-    if zero_prob <= 0.0:
-        log_p0 = log_g0
-    elif zero_prob >= 1.0:
-        log_p0 = 0.0
-    else:
-        log_p0 = np.logaddexp(math.log(zero_prob), math.log1p(-zero_prob) + log_g0)
-    ll = np.sum(weights[zero]) * log_p0
-    pos = ~zero
-    if np.any(pos):
-        if zero_prob >= 1.0:
-            return -math.inf
-        ll += math.log1p(-zero_prob) * np.sum(weights[pos])
-        ll += np.sum(weights[pos] * _nbinom_logpmf(values[pos], k, p_nb))
-    return float(ll)
+def _exact_loglik(params: MarginalParams, values: np.ndarray, weights: np.ndarray) -> float:
+    """The log-likelihood of the counts ``values``, each weighted by ``weights``."""
+    shape = _count_shape(params.family, params.rate, params.dispersion)
+    log_pmf = (_poisson_logpmf if params.family == ZIP else _nbinom_logpmf)(values, *shape)
+    with np.errstate(divide="ignore"):  # log 0 at zero_prob 0 or 1
+        log_mass = np.log1p(-params.zero_prob) + log_pmf
+        zero = values == 0
+        log_mass[zero] = np.logaddexp(np.log(params.zero_prob), log_mass[zero])
+    return float(weights @ log_mass)
 
 
 _PMF_POINTS, _SF_POINTS = np.array([0.0, 1.0]), np.array([1.0, 4.0])
@@ -367,17 +348,10 @@ def _fit_zip(q: float, positive_mean, mean_lo: float, mean_hi: float, slope: flo
     return MarginalParams(ZIP, rate, 0.0), converged and poisson_converged, True, n_iter + more
 
 
-def _zinb_start(mean_pos: float, p0_hat: float) -> tuple[float, float]:
-    """(rate, logit zero_prob) starting values from positive mean and zero share."""
-    rate0 = max(mean_pos, 1e-3)
-    g0 = math.exp(-rate0)
-    theta0 = min(max((p0_hat - g0) / (1.0 - g0), 1e-6), 1.0 - 1e-6)
-    return rate0, math.log(theta0 / (1.0 - theta0))
-
-
 # L-BFGS-B bounds on (log rate, log dispersion, logit zero_prob)
 _ZINB_BOUNDS = [(-10.0, 15.0), (-10.0, 20.0), (-30.0, 30.0)]
 _ZINB_UPPER = np.array([hi for _, hi in _ZINB_BOUNDS])
+_LBFGS_OPTIONS = {"ftol": 1e-12, "gtol": 1e-10, "maxiter": 500}
 
 # L-BFGS-B's default finite-difference step, ``minimize``'s ``eps``
 _FD_STEP = 1e-8
@@ -389,13 +363,13 @@ def _fd_step(x: np.ndarray) -> np.ndarray:
     return np.where(x + _FD_STEP > _ZINB_UPPER, -_FD_STEP, _FD_STEP)
 
 
-def _fit_zinb(loglik_points, x0: list) -> tuple[MarginalParams, float, bool, int]:
-    """Maximize a ZINB log-likelihood by L-BFGS-B over (log rate, log
-    dispersion, logit zero_prob) from each start in ``x0``.
+def _fit_zinb(n: np.ndarray, x0: list) -> tuple[MarginalParams, float, bool, int]:
+    """Maximize the ZINB log-likelihood of the category histogram ``n`` by
+    L-BFGS-B over (log rate, log dispersion, logit zero_prob) from each start
+    in ``x0``.
 
-    ``loglik_points(rate, dispersion, zero_prob)`` maps (4,) arrays to the
-    (4,) log-likelihoods at those points.  Each L-BFGS-B step calls it once,
-    at x and at x + h_i e_i for i = 0, 1, 2, and takes the forward-difference
+    Each L-BFGS-B step evaluates the category masses once, on (4,) arrays:
+    at x and at x + h_i e_i for i = 0, 1, 2.  It takes the forward-difference
     gradient g_i = (f(x + h_i e_i) - f(x)) / ((x_i + h_i) - x_i).  That is
     bit for bit the gradient scipy computes when ``minimize`` gets no
     ``jac``: ``scipy/optimize/_numdiff.py::approx_derivative`` with the
@@ -406,10 +380,9 @@ def _fit_zinb(loglik_points, x0: list) -> tuple[MarginalParams, float, bool, int
     needs a bound width below 1e-8, but every bound is at most 30 in
     magnitude and every width at least 25.
 
-    The gradient is not analytic on purpose.  An analytic gradient moves the
-    L-BFGS-B path, and with it the tie-break between the starts that the
-    benchmark's reference fit pins; it waits for an exact ZINB fit and a
-    re-pinned reference (ROADMAP).
+    The gradient is not analytic, and the starts stay, on purpose: either
+    change moves the L-BFGS-B path, and with it the tie-break between the
+    starts that the benchmark's reference fit pins (ROADMAP).
     """
     axis = np.arange(3)
 
@@ -420,7 +393,7 @@ def _fit_zinb(loglik_points, x0: list) -> tuple[MarginalParams, float, bool, int
         rate, dispersion, zero_prob = np.array(
             [(math.exp(a), math.exp(b), _expit(c)) for a, b, c in points.tolist()]
         ).T
-        f = -loglik_points(rate, dispersion, zero_prob)
+        f = -_multinomial_loglik(category_masses(ZINB, rate, zero_prob, dispersion), n)
         return f[0], (f[1:] - f[0]) / ((x + h) - x)
 
     results = [
@@ -430,7 +403,7 @@ def _fit_zinb(loglik_points, x0: list) -> tuple[MarginalParams, float, bool, int
             jac=True,
             method="L-BFGS-B",
             bounds=_ZINB_BOUNDS,
-            options={"ftol": 1e-12, "gtol": 1e-10, "maxiter": 500},
+            options=_LBFGS_OPTIONS,
         )
         for start in x0
     ]
@@ -443,12 +416,47 @@ def _fit_zinb(loglik_points, x0: list) -> tuple[MarginalParams, float, bool, int
     return params, -float(best.fun), converged, int(best.nit)
 
 
+def _fit_nb(values: np.ndarray, weights: np.ndarray, truncated: bool):
+    """(rate, dispersion k, converged, iterations) maximizing the weighted NB
+    log-likelihood of ``values``, zero-truncated when ``truncated``: one L-BFGS-B
+    run in (log rate, log k) from the moment start, with the analytic gradient.
+    Truncation adds g0 / (1 - g0) times the gradient of log g0 = k log(k / (k + rate))."""
+    total = float(np.sum(weights))
+    mean = float(weights @ values) / total
+    var = float(weights @ (values - mean) ** 2) / total
+    disp0 = min(max(mean * mean / max(var - mean, 0.1 * mean), 1e-2), 1e4)
+
+    def objective_and_gradient(x):
+        rate, k = math.exp(x[0]), math.exp(x[1])
+        log_p, share = -math.log1p(rate / k), rate / (k + rate)
+        ll = _exact_loglik(MarginalParams(ZINB, rate, 0.0, k), values, weights)
+        psi = float(weights @ (digamma(values + k) - digamma(k))) / total
+        grad = total * k * np.array([(mean - rate) / (k + rate),
+                                     psi + log_p + share - mean / (k + rate)])
+        if truncated:
+            log_g0 = k * log_p
+            ll -= total * math.log(-math.expm1(log_g0))
+            grad -= total * k / math.expm1(-log_g0) * np.array([share, -log_p - share])
+        return -ll, -grad
+
+    res = optimize.minimize(objective_and_gradient, [math.log(mean), math.log(disp0)], jac=True,
+                            method="L-BFGS-B", bounds=_ZINB_BOUNDS[:2], options=_LBFGS_OPTIONS)
+    return math.exp(res.x[0]), math.exp(res.x[1]), bool(res.success), int(res.nit)
+
+
 def fit_mle_exact(values, family: str = ZIP, weights=None) -> FitResult:
     """Maximum-likelihood fit of a zero-inflated model to exact counts.
 
     All-zero data yield a degenerate result (zero_prob = 1, rate not
     identified) rather than a silent estimate.  Optional ``weights`` scale
     each observation's log-likelihood contribution.
+
+    Both families profile zero_prob out as ``_fit_zip`` describes, ZINB by
+    ``_fit_nb``.  Where the positives are not over-dispersed, ZINB takes the
+    ZIP fit with dispersion e^20: where the score in 1 / dispersion at 0 and
+    the truncated Poisson rate lam, n_+ (m2 - ybar (1 + lam)) / 2 for the
+    positives' mean ybar and mean square m2, is <= 0, that is where the
+    truncated Poisson score (falling in lam) is >= 0 at m2 / ybar - 1.
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
@@ -456,35 +464,29 @@ def fit_mle_exact(values, family: str = ZIP, weights=None) -> FitResult:
     w = np.ones(y.shape) if weights is None else np.asarray(weights, dtype=float)
     if w.shape != y.shape or np.any(w < 0) or np.sum(w) <= 0:
         raise ValueError("weights must be non-negative with positive total")
-    pos = y > 0
-    n_pos = float(np.sum(w[pos]))
+    n_pos = float(np.sum(w[y > 0]))
     if n_pos == 0:
         params = MarginalParams(family, 1.0, 1.0, dispersion=1.0 if family == ZINB else None)
         return FitResult(params, 0.0, True, True, True, 0)
 
-    boundary = False
-    if family == ZIP:
-        mean_pos = float(np.sum(w * y)) / n_pos
-        params, converged, boundary, n_iter = _fit_zip(
-            n_pos / float(np.sum(w)), lambda lam: mean_pos, mean_pos, mean_pos, 0.0
-        )
-        ll = _zip_loglik(y, w, params.rate, params.zero_prob)
-    else:
-        mean_pos = float(np.sum(w[pos] * y[pos]) / np.sum(w[pos]))
-        var_pos = float(np.sum(w[pos] * (y[pos] - mean_pos) ** 2) / np.sum(w[pos]))
-        rate0, logit0 = _zinb_start(mean_pos, float(np.sum(w[~pos]) / np.sum(w)))
-        disp0 = rate0 * rate0 / max(var_pos - rate0, rate0 * 0.1)
-        starts = [
-            [math.log(rate0), math.log(min(max(disp0, 1e-2), 1e4)), logit0],
-            [math.log(rate0), math.log(1e4), logit0],
-            [math.log(rate0), 0.0, logit0],
-        ]
-        params, ll, converged, n_iter = _fit_zinb(
-            lambda rate, disp, theta: np.array(
-                [_zinb_loglik(y, w, *point) for point in zip(rate, disp, theta)]
-            ),
-            starts,
-        )
+    q, mean_pos = n_pos / float(np.sum(w)), float(np.sum(w * y)) / n_pos
+    params, converged, boundary, n_iter = _fit_zip(q, lambda lam: mean_pos, mean_pos, mean_pos, 0.0)
+    values, rows = np.unique(y[w > 0], return_inverse=True)  # summed weights, all positive
+    weights = np.bincount(rows, weights=w[w > 0])
+    if family == ZINB:
+        c = float(weights @ np.square(values, dtype=float)) / n_pos / mean_pos - 1.0
+        if c > 0.0 and mean_pos * -math.expm1(-c) < c:  # over-dispersed positives
+            rate, k, converged, n_iter = _fit_nb(values[values > 0], weights[values > 0], True)
+            share = -math.expm1(-k * math.log1p(rate / k))  # 1 - g0
+            boundary = q > share
+            if boundary:
+                rate, k, nb_converged, more = _fit_nb(values, weights, False)
+                converged, n_iter = converged and nb_converged, n_iter + more
+            params = MarginalParams(ZINB, rate, 0.0 if boundary else 1.0 - q / share, k)
+        else:
+            params = MarginalParams(ZINB, params.rate, params.zero_prob, math.exp(20.0))
+            boundary = True
+    ll = _exact_loglik(params, values, weights)
     boundary = boundary or params.zero_prob > 0.999 or n_pos < 5
     return FitResult(params, ll, converged, False, boundary, n_iter)
 
@@ -531,17 +533,15 @@ def fit_mle_censored(category_counts, family: str = ZIP) -> FitResult:
         ll = censored_loglik(params, n)
     else:
         # start from category midpoints (0, 1, 3, 7) among positives
-        mids = np.array([0.0, 1.0, 3.0, 7.0])
-        rate0, logit0 = _zinb_start(float(np.sum(n * mids) / n_pos), float(n[0] / np.sum(n)))
+        rate0 = max(float(np.sum(n * [0.0, 1.0, 3.0, 7.0]) / n_pos), 1e-3)
+        g0 = math.exp(-rate0)
+        theta0 = min(max((float(n[0] / np.sum(n)) - g0) / (1.0 - g0), 1e-6), 1.0 - 1e-6)
+        logit0 = math.log(theta0 / (1.0 - theta0))
         starts = [
             [math.log(rate0), 0.0, logit0],
             [math.log(rate0), math.log(1e4), logit0],
             [math.log(rate0 * 2), math.log(0.3), logit0],
         ]
-        params, ll, converged, n_iter = _fit_zinb(
-            lambda rate, disp, theta: _multinomial_loglik(
-                category_masses(ZINB, rate, theta, disp), n),
-            starts,
-        )
+        params, ll, converged, n_iter = _fit_zinb(n, starts)
     boundary = boundary or params.zero_prob > 0.999 or n_pos < 5
     return FitResult(params, ll, converged, False, boundary, n_iter)

@@ -1,15 +1,19 @@
 """Fixtures the tests share: direct draws from a margin, its moments, a
-fit report's total log-likelihood, and one replication of a cell kernel.
-They are test code, not part of the ctssim package."""
+fit report's total log-likelihood, a counts-mode survey file, and one
+replication of a cell kernel.  They are test code, not part of the ctssim
+package."""
 
 from __future__ import annotations
+
+import os
 
 import numpy as np
 
 from ctssim import harness
 from ctssim.harness import CODINGS, CellKernel
-from ctssim.ingest import FitReport
-from ctssim.joint import CopulaSampler, MultiActModel
+from ctssim.datasets import example_model
+from ctssim.ingest import FitReport, SurveyTable, write_survey
+from ctssim.joint import CopulaSampler, MultiActModel, sample_joint
 from ctssim.marginals import ZIP, MarginalParams
 
 from reference import DRAWN_TYPES, PotentialOutcomeTable, apply_effects
@@ -41,6 +45,18 @@ def zi_variance(params: MarginalParams) -> float:
 def report_loglik(report: FitReport) -> float:
     """The summed log-likelihood of a fit report's margins."""
     return float(sum(a.fit.loglik for a in report.per_act))
+
+
+def write_example_counts_survey(directory) -> tuple[str, str]:
+    """(data, descriptor) paths of a counts-mode survey of 8000 rows drawn
+    from the example model at seed 0, written into ``directory``.  The
+    counts of act 10 are capped at 2, so its positives are under-dispersed."""
+    model = example_model()
+    values = sample_joint(model, 8000, np.random.default_rng(0))
+    values[:, 9] = np.minimum(values[:, 9], 2)
+    data, descriptor = os.path.join(directory, "counts.csv"), os.path.join(directory, "counts.json")
+    write_survey(SurveyTable(model.acts, values, "counts"), data, descriptor)
+    return data, descriptor
 
 
 def replicate(kernel: CellKernel, rep_index: int, return_schedule: bool = False) -> dict:

@@ -21,7 +21,10 @@ L-BFGS-B on a scalar objective with scipy's own finite-difference
 gradient, and ``score_corr_theory`` computes a pair's quadrature afresh
 for every rho.
 ``test_ingest`` and ``test_marginals`` pin the fit path to them, bit for
-bit.  They are test code, not part of the ctssim package.
+bit.  ``fit_zinb_exact_three_starts`` is the exact-count ZINB fit that the
+profiled fit replaced; ``test_marginals`` requires the profiled fit to
+match or beat its log-likelihood.  They are test code, not part of the
+ctssim package.
 """
 
 from __future__ import annotations
@@ -55,6 +58,7 @@ from ctssim.marginals import (
     ZINB,
     MarginalParams,
     _expit,
+    _nbinom_logpmf,
     censored_loglik,
 )
 from ctssim.outcomes import EffectScenario, target_columns
@@ -208,6 +212,53 @@ def fit_zinb(loglik, x0: list) -> tuple[MarginalParams, float, bool, int]:
     x = best.x
     params = MarginalParams(ZINB, math.exp(x[0]), 1.0 / (1.0 + math.exp(-x[2])), math.exp(x[1]))
     return params, -float(best.fun), converged, int(best.nit)
+
+
+def zinb_exact_loglik(values, weights, rate: float, dispersion: float,
+                      zero_prob: float) -> float:
+    """The weighted ZINB log-likelihood of exact counts, row by row: the
+    objective of the replaced three-start exact fit."""
+    k = dispersion
+    p_nb = k / (k + rate)
+    zero = values == 0
+    log_g0 = k * math.log(p_nb)
+    # log(theta + (1-theta) * g0), stable for tiny components
+    if zero_prob <= 0.0:
+        log_p0 = log_g0
+    elif zero_prob >= 1.0:
+        log_p0 = 0.0
+    else:
+        log_p0 = np.logaddexp(math.log(zero_prob), math.log1p(-zero_prob) + log_g0)
+    ll = np.sum(weights[zero]) * log_p0
+    pos = ~zero
+    if np.any(pos):
+        if zero_prob >= 1.0:
+            return -math.inf
+        ll += math.log1p(-zero_prob) * np.sum(weights[pos])
+        ll += np.sum(weights[pos] * _nbinom_logpmf(values[pos], k, p_nb))
+    return float(ll)
+
+
+def fit_zinb_exact_three_starts(values, weights) -> tuple[MarginalParams, float, bool, int]:
+    """The exact-count ZINB fit before zero_prob was profiled out: ``fit_zinb``
+    of ``zinb_exact_loglik`` from three starts, all at the positives' mean
+    rate and a Poisson's zero share, with the moment, 1e4 and 1 dispersions."""
+    y = np.asarray(values, dtype=np.int64)
+    w = np.asarray(weights, dtype=float)
+    pos = y > 0
+    mean_pos = float(np.sum(w[pos] * y[pos]) / np.sum(w[pos]))
+    var_pos = float(np.sum(w[pos] * (y[pos] - mean_pos) ** 2) / np.sum(w[pos]))
+    rate0 = max(mean_pos, 1e-3)
+    g0 = math.exp(-rate0)
+    theta0 = min(max((float(np.sum(w[~pos]) / np.sum(w)) - g0) / (1.0 - g0), 1e-6), 1.0 - 1e-6)
+    logit0 = math.log(theta0 / (1.0 - theta0))
+    disp0 = rate0 * rate0 / max(var_pos - rate0, rate0 * 0.1)
+    starts = [
+        [math.log(rate0), math.log(min(max(disp0, 1e-2), 1e4)), logit0],
+        [math.log(rate0), math.log(1e4), logit0],
+        [math.log(rate0), 0.0, logit0],
+    ]
+    return fit_zinb(lambda rate, disp, theta: zinb_exact_loglik(y, w, rate, disp, theta), starts)
 
 
 def score_corr_theory(rho: float, cell_j, cell_k) -> float:

@@ -19,7 +19,7 @@ from ctssim.joint import ActSpec, MultiActModel
 from ctssim.marginals import MarginalParams
 from ctssim.outcomes import MAX_MAGNITUDE
 
-from helpers import report_loglik
+from helpers import report_loglik, write_example_counts_survey
 
 
 def small_model():
@@ -62,6 +62,14 @@ def long_table_model() -> dict:
     10**9 entries."""
     doc = small_model().to_dict()
     doc["margins"][1]["rate"] = 1e9
+    return doc
+
+
+def huge_rate_model() -> dict:
+    """small_model's dict with a ZINB margin of rate 1e300, where scipy's
+    negative binomial quantile stalls."""
+    doc = small_model().to_dict()
+    doc["margins"][1].update(family="zinb", rate=1e300, dispersion=1e-4)
     return doc
 
 
@@ -339,6 +347,17 @@ class TestFit:
         assert code == 0
         # the two acts were drawn independently
         assert abs(load_model(str(tmp_path / "m.json")).sigma[0, 1]) < 0.3
+
+    def test_zinb_fit_of_a_counts_survey_converges(self, tmp_path, capsys):
+        data, desc = write_example_counts_survey(str(tmp_path))
+        assert main(["fit", "--data", data, "--descriptor", desc, "--family", "zinb",
+                     "--out", str(tmp_path / "m.json")]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1].split()[-2:] == ["converged", "boundary"]
+        flags = [line.split()[-2:] for line in lines[2:12]]
+        # act 10's counts are capped at 2: its positives are not over-dispersed
+        assert flags == [["True", "False"]] * 9 + [["True", "True"]]
+        assert load_model(str(tmp_path / "m.json")).margins[9].dispersion == np.exp(20.0)
 
     def test_zinb_fit_dominates_zip(self, tmp_path):
         data, desc = example_survey_paths()
@@ -932,6 +951,12 @@ class TestConfigTypes:
                      id="model-file-long-table"),
         pytest.param({"model": {"inline": long_table_model()}}, "config error: " + LONG_TABLE_ERROR,
                      id="inline-model-long-table"),
+        # a margin whose table scipy's quantile could not size, as it stalls there
+        pytest.param({"model": {"inline": huge_rate_model()}},
+                     "config error: act 2 ('act 2'): MarginalParams(family='zinb', rate=1e+300, "
+                     "zero_prob=0.6, dispersion=0.0001) needs a CDF table to tail mass 1e-12 "
+                     "longer than the limit of 4194304: its tail quantile cannot be computed",
+                     id="inline-model-huge-zinb-rate"),
         # settings are checked before the (here absent) survey is read
         pytest.param({"model": {"survey": {"data": "a.csv", "descriptor": "a.json",
                                            "use": "resample", "family": "bogus"}}},

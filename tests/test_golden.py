@@ -1,5 +1,6 @@
-"""Golden-output pin: two small simulate configs and the ZIP and ZINB fits
-of the bundled survey must reproduce stored hashes.
+"""Golden-output pin: two small simulate configs, the ZIP and ZINB fits of
+the bundled survey, and the ZINB fit of a counts survey drawn from the
+example model must reproduce stored hashes.
 
 Rerun-equals-rerun cannot catch a change that moves every run the same
 way.  These tests compare the sha256 of ``results.csv``,
@@ -28,10 +29,14 @@ import scipy
 from ctssim.cli import main
 from ctssim.datasets import example_model, example_survey_paths
 
+from helpers import write_example_counts_survey
+
 GOLDEN_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "sha256.json")
 HASHED_FILES = ("results.csv", "latent_diagnostics.csv", "power_long.csv", "results.md")
-# golden name -> the --family of a ``ctssim fit`` of the bundled survey
-FIT_FAMILIES = {"fit-zinb": "zinb", "fit-zip": "zip"}
+# golden name -> (survey, --family) of a ``ctssim fit``: the bundled survey,
+# or the counts survey that ``helpers.write_example_counts_survey`` writes
+FITS = {"fit-zinb": ("bundled", "zinb"), "fit-zip": ("bundled", "zip"),
+        "fit-zinb-counts": ("counts", "zinb")}
 
 
 def golden_configs() -> dict[str, dict]:
@@ -74,11 +79,12 @@ def file_hashes(out_dir: str, file_names) -> dict[str, str]:
 
 def run_hashes(name: str, work_dir: str) -> dict[str, str]:
     out_dir = os.path.join(work_dir, name)
-    if name in FIT_FAMILIES:
-        data, descriptor = example_survey_paths()
+    if name in FITS:
+        survey, family = FITS[name]
         os.makedirs(out_dir)
-        assert main(["fit", "--data", data, "--descriptor", descriptor,
-                     "--family", FIT_FAMILIES[name],
+        data, descriptor = (example_survey_paths() if survey == "bundled"
+                            else write_example_counts_survey(out_dir))
+        assert main(["fit", "--data", data, "--descriptor", descriptor, "--family", family,
                      "--out", os.path.join(out_dir, "model.json")]) == 0
         return file_hashes(out_dir, ["model.json"])
     config_path = os.path.join(work_dir, f"{name}.json")
@@ -89,7 +95,7 @@ def run_hashes(name: str, work_dir: str) -> dict[str, str]:
 
 
 def golden_names() -> list[str]:
-    return sorted([*golden_configs(), *FIT_FAMILIES])
+    return sorted([*golden_configs(), *FITS])
 
 
 def load_golden() -> dict:

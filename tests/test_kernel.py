@@ -20,8 +20,7 @@ from ctssim.marginals import (
     FitResult,
     MarginalParams,
     _count,
-    _zinb_loglik,
-    _zip_loglik,
+    _exact_loglik,
     category_probs,
     cdf_table,
 )
@@ -114,17 +113,20 @@ def test_logliks(monkeypatch):
     w = rng.uniform(0.5, 2.0, y.size)
 
     def logliks():
-        # the objectives fit_mle_exact maximizes, at each parameter draw
-        return [
-            _zip_loglik(y, w, p.rate, p.zero_prob) if p.family == "zip"
-            else _zinb_loglik(y, w, p.rate, p.dispersion, p.zero_prob)
-            for p in DRAWS
-        ]
+        # the log-likelihood fit_mle_exact reports, at each parameter draw
+        return [_exact_loglik(p, y, w) for p in DRAWS]
 
     got = logliks()
-    monkeypatch.setattr(marginals, "_poisson_logpmf", stats.poisson.logpmf)
-    monkeypatch.setattr(marginals, "_nbinom_logpmf", stats.nbinom.logpmf)
+    called = set()
+    for name, dist in [("_poisson_logpmf", stats.poisson), ("_nbinom_logpmf", stats.nbinom)]:
+        def logpmf(*args, name=name, dist=dist):
+            called.add(name)
+            return dist.logpmf(*args)
+
+        monkeypatch.setattr(marginals, name, logpmf)
     assert np.array_equal(got, logliks(), equal_nan=True)
+    # the log-likelihood looks the log-pmfs up when called, so the patch reaches them
+    assert called == {"_poisson_logpmf", "_nbinom_logpmf"}
 
 
 def hc2_datasets():

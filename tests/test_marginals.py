@@ -2,6 +2,9 @@
 
 import itertools
 import math
+import os
+import subprocess
+import sys
 import zlib
 
 import numpy as np
@@ -14,9 +17,8 @@ from ctssim.marginals import (
     ZINB,
     MarginalParams,
     _count,
+    _exact_loglik,
     _multinomial_loglik,
-    _zinb_loglik,
-    _zip_loglik,
     CDF_TABLE_MAX,
     cdf_table,
     cdf_table_size,
@@ -28,7 +30,12 @@ from ctssim.marginals import (
 )
 
 from helpers import zi_mean, zi_sample, zi_variance
-from reference import counts_from_uniforms, fit_zinb, zinb_censored_loglik
+from reference import (
+    counts_from_uniforms,
+    fit_zinb,
+    fit_zinb_exact_three_starts,
+    zinb_censored_loglik,
+)
 
 FIG_PARAMS = MarginalParams("zip", 2.36, 0.84)
 
@@ -48,9 +55,7 @@ def zi_loglik(params, y, weights=None):
     """The weighted log-likelihood fit_mle_exact maximizes."""
     y = np.asarray(y, dtype=np.int64)
     w = np.ones(y.shape) if weights is None else np.asarray(weights, dtype=float)
-    if params.family == "zip":
-        return _zip_loglik(y, w, params.rate, params.zero_prob)
-    return _zinb_loglik(y, w, params.rate, params.dispersion, params.zero_prob)
+    return _exact_loglik(params, y, w)
 
 PARAM_GRID = [
     MarginalParams("zip", 0.5, 0.2),
@@ -122,6 +127,32 @@ class TestPmf:
             with pytest.raises(ValueError) as info:
                 call(params)
             assert str(info.value) == message
+
+    def test_huge_negative_binomial_rates_are_refused_at_once(self):
+        # scipy's negative binomial quantile stalls at these rates; the
+        # subprocess bounds the wait if it is asked again
+        script = (
+            "import time, warnings\n"
+            "from ctssim.marginals import MarginalParams, cdf_table_size\n"
+            "warnings.simplefilter('error')\n"
+            "for rate, k in [(1e300, 1e-4), (1e300, 1e8), (1e200, 1.0)]:\n"
+            "    start = time.perf_counter()\n"
+            "    try:\n"
+            "        cdf_table_size(MarginalParams('zinb', rate, 0.0, dispersion=k))\n"
+            "    except ValueError as exc:\n"
+            "        print(time.perf_counter() - start, exc)\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(marginals.__file__)))
+        proc = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=src),
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+        refusals = proc.stdout.splitlines()
+        assert len(refusals) == 3, proc.stdout
+        for refusal in refusals:
+            seconds, message = refusal.split(" ", 1)
+            assert float(seconds) < 1.0
+            assert message.endswith(f"longer than the limit of {CDF_TABLE_MAX}: "
+                                    "its tail quantile cannot be computed")
 
     def test_largest_fitted_poisson_rate_fits_the_limit(self):
         assert cdf_table_size(MarginalParams("zip", math.exp(15.0), 0.0)) < CDF_TABLE_MAX
@@ -496,8 +527,8 @@ def _sparse_histograms(count=300):
 
 
 class TestZinbFitMatchesReference:
-    """A ZINB fit makes one objective call over 4 points per L-BFGS-B step
-    and forms the finite-difference gradient itself.  Its results equal
+    """A censored ZINB fit makes one objective call over 4 points per L-BFGS-B
+    step and forms the finite-difference gradient itself.  Its results equal
     ``reference.fit_zinb``'s, a scalar objective with scipy's own
     ``approx_derivative``, in every field: the same starts, paths and
     iteration counts."""
@@ -523,26 +554,6 @@ class TestZinbFitMatchesReference:
             on_upper |= [fit.params.rate == math.exp(15.0), fit.params.dispersion == math.exp(20.0)]
         if source == "sparse":  # fits that end where the step flips
             assert on_upper.all()
-
-    def test_exact(self, monkeypatch):
-        rng = np.random.default_rng(17)
-        cases = [
-            (zi_sample(params, size, rng), weighted)
-            for params in PARAM_GRID[3:] + [MarginalParams(ZINB, 0.4, 0.5, dispersion=50.0)]
-            for size in (40, 400)
-            for weighted in (False, True)
-        ]
-        cases.append((np.array([0] * 20 + [1] * 12 + [2] * 3), False))  # under-dispersed positives
-        for y, weighted in cases:
-            w = rng.uniform(0.5, 2.0, y.size) if weighted else np.ones(y.size)
-            weights = w if weighted else None
-            expected = self.reference_fit(
-                monkeypatch,
-                lambda rate, disp, theta: _zinb_loglik(y, w, rate, disp, theta),
-                fit_mle_exact, y, ZINB, weights,
-            )
-            fit = fit_mle_exact(y, ZINB, weights)
-            assert fit == expected, (y, weighted)
 
     def test_step_flips_where_scipy_flips(self):
         lower, upper = np.array(marginals._ZINB_BOUNDS).T
@@ -689,3 +700,99 @@ class TestProfiledZip:
         fit = fit_mle_censored(hist, "zip")
         assert fit.converged and math.isfinite(fit.params.rate) and math.isfinite(fit.loglik)
         assert fit.loglik >= _lbfgs_loglik(np.asarray(hist)) - 1e-9
+
+
+def _exact_zinb_cases(source):
+    """(counts, weights or None) for the exact ZINB fit: the samples that
+    pinned the replaced three-start fit, with three further families, or the
+    10 acts of the example model's 8000-row counts survey at seed ``source``."""
+    if source != "samples":
+        counts = _example_counts(source)
+        return [(counts[:, j], None) for j in range(counts.shape[1])]
+    rng = np.random.default_rng(17)
+    further = [MarginalParams(ZINB, 12.0, 0.2, dispersion=0.8),
+               MarginalParams(ZINB, 0.8, 0.0, dispersion=2.0),
+               MarginalParams(ZINB, 30.0, 0.6, dispersion=5.0)]
+    cases = [
+        (zi_sample(params, size, rng), weighted)
+        for params in PARAM_GRID[3:] + [MarginalParams(ZINB, 0.4, 0.5, dispersion=50.0)] + further
+        for size in (40, 400)
+        for weighted in (False, True)
+    ]
+    cases.append((np.array([0] * 20 + [1] * 12 + [2] * 3), False))  # under-dispersed positives
+    return [(y, rng.uniform(0.5, 2.0, y.size) if weighted else None) for y, weighted in cases]
+
+
+class TestProfiledZinb:
+    """Exact-count ZINB fits profile zero_prob out as ZIP's do: q = P(Y > 0)
+    is the positive share, and (rate, dispersion) maximize the zero-truncated
+    likelihood of the positives in one L-BFGS-B run."""
+
+    @pytest.mark.parametrize("source", ["samples", 0, 1, 2, 3])
+    def test_at_least_the_replaced_optimizer(self, source):
+        for y, weights in _exact_zinb_cases(source):
+            fit = fit_mle_exact(y, ZINB, weights)
+            w = np.ones(y.size) if weights is None else weights
+            _, replaced, _, _ = fit_zinb_exact_three_starts(y, w)
+            assert fit.loglik >= replaced - 1e-9 * abs(replaced), (y, weights)
+            assert fit.loglik == pytest.approx(zi_loglik(fit.params, y, w), rel=1e-12)
+            if source != "samples":
+                assert fit.converged and not fit.boundary_flag
+
+    def test_interior_fit_reproduces_the_positive_share(self):
+        y = _example_counts(0)[:, 0]
+        p = fit_mle_exact(y, ZINB).params
+        g0 = (p.dispersion / (p.dispersion + p.rate)) ** p.dispersion
+        assert (1.0 - p.zero_prob) * (1.0 - g0) == pytest.approx(np.mean(y > 0), abs=1e-12)
+
+    @pytest.mark.parametrize("y", [
+        np.array([0] * 20 + [1] * 12 + [2] * 3),
+        zi_sample(MarginalParams(ZINB, 0.4, 0.5, dispersion=50.0), 40, np.random.default_rng(17)),
+        np.array([0] * 10 + [1] * 5),  # no truncated Poisson root: rate 0
+    ])
+    def test_positives_not_over_dispersed_take_the_zip_fit(self, y):
+        fit, zip_fit = fit_mle_exact(y, ZINB), fit_mle_exact(y, "zip")
+        assert fit.params == MarginalParams(ZINB, zip_fit.params.rate, zip_fit.params.zero_prob,
+                                            math.exp(20.0))
+        assert fit.converged and fit.boundary_flag
+        assert fit.n_iter == zip_fit.n_iter
+        # a negative binomial at dispersion e^20 is a Poisson to about 1e-8
+        assert fit.loglik == pytest.approx(zip_fit.loglik, rel=1e-6)
+
+    def test_rule_is_the_sign_of_the_dispersion_score(self):
+        # the derivative in 1 / dispersion at 0 of the zero-truncated log-likelihood
+        # of the positives, at the zero-truncated Poisson rate lam
+        rng = np.random.default_rng(8)
+        signs = set()
+        for _ in range(100):
+            pos = rng.choice([1, 2, 3, 4, 6], size=rng.integers(5, 30), p=rng.dirichlet(np.ones(5)))
+            ybar, ones = pos.mean(), np.ones(pos.size)
+            if ybar == 1.0:
+                continue
+            lam = optimize.brentq(lambda r: ybar * -math.expm1(-r) - r, 1e-9, ybar)
+            truncated_poisson = _exact_loglik(MarginalParams("zip", lam, 0.0), pos, ones) - (
+                pos.size * math.log(-math.expm1(-lam)))
+            k = 1e5
+            g0 = (k / (k + lam)) ** k
+            truncated_nb = _exact_loglik(MarginalParams(ZINB, lam, 0.0, k), pos, ones) - (
+                pos.size * math.log1p(-g0))
+            score = (truncated_nb - truncated_poisson) * k
+            if abs(score) < 0.1:
+                continue
+            y = np.concatenate([np.zeros(20, dtype=np.int64), pos])
+            over_dispersed = fit_mle_exact(y, ZINB).params.dispersion < math.exp(20.0)
+            assert over_dispersed == (score > 0), (pos, score)
+            signs.add(over_dispersed)
+        assert signs == {False, True}
+
+    def test_negative_zero_prob_fits_the_plain_nb(self):
+        # an NB(2, 1) sample with most of its zeros removed
+        truth = MarginalParams(ZINB, 2.0, 0.0, dispersion=1.0)
+        y = zi_sample(truth, 2000, np.random.default_rng(3))
+        y = np.concatenate([y[y > 0], y[y == 0][:50]])
+        fit = fit_mle_exact(y, ZINB)
+        assert fit.params.zero_prob == 0.0 and fit.boundary_flag and fit.converged
+        # the plain NB's rate estimate is the sample mean
+        assert fit.params.rate == pytest.approx(y.mean(), rel=1e-6)
+        _, replaced, _, _ = fit_zinb_exact_three_starts(y, np.ones(y.size))
+        assert fit.loglik >= replaced - 1e-9 * abs(replaced)
