@@ -432,15 +432,16 @@ def cmd_fit(args) -> int:
     save_model(model, args.out)
     print(f"fitted {table.n_acts} acts on {table.n_rows} rows "
           f"({table.n_dropped} dropped for missing values); model -> {args.out}")
-    header = (f"{'act':40s} {'family':6s} {'rate':>8s} {'zero_prob':>10s} {'disp':>8s} "
+    header = (f"{'act':40s} {'family':6s} {'rate':>8s} {'zero_prob':>10s} {'disp':>10s} "
               f"{'loglik':>12s} {'gof_p':>7s} {'converged':>9s} {'boundary':>8s}")
     print(header)
     for act_fit, margin in zip(report.per_act, model.margins):
-        disp = f"{margin.dispersion:.3f}" if margin.dispersion is not None else "-"
+        # at most 10 characters for any dispersion in (0, e^20], e.g. 1.235e-300
+        disp = f"{margin.dispersion:.4g}" if margin.dispersion is not None else "-"
         gof = f"{act_fit.chi2_p:.3f}" if act_fit.chi2_p is not None else "-"
         flag = " [degenerate]" if act_fit.fit.degenerate else ""
         print(f"{act_fit.label[:40]:40s} {margin.family:6s} {margin.rate:8.3f} "
-              f"{margin.zero_prob:10.3f} {disp:>8s} {act_fit.fit.loglik:12.2f} {gof:>7s} "
+              f"{margin.zero_prob:10.3f} {disp:>10s} {act_fit.fit.loglik:12.2f} {gof:>7s} "
               f"{str(act_fit.fit.converged):>9s} {str(act_fit.fit.boundary_flag):>8s}{flag}")
     print(f"nearest_psd moved sigma by {report.sigma_psd_distance:.3g} (Frobenius norm)")
     return 0
@@ -481,8 +482,10 @@ def cmd_simulate(args) -> int:
         "version": __version__,
         "wall_clock_seconds": round(elapsed, 3),
         "cells": len(cells),
-        # shared by every cell, and by the cells of one target: not in cell_wall_s
+        # shared by every cell, and by the cells of one target: not in cell_wall_s;
+        # the draw is this thread's part, the prefetch the helper thread's
         "draw_ms_per_rep": 1e3 * cells[0].draw_s / run.base.n_reps,
+        "prefetch_ms_per_rep": 1e3 * cells[0].prefetch_s / run.base.n_reps,
         "target_ms_per_rep": 1e3 * cells[0].target_s / run.base.n_reps,
         "cell_wall_s": [cell.wall_s for cell in cells],
         "stage_ms_per_rep": {
@@ -639,8 +642,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="run a Monte Carlo scenario grid")
     p_sim.add_argument("--config", required=True, help="run config JSON path")
     p_sim.add_argument("--out-dir", required=True, help="output directory")
-    # replications run in one thread; --threads is accepted and ignored so
-    # that existing command lines keep working
+    # replications run on the calling thread with one fixed helper thread
+    # for the draws; --threads is accepted and ignored so that existing
+    # command lines keep working
     p_sim.add_argument("--threads", help=argparse.SUPPRESS)
     p_sim.add_argument("--seed", type=int, default=None, help="override the config seed")
     p_sim.set_defaults(func=cmd_simulate)

@@ -11,21 +11,28 @@ on the same replications.  The tests pin the kernel below, bit for bit, to
 a reference pipeline that runs each stage as a plain function.
 
 Replications run in blocks of at most ``_BLOCK_ROWS`` rows of control
-counts (at least one replication), one block after another in one thread.
-Each replication uses a counter-based substream seeded by (seed,
-replication index) and makes its own random calls, in the order it makes
-them alone: its standard normals (or ``sample_control``), then per target
-its response-type uniforms and its permutation.  So a replication's result
-does not depend on which others run, in what order or in which block.
-Each level of a grid does its own work once, on a block's stacked arrays:
-the grid builds the copula sampler and draws the control counts (``draw``;
-so ``sample_control(n, rng)`` must depend on ``n`` and ``rng`` alone), each
-set of target columns draws the uniforms and the permutation behind the
-arms and takes the control arm's moments (``share``), and each cell maps
-the uniforms through its CDF, looks its effects up in its tables and takes
-the treated arm's moments and the true effects (``CellKernel.respond``).
-A cell keeps these per replication and estimates them all, both codings,
-in one ``estimation.hc2_from_moments`` call after the last block.
+counts (at least one replication), one block after another.  Each
+replication uses a counter-based substream seeded by (seed, replication
+index) and makes its own random calls, in the order it makes them alone:
+its standard normals (or ``sample_control``), then per target its
+response-type uniforms and its permutation.  So a replication's result
+does not depend on which others run, in what order, in which block or on
+which thread.  Each level of a grid does its own work once, on a block's
+stacked arrays: the grid builds the copula sampler and draws the control
+counts (``draw_streams``, then ``finish_draw``; so ``sample_control(n,
+rng)`` must depend on ``n`` and ``rng`` alone), each set of target columns
+draws the uniforms and the permutation behind the arms and takes the
+control arm's moments (``share``), and each cell maps the uniforms through
+its CDF, looks its effects up in its tables and takes the treated arm's
+moments and the true effects (``CellKernel.respond``).  A cell keeps these
+per replication and estimates them all, both codings, in one
+``estimation.hc2_from_moments`` call after the last block.
+
+A grid runs on two threads.  One helper thread, started by
+``scenario_grid`` and joined before it returns, runs ``draw_streams`` for
+the next block while the calling thread runs ``finish_draw``, ``share``
+and ``respond`` on the current one; the helper's standard normals fill
+without the GIL.  Every other step runs on the calling thread.
 """
 
 from __future__ import annotations
@@ -91,7 +98,10 @@ class SimulationConfig:
     ``model`` is a MultiActModel or any source exposing ``acts`` and a
     ``sample_control(n, rng)`` method (e.g. the empirical resampler) whose
     draw depends on ``n`` and ``rng`` alone: a grid shares each draw
-    among its cells.  Every run also records the latent count changes.
+    among its cells.  ``sample_control`` runs on the grid's helper thread
+    while the calling thread works on the previous block, so it must not
+    mutate state that the model shares.  Every run also records the
+    latent count changes.
     """
 
     model: object
@@ -176,15 +186,14 @@ class TargetDraw(NamedTuple):
     control: tuple[np.ndarray, np.ndarray]  # (2, B) control-arm _mean_var of _coded
 
 
-def draw(config: SimulationConfig, copula: CopulaSampler | None,
-         reps: range) -> tuple[list[np.random.Generator], np.ndarray, np.ndarray]:
-    """The control counts of the block of replications ``reps``, drawn with
-    the grid's ``copula`` sampler, or with ``config.model.sample_control``
-    when it is None: each replication's generator as its draw left it, the
-    (B, n, K) counts ``y0``, and their category-score row sums ``score0``
-    over the block's B * n rows.  A row codes binary 1 when its score sum
-    is positive, and sum/3K under the sum coding.  A replication whose own
-    draw fails raises ReplicationError with its index."""
+def draw_streams(config: SimulationConfig, copula: CopulaSampler | None,
+                 reps: range) -> tuple[list[np.random.Generator], np.ndarray]:
+    """The own random draws of the replications ``reps``: each one's
+    generator as its draw left it, and the (B, n, K) block of draws, the
+    standard normals for the grid's ``copula`` sampler, or the control
+    counts of ``config.model.sample_control`` when it is None.  A
+    replication whose own draw fails raises ReplicationError with its
+    index.  The grid runs this on its helper thread."""
     n, k = config.n_units, len(config.model.acts)
     rngs = []
     block = np.empty((len(reps), n, k), dtype=np.int64 if copula is None else float)
@@ -204,21 +213,31 @@ def draw(config: SimulationConfig, copula: CopulaSampler | None,
         except Exception as exc:  # noqa: BLE001 - re-raise with replication context
             raise ReplicationError(i, exc) from exc
         rngs.append(rng)
+    return rngs, block
+
+
+def finish_draw(copula: CopulaSampler | None, block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The control counts ``y0`` of ``draw_streams``' block, mapped through
+    ``copula`` unless it is None, and their category-score row sums
+    ``score0`` over the block's B * n rows.  A row codes binary 1 when its
+    score sum is positive, and sum/3K under the sum coding."""
+    k = block.shape[2]
     if copula is not None:
         y0, rows, counts = copula.counts(block)
     else:
         y0 = block
         rows, acts = np.nonzero(y0.reshape(-1, k))
         counts = y0.reshape(-1, k)[rows, acts]
-    return rngs, y0, _category_scores(rows, counts, y0.size // k)
+    return y0, _category_scores(rows, counts, y0.size // k)
 
 
 def share(y0: np.ndarray, score0: np.ndarray, rngs: Sequence[np.random.Generator],
           cols: np.ndarray) -> TargetDraw:
-    """The work of the target with columns ``cols``, from ``draw``'s output
-    and the generators as the draw left them: one uniform per violent row,
-    the randomization, and the control arm's codings and moments.  Every
-    cell whose target has these columns can ``respond`` to it."""
+    """The work of the target with columns ``cols``, from ``finish_draw``'s
+    output and the generators as ``draw_streams`` left them: one uniform
+    per violent row, the randomization, and the control arm's codings and
+    moments.  Every cell whose target has these columns can ``respond`` to
+    it."""
     b, n, k = y0.shape
     targeted = y0.reshape(b * n, k)[:, cols]
     violent = targeted.any(axis=1)  # counts are never negative
@@ -408,8 +427,11 @@ class CellResult:
     summary_s: float  # seconds in summarize (statistics and their MC SEs)
     # seconds of the control draws and of the targets' shared work (uniforms,
     # arms, control-arm moments), which the cells of one grid share, so each
-    # carries the grid's totals; not part of wall_s
+    # carries the grid's totals; not part of wall_s.  draw_s is the calling
+    # thread's: waiting for the helper's streams and finish_draw; prefetch_s
+    # is the helper thread's draw_streams, which overlaps the other work
     draw_s: float
+    prefetch_s: float
     target_s: float
     stage_s: dict[str, float]  # stage of STAGES -> seconds over the replications
 
@@ -448,23 +470,40 @@ def scenario_grid(
         groups.setdefault(tuple(kernel.cols), []).append(j)
     m = base_config.n_reps
     size = max(1, _BLOCK_ROWS // base_config.n_units)
+    blocks = [range(start, min(start + size, m)) for start in range(0, m, size)]
     # per cell: the (5, 2, m) arguments of _replications, and the latent changes
     moments = [np.empty((5, len(CODINGS), m)) for _ in kernels]
     latents = [np.empty(m) for _ in kernels]
     cell_s = [0.0] * len(kernels)
-    draw_s = target_s = 0.0
+    draw_s = prefetch_s = target_s = 0.0
     clock = time.perf_counter
-    # each target restores the generator states that followed the control
-    # draws, so every cell's replications are those it makes alone
+
+    def streams(reps: range):
+        t0 = clock()
+        return draw_streams(base_config, copula, reps), clock() - t0
+
+    # imported here, not at module level: importing ctssim starts no thread
+    # and loads no thread pool
+    from concurrent.futures import ThreadPoolExecutor
+
+    # one helper thread draws the next block's streams (numpy fills them
+    # without the GIL) while this thread works on the current block; each
+    # target restores the generator states that followed the control draws,
+    # so every cell's replications are those it makes alone
+    pool = ThreadPoolExecutor(1, thread_name_prefix="ctssim-draw")
+    pending = pool.submit(streams, blocks[0])
     try:
-        for start in range(0, m, size):
+        for b, reps in enumerate(blocks):
             t0 = clock()
-            reps = range(start, min(start + size, m))
-            rngs, y0, score0 = draw(base_config, copula, reps)
+            (rngs, block), helper_s = pending.result()
+            if b + 1 < len(blocks):
+                pending = pool.submit(streams, blocks[b + 1])
+            prefetch_s += helper_s
+            y0, score0 = finish_draw(copula, block)
             states = [rng.bit_generator.state for rng in rngs]
             t1 = clock()
             draw_s += t1 - t0
-            block = slice(reps.start, reps.stop)
+            rows = slice(reps.start, reps.stop)
             for members in groups.values():
                 for rng, state in zip(rngs, states):
                     rng.bit_generator.state = state
@@ -473,15 +512,17 @@ def scenario_grid(
                 target_s += t2 - t1
                 t1 = t2
                 for j in members:
-                    treated, truth, latents[j][block] = kernels[j].respond(shared)
-                    moments[j][:, :, block] = (*treated, *shared.control, truth)
+                    treated, truth, latents[j][rows] = kernels[j].respond(shared)
+                    moments[j][:, :, rows] = (*treated, *shared.control, truth)
                     t2 = clock()
                     cell_s[j] += t2 - t1
                     t1 = t2
     except ReplicationError:
         raise
     except Exception as exc:  # noqa: BLE001 - re-raise with replication context
-        raise ReplicationError(start, exc) from exc
+        raise ReplicationError(reps.start, exc) from exc
+    finally:
+        pool.shutdown(cancel_futures=True)
     results = []
     for kernel, cell, latent, rep_s in zip(kernels, moments, latents, cell_s):
         t0 = clock()
@@ -492,6 +533,7 @@ def scenario_grid(
         kernel.stage_s[2] += t1 - t0
         results.append(CellResult(
             kernel.config, stats, reps, wall_s=rep_s + t1 - t0 + summary_s, summary_s=summary_s,
-            draw_s=draw_s, target_s=target_s, stage_s=dict(zip(STAGES, kernel.stage_s)),
+            draw_s=draw_s, prefetch_s=prefetch_s, target_s=target_s,
+            stage_s=dict(zip(STAGES, kernel.stage_s)),
         ))
     return results

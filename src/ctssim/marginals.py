@@ -457,6 +457,11 @@ def fit_mle_exact(values, family: str = ZIP, weights=None) -> FitResult:
     the truncated Poisson rate lam, n_+ (m2 - ybar (1 + lam)) / 2 for the
     positives' mean ybar and mean square m2, is <= 0, that is where the
     truncated Poisson score (falling in lam) is >= 0 at m2 / ybar - 1.
+    Where the NB fit of the positives leaves zero_prob below 0, ZINB
+    refits the plain NB to all the counts, with zero_prob 0; where those
+    are not over-dispersed either, that is the Poisson fit (rate the mean,
+    dispersion e^20), as the plain NB's score in 1 / dispersion at 0 and
+    rate = mean, sum w ((y - mean)^2 - y), is <= 0 there.
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
@@ -480,8 +485,12 @@ def fit_mle_exact(values, family: str = ZIP, weights=None) -> FitResult:
             share = -math.expm1(-k * math.log1p(rate / k))  # 1 - g0
             boundary = q > share
             if boundary:
-                rate, k, nb_converged, more = _fit_nb(values, weights, False)
-                converged, n_iter = converged and nb_converged, n_iter + more
+                mean = float(weights @ values) / float(np.sum(weights))
+                if weights @ ((values - mean) ** 2 - values) <= 0.0:
+                    rate, k, converged = mean, math.exp(20.0), True
+                else:
+                    rate, k, nb_converged, more = _fit_nb(values, weights, False)
+                    converged, n_iter = converged and nb_converged, n_iter + more
             params = MarginalParams(ZINB, rate, 0.0 if boundary else 1.0 - q / share, k)
         else:
             params = MarginalParams(ZINB, params.rate, params.zero_prob, math.exp(20.0))

@@ -73,7 +73,8 @@ def replicate(kernel: CellKernel, rep_index: int, return_schedule: bool = False)
     config = kernel.config
     model = config.model
     copula = CopulaSampler(model) if isinstance(model, MultiActModel) else None
-    rngs, y0, score0 = harness.draw(config, copula, range(rep_index, rep_index + 1))
+    rngs, block = harness.draw_streams(config, copula, range(rep_index, rep_index + 1))
+    y0, score0 = harness.finish_draw(copula, block)
     shared = harness.share(y0, score0, rngs, kernel.cols)
     treated, truth, latent = kernel.respond(shared)
     reps = harness._replications(np.stack([*treated, *shared.control, truth]), latent, config)

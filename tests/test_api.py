@@ -181,3 +181,19 @@ def test_cli_import_starts_no_thread():
         pytest.skip("no /proc/self/task to count threads in")
     script = "import os, ctssim.cli; print(len(os.listdir('/proc/self/task')))"
     assert run_python(script, None) == "1"
+
+
+def test_simulate_joins_its_helper_thread(tmp_path):
+    # a grid of three blocks draws on one helper thread, joined on return
+    if not os.path.isdir("/proc/self/task"):
+        pytest.skip("no /proc/self/task to count threads in")
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({
+        "model": {"inline": example_model().to_dict()},
+        "scenarios": ["null"], "n_units": 4096, "n_reps": 5,
+    }))
+    script = (f"import os, ctssim.cli; "
+              f"assert ctssim.cli.main(['simulate', '--config', {str(config)!r}, "
+              f"'--out-dir', {str(tmp_path / 'out')!r}]) == 0; "
+              f"print(len(os.listdir('/proc/self/task')))")
+    assert run_python(script, None).splitlines()[-1] == "1"

@@ -359,6 +359,19 @@ class TestFit:
         assert flags == [["True", "False"]] * 9 + [["True", "True"]]
         assert load_model(str(tmp_path / "m.json")).margins[9].dispersion == np.exp(20.0)
 
+    def test_fit_table_columns_align(self, tmp_path, capsys):
+        # act 10's dispersion is e^20, the widest the fit writes
+        data, desc = write_example_counts_survey(str(tmp_path))
+        assert main(["fit", "--data", data, "--descriptor", desc, "--family", "zinb",
+                     "--out", str(tmp_path / "m.json")]) == 0
+        header, *rows = capsys.readouterr().out.splitlines()[1:12]
+        end = header.index("loglik") + len("loglik")
+        start = end - 12  # the column's width
+        assert header[start - 1:start + 1] == "  "
+        for row in rows:
+            assert row[start - 1] == " " and row[end] == " ", row
+            assert float(row[start:end]) < 0.0, row
+
     def test_zinb_fit_dominates_zip(self, tmp_path):
         data, desc = example_survey_paths()
         table = read_survey(data, desc)
@@ -773,9 +786,11 @@ class TestRunMeta:
         assert all(v >= 0.0 for v in meta["stage_ms_per_rep"].values())
         assert meta["summary_ms_per_cell"] >= 0.0
         assert meta["draw_ms_per_rep"] > 0.0
+        assert meta["prefetch_ms_per_rep"] > 0.0
         assert meta["target_ms_per_rep"] > 0.0
         # each cell's stages and summary lie inside its wall time; the draw
-        # and the target work, shared by the cells, lie outside every cell's
+        # and the target work, shared by the cells, lie outside every cell's;
+        # the helper thread's prefetch overlaps them, so it is in no sum
         total_reps = 30 * meta["cells"]
         stage_ms = sum(meta["stage_ms_per_rep"].values()) * total_reps
         summary_ms = meta["summary_ms_per_cell"] * meta["cells"]

@@ -1,6 +1,8 @@
 """Tests for the Monte Carlo harness."""
 
 import math
+import sys
+import threading
 import warnings
 from dataclasses import replace
 
@@ -468,7 +470,8 @@ class TestReplicationMajorGrid:
     def test_replications_without_violent_units(self, df):
         # at n_units 4, some replications have no violence on act 1 alone
         base = config(n_units=4, n_reps=40, seed=3, df=df)
-        y0 = harness.draw(base, CopulaSampler(base.model), range(base.n_reps))[1]
+        copula = CopulaSampler(base.model)
+        y0 = harness.finish_draw(copula, harness.draw_streams(base, copula, range(base.n_reps))[1])[0]
         violent = np.count_nonzero(y0[:, :, 0], axis=1)
         assert 0 in violent and max(violent) > 0
         scenarios = [scenario_preset(name) for name in sorted(SCENARIO_PRESETS)]
@@ -489,6 +492,7 @@ class TestReplicationMajorGrid:
                 return np.zeros((n, 3), dtype=np.int64)
 
         cfg = SimulationConfig(FailsAtOne(), scenario_preset("null"), n_units, n_reps=2 * B, seed=1)
+        threads = threading.active_count()
         with pytest.raises(ReplicationError) as info:
             if grid:
                 scenario_grid(cfg, [scenario_preset("null"), scenario_preset("cessation_only")],
@@ -497,6 +501,7 @@ class TestReplicationMajorGrid:
                 run_cell(cfg)
         assert info.value.rep_index == failing
         assert "sampler exploded" in str(info.value)
+        assert threading.active_count() == threads
 
     def test_block_work_error_names_the_blocks_first_replication(self, monkeypatch):
         share = harness.share
@@ -507,9 +512,39 @@ class TestReplicationMajorGrid:
             return share(y0, score0, rngs, cols)
 
         monkeypatch.setattr(harness, "share", fails_in_second_block)
+        threads = threading.active_count()
         with pytest.raises(ReplicationError, match="block work failed") as info:
             run_cell(config(n_units=BLOCK_UNITS, n_reps=2 * B))
         assert info.value.rep_index == B
+        assert threading.active_count() == threads
+
+    @pytest.mark.parametrize("model_name", ["example", "resample"])
+    def test_one_helper_thread_draws_and_is_joined(self, kernel_models, monkeypatch, model_name):
+        # every block's own draws run on one thread other than the caller's,
+        # and that thread has ended when the grid returns; a short switch
+        # interval interleaves the two threads finely, and every cell must
+        # still equal its replications run one at a time
+        drawn_on = []
+        draw_streams = harness.draw_streams
+
+        def recorded(config, copula, reps):
+            drawn_on.append(threading.current_thread())
+            return draw_streams(config, copula, reps)
+
+        monkeypatch.setattr(harness, "draw_streams", recorded)
+        base = SimulationConfig(kernel_models[model_name], scenario_preset("null"),
+                                n_units=BLOCK_UNITS, n_reps=2 * B + 1, seed=5)
+        threads, interval = threading.active_count(), sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            self.assert_cells_match_reference(base, [scenario_preset("cessation_only")], ["all"])
+        finally:
+            sys.setswitchinterval(interval)
+        assert threading.active_count() == threads
+        # the grid's 3 blocks, then the reference's 2B + 1 blocks of one
+        assert len(drawn_on) == 3 + base.n_reps
+        assert len(set(drawn_on[:3])) == 1 and drawn_on[0] is not threading.current_thread()
+        assert not drawn_on[0].is_alive()
 
     @pytest.mark.parametrize("df", ["normal", "welch"])
     @pytest.mark.parametrize("model_name", ["example", "resample"])

@@ -796,3 +796,20 @@ class TestProfiledZinb:
         assert fit.params.rate == pytest.approx(y.mean(), rel=1e-6)
         _, replaced, _, _ = fit_zinb_exact_three_starts(y, np.ones(y.size))
         assert fit.loglik >= replaced - 1e-9 * abs(replaced)
+
+    @pytest.mark.parametrize("weights", [None, np.linspace(0.5, 2.0, 40)])
+    def test_negative_zero_prob_without_over_dispersion_is_the_poisson_fit(self, weights):
+        # 40 draws of ZINB(0.8, 0, 2): the positives are over-dispersed
+        # against the truncated Poisson, all the counts are not (variance
+        # below the mean), so the plain NB's optimum is the Poisson limit
+        y = np.repeat([0, 1, 2, 3], [17, 19, 2, 2])
+        w = np.ones(y.size) if weights is None else weights
+        mean = float(w @ y) / float(np.sum(w))
+        assert float(w @ (y - mean) ** 2) < float(w @ y)
+        fit = fit_mle_exact(y, ZINB, weights)
+        assert fit.params.rate == pytest.approx(mean, rel=1e-15)
+        assert (fit.params.zero_prob, fit.params.dispersion) == (0.0, math.exp(20.0))
+        assert fit.converged and fit.boundary_flag
+        # a negative binomial at dispersion e^20 is a Poisson to about 1e-8
+        poisson = _exact_loglik(MarginalParams("zip", mean, 0.0), y, w)
+        assert fit.loglik == pytest.approx(poisson, rel=1e-6)
