@@ -432,17 +432,14 @@ def cmd_fit(args) -> int:
     save_model(model, args.out)
     print(f"fitted {table.n_acts} acts on {table.n_rows} rows "
           f"({table.n_dropped} dropped for missing values); model -> {args.out}")
-    header = (f"{'act':40s} {'family':6s} {'rate':>8s} {'zero_prob':>10s} {'disp':>10s} "
-              f"{'loglik':>12s} {'gof_p':>7s} {'converged':>9s} {'boundary':>8s}")
-    print(header)
-    for act_fit, margin in zip(report.per_act, model.margins):
-        # at most 10 characters for any dispersion in (0, e^20], e.g. 1.235e-300
-        disp = f"{margin.dispersion:.4g}" if margin.dispersion is not None else "-"
-        gof = f"{act_fit.chi2_p:.3f}" if act_fit.chi2_p is not None else "-"
-        flag = " [degenerate]" if act_fit.fit.degenerate else ""
-        print(f"{act_fit.label[:40]:40s} {margin.family:6s} {margin.rate:8.3f} "
-              f"{margin.zero_prob:10.3f} {disp:>10s} {act_fit.fit.loglik:12.2f} {gof:>7s} "
-              f"{str(act_fit.fit.converged):>9s} {str(act_fit.fit.boundary_flag):>8s}{flag}")
+    rows = [[act_fit.label[:40], margin.family, f"{margin.rate:.3f}", f"{margin.zero_prob:.3f}",
+             "-" if margin.dispersion is None else f"{margin.dispersion:.4g}",
+             f"{act_fit.fit.loglik:.2f}", "-" if act_fit.chi2_p is None else f"{act_fit.chi2_p:.3f}",
+             str(act_fit.fit.converged),
+             str(act_fit.fit.boundary_flag) + (" [degenerate]" if act_fit.fit.degenerate else "")]
+            for act_fit, margin in zip(report.per_act, model.margins)]
+    header = "act family rate zero_prob disp loglik gof_p converged boundary".split()
+    print("\n".join(_table(header, rows, markdown=False)))
     print(f"nearest_psd moved sigma by {report.sigma_psd_distance:.3g} (Frobenius norm)")
     return 0
 

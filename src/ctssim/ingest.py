@@ -30,6 +30,7 @@ from scipy.special import chdtrc, ndtr, ndtri
 from . import coding
 from .joint import ActSpec, MultiActModel, nearest_psd, validate_acts, validate_margins
 from .marginals import (
+    ZINB,
     FitResult,
     MarginalParams,
     category_probs,
@@ -449,8 +450,7 @@ def latent_correlation_matrix(table: SurveyTable, margins) -> np.ndarray:
     """
     k = table.n_acts
     margins = tuple(margins)
-    if len(margins) != k:
-        raise ValueError("need one marginal per act")
+    validate_margins(table.acts, margins)
     coded = [count_cells(m, c) if table.mode == "counts" else (c, category_probs(m))
              for c, m in zip(table.values.T, margins)]
     positive = slice(None) if table.weights is None else table.weights > 0
@@ -464,17 +464,15 @@ def latent_correlation_matrix(table: SurveyTable, margins) -> np.ndarray:
                 continue
             r_obs = _weighted_corr(scores[j], scores[l], table.weights)
             corr = _score_corr_theory(cells[j], cells[l])
-
-            def gap(r, _corr=corr):
-                return _corr(r) - r_obs
-
-            if gap(_RHO_LIMIT) <= 0.0:
+            at_limit = {r: corr(r) - r_obs for r in (-_RHO_LIMIT, _RHO_LIMIT)}
+            if at_limit[_RHO_LIMIT] <= 0.0:
                 rho = _RHO_LIMIT
-            elif gap(-_RHO_LIMIT) >= 0.0:
+            elif at_limit[-_RHO_LIMIT] >= 0.0:
                 rho = -_RHO_LIMIT
-            else:
-                rho = brentq(gap, -_RHO_LIMIT, _RHO_LIMIT, xtol=1e-6)
-            sigma[j, l] = sigma[l, j] = float(np.clip(rho, -_RHO_LIMIT, _RHO_LIMIT))
+            else:  # brentq starts from the limits: their gaps are reused
+                rho = brentq(lambda r: at_limit[r] if r in at_limit else corr(r) - r_obs,
+                             -_RHO_LIMIT, _RHO_LIMIT, xtol=1e-6)
+            sigma[j, l] = sigma[l, j] = rho
     return sigma
 
 
@@ -499,14 +497,33 @@ class FitReport:
 
 def _category_gof(fit: FitResult, observed: np.ndarray) -> float | None:
     """The p-value of Pearson's chi-squared test of the fitted category
-    probabilities against ``observed``; None when no degree of freedom is left."""
-    total = observed.sum()
-    expected = category_probs(fit.params) * total
+    probabilities against ``observed``: one degree of freedom for ZIP's two
+    parameters, and None for ZINB, whose three saturate the four categories."""
+    if fit.params.family == ZINB:
+        return None
+    expected = category_probs(fit.params) * observed.sum()
     mask = expected > 0
     stat = float(np.sum((observed[mask] - expected[mask]) ** 2 / expected[mask]))
-    n_params = 2 if fit.params.family == "zip" else 3
-    dof = (coding.MAX_CATEGORY + 1) - 1 - n_params
-    return float(chdtrc(dof, stat)) if dof >= 1 else None
+    return float(chdtrc(1, stat))
+
+
+def _fit_act(table: SurveyTable, j: int, family: str) -> ActFit:
+    """Act ``j``'s margin fit to its counts or categories, per the table's
+    mode, and its category GOF.  A counts-mode margin whose CDF table would
+    pass the limit is refused, naming the act and its largest count."""
+    act, column = table.acts[j], table.values[:, j]
+    if table.mode == "counts":
+        fit = fit_mle_exact(column, family, weights=table.weights)
+        try:
+            cdf_table_size(fit.params)
+        except ValueError as exc:
+            raise ValueError(f"act {act.index} ({act.label!r}), largest count "
+                             f"{column.max()}: {exc}") from None
+        observed = _category_hist(coding.categorize(column), table.weights)
+    else:
+        observed = _category_hist(column, table.weights)
+        fit = fit_mle_censored(observed, family)
+    return ActFit(act.label, fit, _category_gof(fit, observed))
 
 
 def fit_model(table: SurveyTable, family: str = "zip"):
@@ -518,34 +535,16 @@ def fit_model(table: SurveyTable, family: str = "zip"):
     """
     if table.n_acts < 2:
         raise ValueError("need at least 2 acts to fit a joint model")
-    margins, per_act = [], []
-    for j, act in enumerate(table.acts):
-        column = table.values[:, j]
-        if table.mode == "counts":
-            fit = fit_mle_exact(column, family, weights=table.weights)
-            try:
-                cdf_table_size(fit.params)
-            except ValueError as exc:
-                raise ValueError(f"act {act.index} ({act.label!r}), largest count "
-                                 f"{column.max()}: {exc}") from None
-            observed = _category_hist(coding.categorize(column), table.weights)
-        else:
-            observed = _category_hist(column, table.weights)
-            fit = fit_mle_censored(observed, family)
-        margins.append(fit.params)
-        per_act.append(ActFit(act.label, fit, _category_gof(fit, observed)))
-    validate_margins(table.acts, margins)
+    per_act = [_fit_act(table, j, family) for j in range(table.n_acts)]
+    margins = tuple(act_fit.fit.params for act_fit in per_act)
     sigma = latent_correlation_matrix(table, margins)
     projected = nearest_psd(sigma)
-    model = MultiActModel(table.acts, tuple(margins), projected)
-    distance = float(np.linalg.norm(projected - sigma))
-    return model, FitReport(per_act, distance)
+    return (MultiActModel(table.acts, margins, projected),
+            FitReport(per_act, float(np.linalg.norm(projected - sigma))))
 
 
 def _category_hist(categories: np.ndarray, weights: np.ndarray | None) -> np.ndarray:
-    if weights is None:
-        return np.bincount(categories, minlength=coding.MAX_CATEGORY + 1).astype(float)
-    return np.bincount(categories, weights=weights, minlength=coding.MAX_CATEGORY + 1)
+    return np.bincount(categories, weights, minlength=coding.MAX_CATEGORY + 1).astype(float)
 
 
 # ---------------------------------------------------------------------------
@@ -599,13 +598,8 @@ class EmpiricalResampler:
                     f"got {table.n_acts}"
                 )
             if margins is None:
-                margins = [
-                    fit_mle_censored(_category_hist(table.values[:, j], table.weights), family).params
-                    for j in range(table.n_acts)
-                ]
+                margins = [_fit_act(table, j, family).fit.params for j in range(table.n_acts)]
             self.margins = tuple(margins)
-            if len(self.margins) != table.n_acts:
-                raise ValueError(f"{len(self.margins)} margins for {table.n_acts} acts")
             validate_margins(table.acts, self.margins)
             groups = [g for m in self.margins for g in self._conditional_cdfs(m)]
             sizes = np.array([len(cdf) for _, cdf in groups])

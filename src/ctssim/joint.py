@@ -39,8 +39,8 @@ class ActSpec:
     severity: str
 
     def __post_init__(self):
-        if self.index < 1:
-            raise ValueError("act index must be >= 1")
+        if isinstance(self.index, (bool, np.bool_)) or self.index < 1:  # True would pass as 1
+            raise ValueError(f"act index must be an integer >= 1, got {self.index!r}")
         if self.category not in ACT_CATEGORIES:
             raise ValueError(f"unknown act category {self.category!r}")
         if self.severity not in SEVERITIES:
@@ -57,9 +57,12 @@ def validate_acts(acts) -> tuple[ActSpec, ...]:
 
 
 def validate_margins(acts, margins) -> None:
-    """Refuse a margin whose CDF table, as the copula draw builds it, would
-    be longer than ``marginals.CDF_TABLE_MAX``: a ValueError that names
-    its act and its parameters."""
+    """Refuse margins that are not one per act, and a margin whose CDF table,
+    as the copula draw builds it, would be longer than
+    ``marginals.CDF_TABLE_MAX``: a ValueError that names its act and its
+    parameters."""
+    if len(margins) != len(acts):
+        raise ValueError(f"{len(margins)} margins for {len(acts)} acts")
     for act, margin in zip(acts, margins):
         try:
             cdf_table_size(margin)
@@ -87,8 +90,6 @@ class MultiActModel:
 
     def validate(self):
         k = len(self.acts)
-        if len(self.margins) != k:
-            raise ValueError(f"{len(self.margins)} margins for {k} acts")
         validate_margins(self.acts, self.margins)
         if self.sigma.shape != (k, k):
             raise ValueError(f"sigma shape {self.sigma.shape} does not match K={k}")

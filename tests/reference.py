@@ -235,7 +235,7 @@ def zinb_exact_loglik(values, weights, rate: float, dispersion: float,
         if zero_prob >= 1.0:
             return -math.inf
         ll += math.log1p(-zero_prob) * np.sum(weights[pos])
-        ll += np.sum(weights[pos] * _nbinom_logpmf(values[pos], k, p_nb))
+        ll += np.sum(weights[pos] * _nbinom_logpmf(values[pos], rate, k))
     return float(ll)
 
 

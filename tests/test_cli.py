@@ -65,6 +65,13 @@ def long_table_model() -> dict:
     return doc
 
 
+def bool_model(part: str, key: str) -> dict:
+    """small_model's dict with a JSON ``true`` for the first act's or margin's ``key``."""
+    doc = small_model().to_dict()
+    doc[part][0][key] = True
+    return doc
+
+
 def huge_rate_model() -> dict:
     """small_model's dict with a ZINB margin of rate 1e300, where scipy's
     negative binomial quantile stalls."""
@@ -365,12 +372,11 @@ class TestFit:
         assert main(["fit", "--data", data, "--descriptor", desc, "--family", "zinb",
                      "--out", str(tmp_path / "m.json")]) == 0
         header, *rows = capsys.readouterr().out.splitlines()[1:12]
-        end = header.index("loglik") + len("loglik")
-        start = end - 12  # the column's width
-        assert header[start - 1:start + 1] == "  "
+        start = header.index("loglik")
+        assert header[start - 2:start] == "  "
         for row in rows:
-            assert row[start - 1] == " " and row[end] == " ", row
-            assert float(row[start:end]) < 0.0, row
+            assert row[start - 2:start] == "  " and row[start] != " ", row
+            assert float(row[start:].split()[0]) < 0.0, row
 
     def test_zinb_fit_dominates_zip(self, tmp_path):
         data, desc = example_survey_paths()
@@ -966,6 +972,12 @@ class TestConfigTypes:
                      id="model-file-long-table"),
         pytest.param({"model": {"inline": long_table_model()}}, "config error: " + LONG_TABLE_ERROR,
                      id="inline-model-long-table"),
+        pytest.param({"model": {"inline": bool_model("margins", "rate")}},
+                     "config error: rate must be a number, got a bool",
+                     id="inline-model-bool-rate"),
+        pytest.param({"model": {"inline": bool_model("acts", "index")}},
+                     "config error: act index must be an integer >= 1, got True",
+                     id="inline-model-bool-index"),
         # a margin whose table scipy's quantile could not size, as it stalls there
         pytest.param({"model": {"inline": huge_rate_model()}},
                      "config error: act 2 ('act 2'): MarginalParams(family='zinb', rate=1e+300, "

@@ -11,6 +11,7 @@ import pytest
 import reference
 from ctssim.coding import categorize
 from ctssim.datasets import example_survey_paths
+from ctssim import ingest
 from ctssim.ingest import (
     EmpiricalResampler,
     SurveyFormatError,
@@ -18,6 +19,7 @@ from ctssim.ingest import (
     _cell_structure,
     _score_corr_theory,
     fit_model,
+    latent_correlation_matrix,
     load_model,
     read_survey,
     save_model,
@@ -571,6 +573,29 @@ class TestFitModel:
         assert np.array_equal(model.sigma[1], np.eye(4)[1])
         assert np.all(model.sigma[np.ix_([0, 2, 3], [0, 2, 3])] != 0.0)
 
+    def test_each_pair_evaluates_its_rho_limits_once(self, monkeypatch):
+        # the root search starts from the two limits, whose gaps the pair has computed
+        table, _ = simulated_table(n=2000, seed=109)
+        values = table.values.copy()
+        values[:, 3] = values[:, 0]  # a pair whose root lies past the upper limit
+        table = SurveyTable(table.acts, values, table.mode)
+        margins = fit_model(table, "zip")[0].margins
+        score_corr_theory, evaluated = ingest._score_corr_theory, []
+
+        def recording(cell_j, cell_k):
+            corr, rhos = score_corr_theory(cell_j, cell_k), []
+            evaluated.append(rhos)
+            return lambda rho: rhos.append(rho) or corr(rho)
+
+        monkeypatch.setattr(ingest, "_score_corr_theory", recording)
+        sigma = latent_correlation_matrix(table, margins)
+        assert len(evaluated) == 6
+        for rhos in evaluated:
+            assert sorted(rhos[:2]) == [-0.9995, 0.9995]
+            assert -0.9995 not in rhos[2:] and 0.9995 not in rhos[2:]
+        assert sigma[0, 3] == 0.9995 and len(evaluated[2]) == 2
+        assert min(len(rhos) for rhos in evaluated) == 2 < max(len(rhos) for rhos in evaluated)
+
     @pytest.mark.parametrize("dispersion", [0.3, 0.07])
     def test_overdispersed_counts_pair_fits(self, dispersion):
         # heavy ZINB tails run each margin's 1e-10 quantile to thousands of
@@ -660,6 +685,17 @@ class TestEmpiricalResampler:
         # same generator state draws the same row indices: re-derive them
         expected_rows = table.values[np.random.default_rng(4).integers(0, table.n_rows, size=n)]
         assert np.array_equal(categorize(drawn), expected_rows)
+
+    @pytest.mark.parametrize("family", ["zip", "zinb"])
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_margins_are_fit_models(self, family, weighted):
+        # one per-act fit: the resampler's margins are fit_model's, bit for bit
+        table = read_survey(*example_survey_paths())
+        if weighted:
+            weights = np.random.default_rng(9).uniform(0.5, 2.0, table.n_rows)
+            table = SurveyTable(table.acts, table.values, table.mode, weights)
+        fitted = fit_model(table, family)[0].margins
+        assert EmpiricalResampler(table, family=family).margins == fitted
 
     def test_counts_mode_passthrough(self):
         table, _ = simulated_table(n=2000, seed=108, mode="counts")

@@ -37,6 +37,16 @@ class TestActSpec:
         with pytest.raises(ValueError):
             ActSpec(1, "x", "financial", "severe")
 
+    @pytest.mark.parametrize("index", [True, np.True_])
+    def test_rejects_bool_index(self, index):
+        # True == 1 would pass the index checks and be written back as true
+        with pytest.raises(ValueError, match=r"act index must be an integer >= 1, got (np\.)?True"):
+            ActSpec(index, "x", "physical", "severe")
+        doc = pair_model(0.3).to_dict()
+        doc["acts"][0]["index"] = index
+        with pytest.raises(ValueError, match="act index must be an integer >= 1"):
+            MultiActModel.from_dict(doc)
+
     def test_indices_must_be_contiguous(self):
         acts = (ActSpec(1, "a", "physical", "severe"), ActSpec(3, "b", "physical", "severe"))
         with pytest.raises(ValueError):

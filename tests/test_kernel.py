@@ -5,11 +5,14 @@ that scipy.stats dispatches to, some of them private to scipy.  These tests
 require exact equality with the scipy.stats calls they replace, over a grid
 that reaches the fit's parameter bounds, so a scipy release that renames or
 changes those ufuncs fails here instead of silently moving fitted models.
+The negative binomial log-pmf is the exception: past dispersion 1e4 scipy's
+form cancels, so it is checked against a 40-digit mpmath evaluation instead.
 """
 
 import itertools
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import stats
@@ -111,22 +114,44 @@ def test_logliks(monkeypatch):
     rng = np.random.default_rng(5)
     y = np.concatenate([np.zeros(30, dtype=np.int64), rng.integers(1, 60, 200), [1000, 10**6]])
     w = rng.uniform(0.5, 2.0, y.size)
+    zip_draws = [p for p in DRAWS if p.family == "zip"]
 
     def logliks():
-        # the log-likelihood fit_mle_exact reports, at each parameter draw
-        return [_exact_loglik(p, y, w) for p in DRAWS]
+        # the log-likelihood fit_mle_exact reports, at each ZIP parameter draw
+        return [_exact_loglik(p, y, w) for p in zip_draws]
 
     got = logliks()
-    called = set()
-    for name, dist in [("_poisson_logpmf", stats.poisson), ("_nbinom_logpmf", stats.nbinom)]:
-        def logpmf(*args, name=name, dist=dist):
-            called.add(name)
-            return dist.logpmf(*args)
+    called = []
 
-        monkeypatch.setattr(marginals, name, logpmf)
+    def logpmf(*args):
+        called.append(args)
+        return stats.poisson.logpmf(*args)
+
+    monkeypatch.setattr(marginals, "_poisson_logpmf", logpmf)
     assert np.array_equal(got, logliks(), equal_nan=True)
-    # the log-likelihood looks the log-pmfs up when called, so the patch reaches them
-    assert called == {"_poisson_logpmf", "_nbinom_logpmf"}
+    # the log-likelihood looks the log-pmf up when called, so the patch reaches it
+    assert len(called) == len(zip_draws)
+
+
+def nbinom_logpmf_mpmath(y: int, rate: float, k: float) -> float:
+    """The NB log-pmf at mean ``rate`` and dispersion ``k``, to 40 digits."""
+    y, rate, k = mpmath.mpf(y), mpmath.mpf(rate), mpmath.mpf(k)
+    with mpmath.workdps(40):
+        return float(mpmath.loggamma(k + y) - mpmath.loggamma(k) - mpmath.loggamma(y + 1)
+                     + k * mpmath.log(k / (k + rate)) + y * mpmath.log(rate / (k + rate)))
+
+
+def test_nbinom_logpmf_matches_mpmath():
+    # not scipy.stats.nbinom.logpmf, which loses up to 4e-7 relative at large dispersion
+    counts = np.unique(np.r_[0:12, np.geomspace(12, 1e6, 13).round()]).astype(np.int64)
+    worst = 0.0
+    for rate in np.geomspace(0.05, 1e4, 9):
+        # both sides of the switch of form at k = 1e4
+        for k in np.r_[np.geomspace(1e-3, math.exp(20.0), 11), 1e4, 1.0001e4]:
+            got = marginals._nbinom_logpmf(counts, rate, k)
+            want = np.array([nbinom_logpmf_mpmath(int(y), rate, k) for y in counts])
+            worst = max(worst, float(np.max(np.abs(got - want) / np.abs(want))))
+    assert worst <= 1e-9
 
 
 def hc2_datasets():

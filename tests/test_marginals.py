@@ -80,6 +80,14 @@ class TestParams:
         with pytest.raises(ValueError):
             MarginalParams("poisson", 1.0, 0.5)
 
+    @pytest.mark.parametrize("key", ["rate", "zero_prob", "dispersion"])
+    @pytest.mark.parametrize("value", [True, False, np.True_])
+    def test_rejects_bools(self, key, value):
+        # a bool would pass as 1 or 0 and be written back as true or false
+        fields = {"family": "zinb", "rate": 1.0, "zero_prob": 0.5, "dispersion": 2.0, key: value}
+        with pytest.raises(ValueError, match=f"^{key} must be a number, got a bool$"):
+            MarginalParams(**fields)
+
     def test_mean_formula(self):
         assert zi_mean(FIG_PARAMS) == pytest.approx((1 - 0.84) * 2.36)
 
@@ -733,7 +741,8 @@ class TestProfiledZinb:
         for y, weights in _exact_zinb_cases(source):
             fit = fit_mle_exact(y, ZINB, weights)
             w = np.ones(y.size) if weights is None else weights
-            _, replaced, _, _ = fit_zinb_exact_three_starts(y, w)
+            # both fits scored by the one log-likelihood
+            replaced = zi_loglik(fit_zinb_exact_three_starts(y, w)[0], y, w)
             assert fit.loglik >= replaced - 1e-9 * abs(replaced), (y, weights)
             assert fit.loglik == pytest.approx(zi_loglik(fit.params, y, w), rel=1e-12)
             if source != "samples":
