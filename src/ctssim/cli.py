@@ -376,7 +376,8 @@ def _check_out_path(path: str, is_dir: bool = False) -> None:
 
 
 def _table(header: list[str], rows: list[list[str]], markdown: bool) -> list[str]:
-    """The lines of a markdown table, or of left-aligned columns two spaces apart."""
+    """The lines of a markdown table, or of left-aligned columns two spaces
+    apart, each line without trailing spaces."""
     if markdown:
         return [
             "| " + " | ".join(header) + " |",
@@ -384,7 +385,8 @@ def _table(header: list[str], rows: list[list[str]], markdown: bool) -> list[str
             *("| " + " | ".join(r) + " |" for r in rows),
         ]
     widths = [max([len(h), *(len(r[i]) for r in rows)]) for i, h in enumerate(header)]
-    return ["  ".join(cell.ljust(w) for cell, w in zip(r, widths)) for r in (header, *rows)]
+    lines = ("  ".join(cell.ljust(w) for cell, w in zip(r, widths)) for r in (header, *rows))
+    return [line.rstrip() for line in lines]
 
 
 def _human_table(cells: list[CellResult]) -> str:

@@ -38,6 +38,7 @@ from .marginals import (
     cdf_table_size,
     count_cells,
     fit_mle_censored,
+    fit_mle_censored_batch,
     fit_mle_exact,
 )
 
@@ -507,23 +508,30 @@ def _category_gof(fit: FitResult, observed: np.ndarray) -> float | None:
     return float(chdtrc(1, stat))
 
 
-def _fit_act(table: SurveyTable, j: int, family: str) -> ActFit:
-    """Act ``j``'s margin fit to its counts or categories, per the table's
+def _fit_acts(table: SurveyTable, family: str) -> list[ActFit]:
+    """Each act's margin fit to its counts or categories, per the table's
     mode, and its category GOF.  A counts-mode margin whose CDF table would
-    pass the limit is refused, naming the act and its largest count."""
-    act, column = table.acts[j], table.values[:, j]
+    pass the limit is refused, naming the act and its largest count.  The
+    ZINB fits of a categories-mode table run together, in one
+    ``fit_mle_censored_batch`` call; ZIP's are rate roots that share no
+    work, one ``fit_mle_censored`` call per act."""
     if table.mode == "counts":
-        fit = fit_mle_exact(column, family, weights=table.weights)
-        try:
-            cdf_table_size(fit.params)
-        except ValueError as exc:
-            raise ValueError(f"act {act.index} ({act.label!r}), largest count "
-                             f"{column.max()}: {exc}") from None
-        observed = _category_hist(coding.categorize(column), table.weights)
+        fits, observed = [], []
+        for act, column in zip(table.acts, table.values.T):
+            fit = fit_mle_exact(column, family, weights=table.weights)
+            try:
+                cdf_table_size(fit.params)
+            except ValueError as exc:
+                raise ValueError(f"act {act.index} ({act.label!r}), largest count "
+                                 f"{column.max()}: {exc}") from None
+            fits.append(fit)
+            observed.append(_category_hist(coding.categorize(column), table.weights))
     else:
-        observed = _category_hist(column, table.weights)
-        fit = fit_mle_censored(observed, family)
-    return ActFit(act.label, fit, _category_gof(fit, observed))
+        observed = [_category_hist(column, table.weights) for column in table.values.T]
+        fits = (fit_mle_censored_batch(observed, family) if family == ZINB
+                else [fit_mle_censored(n, family) for n in observed])
+    return [ActFit(act.label, fit, _category_gof(fit, n))
+            for act, fit, n in zip(table.acts, fits, observed)]
 
 
 def fit_model(table: SurveyTable, family: str = "zip"):
@@ -535,7 +543,7 @@ def fit_model(table: SurveyTable, family: str = "zip"):
     """
     if table.n_acts < 2:
         raise ValueError("need at least 2 acts to fit a joint model")
-    per_act = [_fit_act(table, j, family) for j in range(table.n_acts)]
+    per_act = _fit_acts(table, family)
     margins = tuple(act_fit.fit.params for act_fit in per_act)
     sigma = latent_correlation_matrix(table, margins)
     projected = nearest_psd(sigma)
@@ -598,7 +606,7 @@ class EmpiricalResampler:
                     f"got {table.n_acts}"
                 )
             if margins is None:
-                margins = [_fit_act(table, j, family).fit.params for j in range(table.n_acts)]
+                margins = [act_fit.fit.params for act_fit in _fit_acts(table, family)]
             self.margins = tuple(margins)
             validate_margins(table.acts, self.margins)
             groups = [g for m in self.margins for g in self._conditional_cdfs(m)]

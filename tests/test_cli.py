@@ -372,6 +372,9 @@ class TestFit:
         assert main(["fit", "--data", data, "--descriptor", desc, "--family", "zinb",
                      "--out", str(tmp_path / "m.json")]) == 0
         header, *rows = capsys.readouterr().out.splitlines()[1:12]
+        # the last column's True/False cells are narrower than its header, unpadded
+        assert header.endswith("boundary")
+        assert [row for row in [header, *rows] if row != row.rstrip()] == []
         start = header.index("loglik")
         assert header[start - 2:start] == "  "
         for row in rows:
@@ -616,6 +619,7 @@ class TestReport:
         text = capsys.readouterr().out
         assert "power_diff" in text
         assert "reduction_only" in text
+        assert [line for line in text.splitlines() if line != line.rstrip()] == []
 
     def test_reduction_only_flagged(self, results_dir, tmp_path):
         out = tmp_path / "report.csv"

@@ -1,5 +1,6 @@
 """Tests for the single-act zero-inflated distributions and MLE fitting."""
 
+import functools
 import itertools
 import math
 import os
@@ -26,6 +27,7 @@ from ctssim.marginals import (
     category_probs,
     censored_loglik,
     fit_mle_censored,
+    fit_mle_censored_batch,
     fit_mle_exact,
 )
 
@@ -508,6 +510,7 @@ class TestZinbCensoredObjective:
         self.assert_matches_reference()
 
 
+@functools.cache
 def _survey_histograms():
     """The act histograms of build_example_survey(8000, seed) for seeds 1-30,
     20260801 and 4242: 320 histograms."""
@@ -518,9 +521,10 @@ def _survey_histograms():
     for seed in [*range(1, 31), 20260801, 4242]:
         values = build_example_survey(8000, seed).values
         hists += [_category_hist(values[:, j], None) for j in range(values.shape[1])]
-    return hists
+    return tuple(hists)
 
 
+@functools.cache
 def _sparse_histograms(count=300):
     """Seeded small histograms with empty categories, some of whose ZINB fits
     end on the upper bound of the log rate or the log dispersion."""
@@ -531,37 +535,42 @@ def _sparse_histograms(count=300):
         n[0] += rng.integers(0, 200)
         if n[1:].sum() > 0:
             hists.append(n)
-    return hists
+    return tuple(hists)
 
 
 class TestZinbFitMatchesReference:
-    """A censored ZINB fit makes one objective call over 4 points per L-BFGS-B
-    step and forms the finite-difference gradient itself.  Its results equal
-    ``reference.fit_zinb``'s, a scalar objective with scipy's own
-    ``approx_derivative``, in every field: the same starts, paths and
-    iteration counts."""
+    """Censored ZINB fits run every start of every histogram through one
+    ``_lbfgsb_lockstep`` call, evaluate the objective over 4 points per
+    waiting run and form the finite-difference gradient themselves.  Their
+    results equal ``reference.fit_zinb``'s, per histogram a scalar objective
+    under scipy's ``minimize`` with scipy's own ``approx_derivative``, in
+    every field: the same starts, paths and iteration counts."""
 
     @staticmethod
-    def reference_fit(monkeypatch, loglik, fit, *args):
+    def reference_fits(monkeypatch, hists):
+        """``fit_mle_censored`` of each histogram, its L-BFGS-B runs those of
+        ``reference.fit_zinb``."""
+
+        def fit_each(live):
+            fits = (fit_zinb(functools.partial(zinb_censored_loglik, n), marginals._zinb_starts(n))
+                    for n in live)
+            return [(params, loglik, converged, False, n_iter)
+                    for params, loglik, converged, n_iter in fits]
+
         with monkeypatch.context() as patch:
-            patch.setattr(marginals, "_fit_zinb", lambda _points, x0: fit_zinb(loglik, x0))
-            return fit(*args)
+            patch.setattr(marginals, "_fit_zinb", fit_each)
+            return [fit_mle_censored(n, ZINB) for n in hists]
 
     @pytest.mark.parametrize("source", ["survey", "sparse"])
     def test_censored(self, monkeypatch, source):
         hists = _survey_histograms() if source == "survey" else _sparse_histograms()
-        on_upper = np.zeros(2, dtype=bool)  # log rate, log dispersion
-        for n in hists:
-            expected = self.reference_fit(
-                monkeypatch,
-                lambda rate, disp, theta: zinb_censored_loglik(n, rate, disp, theta),
-                fit_mle_censored, n, ZINB,
-            )
-            fit = fit_mle_censored(n, ZINB)
+        fits = fit_mle_censored_batch(hists, ZINB)
+        for n, fit, expected in zip(hists, fits, self.reference_fits(monkeypatch, hists)):
             assert fit == expected, n
-            on_upper |= [fit.params.rate == math.exp(15.0), fit.params.dispersion == math.exp(20.0)]
+        on_upper = np.array([[fit.params.rate == math.exp(15.0),
+                              fit.params.dispersion == math.exp(20.0)] for fit in fits])
         if source == "sparse":  # fits that end where the step flips
-            assert on_upper.all()
+            assert on_upper.any(axis=0).all()
 
     def test_step_flips_where_scipy_flips(self):
         lower, upper = np.array(marginals._ZINB_BOUNDS).T
@@ -574,6 +583,70 @@ class TestZinbFitMatchesReference:
                 expected, _ = _adjust_scheme_to_bounds(x, np.full(3, 1e-8), 1, "1-sided", lower, upper)
                 assert np.array_equal(marginals._fd_step(x), expected), x
                 assert (expected[i] < 0) == flipped
+
+
+def _minimize(fun_and_grad, start, bounds, row=0):
+    """scipy's ``minimize`` on run ``row`` of a ``_lbfgsb_lockstep`` objective
+    alone, one point per call, with the fits' options."""
+
+    def one_point(x):
+        f, g = fun_and_grad(x[None, :], np.array([row]))
+        return f[0], g[0]
+
+    options = {"ftol": 1e-12, "gtol": 1e-10, "maxiter": marginals._LBFGS_MAXITER}
+    return optimize.minimize(one_point, start, jac=True, method="L-BFGS-B", bounds=bounds,
+                             options=options)
+
+
+def assert_runs_match(runs, expected):
+    assert len(runs) == len(expected)
+    for i, (run, res) in enumerate(zip(runs, expected)):
+        assert np.array_equal(run.x, res.x), i
+        assert (run.fun, run.nit, run.nfev, run.success) == (res.fun, res.nit, res.nfev,
+                                                             res.success), i
+
+
+class TestLbfgsbLockstep:
+    """``_lbfgsb_lockstep`` runs every start as scipy's ``minimize`` runs it
+    alone: x, fun, nit, nfev and success equal bit for bit."""
+
+    def test_every_histogram_in_one_batch(self):
+        hists = _survey_histograms() + _sparse_histograms()
+        x0 = [x for n in hists for x in marginals._zinb_starts(n)]
+        fun_and_grad = marginals._zinb_fun_and_grad(np.repeat(hists, 3, axis=0))
+        runs = marginals._lbfgsb_lockstep(fun_and_grad, x0, marginals._ZINB_BOUNDS)
+        expected = [_minimize(fun_and_grad, x, marginals._ZINB_BOUNDS, row)
+                    for row, x in enumerate(x0)]
+        assert_runs_match(runs, expected)
+        # the runs end at many different rounds, some short of CONVERGENCE
+        assert len({run.nfev for run in runs}) > 20
+        assert {run.success for run in runs} == {False, True}
+
+    @pytest.mark.parametrize("maxiter", [500, 3])
+    def test_starts_outside_the_bounds(self, monkeypatch, maxiter):
+        # Rosenbrock's function with its analytic gradient, in a box without its minimum
+        bounds = [(-2.0, 0.5), (-1.0, 2.0), (0.0, 3.0)]
+        x0 = [[-5.0, 0.0, 1.0], [0.3, 4.0, -1.0], [0.0, 0.0, 0.0], [-1.2, 1.0, 1.0]]
+        lower, upper = np.array(bounds).T
+        assert sum(np.any(np.clip(x, lower, upper) != x) for x in x0) == 2
+
+        def fun_and_grad(x, rows):
+            return [optimize.rosen(p) for p in x], [optimize.rosen_der(p) for p in x]
+
+        monkeypatch.setattr(marginals, "_LBFGS_MAXITER", maxiter)
+        runs = marginals._lbfgsb_lockstep(fun_and_grad, x0, bounds)
+        assert_runs_match(runs, [_minimize(fun_and_grad, x, bounds) for x in x0])
+        if maxiter == 3:
+            assert all(run.nit == 3 and not run.success for run in runs)
+        else:  # runs that converge, on the bound that cuts the minimum off
+            assert all(run.success and run.x[0] == 0.5 for run in runs)
+
+    def test_a_histogram_alone_equals_it_in_a_batch(self):
+        hists = list(_survey_histograms() + _sparse_histograms())
+        hists.insert(7, np.array([120.0, 0.0, 0.0, 0.0]))  # degenerate: no L-BFGS-B runs
+        batch = fit_mle_censored_batch(hists, ZINB)
+        assert batch == [fit_mle_censored(n, ZINB) for n in hists]
+        assert [fit.degenerate for fit in batch].count(True) == 1 and batch[7].degenerate
 
 
 def _em_loglik(y):
@@ -822,3 +895,45 @@ class TestProfiledZinb:
         # a negative binomial at dispersion e^20 is a Poisson to about 1e-8
         poisson = _exact_loglik(MarginalParams("zip", mean, 0.0), y, w)
         assert fit.loglik == pytest.approx(poisson, rel=1e-6)
+
+
+def _example_act_counts(seeds):
+    """The act columns of example_model() draws of 8000 rows, per seed."""
+    from ctssim.datasets import example_model
+    from ctssim.joint import sample_joint
+
+    return [y for seed in seeds
+            for y in sample_joint(example_model(), 8000, np.random.default_rng(seed)).T]
+
+
+class TestExactConverged:
+    """An exact ZINB fit whose L-BFGS-B run ends short of CONVERGENCE is
+    converged still where its projected gradient is within
+    _EXACT_PGTOL_PER_WEIGHT per unit of weight; a negative tolerance leaves
+    L-BFGS-B's own ``success`` alone to decide."""
+
+    def test_an_abnormal_end_at_the_optimum_is_converged(self, monkeypatch):
+        y = _example_act_counts([2])[6]
+        logpmf = marginals._nbinom_logpmf
+        # the NB log-pmf one ulp off in relative terms: the objective's
+        # rounding noise moves, and the line search ends abnormally
+        monkeypatch.setattr(marginals, "_nbinom_logpmf",
+                            lambda *args: logpmf(*args) * np.nextafter(1.0, 2.0))
+        fit = fit_mle_exact(y, ZINB)
+        monkeypatch.setattr(marginals, "_EXACT_PGTOL_PER_WEIGHT", -1.0)
+        by_success = fit_mle_exact(y, ZINB)
+        assert fit.converged and not by_success.converged
+        assert (fit.params, fit.loglik, fit.n_iter) == (by_success.params, by_success.loglik,
+                                                        by_success.n_iter)
+
+    def test_no_successful_fit_stops_converging(self, monkeypatch):
+        cases = [(y, None) for y in _example_act_counts(range(1, 7))]
+        cases += [case for source in ("samples", 0, 1) for case in _exact_zinb_cases(source)]
+        fits = [fit_mle_exact(y, ZINB, w) for y, w in cases]
+        monkeypatch.setattr(marginals, "_EXACT_PGTOL_PER_WEIGHT", -1.0)
+        by_success = [fit_mle_exact(y, ZINB, w) for y, w in cases]
+        for fit, old in zip(fits, by_success):
+            assert fit.converged or not old.converged
+            assert (fit.params, fit.loglik, fit.n_iter) == (old.params, old.loglik, old.n_iter)
+        # seed 5's first act ends abnormally at its optimum
+        assert sum(fit.converged for fit in fits) > sum(fit.converged for fit in by_success)
