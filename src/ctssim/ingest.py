@@ -37,7 +37,6 @@ from .marginals import (
     cdf_table,
     cdf_table_size,
     count_cells,
-    fit_mle_censored,
     fit_mle_censored_batch,
     fit_mle_exact,
 )
@@ -511,10 +510,9 @@ def _category_gof(fit: FitResult, observed: np.ndarray) -> float | None:
 def _fit_acts(table: SurveyTable, family: str) -> list[ActFit]:
     """Each act's margin fit to its counts or categories, per the table's
     mode, and its category GOF.  A counts-mode margin whose CDF table would
-    pass the limit is refused, naming the act and its largest count.  The
-    ZINB fits of a categories-mode table run together, in one
-    ``fit_mle_censored_batch`` call; ZIP's are rate roots that share no
-    work, one ``fit_mle_censored`` call per act."""
+    pass the limit is refused, naming the act and its largest count.  A
+    categories-mode table's acts are fitted in one ``fit_mle_censored_batch``
+    call."""
     if table.mode == "counts":
         fits, observed = [], []
         for act, column in zip(table.acts, table.values.T):
@@ -528,8 +526,7 @@ def _fit_acts(table: SurveyTable, family: str) -> list[ActFit]:
             observed.append(_category_hist(coding.categorize(column), table.weights))
     else:
         observed = [_category_hist(column, table.weights) for column in table.values.T]
-        fits = (fit_mle_censored_batch(observed, family) if family == ZINB
-                else [fit_mle_censored(n, family) for n in observed])
+        fits = fit_mle_censored_batch(observed, family)
     return [ActFit(act.label, fit, _category_gof(fit, n))
             for act, fit, n in zip(table.acts, fits, observed)]
 

@@ -25,9 +25,12 @@ from scipy.special import digamma, gammaln, pdtr, pdtrc, pdtrik, xlog1py, xlogy
 # caller when it wants f and g at a new point.  scipy's ``minimize`` drives it
 # for one problem at a time; ``_lbfgsb_lockstep`` drives many at once, so one
 # objective call serves every run that waits.  scipy exposes the routine only
-# privately; TestLbfgsbLockstep and TestZinbFitMatchesReference in
-# tests/test_marginals.py pin every run of ``_lbfgsb_lockstep`` to scipy's
-# ``minimize`` bit for bit.
+# privately, and its signature has changed between releases (the Fortran to
+# C port dropped ``csave`` and added ``ln_task``), so a scipy that changes it
+# again breaks every ZINB and exact NB fit with a TypeError; pyproject.toml
+# caps scipy at the minor release tested.  TestLbfgsbLockstep and
+# TestZinbFitMatchesReference in tests/test_marginals.py pin every run of
+# ``_lbfgsb_lockstep`` to scipy's ``minimize`` bit for bit.
 from scipy.optimize import _lbfgsb, brentq
 
 # The Boost negative-binomial ufuncs that scipy.stats.nbinom dispatches to.
@@ -691,8 +694,8 @@ def fit_mle_censored_batch(histograms, family: str = ZIP) -> list[FitResult]:
     hists = [_category_counts(h) for h in histograms]
     n_pos = [float(np.sum(n[1:])) for n in hists]
     if family == ZINB:
-        live = np.array([n for n, p in zip(hists, n_pos) if p > 0]).reshape(-1, N_CATEGORIES)
-        fitted = iter(_fit_zinb(live))  # _fit_result asks for them in order, p > 0 only
+        live = np.array([n for n, p in zip(hists, n_pos) if p != 0]).reshape(-1, N_CATEGORIES)
+        fitted = iter(_fit_zinb(live))  # _fit_result asks for them in order, where n_pos != 0
         return [_fit_result(family, p, lambda _p: next(fitted)) for p in n_pos]
     return [_fit_result(family, p, _fit_zip_censored, n) for n, p in zip(hists, n_pos)]
 
@@ -701,8 +704,8 @@ def _category_counts(category_counts) -> np.ndarray:
     n = np.asarray(category_counts, dtype=float)
     if n.shape != (N_CATEGORIES,):
         raise ValueError(f"expected {N_CATEGORIES} category counts")
-    if np.any(n < 0) or np.sum(n) <= 0:
-        raise ValueError("category counts must be non-negative with positive total")
+    if not np.all(np.isfinite(n)) or np.any(n < 0) or np.sum(n) <= 0:
+        raise ValueError("category counts must be finite, non-negative with positive total")
     return n
 
 

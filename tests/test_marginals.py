@@ -16,6 +16,7 @@ from scipy.optimize._numdiff import _adjust_scheme_to_bounds
 from ctssim import marginals
 from ctssim.marginals import (
     ZINB,
+    ZIP,
     MarginalParams,
     _count,
     _exact_loglik,
@@ -438,6 +439,15 @@ class TestFitCensored:
         with pytest.raises(ValueError):
             fit_mle_censored([-1.0, 2.0, 1.0, 0.0], "zip")
 
+    @pytest.mark.parametrize("family", ["zip", "zinb"])
+    @pytest.mark.parametrize("bad", [[np.nan, 1.0, 2.0, 3.0], [1.0, np.nan, 2.0, 3.0],
+                                     [np.inf, 1.0, 2.0, 3.0], [10.0, 1.0, 2.0, np.inf]])
+    def test_non_finite_histogram_errors(self, family, bad):
+        with pytest.raises(ValueError, match="category counts must be finite"):
+            fit_mle_censored(bad, family)
+        with pytest.raises(ValueError, match="category counts must be finite"):  # a batch refuses it before any fit
+            fit_mle_censored_batch([[50.0, 10.0, 5.0, 2.0], bad, [40.0, 8.0, 6.0, 1.0]], family)
+
 
 class TestLoglik:
     def test_matches_pointwise_pmf_log(self):
@@ -647,6 +657,11 @@ class TestLbfgsbLockstep:
         batch = fit_mle_censored_batch(hists, ZINB)
         assert batch == [fit_mle_censored(n, ZINB) for n in hists]
         assert [fit.degenerate for fit in batch].count(True) == 1 and batch[7].degenerate
+
+    def test_zip_batch_equals_one_fit_per_histogram(self):
+        hists = list(_survey_histograms())
+        hists.insert(3, np.array([120.0, 0.0, 0.0, 0.0]))
+        assert fit_mle_censored_batch(hists, ZIP) == [fit_mle_censored(n, ZIP) for n in hists]
 
 
 def _em_loglik(y):
