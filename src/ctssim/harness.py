@@ -22,17 +22,20 @@ stacked arrays: the grid builds the copula sampler and draws the control
 counts (``draw_streams``, then ``finish_draw``; so ``sample_control(n,
 rng)`` must depend on ``n`` and ``rng`` alone), each set of target columns
 draws the uniforms and the permutation behind the arms and takes the
-control arm's moments (``share``), and each cell maps the uniforms through
-its CDF, looks its effects up in its tables and takes the treated arm's
-moments and the true effects (``CellKernel.respond``).  A cell keeps these
-per replication and estimates them all, both codings, in one
-``estimation.hc2_from_moments`` call after the last block.
+control arm's moments (``share``), the cells of a target whose CDFs start
+at the same no-effect share and whose effects span the same count classes
+gather the rows they act on and those rows' count classes (``hits``), and
+each cell maps those rows' uniforms through its CDF, looks its effects up
+in its tables and takes the treated arm's moments and the true effects
+(``CellKernel.respond``).  A cell keeps these per replication and
+estimates them all, both codings, in one ``estimation.hc2_from_moments``
+call after the last block.
 
 A grid runs on two threads.  One helper thread, started by
 ``scenario_grid`` and joined before it returns, runs ``draw_streams`` for
-the next block while the calling thread runs ``finish_draw``, ``share``
-and ``respond`` on the current one; the helper's standard normals fill
-without the GIL.  Every other step runs on the calling thread.
+the next block while the calling thread runs ``finish_draw``, ``share``,
+``hits`` and ``respond`` on the current one; the helper's standard normals
+fill without the GIL.  Every other step runs on the calling thread.
 """
 
 from __future__ import annotations
@@ -154,10 +157,13 @@ _CLASSES = 2 * _CATEGORY_CAP + 1
 _BLOCK_ROWS = 8192
 
 
-def _coded(sums: np.ndarray) -> np.ndarray:
-    """Rows of sum-coded outcomes under each of CODINGS, stacked on a new
+def _coded(sums: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The sum-coded outcomes ``sums[rows]`` under each of CODINGS, on a new
     first axis: binary 1 where the sum is positive, then the sum itself."""
-    return np.stack([sums > 0, sums])
+    coded = np.empty((len(CODINGS), *rows.shape))
+    np.take(sums, rows, out=coded[1], mode="clip")  # "raise" would buffer out
+    np.greater(coded[1], 0, out=coded[0])
+    return coded
 
 
 def _category_scores(rows: np.ndarray, counts: np.ndarray, n_rows: int) -> np.ndarray:
@@ -240,7 +246,7 @@ def share(y0: np.ndarray, score0: np.ndarray, rngs: Sequence[np.random.Generator
     output and the generators as ``draw_streams`` left them: one uniform
     per violent row, the randomization, and the control arm's codings and
     moments.  Every cell whose target has these columns can ``respond`` to
-    it."""
+    it, with its ``hits``."""
     b, n, k = y0.shape
     targeted = y0.reshape(b * n, k)[:, cols]
     violent = targeted.any(axis=1)  # counts are never negative
@@ -255,7 +261,38 @@ def share(y0: np.ndarray, score0: np.ndarray, rngs: Sequence[np.random.Generator
     arm0 = np.flatnonzero(~treated).reshape(b, n - n // 2)
     sum0 = score0 / (coding.MAX_CATEGORY * k)
     return TargetDraw(y0, score0, sum0, targeted, np.flatnonzero(violent), np.concatenate(u), arm1,
-                      _mean_var(_coded(sum0[arm0])))
+                      _mean_var(_coded(sum0, arm0)))
+
+
+class Hits(NamedTuple):
+    """The rows of a block that the cells of one target act on when they
+    share a no-effect share and an effect span: ``hits``' output."""
+
+    affected: np.ndarray  # violent rows of a type with an effect, ascending
+    u: np.ndarray  # their uniforms
+    before: np.ndarray  # (h, k) their targeted counts
+    base: np.ndarray  # (h, k) min(count, 5) + clip(count, *span), a class before its offset
+    score0: np.ndarray  # their category-score row sums
+    positive0: np.ndarray  # score0 > 0: binary 1 untreated
+    rep: np.ndarray  # their replication's index within the block
+    # with no affected rows: the treated arm's _mean_var, as it is untreated
+    untreated: tuple[np.ndarray, np.ndarray] | None
+
+
+def hits(shared: TargetDraw, no_effect: float, span: tuple[int, int]) -> Hits:
+    """The rows of ``share``'s block that every cell of its target acts on
+    whose response-type CDF starts at ``no_effect`` and whose effect span,
+    (x + floor, x + 5) at magnitude x, is ``span``: the violent rows whose
+    uniform is at least ``no_effect``, with what their cells look up."""
+    hit = np.flatnonzero(shared.u >= no_effect)
+    affected = shared.violent[hit]
+    before = shared.targeted[affected]
+    base = np.minimum(before, _CATEGORY_CAP)
+    base += np.clip(before, *span)
+    score0 = shared.score0[affected]
+    untreated = None if len(affected) else _mean_var(_coded(shared.sum0, shared.arm1))
+    return Hits(affected, shared.u[hit], before, base, score0, score0 > 0,
+                affected // shared.y0.shape[1], untreated)
 
 
 class CellKernel:
@@ -298,39 +335,36 @@ class CellKernel:
         self.slope, self.intercept = np.zeros((2, self.score_change.size), dtype=np.int64)
         self.slope[keys], self.intercept[keys] = slope, after - counts - slope * counts
 
-    def respond(self, shared: TargetDraw) -> tuple[tuple, np.ndarray, np.ndarray]:
+    def respond(self, shared: TargetDraw, hits: Hits) -> tuple[tuple, np.ndarray, np.ndarray]:
         """The cell's own work on a block of B replications, from ``share``'s
-        output for its target columns (read, never written): response types,
-        effects, the treated arm's codings and the true effects.  Returns
-        the treated arm's ``_mean_var`` and the true effects, (2, B) each, a
-        row per coding, and the (B,) mean latent count changes."""
+        output for its target columns and ``hits``' output for its CDF's
+        first entry and its span (both read, never written): response
+        types, effects, the treated arm's codings and the true effects.
+        Returns the treated arm's ``_mean_var`` and the true effects, (2, B)
+        each, a row per coding, and the (B,) mean latent count changes."""
         b, n, k = shared.y0.shape
+        if hits.untreated is not None:  # no row changes: the arms differ by chance alone
+            return hits.untreated, np.zeros((len(CODINGS), b)), np.zeros(b)
         t0 = time.perf_counter()
-        # the affected rows (violent, of a type with an effect), their keys
-        hit = np.flatnonzero(shared.u >= self.cdf[0])
-        affected = shared.violent[hit]
-        before = shared.targeted[affected]
-        key = np.minimum(before, _CATEGORY_CAP)
-        key += np.clip(before, *self.span)
-        drawn = self.cdf.searchsorted(shared.u[hit], side="right")
-        key += (_CLASSES * drawn - self.span[0])[:, None]
+        # the affected rows' types, and their keys into the effect tables
+        drawn = self.cdf.searchsorted(hits.u, side="right")
+        key = hits.base + (_CLASSES * drawn - self.span[0])[:, None]
         # row sums as float products with ones: exact below 2**53, never wrapping
-        ones = np.ones(before.shape[1])
-        score1 = shared.score0[affected] + self.score_change.take(key) @ ones
-        latent = (self.intercept.take(key) + self.slope.take(key) * before).astype(float) @ ones
+        ones = np.ones(key.shape[1])
+        score1 = hits.score0 + self.score_change.take(key) @ ones
+        latent = (self.intercept.take(key) + self.slope.take(key) * hits.before).astype(float) @ ones
         t1 = time.perf_counter()
         # the sum coding under treatment, the codings' true effects, and
         # each replication's integer count change, summed exactly as floats
         sum1 = shared.sum0.copy()
-        sum1[affected] = score1 / (coding.MAX_CATEGORY * k)
-        rows = affected // n
-        truth = np.stack([
-            np.bincount(rows, weights=np.subtract(score1 > 0, shared.score0[affected] > 0,
-                                                  dtype=float), minlength=b),
-            (sum1 - shared.sum0).reshape(b, n).sum(axis=1),  # np.mean's own arithmetic
-        ]) / n
-        treated = _mean_var(_coded(sum1[shared.arm1]))
-        latent = np.bincount(rows, weights=latent, minlength=b) / n
+        sum1[hits.affected] = score1 / (coding.MAX_CATEGORY * k)
+        truth = np.empty((len(CODINGS), b))
+        truth[0] = np.bincount(hits.rep, weights=np.subtract(score1 > 0, hits.positive0, dtype=float),
+                               minlength=b)
+        np.sum((sum1 - shared.sum0).reshape(b, n), axis=1, out=truth[1])  # np.mean's arithmetic
+        truth /= n
+        treated = _mean_var(_coded(sum1, shared.arm1))
+        latent = np.bincount(hits.rep, weights=latent, minlength=b) / n
         self.stage_s[0] += t1 - t0
         self.stage_s[1] += time.perf_counter() - t1
         return treated, truth, latent
@@ -426,13 +460,16 @@ class CellResult:
     config: SimulationConfig
     stats: dict[str, PerformanceStats]
     reps: Replications
-    wall_s: float  # seconds of the cell's own work: respond, its HC2 call and summarize
+    # seconds of the cell's own work: respond (its type draw, lookups,
+    # codings and truths), its HC2 call and summarize
+    wall_s: float
     summary_s: float  # seconds in summarize (statistics and their MC SEs)
     # seconds of the control draws and of the targets' shared work (uniforms,
-    # arms, control-arm moments), which the cells of one grid share, so each
-    # carries the grid's totals; not part of wall_s.  draw_s is the calling
-    # thread's: waiting for the helper's streams and finish_draw; prefetch_s
-    # is the helper thread's draw_streams, which overlaps the other work
+    # arms, control-arm moments, and each hit set's rows and count classes),
+    # which the cells of one grid share, so each carries the grid's totals;
+    # not part of wall_s.  draw_s is the calling thread's: waiting for the
+    # helper's streams and finish_draw; prefetch_s is the helper thread's
+    # draw_streams, which overlaps the other work
     draw_s: float
     prefetch_s: float
     target_s: float
@@ -467,10 +504,13 @@ def scenario_grid(
         raise TypeError("model must be a MultiActModel or expose sample_control(n, rng)")
     kernels = [CellKernel(replace(base_config, scenario=replace(scenario, target=target)))
                for scenario in scenarios for target in targets]
-    # cells whose targets resolve to the same columns share the target work
-    groups: dict[tuple, list[int]] = {}
+    # cells whose targets resolve to the same columns share the target work,
+    # and of those, cells whose CDFs start at the same float and whose spans
+    # are equal share a hit set: target columns -> (cdf[0], span) -> cells
+    groups: dict[tuple, dict[tuple, list[int]]] = {}
     for j, kernel in enumerate(kernels):
-        groups.setdefault(tuple(kernel.cols), []).append(j)
+        (groups.setdefault(tuple(kernel.cols), {})
+         .setdefault((float(kernel.cdf[0]), kernel.span), []).append(j))
     m = base_config.n_reps
     size = max(1, _BLOCK_ROWS // base_config.n_units)
     blocks = [range(start, min(start + size, m)) for start in range(0, m, size)]
@@ -507,19 +547,25 @@ def scenario_grid(
             t1 = clock()
             draw_s += t1 - t0
             rows = slice(reps.start, reps.stop)
-            for members in groups.values():
+            for cols, hit_sets in groups.items():
                 for rng, state in zip(rngs, states):
                     rng.bit_generator.state = state
-                shared = share(y0, score0, rngs, kernels[members[0]].cols)
-                t2 = clock()
-                target_s += t2 - t1
-                t1 = t2
-                for j in members:
-                    treated, truth, latents[j][rows] = kernels[j].respond(shared)
-                    moments[j][:, :, rows] = (*treated, *shared.control, truth)
+                shared = share(y0, score0, rngs, np.asarray(cols, dtype=np.intp))
+                for (no_effect, span), members in hit_sets.items():
+                    hit_set = hits(shared, no_effect, span)
                     t2 = clock()
-                    cell_s[j] += t2 - t1
+                    target_s += t2 - t1
                     t1 = t2
+                    for j in members:
+                        treated, truth, latents[j][rows] = kernels[j].respond(shared, hit_set)
+                        moments[j][:, :, rows] = (*treated, *shared.control, truth)
+                        t2 = clock()
+                        cell_s[j] += t2 - t1
+                        t1 = t2
+                    # freed before the next block's arrays are allocated: a
+                    # hit set held over them left a one-cell copula grid
+                    # faulting in fresh pages on most blocks
+                    del hit_set
     except ReplicationError:
         raise
     except Exception as exc:  # noqa: BLE001 - re-raise with replication context

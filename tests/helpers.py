@@ -61,7 +61,8 @@ def write_example_counts_survey(directory) -> tuple[str, str]:
 
 def replicate(kernel: CellKernel, rep_index: int, return_schedule: bool = False) -> dict:
     """Replication ``rep_index`` of ``kernel``'s cell, run as a block of
-    one; deterministic given (seed, rep_index).
+    one (``draw_streams``, ``finish_draw``, ``share``, ``hits`` and
+    ``CellKernel.respond``); deterministic given (seed, rep_index).
 
     Returns {"binary": {...}, "sum": {...}} with estimate, se, p_value,
     ci_low, ci_high and true_ate per coding as floats, and the mean latent
@@ -76,7 +77,8 @@ def replicate(kernel: CellKernel, rep_index: int, return_schedule: bool = False)
     rngs, block = harness.draw_streams(config, copula, range(rep_index, rep_index + 1))
     y0, score0 = harness.finish_draw(copula, block)
     shared = harness.share(y0, score0, rngs, kernel.cols)
-    treated, truth, latent = kernel.respond(shared)
+    treated, truth, latent = kernel.respond(
+        shared, harness.hits(shared, float(kernel.cdf[0]), kernel.span))
     reps = harness._replications(np.stack([*treated, *shared.control, truth]), latent, config)
     record = {c: {f: float(v[0]) for f, v in reps.data[c].items()} for c in CODINGS}
     record["latent_sum_true"] = float(reps.latent_sum_true[0])

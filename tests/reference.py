@@ -1,10 +1,11 @@
 """The reference replication pipeline: one stage function per step.
 
-``harness`` runs a replication as one fused kernel (``draw``, ``share``
-and ``CellKernel.respond``).  These are the same steps written plainly,
-one function each, as the specification the kernel is pinned to:
-``test_harness`` checks that a replication of the kernel equals these
-functions run on the same random stream, bit for bit.
+``harness`` runs a replication as one fused kernel (``draw_streams``,
+``finish_draw``, ``share``, ``hits`` and ``CellKernel.respond``).  These
+are the same steps written plainly, one function each, as the
+specification the kernel is pinned to: ``test_harness`` checks that a
+replication of the kernel equals these functions run on the same random
+stream, bit for bit.
 ``counts_from_uniforms`` is the inverse-transform rule of the copula draw,
 ``hc2_from_moments`` the HC2 estimate of one replication on Python floats,
 ``hc2_from_arms`` that estimate from the arms' outcome vectors, and

@@ -298,15 +298,18 @@ class TestKernelMatchesReference:
                 for f in REPLICATION_FIELDS:
                     assert reps.data[c][f][i] == rec[c][f]
 
-    @pytest.mark.parametrize("run", [
-        run_cell,
-        lambda cfg: scenario_grid(cfg, [scenario_preset("null"), scenario_preset("cessation_only")],
-                                  ["all", "physical", (1, 3)]),
+    @pytest.mark.parametrize("run, hit_sets", [
+        (run_cell, 1),
+        # "all" and "physical" are the same 3 columns; null and
+        # cessation_only each have a hit set on each of the 2 column sets
+        (lambda cfg: scenario_grid(cfg, [scenario_preset("null"), scenario_preset("cessation_only")],
+                                   ["all", "physical", (1, 3)]), 4),
     ], ids=["cell", "grid"])
-    def test_per_cell_work_runs_once(self, monkeypatch, run):
-        # a grid's cells share one copula sampler, so it too validates once
-        calls = {"validate": 0, "latent": 0}
-        validate, latent = MultiActModel.validate, joint._latent_transform
+    def test_per_cell_work_runs_once(self, monkeypatch, run, hit_sets):
+        # a grid's cells share one copula sampler, so it too validates once,
+        # and each block's hit sets are gathered once
+        calls = {"validate": 0, "latent": 0, "hits": 0}
+        validate, latent, hits = MultiActModel.validate, joint._latent_transform, harness.hits
 
         def counted_validate(model):
             calls["validate"] += 1
@@ -316,11 +319,17 @@ class TestKernelMatchesReference:
             calls["latent"] += 1
             return latent(sigma)
 
+        def counted_hits(shared, no_effect, span):
+            calls["hits"] += 1
+            return hits(shared, no_effect, span)
+
         cfg = config(n_reps=12)
+        assert cfg.n_reps * cfg.n_units <= _BLOCK_ROWS  # one block
         monkeypatch.setattr(MultiActModel, "validate", counted_validate)
         monkeypatch.setattr(joint, "_latent_transform", counted_latent)
+        monkeypatch.setattr(harness, "hits", counted_hits)
         run(cfg)
-        assert calls == {"validate": 1, "latent": 1}
+        assert calls == {"validate": 1, "latent": 1, "hits": hit_sets}
 
     def test_bad_sampler_output_rejected(self):
         class NegativeModel:
@@ -383,6 +392,7 @@ class TestReplicationMajorGrid:
 
     @staticmethod
     def assert_cells_match_reference(base, scenarios, targets):
+        """The grid's cells, each checked against its per-cell reference."""
         cells = scenario_grid(base, scenarios, targets)
         assert len(cells) == len(scenarios) * len(targets)
         for cell in cells:
@@ -392,6 +402,7 @@ class TestReplicationMajorGrid:
                 for f in REPLICATION_FIELDS:
                     assert np.array_equal(cell.reps.data[c][f], data[c][f]), (cell.config.scenario, c, f)
             assert np.array_equal(cell.reps.latent_sum_true, latent), cell.config.scenario
+        return cells
 
     def test_copula_model_welch(self):
         base = SimulationConfig(
@@ -441,6 +452,52 @@ class TestReplicationMajorGrid:
         # each of the 8 cells alone, a block of one per replication
         assert calls[:3 * 2] == [(0, 1, 2), (1,), (2, 1, 0)] * 2
         assert len(calls) == 3 * 2 + 8 * base.n_reps
+
+    @pytest.mark.parametrize("df", ["normal", "welch"])
+    def test_scenarios_share_hit_sets(self, monkeypatch, df):
+        # the three presets leave the same 70% of violent rows alone and
+        # have one span, so they share each block's hit set; null leaves
+        # every row alone, and the custom scenario has a span of its own
+        calls = []
+        hits = harness.hits
+
+        def counted_hits(shared, no_effect, span):
+            calls.append((no_effect, span))
+            return hits(shared, no_effect, span)
+
+        monkeypatch.setattr(harness, "hits", counted_hits)
+        base = config(n_units=BLOCK_UNITS, n_reps=2 * B, df=df)
+        scenarios = [scenario_preset(name) for name in
+                     ("cessation_only", "cessation_reduction", "reduction_only", "null")]
+        scenarios.append(EffectScenario((0.7, 0.1, 0.2, 0.0), magnitude=3, name="m3"))
+        self.assert_cells_match_reference(base, scenarios, [(2, 3)])
+        # the grid gathers 3 hit sets over 2 blocks; then the reference runs
+        # each of the 5 cells alone, a block of one per replication
+        assert calls[:3 * 2] == [(0.7, (3, 7)), (1.0, (3, 7)), (0.7, (4, 8))] * 2
+        assert len(calls) == 3 * 2 + 5 * base.n_reps
+
+    @pytest.mark.parametrize("df", ["normal", "welch"])
+    def test_empty_hit_sets(self, df):
+        # a scenario that leaves every row alone acts on no row; "none", at
+        # another magnitude, has a hit set of its own, as empty as null's
+        base = config(n_units=BLOCK_UNITS, n_reps=B + 1, df=df)
+        scenarios = [scenario_preset("null"),
+                     EffectScenario((1.0, 0.0, 0.0, 0.0), magnitude=5, name="none")]
+        for cell in self.assert_cells_match_reference(base, scenarios, ["all", (2,)]):
+            for values in (*(cell.reps.data[c]["true_ate"] for c in CODINGS),
+                           cell.reps.latent_sum_true):
+                assert np.all(values == 0.0) and not np.signbit(values).any()
+        # the two cells' treated moments, block by block
+        copula = CopulaSampler(base.model)
+        rngs, block = harness.draw_streams(base, copula, range(B))
+        y0, score0 = harness.finish_draw(copula, block)
+        for target in ("all", (2,)):
+            kernels = [CellKernel(replace(base, scenario=replace(s, target=target)))
+                       for s in scenarios]
+            shared = harness.share(y0, score0, rngs, kernels[0].cols)
+            null, none = (k.respond(shared, harness.hits(shared, float(k.cdf[0]), k.span))[0]
+                          for k in kernels)
+            assert all(np.array_equal(a, b) for a, b in zip(null, none))
 
     @pytest.mark.parametrize("df", ["normal", "welch"])
     def test_custom_magnitude_and_floor_on_one_target(self, df):
