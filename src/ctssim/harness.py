@@ -275,8 +275,6 @@ class Hits(NamedTuple):
     score0: np.ndarray  # their category-score row sums
     positive0: np.ndarray  # score0 > 0: binary 1 untreated
     rep: np.ndarray  # their replication's index within the block
-    # with no affected rows: the treated arm's _mean_var, as it is untreated
-    untreated: tuple[np.ndarray, np.ndarray] | None
 
 
 def hits(shared: TargetDraw, no_effect: float, span: tuple[int, int]) -> Hits:
@@ -290,9 +288,8 @@ def hits(shared: TargetDraw, no_effect: float, span: tuple[int, int]) -> Hits:
     base = np.minimum(before, _CATEGORY_CAP)
     base += np.clip(before, *span)
     score0 = shared.score0[affected]
-    untreated = None if len(affected) else _mean_var(_coded(shared.sum0, shared.arm1))
     return Hits(affected, shared.u[hit], before, base, score0, score0 > 0,
-                affected // shared.y0.shape[1], untreated)
+                affected // shared.y0.shape[1])
 
 
 class CellKernel:
@@ -335,20 +332,26 @@ class CellKernel:
         self.slope, self.intercept = np.zeros((2, self.score_change.size), dtype=np.int64)
         self.slope[keys], self.intercept[keys] = slope, after - counts - slope * counts
 
-    def respond(self, shared: TargetDraw, hits: Hits) -> tuple[tuple, np.ndarray, np.ndarray]:
+    def respond(self, shared: TargetDraw, hits: Hits,
+                alone: bool = False) -> tuple[tuple, np.ndarray, np.ndarray]:
         """The cell's own work on a block of B replications, from ``share``'s
         output for its target columns and ``hits``' output for its CDF's
-        first entry and its span (both read, never written): response
-        types, effects, the treated arm's codings and the true effects.
-        Returns the treated arm's ``_mean_var`` and the true effects, (2, B)
-        each, a row per coding, and the (B,) mean latent count changes."""
+        first entry and its span (both read, never written, except that
+        ``hits.base`` becomes the cell's keys when ``alone`` says no other
+        cell reads it): response types, effects, the treated arm's codings
+        and the true effects.  Returns the treated arm's ``_mean_var`` and
+        the true effects, (2, B) each, a row per coding, and the (B,) mean
+        latent count changes."""
         b, n, k = shared.y0.shape
-        if hits.untreated is not None:  # no row changes: the arms differ by chance alone
-            return hits.untreated, np.zeros((len(CODINGS), b)), np.zeros(b)
         t0 = time.perf_counter()
+        if not len(hits.affected):  # no row changes: the arms differ by chance alone
+            treated = _mean_var(_coded(shared.sum0, shared.arm1))
+            self.stage_s[1] += time.perf_counter() - t0
+            return treated, np.zeros((len(CODINGS), b)), np.zeros(b)
         # the affected rows' types, and their keys into the effect tables
         drawn = self.cdf.searchsorted(hits.u, side="right")
-        key = hits.base + (_CLASSES * drawn - self.span[0])[:, None]
+        key = np.add(hits.base, (_CLASSES * drawn - self.span[0])[:, None],
+                     out=hits.base if alone else None)
         # row sums as float products with ones: exact below 2**53, never wrapping
         ones = np.ones(key.shape[1])
         score1 = hits.score0 + self.score_change.take(key) @ ones
@@ -557,7 +560,8 @@ def scenario_grid(
                     target_s += t2 - t1
                     t1 = t2
                     for j in members:
-                        treated, truth, latents[j][rows] = kernels[j].respond(shared, hit_set)
+                        treated, truth, latents[j][rows] = kernels[j].respond(
+                            shared, hit_set, alone=len(members) == 1)
                         moments[j][:, :, rows] = (*treated, *shared.control, truth)
                         t2 = clock()
                         cell_s[j] += t2 - t1
