@@ -38,6 +38,7 @@ from .harness import (
     scenario_preset,
 )
 from .ingest import (
+    _RHO_LIMIT,
     EmpiricalResampler,
     SurveyFormatError,
     _atomic_write_text,
@@ -443,6 +444,8 @@ def cmd_fit(args) -> int:
     header = "act family rate zero_prob disp loglik gof_p converged boundary".split()
     print("\n".join(_table(header, rows, markdown=False)))
     print(f"nearest_psd moved sigma by {report.sigma_psd_distance:.3g} (Frobenius norm)")
+    clamped = ", ".join(f"({table.acts[j].index}, {table.acts[l].index})" for j, l in report.clamped)
+    print(f"latent correlation clamped at +/-{_RHO_LIMIT} for acts: {clamped or 'none'}")
     return 0
 
 

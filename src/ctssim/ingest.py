@@ -21,10 +21,10 @@ import operator
 import os
 import tempfile
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.optimize import brentq
 from scipy.special import chdtrc, ndtr, ndtri
 
 from . import coding
@@ -379,41 +379,86 @@ _GL_NODES, _GL_WEIGHTS = leggauss(12)
 _Z_LIMIT = 8.5
 
 
-def _score_corr_theory(cell_j, cell_k):
-    """The correlation of two acts' discretized normal scores implied by a
-    Gaussian copula, as a function of its latent correlation rho.
+class _Quadrature(NamedTuple):
+    """The rho-free part of the score-correlation quadrature for one act, or
+    a stack of acts with as many cells: as the integrated act, its latent
+    nodes (12 Gauss-Legendre nodes per cell, cut at +-_Z_LIMIT), their
+    normal densities and weights; as the conditioned act, its cells' upper
+    latent bounds; and its scores."""
 
-    E[s_j s_k] integrates act j's latent value over each of its cells by
-    Gauss-Legendre quadrature, with act k's cell probabilities given that
-    value.  ``cell_j`` and ``cell_k`` are ``_cell_structure`` results.
-    Everything but act k's conditional probabilities (the score moments,
-    the nodes, weights and normal densities) is free of rho and computed
-    here, once per pair; the returned function does the rest.
-    """
-    pj, bj, sj = cell_j
-    pk, bk, sk = cell_k
-    mu_j, mu_k = float(pj @ sj), float(pk @ sk)
-    sd_j = float(np.sqrt(pj @ (sj * sj) - mu_j * mu_j))
-    sd_k = float(np.sqrt(pk @ (sk * sk) - mu_k * mu_k))
-    mu_jk, sd_jk = mu_j * mu_k, sd_j * sd_k
-    lo = np.concatenate([[-_Z_LIMIT], bj[:-1]])
-    hi = np.minimum(bj, _Z_LIMIT)
+    z: np.ndarray
+    density: np.ndarray
+    weights: np.ndarray
+    bounds: np.ndarray
+    scores: np.ndarray
+
+
+def _act_quadrature(cell) -> tuple[float, float, _Quadrature]:
+    """One act's score mean, score standard deviation and ``_Quadrature``,
+    from its ``_cell_structure``."""
+    p, bounds, scores = cell
+    mu = float(p @ scores)
+    sd = float(np.sqrt(p @ (scores * scores) - mu * mu))
+    lo = np.concatenate([[-_Z_LIMIT], bounds[:-1]])
+    hi = np.minimum(bounds, _Z_LIMIT)
     lo = np.minimum(lo, hi)
     mid, half = (hi + lo) / 2.0, (hi - lo) / 2.0
-    nodes = mid[:, None] + half[:, None] * _GL_NODES[None, :]
-    weights = half[:, None] * _GL_WEIGHTS[None, :]
-    z = nodes.ravel()
+    z = (mid[:, None] + half[:, None] * _GL_NODES[None, :]).ravel()
     density = np.exp(-0.5 * z * z) / np.sqrt(2.0 * np.pi)
-    z = z[:, None]
-    bk_low = np.concatenate([[-np.inf], bk[:-1]])
+    weights = half[:, None] * _GL_WEIGHTS[None, :]
+    return mu, sd, _Quadrature(z, density, weights, bounds, scores)
 
-    def corr(rho: float) -> float:
-        tau = np.sqrt(max(1.0 - rho * rho, 1e-12))
-        cond = (ndtr((bk - rho * z) / tau) - ndtr((bk_low - rho * z) / tau)) @ sk
-        per_cell = np.sum((density * cond).reshape(weights.shape) * weights, axis=1)
-        return (float(sj @ per_cell) - mu_jk) / sd_jk
 
-    return corr
+class _ScoreCorrelation:
+    """The correlation of two acts' discretized normal scores implied by a
+    Gaussian copula, as a function of its latent correlation rho, for many
+    pairs of acts at once.
+
+    E[s_j s_l] integrates act j's latent value over each of its cells by
+    Gauss-Legendre quadrature, with act l's cell probabilities given that
+    value.  Everything but act l's conditional probabilities is free of rho
+    and built here, once per act (``_act_quadrature``), in one stack per
+    number of cells.  A call evaluates the pairs of each (cells of j, cells
+    of l) shape with stacked ``ndtr`` and ``matmul`` calls, which give the
+    same bits as evaluating the pairs one at a time.
+    """
+
+    def __init__(self, cells):
+        mu, sd, quads = zip(*(_act_quadrature(cell) for cell in cells))
+        self.mu, self.sd = np.array(mu), np.array(sd)
+        self.n_cells = np.array([len(q.scores) for q in quads])
+        self.slot = np.zeros(len(quads), dtype=int)
+        self.stacks = {}
+        for n in np.unique(self.n_cells):
+            acts = np.flatnonzero(self.n_cells == n)
+            self.slot[acts] = np.arange(acts.size)
+            self.stacks[n] = _Quadrature(*map(np.stack, zip(*(quads[a] for a in acts))))
+
+    def __call__(self, j: np.ndarray, l: np.ndarray, rho: np.ndarray) -> np.ndarray:
+        """The score correlation of each act pair (j[i], l[i]) at rho[i]."""
+        shapes = self.n_cells[j] * (self.n_cells.max() + 1) + self.n_cells[l]
+        out = np.empty(rho.size)
+        for key in np.unique(shapes):
+            group = shapes == key
+            out[group] = self._evaluate(j[group], l[group], rho[group])
+        return out
+
+    def _evaluate(self, j, l, rho):
+        """``__call__`` for pairs of one shape."""
+        q_j, rows_j = self.stacks[self.n_cells[j[0]]], self.slot[j]
+        q_l, rows_l = self.stacks[self.n_cells[l[0]]], self.slot[l]
+        weights = q_j.weights[rows_j]
+        tau = np.sqrt(np.maximum(1.0 - rho * rho, 1e-12))[:, None, None]
+        rz = rho[:, None, None] * q_j.z[rows_j][:, :, None]
+        # a cell's lower bound is the upper bound of the cell below, or -inf (ndtr 0)
+        cdf = ndtr((q_l.bounds[rows_l][:, None, :] - rz) / tau)
+        mass = cdf.copy()
+        mass[:, :, 1:] -= cdf[:, :, :-1]
+        cond = mass @ q_l.scores[rows_l][:, :, None]
+        per_cell = np.sum((q_j.density[rows_j] * cond[:, :, 0]).reshape(weights.shape) * weights,
+                          axis=2)
+        cross = (q_j.scores[rows_j][:, None, :] @ per_cell[:, :, None])[:, 0, 0]
+        return (cross - self.mu[j] * self.mu[l]) / (self.sd[j] * self.sd[l])
 
 
 def _empirical_scores(codes: np.ndarray, weights: np.ndarray | None) -> np.ndarray:
@@ -424,14 +469,110 @@ def _empirical_scores(codes: np.ndarray, weights: np.ndarray | None) -> np.ndarr
     return ndtri(np.clip((cum + low) / 2.0, 1e-12, 1.0 - 1e-12))[codes]
 
 
-def _weighted_corr(a: np.ndarray, b: np.ndarray, weights: np.ndarray | None) -> float:
-    w = np.ones(len(a)) if weights is None else weights
+def _score_correlations(scores: list[np.ndarray], weights: np.ndarray | None,
+                        j: np.ndarray, l: np.ndarray) -> np.ndarray:
+    """The weighted Pearson correlation of the empirical scores of each act
+    pair (j[i], l[i]): each act's centred scores, weighted scores and
+    weighted variance once, then one dot product per pair."""
+    w = np.ones(len(scores[0])) if weights is None else weights
     w = w / w.sum()
-    am, bm = a - w @ a, b - w @ b
-    return float((w * am) @ bm / np.sqrt(((w * am) @ am) * ((w * bm) @ bm)))
+    centred = [a - w @ a for a in scores]
+    weighted = [w * a for a in centred]
+    variance = np.array([wa @ a for wa, a in zip(weighted, centred)])
+    cross = np.array([weighted[a] @ centred[b] for a, b in zip(j.tolist(), l.tolist())])
+    return cross / np.sqrt(variance[j] * variance[l])
 
 
 _RHO_LIMIT = 0.9995
+_ROOT_XTOL = 1e-6
+
+# scipy's default relative tolerance and iteration limit for ``brentq``
+_BRENTQ_RTOL = 4 * np.finfo(float).eps
+_BRENTQ_MAXITER = 100
+
+
+def _check_gaps(x: np.ndarray, f: np.ndarray):
+    """Refuse NaN function values, with ``brentq``'s message."""
+    if np.isnan(f).any():
+        raise ValueError(f"The function value at x={x[np.isnan(f)][0]} is NaN; "
+                         "solver cannot continue.")
+
+
+def _brentq_lockstep(gaps, xa, xb, fa, fb, xtol: float,
+                     maxiter: int = _BRENTQ_MAXITER) -> tuple[np.ndarray, np.ndarray]:
+    """The roots of many functions, each within its own bracket [xa[i], xb[i]],
+    all searched in lockstep.  Returns (roots, iterations).
+
+    ``fa`` and ``fb`` are the functions' values at the bracket ends, and
+    ``gaps(x, rows)`` their values at the points ``x`` of the brackets
+    ``rows`` (ascending indices into ``xa``).  Each round takes every
+    bracket still searching one step and evaluates them all with one call.
+
+    Each bracket repeats scipy's ``brentq(f, xa, xb, xtol, maxiter=maxiter)``
+    step for step, so its root, iteration count and evaluated points equal
+    ``brentq``'s bit for bit.  This is the loop of Brent's method (Brent
+    1973, ch. 4; Press et al., Numerical Recipes, 2nd ed., section 9.3) as
+    scipy's C implementation runs it: an end with a zero value is the root;
+    otherwise each iteration keeps the bracket end of the opposite sign as
+    xblk, swaps so that |f(xcur)| <= |f(xblk)|, and stops when f(xcur) == 0
+    or the half-bracket sbis = (xblk - xcur) / 2 is within delta = (xtol +
+    _BRENTQ_RTOL |xcur|) / 2.  Otherwise it takes the secant (or inverse
+    quadratic) step stry only when the previous step was larger than delta,
+    |f(xcur)| < |f(xpre)|, and 2 |stry| < min(|spre|, 3 |sbis| - delta), and
+    bisects otherwise; it moves by the step, or by delta toward xblk when
+    the step is smaller.  As ``brentq`` does, a NaN value raises ValueError,
+    as do ends of one sign, and a bracket still searching after ``maxiter``
+    iterations raises RuntimeError.  A bracket with an end at a root takes
+    no iteration; ``brentq`` leaves its count unset.
+    """
+    xpre, xcur = np.array(xa, dtype=float), np.array(xb, dtype=float)
+    fpre, fcur = np.array(fa, dtype=float), np.array(fb, dtype=float)
+    _check_gaps(xpre, fpre)
+    _check_gaps(xcur, fcur)
+    roots = np.where(fpre == 0, xpre, xcur)
+    iterations = np.zeros(roots.size, dtype=int)
+    rows = np.flatnonzero((fpre != 0) & (fcur != 0))
+    xpre, xcur, fpre, fcur = xpre[rows], xcur[rows], fpre[rows], fcur[rows]
+    if np.any(np.signbit(fpre) == np.signbit(fcur)):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk, fblk, spre, scur = (np.zeros(rows.size) for _ in range(4))
+    for _ in range(maxiter):
+        if not rows.size:
+            break
+        iterations[rows] += 1
+        straddle = (fpre != 0) & (fcur != 0) & (np.signbit(fpre) != np.signbit(fcur))
+        xblk, fblk = np.where(straddle, xpre, xblk), np.where(straddle, fpre, fblk)
+        spre, scur = np.where(straddle, xcur - xpre, spre), np.where(straddle, xcur - xpre, scur)
+        swap = np.abs(fblk) < np.abs(fcur)
+        xpre, xcur, xblk = (np.where(swap, xcur, xpre), np.where(swap, xblk, xcur),
+                            np.where(swap, xcur, xblk))
+        fpre, fcur, fblk = (np.where(swap, fcur, fpre), np.where(swap, fblk, fcur),
+                            np.where(swap, fcur, fblk))
+        delta = (xtol + _BRENTQ_RTOL * np.abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        done = (fcur == 0) | (np.abs(sbis) < delta)
+        roots[rows[done]] = xcur[done]
+        go = ~done
+        rows, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur, delta, sbis = (
+            a[go] for a in (rows, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur, delta, sbis))
+        if not rows.size:
+            break
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            secant = -fcur * (xcur - xpre) / (fcur - fpre)
+            dpre = (fpre - fcur) / (xpre - xcur)
+            dblk = (fblk - fcur) / (xblk - xcur)
+            quadratic = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            stry = np.where(xpre == xblk, secant, quadratic)
+            short = ((np.abs(spre) > delta) & (np.abs(fcur) < np.abs(fpre))
+                     & (2 * np.abs(stry) < np.minimum(np.abs(spre), 3 * np.abs(sbis) - delta)))
+        spre, scur = np.where(short, scur, sbis), np.where(short, stry, sbis)
+        xpre, fpre = xcur, fcur
+        xcur = xcur + np.where(np.abs(scur) > delta, scur, np.where(sbis > 0, delta, -delta))
+        fcur = np.asarray(gaps(xcur, rows), dtype=float)
+        _check_gaps(xcur, fcur)
+    if rows.size:
+        raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
+    return roots, iterations
 
 
 def latent_correlation_matrix(table: SurveyTable, margins) -> np.ndarray:
@@ -443,10 +584,14 @@ def latent_correlation_matrix(table: SurveyTable, margins) -> np.ndarray:
     Gaussian copula: a root search over rho, each step of which evaluates
     the pair's score correlation by quadrature over the acts' cells (their
     categories, or ``count_cells``, which also bin the survey).  The rho-free
-    part (score moments, nodes, weights, normal densities) is computed once
-    per pair, before the search starts.  An act with zero_prob = 1, or with
-    its rows of positive weight in one cell, gets zero correlation.  The
-    result is symmetric but not necessarily PSD; project with ``nearest_psd``.
+    part (score moments, nodes, weights, normal densities) is built once per
+    act (``_ScoreCorrelation``).  One call evaluates every pair's gap at the
+    limits +-_RHO_LIMIT; a pair whose root lies at or past a limit takes the
+    limit, and the others' root searches run in lockstep
+    (``_brentq_lockstep``, starting from those gaps), one evaluation of
+    every searching pair per round.  An act with zero_prob = 1, or with its
+    rows of positive weight in one cell, gets zero correlation.  The result
+    is symmetric but not necessarily PSD; project with ``nearest_psd``.
     """
     k = table.n_acts
     margins = tuple(margins)
@@ -454,25 +599,27 @@ def latent_correlation_matrix(table: SurveyTable, margins) -> np.ndarray:
     coded = [count_cells(m, c) if table.mode == "counts" else (c, category_probs(m))
              for c, m in zip(table.values.T, margins)]
     positive = slice(None) if table.weights is None else table.weights > 0
-    scores = [_empirical_scores(c, table.weights) for c, _ in coded]
-    degenerate = [m.zero_prob >= 1 or np.ptp(c[positive]) == 0 for m, (c, _) in zip(margins, coded)]
-    cells = [_cell_structure(p) for _, p in coded]
+    acts = [a for a, (m, (c, _)) in enumerate(zip(margins, coded))
+            if not (m.zero_prob >= 1 or np.ptp(c[positive]) == 0)]
     sigma = np.eye(k)
-    for j in range(k):
-        for l in range(j + 1, k):
-            if degenerate[j] or degenerate[l]:
-                continue
-            r_obs = _weighted_corr(scores[j], scores[l], table.weights)
-            corr = _score_corr_theory(cells[j], cells[l])
-            at_limit = {r: corr(r) - r_obs for r in (-_RHO_LIMIT, _RHO_LIMIT)}
-            if at_limit[_RHO_LIMIT] <= 0.0:
-                rho = _RHO_LIMIT
-            elif at_limit[-_RHO_LIMIT] >= 0.0:
-                rho = -_RHO_LIMIT
-            else:  # brentq starts from the limits: their gaps are reused
-                rho = brentq(lambda r: at_limit[r] if r in at_limit else corr(r) - r_obs,
-                             -_RHO_LIMIT, _RHO_LIMIT, xtol=1e-6)
-            sigma[j, l] = sigma[l, j] = rho
+    if len(acts) < 2:
+        return sigma
+    j, l = np.triu_indices(len(acts), 1)
+    observed = _score_correlations([_empirical_scores(coded[a][0], table.weights) for a in acts],
+                                   table.weights, j, l)
+    corr = _ScoreCorrelation([_cell_structure(coded[a][1]) for a in acts])
+    n = j.size
+    limits = corr(np.tile(j, 2), np.tile(l, 2), np.repeat([-_RHO_LIMIT, _RHO_LIMIT], n))
+    lower, upper = limits[:n] - observed, limits[n:] - observed
+    rho = np.where(upper <= 0.0, _RHO_LIMIT, -_RHO_LIMIT)
+    # written so that a NaN gap goes to the search, which refuses it as brentq does
+    search = np.flatnonzero(~(upper <= 0.0) & ~(lower >= 0.0))
+    rho[search] = _brentq_lockstep(
+        lambda x, rows: corr(j[search[rows]], l[search[rows]], x) - observed[search[rows]],
+        np.full(search.size, -_RHO_LIMIT), np.full(search.size, _RHO_LIMIT),
+        lower[search], upper[search], xtol=_ROOT_XTOL)[0]
+    index = np.array(acts)
+    sigma[index[j], index[l]] = sigma[index[l], index[j]] = rho
     return sigma
 
 
@@ -493,6 +640,9 @@ class ActFit:
 class FitReport:
     per_act: list[ActFit]
     sigma_psd_distance: float  # Frobenius norm of nearest_psd(sigma) - sigma
+    # act pairs (table positions j < l) whose latent correlation is at +-_RHO_LIMIT:
+    # their root lies at or past the limit
+    clamped: list[tuple[int, int]]
 
 
 def _category_gof(fit: FitResult, observed: np.ndarray) -> float | None:
@@ -544,8 +694,10 @@ def fit_model(table: SurveyTable, family: str = "zip"):
     margins = tuple(act_fit.fit.params for act_fit in per_act)
     sigma = latent_correlation_matrix(table, margins)
     projected = nearest_psd(sigma)
+    clamped = [(int(j), int(l)) for j, l in zip(*np.triu_indices(table.n_acts, 1))
+               if abs(sigma[j, l]) == _RHO_LIMIT]
     return (MultiActModel(table.acts, margins, projected),
-            FitReport(per_act, float(np.linalg.norm(projected - sigma))))
+            FitReport(per_act, float(np.linalg.norm(projected - sigma)), clamped))
 
 
 def _category_hist(categories: np.ndarray, weights: np.ndarray | None) -> np.ndarray:

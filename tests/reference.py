@@ -19,8 +19,9 @@ The fit path has its own plain forms: ``read_survey`` validates each
 cell of a survey file in turn, ``zinb_censored_loglik`` builds the
 ``MarginalParams`` the ZINB fit's objective evaluates, ``fit_zinb`` runs
 L-BFGS-B on a scalar objective with scipy's own finite-difference
-gradient, and ``score_corr_theory`` computes a pair's quadrature afresh
-for every rho.
+gradient, ``score_corr_theory`` computes a pair's quadrature afresh
+for every rho, and ``latent_correlation_matrix`` searches each pair's
+latent correlation on its own with scipy's ``brentq``.
 ``test_ingest`` and ``test_marginals`` pin the fit path to them, bit for
 bit.  ``fit_zinb_exact_three_starts`` is the exact-count ZINB fit that the
 profiled fit replaced; ``test_marginals`` requires the profiled fit to
@@ -50,6 +51,8 @@ from ctssim.ingest import (
     MISSING_TOKENS,
     SurveyFormatError,
     SurveyTable,
+    _cell_structure,
+    _empirical_scores,
     _parse_descriptor,
 )
 from ctssim.joint import ActSpec
@@ -60,7 +63,9 @@ from ctssim.marginals import (
     MarginalParams,
     _expit,
     _nbinom_logpmf,
+    category_probs,
     censored_loglik,
+    count_cells,
 )
 from ctssim.outcomes import EffectScenario, target_columns
 
@@ -286,6 +291,45 @@ def score_corr_theory(rho: float, cell_j, cell_k) -> float:
     per_cell = np.sum((density * cond).reshape(nodes.shape) * weights, axis=1)
     cross = float(sj @ per_cell)
     return (cross - mu_j * mu_k) / (sd_j * sd_k)
+
+
+def weighted_corr(a: np.ndarray, b: np.ndarray, weights: np.ndarray | None) -> float:
+    """The weighted Pearson correlation of two acts' empirical scores."""
+    w = np.ones(len(a)) if weights is None else weights
+    w = w / w.sum()
+    am, bm = a - w @ a, b - w @ b
+    return float((w * am) @ bm / np.sqrt(((w * am) @ am) * ((w * bm) @ bm)))
+
+
+def latent_correlation_matrix(table: SurveyTable, margins) -> np.ndarray:
+    """``ingest.latent_correlation_matrix`` one pair at a time: each pair's
+    gaps at the limits +-0.9995, then, for a root between them, scipy's
+    ``brentq`` on ``score_corr_theory``."""
+    k = table.n_acts
+    coded = [count_cells(m, c) if table.mode == "counts" else (c, category_probs(m))
+             for c, m in zip(table.values.T, margins)]
+    positive = slice(None) if table.weights is None else table.weights > 0
+    scores = [_empirical_scores(c, table.weights) for c, _ in coded]
+    degenerate = [m.zero_prob >= 1 or np.ptp(c[positive]) == 0 for m, (c, _) in zip(margins, coded)]
+    cells = [_cell_structure(p) for _, p in coded]
+    sigma = np.eye(k)
+    for j in range(k):
+        for l in range(j + 1, k):
+            if degenerate[j] or degenerate[l]:
+                continue
+            r_obs = weighted_corr(scores[j], scores[l], table.weights)
+
+            def gap(rho):
+                return score_corr_theory(rho, cells[j], cells[l]) - r_obs
+
+            if gap(0.9995) <= 0.0:
+                rho = 0.9995
+            elif gap(-0.9995) >= 0.0:
+                rho = -0.9995
+            else:
+                rho = optimize.brentq(gap, -0.9995, 0.9995, xtol=1e-6)
+            sigma[j, l] = sigma[l, j] = rho
+    return sigma
 
 
 # ---------------------------------------------------------------------------

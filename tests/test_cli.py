@@ -14,12 +14,13 @@ import ctssim
 from ctssim import cli
 from ctssim.cli import RESULTS_SCHEMA_VERSION, main
 from ctssim.datasets import example_model, example_survey_paths
-from ctssim.ingest import fit_model, load_model, read_survey, save_model
+from ctssim.ingest import fit_model, load_model, read_survey, save_model, write_survey
 from ctssim.joint import ActSpec, MultiActModel
 from ctssim.marginals import MarginalParams
 from ctssim.outcomes import MAX_MAGNITUDE
 
 from helpers import report_loglik, write_example_counts_survey
+from test_ingest import duplicated_column_table
 
 
 def small_model():
@@ -220,6 +221,18 @@ class TestFit:
         assert lines[1].split()[-2:] == ["converged", "boundary"]
         assert all(set(line.split()[-2:]) <= {"True", "False"} for line in lines[2:12])
         assert lines[12].startswith("nearest_psd moved sigma by ")
+        assert lines[13] == "latent correlation clamped at +/-0.9995 for acts: none"
+
+    def test_clamped_pairs_named(self, tmp_path, capsys):
+        # acts 1 and 4 answer alike: their latent correlation stops at the limit
+        table = duplicated_column_table()
+        data, desc, out = (str(tmp_path / name) for name in ("s.csv", "s.json", "m.json"))
+        write_survey(table, data, desc)
+        assert main(["fit", "--data", data, "--descriptor", desc, "--family", "zip",
+                     "--out", out]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-2].startswith("nearest_psd moved sigma by ")
+        assert lines[-1] == "latent correlation clamped at +/-0.9995 for acts: (1, 4)"
 
     def test_missing_descriptor_usage_error(self, tmp_path):
         data, _ = example_survey_paths()

@@ -7,6 +7,7 @@ import json
 
 import numpy as np
 import pytest
+from scipy import optimize
 
 import reference
 from ctssim.coding import categorize
@@ -16,8 +17,9 @@ from ctssim.ingest import (
     EmpiricalResampler,
     SurveyFormatError,
     SurveyTable,
+    _brentq_lockstep,
     _cell_structure,
-    _score_corr_theory,
+    _ScoreCorrelation,
     fit_model,
     latent_correlation_matrix,
     load_model,
@@ -441,8 +443,9 @@ class TestReadSurveyMatchesReference:
 
 
 class TestScoreCorrelationMatchesReference:
-    """The split quadrature (its rho-free part once per pair, then the ndtr
-    calls per rho) equals ``reference.score_corr_theory`` bit for bit."""
+    """The batched quadrature (its rho-free part once per act, then stacked
+    ndtr and matmul calls per evaluation) equals
+    ``reference.score_corr_theory`` bit for bit."""
 
     MARGINS = [
         MarginalParams("zip", 2.36, 0.84),
@@ -459,10 +462,156 @@ class TestScoreCorrelationMatchesReference:
         cells = [_cell_structure(category_probs(m) if mode == "categories"
                                  else count_cells(m, np.arange(largest + 1))[1])
                  for m, largest in zip(self.MARGINS, self.LARGEST)]
-        for cell_j, cell_k in itertools.permutations(cells, 2):
-            corr = _score_corr_theory(cell_j, cell_k)
-            for rho in (-0.9995, -0.5, 0.0, 0.5, 0.9995):
-                assert corr(rho) == reference.score_corr_theory(rho, cell_j, cell_k)
+        pairs = list(itertools.permutations(range(len(cells)), 2))
+        rhos = (-0.9995, -0.5, 0.0, 0.5, 0.9995)
+        j, l, rho = (np.array(column) for column in zip(*((a, b, r) for r in rhos for a, b in pairs)))
+        got = _ScoreCorrelation(cells)(j, l, rho)
+        want = [reference.score_corr_theory(r, cells[a], cells[b]) for a, b, r in zip(j, l, rho)]
+        assert got.tobytes() == np.array(want).tobytes()
+
+
+def duplicated_column_table():
+    """A survey whose fourth act repeats the first: their root lies past +0.9995."""
+    table, _ = simulated_table(n=2000, seed=109)
+    values = table.values.copy()
+    values[:, 3] = values[:, 0]
+    return SurveyTable(table.acts, values, table.mode)
+
+
+class TestLatentCorrelationMatchesReference:
+    """The lockstep root searches give the sigma of
+    ``reference.latent_correlation_matrix``, one ``brentq`` per pair, bit
+    for bit."""
+
+    @staticmethod
+    def check(table, margins):
+        sigma = latent_correlation_matrix(table, margins)
+        assert sigma.tobytes() == reference.latent_correlation_matrix(table, margins).tobytes()
+        return sigma
+
+    def test_bundled_survey(self):
+        table = read_survey(*example_survey_paths())
+        self.check(table, fit_model(table, "zinb")[0].margins)
+
+    def test_counts_with_several_cell_shapes(self):
+        table, _ = simulated_table(n=3000, seed=110, mode="counts")
+        margins = fit_model(table, "zip")[0].margins
+        assert len({len(count_cells(m, c)[1]) for m, c in zip(margins, table.values.T)}) >= 3
+        self.check(table, margins)
+
+    def test_weighted_with_an_act_constant_on_weighted_rows(self):
+        table, _ = simulated_table(n=300, seed=106)
+        weights = np.tile([1.0, 2.5, 0.0], 100)
+        values = table.values.copy()
+        values[weights > 0, 1] = 2
+        table = SurveyTable(table.acts, values, table.mode, weights)
+        sigma = self.check(table, fit_model(table, "zip")[0].margins)
+        assert np.array_equal(sigma[1], np.eye(4)[1])
+
+    def test_root_past_the_upper_limit(self):
+        table = duplicated_column_table()
+        assert self.check(table, fit_model(table, "zip")[0].margins)[0, 3] == 0.9995
+
+
+class TestBrentqLockstep:
+    """Each bracket of one ``_brentq_lockstep`` call repeats scipy's
+    ``brentq`` on its own: the root's bits, the iteration count and the
+    points evaluated."""
+
+    N = 320
+
+    @classmethod
+    def problem(cls, seed=5):
+        """Brackets and a batched function with four shapes of root: simple,
+        nearly triple, sigmoid, and simple with a quintic tail.  The first
+        bracket starts at its root, the second ends at it."""
+        rng = np.random.default_rng(seed)
+        root = rng.uniform(-2.0, 2.0, cls.N)
+        scale = rng.uniform(0.05, 5.0, cls.N)
+        sign = rng.choice([-1.0, 1.0], cls.N)
+        shape = np.arange(cls.N) % 4
+        lo = root - rng.uniform(1e-3, 3.0, cls.N)
+        hi = root + rng.uniform(1e-3, 3.0, cls.N)
+        lo[0], hi[1] = root[0], root[1]
+
+        def f(x, rows):
+            d, c = x - root[rows], scale[rows]
+            value = np.select([shape[rows] == 0, shape[rows] == 1, shape[rows] == 2],
+                              [d * (1.0 + c * d * d), d * d * d + 1e-3 * c * d, d / (np.abs(d) + c)],
+                              d * d * d * d * d + c * d)
+            return sign[rows] * value
+
+        return lo, hi, f
+
+    @staticmethod
+    def lockstep(lo, hi, f, xtol, maxiter=100):
+        evaluated = [[] for _ in lo]
+
+        def gaps(x, rows):
+            for row, point in zip(rows, x.tolist()):
+                evaluated[row].append(point)
+            return f(x, rows)
+
+        ends = np.arange(len(lo))
+        roots, iterations = _brentq_lockstep(gaps, lo, hi, f(lo, ends), f(hi, ends), xtol, maxiter)
+        return roots, iterations, evaluated
+
+    @staticmethod
+    def brentq(lo, hi, f, row, xtol, maxiter=100):
+        points = []
+
+        def scalar(x):
+            points.append(x)
+            return float(f(np.array([x]), np.array([row]))[0])
+
+        root, result = optimize.brentq(scalar, lo[row], hi[row], xtol=xtol,
+                                       rtol=4 * np.finfo(float).eps, maxiter=maxiter,
+                                       full_output=True)
+        assert result.function_calls == len(points)
+        return root, result.iterations, points
+
+    @pytest.mark.parametrize("xtol", [1e-6, 1e-300])
+    def test_every_bracket_matches_brentq(self, xtol):
+        lo, hi, f = self.problem()
+        roots, iterations, evaluated = self.lockstep(lo, hi, f, xtol)
+        for row in range(self.N):
+            root, n_iter, points = self.brentq(lo, hi, f, row, xtol)
+            assert np.float64(root).tobytes() == roots[row].tobytes()
+            assert points == [lo[row], hi[row]] + evaluated[row]
+            if row > 1:  # brentq leaves the count unset for an end at a root
+                assert n_iter == iterations[row]
+        assert roots[0] == lo[0] and roots[1] == hi[1] and evaluated[0] == evaluated[1] == []
+        assert iterations[0] == iterations[1] == 0
+        assert len(set(iterations.tolist())) >= 5  # the brackets end in different rounds
+
+    def test_nan_raises_value_error(self):
+        lo, hi, f = self.problem()
+        row = 4  # its first interior point turns NaN
+
+        def poisoned(x, rows):
+            value = f(x, rows)
+            return np.where((rows == row) & (x != lo[row]) & (x != hi[row]), np.nan, value)
+
+        with pytest.raises(ValueError, match="is NaN; solver cannot continue"):
+            self.brentq(lo, hi, poisoned, row, 1e-6)
+        with pytest.raises(ValueError, match="is NaN; solver cannot continue"):
+            self.lockstep(lo, hi, poisoned, 1e-6)
+
+    def test_running_out_of_iterations_raises_runtime_error(self):
+        lo, hi, f = self.problem()
+        row = 5  # a nearly triple root: brentq needs more than 5 iterations
+        assert self.brentq(lo, hi, f, row, 1e-300)[1] > 5
+        with pytest.raises(RuntimeError, match="Failed to converge after 5 iterations"):
+            self.brentq(lo, hi, f, row, 1e-300, maxiter=5)
+        with pytest.raises(RuntimeError, match="Failed to converge after 5 iterations"):
+            self.lockstep(lo, hi, f, 1e-300, maxiter=5)
+
+    def test_ends_of_one_sign_raise_value_error(self):
+        def f(x, rows):
+            return x * x + 1.0
+
+        with pytest.raises(ValueError, match="different signs"):
+            _brentq_lockstep(f, [-1.0], [1.0], [2.0], [2.0], 1e-6)
 
 
 class TestFitModel:
@@ -574,27 +723,29 @@ class TestFitModel:
         assert np.all(model.sigma[np.ix_([0, 2, 3], [0, 2, 3])] != 0.0)
 
     def test_each_pair_evaluates_its_rho_limits_once(self, monkeypatch):
-        # the root search starts from the two limits, whose gaps the pair has computed
-        table, _ = simulated_table(n=2000, seed=109)
-        values = table.values.copy()
-        values[:, 3] = values[:, 0]  # a pair whose root lies past the upper limit
-        table = SurveyTable(table.acts, values, table.mode)
+        # the first call evaluates every pair at both limits; the root
+        # searches start from those gaps and never evaluate a limit again
+        table = duplicated_column_table()
         margins = fit_model(table, "zip")[0].margins
-        score_corr_theory, evaluated = ingest._score_corr_theory, []
+        evaluate, calls = ingest._ScoreCorrelation.__call__, []
 
-        def recording(cell_j, cell_k):
-            corr, rhos = score_corr_theory(cell_j, cell_k), []
-            evaluated.append(rhos)
-            return lambda rho: rhos.append(rho) or corr(rho)
+        def recording(self, j, l, rho):
+            calls.append(list(zip(j.tolist(), l.tolist(), rho.tolist())))
+            return evaluate(self, j, l, rho)
 
-        monkeypatch.setattr(ingest, "_score_corr_theory", recording)
+        monkeypatch.setattr(ingest._ScoreCorrelation, "__call__", recording)
         sigma = latent_correlation_matrix(table, margins)
-        assert len(evaluated) == 6
-        for rhos in evaluated:
-            assert sorted(rhos[:2]) == [-0.9995, 0.9995]
-            assert -0.9995 not in rhos[2:] and 0.9995 not in rhos[2:]
-        assert sigma[0, 3] == 0.9995 and len(evaluated[2]) == 2
-        assert min(len(rhos) for rhos in evaluated) == 2 < max(len(rhos) for rhos in evaluated)
+        pairs = list(itertools.combinations(range(4), 2))
+        assert sorted(calls[0]) == sorted((j, l, r) for j, l in pairs for r in (-0.9995, 0.9995))
+        searched = {(j, l) for call in calls[1:] for j, l, _ in call}
+        assert all(abs(r) < 0.9995 for call in calls[1:] for _, _, r in call)
+        assert sigma[0, 3] == 0.9995 and searched == set(pairs) - {(0, 3)}
+
+    def test_report_names_clamped_pairs(self):
+        _, report = fit_model(duplicated_column_table(), "zip")
+        assert report.clamped == [(0, 3)]
+        _, report = fit_model(simulated_table(n=2000, seed=109)[0], "zip")
+        assert report.clamped == []
 
     @pytest.mark.parametrize("dispersion", [0.3, 0.07])
     def test_overdispersed_counts_pair_fits(self, dispersion):
