@@ -241,7 +241,7 @@ def _config_number(key: str, value) -> float:
 
 def load_run_config(path: str, seed_override: int | None = None) -> RunConfig:
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             doc = json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
@@ -515,7 +515,7 @@ def _read_results(path: str) -> list[dict]:
     """The rows of a results.csv, each with every REPORT_FIELDS value filled
     and well-formed; a failure names the file and line."""
     rows = []
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.DictReader(fh)
         # raised after the schema version check, which names an old file as such
         lacking = [c for c in REPORT_FIELDS if c not in (reader.fieldnames or ())]

@@ -332,16 +332,13 @@ class CellKernel:
         self.slope, self.intercept = np.zeros((2, self.score_change.size), dtype=np.int64)
         self.slope[keys], self.intercept[keys] = slope, after - counts - slope * counts
 
-    def respond(self, shared: TargetDraw, hits: Hits,
-                alone: bool = False) -> tuple[tuple, np.ndarray, np.ndarray]:
+    def respond(self, shared: TargetDraw, hits: Hits) -> tuple[tuple, np.ndarray, np.ndarray]:
         """The cell's own work on a block of B replications, from ``share``'s
         output for its target columns and ``hits``' output for its CDF's
-        first entry and its span (both read, never written, except that
-        ``hits.base`` becomes the cell's keys when ``alone`` says no other
-        cell reads it): response types, effects, the treated arm's codings
-        and the true effects.  Returns the treated arm's ``_mean_var`` and
-        the true effects, (2, B) each, a row per coding, and the (B,) mean
-        latent count changes."""
+        first entry and its span (both read, never written): response types,
+        effects, the treated arm's codings and the true effects.  Returns the
+        treated arm's ``_mean_var`` and the true effects, (2, B) each, a row
+        per coding, and the (B,) mean latent count changes."""
         b, n, k = shared.y0.shape
         t0 = time.perf_counter()
         if not len(hits.affected):  # no row changes: the arms differ by chance alone
@@ -350,8 +347,7 @@ class CellKernel:
             return treated, np.zeros((len(CODINGS), b)), np.zeros(b)
         # the affected rows' types, and their keys into the effect tables
         drawn = self.cdf.searchsorted(hits.u, side="right")
-        key = np.add(hits.base, (_CLASSES * drawn - self.span[0])[:, None],
-                     out=hits.base if alone else None)
+        key = hits.base + (_CLASSES * drawn - self.span[0])[:, None]
         # row sums as float products with ones: exact below 2**53, never wrapping
         ones = np.ones(key.shape[1])
         score1 = hits.score0 + self.score_change.take(key) @ ones
@@ -560,8 +556,7 @@ def scenario_grid(
                     target_s += t2 - t1
                     t1 = t2
                     for j in members:
-                        treated, truth, latents[j][rows] = kernels[j].respond(
-                            shared, hit_set, alone=len(members) == 1)
+                        treated, truth, latents[j][rows] = kernels[j].respond(shared, hit_set)
                         moments[j][:, :, rows] = (*treated, *shared.control, truth)
                         t2 = clock()
                         cell_s[j] += t2 - t1

@@ -25,6 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
+from scipy.optimize.elementwise import find_root
 from scipy.special import chdtrc, ndtr, ndtri
 
 from . import coding
@@ -97,7 +98,7 @@ def _parse_descriptor(descriptor_path: str) -> dict:
     """The survey descriptor at ``descriptor_path``, checked; each error
     names the path."""
     try:
-        with open(descriptor_path, encoding="utf-8") as fh:
+        with open(descriptor_path, encoding="utf-8-sig") as fh:
             return _check_descriptor(json.load(fh))
     except FileNotFoundError:
         error = "descriptor file not found"
@@ -186,7 +187,7 @@ def read_survey(data_path: str, descriptor_path: str) -> SurveyTable:
     weights: list[float] = []
     n_dropped = 0
     try:
-        with open(data_path, newline="", encoding="utf-8") as fh:
+        with open(data_path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
             if header is None:
@@ -486,94 +487,6 @@ def _score_correlations(scores: list[np.ndarray], weights: np.ndarray | None,
 _RHO_LIMIT = 0.9995
 _ROOT_XTOL = 1e-6
 
-# scipy's default relative tolerance and iteration limit for ``brentq``
-_BRENTQ_RTOL = 4 * np.finfo(float).eps
-_BRENTQ_MAXITER = 100
-
-
-def _check_gaps(x: np.ndarray, f: np.ndarray):
-    """Refuse NaN function values, with ``brentq``'s message."""
-    if np.isnan(f).any():
-        raise ValueError(f"The function value at x={x[np.isnan(f)][0]} is NaN; "
-                         "solver cannot continue.")
-
-
-def _brentq_lockstep(gaps, xa, xb, fa, fb, xtol: float,
-                     maxiter: int = _BRENTQ_MAXITER) -> tuple[np.ndarray, np.ndarray]:
-    """The roots of many functions, each within its own bracket [xa[i], xb[i]],
-    all searched in lockstep.  Returns (roots, iterations).
-
-    ``fa`` and ``fb`` are the functions' values at the bracket ends, and
-    ``gaps(x, rows)`` their values at the points ``x`` of the brackets
-    ``rows`` (ascending indices into ``xa``).  Each round takes every
-    bracket still searching one step and evaluates them all with one call.
-
-    Each bracket repeats scipy's ``brentq(f, xa, xb, xtol, maxiter=maxiter)``
-    step for step, so its root, iteration count and evaluated points equal
-    ``brentq``'s bit for bit.  This is the loop of Brent's method (Brent
-    1973, ch. 4; Press et al., Numerical Recipes, 2nd ed., section 9.3) as
-    scipy's C implementation runs it: an end with a zero value is the root;
-    otherwise each iteration keeps the bracket end of the opposite sign as
-    xblk, swaps so that |f(xcur)| <= |f(xblk)|, and stops when f(xcur) == 0
-    or the half-bracket sbis = (xblk - xcur) / 2 is within delta = (xtol +
-    _BRENTQ_RTOL |xcur|) / 2.  Otherwise it takes the secant (or inverse
-    quadratic) step stry only when the previous step was larger than delta,
-    |f(xcur)| < |f(xpre)|, and 2 |stry| < min(|spre|, 3 |sbis| - delta), and
-    bisects otherwise; it moves by the step, or by delta toward xblk when
-    the step is smaller.  As ``brentq`` does, a NaN value raises ValueError,
-    as do ends of one sign, and a bracket still searching after ``maxiter``
-    iterations raises RuntimeError.  A bracket with an end at a root takes
-    no iteration; ``brentq`` leaves its count unset.
-    """
-    xpre, xcur = np.array(xa, dtype=float), np.array(xb, dtype=float)
-    fpre, fcur = np.array(fa, dtype=float), np.array(fb, dtype=float)
-    _check_gaps(xpre, fpre)
-    _check_gaps(xcur, fcur)
-    roots = np.where(fpre == 0, xpre, xcur)
-    iterations = np.zeros(roots.size, dtype=int)
-    rows = np.flatnonzero((fpre != 0) & (fcur != 0))
-    xpre, xcur, fpre, fcur = xpre[rows], xcur[rows], fpre[rows], fcur[rows]
-    if np.any(np.signbit(fpre) == np.signbit(fcur)):
-        raise ValueError("f(a) and f(b) must have different signs")
-    xblk, fblk, spre, scur = (np.zeros(rows.size) for _ in range(4))
-    for _ in range(maxiter):
-        if not rows.size:
-            break
-        iterations[rows] += 1
-        straddle = (fpre != 0) & (fcur != 0) & (np.signbit(fpre) != np.signbit(fcur))
-        xblk, fblk = np.where(straddle, xpre, xblk), np.where(straddle, fpre, fblk)
-        spre, scur = np.where(straddle, xcur - xpre, spre), np.where(straddle, xcur - xpre, scur)
-        swap = np.abs(fblk) < np.abs(fcur)
-        xpre, xcur, xblk = (np.where(swap, xcur, xpre), np.where(swap, xblk, xcur),
-                            np.where(swap, xcur, xblk))
-        fpre, fcur, fblk = (np.where(swap, fcur, fpre), np.where(swap, fblk, fcur),
-                            np.where(swap, fcur, fblk))
-        delta = (xtol + _BRENTQ_RTOL * np.abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        done = (fcur == 0) | (np.abs(sbis) < delta)
-        roots[rows[done]] = xcur[done]
-        go = ~done
-        rows, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur, delta, sbis = (
-            a[go] for a in (rows, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur, delta, sbis))
-        if not rows.size:
-            break
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            secant = -fcur * (xcur - xpre) / (fcur - fpre)
-            dpre = (fpre - fcur) / (xpre - xcur)
-            dblk = (fblk - fcur) / (xblk - xcur)
-            quadratic = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            stry = np.where(xpre == xblk, secant, quadratic)
-            short = ((np.abs(spre) > delta) & (np.abs(fcur) < np.abs(fpre))
-                     & (2 * np.abs(stry) < np.minimum(np.abs(spre), 3 * np.abs(sbis) - delta)))
-        spre, scur = np.where(short, scur, sbis), np.where(short, stry, sbis)
-        xpre, fpre = xcur, fcur
-        xcur = xcur + np.where(np.abs(scur) > delta, scur, np.where(sbis > 0, delta, -delta))
-        fcur = np.asarray(gaps(xcur, rows), dtype=float)
-        _check_gaps(xcur, fcur)
-    if rows.size:
-        raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
-    return roots, iterations
-
 
 def latent_correlation_matrix(table: SurveyTable, margins) -> np.ndarray:
     """Pairwise latent-normal correlations of the acts.
@@ -581,17 +494,18 @@ def latent_correlation_matrix(table: SurveyTable, margins) -> np.ndarray:
     The plain Pearson correlation of mid-rank normal scores is attenuated
     by the discreteness of the responses.  Each pair's rho instead inverts
     the score correlation that the fitted marginals imply under the
-    Gaussian copula: a root search over rho, each step of which evaluates
-    the pair's score correlation by quadrature over the acts' cells (their
-    categories, or ``count_cells``, which also bin the survey).  The rho-free
-    part (score moments, nodes, weights, normal densities) is built once per
-    act (``_ScoreCorrelation``).  One call evaluates every pair's gap at the
-    limits +-_RHO_LIMIT; a pair whose root lies at or past a limit takes the
-    limit, and the others' root searches run in lockstep
-    (``_brentq_lockstep``, starting from those gaps), one evaluation of
-    every searching pair per round.  An act with zero_prob = 1, or with its
-    rows of positive weight in one cell, gets zero correlation.  The result
-    is symmetric but not necessarily PSD; project with ``nearest_psd``.
+    Gaussian copula: a root within +-_RHO_LIMIT, each step of which
+    evaluates the pair's score correlation by quadrature over the acts'
+    cells (their categories, or ``count_cells``, which also bin the survey).
+    The rho-free part (score moments, nodes, weights, normal densities) is
+    built once per act (``_ScoreCorrelation``).  scipy's ``find_root``
+    (Chandrupatla's method) searches every pair's root at once, to within
+    _ROOT_XTOL, with one evaluation of every pair still searching per round.
+    A pair whose gap has one sign at both limits takes the limit its root
+    lies at or past.  An act with zero_prob = 1, or with its rows of
+    positive weight in one cell, gets zero correlation.  A NaN score
+    correlation raises ValueError.  The result is symmetric but not
+    necessarily PSD; project with ``nearest_psd``.
     """
     k = table.n_acts
     margins = tuple(margins)
@@ -604,21 +518,21 @@ def latent_correlation_matrix(table: SurveyTable, margins) -> np.ndarray:
     sigma = np.eye(k)
     if len(acts) < 2:
         return sigma
+    index = np.array(acts)
     j, l = np.triu_indices(len(acts), 1)
     observed = _score_correlations([_empirical_scores(coded[a][0], table.weights) for a in acts],
                                    table.weights, j, l)
     corr = _ScoreCorrelation([_cell_structure(coded[a][1]) for a in acts])
-    n = j.size
-    limits = corr(np.tile(j, 2), np.tile(l, 2), np.repeat([-_RHO_LIMIT, _RHO_LIMIT], n))
-    lower, upper = limits[:n] - observed, limits[n:] - observed
-    rho = np.where(upper <= 0.0, _RHO_LIMIT, -_RHO_LIMIT)
-    # written so that a NaN gap goes to the search, which refuses it as brentq does
-    search = np.flatnonzero(~(upper <= 0.0) & ~(lower >= 0.0))
-    rho[search] = _brentq_lockstep(
-        lambda x, rows: corr(j[search[rows]], l[search[rows]], x) - observed[search[rows]],
-        np.full(search.size, -_RHO_LIMIT), np.full(search.size, _RHO_LIMIT),
-        lower[search], upper[search], xtol=_ROOT_XTOL)[0]
-    index = np.array(acts)
+    res = find_root(lambda x, j, l, obs: corr(j, l, x) - obs, (-_RHO_LIMIT, _RHO_LIMIT),
+                    args=(j, l, observed), tolerances={"xatol": _ROOT_XTOL, "xrtol": 0.0})
+    nan = np.flatnonzero(res.status == -3)
+    if nan.size:
+        labels = [table.acts[index[a]].label for a in (j[nan[0]], l[nan[0]])]
+        raise ValueError(f"the score correlation of acts {labels} is NaN")
+    if np.any((res.status != 0) & (res.status != -1)):
+        raise RuntimeError(f"latent correlation root search failed: status {res.status.min()}")
+    rho = np.where(res.status == 0, res.x,
+                   np.where(res.f_bracket[1] <= 0.0, _RHO_LIMIT, -_RHO_LIMIT))
     sigma[index[j], index[l]] = sigma[index[l], index[j]] = rho
     return sigma
 
@@ -834,7 +748,7 @@ def save_model(model: MultiActModel, path: str):
 def load_model(path: str) -> MultiActModel:
     """Read a model file; a malformed one raises ValueError naming ``path``."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             payload = json.load(fh)
         version = payload.get("schema_version")
         if version != MODEL_SCHEMA_VERSION:

@@ -22,8 +22,10 @@ L-BFGS-B on a scalar objective with scipy's own finite-difference
 gradient, ``score_corr_theory`` computes a pair's quadrature afresh
 for every rho, and ``latent_correlation_matrix`` searches each pair's
 latent correlation on its own with scipy's ``brentq``.
-``test_ingest`` and ``test_marginals`` pin the fit path to them, bit for
-bit.  ``fit_zinb_exact_three_starts`` is the exact-count ZINB fit that the
+``test_ingest`` and ``test_marginals`` pin the fit path to them: bit for
+bit, except the latent correlations, which ``ingest`` finds with another
+root method and which must agree to within the root tolerance, 1e-6.
+``fit_zinb_exact_three_starts`` is the exact-count ZINB fit that the
 profiled fit replaced; ``test_marginals`` requires the profiled fit to
 match or beat its log-likelihood.  They are test code, not part of the
 ctssim package.

@@ -658,6 +658,15 @@ class TestReport:
             expected = float(pair["binary"]["power"]) - float(pair["sum"]["power"])
             assert float(rendered["power_diff"]) == pytest.approx(expected, abs=1e-15)
 
+    def test_byte_order_mark_ignored(self, results_dir, tmp_path, capsys):
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + (results_dir / "results.csv").read_bytes())
+        assert main(["report", "--results", str(path), "--format", "txt"]) == 0
+        assert "power_diff" in capsys.readouterr().out
+        plain = cli._read_results(str(results_dir / "results.csv"))
+        assert [{**row, "_source": None} for row in cli._read_results(str(path))] == \
+               [{**row, "_source": None} for row in plain]
+
     def test_version_mismatch_rejected(self, results_dir, tmp_path, capsys):
         rows = read_rows(results_dir / "results.csv")
         for row in rows:

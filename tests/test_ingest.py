@@ -1,13 +1,13 @@
 """Tests for survey ingestion, model calibration, and resampling."""
 
 import csv
+import functools
 import io
 import itertools
 import json
 
 import numpy as np
 import pytest
-from scipy import optimize
 
 import reference
 from ctssim.coding import categorize
@@ -17,7 +17,6 @@ from ctssim.ingest import (
     EmpiricalResampler,
     SurveyFormatError,
     SurveyTable,
-    _brentq_lockstep,
     _cell_structure,
     _ScoreCorrelation,
     fit_model,
@@ -84,6 +83,18 @@ class TestReadWrite:
         assert back.mode == table.mode
         assert back.acts == table.acts
         assert back.weights is None
+
+    def test_byte_order_mark_ignored(self, tmp_path):
+        # spreadsheets save "CSV UTF-8" with a BOM, which must not join the first column's name
+        data, desc = example_survey_paths()
+        bom = [tmp_path / "survey.csv", tmp_path / "survey.json"]
+        for path, original in zip(bom, (data, desc)):
+            with open(original, "rb") as fh:
+                path.write_bytes(b"\xef\xbb\xbf" + fh.read())
+        back, want = read_survey(*map(str, bom)), read_survey(data, desc)
+        assert np.array_equal(back.values, want.values)
+        assert (back.acts, back.mode, back.weights, back.n_dropped) == \
+               (want.acts, want.mode, want.weights, want.n_dropped)
 
     def test_small_file_parses(self, tmp_path):
         data = tmp_path / "tiny.csv"
@@ -479,14 +490,17 @@ def duplicated_column_table():
 
 
 class TestLatentCorrelationMatchesReference:
-    """The lockstep root searches give the sigma of
-    ``reference.latent_correlation_matrix``, one ``brentq`` per pair, bit
-    for bit."""
+    """``find_root``'s batched root searches give the sigma of
+    ``reference.latent_correlation_matrix``, one ``brentq`` per pair, to
+    within the root tolerance; clamped and zero entries are equal."""
 
     @staticmethod
     def check(table, margins):
         sigma = latent_correlation_matrix(table, margins)
-        assert sigma.tobytes() == reference.latent_correlation_matrix(table, margins).tobytes()
+        want = reference.latent_correlation_matrix(table, margins)
+        exact = (np.abs(want) == 0.9995) | (want == 0.0)
+        assert np.array_equal(sigma[exact], want[exact])
+        assert np.max(np.abs(sigma - want)) <= ingest._ROOT_XTOL
         return sigma
 
     def test_bundled_survey(self):
@@ -512,106 +526,16 @@ class TestLatentCorrelationMatchesReference:
         table = duplicated_column_table()
         assert self.check(table, fit_model(table, "zip")[0].margins)[0, 3] == 0.9995
 
-
-class TestBrentqLockstep:
-    """Each bracket of one ``_brentq_lockstep`` call repeats scipy's
-    ``brentq`` on its own: the root's bits, the iteration count and the
-    points evaluated."""
-
-    N = 320
-
-    @classmethod
-    def problem(cls, seed=5):
-        """Brackets and a batched function with four shapes of root: simple,
-        nearly triple, sigmoid, and simple with a quintic tail.  The first
-        bracket starts at its root, the second ends at it."""
-        rng = np.random.default_rng(seed)
-        root = rng.uniform(-2.0, 2.0, cls.N)
-        scale = rng.uniform(0.05, 5.0, cls.N)
-        sign = rng.choice([-1.0, 1.0], cls.N)
-        shape = np.arange(cls.N) % 4
-        lo = root - rng.uniform(1e-3, 3.0, cls.N)
-        hi = root + rng.uniform(1e-3, 3.0, cls.N)
-        lo[0], hi[1] = root[0], root[1]
-
-        def f(x, rows):
-            d, c = x - root[rows], scale[rows]
-            value = np.select([shape[rows] == 0, shape[rows] == 1, shape[rows] == 2],
-                              [d * (1.0 + c * d * d), d * d * d + 1e-3 * c * d, d / (np.abs(d) + c)],
-                              d * d * d * d * d + c * d)
-            return sign[rows] * value
-
-        return lo, hi, f
-
-    @staticmethod
-    def lockstep(lo, hi, f, xtol, maxiter=100):
-        evaluated = [[] for _ in lo]
-
-        def gaps(x, rows):
-            for row, point in zip(rows, x.tolist()):
-                evaluated[row].append(point)
-            return f(x, rows)
-
-        ends = np.arange(len(lo))
-        roots, iterations = _brentq_lockstep(gaps, lo, hi, f(lo, ends), f(hi, ends), xtol, maxiter)
-        return roots, iterations, evaluated
-
-    @staticmethod
-    def brentq(lo, hi, f, row, xtol, maxiter=100):
-        points = []
-
-        def scalar(x):
-            points.append(x)
-            return float(f(np.array([x]), np.array([row]))[0])
-
-        root, result = optimize.brentq(scalar, lo[row], hi[row], xtol=xtol,
-                                       rtol=4 * np.finfo(float).eps, maxiter=maxiter,
-                                       full_output=True)
-        assert result.function_calls == len(points)
-        return root, result.iterations, points
-
-    @pytest.mark.parametrize("xtol", [1e-6, 1e-300])
-    def test_every_bracket_matches_brentq(self, xtol):
-        lo, hi, f = self.problem()
-        roots, iterations, evaluated = self.lockstep(lo, hi, f, xtol)
-        for row in range(self.N):
-            root, n_iter, points = self.brentq(lo, hi, f, row, xtol)
-            assert np.float64(root).tobytes() == roots[row].tobytes()
-            assert points == [lo[row], hi[row]] + evaluated[row]
-            if row > 1:  # brentq leaves the count unset for an end at a root
-                assert n_iter == iterations[row]
-        assert roots[0] == lo[0] and roots[1] == hi[1] and evaluated[0] == evaluated[1] == []
-        assert iterations[0] == iterations[1] == 0
-        assert len(set(iterations.tolist())) >= 5  # the brackets end in different rounds
-
-    def test_nan_raises_value_error(self):
-        lo, hi, f = self.problem()
-        row = 4  # its first interior point turns NaN
-
-        def poisoned(x, rows):
-            value = f(x, rows)
-            return np.where((rows == row) & (x != lo[row]) & (x != hi[row]), np.nan, value)
-
-        with pytest.raises(ValueError, match="is NaN; solver cannot continue"):
-            self.brentq(lo, hi, poisoned, row, 1e-6)
-        with pytest.raises(ValueError, match="is NaN; solver cannot continue"):
-            self.lockstep(lo, hi, poisoned, 1e-6)
-
-    def test_running_out_of_iterations_raises_runtime_error(self):
-        lo, hi, f = self.problem()
-        row = 5  # a nearly triple root: brentq needs more than 5 iterations
-        assert self.brentq(lo, hi, f, row, 1e-300)[1] > 5
-        with pytest.raises(RuntimeError, match="Failed to converge after 5 iterations"):
-            self.brentq(lo, hi, f, row, 1e-300, maxiter=5)
-        with pytest.raises(RuntimeError, match="Failed to converge after 5 iterations"):
-            self.lockstep(lo, hi, f, 1e-300, maxiter=5)
-
-    def test_ends_of_one_sign_raise_value_error(self):
-        def f(x, rows):
-            return x * x + 1.0
-
-        with pytest.raises(ValueError, match="different signs"):
-            _brentq_lockstep(f, [-1.0], [1.0], [2.0], [2.0], 1e-6)
+    def test_root_past_the_lower_limit(self):
+        # the fourth act reverses the first: the gap keeps one sign over the
+        # bracket with f_bracket[1] > 0, so the pair clamps to -0.9995
+        table, _ = simulated_table(n=2000, seed=109)
+        values = table.values.copy()
+        values[:, 3] = values[:, 0].max() - values[:, 0]
+        table = SurveyTable(table.acts, values, table.mode)
+        model, report = fit_model(table, "zip")
+        assert self.check(table, model.margins)[0, 3] == -0.9995
+        assert report.clamped == [(0, 3)]
 
 
 class TestFitModel:
@@ -723,7 +647,7 @@ class TestFitModel:
         assert np.all(model.sigma[np.ix_([0, 2, 3], [0, 2, 3])] != 0.0)
 
     def test_each_pair_evaluates_its_rho_limits_once(self, monkeypatch):
-        # the first call evaluates every pair at both limits; the root
+        # the first two calls evaluate every pair at one limit each; the root
         # searches start from those gaps and never evaluate a limit again
         table = duplicated_column_table()
         margins = fit_model(table, "zip")[0].margins
@@ -736,10 +660,30 @@ class TestFitModel:
         monkeypatch.setattr(ingest._ScoreCorrelation, "__call__", recording)
         sigma = latent_correlation_matrix(table, margins)
         pairs = list(itertools.combinations(range(4), 2))
-        assert sorted(calls[0]) == sorted((j, l, r) for j, l in pairs for r in (-0.9995, 0.9995))
-        searched = {(j, l) for call in calls[1:] for j, l, _ in call}
-        assert all(abs(r) < 0.9995 for call in calls[1:] for _, _, r in call)
+        for call, limit in zip(calls, (-0.9995, 0.9995)):
+            assert sorted(call) == [(j, l, limit) for j, l in pairs]
+        searched = {(j, l) for call in calls[2:] for j, l, _ in call}
+        assert all(abs(r) < 0.9995 for call in calls[2:] for _, _, r in call)
         assert sigma[0, 3] == 0.9995 and searched == set(pairs) - {(0, 3)}
+
+    def test_nan_score_correlation_raises(self, monkeypatch):
+        table, _ = simulated_table(n=2000, seed=109)
+        margins = fit_model(table, "zip")[0].margins
+        evaluate = ingest._ScoreCorrelation.__call__
+
+        def poisoned(self, j, l, rho):
+            return np.where((j == 1) & (l == 2), np.nan, evaluate(self, j, l, rho))
+
+        monkeypatch.setattr(ingest._ScoreCorrelation, "__call__", poisoned)
+        with pytest.raises(ValueError, match=r"acts \['act 2', 'act 3'\] is NaN"):
+            latent_correlation_matrix(table, margins)
+
+    def test_root_search_out_of_iterations_raises(self, monkeypatch):
+        table, _ = simulated_table(n=2000, seed=109)
+        margins = fit_model(table, "zip")[0].margins
+        monkeypatch.setattr(ingest, "find_root", functools.partial(ingest.find_root, maxiter=2))
+        with pytest.raises(RuntimeError, match="root search failed: status -2"):
+            latent_correlation_matrix(table, margins)
 
     def test_report_names_clamped_pairs(self):
         _, report = fit_model(duplicated_column_table(), "zip")
