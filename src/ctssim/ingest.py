@@ -19,14 +19,13 @@ import csv
 import json
 import operator
 import os
+import re
 import tempfile
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 from scipy.optimize.elementwise import find_root
-from scipy.special import chdtrc, ndtr, ndtri
+from scipy.special import chdtrc, ndtri, owens_t
 
 from . import coding
 from .joint import ActSpec, MultiActModel, nearest_psd, validate_acts, validate_margins
@@ -46,6 +45,9 @@ MODEL_SCHEMA_VERSION = 1
 
 MISSING_TOKENS = {"", "na", "nan", "none", "null", "."}
 _MAX_COUNT = int(np.iinfo(np.int64).max)
+# an act cell, once stripped: ASCII digits with an optional sign; ``int``
+# alone would also read "1_0" as 10 and a full-width digit as its value
+_INTEGER = re.compile(r"[+-]?[0-9]+")
 
 
 class SurveyFormatError(ValueError):
@@ -84,6 +86,8 @@ class SurveyTable:
                 np.isfinite(self.weights) & (self.weights >= 0)
             ):
                 raise ValueError("weights must be a finite, non-negative length-n vector")
+            if not np.any(self.weights):
+                raise ValueError("weights must have a positive total")
 
     @property
     def n_rows(self) -> int:
@@ -157,10 +161,13 @@ def read_survey(data_path: str, descriptor_path: str) -> SurveyTable:
     fewer fields than the header, or more that are not empty, and a
     non-integer cell are parse errors reporting the file line; a negative
     cell, a category outside 0..3, or a count above the int64 maximum is a
-    validation error naming the row and column.  A header must name each
-    column the descriptor reads exactly once.  A file that is not UTF-8,
-    or that the csv module cannot split, is an error naming the file and
-    line.
+    validation error naming the row and column.  An act cell is an integer
+    when, stripped, it is ASCII digits with an optional sign; a weight cell
+    is a number that ``float`` reads and that holds no underscore or
+    non-ASCII character.  Weights must have a positive total.  A header
+    must name each column the descriptor reads exactly once.  A file that
+    is not UTF-8, or that the csv module cannot split, is an error naming
+    the file and line.
 
     Each distinct tuple of act cells, as read, is checked once.  A row
     first passes the checks that need all of it: one join finds a blank row
@@ -237,11 +244,13 @@ def read_survey(data_path: str, descriptor_path: str) -> SurveyTable:
                         n_dropped += 1
                         continue
                     try:
+                        if "_" in cell or not cell.isascii():
+                            raise ValueError(cell)
                         weights.append(float(cell))
                     except ValueError:
                         raise SurveyFormatError(
-                            f"{data_path}:{line_no}: weight column has non-numeric value {cell!r}"
-                        ) from None
+                            f"{data_path}:{line_no}: weight column {weight_col!r} has "
+                            f"non-numeric value {cell!r}") from None
                     if not 0.0 <= weights[-1] < np.inf:
                         raise SurveyFormatError(f"{data_path}:{line_no}: weight {cell!r} is not "
                                                 "a finite, non-negative number")
@@ -253,6 +262,8 @@ def read_survey(data_path: str, descriptor_path: str) -> SurveyTable:
 
     if not picks:
         raise SurveyFormatError(f"{data_path}: no complete rows")
+    if weight_col is not None and not any(weights):
+        raise SurveyFormatError(f"{data_path}: weight column {weight_col!r} sums to zero")
     return SurveyTable(
         acts=acts,
         values=np.asarray(distinct, dtype=np.int64)[picks],
@@ -270,21 +281,29 @@ def _row_key(col_idx: list[int]):
 
 def _parse_acts(cells: tuple, columns, max_allowed: int, where: str) -> list[int] | None:
     """A row's act cells as integers, or None when one is a missing token;
-    raises the error of the first bad cell.
+    raises the error of the first bad cell.  A cell is an integer when
+    ``_INTEGER`` matches it stripped.
 
-    ``int`` ignores the whitespace that ``str.strip`` removes, and no
-    missing token parses as an integer, so a row that parses and lies in
-    range has no missing token; only one that does not is stripped and
-    tested for a missing token, then reported.
+    On cells with no underscore or non-ASCII character, ``int`` reads just
+    those (it ignores the whitespace that ``str.strip`` removes), so such a
+    row is parsed whole.  Any other row, and one that does not parse or lies
+    out of range, is stripped and checked cell by cell; no missing token is
+    an integer.
     """
-    try:
-        parsed = list(map(int, cells))
-    except ValueError:
-        parsed = None
-    if parsed is not None and min(parsed) >= 0 and max(parsed) <= max_allowed:
-        return parsed
+    joined = "".join(cells)
+    if joined.isascii() and "_" not in joined:
+        try:
+            parsed = list(map(int, cells))
+        except ValueError:
+            parsed = None
+        if parsed is not None and min(parsed) >= 0 and max(parsed) <= max_allowed:
+            return parsed
     cells = [c.strip() for c in cells]
-    if not MISSING_TOKENS.isdisjoint(map(str.lower, cells)):
+    if all(map(_INTEGER.fullmatch, cells)):
+        parsed = list(map(int, cells))
+        if min(parsed) >= 0 and max(parsed) <= max_allowed:
+            return parsed
+    elif not MISSING_TOKENS.isdisjoint(map(str.lower, cells)):
         return None
     raise _cell_error(where, columns, cells, max_allowed)
 
@@ -295,10 +314,9 @@ def _cell_error(where: str, columns, cells, max_allowed: int) -> SurveyFormatErr
     maximum in counts mode)."""
     kind = "category" if max_allowed == coding.MAX_CATEGORY else "count"
     for name, cell in zip(columns, cells):
-        try:
-            value = int(cell)
-        except ValueError:
+        if not _INTEGER.fullmatch(cell):
             return SurveyFormatError(f"{where}: column {name!r} has non-integer value {cell!r}")
+        value = int(cell)
         if value < 0:
             return SurveyFormatError(f"{where}: column {name!r} is negative ({value})")
         if value > max_allowed:
@@ -365,49 +383,45 @@ def _atomic_write_text(path: str, text: str):
 # Latent correlation estimation
 
 
+def _mid_rank_scores(cum: np.ndarray) -> np.ndarray:
+    """The normal scores of the mid-distribution ranks of cells whose
+    cumulative probabilities are ``cum``."""
+    low = np.concatenate([[0.0], cum[:-1]])
+    return ndtri(np.clip((cum + low) / 2.0, 1e-12, 1.0 - 1e-12))
+
+
 def _cell_structure(p: np.ndarray):
-    """Cell probabilities ``p``, upper latent-normal bounds, and model-implied
-    mid-distribution normal scores for one act's cells."""
+    """Cell probabilities ``p``, cumulative probabilities, upper latent-normal
+    bounds, and model-implied mid-distribution normal scores for one act's
+    cells.  A bound is -inf where no mass lies below it, and +inf where none
+    lies above."""
     cum = np.cumsum(p)
     cum[-1] = 1.0
-    low = np.concatenate([[0.0], cum[:-1]])
-    scores = ndtri(np.clip((cum + low) / 2.0, 1e-12, 1.0 - 1e-12))
     bounds = np.where(cum >= 1.0, np.inf, ndtri(np.minimum(cum, 1.0 - 1e-16)))
-    return p, bounds, scores
+    return p, cum, bounds, _mid_rank_scores(cum)
 
 
-_GL_NODES, _GL_WEIGHTS = leggauss(12)
-_Z_LIMIT = 8.5
+def _bvn_cdf(h, k, rho, cdf_h, cdf_k):
+    """The bivariate standard normal CDF Phi2(h, k; rho), |rho| < 1, at the
+    broadcast arrays ``h`` and ``k``, given Phi(h) and Phi(k).
 
-
-class _Quadrature(NamedTuple):
-    """The rho-free part of the score-correlation quadrature for one act, or
-    a stack of acts with as many cells: as the integrated act, its latent
-    nodes (12 Gauss-Legendre nodes per cell, cut at +-_Z_LIMIT), their
-    normal densities and weights; as the conditioned act, its cells' upper
-    latent bounds; and its scores."""
-
-    z: np.ndarray
-    density: np.ndarray
-    weights: np.ndarray
-    bounds: np.ndarray
-    scores: np.ndarray
-
-
-def _act_quadrature(cell) -> tuple[float, float, _Quadrature]:
-    """One act's score mean, score standard deviation and ``_Quadrature``,
-    from its ``_cell_structure``."""
-    p, bounds, scores = cell
-    mu = float(p @ scores)
-    sd = float(np.sqrt(p @ (scores * scores) - mu * mu))
-    lo = np.concatenate([[-_Z_LIMIT], bounds[:-1]])
-    hi = np.minimum(bounds, _Z_LIMIT)
-    lo = np.minimum(lo, hi)
-    mid, half = (hi + lo) / 2.0, (hi - lo) / 2.0
-    z = (mid[:, None] + half[:, None] * _GL_NODES[None, :]).ravel()
-    density = np.exp(-0.5 * z * z) / np.sqrt(2.0 * np.pi)
-    weights = half[:, None] * _GL_WEIGHTS[None, :]
-    return mu, sd, _Quadrature(z, density, weights, bounds, scores)
+    Owen (1956): Phi2 = (Phi(h) + Phi(k)) / 2 - T(h, a_h) - T(k, a_k) - beta,
+    with Owen's T, a_h = (k / h - rho) / sqrt(1 - rho^2) (and a_k likewise),
+    and beta = 1/2 when h and k lie on opposite sides of 0 (0 on the
+    positive side).  At h = k = 0 the two T terms sum to 1/4 - asin(rho) / (2 pi);
+    where a bound is infinite, Phi2 = min(Phi(h), Phi(k)), and no T is
+    evaluated there."""
+    h, k, rho, cdf_h, cdf_k = np.broadcast_arrays(h, k, rho, cdf_h, cdf_k)
+    out = np.minimum(cdf_h, cdf_k)
+    finite = np.isfinite(h) & np.isfinite(k)
+    h, k, rho = h[finite], k[finite], rho[finite]
+    r = np.sqrt(1.0 - rho * rho)
+    with np.errstate(divide="ignore", invalid="ignore"):  # k / h at h = 0
+        t = owens_t(h, (k / h - rho) / r) + owens_t(k, (h / k - rho) / r)
+    origin = (h == 0.0) & (k == 0.0)
+    t[origin] = 0.25 - np.arcsin(rho[origin]) / (2.0 * np.pi)
+    out[finite] = 0.5 * (cdf_h[finite] + cdf_k[finite]) - t - 0.5 * ((h < 0.0) != (k < 0.0))
+    return out
 
 
 class _ScoreCorrelation:
@@ -415,59 +429,43 @@ class _ScoreCorrelation:
     Gaussian copula, as a function of its latent correlation rho, for many
     pairs of acts at once.
 
-    E[s_j s_l] integrates act j's latent value over each of its cells by
-    Gauss-Legendre quadrature, with act l's cell probabilities given that
-    value.  Everything but act l's conditional probabilities is free of rho
-    and built here, once per act (``_act_quadrature``), in one stack per
-    number of cells.  A call evaluates the pairs of each (cells of j, cells
-    of l) shape with stacked ``ndtr`` and ``matmul`` calls, which give the
-    same bits as evaluating the pairs one at a time.
+    Summation by parts writes an act's score as its last cell's score plus
+    the steps d[a] = s[a] - s[a + 1] of the cells at or above a, so that,
+    with the means subtracted, the covariance of acts j and l is one
+    contraction over the upper bounds h and k of all their cells but the
+    last: sum_ab d_j[a] d_l[b] (Phi2(h[a], k[b]; rho) - C_j[a] C_l[b]), C
+    the cumulative probabilities, which also give Phi(h) and Phi(k).  Every
+    act is padded to one number of bounds with zero steps (at +inf,
+    cumulative probability 1), so a call is one ``_bvn_cdf`` over every
+    pair's grid.
     """
 
     def __init__(self, cells):
-        mu, sd, quads = zip(*(_act_quadrature(cell) for cell in cells))
-        self.mu, self.sd = np.array(mu), np.array(sd)
-        self.n_cells = np.array([len(q.scores) for q in quads])
-        self.slot = np.zeros(len(quads), dtype=int)
-        self.stacks = {}
-        for n in np.unique(self.n_cells):
-            acts = np.flatnonzero(self.n_cells == n)
-            self.slot[acts] = np.arange(acts.size)
-            self.stacks[n] = _Quadrature(*map(np.stack, zip(*(quads[a] for a in acts))))
+        n = max(len(p) for p, *_ in cells) - 1
+        self.cum = np.ones((len(cells), n))
+        self.bounds = np.full((len(cells), n), np.inf)
+        self.steps = np.zeros((len(cells), n))
+        self.sd = np.empty(len(cells))
+        for a, (p, cum, bounds, scores) in enumerate(cells):
+            m = len(p) - 1
+            self.cum[a, :m], self.bounds[a, :m] = cum[:-1], bounds[:-1]
+            self.steps[a, :m] = scores[:-1] - scores[1:]
+            mu = p @ scores
+            self.sd[a] = np.sqrt(p @ (scores * scores) - mu * mu)
 
     def __call__(self, j: np.ndarray, l: np.ndarray, rho: np.ndarray) -> np.ndarray:
         """The score correlation of each act pair (j[i], l[i]) at rho[i]."""
-        shapes = self.n_cells[j] * (self.n_cells.max() + 1) + self.n_cells[l]
-        out = np.empty(rho.size)
-        for key in np.unique(shapes):
-            group = shapes == key
-            out[group] = self._evaluate(j[group], l[group], rho[group])
-        return out
-
-    def _evaluate(self, j, l, rho):
-        """``__call__`` for pairs of one shape."""
-        q_j, rows_j = self.stacks[self.n_cells[j[0]]], self.slot[j]
-        q_l, rows_l = self.stacks[self.n_cells[l[0]]], self.slot[l]
-        weights = q_j.weights[rows_j]
-        tau = np.sqrt(np.maximum(1.0 - rho * rho, 1e-12))[:, None, None]
-        rz = rho[:, None, None] * q_j.z[rows_j][:, :, None]
-        # a cell's lower bound is the upper bound of the cell below, or -inf (ndtr 0)
-        cdf = ndtr((q_l.bounds[rows_l][:, None, :] - rz) / tau)
-        mass = cdf.copy()
-        mass[:, :, 1:] -= cdf[:, :, :-1]
-        cond = mass @ q_l.scores[rows_l][:, :, None]
-        per_cell = np.sum((q_j.density[rows_j] * cond[:, :, 0]).reshape(weights.shape) * weights,
-                          axis=2)
-        cross = (q_j.scores[rows_j][:, None, :] @ per_cell[:, :, None])[:, 0, 0]
-        return (cross - self.mu[j] * self.mu[l]) / (self.sd[j] * self.sd[l])
+        cum_j, cum_l = self.cum[j][:, :, None], self.cum[l][:, None, :]
+        phi2 = _bvn_cdf(self.bounds[j][:, :, None], self.bounds[l][:, None, :],
+                        rho[:, None, None], cum_j, cum_l)
+        cov = np.einsum("pa,pab,pb->p", self.steps[j], phi2 - cum_j * cum_l, self.steps[l])
+        return cov / (self.sd[j] * self.sd[l])
 
 
 def _empirical_scores(codes: np.ndarray, weights: np.ndarray | None) -> np.ndarray:
     """Normal scores of mid-distribution ranks of one act's cell codes."""
     counts = np.bincount(codes, weights)
-    cum = np.cumsum(counts) / counts.sum()
-    low = np.concatenate([[0.0], cum[:-1]])
-    return ndtri(np.clip((cum + low) / 2.0, 1e-12, 1.0 - 1e-12))[codes]
+    return _mid_rank_scores(np.cumsum(counts) / counts.sum())[codes]
 
 
 def _score_correlations(scores: list[np.ndarray], weights: np.ndarray | None,
@@ -495,12 +493,12 @@ def latent_correlation_matrix(table: SurveyTable, margins) -> np.ndarray:
     by the discreteness of the responses.  Each pair's rho instead inverts
     the score correlation that the fitted marginals imply under the
     Gaussian copula: a root within +-_RHO_LIMIT, each step of which
-    evaluates the pair's score correlation by quadrature over the acts'
-    cells (their categories, or ``count_cells``, which also bin the survey).
-    The rho-free part (score moments, nodes, weights, normal densities) is
-    built once per act (``_ScoreCorrelation``).  scipy's ``find_root``
-    (Chandrupatla's method) searches every pair's root at once, to within
-    _ROOT_XTOL, with one evaluation of every pair still searching per round.
+    evaluates the pair's score correlation exactly, from the bivariate
+    normal CDF at the acts' cell bounds (their categories, or
+    ``count_cells``, which also bin the survey; ``_ScoreCorrelation``).
+    scipy's ``find_root`` (Chandrupatla's method) searches every pair's
+    root at once, to within _ROOT_XTOL, with one evaluation of every pair
+    still searching per round.
     A pair whose gap has one sign at both limits takes the limit its root
     lies at or past.  An act with zero_prob = 1, or with its rows of
     positive weight in one cell, gets zero correlation.  A NaN score
@@ -690,11 +688,8 @@ class EmpiricalResampler:
             ).astype(np.int16)
         self._row_cdf = None
         if table.weights is not None:
-            total = table.weights.sum()
-            if total <= 0:
-                raise ValueError("weights sum to zero")
             # the CDF that Generator.choice(p=weights / total) builds per call
-            self._row_cdf = (table.weights / total).cumsum()
+            self._row_cdf = (table.weights / table.weights.sum()).cumsum()
             self._row_cdf /= self._row_cdf[-1]
 
     @staticmethod

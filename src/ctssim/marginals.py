@@ -48,7 +48,7 @@ CDF_TABLE_MAX = 2**22
 # A CDF table ends where the tail beyond its last count holds less than this mass
 CDF_TAIL_MASS = 1e-12
 
-COUNT_CELLS_MAX = 64  # bounds a pair's latent correlation quadrature at 12 * 64 * 64 entries
+COUNT_CELLS_MAX = 64  # bounds a pair's score-correlation grid at 63 * 63 cell bounds
 
 # Interval-censored survey categories: 0 -> {0}, 1 -> {1}, 2 -> {2..4}, 3 -> {5+}
 N_CATEGORIES = 4
@@ -590,7 +590,8 @@ def _fit_nb(values: np.ndarray, weights: np.ndarray, truncated: bool):
         if truncated:
             log_g0 = k * log_p
             ll -= total * math.log(-math.expm1(log_g0))
-            grad -= total * k / math.expm1(-log_g0) * np.array([share, -log_p - share])
+            # g0 / (1 - g0) = 1 / expm1(-log g0), capped where it falls below 1e-304
+            grad -= total * k / math.expm1(min(-log_g0, 700.0)) * np.array([share, -log_p - share])
         return -ll, -grad
 
     def fun_and_grad(x, _rows):  # the one run's point, x[0]

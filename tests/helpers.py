@@ -1,5 +1,5 @@
 """Fixtures the tests share: direct draws from a margin, its moments, a
-fit report's total log-likelihood, a counts-mode survey file, and one
+fit report's total log-likelihood, two counts-mode surveys, and one
 replication of a cell kernel.  They are test code, not part of the ctssim
 package."""
 
@@ -13,7 +13,7 @@ from ctssim import harness
 from ctssim.harness import CODINGS, CellKernel
 from ctssim.datasets import example_model
 from ctssim.ingest import FitReport, SurveyTable, write_survey
-from ctssim.joint import CopulaSampler, MultiActModel, sample_joint
+from ctssim.joint import ActSpec, CopulaSampler, MultiActModel, sample_joint
 from ctssim.marginals import ZIP, MarginalParams
 
 from reference import DRAWN_TYPES, PotentialOutcomeTable, apply_effects
@@ -57,6 +57,20 @@ def write_example_counts_survey(directory) -> tuple[str, str]:
     data, descriptor = os.path.join(directory, "counts.csv"), os.path.join(directory, "counts.json")
     write_survey(SurveyTable(model.acts, values, "counts"), data, descriptor)
     return data, descriptor
+
+
+def far_from_zero_counts_table() -> SurveyTable:
+    """A counts survey of 2000 rows (seed 0) whose acts a ~ Poisson(900) and
+    b ~ Poisson(900) * Bernoulli(0.5) put no mass on low counts: their low
+    cells have latent bounds of -inf, and the zero-truncated NB's zero share
+    underflows.  Act c ~ Poisson(1) * Bernoulli(0.3)."""
+    rng = np.random.default_rng(0)
+    n = 2000
+    a = rng.poisson(900, n)
+    b = rng.poisson(900, n) * rng.binomial(1, 0.5, n)
+    c = rng.poisson(1, n) * rng.binomial(1, 0.3, n)
+    acts = tuple(ActSpec(i + 1, label, "physical", "moderate") for i, label in enumerate("abc"))
+    return SurveyTable(acts, np.column_stack([a, b, c]), "counts")
 
 
 def replicate(kernel: CellKernel, rep_index: int, return_schedule: bool = False) -> dict:

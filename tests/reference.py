@@ -19,12 +19,16 @@ The fit path has its own plain forms: ``read_survey`` validates each
 cell of a survey file in turn, ``zinb_censored_loglik`` builds the
 ``MarginalParams`` the ZINB fit's objective evaluates, ``fit_zinb`` runs
 L-BFGS-B on a scalar objective with scipy's own finite-difference
-gradient, ``score_corr_theory`` computes a pair's quadrature afresh
-for every rho, and ``latent_correlation_matrix`` searches each pair's
+gradient, ``score_corr_theory`` computes a pair's score correlation
+from its rectangle probabilities, each row of them by scipy's adaptive
+quadrature of the normal density times a conditional normal CDF (no
+Owen's T), and ``latent_correlation_matrix`` searches each pair's
 latent correlation on its own with scipy's ``brentq``.
 ``test_ingest`` and ``test_marginals`` pin the fit path to them: bit for
-bit, except the latent correlations, which ``ingest`` finds with another
-root method and which must agree to within the root tolerance, 1e-6.
+bit, except the score correlations, which ``ingest`` computes in Owen's
+closed form and which must agree to 1e-12, and the latent correlations,
+which ``ingest`` finds with another root method and which must agree to
+within the root tolerance, 1e-6.
 ``fit_zinb_exact_three_starts`` is the exact-count ZINB fit that the
 profiled fit replaced; ``test_marginals`` requires the profiled fit to
 match or beat its log-likelihood.  They are test code, not part of the
@@ -41,15 +45,12 @@ from enum import IntEnum
 from typing import Sequence
 
 import numpy as np
-from scipy import optimize
+from scipy import integrate, optimize
 from scipy.special import ndtr, ndtri, stdtr, stdtrit
 
 from ctssim import coding
 from ctssim.estimation import _mean_var
 from ctssim.ingest import (
-    _GL_NODES,
-    _GL_WEIGHTS,
-    _Z_LIMIT,
     MISSING_TOKENS,
     SurveyFormatError,
     SurveyTable,
@@ -137,12 +138,12 @@ def read_survey(data_path: str, descriptor_path: str) -> SurveyTable:
                 continue
             parsed = []
             for name, cell in zip(columns, cells):
-                try:
-                    value = int(cell)
-                except ValueError:
+                digits = cell[1:] if cell[:1] in ("+", "-") else cell
+                if not (digits.isascii() and digits.isdigit()):
                     raise SurveyFormatError(
                         f"{data_path}:{line_no}: column {name!r} has non-integer value {cell!r}"
-                    ) from None
+                    )
+                value = int(cell)
                 if value < 0:
                     raise SurveyFormatError(
                         f"{data_path}:{line_no}: column {name!r} is negative ({value})"
@@ -159,11 +160,13 @@ def read_survey(data_path: str, descriptor_path: str) -> SurveyTable:
                     n_dropped += 1
                     continue
                 try:
+                    if "_" in cell or not cell.isascii():
+                        raise ValueError(cell)
                     weights.append(float(cell))
                 except ValueError:
-                    raise SurveyFormatError(
-                        f"{data_path}:{line_no}: weight column has non-numeric value {cell!r}"
-                    ) from None
+                    raise SurveyFormatError(f"{data_path}:{line_no}: weight column "
+                                            f"{weight_col!r} has non-numeric value {cell!r}"
+                                            ) from None
                 if not 0.0 <= weights[-1] < np.inf:
                     raise SurveyFormatError(f"{data_path}:{line_no}: weight {cell!r} is not "
                                             "a finite, non-negative number")
@@ -171,6 +174,8 @@ def read_survey(data_path: str, descriptor_path: str) -> SurveyTable:
 
     if not rows:
         raise SurveyFormatError(f"{data_path}: no complete rows")
+    if weight_col is not None and sum(weights) <= 0.0:
+        raise SurveyFormatError(f"{data_path}: weight column {weight_col!r} sums to zero")
     return SurveyTable(
         acts=acts,
         values=np.asarray(rows, dtype=np.int64),
@@ -272,26 +277,29 @@ def fit_zinb_exact_three_starts(values, weights) -> tuple[MarginalParams, float,
 def score_corr_theory(rho: float, cell_j, cell_k) -> float:
     """Correlation of the two acts' discretized normal scores implied by a
     Gaussian copula with latent correlation ``rho``; ``cell_j`` and
-    ``cell_k`` are ``ingest._cell_structure`` results."""
-    pj, bj, sj = cell_j
-    pk, bk, sk = cell_k
+    ``cell_k`` are ``ingest._cell_structure`` results.  E[s_j s_k] is the
+    double sum of the scores over the pair's rectangle probabilities, each
+    row of which is one adaptive quadrature over a cell of act j:
+    P(x in cell a, y <= k_b) integrates phi(x) Phi((k_b - rho x) / sqrt(1 - rho^2))
+    over the cell, for every finite upper bound k_b of act k at once."""
+    pj, _, bj, sj = cell_j
+    pk, _, bk, sk = cell_k
     mu_j, mu_k = float(pj @ sj), float(pk @ sk)
     sd_j = float(np.sqrt(pj @ (sj * sj) - mu_j * mu_j))
     sd_k = float(np.sqrt(pk @ (sk * sk) - mu_k * mu_k))
-    tau = np.sqrt(max(1.0 - rho * rho, 1e-12))
-    lo = np.concatenate([[-_Z_LIMIT], bj[:-1]])
-    hi = np.minimum(bj, _Z_LIMIT)
-    lo = np.minimum(lo, hi)
-    mid, half = (hi + lo) / 2.0, (hi - lo) / 2.0
-    nodes = mid[:, None] + half[:, None] * _GL_NODES[None, :]
-    weights = half[:, None] * _GL_WEIGHTS[None, :]
-    z = nodes.ravel()
-    density = np.exp(-0.5 * z * z) / np.sqrt(2.0 * np.pi)
-    bk_low = np.concatenate([[-np.inf], bk[:-1]])
-    cond = (ndtr((bk[None, :] - rho * z[:, None]) / tau)
-            - ndtr((bk_low[None, :] - rho * z[:, None]) / tau)) @ sk
-    per_cell = np.sum((density * cond).reshape(nodes.shape) * weights, axis=1)
-    cross = float(sj @ per_cell)
+    tau = math.sqrt(1.0 - rho * rho)
+    upper = bk[:-1]
+    rectangles = np.zeros((len(bj), len(bk)))
+    for a, (lo, hi) in enumerate(zip(np.concatenate([[-np.inf], bj[:-1]]), bj)):
+        if not lo < hi:
+            continue
+        # the integrand steps where a conditional bound (k_b - rho x) / tau crosses 0
+        steps = [x for x in (upper / rho if rho else ()) if lo < x < hi]
+        below, _ = integrate.quad_vec(
+            lambda x: math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi) * ndtr((upper - rho * x) / tau),
+            lo, hi, epsabs=1e-15, epsrel=1e-13, points=steps or None)
+        rectangles[a] = np.diff(below, prepend=0.0, append=ndtr(hi) - ndtr(lo))
+    cross = float(sj @ rectangles @ sk)
     return (cross - mu_j * mu_k) / (sd_j * sd_k)
 
 

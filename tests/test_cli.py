@@ -19,7 +19,7 @@ from ctssim.joint import ActSpec, MultiActModel
 from ctssim.marginals import MarginalParams
 from ctssim.outcomes import MAX_MAGNITUDE
 
-from helpers import report_loglik, write_example_counts_survey
+from helpers import far_from_zero_counts_table, report_loglik, write_example_counts_survey
 from test_ingest import duplicated_column_table
 
 
@@ -105,6 +105,10 @@ BAD_SURVEY_LINES = [
     pytest.param(4, lambda line: line[:-1] + b"9" * 25,
                  "5: column 'act_10' has count 9999999999999999999999999 outside "
                  "0..9223372036854775807", id="count-beyond-int64"),
+    pytest.param(4, lambda line: line[:-1] + b"1_0",
+                 "5: column 'act_10' has non-integer value '1_0'", id="underscored-count"),
+    pytest.param(4, lambda line: line[:-1] + "\uff13".encode(),
+                 "5: column 'act_10' has non-integer value '\uff13'", id="full-width-digit"),
     # a 70-byte header line, then 20-byte rows
     pytest.param(5000, lambda line: b"\xff" + line[1:],
                  f"5001: not UTF-8: byte 0xff at offset {70 + 4999 * 20} (invalid start byte)",
@@ -149,6 +153,16 @@ def write_int64_count_survey(directory):
     data, desc = directory / "int64.csv", directory / "int64.json"
     data.write_text("a,b\n" + "".join(f"{a},{b}\n" for a, b in values))
     desc.write_text(json.dumps({"mode": "counts", "acts": [
+        {"column": c, "label": c, "category": "physical", "severity": "severe"}
+        for c in ("a", "b")]}))
+    return data, desc
+
+
+def write_zero_weight_survey(directory, mode: str):
+    """A 2-act survey in ``mode`` whose weights are all 0."""
+    data, desc = directory / "zero.csv", directory / "zero.json"
+    data.write_text("a,b,w\n1,2,0\n0,1,0.0\n2,0,0\n")
+    desc.write_text(json.dumps({"mode": mode, "weight_column": "w", "acts": [
         {"column": c, "label": c, "category": "physical", "severity": "severe"}
         for c in ("a", "b")]}))
     return data, desc
@@ -368,6 +382,21 @@ class TestFit:
         # the two acts were drawn independently
         assert abs(load_model(str(tmp_path / "m.json")).sigma[0, 1]) < 0.3
 
+    @pytest.mark.parametrize("family", ["zip", "zinb"])
+    def test_counts_far_from_zero_fit(self, tmp_path, family):
+        data, desc, out = (str(tmp_path / name) for name in ("s.csv", "s.json", "m.json"))
+        write_survey(far_from_zero_counts_table(), data, desc)
+        assert main(["fit", "--data", data, "--descriptor", desc, "--family", family,
+                     "--out", out]) == 0
+        assert np.all(np.isfinite(load_model(out).sigma))
+
+    @pytest.mark.parametrize("mode", ["categories", "counts"])
+    def test_zero_total_weights_exit_2(self, tmp_path, capsys, mode):
+        data, desc = write_zero_weight_survey(tmp_path, mode)
+        assert main(["fit", "--data", str(data), "--descriptor", str(desc),
+                     "--out", str(tmp_path / "m.json")]) == 2
+        assert capsys.readouterr().err == f"error: {data}: weight column 'w' sums to zero\n"
+
     def test_zinb_fit_of_a_counts_survey_converges(self, tmp_path, capsys):
         data, desc = write_example_counts_survey(str(tmp_path))
         assert main(["fit", "--data", data, "--descriptor", desc, "--family", "zinb",
@@ -575,6 +604,15 @@ class TestSimulate:
                            model={"survey": {"data": bad.name, "descriptor": desc.name}})
         assert main(["simulate", "--config", str(cfg), "--out-dir", str(workdir / "x")]) == 2
         assert capsys.readouterr().err == f"config error: {bad}:{expected}\n"
+        assert not (workdir / "x").exists()
+
+    def test_zero_total_weights_exit_2(self, workdir, capsys):
+        data, desc = write_zero_weight_survey(workdir, "categories")
+        cfg = write_config(workdir / "run.json", model={
+            "survey": {"data": data.name, "descriptor": desc.name, "use": "resample"}})
+        assert main(["simulate", "--config", str(cfg), "--out-dir", str(workdir / "x")]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: {data}: weight column 'w' sums to zero\n")
         assert not (workdir / "x").exists()
 
     @pytest.mark.parametrize("descriptor, expected", BAD_DESCRIPTORS)

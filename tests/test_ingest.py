@@ -5,9 +5,12 @@ import functools
 import io
 import itertools
 import json
+import math
 
+import mpmath
 import numpy as np
 import pytest
+from scipy.special import ndtr
 
 import reference
 from ctssim.coding import categorize
@@ -36,7 +39,7 @@ from ctssim.marginals import (
     count_cells,
 )
 
-from helpers import report_loglik
+from helpers import far_from_zero_counts_table, report_loglik
 
 
 def make_acts(k):
@@ -151,6 +154,26 @@ class TestReadWrite:
         with pytest.raises(SurveyFormatError, match=r"nonint\.csv:4"):
             read_survey(str(data), str(desc))
 
+    @pytest.mark.parametrize("cell", ["1_0", "\uff13", "\u0663", "+-1", "0x1"])
+    def test_integer_cell_is_ascii_digits(self, tmp_path, cell):
+        # int() alone reads "1_0" as 10 and the full-width "\uff13" as 3
+        data, desc = tmp_path / "s.csv", tmp_path / "s.json"
+        data.write_text(f"a,b\n1,2\n1,{cell}\n1,{cell}\n", encoding="utf-8")
+        desc.write_text(json.dumps({"mode": "counts",
+                                    "acts": [descriptor_act("a"), descriptor_act("b")]}))
+        with pytest.raises(SurveyFormatError) as info:
+            read_survey(str(data), str(desc))
+        assert str(info.value) == f"{data}:3: column 'b' has non-integer value {cell!r}"
+
+    def test_integer_cell_may_have_unicode_spaces_around_it(self, tmp_path):
+        # str.strip removes the no-break space, as int() ignores it
+        data, desc = tmp_path / "s.csv", tmp_path / "s.json"
+        data.write_text("a,b\n1,\u00a03\n\u20032 ,+4\n", encoding="utf-8")
+        desc.write_text(json.dumps({"mode": "counts",
+                                    "acts": [descriptor_act("a"), descriptor_act("b")]}))
+        assert read_survey(str(data), str(desc)).values.tolist() == [[1, 3], [2, 4]]
+        assert reference.read_survey(str(data), str(desc)).values.tolist() == [[1, 3], [2, 4]]
+
     def test_missing_header_column(self, tmp_path):
         data = tmp_path / "h.csv"
         data.write_text("a\n1\n")
@@ -241,6 +264,31 @@ class TestReadWrite:
             read_survey(str(data), str(desc))
         assert str(info.value) == f"{data}:3: weight {bad!r} is not a finite, non-negative number"
 
+    @pytest.mark.parametrize("bad", ["1_0", "1_000.5", "\uff11", "\u0661.5"])
+    def test_underscored_or_non_ascii_weight_rejected(self, tmp_path, bad):
+        data = tmp_path / "w.csv"
+        data.write_text(f"a,w\n1,1.0\n2,{bad}\n", encoding="utf-8")
+        desc = tmp_path / "w.json"
+        desc.write_text(json.dumps({"mode": "counts", "acts": [descriptor_act("a")],
+                                    "weight_column": "w"}))
+        with pytest.raises(SurveyFormatError) as info:
+            read_survey(str(data), str(desc))
+        assert str(info.value) == f"{data}:3: weight column 'w' has non-numeric value {bad!r}"
+
+    @pytest.mark.parametrize("mode", ["categories", "counts"])
+    def test_zero_total_weights_rejected(self, tmp_path, mode):
+        data, desc = tmp_path / "w.csv", tmp_path / "w.json"
+        data.write_text("a,b,w\n1,2,0\n0,1,0.0\n2,2,NA\n")
+        desc.write_text(json.dumps({"mode": mode, "acts": [descriptor_act("a"),
+                                                           descriptor_act("b")],
+                                    "weight_column": "w"}))
+        with pytest.raises(SurveyFormatError) as info:
+            read_survey(str(data), str(desc))
+        assert str(info.value) == f"{data}: weight column 'w' sums to zero"
+        table, _ = simulated_table(n=20)
+        with pytest.raises(ValueError, match="weights must have a positive total"):
+            SurveyTable(table.acts, table.values, table.mode, weights=np.zeros(20))
+
     def test_weights_round_trip(self, tmp_path):
         table, _ = simulated_table(n=50)
         weighted = SurveyTable(
@@ -261,7 +309,7 @@ ROW_KINDS = {
     "bad-weight": 0.02, "missing-weight": 0.02,
 }
 # act cells that are valid, or not, depending on the mode
-ODD_CELLS = [" 3 ", "+3", "3.0", "-1", "4", "x", "1_0"]
+ODD_CELLS = [" 3 ", "+3", "3.0", "-1", "4", "x", "1_0", "\uff13"]
 MISSING_CELLS = ["", "NA", "nan", "None", "null", ".", " na ", " "]
 # kinds whose act cells may repeat an earlier row's, by the kind of acts
 # they take: valid act cells, or act cells with a missing value
@@ -396,7 +444,7 @@ class TestReadSurveyMatchesReference:
         pytest.param(["a,b,w", "1,1,1.0", "1,1,NA", "1,1,2.0"], ([[1, 1]] * 2, 1),
                      id="missing-weight-on-twin"),
         pytest.param(["a,b,w", "1,1,1.0", "1,1,1.0", "1,1,abc"],
-                     "4: weight column has non-numeric value 'abc'", id="bad-weight-on-twin"),
+                     "4: weight column 'w' has non-numeric value 'abc'", id="bad-weight-on-twin"),
         pytest.param(["a,b", "1,1", "1,1", "1,1,7"], "4: expected 2 fields, got 3",
                      id="extra-field-after-twins"),
         pytest.param(["a,b", "1,1", "1,1", "1"], "4: expected 2 fields, got 1",
@@ -453,10 +501,43 @@ class TestReadSurveyMatchesReference:
         assert str(info.value) == f"{data}:3: column 'b' is negative (-1)"
 
 
+def mpmath_bvn_cdf(h: float, k: float, rho: float) -> float:
+    """Phi2(h, k; rho) at 30 digits: mpmath's quadrature of
+    phi(x) Phi((k - rho x) / sqrt(1 - rho^2)) up to h, split where the
+    integrand steps."""
+    if -math.inf in (h, k):
+        return 0.0
+    if math.inf in (h, k):
+        return float(mpmath.ncdf(min(h, k)))
+    with mpmath.workdps(30):
+        tau = mpmath.sqrt(1 - mpmath.mpf(rho) ** 2)
+        points = [-mpmath.inf, h]
+        if rho and k / rho < h:
+            points.insert(1, k / rho)
+        return float(mpmath.quad(lambda x: mpmath.npdf(x) * mpmath.ncdf((k - rho * x) / tau),
+                                 points))
+
+
+class TestBivariateNormalCdf:
+    """``_bvn_cdf``, Owen's T form of Phi2, against mpmath on a grid of
+    bounds that holds 0 (so h = k = 0) and +-inf, at the rho limits and in
+    between."""
+
+    BOUNDS = (-math.inf, -2.7, -0.4, 0.0, 0.9, math.inf)
+
+    def test_matches_mpmath(self):
+        points = [(h, k, rho) for h in self.BOUNDS for k in self.BOUNDS
+                  for rho in (-0.9995, -0.3, 0.6, 0.9995)]
+        h, k, rho = (np.array(column) for column in zip(*points))
+        got = ingest._bvn_cdf(h, k, rho, ndtr(h), ndtr(k))
+        want = np.array([mpmath_bvn_cdf(*point) for point in points])
+        assert len(points) >= 50 and np.max(np.abs(got - want)) <= 1e-15
+
+
 class TestScoreCorrelationMatchesReference:
-    """The batched quadrature (its rho-free part once per act, then stacked
-    ndtr and matmul calls per evaluation) equals
-    ``reference.score_corr_theory`` bit for bit."""
+    """The contraction over Owen's T form of Phi2 agrees with
+    ``reference.score_corr_theory``, the double sum of adaptive-quadrature
+    rectangle probabilities, to 1e-12."""
 
     MARGINS = [
         MarginalParams("zip", 2.36, 0.84),
@@ -474,11 +555,24 @@ class TestScoreCorrelationMatchesReference:
                                  else count_cells(m, np.arange(largest + 1))[1])
                  for m, largest in zip(self.MARGINS, self.LARGEST)]
         pairs = list(itertools.permutations(range(len(cells)), 2))
-        rhos = (-0.9995, -0.5, 0.0, 0.5, 0.9995)
+        rhos = (-0.9995, -0.9, -0.5, 0.0, 0.5, 0.9, 0.9995)
         j, l, rho = (np.array(column) for column in zip(*((a, b, r) for r in rhos for a, b in pairs)))
         got = _ScoreCorrelation(cells)(j, l, rho)
         want = [reference.score_corr_theory(r, cells[a], cells[b]) for a, b, r in zip(j, l, rho)]
-        assert got.tobytes() == np.array(want).tobytes()
+        assert np.max(np.abs(got - want)) <= 1e-12
+
+    def test_zero_mass_cells(self):
+        # a Poisson(900) act leaves its low cells empty: their bounds are -inf
+        cells = [_cell_structure(count_cells(m, np.arange(largest + 1))[1])
+                 for m, largest in [(MarginalParams("zip", 900.0, 0.0), 1000),
+                                    (MarginalParams("zip", 900.0, 0.5), 1000),
+                                    (MarginalParams("zip", 1.0, 0.7), 6)]]
+        assert np.isneginf(cells[0][2][0])
+        j, l = np.array([0, 0, 1]), np.array([1, 2, 2])
+        for r in (-0.9995, 0.0, 0.5):
+            got = _ScoreCorrelation(cells)(j, l, np.full(3, r))
+            want = [reference.score_corr_theory(r, cells[a], cells[b]) for a, b in zip(j, l)]
+            assert np.max(np.abs(got - want)) <= 1e-12
 
 
 def duplicated_column_table():
@@ -491,8 +585,9 @@ def duplicated_column_table():
 
 class TestLatentCorrelationMatchesReference:
     """``find_root``'s batched root searches give the sigma of
-    ``reference.latent_correlation_matrix``, one ``brentq`` per pair, to
-    within the root tolerance; clamped and zero entries are equal."""
+    ``reference.latent_correlation_matrix``, one ``brentq`` per pair on the
+    quadrature oracle, to within the root tolerance; clamped and zero
+    entries are equal."""
 
     @staticmethod
     def check(table, margins):
@@ -690,6 +785,14 @@ class TestFitModel:
         assert report.clamped == [(0, 3)]
         _, report = fit_model(simulated_table(n=2000, seed=109)[0], "zip")
         assert report.clamped == []
+
+    @pytest.mark.parametrize("family", ["zip", "zinb"])
+    def test_counts_far_from_zero_fit(self, family):
+        # ZIP met a NaN score correlation at the empty low cells' -inf
+        # bounds; the ZINB fit overflowed in its truncated NB's gradient
+        model, report = fit_model(far_from_zero_counts_table(), family)
+        assert np.all(np.isfinite(model.sigma))
+        assert all(np.isfinite(act_fit.fit.loglik) for act_fit in report.per_act)
 
     @pytest.mark.parametrize("dispersion", [0.3, 0.07])
     def test_overdispersed_counts_pair_fits(self, dispersion):
