@@ -376,6 +376,15 @@ def _check_out_path(path: str, is_dir: bool = False) -> None:
         raise ConfigError(f"cannot write {path}: directory {directory} is not writable")
 
 
+def _check_not_input(out: str, inputs) -> None:
+    """Reject an output path that is the same file as one of the command's
+    existing inputs, before any work."""
+    if os.path.exists(out):
+        for path in inputs:
+            if os.path.exists(path) and os.path.samefile(out, path):
+                raise ConfigError(f"cannot write {out}: it is the input {path}")
+
+
 def _table(header: list[str], rows: list[list[str]], markdown: bool) -> list[str]:
     """The lines of a markdown table, or of left-aligned columns two spaces
     apart, each line without trailing spaces."""
@@ -424,6 +433,7 @@ def _human_table(cells: list[CellResult]) -> str:
 def cmd_fit(args) -> int:
     try:
         _check_out_path(args.out)
+        _check_not_input(args.out, [args.data, args.descriptor])
         try:
             table = read_survey(args.data, args.descriptor)
         except OSError as exc:
@@ -592,6 +602,7 @@ def cmd_report(args) -> int:
     try:
         if args.out:
             _check_out_path(args.out)
+            _check_not_input(args.out, args.results)
         rows = []
         for path in args.results:
             rows.extend(_read_results(path))

@@ -16,6 +16,7 @@ category so count-scale effect magnitudes stay meaningful.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import operator
 import os
@@ -169,16 +170,17 @@ def read_survey(data_path: str, descriptor_path: str) -> SurveyTable:
     is not UTF-8, or that the csv module cannot split, is an error naming
     the file and line.
 
-    Each distinct tuple of act cells, as read, is checked once.  A row
-    first passes the checks that need all of it: one join finds a blank row
-    or non-empty trailing fields.  Its act cells then key a memo that holds
-    the index of their parsed values, or -1 when one of them is missing.
-    The first row with a key checks its cells whole (``_parse_acts``) and
-    raises, with its own line, if one is bad, so the memo never holds an
-    error; later rows with the key reuse the entry.  The weight cell is
-    checked on every row whose acts are not missing.  Respondents repeat
-    each other's answers, so a survey parses each answer pattern once and
-    ``values`` is gathered from the distinct patterns.
+    Respondents repeat each other's answers, so two memos check each act
+    answer once.  A row first passes the checks that need all of it: one
+    join finds a blank row or non-empty trailing fields.  Its act cells, as
+    read, then key a memo that holds the index of their values in the
+    distinct tuples, or -1 when one of them is missing; ``values`` is
+    gathered from the distinct tuples.  The first row with a new tuple looks
+    each cell up in a second memo, keyed by the cell string, that holds what
+    ``_act_value`` returns for it.  A missing token drops the row; otherwise
+    the first bad cell in column order raises, with that row's line, so the
+    tuple memo never holds an error.  The weight cell is checked on every
+    row whose acts are not missing.
     """
     desc = _parse_descriptor(descriptor_path)
     acts = tuple(
@@ -214,6 +216,7 @@ def read_survey(data_path: str, descriptor_path: str) -> SurveyTable:
             n_fields = len(header)
             act_cells = _row_key(col_idx)
             index_of: dict[tuple, int] = {}
+            act_value = functools.cache(functools.partial(_act_value, max_allowed=max_allowed))
 
             last = reader.line_num
             for raw in reader:
@@ -231,10 +234,16 @@ def read_survey(data_path: str, descriptor_path: str) -> SurveyTable:
                 key = act_cells(raw)
                 index = index_of.get(key)
                 if index is None:
-                    parsed = _parse_acts(key, columns, max_allowed, f"{data_path}:{line_no}")
-                    index = index_of[key] = -1 if parsed is None else len(distinct)
-                    if parsed is not None:
-                        distinct.append(parsed)
+                    values = list(map(act_value, key))
+                    if None in values:
+                        index = -1
+                    elif str in map(type, values):
+                        name, end = next((c, v) for c, v in zip(columns, values) if type(v) is str)
+                        raise SurveyFormatError(f"{data_path}:{line_no}: column {name!r} {end}")
+                    else:
+                        index = len(distinct)
+                        distinct.append(values)
+                    index_of[key] = index
                 if index < 0:
                     n_dropped += 1
                     continue
@@ -279,51 +288,21 @@ def _row_key(col_idx: list[int]):
     return cells if len(col_idx) > 1 else lambda raw: (cells(raw),)
 
 
-def _parse_acts(cells: tuple, columns, max_allowed: int, where: str) -> list[int] | None:
-    """A row's act cells as integers, or None when one is a missing token;
-    raises the error of the first bad cell.  A cell is an integer when
-    ``_INTEGER`` matches it stripped.
-
-    On cells with no underscore or non-ASCII character, ``int`` reads just
-    those (it ignores the whitespace that ``str.strip`` removes), so such a
-    row is parsed whole.  Any other row, and one that does not parse or lies
-    out of range, is stripped and checked cell by cell; no missing token is
-    an integer.
-    """
-    joined = "".join(cells)
-    if joined.isascii() and "_" not in joined:
-        try:
-            parsed = list(map(int, cells))
-        except ValueError:
-            parsed = None
-        if parsed is not None and min(parsed) >= 0 and max(parsed) <= max_allowed:
-            return parsed
-    cells = [c.strip() for c in cells]
-    if all(map(_INTEGER.fullmatch, cells)):
-        parsed = list(map(int, cells))
-        if min(parsed) >= 0 and max(parsed) <= max_allowed:
-            return parsed
-    elif not MISSING_TOKENS.isdisjoint(map(str.lower, cells)):
-        return None
-    raise _cell_error(where, columns, cells, max_allowed)
-
-
-def _cell_error(where: str, columns, cells, max_allowed: int) -> SurveyFormatError:
-    """The error of the first act cell of a row that is not an integer, is
-    negative, or is above ``max_allowed`` (the top category, or the int64
-    maximum in counts mode)."""
-    kind = "category" if max_allowed == coding.MAX_CATEGORY else "count"
-    for name, cell in zip(columns, cells):
-        if not _INTEGER.fullmatch(cell):
-            return SurveyFormatError(f"{where}: column {name!r} has non-integer value {cell!r}")
-        value = int(cell)
-        if value < 0:
-            return SurveyFormatError(f"{where}: column {name!r} is negative ({value})")
-        if value > max_allowed:
-            return SurveyFormatError(
-                f"{where}: column {name!r} has {kind} {value} outside 0..{max_allowed}"
-            )
-    raise ValueError(f"{where}: no bad cell in {cells}")
+def _act_value(cell: str, max_allowed: int) -> int | str | None:
+    """An act cell's value, or None when it is a missing token, or, when it
+    is not an integer in 0..``max_allowed`` (the top category, or the int64
+    maximum in counts mode), the end of its error message.  A cell is an
+    integer when ``_INTEGER`` matches it stripped."""
+    cell = cell.strip()
+    if not _INTEGER.fullmatch(cell):
+        return None if cell.lower() in MISSING_TOKENS else f"has non-integer value {cell!r}"
+    value = int(cell)
+    if value < 0:
+        return f"is negative ({value})"
+    if value > max_allowed:
+        kind = "category" if max_allowed == coding.MAX_CATEGORY else "count"
+        return f"has {kind} {value} outside 0..{max_allowed}"
+    return value
 
 
 def _not_utf8(data_path: str) -> SurveyFormatError:
@@ -746,7 +725,7 @@ def load_model(path: str) -> MultiActModel:
         with open(path, encoding="utf-8-sig") as fh:
             payload = json.load(fh)
         version = payload.get("schema_version")
-        if version != MODEL_SCHEMA_VERSION:
+        if type(version) is not int or version != MODEL_SCHEMA_VERSION:
             raise ValueError(f"model file schema version {version!r} not supported "
                              f"(expected {MODEL_SCHEMA_VERSION})")
         return MultiActModel.from_dict(payload)

@@ -93,6 +93,8 @@ class MultiActModel:
         validate_margins(self.acts, self.margins)
         if self.sigma.shape != (k, k):
             raise ValueError(f"sigma shape {self.sigma.shape} does not match K={k}")
+        if not np.all(np.isfinite(self.sigma)):
+            raise ValueError("sigma must be finite")
         if not np.allclose(self.sigma, self.sigma.T, atol=1e-12):
             raise ValueError("sigma must be symmetric")
         if not np.allclose(np.diag(self.sigma), 1.0, atol=1e-12):

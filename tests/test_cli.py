@@ -4,6 +4,7 @@ import csv
 import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 
@@ -73,6 +74,13 @@ def bool_model(part: str, key: str) -> dict:
     return doc
 
 
+def sigma_model(rho: float) -> dict:
+    """small_model's dict with ``rho`` as the latent correlation of acts 1 and 2."""
+    doc = small_model().to_dict()
+    doc["sigma"][0][1] = doc["sigma"][1][0] = rho
+    return doc
+
+
 def huge_rate_model() -> dict:
     """small_model's dict with a ZINB margin of rate 1e300, where scipy's
     negative binomial quantile stalls."""
@@ -92,6 +100,12 @@ BAD_MODEL_FILES = {
     "not_json.json": "{x}",
     "string_sigma.json": json.dumps({"schema_version": 1, **small_model().to_dict(), "sigma": "x"}),
     "long_table.json": json.dumps({"schema_version": 1, **long_table_model()}),
+    # json writes and reads these as the bare tokens Infinity and NaN
+    "infinite_sigma.json": json.dumps({"schema_version": 1, **sigma_model(np.inf)}),
+    "nan_sigma.json": json.dumps({"schema_version": 1, **sigma_model(np.nan)}),
+    # true == 1 and 1.0 == 1 in Python, but neither is the JSON integer 1
+    "bool_version.json": json.dumps({"schema_version": True, **small_model().to_dict()}),
+    "float_version.json": json.dumps({"schema_version": 1.0, **small_model().to_dict()}),
 }
 
 
@@ -354,6 +368,22 @@ class TestFit:
         assert main(["fit", "--data", data, "--descriptor", desc, "--out", out]) == 2
         err = capsys.readouterr().err
         assert f"cannot write {out}: directory {locked} is not writable" in err
+
+    @pytest.mark.parametrize("which", ["data", "descriptor"])
+    def test_out_that_is_an_input_exits_2(self, tmp_path, capsys, monkeypatch, which):
+        sources = dict(zip(["data", "descriptor"], example_survey_paths()))
+        inputs = {"data": tmp_path / "s.csv", "descriptor": tmp_path / "s.json"}
+        for name, path in inputs.items():
+            shutil.copyfile(sources[name], path)
+        before = {name: path.read_bytes() for name, path in inputs.items()}
+        monkeypatch.chdir(tmp_path)
+        # the same file under another spelling of its path
+        out = os.path.join(".", inputs[which].name)
+        assert main(["fit", "--data", str(inputs["data"]), "--descriptor",
+                     str(inputs["descriptor"]), "--out", out]) == 2
+        assert f"error: cannot write {out}: it is the input {inputs[which]}\n" \
+            in capsys.readouterr().err
+        assert {name: path.read_bytes() for name, path in inputs.items()} == before
 
     def test_missing_data_file_exits_2(self, tmp_path, capsys):
         _, desc = example_survey_paths()
@@ -744,6 +774,18 @@ class TestReport:
         err = capsys.readouterr().err
         assert f"cannot write {out}: " in err and ".tmp" not in err
 
+    def test_out_that_is_an_input_exits_2(self, results_dir, tmp_path, capsys):
+        # the second of two inputs, so that the check covers every input
+        results = results_dir / "results.csv"
+        other = tmp_path / "other.csv"
+        other.write_bytes(results.read_bytes())
+        before = results.read_bytes()
+        assert main(["report", "--results", str(other), str(results), "--out", str(results)]) == 2
+        assert f"error: cannot write {results}: it is the input {results}\n" \
+            in capsys.readouterr().err
+        assert results.read_bytes() == before
+        assert main(["report", "--results", str(results)]) == 0
+
     def test_repeated_cell_rows_exit_2(self, results_dir, tmp_path, capsys):
         # two unnamed custom scenarios on one target once wrote this file:
         # two cells named "custom", "all", of which the report kept one
@@ -1036,6 +1078,21 @@ class TestConfigTypes:
                      id="model-file-long-table"),
         pytest.param({"model": {"inline": long_table_model()}}, "config error: " + LONG_TABLE_ERROR,
                      id="inline-model-long-table"),
+        pytest.param({"model": {"file": "infinite_sigma.json"}},
+                     "infinite_sigma.json: ValueError: sigma must be finite\n",
+                     id="model-file-infinite-sigma"),
+        pytest.param({"model": {"file": "nan_sigma.json"}},
+                     "nan_sigma.json: ValueError: sigma must be finite\n", id="model-file-nan-sigma"),
+        pytest.param({"model": {"inline": sigma_model(np.inf)}},
+                     "config error: sigma must be finite\n", id="inline-model-infinite-sigma"),
+        pytest.param({"model": {"inline": sigma_model(np.nan)}},
+                     "config error: sigma must be finite\n", id="inline-model-nan-sigma"),
+        pytest.param({"model": {"file": "bool_version.json"}},
+                     "bool_version.json: ValueError: model file schema version True not supported "
+                     "(expected 1)", id="model-file-bool-schema-version"),
+        pytest.param({"model": {"file": "float_version.json"}},
+                     "float_version.json: ValueError: model file schema version 1.0 not supported "
+                     "(expected 1)", id="model-file-float-schema-version"),
         pytest.param({"model": {"inline": bool_model("margins", "rate")}},
                      "config error: rate must be a number, got a bool",
                      id="inline-model-bool-rate"),

@@ -393,9 +393,10 @@ def read_or_error(read, data, desc):
 
 
 class TestReadSurveyMatchesReference:
-    """``read_survey`` checks a row whole and a failed row cell by cell;
-    ``reference.read_survey`` checks every cell on its own.  Both give the
-    same table, or the same error text, for every file."""
+    """``read_survey`` checks each distinct act-cell string once, when a
+    new tuple of act cells first holds it; ``reference.read_survey`` checks
+    every cell of every row.  Both give the same table, or the same error
+    text, for every file."""
 
     @pytest.mark.parametrize("weighted", [False, True])
     @pytest.mark.parametrize("mode", ["categories", "counts"])
@@ -451,6 +452,17 @@ class TestReadSurveyMatchesReference:
                      id="short-row-after-twins"),
         pytest.param(["a,b", "1,1", "1,1", "1,-1"], "4: column 'b' is negative (-1)",
                      id="bad-cell-after-twins"),
+        # a missing token anywhere drops the row, even beside a bad cell
+        pytest.param(["a,b", "x,NA", "-1,na", "1,2"], ([[1, 2]], 2),
+                     id="missing-beside-bad-cell"),
+        # the first bad cell in column order, on the tuple's first row
+        pytest.param(["a,b", "1,1", "x,-1", "x,-1"], "3: column 'a' has non-integer value 'x'",
+                     id="two-bad-cells"),
+        pytest.param(["a,b", "1,1", "1,-1 ", "-1,x"], "3: column 'b' is negative (-1)",
+                     id="two-bad-cells-later-column-first"),
+        # a bad cell first met in a dropped row, then in a row that has no missing token
+        pytest.param(["a,b", "NA,x", "-1,NA", "1,1", "2,x"],
+                     "5: column 'b' has non-integer value 'x'", id="bad-cell-seen-when-dropped"),
         pytest.param(["a,b", "1,1", "1,99999999999999999999"],
                      "3: column 'b' has count 99999999999999999999 outside 0..9223372036854775807",
                      id="count-beyond-int64"),
@@ -490,6 +502,36 @@ class TestReadSurveyMatchesReference:
             assert np.array_equal(got.values, values) and got.values.flags.c_contiguous
             assert np.array_equal(got.values, want.values)
             assert got.n_dropped == want.n_dropped == n_dropped
+
+    def test_each_cell_string_is_checked_once(self, tmp_path, monkeypatch):
+        # strings repeat across rows and across columns, and a stripped
+        # twin (" 1") is a string of its own
+        lines = ["a,b,c", "1,2,0", "2,1,0", "1,2,0", "0,0,1", " 1,NA,2", "2,2,2", "NA,1,1"]
+        data, desc = tmp_path / "s.csv", tmp_path / "s.json"
+        data.write_text("\n".join(lines) + "\n")
+        desc.write_text(json.dumps({"mode": "counts", "acts": [descriptor_act(c) for c in "abc"]}))
+        calls, act_value = [], ingest._act_value
+
+        def counted(cell, max_allowed):
+            calls.append(cell)
+            return act_value(cell, max_allowed)
+
+        monkeypatch.setattr(ingest, "_act_value", counted)
+        table = read_survey(str(data), str(desc))
+        assert sorted(calls) == [" 1", "0", "1", "2", "NA"]
+        assert table.n_rows == 5 and table.n_dropped == 2
+
+    def test_all_distinct_rows(self, tmp_path):
+        """An 8000-row counts survey in which no two rows share their act
+        cells, so every row is a new tuple."""
+        values = sample_joint(reference_model(), 8000, np.random.default_rng(3))
+        values[:, 0] = np.arange(8000)
+        assert len(np.unique(values, axis=0)) == 8000
+        data, desc = str(tmp_path / "s.csv"), str(tmp_path / "s.json")
+        write_survey(SurveyTable(make_acts(4), values, "counts"), data, desc)
+        got, want = read_survey(data, desc), reference.read_survey(data, desc)
+        assert np.array_equal(got.values, want.values) and np.array_equal(got.values, values)
+        assert got.n_dropped == want.n_dropped == 0
 
     @pytest.mark.parametrize("mode", ["categories", "counts"])
     def test_first_bad_cell_is_named(self, tmp_path, mode):

@@ -63,6 +63,13 @@ class TestModelValidation:
         with pytest.raises(ValueError, match="symmetric"):
             MultiActModel(make_acts(2), (FIG_MARGIN, FIG_MARGIN), sigma)
 
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_non_finite_sigma(self, value):
+        # eigvalsh gives NaN here, which no eigenvalue bound catches
+        sigma = np.array([[1.0, value], [value, 1.0]])
+        with pytest.raises(ValueError, match="^sigma must be finite$"):
+            MultiActModel(make_acts(2), (FIG_MARGIN, FIG_MARGIN), sigma)
+
     def test_non_unit_diagonal(self):
         sigma = np.array([[2.0, 0.0], [0.0, 1.0]])
         with pytest.raises(ValueError, match="diagonal"):
