@@ -27,7 +27,6 @@ from .harness import (
     Replications,
     SimulationConfig,
     latent_summary,
-    run_cell,
     scenario_grid,
     scenario_preset,
     summarize,
@@ -73,7 +72,6 @@ __all__ = [
     "load_model",
     "nearest_psd",
     "read_survey",
-    "run_cell",
     "sample_joint",
     "save_model",
     "scenario_grid",

@@ -20,7 +20,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy
@@ -93,7 +93,7 @@ class ConfigError(ValueError):
 
 @dataclass
 class RunConfig:
-    base: SimulationConfig  # every cell's settings; its scenario is the first
+    base: SimulationConfig  # the settings every cell shares
     scenarios: list[EffectScenario]
     targets: list
     fingerprint: str  # sha256 of the canonical effective config document
@@ -176,7 +176,7 @@ def _build_scenarios(raw: list, magnitude: int, floor: int) -> list[EffectScenar
             settings = {
                 "magnitude": _config_int("magnitude", item.get("magnitude", magnitude)),
                 "floor": _config_int("floor", item.get("floor", floor)),
-                "name": _config_str("name", item.get("name", "custom")),
+                "name": _config_str("name", item.get("name", "custom")) or "custom",
             }
             try:
                 out.append(EffectScenario(probs, **settings))
@@ -239,6 +239,11 @@ def _config_number(key: str, value) -> float:
     return float(value)
 
 
+def _repeated(names: list) -> list:
+    """The names that ``names`` holds more than once, sorted."""
+    return sorted({name for name in names if names.count(name) > 1})
+
+
 def load_run_config(path: str, seed_override: int | None = None) -> RunConfig:
     try:
         with open(path, encoding="utf-8-sig") as fh:
@@ -266,14 +271,23 @@ def load_run_config(path: str, seed_override: int | None = None) -> RunConfig:
         _config_int("n_bootstrap", doc["n_bootstrap"])
     magnitude = _config_int("magnitude", doc.get("magnitude", 2))
     floor = _config_int("floor", doc.get("floor", 1))
-    scenarios = _build_scenarios(doc.get("scenarios", list(SCENARIO_PRESETS)), magnitude, floor)
+    raw_scenarios = doc.get("scenarios", list(SCENARIO_PRESETS))
+    scenarios = _build_scenarios(raw_scenarios, magnitude, floor)
     targets = _build_targets(doc.get("targets", ["all"]))
     # the outputs key a cell by these names, so two cells must not share them
-    names = [tuple(_cell_names(replace(s, target=t)).values()) for s in scenarios for t in targets]
-    repeated = sorted({cell for cell in names if names.count(cell) > 1})
-    if repeated:
+    repeated = _repeated([(s.name, _target_name(t)) for s in scenarios for t in targets])
+    if repeated:  # named by cause: a target or a preset listed twice, or a custom name taken
+        presets = [item for item in raw_scenarios if isinstance(item, str)]
+        names = [s.name for s in scenarios]
+        causes = {
+            "list each target once": _repeated([_target_name(t) for t in targets]),
+            "list each scenario preset once": _repeated(presets),
+            "give each custom scenario its own 'name'":
+                [name for name in _repeated(names) if presets.count(name) < names.count(name)],
+        }
         raise ConfigError(f"config names more than one cell (scenario, target) {repeated}; "
-                          "give each custom scenario its own 'name'")
+                          + "; ".join(f"{advice} (repeated: {', '.join(map(repr, found))})"
+                                      for advice, found in causes.items() if found))
     model, survey_sha256 = _build_model(doc["model"], os.path.dirname(os.path.abspath(path)))
     for target in targets:  # resolved as each cell will, before any cell runs
         try:
@@ -283,7 +297,6 @@ def load_run_config(path: str, seed_override: int | None = None) -> RunConfig:
     try:
         base = SimulationConfig(
             model=model,
-            scenario=scenarios[0],
             n_units=_config_int("n_units", doc["n_units"]),
             n_reps=_config_int("n_reps", doc.get("n_reps", 1000)),
             alpha=_config_number("alpha", doc.get("alpha", 0.05)),
@@ -305,13 +318,13 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
-def _cell_names(scenario: EffectScenario) -> dict[str, str]:
-    """A cell's "scenario" name and "target", from its scenario, as the outputs write them."""
-    target = scenario.target
-    return {
-        "scenario": scenario.name or "custom",
-        "target": target if isinstance(target, str) else ",".join(map(str, target)),
-    }
+def _target_name(target) -> str:
+    return target if isinstance(target, str) else ",".join(map(str, target))
+
+
+def _cell_names(cell: CellResult) -> dict[str, str]:
+    """A cell's "scenario" name and "target", as the outputs write them."""
+    return {"scenario": cell.scenario.name, "target": _target_name(cell.target)}
 
 
 def _results_rows(cells: list[CellResult]) -> list[dict]:
@@ -322,7 +335,7 @@ def _results_rows(cells: list[CellResult]) -> list[dict]:
             stats = cell.stats[coding]
             row = {
                 "schema_version": RESULTS_SCHEMA_VERSION,
-                **_cell_names(cell.config.scenario),
+                **_cell_names(cell),
                 "coding": coding,
                 "n_units": config.n_units,
                 "n_reps": config.n_reps,
@@ -402,7 +415,7 @@ def _table(header: list[str], rows: list[list[str]], markdown: bool) -> list[str
 def _human_table(cells: list[CellResult]) -> str:
     lines = []
     flagged = False
-    named = [(cell, _cell_names(cell.config.scenario)) for cell in cells]
+    named = [(cell, _cell_names(cell)) for cell in cells]
     for target in dict.fromkeys(names["target"] for _, names in named):  # first-seen order
         block = [(cell, names["scenario"]) for cell, names in named if names["target"] == target]
         first = block[0][0].config
@@ -478,7 +491,7 @@ def cmd_simulate(args) -> int:
     _atomic_write_text(os.path.join(out_dir, "results.md"), _human_table(cells))
     n_items = len(run.base.model.acts)
     latent_rows = [
-        {"schema_version": RESULTS_SCHEMA_VERSION, **_cell_names(cell.config.scenario),
+        {"schema_version": RESULTS_SCHEMA_VERSION, **_cell_names(cell),
          **{k: _fmt(v) for k, v in latent_summary(cell.reps, n_items).items()}}
         for cell in cells
     ]

@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -71,14 +71,10 @@ SCENARIO_PRESETS: dict[str, tuple[float, float, float, float]] = {
 }
 
 
-def scenario_preset(
-    name: str, target="all", magnitude: int = 2, floor: int = 1
-) -> EffectScenario:
+def scenario_preset(name: str, magnitude: int = 2, floor: int = 1) -> EffectScenario:
     if name not in SCENARIO_PRESETS:
         raise KeyError(f"unknown scenario preset {name!r}; have {sorted(SCENARIO_PRESETS)}")
-    return EffectScenario(
-        SCENARIO_PRESETS[name], magnitude=magnitude, target=target, floor=floor, name=name
-    )
+    return EffectScenario(SCENARIO_PRESETS[name], magnitude=magnitude, floor=floor, name=name)
 
 
 class ReplicationError(RuntimeError):
@@ -96,7 +92,7 @@ class ReplicationError(RuntimeError):
 
 @dataclass
 class SimulationConfig:
-    """Everything one Monte Carlo cell needs.
+    """What the cells of a grid share: all one cell needs but its scenario and target.
 
     ``model`` is a MultiActModel or any source exposing ``acts`` and a
     ``sample_control(n, rng)`` method (e.g. the empirical resampler) whose
@@ -108,7 +104,6 @@ class SimulationConfig:
     """
 
     model: object
-    scenario: EffectScenario
     n_units: int
     n_reps: int = 1000
     alpha: float = 0.05
@@ -293,15 +288,16 @@ def hits(shared: TargetDraw, no_effect: float, span: tuple[int, int]) -> Hits:
 
 
 class CellKernel:
-    """The replication kernel of one cell: its scenario's invariants (the
-    target columns, the response-type CDF, the effect tables), built once,
-    and ``stage_s``, the seconds each of ``STAGES`` took in it."""
+    """The replication kernel of one cell, ``scenario`` on ``target``: its
+    invariants (the target columns, the response-type CDF, the effect
+    tables), built once, and ``stage_s``, the seconds each of ``STAGES``
+    took in it."""
 
-    def __init__(self, config: SimulationConfig):
-        self.config = config
-        self.cols = target_columns(config.model.acts, config.scenario.target)
+    def __init__(self, config: SimulationConfig, scenario: EffectScenario, target):
+        self.config, self.scenario, self.target = config, scenario, target
+        self.cols = target_columns(config.model.acts, target)
         # Generator.choice's own rule: cumsum(p) over its last entry
-        self.cdf = np.cumsum(config.scenario.probs)
+        self.cdf = np.cumsum(scenario.probs)
         self.cdf /= self.cdf[-1]
         self.stage_s = [0.0] * len(STAGES)
         # The effect tables hold an affected entry's score change and latent
@@ -311,7 +307,7 @@ class CellKernel:
         # min(count, 5) + clip(count, *span) - span[0]: the counts from 5 to
         # x + floor, where a reduction ends at the floor, share one, as do
         # those from x + 5 up, so few classes serve any x and any counts.
-        x, floor, cap = int(config.scenario.magnitude), config.scenario.floor, _CATEGORY_CAP
+        x, floor, cap = int(scenario.magnitude), scenario.floor, _CATEGORY_CAP
         self.span = (x + floor, x + cap)
         # the smallest count of each class, and each type's entry for it
         counts = np.r_[0 : cap + 1, max(cap, x + floor) + 1 : x + cap + 1]
@@ -453,10 +449,12 @@ def latent_summary(reps: Replications, n_items: int) -> dict[str, float]:
 
 @dataclass
 class CellResult:
-    """One (scenario, target) cell of a simulation grid: its config, whose
-    scenario carries the target, its statistics, records and clocks."""
+    """One (scenario, target) cell of a simulation grid: the grid's config,
+    the cell's scenario and target, its statistics, records and clocks."""
 
     config: SimulationConfig
+    scenario: EffectScenario
+    target: object  # a preset of outcomes.TARGET_PRESETS or a tuple of act indices
     stats: dict[str, PerformanceStats]
     reps: Replications
     # seconds of the cell's own work: respond (its type draw, lookups,
@@ -475,22 +473,17 @@ class CellResult:
     stage_s: dict[str, float]  # stage of STAGES -> seconds over the replications
 
 
-def run_cell(config: SimulationConfig) -> CellResult:
-    """The one cell of ``config``: its scenario, on its own target."""
-    return scenario_grid(config, [config.scenario], [config.scenario.target])[0]
-
-
 def scenario_grid(
     base_config: SimulationConfig,
     scenarios: Sequence[EffectScenario],
     targets: Sequence,
 ) -> list[CellResult]:
-    """Evaluate every scenario x target cell.
+    """Evaluate every scenario x target cell, in scenario-major order.
 
     All cells share the base seed, so schedules use common random numbers;
     what the cells would draw alike is drawn once (see the module
-    docstring).  Every cell's results are those of ``run_cell`` on that
-    cell alone.
+    docstring).  Every cell's results are those of a grid of that cell
+    alone.  Every target is resolved (``target_columns``) before any draw.
     """
     if not scenarios or not targets:
         raise ValueError("scenarios and targets must be non-empty")
@@ -501,8 +494,7 @@ def scenario_grid(
         copula = None
     else:
         raise TypeError("model must be a MultiActModel or expose sample_control(n, rng)")
-    kernels = [CellKernel(replace(base_config, scenario=replace(scenario, target=target)))
-               for scenario in scenarios for target in targets]
+    kernels = [CellKernel(base_config, s, t) for s in scenarios for t in targets]
     # cells whose targets resolve to the same columns share the target work,
     # and of those, cells whose CDFs start at the same float and whose spans
     # are equal share a hit set: target columns -> (cdf[0], span) -> cells
@@ -574,14 +566,13 @@ def scenario_grid(
     results = []
     for kernel, cell, latent, rep_s in zip(kernels, moments, latents, cell_s):
         t0 = clock()
-        reps = _replications(cell, latent, kernel.config)
+        reps = _replications(cell, latent, base_config)
         t1 = clock()
-        stats = summarize(reps, kernel.config.alpha)
+        stats = summarize(reps, base_config.alpha)
         summary_s = clock() - t1
         kernel.stage_s[2] += t1 - t0
         results.append(CellResult(
-            kernel.config, stats, reps, wall_s=rep_s + t1 - t0 + summary_s, summary_s=summary_s,
-            draw_s=draw_s, prefetch_s=prefetch_s, target_s=target_s,
-            stage_s=dict(zip(STAGES, kernel.stage_s)),
-        ))
+            base_config, kernel.scenario, kernel.target, stats, reps,
+            wall_s=rep_s + t1 - t0 + summary_s, summary_s=summary_s, draw_s=draw_s,
+            prefetch_s=prefetch_s, target_s=target_s, stage_s=dict(zip(STAGES, kernel.stage_s))))
     return results

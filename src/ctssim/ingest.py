@@ -292,17 +292,21 @@ def _act_value(cell: str, max_allowed: int) -> int | str | None:
     """An act cell's value, or None when it is a missing token, or, when it
     is not an integer in 0..``max_allowed`` (the top category, or the int64
     maximum in counts mode), the end of its error message.  A cell is an
-    integer when ``_INTEGER`` matches it stripped."""
+    integer when ``_INTEGER`` matches it stripped.  Its digits are read only
+    when they are no more than ``max_allowed``'s (``int`` refuses over 4300)."""
     cell = cell.strip()
     if not _INTEGER.fullmatch(cell):
         return None if cell.lower() in MISSING_TOKENS else f"has non-integer value {cell!r}"
-    value = int(cell)
-    if value < 0:
-        return f"is negative ({value})"
-    if value > max_allowed:
-        kind = "category" if max_allowed == coding.MAX_CATEGORY else "count"
-        return f"has {kind} {value} outside 0..{max_allowed}"
-    return value
+    digits = cell.lstrip("+-").lstrip("0") or "0"
+    negative = cell[0] == "-" and digits != "0"
+    if not negative and len(digits) <= len(str(max_allowed)) and int(digits) <= max_allowed:
+        return int(digits)
+    if len(digits) > 40:  # a message shows 40 digits at most
+        digits = f"{digits[:40]}... ({len(digits)} digits)"
+    if negative:
+        return f"is negative (-{digits})"
+    kind = "category" if max_allowed == coding.MAX_CATEGORY else "count"
+    return f"has {kind} {digits} outside 0..{max_allowed}"
 
 
 def _not_utf8(data_path: str) -> SurveyFormatError:

@@ -37,8 +37,6 @@ class EffectScenario:
         probs: probabilities of (no effect, cessation, reduction, increase)
             among violent units; must sum to 1.
         magnitude: fixed count change for reduction/increase types, 1..MAX_MAGNITUDE.
-        target: which acts the program affects: "all", "physical", "sexual",
-            "moderate", or an explicit sequence of 1-based act indices.
         floor: lower bound for reduced counts.  The default 1 keeps
             "reduction" disjoint from "cessation" (violence continues);
             set 0 to let large reductions reach zero.
@@ -47,7 +45,6 @@ class EffectScenario:
 
     probs: tuple[float, float, float, float]
     magnitude: int = 2
-    target: str | tuple[int, ...] = "all"
     floor: int = 1
     name: str | None = None
 
@@ -64,17 +61,11 @@ class EffectScenario:
                              f"got {self.magnitude}")
         if self.floor not in (0, 1):
             raise ValueError("floor must be 0 or 1")
-        if isinstance(self.target, str):
-            if self.target not in TARGET_PRESETS:
-                raise ValueError(f"unknown target preset {self.target!r}")
-        else:
-            object.__setattr__(self, "target", tuple(int(i) for i in self.target))
-            if not self.target:
-                raise ValueError("explicit target index list is empty")
 
 
 def target_columns(acts: Sequence[ActSpec], target) -> np.ndarray:
-    """0-based column indices of the acts a scenario affects."""
+    """0-based column indices of the acts a target selects: one of TARGET_PRESETS,
+    or distinct 1-based act indices, each an integer (not a bool, float or string)."""
     if isinstance(target, str):
         if target == "all":
             cols = [i for i in range(len(acts))]
@@ -83,16 +74,18 @@ def target_columns(acts: Sequence[ActSpec], target) -> np.ndarray:
         elif target == "moderate":
             cols = [i for i, a in enumerate(acts) if a.severity == "moderate"]
         else:
-            raise ValueError(f"unknown target preset {target!r}")
+            raise ValueError(f"unknown target preset {target!r}; have {TARGET_PRESETS}")
     else:
         by_index = {a.index: i for i, a in enumerate(acts)}
-        try:
-            cols = [by_index[int(i)] for i in target]
-        except KeyError as exc:
-            raise ValueError(f"target act index {exc.args[0]} not in act table") from None
+        cols = []
+        for i in target:
+            if isinstance(i, (bool, np.bool_)) or not isinstance(i, (int, np.integer)):
+                raise ValueError(f"target act index {i!r} is not an integer")
+            if i not in by_index:
+                raise ValueError(f"target act index {i} not in act table")
+            cols.append(by_index[i])
         if len(set(cols)) != len(cols):
             raise ValueError(f"target {tuple(target)} repeats an act index")
     if not cols:
         raise ValueError(f"target {target!r} selects no acts in this act table")
     return np.asarray(cols, dtype=np.intp)
-

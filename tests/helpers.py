@@ -103,6 +103,6 @@ def replicate(kernel: CellKernel, rep_index: int, return_schedule: bool = False)
         s[shared.violent] = DRAWN_TYPES.take(drawn)
         z = np.zeros(n, dtype=np.int8)
         z[shared.arm1] = 1
-        y1 = apply_effects(shared.y0[0], s, config.scenario, model.acts)
+        y1 = apply_effects(shared.y0[0], s, kernel.scenario, kernel.target, model.acts)
         record["schedule"] = PotentialOutcomeTable(shared.y0[0], y1, s, z)
     return record

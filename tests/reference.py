@@ -143,17 +143,21 @@ def read_survey(data_path: str, descriptor_path: str) -> SurveyTable:
                     raise SurveyFormatError(
                         f"{data_path}:{line_no}: column {name!r} has non-integer value {cell!r}"
                     )
-                value = int(cell)
-                if value < 0:
+                # a value of more digits than max_allowed is out of range
+                # unread (int() refuses over 4300 digits); a message shows
+                # at most 40 of them
+                digits = digits.lstrip("0") or "0"
+                shown = digits if len(digits) <= 40 else f"{digits[:40]}... ({len(digits)} digits)"
+                if cell[:1] == "-" and digits != "0":
                     raise SurveyFormatError(
-                        f"{data_path}:{line_no}: column {name!r} is negative ({value})"
+                        f"{data_path}:{line_no}: column {name!r} is negative (-{shown})"
                     )
-                if value > max_allowed:
+                if len(digits) > len(str(max_allowed)) or int(digits) > max_allowed:
                     raise SurveyFormatError(
-                        f"{data_path}:{line_no}: column {name!r} has {kind} {value} "
+                        f"{data_path}:{line_no}: column {name!r} has {kind} {shown} "
                         f"outside 0..{max_allowed}"
                     )
-                parsed.append(value)
+                parsed.append(int(digits))
             if w_idx is not None:
                 cell = raw[w_idx].strip()
                 if cell.lower() in MISSING_TOKENS:
@@ -435,18 +439,19 @@ class PotentialOutcomeTable:
 def assign_response_types(
     y0: np.ndarray,
     scenario: EffectScenario,
+    target,
     acts: Sequence[ActSpec],
     rng: np.random.Generator,
 ) -> np.ndarray:
     """Label each unit: never-violent, or one of the four drawn types.
 
-    A unit is "violent" (eligible for a type draw) if any targeted act is
-    positive under control; untargeted violence never triggers effects.
+    A unit is "violent" (eligible for a type draw) if any act of ``target``
+    is positive under control; untargeted violence never triggers effects.
     ``rng.choice`` is the specification: the kernel draws the uniforms
     itself and maps them through the scenario's CDF, which
     ``test_harness.TestSamplingRule`` pins to this call.
     """
-    cols = target_columns(acts, scenario.target)
+    cols = target_columns(acts, target)
     violent = (np.asarray(y0)[:, cols] > 0).any(axis=1)
     s = np.full(y0.shape[0], ResponseType.NEVER_VIOLENT, dtype=np.int8)
     n_violent = int(violent.sum())
@@ -459,17 +464,19 @@ def apply_effects(
     y0: np.ndarray,
     s: np.ndarray,
     scenario: EffectScenario,
+    target,
     acts: Sequence[ActSpec],
 ) -> np.ndarray:
     """Build treated counts from control counts and response types.
 
-    Only positive targeted entries change; zero entries within a violent
-    unit's row stay zero (treatment never initiates an act).  Reductions
-    stop at ``scenario.floor`` rather than silently becoming cessations.
+    Only positive entries of ``target``'s acts change; zero entries within
+    a violent unit's row stay zero (treatment never initiates an act).
+    Reductions stop at ``scenario.floor`` rather than silently becoming
+    cessations.
     """
     y0 = np.asarray(y0, dtype=np.int64)
     s = np.asarray(s)
-    cols = target_columns(acts, scenario.target)
+    cols = target_columns(acts, target)
     violent = (y0[:, cols] > 0).any(axis=1)
     if np.any(violent != (s != ResponseType.NEVER_VIOLENT)):
         raise ValueError("response-type labels inconsistent with y0 and target")
@@ -507,10 +514,11 @@ def true_estimands(table: PotentialOutcomeTable) -> dict[str, float]:
     }
 
 
-def check_schedule(table: PotentialOutcomeTable, scenario: EffectScenario,
+def check_schedule(table: PotentialOutcomeTable, scenario: EffectScenario, target,
                    acts: Sequence[ActSpec]) -> None:
-    """Verify a schedule's invariants under ``scenario``; raises on violation."""
-    cols = target_columns(acts, scenario.target)
+    """Verify a schedule's invariants under ``scenario`` on ``target``;
+    raises on violation."""
+    cols = target_columns(acts, target)
     t0, t1 = table.y0[:, cols], table.y1[:, cols]
     never = table.s == ResponseType.NEVER_VIOLENT
     if np.any(t0[never].sum(axis=1) > 0):

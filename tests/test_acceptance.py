@@ -16,7 +16,7 @@ from scipy import stats as sps
 from ctssim.cli import main as cli_main
 from ctssim.coding import categorize
 from ctssim.datasets import example_survey_paths
-from ctssim.harness import SimulationConfig, run_cell, scenario_preset
+from ctssim.harness import SimulationConfig, scenario_grid, scenario_preset
 from ctssim.ingest import SurveyTable, fit_model, read_survey
 from ctssim.joint import ActSpec, MultiActModel, sample_joint
 from ctssim.marginals import MarginalParams, category_probs, fit_mle_censored, fit_mle_exact
@@ -60,14 +60,8 @@ def fitted_model():
 
 
 def run_scenario(model, name, target, seed=BASE_SEED):
-    config = SimulationConfig(
-        model=model,
-        scenario=scenario_preset(name, target=target),
-        n_units=N_UNITS,
-        n_reps=N_REPS,
-        seed=seed,
-    )
-    return run_cell(config)
+    config = SimulationConfig(model=model, n_units=N_UNITS, n_reps=N_REPS, seed=seed)
+    return scenario_grid(config, [scenario_preset(name)], [target])[0]
 
 
 @pytest.fixture(scope="module")
@@ -275,10 +269,10 @@ def test_criterion_10_reference_schedule():
     from ctssim.outcomes import EffectScenario
 
     scenario = EffectScenario((0.25, 0.25, 0.25, 0.25), magnitude=2)
-    y1 = apply_effects(y0, s, scenario, act)
+    y1 = apply_effects(y0, s, scenario, "all", act)
     assert np.array_equal(y1, [[0], [3], [0], [2], [3]])
     assert np.array_equal(categorize(y1), [[0], [2], [0], [2], [2]])
     assert np.array_equal(categorize(y0), [[0], [2], [3], [2], [1]])
     table = PotentialOutcomeTable(y0, y1, s, z)
     assert np.array_equal(categorize(table.observed()), [[0], [2], [0], [2], [2]])
-    check_schedule(table, scenario, act)
+    check_schedule(table, scenario, "all", act)

@@ -48,7 +48,6 @@ PUBLIC_NAMES = [
     "load_model",
     "nearest_psd",
     "read_survey",
-    "run_cell",
     "sample_joint",
     "save_model",
     "scenario_grid",

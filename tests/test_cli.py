@@ -296,6 +296,23 @@ class TestFit:
         assert err.endswith("more than the limit of 4194304\n")
         assert not (tmp_path / "m.json").exists()
 
+    @pytest.mark.parametrize("sign, end", [
+        ("", f"has count {'7' * 40}... (5000 digits) outside 0..{2**63 - 1}"),
+        ("-", f"is negative (-{'7' * 40}... (5000 digits))"),
+    ])
+    def test_cell_of_thousands_of_digits_exits_2_naming_it(self, tmp_path, capsys, sign, end):
+        # int() refuses more than 4300 digits: its error named no file or line
+        data, desc = tmp_path / "s.csv", tmp_path / "s.json"
+        data.write_text(f"a,b\n1,0\n0,{sign}{'7' * 5000}\n3,0\n")
+        desc.write_text(json.dumps({"mode": "counts", "acts": [
+            {"column": c, "label": c, "category": "physical", "severity": "severe"}
+            for c in ("a", "b")]}))
+        code = main(["fit", "--data", str(data), "--descriptor", str(desc),
+                     "--out", str(tmp_path / "m.json")])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {data}:3: column 'b' {end}\n"
+        assert not (tmp_path / "m.json").exists()
+
     @pytest.mark.parametrize("family", ["zip", "zinb"])
     def test_largest_int64_count_exits_2_naming_it(self, tmp_path, capsys, family):
         # the tests turn any RuntimeWarning into an error, which would exit 1
@@ -1145,23 +1162,42 @@ class TestConfigTypes:
         assert expected in capsys.readouterr().err
         assert not (workdir / "x").exists()
 
-    @pytest.mark.parametrize("overrides, cells", [
+    @pytest.mark.parametrize("overrides, cells, hint", [
         pytest.param({"scenarios": [{"probs": [0.7, 0.3, 0, 0]}, {"probs": [1, 0, 0, 0]}]},
-                     "[('custom', 'all')]", id="unnamed-customs"),
+                     "[('custom', 'all')]",
+                     "give each custom scenario its own 'name' (repeated: 'custom')",
+                     id="unnamed-customs"),
         pytest.param({"scenarios": ["null", {"probs": [1, 0, 0, 0], "name": "null"},
                                     "cessation_only"],
                       "targets": ["all", [1, 2], [1, 2]]},
                      "[('cessation_only', '1,2'), ('null', '1,2'), ('null', 'all')]",
+                     "list each target once (repeated: '1,2'); "
+                     "give each custom scenario its own 'name' (repeated: 'null')",
                      id="named-custom-and-repeated-target"),
+        pytest.param({"targets": ["all", "all"]},
+                     "[('cessation_only', 'all'), ('null', 'all'), ('reduction_only', 'all')]",
+                     "list each target once (repeated: 'all')", id="repeated-target"),
+        pytest.param({"scenarios": ["null", "cessation_only", "null"]}, "[('null', 'all')]",
+                     "list each scenario preset once (repeated: 'null')", id="repeated-preset"),
+        pytest.param({"scenarios": ["null", {"probs": [0.7, 0.3, 0, 0], "name": "null"}]},
+                     "[('null', 'all')]",
+                     "give each custom scenario its own 'name' (repeated: 'null')",
+                     id="custom-named-as-a-preset"),
+        pytest.param({"scenarios": ["null", "null", {"probs": [1, 0, 0, 0], "name": "null"}]},
+                     "[('null', 'all')]",
+                     "list each scenario preset once (repeated: 'null'); "
+                     "give each custom scenario its own 'name' (repeated: 'null')",
+                     id="repeated-preset-and-custom-named-as-it"),
     ])
-    def test_repeated_cell_names_exit_2(self, workdir, capsys, monkeypatch, overrides, cells):
+    def test_repeated_cell_names_exit_2(self, workdir, capsys, monkeypatch, overrides, cells,
+                                        hint):
         def no_grid(*args, **kwargs):
             raise AssertionError("the grid ran")
 
         monkeypatch.setattr(cli, "scenario_grid", no_grid)
         cfg = write_config(workdir / "run.json", **overrides)
         assert main(["simulate", "--config", str(cfg), "--out-dir", str(workdir / "x")]) == 2
-        assert f"config names more than one cell (scenario, target) {cells}" \
+        assert f"config names more than one cell (scenario, target) {cells}; {hint}\n" \
             in capsys.readouterr().err
 
     def test_named_custom_scenarios_and_aliased_targets_run(self, workdir):
@@ -1176,6 +1212,13 @@ class TestConfigTypes:
             ("a", "all"), ("a", "1,2,3"), ("b", "all"), ("b", "1,2,3")}
         report = cli.power_differences(cli._read_results(str(out / "results.csv")))
         assert len(report) == 4
+
+    def test_empty_custom_name_writes_custom(self, workdir):
+        cfg = write_config(workdir / "run.json", scenarios=[{"probs": [1, 0, 0, 0], "name": ""}],
+                           n_reps=5)
+        out = workdir / "x"
+        assert main(["simulate", "--config", str(cfg), "--out-dir", str(out)]) == 0
+        assert {r["scenario"] for r in read_rows(out / "results.csv")} == {"custom"}
 
     @pytest.mark.parametrize("document", ["[1, 2]", "5", '"model"'])
     def test_config_must_be_an_object(self, workdir, capsys, document):

@@ -1,10 +1,11 @@
 """Tests for the Monte Carlo harness."""
 
 import math
+import os
+import re
 import sys
 import threading
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,7 +24,6 @@ from ctssim.harness import (
     Replications,
     SimulationConfig,
     latent_summary,
-    run_cell,
     scenario_grid,
     scenario_preset,
     summarize,
@@ -57,15 +57,20 @@ def small_model(k=3):
     return MultiActModel(acts, margins, sigma)
 
 
-def config(scenario_name="cessation_only", n_units=300, n_reps=200, seed=5, **kw):
-    return SimulationConfig(
-        model=small_model(),
-        scenario=scenario_preset(scenario_name),
-        n_units=n_units,
-        n_reps=n_reps,
-        seed=seed,
-        **kw,
-    )
+def config(n_units=300, n_reps=200, seed=5, **kw):
+    return SimulationConfig(model=small_model(), n_units=n_units, n_reps=n_reps, seed=seed, **kw)
+
+
+def lone_cell(cfg, scenario="cessation_only", target="all"):
+    """The cell of a grid of one: ``scenario`` (an EffectScenario, or the
+    name of a preset) on ``target``."""
+    if isinstance(scenario, str):
+        scenario = scenario_preset(scenario)
+    return scenario_grid(cfg, [scenario], [target])[0]
+
+
+def preset_kernel(cfg, name="cessation_only", target="all"):
+    return CellKernel(cfg, scenario_preset(name), target)
 
 
 # 4 replications a block: n_reps of 1, B - 1, B and B + 1 fill a block in
@@ -91,29 +96,31 @@ class TestPresets:
         with pytest.raises(KeyError):
             scenario_preset("everything_works")
 
-    def test_preset_carries_target(self):
-        s = scenario_preset("cessation_only", target="sexual")
-        assert s.target == "sexual" and s.name == "cessation_only"
+    def test_preset_settings(self):
+        s = scenario_preset("cessation_only", magnitude=3, floor=0)
+        assert s == EffectScenario((0.70, 0.30, 0.0, 0.0), 3, 0, "cessation_only")
+        with pytest.raises(TypeError):  # a cell's target is the grid's target axis
+            scenario_preset("cessation_only", target="sexual")
 
 
 class TestReplicate:
     def test_deterministic(self):
         cfg = config()
-        a = replicate(CellKernel(cfg), 3)
-        b = replicate(CellKernel(cfg), 3)
+        a = replicate(preset_kernel(cfg), 3)
+        b = replicate(preset_kernel(cfg), 3)
         assert a == b
 
     def test_distinct_replications_differ(self):
-        kernel = CellKernel(config())
+        kernel = preset_kernel(config())
         assert replicate(kernel, 0) != replicate(kernel, 1)
 
     def test_null_scenario_true_ate_zero(self):
-        rec = replicate(CellKernel(config("null")), 0)
+        rec = replicate(preset_kernel(config(), "null"), 0)
         assert rec["binary"]["true_ate"] == 0.0
         assert rec["sum"]["true_ate"] == 0.0
 
     def test_reduction_only_binary_ate_zero_every_rep(self):
-        kernel = CellKernel(config("reduction_only", n_reps=30))
+        kernel = preset_kernel(config(n_reps=30), "reduction_only")
         for m in range(30):
             rec = replicate(kernel, m)
             assert rec["binary"]["true_ate"] == 0.0
@@ -121,8 +128,8 @@ class TestReplicate:
     def test_schedule_reproduces_binary_estimate(self):
         # the stored statistics really are functions of the stored schedule
         cfg = config()
-        reps = run_cell(cfg).reps
-        rec = replicate(CellKernel(cfg), 7, return_schedule=True)
+        reps = lone_cell(cfg).reps
+        rec = replicate(preset_kernel(cfg), 7, return_schedule=True)
         table = rec["schedule"]
         recomputed = estimate_ols_hc2(
             code_binary(categorize(table.observed())), table.z, alpha=cfg.alpha
@@ -173,16 +180,17 @@ def reference_draw(model, n, rng):
     )
 
 
-def reference_replication(config, rep_index):
-    """One replication through the public stage functions, on the same stream."""
+def reference_replication(config, scenario, target, rep_index):
+    """One replication of ``scenario`` on ``target`` through the public
+    stage functions, on the same stream."""
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, rep_index]))
-    model, scenario, n = config.model, config.scenario, config.n_units
+    model, n = config.model, config.n_units
     if isinstance(model, MultiActModel):
         y0 = reference_draw(model, n, rng)
     else:
         y0 = model.sample_control(n, rng)
-    s = assign_response_types(y0, scenario, model.acts, rng)
-    y1 = apply_effects(y0, s, scenario, model.acts)
+    s = assign_response_types(y0, scenario, target, model.acts, rng)
+    y1 = apply_effects(y0, s, scenario, target, model.acts)
     return PotentialOutcomeTable(y0, y1, s, randomize(n, rng))
 
 
@@ -231,16 +239,14 @@ class TestKernelMatchesReference:
     ):
         model = kernel_models[model_name]
         floor = {"all": 1, "physical": 0, "sexual": 1, "moderate": 0}[target]
-        cfg = SimulationConfig(
-            model, scenario_preset(scenario_name, target=target, floor=floor),
-            n_units=301, n_reps=3, seed=23, df=df,
-        )
-        kernel = CellKernel(cfg)
+        scenario = scenario_preset(scenario_name, floor=floor)
+        cfg = SimulationConfig(model, n_units=301, n_reps=3, seed=23, df=df)
+        kernel = CellKernel(cfg, scenario, target)
         for i in range(cfg.n_reps):
             rec = replicate(kernel, i, return_schedule=True)
             table = rec["schedule"]
-            check_schedule(table, cfg.scenario, model.acts)
-            ref = reference_replication(cfg, i)
+            check_schedule(table, scenario, target, model.acts)
+            ref = reference_replication(cfg, scenario, target, i)
             for name in ("y0", "y1", "s", "z"):
                 assert np.array_equal(getattr(table, name), getattr(ref, name)), name
             del rec["schedule"]
@@ -255,20 +261,19 @@ class TestKernelMatchesReference:
     ):
         # every response type, on counts below, inside and above each
         # class of the effect tables, up to 3 * 10**9 in the counts survey
-        model = kernel_models[model_name]
-        cfg = SimulationConfig(
-            model, EffectScenario((0.25, 0.25, 0.25, 0.25), magnitude, "all", floor),
-            n_units=301, n_reps=3, seed=31, alpha=0.1, df=df,
-        )
-        kernel = CellKernel(cfg)
+        scenario = EffectScenario((0.25, 0.25, 0.25, 0.25), magnitude, floor)
+        cfg = SimulationConfig(kernel_models[model_name], n_units=301, n_reps=3, seed=31,
+                               alpha=0.1, df=df)
+        kernel = CellKernel(cfg, scenario, "all")
         for i in range(cfg.n_reps):
             rec = replicate(kernel, i)
-            assert rec == reference_record(cfg, reference_replication(cfg, i))
+            assert rec == reference_record(cfg, reference_replication(cfg, scenario, "all", i))
 
     def test_counts_survey_reaches_the_large_counts(self, kernel_models):
-        cfg = SimulationConfig(kernel_models["counts"], scenario_preset("cessation_only"),
-                               n_units=301, n_reps=3, seed=31)
-        drawn = np.concatenate([reference_replication(cfg, i).y0 for i in range(3)])
+        cfg = SimulationConfig(kernel_models["counts"], n_units=301, n_reps=3, seed=31)
+        scenario = scenario_preset("cessation_only")
+        drawn = np.concatenate([reference_replication(cfg, scenario, "all", i).y0
+                                for i in range(3)])
         assert drawn.max() >= 10**6 and ((drawn >= 6) & (drawn <= 1000)).any()
 
     @pytest.mark.parametrize("df", ["normal", "welch"])
@@ -276,30 +281,29 @@ class TestKernelMatchesReference:
     @pytest.mark.parametrize("n_units, n_reps", BLOCK_CASES)
     def test_blocks_equal_stage_functions(self, kernel_models, model_name, n_units, n_reps, df):
         assert B > 1
-        cfg = SimulationConfig(
-            kernel_models[model_name], scenario_preset("cessation_reduction_increase", floor=0),
-            n_units=n_units, n_reps=n_reps, seed=29, df=df,
-        )
-        reps = run_cell(cfg).reps
+        cfg = SimulationConfig(kernel_models[model_name], n_units=n_units, n_reps=n_reps, seed=29,
+                               df=df)
+        scenario = scenario_preset("cessation_reduction_increase", floor=0)
+        reps = lone_cell(cfg, scenario).reps
         for i in range(n_reps):
-            ref = reference_record(cfg, reference_replication(cfg, i))
+            ref = reference_record(cfg, reference_replication(cfg, scenario, "all", i))
             for c in CODINGS:
                 for f in REPLICATION_FIELDS:
                     assert reps.data[c][f][i] == ref[c][f], (i, c, f)
             assert reps.latent_sum_true[i] == ref["latent_sum_true"], i
 
     def test_simulation_matches_fresh_kernels(self):
-        # run_cell shares one kernel across the cell's replications
-        cfg = config("cessation_reduction_increase", n_reps=6, df="welch")
-        reps = run_cell(cfg).reps
+        # a grid shares one kernel across a cell's replications
+        cfg = config(n_reps=6, df="welch")
+        reps = lone_cell(cfg, "cessation_reduction_increase").reps
         for i in range(cfg.n_reps):
-            rec = replicate(CellKernel(cfg), i)
+            rec = replicate(preset_kernel(cfg, "cessation_reduction_increase"), i)
             for c in CODINGS:
                 for f in REPLICATION_FIELDS:
                     assert reps.data[c][f][i] == rec[c][f]
 
     @pytest.mark.parametrize("run, hit_sets", [
-        (run_cell, 1),
+        (lone_cell, 1),
         # "all" and "physical" are the same 3 columns; null and
         # cessation_only each have a hit set on each of the 2 column sets
         (lambda cfg: scenario_grid(cfg, [scenario_preset("null"), scenario_preset("cessation_only")],
@@ -338,9 +342,29 @@ class TestKernelMatchesReference:
             def sample_control(self, n, rng):
                 return -np.ones((n, 3), dtype=np.int64)
 
-        cfg = SimulationConfig(NegativeModel(), scenario_preset("null"), 100, n_reps=2)
+        cfg = SimulationConfig(NegativeModel(), 100, n_reps=2)
         with pytest.raises(ReplicationError, match="non-negative counts"):
-            run_cell(cfg)
+            lone_cell(cfg, "null")
+
+    @pytest.mark.parametrize("target, message", [
+        ("verbal", "unknown target preset 'verbal'"),
+        ((2, 9), "target act index 9 not in act table"),
+        ((True,), "target act index True is not an integer"),
+        ((1.5,), "target act index 1.5 is not an integer"),
+        (("2",), "target act index '2' is not an integer"),
+        ((1, 3, 1), r"target \(1, 3, 1\) repeats an act index"),
+        ((), r"target \(\) selects no acts"),
+    ])
+    def test_bad_target_rejected_before_any_draw(self, monkeypatch, target, message):
+        # the grid's target axis is the one place a cell's target is set,
+        # and target_columns its one check: a bad target costs no draw
+        def no_draw(*args):
+            raise AssertionError("a replication was drawn")
+
+        monkeypatch.setattr(harness, "draw_streams", no_draw)
+        for targets in ([target], ["all", target]):
+            with pytest.raises(ValueError, match=message):
+                scenario_grid(config(), [scenario_preset("null")], targets)
 
 
 def random_probs(rng):
@@ -365,8 +389,7 @@ class TestSamplingRule:
         assert (1.0, 0.0, 0.0, 0.0) in self.PROBS
         assert any(0.0 in p[:3] and p[3] > 0 for p in self.PROBS[5:])
         for seed, probs in enumerate(self.PROBS):
-            cfg = replace(config(n_units=4), scenario=EffectScenario(probs))
-            cdf = CellKernel(cfg).cdf
+            cdf = CellKernel(config(n_units=4), EffectScenario(probs), "all").cdf
             kernel_rng, choice_rng = np.random.default_rng(seed), np.random.default_rng(seed)
             drawn = DRAWN_TYPES.take(cdf.searchsorted(kernel_rng.random(n), side="right"))
             chosen = choice_rng.choice(DRAWN_TYPES, size=n, p=probs)
@@ -375,11 +398,11 @@ class TestSamplingRule:
             assert kernel_rng.random() == choice_rng.random(), probs
 
 
-def per_cell_reference(config):
+def per_cell_reference(cell):
     """A cell run alone: its kernel's replications one at a time, each on
     a fresh generator, collected as a cell's run collects them."""
-    kernel = CellKernel(config)
-    records = [replicate(kernel, i) for i in range(config.n_reps)]
+    kernel = CellKernel(cell.config, cell.scenario, cell.target)
+    records = [replicate(kernel, i) for i in range(cell.config.n_reps)]
     data = {c: {f: np.array([r[c][f] for r in records]) for f in REPLICATION_FIELDS}
             for c in CODINGS}
     latent = np.array([r["latent_sum_true"] for r in records])
@@ -394,21 +417,19 @@ class TestReplicationMajorGrid:
     def assert_cells_match_reference(base, scenarios, targets):
         """The grid's cells, each checked against its per-cell reference."""
         cells = scenario_grid(base, scenarios, targets)
-        assert len(cells) == len(scenarios) * len(targets)
+        assert [(cell.scenario, cell.target) for cell in cells] == [
+            (scenario, target) for scenario in scenarios for target in targets]
         for cell in cells:
-            assert cell.config == replace(base, scenario=cell.config.scenario)
-            data, latent = per_cell_reference(cell.config)
+            assert cell.config is base
+            data, latent = per_cell_reference(cell)
             for c in CODINGS:
                 for f in REPLICATION_FIELDS:
-                    assert np.array_equal(cell.reps.data[c][f], data[c][f]), (cell.config.scenario, c, f)
-            assert np.array_equal(cell.reps.latent_sum_true, latent), cell.config.scenario
+                    assert np.array_equal(cell.reps.data[c][f], data[c][f]), (cell.scenario, c, f)
+            assert np.array_equal(cell.reps.latent_sum_true, latent), cell.scenario
         return cells
 
     def test_copula_model_welch(self):
-        base = SimulationConfig(
-            example_model(), scenario_preset("null"), n_units=240, n_reps=12, seed=41,
-            df="welch",
-        )
+        base = SimulationConfig(example_model(), n_units=240, n_reps=12, seed=41, df="welch")
         scenarios = [scenario_preset(name) for name in sorted(SCENARIO_PRESETS)]
         self.assert_cells_match_reference(base, scenarios, ["all", "sexual", (2, 5, 9)])
 
@@ -417,10 +438,7 @@ class TestReplicationMajorGrid:
         weighted = SurveyTable(
             table.acts, table.values, table.mode, weights=np.linspace(0.2, 3.0, table.n_rows)
         )
-        base = SimulationConfig(
-            EmpiricalResampler(weighted), scenario_preset("null"), n_units=301, n_reps=10,
-            seed=7,
-        )
+        base = SimulationConfig(EmpiricalResampler(weighted), n_units=301, n_reps=10, seed=7)
         scenarios = [
             scenario_preset(name, floor=0)
             for name in ("cessation_only", "reduction_only", "cessation_reduction_increase")
@@ -492,8 +510,7 @@ class TestReplicationMajorGrid:
         rngs, block = harness.draw_streams(base, copula, range(B))
         y0, score0 = harness.finish_draw(copula, block)
         for target in ("all", (2,)):
-            kernels = [CellKernel(replace(base, scenario=replace(s, target=target)))
-                       for s in scenarios]
+            kernels = [CellKernel(base, s, target) for s in scenarios]
             shared = harness.share(y0, score0, rngs, kernels[0].cols)
             null, none = (k.respond(shared, harness.hits(shared, float(k.cdf[0]), k.span))[0]
                           for k in kernels)
@@ -515,9 +532,8 @@ class TestReplicationMajorGrid:
     def test_several_blocks_magnitudes_and_floors(self, kernel_models, model_name):
         # every field of every cell, over three blocks, equals (==, entry by
         # entry) the cell's replications run one at a time
-        base = SimulationConfig(kernel_models[model_name], scenario_preset("null"),
-                                n_units=BLOCK_UNITS, n_reps=2 * B + 1, seed=43, alpha=0.1,
-                                df="welch")
+        base = SimulationConfig(kernel_models[model_name], n_units=BLOCK_UNITS, n_reps=2 * B + 1,
+                                seed=43, alpha=0.1, df="welch")
         probs = (0.1, 0.3, 0.3, 0.3)
         scenarios = [EffectScenario(probs, magnitude, floor=floor, name=f"m{magnitude}f{floor}")
                      for magnitude, floor in ((1, 0), (2, 1), (7, 0), (10**9, 1))]
@@ -548,14 +564,14 @@ class TestReplicationMajorGrid:
                     raise RuntimeError("sampler exploded")
                 return np.zeros((n, 3), dtype=np.int64)
 
-        cfg = SimulationConfig(FailsAtOne(), scenario_preset("null"), n_units, n_reps=2 * B, seed=1)
+        cfg = SimulationConfig(FailsAtOne(), n_units, n_reps=2 * B, seed=1)
         threads = threading.active_count()
         with pytest.raises(ReplicationError) as info:
             if grid:
                 scenario_grid(cfg, [scenario_preset("null"), scenario_preset("cessation_only")],
                               ["all", (2,)])
             else:
-                run_cell(cfg)
+                lone_cell(cfg, "null")
         assert info.value.rep_index == failing
         assert "sampler exploded" in str(info.value)
         assert threading.active_count() == threads
@@ -571,7 +587,7 @@ class TestReplicationMajorGrid:
         monkeypatch.setattr(harness, "share", fails_in_second_block)
         threads = threading.active_count()
         with pytest.raises(ReplicationError, match="block work failed") as info:
-            run_cell(config(n_units=BLOCK_UNITS, n_reps=2 * B))
+            lone_cell(config(n_units=BLOCK_UNITS, n_reps=2 * B))
         assert info.value.rep_index == B
         assert threading.active_count() == threads
 
@@ -589,8 +605,8 @@ class TestReplicationMajorGrid:
             return draw_streams(config, copula, reps)
 
         monkeypatch.setattr(harness, "draw_streams", recorded)
-        base = SimulationConfig(kernel_models[model_name], scenario_preset("null"),
-                                n_units=BLOCK_UNITS, n_reps=2 * B + 1, seed=5)
+        base = SimulationConfig(kernel_models[model_name], n_units=BLOCK_UNITS, n_reps=2 * B + 1,
+                                seed=5)
         threads, interval = threading.active_count(), sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -607,16 +623,16 @@ class TestReplicationMajorGrid:
     @pytest.mark.parametrize("model_name", ["example", "resample"])
     @pytest.mark.parametrize("n_units, n_reps", BLOCK_CASES)
     def test_block_boundaries(self, kernel_models, model_name, n_units, n_reps, df):
-        base = SimulationConfig(kernel_models[model_name], scenario_preset("null"),
-                                n_units=n_units, n_reps=n_reps, seed=13, df=df)
+        base = SimulationConfig(kernel_models[model_name], n_units=n_units, n_reps=n_reps, seed=13,
+                                df=df)
         scenarios = [scenario_preset("cessation_reduction"), scenario_preset("reduction_only")]
         self.assert_cells_match_reference(base, scenarios, ["physical", "all"])
 
 
-class TestRunCell:
+class TestRerun:
     def test_rerun_bit_identical(self):
         cfg = config(n_reps=25)
-        a, b = run_cell(cfg).reps, run_cell(cfg).reps
+        a, b = lone_cell(cfg).reps, lone_cell(cfg).reps
         assert np.array_equal(a.data["sum"]["estimate"], b.data["sum"]["estimate"])
 
 
@@ -665,7 +681,7 @@ class TestSummarize:
         assert stats.true_ate_is_zero
 
     def test_rmse_at_least_abs_bias(self):
-        reps = run_cell(config(n_reps=50)).reps
+        reps = lone_cell(config(n_reps=50)).reps
         for s in summarize(reps).values():
             assert s.rmse >= abs(s.bias)
 
@@ -762,8 +778,8 @@ class TestMCStandardErrors:
             assert stats[c].mc_se["power"] > 0.0
 
     def test_doubling_reps_shrinks_se(self):
-        small = run_cell(config(n_reps=400, seed=21)).reps
-        large = run_cell(config(n_reps=800, seed=21)).reps
+        small = lone_cell(config(n_reps=400, seed=21)).reps
+        large = lone_cell(config(n_reps=800, seed=21)).reps
         se_small = mc_ses(small)["sum"]
         se_large = mc_ses(large)["sum"]
         for stat in ("bias", "rmse"):
@@ -777,7 +793,7 @@ class TestScenarioGrid:
         scenarios = [scenario_preset("null"), scenario_preset("cessation_only")]
         cells = scenario_grid(cfg, scenarios, ["all", "physical"])
         assert len(cells) == 4
-        assert {(c.config.scenario.name, c.config.scenario.target) for c in cells} == {
+        assert {(c.scenario.name, c.target) for c in cells} == {
             ("null", "all"), ("null", "physical"),
             ("cessation_only", "all"), ("cessation_only", "physical"),
         }
@@ -799,11 +815,23 @@ class TestScenarioGrid:
     def test_power_monotone_in_sample_size(self):
         powers, ses = [], []
         for n_units in (150, 400, 1000):
-            cell = run_cell(config("cessation_only", n_units=n_units, n_reps=300, seed=31))
+            cell = lone_cell(config(n_units=n_units, n_reps=300, seed=31))
             powers.append(cell.stats["sum"].power)
             ses.append(cell.stats["sum"].mc_se["power"])
         assert powers[1] >= powers[0] - ses[0]
         assert powers[2] >= powers[1] - ses[1]
+
+
+def test_readme_library_example(capsys):
+    # the README's python example runs as written: one cessation_only cell,
+    # in which the binary coding has the more power
+    readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        (example,) = re.findall(r"```python\n(.*?)```", fh.read(), re.S)
+    assert "scenario_grid(" in example
+    exec(compile(example, "README.md", "exec"), {})
+    binary, total = map(float, capsys.readouterr().out.split())
+    assert 0.0 <= total < binary <= 1.0
 
 
 class TestOrderingRobustness:
@@ -824,10 +852,7 @@ class TestOrderingRobustness:
         assert 0.2 <= prevalence <= 0.6
 
         def powers(scenario_name, n_units):
-            cfg = SimulationConfig(
-                model, scenario_preset(scenario_name), n_units, n_reps=400, seed=17
-            )
-            stats = run_cell(cfg).stats
+            stats = lone_cell(SimulationConfig(model, n_units, n_reps=400, seed=17), scenario_name).stats
             return stats["binary"].power, stats["sum"].power
 
         cess_binary, cess_sum = powers("cessation_only", 700)
@@ -838,8 +863,7 @@ class TestOrderingRobustness:
 
 class TestLatentDiagnostics:
     def test_latent_sum_recorded(self):
-        cfg = config("reduction_only", n_reps=20)
-        reps = run_cell(cfg).reps
+        reps = lone_cell(config(n_reps=20), "reduction_only").reps
         assert np.all(reps.latent_sum_true <= 0.0)
 
     # latent changes whose row sums pass the int64 range keep their sign
@@ -847,23 +871,20 @@ class TestLatentDiagnostics:
         acts = tuple(ActSpec(i + 1, f"act {i + 1}", "physical", "severe") for i in range(2))
         big = 5 * 10**18
         table = SurveyTable(acts, np.array([[big, big], [0, 0], [big, 3], [1, 2]]), "counts")
-        cfg = SimulationConfig(EmpiricalResampler(table), EffectScenario((0.0, 1.0, 0.0, 0.0)),
-                               n_units=40, n_reps=4, seed=3)
-        latent = run_cell(cfg).reps.latent_sum_true
+        cfg = SimulationConfig(EmpiricalResampler(table), n_units=40, n_reps=4, seed=3)
+        latent = lone_cell(cfg, EffectScenario((0.0, 1.0, 0.0, 0.0))).reps.latent_sum_true
         assert np.all(latent <= 0.0) and np.any(latent < -10**18)
 
     def test_huge_increases_stay_non_negative(self):
-        cfg = SimulationConfig(example_model(), EffectScenario((0.0, 0.0, 0.0, 1.0), 2**61),
-                               n_units=40, n_reps=4, seed=3)
-        latent = run_cell(cfg).reps.latent_sum_true
+        cfg = SimulationConfig(example_model(), n_units=40, n_reps=4, seed=3)
+        latent = lone_cell(cfg, EffectScenario((0.0, 0.0, 0.0, 1.0), 2**61)).reps.latent_sum_true
         assert np.all(latent >= 0.0) and np.any(latent > 2**61)
 
     def test_latent_report_shows_count_scale_bias(self):
         # reductions of 2 inside the "a few times" category are invisible to
         # the coded sum, so the denormalized estimate understates the latent
         # count change
-        cfg = config("reduction_only", n_units=900, n_reps=300)
-        reps = run_cell(cfg).reps
+        reps = lone_cell(config(n_units=900, n_reps=300), "reduction_only").reps
         report = latent_summary(reps, n_items=3)
         assert report["mean_latent_count_ate"] < 0.0
         assert report["denormalized_sum_bias"] > 0.0

@@ -466,6 +466,18 @@ class TestReadSurveyMatchesReference:
         pytest.param(["a,b", "1,1", "1,99999999999999999999"],
                      "3: column 'b' has count 99999999999999999999 outside 0..9223372036854775807",
                      id="count-beyond-int64"),
+        # the int64 maximum, with a sign and leading zeros, and one past it
+        pytest.param(["a,b", "1,+0009223372036854775807", "-000,1"],
+                     ([[1, 2**63 - 1], [0, 1]], 0), id="int64-max-and-minus-zero"),
+        pytest.param(["a,b", "1,1", "1,9223372036854775808"],
+                     "3: column 'b' has count 9223372036854775808 outside 0..9223372036854775807",
+                     id="int64-max-plus-one"),
+        # an error shows 40 digits at most
+        pytest.param(["a,b", "1,1", "1,00" + "1" * 40],
+                     f"3: column 'b' has count {'1' * 40} outside 0..9223372036854775807",
+                     id="forty-digits"),
+        pytest.param(["a,b", "1,1", "1,-" + "1" * 41],
+                     f"3: column 'b' is negative (-{'1' * 40}... (41 digits))", id="forty-one-digits"),
         pytest.param(["a,b", "1,1", "2," + "7" * 200_000],
                      "3: field larger than field limit (131072)", id="huge-field"),
         pytest.param(["a,b," + "x" * 200_000, "1,1"],
@@ -502,6 +514,24 @@ class TestReadSurveyMatchesReference:
             assert np.array_equal(got.values, values) and got.values.flags.c_contiguous
             assert np.array_equal(got.values, want.values)
             assert got.n_dropped == want.n_dropped == n_dropped
+
+    @pytest.mark.parametrize("sign", ["", "+", "-"])
+    @pytest.mark.parametrize("mode", ["categories", "counts"])
+    def test_cell_of_thousands_of_digits(self, tmp_path, mode, sign):
+        """A cell past Python's 4300-digit limit on int(): out of range
+        unread, named by file, line and column, with 40 of its digits."""
+        data, desc = tmp_path / "s.csv", tmp_path / "s.json"
+        data.write_text(f"a,b\n1,1\n1,{sign}00{'7' * 5000}\n")
+        desc.write_text(json.dumps({"mode": mode, "acts": [descriptor_act(c) for c in "ab"]}))
+        shown = f"{'7' * 40}... (5000 digits)"
+        if sign == "-":
+            end = f"is negative (-{shown})"
+        elif mode == "counts":
+            end = f"has count {shown} outside 0..{2**63 - 1}"
+        else:
+            end = f"has category {shown} outside 0..3"
+        for read in (read_survey, reference.read_survey):
+            assert read_or_error(read, str(data), str(desc)) == f"{data}:3: column 'b' {end}"
 
     def test_each_cell_string_is_checked_once(self, tmp_path, monkeypatch):
         # strings repeat across rows and across columns, and a stripped

@@ -1,5 +1,7 @@
 """Tests for potential-outcome schedules, response types, and randomization."""
 
+import re
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -66,13 +68,13 @@ class TestScenarioValidation:
         with pytest.raises(ValueError, match="got a bool"):
             EffectScenario((1, 0, 0, 0), **kw)
 
-    def test_unknown_target(self):
-        with pytest.raises(ValueError):
-            EffectScenario((1, 0, 0, 0), target="verbal")
-
-    def test_explicit_index_target(self):
-        s = EffectScenario((1, 0, 0, 0), target=[1, 3])
-        assert s.target == (1, 3)
+    def test_no_target_field(self):
+        # a cell's target is the grid's target axis, not part of its scenario
+        with pytest.raises(TypeError):
+            EffectScenario((1, 0, 0, 0), target="all")
+        # positionally, the third field is the floor
+        with pytest.raises(ValueError, match="floor must be 0 or 1"):
+            EffectScenario((1, 0, 0, 0), 2, "all")
 
 
 class TestTargetColumns:
@@ -87,6 +89,28 @@ class TestTargetColumns:
 
     def test_explicit_indices_are_one_based(self):
         assert np.array_equal(target_columns(MIXED_ACTS, (1, 5)), [0, 4])
+
+    def test_index_list_of_any_integer_sequence(self):
+        # a list, and numpy integers, resolve as the tuple of Python ints does
+        assert np.array_equal(target_columns(MIXED_ACTS, [1, 3]), [0, 2])
+        assert np.array_equal(target_columns(MIXED_ACTS, np.array([3, 1])), [2, 0])
+
+    def test_unknown_target(self):
+        with pytest.raises(ValueError, match="unknown target preset 'verbal'"):
+            target_columns(MIXED_ACTS, "verbal")
+
+    @pytest.mark.parametrize("index", [True, np.True_, 1.5, 1.0, np.float64(2.0), "2", None])
+    def test_non_integer_index_errors(self, index):
+        # each would once have been read as an act index: True and 1.5 as
+        # act 1, "2" as act 2
+        with pytest.raises(ValueError, match=re.escape(f"target act index {index!r} is not an integer")):
+            target_columns(MIXED_ACTS, (index,))
+        with pytest.raises(ValueError, match="is not an integer"):
+            target_columns(MIXED_ACTS, [3, index])
+
+    def test_empty_index_list_errors(self):
+        with pytest.raises(ValueError, match="selects no acts"):
+            target_columns(MIXED_ACTS, ())
 
     def test_unknown_index_errors(self):
         with pytest.raises(ValueError):
@@ -123,7 +147,7 @@ class TestExamplePotentialOutcomes:
     EXPECTED_CAT_OBSERVED = np.array([[0], [2], [0], [2], [2]])
 
     def test_reproduces_example_rows(self):
-        y1 = apply_effects(self.Y0, self.S, scenario((0.25, 0.25, 0.25, 0.25)), SINGLE_ACT)
+        y1 = apply_effects(self.Y0, self.S, scenario((0.25, 0.25, 0.25, 0.25)), "all", SINGLE_ACT)
         assert np.array_equal(y1, self.EXPECTED_Y1)
         assert np.array_equal(categorize(y1), self.EXPECTED_CAT_Y1)
         assert np.array_equal(categorize(self.Y0), self.EXPECTED_CAT_Y0)
@@ -135,25 +159,25 @@ class TestApplyEffects:
     def test_reduction_floors_at_one(self):
         y0 = np.array([[2]])
         s = np.array([ResponseType.REDUCTION], dtype=np.int8)
-        y1 = apply_effects(y0, s, scenario((0, 0, 1, 0), magnitude=5), SINGLE_ACT)
+        y1 = apply_effects(y0, s, scenario((0, 0, 1, 0), magnitude=5), "all", SINGLE_ACT)
         assert y1[0, 0] == 1
 
     def test_floor_zero_configurable(self):
         y0 = np.array([[2]])
         s = np.array([ResponseType.REDUCTION], dtype=np.int8)
-        y1 = apply_effects(y0, s, scenario((0, 0, 1, 0), magnitude=5, floor=0), SINGLE_ACT)
+        y1 = apply_effects(y0, s, scenario((0, 0, 1, 0), magnitude=5, floor=0), "all", SINGLE_ACT)
         assert y1[0, 0] == 0
 
     def test_zero_entries_never_initiated(self):
         y0 = np.array([[0, 4, 0, 2, 0]])
         s = np.array([ResponseType.INCREASE], dtype=np.int8)
-        y1 = apply_effects(y0, s, scenario((0, 0, 0, 1)), MIXED_ACTS)
+        y1 = apply_effects(y0, s, scenario((0, 0, 0, 1)), "all", MIXED_ACTS)
         assert np.array_equal(y1, [[0, 6, 0, 4, 0]])
 
     def test_untargeted_acts_unchanged(self):
         y0 = np.array([[2, 3, 1, 4, 2], [1, 0, 0, 0, 3]])
         s = np.array([ResponseType.CESSATION, ResponseType.CESSATION], dtype=np.int8)
-        y1 = apply_effects(y0, s, scenario((0, 1, 0, 0), target="sexual"), MIXED_ACTS)
+        y1 = apply_effects(y0, s, scenario((0, 1, 0, 0)), "sexual", MIXED_ACTS)
         assert np.array_equal(y1[:, :3], y0[:, :3])
         assert np.all(y1[:, 3:] == 0)
 
@@ -161,35 +185,38 @@ class TestApplyEffects:
         y0 = np.array([[0]])
         s = np.array([ResponseType.CESSATION], dtype=np.int8)
         with pytest.raises(ValueError, match="inconsistent"):
-            apply_effects(y0, s, scenario((0, 1, 0, 0)), SINGLE_ACT)
+            apply_effects(y0, s, scenario((0, 1, 0, 0)), "all", SINGLE_ACT)
 
     def test_no_initiation_invariant_random(self):
         rng = np.random.default_rng(21)
         y0 = rng.poisson(1.2, size=(400, 5)) * rng.integers(0, 2, size=(400, 5))
-        sc = scenario((0.4, 0.2, 0.2, 0.2), target="physical")
-        s = assign_response_types(y0, sc, MIXED_ACTS, rng)
-        y1 = apply_effects(y0, s, sc, MIXED_ACTS)
+        sc = scenario((0.4, 0.2, 0.2, 0.2))
+        s = assign_response_types(y0, sc, "physical", MIXED_ACTS, rng)
+        y1 = apply_effects(y0, s, sc, "physical", MIXED_ACTS)
         cols = target_columns(MIXED_ACTS, "physical")
         assert not np.any((y1[:, cols] > 0) & (y0[:, cols] == 0))
         table = PotentialOutcomeTable(y0, y1, s, np.zeros(len(y0), dtype=np.int8))
-        check_schedule(table, sc, MIXED_ACTS)
+        check_schedule(table, sc, "physical", MIXED_ACTS)
 
 
 class TestAssignResponseTypes:
     def test_all_no_effect(self):
         y0 = np.array([[1], [2], [0]])
-        s = assign_response_types(y0, scenario((1, 0, 0, 0)), SINGLE_ACT, np.random.default_rng(0))
+        s = assign_response_types(y0, scenario((1, 0, 0, 0)), "all", SINGLE_ACT,
+                                  np.random.default_rng(0))
         assert list(s) == [ResponseType.NO_EFFECT, ResponseType.NO_EFFECT, ResponseType.NEVER_VIOLENT]
 
     def test_zero_rows_always_never_violent(self):
         y0 = np.zeros((50, 1), dtype=int)
-        s = assign_response_types(y0, scenario((0, 0, 0, 1)), SINGLE_ACT, np.random.default_rng(1))
+        s = assign_response_types(y0, scenario((0, 0, 0, 1)), "all", SINGLE_ACT,
+                                  np.random.default_rng(1))
         assert np.all(s == ResponseType.NEVER_VIOLENT)
 
     def test_cessation_fraction_binomial(self):
         n = 100_000
         y0 = np.ones((n, 1), dtype=int)
-        s = assign_response_types(y0, scenario((0.70, 0.30, 0, 0)), SINGLE_ACT, np.random.default_rng(2))
+        s = assign_response_types(y0, scenario((0.70, 0.30, 0, 0)), "all", SINGLE_ACT,
+                                  np.random.default_rng(2))
         frac = np.mean(s == ResponseType.CESSATION)
         assert abs(frac - 0.30) <= 0.006
 
@@ -197,15 +224,15 @@ class TestAssignResponseTypes:
         n = 100_000
         probs = (0.5, 0.2, 0.2, 0.1)
         y0 = np.ones((n, 1), dtype=int)
-        s = assign_response_types(y0, scenario(probs), SINGLE_ACT, np.random.default_rng(3))
+        s = assign_response_types(y0, scenario(probs), "all", SINGLE_ACT, np.random.default_rng(3))
         observed = np.bincount(s, minlength=5)[1:]
         p = stats.chisquare(observed, np.array(probs) * n).pvalue
         assert p > 0.01
 
     def test_untargeted_violence_does_not_trigger_types(self):
         y0 = np.array([[3, 0, 0, 0, 0]])  # physical only
-        sc = scenario((0, 1, 0, 0), target="sexual")
-        s = assign_response_types(y0, sc, MIXED_ACTS, np.random.default_rng(4))
+        s = assign_response_types(y0, scenario((0, 1, 0, 0)), "sexual", MIXED_ACTS,
+                                  np.random.default_rng(4))
         assert s[0] == ResponseType.NEVER_VIOLENT
 
 
@@ -213,9 +240,9 @@ class TestTrueEstimands:
     def build_table(self, probs, rng_seed=5, target="all", floor=1):
         rng = np.random.default_rng(rng_seed)
         y0 = rng.poisson(1.5, size=(2000, 5)) * (rng.random((2000, 5)) < 0.45)
-        sc = scenario(probs, target=target, floor=floor)
-        s = assign_response_types(y0, sc, MIXED_ACTS, rng)
-        y1 = apply_effects(y0, s, sc, MIXED_ACTS)
+        sc = scenario(probs, floor=floor)
+        s = assign_response_types(y0, sc, target, MIXED_ACTS, rng)
+        y1 = apply_effects(y0, s, sc, target, MIXED_ACTS)
         z = randomize(2000, rng)
         return PotentialOutcomeTable(y0.astype(int), y1, s, z), s
 
@@ -248,8 +275,8 @@ class TestTrueEstimands:
         magnitudes = []
         for p_cess in (0.1, 0.3, 0.5):
             sc = scenario((1 - p_cess, p_cess, 0, 0))
-            s = assign_response_types(y0, sc, MIXED_ACTS, np.random.default_rng(77))
-            y1 = apply_effects(y0, s, sc, MIXED_ACTS)
+            s = assign_response_types(y0, sc, "all", MIXED_ACTS, np.random.default_rng(77))
+            y1 = apply_effects(y0, s, sc, "all", MIXED_ACTS)
             table = PotentialOutcomeTable(y0.astype(int), y1, s, np.zeros(3000, dtype=np.int8))
             ates = true_estimands(table)
             magnitudes.append((abs(ates["binary"]), abs(ates["sum"])))

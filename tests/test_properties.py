@@ -65,7 +65,8 @@ def symmetric_unit_diagonal(draw, k):
 
 
 @st.composite
-def scenarios(draw, acts):
+def cells(draw, acts):
+    """A scenario and a target of ``acts``."""
     weights = draw(arrays(np.float64, 4, elements=st.floats(0.0, 1.0)))
     assume(weights.sum() > 0)
     target = draw(st.one_of(
@@ -75,14 +76,13 @@ def scenarios(draw, acts):
     scenario = EffectScenario(
         tuple(weights / weights.sum()),
         magnitude=draw(st.integers(1, 6)),
-        target=target,
         floor=draw(st.sampled_from((0, 1))),
     )
     try:
-        target_columns(acts, scenario.target)
+        target_columns(acts, target)
     except ValueError:
-        assume(False)  # a preset that selects none of these acts
-    return scenario
+        assume(False)  # a preset that selects none of these acts, or a repeated index
+    return scenario, target
 
 
 class TestResamplerProperty:
@@ -143,16 +143,17 @@ class TestScheduleProperty:
     @given(data=st.data(), acts=act_lists(), n_units=st.integers(4, 60), seed=seeds)
     def test_kernel_and_stage_schedules_pass_check(self, data, acts, n_units, seed):
         k = len(acts)
-        scenario = data.draw(scenarios(acts))
+        scenario, target = data.draw(cells(acts))
         sigma = nearest_psd(data.draw(symmetric_unit_diagonal(k)))
         model = MultiActModel(acts, tuple(data.draw(margins()) for _ in acts), sigma)
-        cfg = SimulationConfig(model, scenario, n_units=n_units, n_reps=1, seed=seed)
-        rec = replicate(CellKernel(cfg), 0, return_schedule=True)
-        check_schedule(rec["schedule"], scenario, acts)
+        cfg = SimulationConfig(model, n_units=n_units, n_reps=1, seed=seed)
+        rec = replicate(CellKernel(cfg, scenario, target), 0, return_schedule=True)
+        check_schedule(rec["schedule"], scenario, target, acts)
 
         rng = np.random.default_rng(seed)
         y0 = data.draw(arrays(np.int64, (n_units, k),
                               elements=st.one_of(st.just(0), st.integers(0, 40))))
-        s = assign_response_types(y0, scenario, acts, rng)
-        y1 = apply_effects(y0, s, scenario, acts)
-        check_schedule(PotentialOutcomeTable(y0, y1, s, randomize(n_units, rng)), scenario, acts)
+        s = assign_response_types(y0, scenario, target, acts, rng)
+        y1 = apply_effects(y0, s, scenario, target, acts)
+        check_schedule(PotentialOutcomeTable(y0, y1, s, randomize(n_units, rng)), scenario, target,
+                       acts)
