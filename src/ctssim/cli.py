@@ -508,9 +508,11 @@ def cmd_simulate(args) -> int:
         "wall_clock_seconds": round(elapsed, 3),
         "cells": len(cells),
         # shared by every cell, and by the cells of one target: not in cell_wall_s;
-        # the draw is this thread's part, the prefetch the helper thread's
+        # the draw is this thread's part, the prefetch the helper thread's, which
+        # ran on draw_thread_cpus (None: where the kernel put it)
         "draw_ms_per_rep": 1e3 * cells[0].draw_s / run.base.n_reps,
         "prefetch_ms_per_rep": 1e3 * cells[0].prefetch_s / run.base.n_reps,
+        "draw_thread_cpus": cells[0].draw_thread_cpus,
         "target_ms_per_rep": 1e3 * cells[0].target_s / run.base.n_reps,
         "cell_wall_s": [cell.wall_s for cell in cells],
         "stage_ms_per_rep": {

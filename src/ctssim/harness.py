@@ -36,11 +36,29 @@ A grid runs on two threads.  One helper thread, started by
 the next block while the calling thread runs ``finish_draw``, ``share``,
 ``hits`` and ``respond`` on the current one; the helper's standard normals
 fill without the GIL.  Every other step runs on the calling thread.
+
+The helper runs on the CPUs the calling thread may use, less the one it
+ran on when the grid started; only the helper's own affinity is set.  Left
+to itself, a 2-vCPU Linux host ran both threads on one CPU: over a
+benchmark run of the one-cell copula grid, one CPU's user time rose by
+some 820-990 ticks while the other's rose by at most 16, so the draw
+overlapped nothing.  Placed, the helper's CPU rose by 218-322 ticks, and
+the run's ``wall_s`` fell from a median 0.569 s to 0.374 s (10 of 10
+pairs; 0.628 to 0.429 s at a second seed), its calling thread's draw from
+0.418 to 0.195 ms per replication (BENCH_33.json).  The threads then
+wait on each other across CPUs, which is slow while the host itself is
+short of CPU: 4 of 40 such runs with the helper placed took 4.6-10.2 s,
+as did 1 of 40 without (5.2 s), the one whose threads the kernel split.
+Placement is skipped, and the helper runs where the kernel puts it, when
+no other CPU is allowed, the platform has no ``os.sched_setaffinity``, or
+reading the CPU or setting the affinity fails.
+``CellResult.draw_thread_cpus`` records the helper's CPUs.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import time
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
@@ -100,7 +118,8 @@ class SimulationConfig:
     among its cells.  ``sample_control`` runs on the grid's helper thread
     while the calling thread works on the previous block, so it must not
     mutate state that the model shares.  Every run also records the
-    latent count changes.
+    latent count changes.  ``n_units``, ``n_reps`` and ``seed`` must be
+    integers (``int`` or a numpy integer, not a bool).
     """
 
     model: object
@@ -111,6 +130,10 @@ class SimulationConfig:
     df: str = "normal"
 
     def __post_init__(self):
+        for key in ("n_units", "n_reps", "seed"):  # a bool or float would pass the checks below
+            value = getattr(self, key)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{key} must be an integer, got {value!r}")
         if self.n_units < 4:
             raise ValueError("n_units must be >= 4")
         if self.n_reps < 1:
@@ -185,6 +208,25 @@ class TargetDraw(NamedTuple):
     u: np.ndarray  # one uniform per violent row, each replication's in a run
     arm1: np.ndarray  # (B, n // 2) treated rows, one replication per row
     control: tuple[np.ndarray, np.ndarray]  # (2, B) control-arm _mean_var of _coded
+
+
+def _current_cpu() -> int:
+    """The CPU this thread runs on (Linux): field 39 of its stat, counted
+    after the parenthesized command name, field 2, which may hold spaces."""
+    with open("/proc/thread-self/stat") as stat:
+        return int(stat.read().rpartition(")")[2].split()[36])
+
+
+def _helper_cpus() -> set[int] | None:
+    """The CPUs the grid's helper thread may run on: those this thread may
+    run on but the one it runs on now, or None when there are none, the
+    platform cannot set a thread's CPUs, or they cannot be read."""
+    if not hasattr(os, "sched_setaffinity"):
+        return None
+    try:
+        return os.sched_getaffinity(0) - {_current_cpu()} or None
+    except OSError:
+        return None
 
 
 def draw_streams(config: SimulationConfig, copula: CopulaSampler | None,
@@ -469,6 +511,9 @@ class CellResult:
     # draw_streams, which overlaps the other work
     draw_s: float
     prefetch_s: float
+    # the sorted CPUs the helper thread was placed on, or None when the grid
+    # left it where the kernel puts it (see _helper_cpus)
+    draw_thread_cpus: tuple[int, ...] | None
     target_s: float
     stage_s: dict[str, float]  # stage of STAGES -> seconds over the replications
 
@@ -523,8 +568,19 @@ def scenario_grid(
     # one helper thread draws the next block's streams (numpy fills them
     # without the GIL) while this thread works on the current block; each
     # target restores the generator states that followed the control draws,
-    # so every cell's replications are those it makes alone
-    pool = ThreadPoolExecutor(1, thread_name_prefix="ctssim-draw")
+    # so every cell's replications are those it makes alone.  The helper
+    # runs off the CPU this thread is on (see the module docstring); cpus
+    # ends empty, or is None, when it was not placed
+    cpus = _helper_cpus()
+
+    def place():
+        try:
+            os.sched_setaffinity(0, cpus)  # pid 0: the thread that runs this, the helper
+        except OSError:  # raised here, it would break the pool
+            cpus.clear()
+
+    pool = ThreadPoolExecutor(1, thread_name_prefix="ctssim-draw",
+                              initializer=place if cpus else None)
     pending = pool.submit(streams, blocks[0])
     try:
         for b, reps in enumerate(blocks):
@@ -563,6 +619,7 @@ def scenario_grid(
         raise ReplicationError(reps.start, exc) from exc
     finally:
         pool.shutdown(cancel_futures=True)
+    draw_thread_cpus = tuple(sorted(cpus)) if cpus else None
     results = []
     for kernel, cell, latent, rep_s in zip(kernels, moments, latents, cell_s):
         t0 = clock()
@@ -574,5 +631,6 @@ def scenario_grid(
         results.append(CellResult(
             base_config, kernel.scenario, kernel.target, stats, reps,
             wall_s=rep_s + t1 - t0 + summary_s, summary_s=summary_s, draw_s=draw_s,
-            prefetch_s=prefetch_s, target_s=target_s, stage_s=dict(zip(STAGES, kernel.stage_s))))
+            prefetch_s=prefetch_s, draw_thread_cpus=draw_thread_cpus, target_s=target_s,
+            stage_s=dict(zip(STAGES, kernel.stage_s))))
     return results

@@ -917,6 +917,11 @@ class TestRunMeta:
         assert meta["draw_ms_per_rep"] > 0.0
         assert meta["prefetch_ms_per_rep"] > 0.0
         assert meta["target_ms_per_rep"] > 0.0
+        # the helper thread's CPUs, or null where it was not placed
+        cpus = meta["draw_thread_cpus"]
+        assert cpus is None or (cpus and all(type(cpu) is int for cpu in cpus)
+                                and cpus == sorted(cpus)
+                                and set(cpus) <= os.sched_getaffinity(0))
         # each cell's stages and summary lie inside its wall time; the draw
         # and the target work, shared by the cells, lie outside every cell's;
         # the helper thread's prefetch overlaps them, so it is in no sum

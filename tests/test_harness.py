@@ -629,6 +629,93 @@ class TestReplicationMajorGrid:
         self.assert_cells_match_reference(base, scenarios, ["physical", "all"])
 
 
+def draw_affinities(monkeypatch, fail=False):
+    """Patches ``draw_streams`` to record the CPU affinity of the thread it
+    runs on (failing after that when ``fail``), and ``_current_cpu`` to
+    record the CPU it reads; returns the two lists they fill."""
+    seen, read = [], []
+    draw_streams, current_cpu = harness.draw_streams, harness._current_cpu
+
+    def recorded(config, copula, reps):
+        seen.append(os.sched_getaffinity(0))
+        if fail:
+            raise ReplicationError(reps.start, OSError("draw failed"))
+        return draw_streams(config, copula, reps)
+
+    def cpu():
+        read.append(current_cpu())
+        return read[-1]
+
+    monkeypatch.setattr(harness, "draw_streams", recorded)
+    monkeypatch.setattr(harness, "_current_cpu", cpu)
+    return seen, read
+
+
+SETS_AFFINITY = hasattr(os, "sched_setaffinity") and os.path.exists("/proc/thread-self/stat")
+needs_affinity = pytest.mark.skipif(not SETS_AFFINITY, reason="sets a thread's CPUs: Linux only")
+
+
+class TestDrawThreadPlacement:
+    """The helper thread runs off the CPU the calling thread ran on when the
+    grid started, the calling thread's own affinity is never set, and a grid
+    that cannot place its helper runs as one that can."""
+
+    CASE = dict(n_units=BLOCK_UNITS, n_reps=2 * B + 1, seed=9)  # three blocks
+    SCENARIOS = [scenario_preset("cessation_reduction"), scenario_preset("null")]
+
+    @needs_affinity
+    def test_helper_leaves_the_calling_cpu(self, monkeypatch):
+        before = os.sched_getaffinity(0)
+        if len(before) < 2:
+            pytest.skip("one CPU allowed")
+        seen, read = draw_affinities(monkeypatch)
+        cells = scenario_grid(config(**self.CASE), self.SCENARIOS, ["all"])
+        assert len(read) == 1 and len(seen) == 3  # one CPU read, one draw a block
+        assert all(cpus == seen[0] for cpus in seen)
+        assert read[0] not in seen[0] and seen[0] == before - {read[0]}
+        assert all(cell.draw_thread_cpus == tuple(sorted(seen[0])) for cell in cells)
+        assert os.sched_getaffinity(0) == before
+        # and after a grid that raises
+        seen, read = draw_affinities(monkeypatch, fail=True)
+        with pytest.raises(ReplicationError, match="draw failed"):
+            scenario_grid(config(**self.CASE), self.SCENARIOS, ["all"])
+        assert seen == [before - {read[0]}]
+        assert os.sched_getaffinity(0) == before
+
+    @pytest.mark.parametrize("case", ["set_fails", "one_cpu", "no_set"])
+    def test_unplaced_helper_gives_the_same_cells(self, monkeypatch, case):
+        expected = scenario_grid(config(**self.CASE), self.SCENARIOS, ["all"])
+        restore = None
+        if case == "set_fails":
+            def fails(pid, mask):
+                raise OSError(22, "Invalid argument")
+
+            monkeypatch.setattr(os, "sched_setaffinity", fails, raising=False)
+        elif case == "no_set":
+            monkeypatch.delattr(os, "sched_setaffinity", raising=False)
+        elif SETS_AFFINITY:
+            # the calling thread alone on the CPU it runs on: that is the
+            # CPU _current_cpu reads, and no other is left for the helper
+            restore = os.sched_getaffinity(0)
+            cpu = harness._current_cpu()
+            os.sched_setaffinity(0, {cpu})
+        else:
+            pytest.skip("sets a thread's CPUs: Linux only")
+        try:
+            if restore is not None:
+                assert harness._current_cpu() == cpu
+            cells = scenario_grid(config(**self.CASE), self.SCENARIOS, ["all"])
+        finally:
+            if restore is not None:
+                os.sched_setaffinity(0, restore)
+        for cell, want in zip(cells, expected, strict=True):
+            assert cell.draw_thread_cpus is None
+            for c in CODINGS:
+                for f in REPLICATION_FIELDS:
+                    assert np.array_equal(cell.reps.data[c][f], want.reps.data[c][f]), (c, f)
+            assert np.array_equal(cell.reps.latent_sum_true, want.reps.latent_sum_true)
+
+
 class TestRerun:
     def test_rerun_bit_identical(self):
         cfg = config(n_reps=25)
@@ -811,6 +898,24 @@ class TestScenarioGrid:
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
             scenario_grid(config(), [], ["all"])
+
+    @pytest.mark.parametrize("key, value", [
+        ("n_units", 40.5), ("n_units", True), ("n_units", np.float64(40)), ("n_units", "40"),
+        ("n_reps", True), ("n_reps", 3.0), ("n_reps", np.bool_(True)),
+        ("seed", True), ("seed", 2.0), ("seed", None),
+    ])
+    def test_config_integers_checked_before_any_draw(self, monkeypatch, key, value):
+        def no_draw(*args):
+            raise AssertionError("a replication was drawn")
+
+        monkeypatch.setattr(harness, "draw_streams", no_draw)
+        with pytest.raises(ValueError, match=f"^{key} must be an integer, got "):
+            lone_cell(config(**{"n_units": 40, "n_reps": 3, "seed": 2, key: value}))
+
+    def test_numpy_integer_config(self):
+        want = lone_cell(config(n_units=40, n_reps=3, seed=2))
+        cell = lone_cell(config(n_units=np.int64(40), n_reps=np.int32(3), seed=np.uint8(2)))
+        assert np.array_equal(cell.reps.data["sum"]["estimate"], want.reps.data["sum"]["estimate"])
 
     def test_power_monotone_in_sample_size(self):
         powers, ses = [], []
