@@ -22,6 +22,11 @@ import sys
 import time
 from dataclasses import dataclass
 
+try:
+    import resource
+except ImportError:  # not on Windows
+    resource = None
+
 import numpy as np
 import scipy
 
@@ -483,7 +488,9 @@ def cmd_simulate(args) -> int:
     out_dir = args.out_dir
     os.makedirs(out_dir, exist_ok=True)
 
+    before = resource and resource.getrusage(resource.RUSAGE_SELF)
     cells = scenario_grid(run.base, run.scenarios, run.targets)
+    after = resource and resource.getrusage(resource.RUSAGE_SELF)
 
     rows = _results_rows(cells)
     _write_csv(os.path.join(out_dir, "results.csv"), RESULTS_COLUMNS, rows)
@@ -513,6 +520,12 @@ def cmd_simulate(args) -> int:
         "draw_ms_per_rep": 1e3 * cells[0].draw_s / run.base.n_reps,
         "prefetch_ms_per_rep": 1e3 * cells[0].prefetch_s / run.base.n_reps,
         "draw_thread_cpus": cells[0].draw_thread_cpus,
+        # the process's context switches and minor page faults over the grid,
+        # or None where the platform has no resource module
+        "grid_rusage": resource and {
+            key: getattr(after, field) - getattr(before, field) for key, field in
+            (("voluntary_switches", "ru_nvcsw"), ("involuntary_switches", "ru_nivcsw"),
+             ("minor_faults", "ru_minflt"))},
         "target_ms_per_rep": 1e3 * cells[0].target_s / run.base.n_reps,
         "cell_wall_s": [cell.wall_s for cell in cells],
         "stage_ms_per_rep": {
@@ -618,6 +631,10 @@ def cmd_report(args) -> int:
         if args.out:
             _check_out_path(args.out)
             _check_not_input(args.out, args.results)
+        for i, path in enumerate(args.results):
+            for earlier in args.results[:i]:
+                if os.path.samefile(path, earlier):
+                    raise ValueError(f"{path} is listed more than once (as {earlier})")
         rows = []
         for path in args.results:
             rows.extend(_read_results(path))

@@ -37,21 +37,17 @@ the next block while the calling thread runs ``finish_draw``, ``share``,
 ``hits`` and ``respond`` on the current one; the helper's standard normals
 fill without the GIL.  Every other step runs on the calling thread.
 
-The helper runs on the CPUs the calling thread may use, less the one it
-ran on when the grid started; only the helper's own affinity is set.  Left
-to itself, a 2-vCPU Linux host ran both threads on one CPU: over a
-benchmark run of the one-cell copula grid, one CPU's user time rose by
-some 820-990 ticks while the other's rose by at most 16, so the draw
-overlapped nothing.  Placed, the helper's CPU rose by 218-322 ticks, and
-the run's ``wall_s`` fell from a median 0.569 s to 0.374 s (10 of 10
-pairs; 0.628 to 0.429 s at a second seed), its calling thread's draw from
-0.418 to 0.195 ms per replication (BENCH_33.json).  The threads then
-wait on each other across CPUs, which is slow while the host itself is
-short of CPU: 4 of 40 such runs with the helper placed took 4.6-10.2 s,
-as did 1 of 40 without (5.2 s), the one whose threads the kernel split.
-Placement is skipped, and the helper runs where the kernel puts it, when
-no other CPU is allowed, the platform has no ``os.sched_setaffinity``, or
-reading the CPU or setting the affinity fails.
+The helper runs on the CPUs the calling thread may use less the one it
+runs on when the grid starts; only the helper's own affinity is set.
+Left to itself, a 2-vCPU Linux host kept both threads on one CPU, so the
+draw overlapped nothing.  The CPU left out must be the caller's: there
+the kernel did not move a calling thread that shared the helper's CPU,
+even with the other CPU idle, so a fixed choice (all but the lowest CPU)
+ran the two threads on one CPU whenever the caller started on the
+helper's (BENCH_33.json, BENCH_34.json).  Placement is skipped, and the
+helper runs where the kernel puts it, when no other CPU is allowed, the
+platform has no ``os.sched_setaffinity``, or reading the CPU or setting
+the affinity fails.
 ``CellResult.draw_thread_cpus`` records the helper's CPUs.
 """
 
@@ -499,8 +495,8 @@ class CellResult:
     target: object  # a preset of outcomes.TARGET_PRESETS or a tuple of act indices
     stats: dict[str, PerformanceStats]
     reps: Replications
-    # seconds of the cell's own work: respond (its type draw, lookups,
-    # codings and truths), its HC2 call and summarize
+    # seconds of the cell's own work, stage_s and summary_s summed: respond
+    # (its type draw, lookups, codings and truths), its HC2 call and summarize
     wall_s: float
     summary_s: float  # seconds in summarize (statistics and their MC SEs)
     # seconds of the control draws and of the targets' shared work (uniforms,
@@ -553,7 +549,6 @@ def scenario_grid(
     # per cell: the (5, 2, m) arguments of _replications, and the latent changes
     moments = [np.empty((5, len(CODINGS), m)) for _ in kernels]
     latents = [np.empty(m) for _ in kernels]
-    cell_s = [0.0] * len(kernels)
     draw_s = prefetch_s = target_s = 0.0
     clock = time.perf_counter
 
@@ -600,15 +595,11 @@ def scenario_grid(
                 shared = share(y0, score0, rngs, np.asarray(cols, dtype=np.intp))
                 for (no_effect, span), members in hit_sets.items():
                     hit_set = hits(shared, no_effect, span)
-                    t2 = clock()
-                    target_s += t2 - t1
-                    t1 = t2
-                    for j in members:
+                    target_s += clock() - t1
+                    for j in members:  # timed by the kernel's stage_s
                         treated, truth, latents[j][rows] = kernels[j].respond(shared, hit_set)
                         moments[j][:, :, rows] = (*treated, *shared.control, truth)
-                        t2 = clock()
-                        cell_s[j] += t2 - t1
-                        t1 = t2
+                    t1 = clock()
                     # freed before the next block's arrays are allocated: a
                     # hit set held over them left a one-cell copula grid
                     # faulting in fresh pages on most blocks
@@ -621,7 +612,7 @@ def scenario_grid(
         pool.shutdown(cancel_futures=True)
     draw_thread_cpus = tuple(sorted(cpus)) if cpus else None
     results = []
-    for kernel, cell, latent, rep_s in zip(kernels, moments, latents, cell_s):
+    for kernel, cell, latent in zip(kernels, moments, latents):
         t0 = clock()
         reps = _replications(cell, latent, base_config)
         t1 = clock()
@@ -630,7 +621,7 @@ def scenario_grid(
         kernel.stage_s[2] += t1 - t0
         results.append(CellResult(
             base_config, kernel.scenario, kernel.target, stats, reps,
-            wall_s=rep_s + t1 - t0 + summary_s, summary_s=summary_s, draw_s=draw_s,
+            wall_s=sum(kernel.stage_s) + summary_s, summary_s=summary_s, draw_s=draw_s,
             prefetch_s=prefetch_s, draw_thread_cpus=draw_thread_cpus, target_s=target_s,
             stage_s=dict(zip(STAGES, kernel.stage_s))))
     return results

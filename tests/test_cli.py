@@ -2,7 +2,9 @@
 
 import csv
 import hashlib
+import importlib.util
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -819,6 +821,17 @@ class TestReport:
         assert f"{path}: more than one row for (scenario, target, n_units, seed, coding) " \
                "('custom', 'all', '200', '7', 'binary')" in err
 
+    @pytest.mark.parametrize("second", ["out/results.csv", "./out/results.csv"])
+    def test_results_listed_twice_exit_2(self, results_dir, capsys, monkeypatch, second):
+        # the same spelling once read as repeated rows, another as a second run
+        monkeypatch.chdir(results_dir.parent)
+        read = []
+        monkeypatch.setattr(cli, "_read_results", lambda path: read.append(path) or [])
+        assert main(["report", "--results", "out/results.csv", second]) == 2
+        assert capsys.readouterr().err == \
+            f"error: {second} is listed more than once (as out/results.csv)\n"
+        assert read == []
+
     def test_power_differences_names_file_and_key(self, results_dir):
         rows = cli._read_results(str(results_dir / "results.csv"))
         assert len(cli.power_differences(rows)) == 3
@@ -922,14 +935,24 @@ class TestRunMeta:
         assert cpus is None or (cpus and all(type(cpu) is int for cpu in cpus)
                                 and cpus == sorted(cpus)
                                 and set(cpus) <= os.sched_getaffinity(0))
-        # each cell's stages and summary lie inside its wall time; the draw
-        # and the target work, shared by the cells, lie outside every cell's;
-        # the helper thread's prefetch overlaps them, so it is in no sum
+        if hasattr(os, "sched_setaffinity") and len(allowed := os.sched_getaffinity(0)) >= 2:
+            assert len(cpus) == len(allowed) - 1  # all but the calling thread's CPU
+        # the process's context switches and page faults over the grid, or
+        # null where the platform has no resource module
+        usage = meta["grid_rusage"]
+        if importlib.util.find_spec("resource") is None:
+            assert usage is None
+        else:
+            assert set(usage) == {"voluntary_switches", "involuntary_switches", "minor_faults"}
+            assert all(type(v) is int and v >= 0 for v in usage.values())
+        # each cell's wall time is its stages and summary; the draw and the
+        # target work, shared by the cells, lie outside every cell's; the
+        # helper thread's prefetch overlaps them, so it is in no sum
         total_reps = 30 * meta["cells"]
         stage_ms = sum(meta["stage_ms_per_rep"].values()) * total_reps
         summary_ms = meta["summary_ms_per_cell"] * meta["cells"]
         cells_ms = 1e3 * sum(meta["cell_wall_s"])
-        assert stage_ms + summary_ms <= cells_ms
+        assert math.isclose(stage_ms + summary_ms, cells_ms, rel_tol=1e-9)
         shared_ms = (meta["draw_ms_per_rep"] + meta["target_ms_per_rep"]) * 30
         assert shared_ms + cells_ms <= 1e3 * meta["wall_clock_seconds"]
         assert set(meta["degenerate_estimates"]) == set(CODINGS)

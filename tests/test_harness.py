@@ -663,6 +663,25 @@ class TestDrawThreadPlacement:
     CASE = dict(n_units=BLOCK_UNITS, n_reps=2 * B + 1, seed=9)  # three blocks
     SCENARIOS = [scenario_preset("cessation_reduction"), scenario_preset("null")]
 
+    @pytest.mark.parametrize("allowed, current, helper",
+                             [({2, 5, 7}, 2, {5, 7}), ({2, 5, 7}, 5, {2, 7}), ({3}, 3, None)])
+    def test_helper_cpus_leave_out_the_current(self, monkeypatch, allowed, current, helper):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(allowed), raising=False)
+        monkeypatch.setattr(os, "sched_setaffinity", lambda pid, mask: None, raising=False)
+        monkeypatch.setattr(harness, "_current_cpu", lambda: current)
+        assert harness._helper_cpus() == helper
+
+    @pytest.mark.parametrize("unreadable", ["sched_getaffinity", "_current_cpu"])
+    def test_helper_cpus_none_when_unreadable(self, monkeypatch, unreadable):
+        def fails(*args):
+            raise OSError(22, "Invalid argument")
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(os, "sched_setaffinity", lambda pid, mask: None, raising=False)
+        monkeypatch.setattr(harness, "_current_cpu", lambda: 0)
+        monkeypatch.setattr(os if unreadable == "sched_getaffinity" else harness, unreadable, fails)
+        assert harness._helper_cpus() is None
+
     @needs_affinity
     def test_helper_leaves_the_calling_cpu(self, monkeypatch):
         before = os.sched_getaffinity(0)
