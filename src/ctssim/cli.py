@@ -4,7 +4,7 @@ Subcommands:
 
 * ``fit``: estimate a model from a survey file and write it as JSON.
 * ``simulate``: run a scenario grid from a declarative config and write
-  machine-readable results, a human-readable table, and plot-ready data.
+  machine-readable results, a human-readable table, and latent diagnostics.
 * ``report``: compare binary vs sum power across one or more results files.
 
 Exit codes: 0 success, 1 runtime failure, 2 usage or config error.
@@ -56,7 +56,7 @@ from .joint import MultiActModel
 from .marginals import FAMILIES, ZIP
 from .outcomes import TARGET_PRESETS, EffectScenario, target_columns
 
-# shared by results.csv, power_long.csv and latent_diagnostics.csv
+# shared by results.csv and latent_diagnostics.csv
 RESULTS_SCHEMA_VERSION = 2
 
 RESULTS_COLUMNS = [
@@ -64,10 +64,6 @@ RESULTS_COLUMNS = [
     "alpha", "seed", "mean_true_ate", "true_ate_is_zero",
     "bias", "bias_mc_se", "rmse", "rmse_mc_se", "power", "power_mc_se",
     "coverage", "coverage_mc_se", "power_diff_mc_se",
-]
-# power_long.csv: a column subset of results.csv, row for row
-POWER_LONG_COLUMNS = [
-    "schema_version", "scenario", "target", "coding", "power", "power_mc_se", "true_ate_is_zero",
 ]
 LATENT_COLUMNS = [
     "schema_version", "scenario", "target", "mean_latent_count_ate",
@@ -159,17 +155,23 @@ def _build_model(source, base_dir: str):
     return EmpiricalResampler(table, family=family), hashes
 
 
-def _build_scenarios(raw: list, magnitude: int, floor: int) -> list[EffectScenario]:
+def _effect_settings(obj: dict) -> dict:
+    """The "magnitude" and "floor" that a config object sets."""
+    return {key: _config_int(key, obj[key]) for key in ("magnitude", "floor") if key in obj}
+
+
+def _build_scenarios(raw: list, settings: dict) -> list[EffectScenario]:
+    """The scenarios a config's ``scenarios`` names, each taking ``settings``
+    (the config's magnitude and floor) where it does not set its own."""
     if not isinstance(raw, list) or not raw:
         raise ConfigError("config 'scenarios' must be a non-empty list")
     out = []
     for item in raw:
         if isinstance(item, str):
-            if item not in SCENARIO_PRESETS:
-                raise ConfigError(
-                    f"unknown scenario preset {item!r}; have {sorted(SCENARIO_PRESETS)}"
-                )
-            out.append(scenario_preset(item, magnitude=magnitude, floor=floor))
+            try:
+                out.append(scenario_preset(item, **settings))
+            except KeyError as exc:
+                raise ConfigError(exc.args[0]) from None
         elif isinstance(item, dict):
             _check_keys("scenarios", item, {"probs", "magnitude", "floor", "name"})
             if "probs" not in item:
@@ -178,13 +180,9 @@ def _build_scenarios(raw: list, magnitude: int, floor: int) -> list[EffectScenar
             if not isinstance(probs, list):
                 raise ConfigError(f"config 'probs' must be a list of 4 numbers, got {json.dumps(probs)}")
             probs = tuple(_config_number("probs", p) for p in probs)
-            settings = {
-                "magnitude": _config_int("magnitude", item.get("magnitude", magnitude)),
-                "floor": _config_int("floor", item.get("floor", floor)),
-                "name": _config_str("name", item.get("name", "custom")) or "custom",
-            }
+            name = _config_str("name", item.get("name", "custom")) or "custom"
             try:
-                out.append(EffectScenario(probs, **settings))
+                out.append(EffectScenario(probs, **{**settings, **_effect_settings(item)}, name=name))
             except ValueError as exc:
                 raise ConfigError(f"bad custom scenario {item!r}: {exc}") from None
         else:
@@ -270,14 +268,11 @@ def load_run_config(path: str, seed_override: int | None = None) -> RunConfig:
     effective = dict(doc)
     if seed_override is not None:
         effective["seed"] = seed_override
-    seed = effective.get("seed", 0)
     # MC SEs have closed forms; a config's n_bootstrap is checked and ignored
     if "n_bootstrap" in doc:
         _config_int("n_bootstrap", doc["n_bootstrap"])
-    magnitude = _config_int("magnitude", doc.get("magnitude", 2))
-    floor = _config_int("floor", doc.get("floor", 1))
     raw_scenarios = doc.get("scenarios", list(SCENARIO_PRESETS))
-    scenarios = _build_scenarios(raw_scenarios, magnitude, floor)
+    scenarios = _build_scenarios(raw_scenarios, _effect_settings(doc))
     targets = _build_targets(doc.get("targets", ["all"]))
     # the outputs key a cell by these names, so two cells must not share them
     repeated = _repeated([(s.name, _target_name(t)) for s in scenarios for t in targets])
@@ -299,15 +294,12 @@ def load_run_config(path: str, seed_override: int | None = None) -> RunConfig:
             target_columns(model.acts, target)
         except ValueError as exc:
             raise ConfigError(f"config 'targets': {exc}") from None
+    # a key the config leaves out takes SimulationConfig's default
+    checks = {"n_units": _config_int, "n_reps": _config_int, "alpha": _config_number,
+              "seed": _config_int, "df": lambda key, value: value}
+    settings = {key: check(key, effective[key]) for key, check in checks.items() if key in effective}
     try:
-        base = SimulationConfig(
-            model=model,
-            n_units=_config_int("n_units", doc["n_units"]),
-            n_reps=_config_int("n_reps", doc.get("n_reps", 1000)),
-            alpha=_config_number("alpha", doc.get("alpha", 0.05)),
-            seed=_config_int("seed", seed),
-            df=doc.get("df", "normal"),
-        )
+        base = SimulationConfig(model=model, **settings)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     model_sha256 = _canonical_hash(model.to_dict()) if isinstance(model, MultiActModel) else None
@@ -358,9 +350,9 @@ def _results_rows(cells: list[CellResult]) -> list[dict]:
 
 
 def _csv_text(columns: list[str], rows: list[dict]) -> str:
-    """CSV of ``columns``, taken from each row; other keys are left out."""
+    """CSV of ``columns``, taken from each row."""
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=columns, lineterminator="\n", extrasaction="ignore")
+    writer = csv.DictWriter(buf, fieldnames=columns, lineterminator="\n")
     writer.writeheader()
     writer.writerows(rows)
     return buf.getvalue()
@@ -492,9 +484,7 @@ def cmd_simulate(args) -> int:
     cells = scenario_grid(run.base, run.scenarios, run.targets)
     after = resource and resource.getrusage(resource.RUSAGE_SELF)
 
-    rows = _results_rows(cells)
-    _write_csv(os.path.join(out_dir, "results.csv"), RESULTS_COLUMNS, rows)
-    _write_csv(os.path.join(out_dir, "power_long.csv"), POWER_LONG_COLUMNS, rows)
+    _write_csv(os.path.join(out_dir, "results.csv"), RESULTS_COLUMNS, _results_rows(cells))
     _atomic_write_text(os.path.join(out_dir, "results.md"), _human_table(cells))
     n_items = len(run.base.model.acts)
     latent_rows = [

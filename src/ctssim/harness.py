@@ -85,10 +85,11 @@ SCENARIO_PRESETS: dict[str, tuple[float, float, float, float]] = {
 }
 
 
-def scenario_preset(name: str, magnitude: int = 2, floor: int = 1) -> EffectScenario:
+def scenario_preset(name: str, **settings) -> EffectScenario:
+    """The preset ``name``'s scenario; ``settings`` go to EffectScenario (magnitude, floor)."""
     if name not in SCENARIO_PRESETS:
         raise KeyError(f"unknown scenario preset {name!r}; have {sorted(SCENARIO_PRESETS)}")
-    return EffectScenario(SCENARIO_PRESETS[name], magnitude=magnitude, floor=floor, name=name)
+    return EffectScenario(SCENARIO_PRESETS[name], name=name, **settings)
 
 
 class ReplicationError(RuntimeError):
@@ -134,8 +135,9 @@ class SimulationConfig:
             raise ValueError("n_units must be >= 4")
         if self.n_reps < 1:
             raise ValueError("n_reps must be >= 1")
-        if not (0.0 < self.alpha < 1.0):
-            raise ValueError("alpha must be in (0, 1)")
+        is_number = isinstance(self.alpha, (int, float, np.integer, np.floating))
+        if isinstance(self.alpha, bool) or not is_number or not 0.0 < self.alpha < 1.0:
+            raise ValueError(f"alpha must be a number in (0, 1), got {self.alpha!r}")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
         if self.df not in ("normal", "welch"):

@@ -115,11 +115,15 @@ class FitResult:
     at 1 and ``rate`` is NOT identified (the reported value is a placeholder).
     ``boundary_flag`` marks fits with zero_prob > 0.999 or fewer than 5
     positives, where estimates are unreliable; fits with zero_prob clipped to
-    0; ZIP fits with no finite rate; and exact ZINB fits that take ZIP's
-    estimate.  ``converged`` and ``n_iter`` describe ZIP's rate roots (all
-    bracketed; Brent iterations), an exact ZINB fit's L-BFGS-B runs (all
-    successful; their iterations), or a censored ZINB fit's three starts (one
-    successful within _CONVERGED_RTOL of the best objective; the best's).
+    0; ZIP fits with no finite rate; exact ZINB fits that take ZIP's
+    estimate; and censored ZINB fits with no interior maximum: the best start
+    ends on a bound of _ZINB_BOUNDS, or its category masses miss the
+    histogram's frequencies by more than 1e-6 (three parameters saturate four
+    categories, so an interior maximum reproduces them).  ``converged`` and
+    ``n_iter`` describe ZIP's rate roots (all bracketed; Brent iterations), an
+    exact ZINB fit's L-BFGS-B runs (all successful; their iterations), or a
+    censored ZINB fit's three starts (one successful within _CONVERGED_RTOL of
+    the best objective; the best's).
     """
 
     params: MarginalParams
@@ -543,12 +547,12 @@ def _zinb_fun_and_grad(run_hists: np.ndarray):
 def _fit_zinb(hists: np.ndarray) -> list[tuple[MarginalParams, float, bool, bool, int]]:
     """Maximize the ZINB log-likelihood of each category histogram, a row of
     ``hists``, by L-BFGS-B over (log rate, log dispersion, logit zero_prob)
-    from each of its ``_zinb_starts``: (params, loglik, converged, boundary
-    False, iterations) per histogram.  The runs of every start of every
+    from each of its ``_zinb_starts``: (params, loglik, converged, boundary,
+    iterations) per histogram.  The runs of every start of every
     histogram share one ``_lbfgsb_lockstep`` call, on ``_zinb_fun_and_grad``.
     Of a histogram's runs the lowest objective wins, the first on a tie, and
     the fit is converged when a run that L-BFGS-B reports successful ends
-    within _CONVERGED_RTOL of it.
+    within _CONVERGED_RTOL of it, and on the boundary by FitResult's rule.
 
     The gradient is not analytic, and the three starts stay, on purpose:
     either change moves the L-BFGS-B paths, and with them the tie-break
@@ -562,9 +566,11 @@ def _fit_zinb(hists: np.ndarray) -> list[tuple[MarginalParams, float, bool, bool
         best = min(starts, key=lambda run: run.fun)
         converged = any(run.success and run.fun - best.fun <= _CONVERGED_RTOL * abs(best.fun)
                         for run in starts)
-        x = best.x
+        x, n = best.x, hists[i // _ZINB_N_STARTS]
         params = MarginalParams(ZINB, math.exp(x[0]), 1.0 / (1.0 + math.exp(-x[2])), math.exp(x[1]))
-        fits.append((params, -best.fun, converged, False, best.nit))
+        missed = np.max(np.abs(category_probs(params) - n / n.sum()))
+        boundary = bool(np.any(x[:, None] == _ZINB_BOUNDS) or missed > 1e-6)
+        fits.append((params, -best.fun, converged, boundary, best.nit))
     return fits
 
 

@@ -68,9 +68,7 @@ CONFIG_KEYS = [
     "scenarios", "seed", "targets",
 ]
 SURVEY_KEYS = ["data", "descriptor", "family", "use"]
-SIMULATE_OUTPUTS = [
-    "latent_diagnostics.csv", "power_long.csv", "results.csv", "results.md", "run_meta.json",
-]
+SIMULATE_OUTPUTS = ["latent_diagnostics.csv", "results.csv", "results.md", "run_meta.json"]
 # the ctssim attributes, as "module.name", that bench/run_bench.py and
 # bench/worker.py call in an untraced benchmark run
 BENCH_CALLS = [

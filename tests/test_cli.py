@@ -17,10 +17,11 @@ import ctssim
 from ctssim import cli
 from ctssim.cli import RESULTS_SCHEMA_VERSION, main
 from ctssim.datasets import example_model, example_survey_paths
+from ctssim.harness import SCENARIO_PRESETS, SimulationConfig, scenario_preset
 from ctssim.ingest import fit_model, load_model, read_survey, save_model, write_survey
 from ctssim.joint import ActSpec, MultiActModel
 from ctssim.marginals import MarginalParams
-from ctssim.outcomes import MAX_MAGNITUDE
+from ctssim.outcomes import MAX_MAGNITUDE, EffectScenario
 
 from helpers import far_from_zero_counts_table, report_loglik, write_example_counts_survey
 from test_ingest import duplicated_column_table
@@ -495,8 +496,8 @@ class TestSimulate:
         assert len(rows) == 8
         assert {r["coding"] for r in rows} == {"binary", "sum"}
         assert all(int(r["schema_version"]) == RESULTS_SCHEMA_VERSION for r in rows)
-        assert (out_dir / "results.md").exists()
-        assert (out_dir / "power_long.csv").exists()
+        assert sorted(os.listdir(out_dir)) == [
+            "latent_diagnostics.csv", "results.csv", "results.md", "run_meta.json"]
         meta = json.loads((out_dir / "run_meta.json").read_text())
         assert meta["seed"] == 7 and len(meta["config_hash"]) == 64
 
@@ -505,7 +506,8 @@ class TestSimulate:
         main(["simulate", "--config", str(cfg), "--out-dir", str(workdir / "a")])
         main(["simulate", "--config", str(cfg), "--out-dir", str(workdir / "b")])
         assert (workdir / "a/results.csv").read_bytes() == (workdir / "b/results.csv").read_bytes()
-        assert (workdir / "a/power_long.csv").read_bytes() == (workdir / "b/power_long.csv").read_bytes()
+        for name in ("latent_diagnostics.csv", "results.md"):
+            assert (workdir / "a" / name).read_bytes() == (workdir / "b" / name).read_bytes()
         meta_a = json.loads((workdir / "a/run_meta.json").read_text())
         meta_b = json.loads((workdir / "b/run_meta.json").read_text())
         assert meta_a["config_hash"] == meta_b["config_hash"]
@@ -1026,6 +1028,38 @@ class TestConfigIntegers:
         rows = read_rows(workdir / "x" / "results.csv")
         assert {row["n_units"] for row in rows} == {"200"}
 
+
+
+class TestConfigDefaults:
+    """A config key left out takes the default of the type that uses it."""
+
+    def test_minimal_config_takes_the_type_defaults(self, workdir):
+        path = workdir / "run.json"
+        path.write_text(json.dumps({"model": {"file": "model.json"}, "n_units": 200}))
+        run = cli.load_run_config(str(path))
+        assert run.base == SimulationConfig(run.base.model, 200)
+        assert run.scenarios == [scenario_preset(name) for name in SCENARIO_PRESETS]
+
+    def test_every_setting_reaches_its_type(self, workdir):
+        custom = {"probs": [0.5, 0, 0.5, 0], "name": "half"}
+        cfg = write_config(workdir / "run.json", n_reps=9, alpha=0.1, seed=3, df="welch",
+                           magnitude=3, floor=0,
+                           scenarios=["cessation_only", custom, {**custom, "name": "one", "magnitude": 1}])
+        run = cli.load_run_config(str(cfg))
+        base = run.base
+        assert (base.n_units, base.n_reps, base.alpha, base.seed, base.df) == (200, 9, 0.1, 3, "welch")
+        assert run.scenarios == [scenario_preset("cessation_only", magnitude=3, floor=0),
+                                 EffectScenario((0.5, 0, 0.5, 0), 3, 0, "half"),
+                                 EffectScenario((0.5, 0, 0.5, 0), 1, 0, "one")]
+        assert cli.load_run_config(str(cfg), seed_override=5).base.seed == 5
+
+    def test_unknown_preset_exits_2(self, workdir, capsys):
+        cfg = write_config(workdir / "run.json", scenarios=["null", "everything_works"])
+        assert main(["simulate", "--config", str(cfg), "--out-dir", str(workdir / "x")]) == 2
+        assert capsys.readouterr().err == (
+            "config error: unknown scenario preset 'everything_works'; "
+            f"have {sorted(SCENARIO_PRESETS)}\n")
+        assert not (workdir / "x").exists()
 
 
 class TestConfigTypes:

@@ -4,7 +4,7 @@ example model must reproduce stored hashes.
 
 Rerun-equals-rerun cannot catch a change that moves every run the same
 way.  These tests compare the sha256 of ``results.csv``,
-``latent_diagnostics.csv``, ``power_long.csv`` and ``results.md``, and of
+``latent_diagnostics.csv`` and ``results.md``, and of
 the ``model.json`` that ``ctssim fit`` writes, with the hashes in
 ``golden/sha256.json``, which also records the numpy and scipy versions
 that produced them: the random streams and the special functions
@@ -32,7 +32,7 @@ from ctssim.datasets import example_model, example_survey_paths
 from helpers import write_example_counts_survey
 
 GOLDEN_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "sha256.json")
-HASHED_FILES = ("results.csv", "latent_diagnostics.csv", "power_long.csv", "results.md")
+HASHED_FILES = ("results.csv", "latent_diagnostics.csv", "results.md")
 # golden name -> (survey, --family) of a ``ctssim fit``: the bundled survey,
 # or the counts survey that ``helpers.write_example_counts_survey`` writes
 FITS = {"fit-zinb": ("bundled", "zinb"), "fit-zip": ("bundled", "zip"),

@@ -93,7 +93,7 @@ class TestPresets:
         assert SCENARIO_PRESETS["null"] == (1.0, 0.0, 0.0, 0.0)
 
     def test_unknown_preset(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(KeyError, match="unknown scenario preset 'everything_works'; have "):
             scenario_preset("everything_works")
 
     def test_preset_settings(self):
@@ -930,6 +930,14 @@ class TestScenarioGrid:
         monkeypatch.setattr(harness, "draw_streams", no_draw)
         with pytest.raises(ValueError, match=f"^{key} must be an integer, got "):
             lone_cell(config(**{"n_units": 40, "n_reps": 3, "seed": 2, key: value}))
+
+    @pytest.mark.parametrize("alpha", ["0.05", None, True, [0.05], 0.0, 1.0, math.nan])
+    def test_alpha_must_be_a_number_in_the_unit_interval(self, alpha):
+        with pytest.raises(ValueError, match=re.escape(f"alpha must be a number in (0, 1), got {alpha!r}")):
+            config(alpha=alpha)
+
+    def test_numpy_alpha_accepted(self):
+        assert config(alpha=np.float32(0.1)).alpha == np.float32(0.1)
 
     def test_numpy_integer_config(self):
         want = lone_cell(config(n_units=40, n_reps=3, seed=2))

@@ -404,6 +404,22 @@ class TestFitCensored:
         # the model is saturated, so the optimum reproduces the frequencies
         assert np.max(np.abs(category_probs(fit.params) - hist / hist.sum())) < 1e-6
 
+    @pytest.mark.parametrize("hist", [
+        # ZINB ends inside its bounds with masses 0.078 off the frequencies
+        [700.0, 300.0, 0.0, 0.0],
+        # ZINB's rate ends on its bound e^15, and with only category 3, its dispersion on e^20
+        [700.0, 0.0, 0.0, 300.0], [0.0, 0.0, 0.0, 300.0],
+    ])
+    @pytest.mark.parametrize("family", ["zip", "zinb"])
+    def test_no_interior_maximum_is_on_the_boundary(self, hist, family):
+        assert fit_mle_censored(hist, family).boundary_flag
+
+    def test_bundled_survey_zinb_fits_are_interior(self):
+        from ctssim.datasets import example_survey_paths
+        from ctssim.ingest import fit_model, read_survey
+        _, report = fit_model(read_survey(*example_survey_paths()), "zinb")
+        assert not any(act.fit.boundary_flag for act in report.per_act)
+
     def test_all_mass_in_zero_is_degenerate(self):
         fit = fit_mle_censored([120.0, 0.0, 0.0, 0.0], "zip")
         assert fit.degenerate
@@ -561,11 +577,17 @@ class TestZinbFitMatchesReference:
         """``fit_mle_censored`` of each histogram, its L-BFGS-B runs those of
         ``reference.fit_zinb``."""
 
+        def on_boundary(n, params) -> bool:  # FitResult's censored ZINB rule, from the parameters
+            ends = [(params.rate, math.exp), (params.dispersion, math.exp),
+                    (params.zero_prob, lambda x: 1.0 / (1.0 + math.exp(-x)))]
+            on_bound = any(end in (f(lo), f(hi)) for (end, f), (lo, hi) in zip(ends, marginals._ZINB_BOUNDS))
+            return on_bound or np.max(np.abs(category_probs(params) - n / n.sum())) > 1e-6
+
         def fit_each(live):
             fits = (fit_zinb(functools.partial(zinb_censored_loglik, n), marginals._zinb_starts(n))
                     for n in live)
-            return [(params, loglik, converged, False, n_iter)
-                    for params, loglik, converged, n_iter in fits]
+            return [(params, loglik, converged, on_boundary(n, params), n_iter)
+                    for n, (params, loglik, converged, n_iter) in zip(live, fits)]
 
         with monkeypatch.context() as patch:
             patch.setattr(marginals, "_fit_zinb", fit_each)
