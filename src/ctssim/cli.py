@@ -100,6 +100,7 @@ class RunConfig:
     fingerprint: str  # sha256 of the canonical effective config document
     model_sha256: str | None  # _canonical_hash of the model's to_dict(); None when resampling
     survey_sha256: dict | None  # a model.survey's "data" and "descriptor" file hashes
+    fit: dict | None  # run_meta.json's "fit": a model.survey's fit report (_fit_meta)
 
 
 def _canonical_hash(document: dict) -> str:
@@ -112,9 +113,28 @@ def _file_sha256(path: str) -> str:
         return hashlib.sha256(fh.read()).hexdigest()
 
 
+def _clamped_pairs(acts, report) -> list[tuple[int, int]]:
+    """The act-index pairs whose latent correlation ``fit_model`` clamped."""
+    return [(acts[j].index, acts[l].index) for j, l in report.clamped]
+
+
+def _fit_meta(acts, per_act, report=None) -> dict:
+    """run_meta.json's "fit": each act's fit diagnostics and, with a fitted
+    model's ``report``, how far nearest_psd moved sigma and the clamped pairs."""
+    meta = {"acts": [{"label": act_fit.label, "family": act_fit.fit.params.family,
+                      "loglik": act_fit.fit.loglik, "gof_p": act_fit.chi2_p,
+                      "converged": act_fit.fit.converged, "boundary": act_fit.fit.boundary_flag,
+                      "degenerate": act_fit.fit.degenerate} for act_fit in per_act]}
+    if report is not None:
+        meta["sigma_psd_distance"] = report.sigma_psd_distance
+        meta["clamped"] = _clamped_pairs(acts, report)
+    return meta
+
+
 def _build_model(source, base_dir: str):
-    """The model a config's ``model`` names, and its survey's file hashes
-    (None unless it names a survey)."""
+    """The model a config's ``model`` names, its survey's file hashes, and the
+    ``_fit_meta`` of the survey's fit: None for a file or inline model, and the
+    fit None also for a counts-mode survey resampled as is."""
     source = _config_object("model", source)
     _check_keys("model", source, {"file", "inline", "survey"})
     if len(source) != 1:
@@ -125,9 +145,10 @@ def _build_model(source, base_dir: str):
     try:
         if kind == "file":
             path = os.path.join(base_dir, _config_str("model.file", source["file"]))
-            return load_model(path), None
+            return load_model(path), None, None
         if kind == "inline":
-            return MultiActModel.from_dict(_config_object("model.inline", source["inline"])), None
+            inline = _config_object("model.inline", source["inline"])
+            return MultiActModel.from_dict(inline), None, None
     except OSError as exc:
         raise ConfigError(f"cannot read the model file: {exc}") from None
     except (AttributeError, KeyError, TypeError) as exc:
@@ -151,8 +172,11 @@ def _build_model(source, base_dir: str):
     except OSError as exc:
         raise ConfigError(f"cannot read the survey: {exc}") from None
     if use == "fit":
-        return fit_model(table, family)[0], hashes
-    return EmpiricalResampler(table, family=family), hashes
+        model, report = fit_model(table, family)
+        return model, hashes, _fit_meta(table.acts, report.per_act, report)
+    resampler = EmpiricalResampler(table, family=family)
+    fit = None if resampler.fits is None else _fit_meta(table.acts, resampler.fits)
+    return resampler, hashes, fit
 
 
 def _effect_settings(obj: dict) -> dict:
@@ -288,7 +312,7 @@ def load_run_config(path: str, seed_override: int | None = None) -> RunConfig:
         raise ConfigError(f"config names more than one cell (scenario, target) {repeated}; "
                           + "; ".join(f"{advice} (repeated: {', '.join(map(repr, found))})"
                                       for advice, found in causes.items() if found))
-    model, survey_sha256 = _build_model(doc["model"], os.path.dirname(os.path.abspath(path)))
+    model, survey_sha256, fit = _build_model(doc["model"], os.path.dirname(os.path.abspath(path)))
     for target in targets:  # resolved as each cell will, before any cell runs
         try:
             target_columns(model.acts, target)
@@ -304,7 +328,7 @@ def load_run_config(path: str, seed_override: int | None = None) -> RunConfig:
         raise ConfigError(str(exc)) from None
     model_sha256 = _canonical_hash(model.to_dict()) if isinstance(model, MultiActModel) else None
     return RunConfig(base, scenarios, targets, _canonical_hash(effective), model_sha256,
-                     survey_sha256)
+                     survey_sha256, fit)
 
 
 # ---------------------------------------------------------------------------
@@ -464,7 +488,7 @@ def cmd_fit(args) -> int:
     header = "act family rate zero_prob disp loglik gof_p converged boundary".split()
     print("\n".join(_table(header, rows, markdown=False)))
     print(f"nearest_psd moved sigma by {report.sigma_psd_distance:.3g} (Frobenius norm)")
-    clamped = ", ".join(f"({table.acts[j].index}, {table.acts[l].index})" for j, l in report.clamped)
+    clamped = ", ".join(f"({j}, {l})" for j, l in _clamped_pairs(table.acts, report))
     print(f"latent correlation clamped at +/-{_RHO_LIMIT} for acts: {clamped or 'none'}")
     return 0
 
@@ -500,6 +524,7 @@ def cmd_simulate(args) -> int:
         "config_hash": run.fingerprint,
         "model_sha256": run.model_sha256,
         "survey_sha256": run.survey_sha256,
+        "fit": run.fit,
         "seed": run.base.seed,
         "version": __version__,
         "wall_clock_seconds": round(elapsed, 3),

@@ -622,7 +622,9 @@ class EmpiricalResampler:
     responses.  For category-mode tables each reported category is
     converted to a latent count by sampling the fitted marginal conditional
     on the category's count interval, so the categorization of the imputed
-    count always reproduces the observed category.
+    count always reproduces the observed category.  ``fits`` holds the
+    ``ActFit`` per act that gave those margins, or None when ``margins`` were
+    given or the table is in counts mode.
 
     Imputation is one vectorized lookup.  Each (act, category 2 or 3)
     group g has a conditional CDF over the contiguous counts lo, lo+1, ...
@@ -643,6 +645,7 @@ class EmpiricalResampler:
         self.table = table
         self.acts = table.acts
         self._codes = None
+        self.fits = None
         if table.mode == "categories":
             if table.n_acts > _MAX_IMPUTED_ACTS:
                 raise ValueError(
@@ -650,7 +653,8 @@ class EmpiricalResampler:
                     f"got {table.n_acts}"
                 )
             if margins is None:
-                margins = [act_fit.fit.params for act_fit in _fit_acts(table, family)]
+                self.fits = _fit_acts(table, family)
+                margins = [act_fit.fit.params for act_fit in self.fits]
             self.margins = tuple(margins)
             validate_margins(table.acts, self.margins)
             groups = [g for m in self.margins for g in self._conditional_cdfs(m)]

@@ -21,17 +21,18 @@ import numpy as np
 from scipy.special import digamma, gammaln, pdtr, pdtrc, pdtrik, xlog1py, xlogy
 
 # scipy's L-BFGS-B routine (Byrd, Lu, Nocedal & Zhu, SIAM J Sci Comput
-# 16:1190-1208, 1995) in reverse communication: each call returns to the
-# caller when it wants f and g at a new point.  scipy's ``minimize`` drives it
-# for one problem at a time; ``_lbfgsb_lockstep`` drives many at once, so one
-# objective call serves every run that waits.  scipy exposes the routine only
-# privately, and its signature has changed between releases (the Fortran to
-# C port dropped ``csave`` and added ``ln_task``), so a scipy that changes it
-# again breaks every ZINB and exact NB fit with a TypeError; pyproject.toml
-# caps scipy at the minor release tested.  TestLbfgsbLockstep and
-# TestZinbFitMatchesReference in tests/test_marginals.py pin every run of
-# ``_lbfgsb_lockstep`` to scipy's ``minimize`` bit for bit.
-from scipy.optimize import _lbfgsb, brentq
+# 16:1190-1208, 1995): the exact NB fit runs it through ``minimize``, the
+# censored ZINB fit through ``_lbfgsb_lockstep``, which drives the private
+# ``setulb`` in reverse communication so that one objective call serves every
+# run that waits.  ``setulb``'s signature has changed between releases (the
+# Fortran to C port dropped ``csave`` and added ``ln_task``), so a scipy that
+# changes it again breaks every censored ZINB fit with a TypeError;
+# pyproject.toml caps scipy at the minor release tested.  TestLbfgsbLockstep
+# and TestZinbFitMatchesReference in tests/test_marginals.py pin every
+# lockstep run to ``minimize`` bit for bit.  Both fits set ``converged`` by
+# one rule, ``_converged``; a censored fit is also on the boundary when a
+# category of its histogram is empty (FitResult).
+from scipy.optimize import OptimizeResult, _lbfgsb, brentq, minimize
 
 # The Boost negative-binomial ufuncs that scipy.stats.nbinom dispatches to.
 # scipy exposes them only privately; tests/test_kernel.py pins every value
@@ -53,19 +54,14 @@ COUNT_CELLS_MAX = 64  # bounds a pair's score-correlation grid at 63 * 63 cell b
 # Interval-censored survey categories: 0 -> {0}, 1 -> {1}, 2 -> {2..4}, 3 -> {5+}
 N_CATEGORIES = 4
 
-# A censored ZINB fit is converged when a start that L-BFGS-B reports successful
-# ends this close (relative) to the best objective; the best start itself may
-# end in an abnormal line search at the optimum.
-_CONVERGED_RTOL = 1e-10
-# An exact ZINB fit's L-BFGS-B run that ends short of CONVERGENCE (say, in an
-# abnormal line search at the optimum, where the objective is at its rounding
-# noise) is converged when its projected gradient in (log rate, log
-# dispersion), max |clip(x - g, lower, upper) - x|, is at most this per unit of
-# weight.  The objective is a weighted sum, so its gradient per unit of weight
-# is a mean score.  Runs that L-BFGS-B reports converged (by ftol, at rounding
-# noise) end with mean scores up to 6.5e-8 on the example model's surveys of
-# 8000 rows, seeds 1-12; the abnormal ends at the optimum seen there reach 7e-9.
-_EXACT_PGTOL_PER_WEIGHT = 1e-7
+# An L-BFGS-B fit's run (a censored fit's best start) that ends short of
+# CONVERGENCE, say in an abnormal line search at the optimum, is converged when
+# its projected gradient max |clip(x - g, lower, upper) - x| is at most this
+# per unit of weight: a mean score, as the objectives are weighted sums.  On
+# the example model's 8000-row surveys, runs that L-BFGS-B reports converged
+# end at up to 6.5e-8 (exact, seeds 1-12) and 5.7e-8 (censored, seeds 1-40);
+# the abnormal ends at the optimum seen there reach 7e-9 and 1.1e-8.
+_PGTOL_PER_WEIGHT = 1e-7
 
 
 @dataclass(frozen=True)
@@ -116,14 +112,17 @@ class FitResult:
     ``boundary_flag`` marks fits with zero_prob > 0.999 or fewer than 5
     positives, where estimates are unreliable; fits with zero_prob clipped to
     0; ZIP fits with no finite rate; exact ZINB fits that take ZIP's
-    estimate; and censored ZINB fits with no interior maximum: the best start
-    ends on a bound of _ZINB_BOUNDS, or its category masses miss the
+    estimate; and censored ZINB fits with no interior maximum: a category is
+    empty (every interior point gives all four positive mass), the best
+    start ends on a bound of _ZINB_BOUNDS, or its category masses miss the
     histogram's frequencies by more than 1e-6 (three parameters saturate four
     categories, so an interior maximum reproduces them).  ``converged`` and
-    ``n_iter`` describe ZIP's rate roots (all bracketed; Brent iterations), an
-    exact ZINB fit's L-BFGS-B runs (all successful; their iterations), or a
-    censored ZINB fit's three starts (one successful within _CONVERGED_RTOL of
-    the best objective; the best's).
+    ``n_iter`` describe ZIP's rate roots (all bracketed; Brent iterations) or
+    a ZINB fit's L-BFGS-B runs, for a censored fit its best start's (each
+    ended in CONVERGENCE or with a projected gradient of at most
+    _PGTOL_PER_WEIGHT per unit of weight; their iterations).  Exact fits run
+    scipy's ``minimize``; only censored ZINB fits call its private ``setulb``,
+    so only they break where a scipy release changes it.
     """
 
     params: MarginalParams
@@ -394,17 +393,6 @@ _NEW_X, _FG, _CONVERGENCE, _STOP = 1, 3, 4, 5
 _MAXFUN_REACHED, _MAXITER_REACHED = 502, 504
 
 
-@dataclass(frozen=True)
-class _LbfgsbRun:
-    """The end of one L-BFGS-B run, in the terms of scipy's ``minimize``."""
-
-    x: np.ndarray
-    fun: float
-    nit: int
-    nfev: int
-    success: bool
-
-
 class _LbfgsbState:
     """One run's ``setulb`` workspace, as ``minimize`` allocates it, and its counts."""
 
@@ -439,7 +427,7 @@ class _LbfgsbState:
                 self.task[:] = _STOP, _MAXFUN_REACHED
 
 
-def _lbfgsb_lockstep(fun_and_grad, x0, bounds) -> list[_LbfgsbRun]:
+def _lbfgsb_lockstep(fun_and_grad, x0, bounds) -> list[OptimizeResult]:
     """L-BFGS-B within ``bounds`` (a (lower, upper) pair per coordinate) from
     each start in ``x0``, all runs in lockstep.
 
@@ -455,7 +443,8 @@ def _lbfgsb_lockstep(fun_and_grad, x0, bounds) -> list[_LbfgsbRun]:
     clipped to the bounds, maxcor 10, factr = ftol / eps, pgtol = gtol, maxls
     20, f and g reused at the point evaluated last, one iteration counted per
     NEW_X, the maxiter and maxfun stops, and success on CONVERGENCE alone.  So
-    its x, fun, nit, nfev and success equal ``minimize``'s.
+    its x, fun, nit, nfev and success equal ``minimize``'s, and so does the
+    result type.
     """
     lower, upper = (np.array(side, dtype=float) for side in zip(*bounds))
     nbd = np.full(lower.size, 2, dtype=np.int32)  # every coordinate bounded on both sides
@@ -478,8 +467,22 @@ def _lbfgsb_lockstep(fun_and_grad, x0, bounds) -> list[_LbfgsbRun]:
                 s.nfev += 1
         for s in live:
             s.g[:] = s.g_at
-    return [_LbfgsbRun(s.x, float(s.f), s.nit, s.nfev, bool(s.task[0] == _CONVERGENCE))
-            for s in states]
+    return [OptimizeResult(x=s.x, fun=float(s.f), nit=s.nit, nfev=s.nfev,
+                           success=bool(s.task[0] == _CONVERGENCE)) for s in states]
+
+
+def _converged(runs, gradient, bounds, weights) -> list[bool]:
+    """Per L-BFGS-B result in ``runs``: it ended in CONVERGENCE, or its projected
+    gradient is at most _PGTOL_PER_WEIGHT times its entry of ``weights``.
+    ``gradient(x, short)`` gives g at the x of the runs ``short`` (indices into
+    ``runs``) that did not succeed, in one call."""
+    converged = np.array([run.success for run in runs], dtype=bool)
+    short = np.flatnonzero(~converged)
+    if short.size:
+        x = np.array([runs[i].x for i in short])
+        projected = np.clip(x - gradient(x, short), *np.array(bounds).T) - x
+        converged[short] = np.max(np.abs(projected), axis=1) <= _PGTOL_PER_WEIGHT * weights[short]
+    return converged.tolist()
 
 
 # L-BFGS-B's default finite-difference step, ``minimize``'s ``eps``
@@ -550,9 +553,9 @@ def _fit_zinb(hists: np.ndarray) -> list[tuple[MarginalParams, float, bool, bool
     from each of its ``_zinb_starts``: (params, loglik, converged, boundary,
     iterations) per histogram.  The runs of every start of every
     histogram share one ``_lbfgsb_lockstep`` call, on ``_zinb_fun_and_grad``.
-    Of a histogram's runs the lowest objective wins, the first on a tie, and
-    the fit is converged when a run that L-BFGS-B reports successful ends
-    within _CONVERGED_RTOL of it, and on the boundary by FitResult's rule.
+    Of a histogram's runs the lowest objective wins, the first on a tie; the
+    fit is ``_converged`` by that run, its weight the histogram's total, and
+    on the boundary by FitResult's rule.
 
     The gradient is not analytic, and the three starts stay, on purpose:
     either change moves the L-BFGS-B paths, and with them the tie-break
@@ -560,17 +563,18 @@ def _fit_zinb(hists: np.ndarray) -> list[tuple[MarginalParams, float, bool, bool
     """
     fun_and_grad = _zinb_fun_and_grad(np.repeat(hists, _ZINB_N_STARTS, axis=0))
     runs = _lbfgsb_lockstep(fun_and_grad, [x for n in hists for x in _zinb_starts(n)], _ZINB_BOUNDS)
+    rows = [i + min(range(_ZINB_N_STARTS), key=lambda s: runs[i + s].fun)
+            for i in range(0, len(runs), _ZINB_N_STARTS)]
+    best = [runs[row] for row in rows]
+    converged = _converged(best, lambda x, short: fun_and_grad(x, np.take(rows, short))[1],
+                           _ZINB_BOUNDS, hists.sum(axis=1))
     fits = []
-    for i in range(0, len(runs), _ZINB_N_STARTS):
-        starts = runs[i:i + _ZINB_N_STARTS]
-        best = min(starts, key=lambda run: run.fun)
-        converged = any(run.success and run.fun - best.fun <= _CONVERGED_RTOL * abs(best.fun)
-                        for run in starts)
-        x, n = best.x, hists[i // _ZINB_N_STARTS]
+    for run, n, run_converged in zip(best, hists, converged):
+        x = run.x
         params = MarginalParams(ZINB, math.exp(x[0]), 1.0 / (1.0 + math.exp(-x[2])), math.exp(x[1]))
         missed = np.max(np.abs(category_probs(params) - n / n.sum()))
-        boundary = bool(np.any(x[:, None] == _ZINB_BOUNDS) or missed > 1e-6)
-        fits.append((params, -best.fun, converged, boundary, best.nit))
+        boundary = bool(np.any(n == 0) or np.any(x[:, None] == _ZINB_BOUNDS) or missed > 1e-6)
+        fits.append((params, -run.fun, run_converged, boundary, run.nit))
     return fits
 
 
@@ -579,8 +583,7 @@ def _fit_nb(values: np.ndarray, weights: np.ndarray, truncated: bool):
     log-likelihood of ``values``, zero-truncated when ``truncated``: one L-BFGS-B
     run in (log rate, log k) from the moment start, with the analytic gradient.
     Truncation adds g0 / (1 - g0) times the gradient of log g0 = k log(k / (k + rate)).
-    A run that ends short of CONVERGENCE is converged still where its projected
-    gradient is within _EXACT_PGTOL_PER_WEIGHT per unit of weight."""
+    The run is ``_converged`` with the weight ``weights``' total."""
     total = float(np.sum(weights))
     mean = float(weights @ values) / total
     var = float(weights @ (values - mean) ** 2) / total
@@ -600,18 +603,12 @@ def _fit_nb(values: np.ndarray, weights: np.ndarray, truncated: bool):
             grad -= total * k / math.expm1(min(-log_g0, 700.0)) * np.array([share, -log_p - share])
         return -ll, -grad
 
-    def fun_and_grad(x, _rows):  # the one run's point, x[0]
-        f, g = objective_and_gradient(x[0])
-        return [f], [g]
-
     bounds = _ZINB_BOUNDS[:2]
-    (run,) = _lbfgsb_lockstep(fun_and_grad, [math.log(mean), math.log(disp0)], bounds)
-    converged = run.success
-    if not converged:
-        _, g = objective_and_gradient(run.x)
-        lower, upper = np.array(bounds).T
-        projected = np.clip(run.x - g, lower, upper) - run.x
-        converged = float(np.max(np.abs(projected))) <= _EXACT_PGTOL_PER_WEIGHT * total
+    options = {"ftol": _LBFGS_FTOL, "gtol": _LBFGS_GTOL, "maxiter": _LBFGS_MAXITER}
+    run = minimize(objective_and_gradient, [math.log(mean), math.log(disp0)], jac=True,
+                   method="L-BFGS-B", bounds=bounds, options=options)
+    (converged,) = _converged([run], lambda x, _: [objective_and_gradient(x[0])[1]], bounds,
+                              np.array([total]))
     return math.exp(run.x[0]), math.exp(run.x[1]), converged, run.nit
 
 

@@ -19,7 +19,8 @@ The fit path has its own plain forms: ``read_survey`` validates each
 cell of a survey file in turn, ``zinb_censored_loglik`` builds the
 ``MarginalParams`` the ZINB fit's objective evaluates, ``fit_zinb`` runs
 L-BFGS-B on a scalar objective with scipy's own finite-difference
-gradient, ``score_corr_theory`` computes a pair's score correlation
+gradient and judges its convergence by that gradient,
+``score_corr_theory`` computes a pair's score correlation
 from its rectangle probabilities, each row of them by scipy's adaptive
 quadrature of the normal density times a conditional normal CDF (no
 Owen's T), and ``latent_correlation_matrix`` searches each pair's
@@ -46,6 +47,7 @@ from typing import Sequence
 
 import numpy as np
 from scipy import integrate, optimize
+from scipy.optimize._numdiff import approx_derivative
 from scipy.special import ndtr, ndtri, stdtr, stdtrit
 
 from ctssim import coding
@@ -60,7 +62,7 @@ from ctssim.ingest import (
 )
 from ctssim.joint import ActSpec
 from ctssim.marginals import (
-    _CONVERGED_RTOL,
+    _PGTOL_PER_WEIGHT,
     _ZINB_BOUNDS,
     ZINB,
     MarginalParams,
@@ -209,12 +211,20 @@ def zinb_censored_loglik(category_counts, rate: float, dispersion: float,
     return censored_loglik(MarginalParams(ZINB, rate, zero_prob, dispersion), category_counts)
 
 
-def fit_zinb(loglik, x0: list) -> tuple[MarginalParams, float, bool, int]:
-    """Maximize ``loglik(rate, dispersion, zero_prob)`` by L-BFGS-B over
-    (log rate, log dispersion, logit zero_prob) from each start in ``x0``."""
+def fit_zinb(loglik, x0: list, weight: float) -> tuple[MarginalParams, float, bool, int]:
+    """Maximize ``loglik(rate, dispersion, zero_prob)``, a sum of ``weight``
+    units, by L-BFGS-B over (log rate, log dispersion, logit zero_prob) from
+    each start in ``x0``.  The fit is converged when the best start ends in
+    CONVERGENCE, or when the gradient scipy's ``approx_derivative`` takes at
+    its x, projected on the bounds, is at most _PGTOL_PER_WEIGHT per unit of
+    ``weight``."""
+
+    def objective(x):
+        return -loglik(math.exp(x[0]), math.exp(x[1]), _expit(x[2]))
+
     results = [
         optimize.minimize(
-            lambda x: -loglik(math.exp(x[0]), math.exp(x[1]), _expit(x[2])),
+            objective,
             np.asarray(start, dtype=float),
             method="L-BFGS-B",
             bounds=_ZINB_BOUNDS,
@@ -223,9 +233,13 @@ def fit_zinb(loglik, x0: list) -> tuple[MarginalParams, float, bool, int]:
         for start in x0
     ]
     best = min(results, key=lambda res: res.fun)
-    converged = any(
-        res.success and res.fun - best.fun <= _CONVERGED_RTOL * abs(best.fun) for res in results
-    )
+    converged = bool(best.success)
+    if not converged:
+        lower, upper = np.array(_ZINB_BOUNDS).T
+        g = approx_derivative(objective, best.x, method="2-point", abs_step=1e-8,
+                              bounds=(lower, upper))
+        projected = np.clip(best.x - g, lower, upper) - best.x
+        converged = float(np.max(np.abs(projected))) <= _PGTOL_PER_WEIGHT * weight
     x = best.x
     params = MarginalParams(ZINB, math.exp(x[0]), 1.0 / (1.0 + math.exp(-x[2])), math.exp(x[1]))
     return params, -float(best.fun), converged, int(best.nit)
@@ -275,7 +289,8 @@ def fit_zinb_exact_three_starts(values, weights) -> tuple[MarginalParams, float,
         [math.log(rate0), math.log(1e4), logit0],
         [math.log(rate0), 0.0, logit0],
     ]
-    return fit_zinb(lambda rate, disp, theta: zinb_exact_loglik(y, w, rate, disp, theta), starts)
+    return fit_zinb(lambda rate, disp, theta: zinb_exact_loglik(y, w, rate, disp, theta), starts,
+                    float(np.sum(w)))
 
 
 def score_corr_theory(rho: float, cell_j, cell_k) -> float:

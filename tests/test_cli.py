@@ -978,6 +978,7 @@ class TestRunMeta:
             model = load_model(str(workdir / "fitted.json"))
             assert metas[family]["model_sha256"] == cli._canonical_hash(model.to_dict())
             assert metas[family]["survey_sha256"] is None
+            assert metas[family]["fit"] is None
         assert metas["zip"]["config_hash"] == metas["zinb"]["config_hash"]
         assert metas["zip"]["model_sha256"] != metas["zinb"]["model_sha256"]
         # the same model given inline has the same hash
@@ -985,6 +986,7 @@ class TestRunMeta:
         assert main(["simulate", "--config", str(inline), "--out-dir", str(workdir / "in")]) == 0
         meta = json.loads((workdir / "in" / "run_meta.json").read_text())
         assert meta["model_sha256"] == metas["zinb"]["model_sha256"]
+        assert meta["fit"] is None
 
     @pytest.mark.parametrize("use", ["fit", "resample"])
     def test_survey_hashes(self, workdir, use):
@@ -999,6 +1001,35 @@ class TestRunMeta:
         else:
             model, _ = fit_model(read_survey(data, desc))
             assert meta["model_sha256"] == cli._canonical_hash(model.to_dict())
+
+    @pytest.mark.parametrize("use", ["fit", "resample"])
+    @pytest.mark.parametrize("family", ["zip", "zinb"])
+    def test_fit_report(self, workdir, use, family):
+        data, desc = example_survey_paths()
+        survey = {"data": str(data), "descriptor": str(desc), "use": use, "family": family}
+        cfg = write_config(workdir / "run.json", model={"survey": survey}, n_reps=5)
+        assert main(["simulate", "--config", str(cfg), "--out-dir", str(workdir / "out")]) == 0
+        fit = json.loads((workdir / "out" / "run_meta.json").read_text())["fit"]
+        table = read_survey(data, desc)
+        _, report = fit_model(table, family)
+        assert fit["acts"] == [
+            {"label": act_fit.label, "family": family, "loglik": act_fit.fit.loglik,
+             "gof_p": act_fit.chi2_p, "converged": True, "boundary": False, "degenerate": False}
+            for act_fit in report.per_act
+        ]
+        assert len(fit["acts"]) == 10
+        if use == "fit":  # the distance and the pairs that `fit` prints
+            assert fit["sigma_psd_distance"] == report.sigma_psd_distance
+            assert fit["clamped"] == [[j, l] for j, l in cli._clamped_pairs(table.acts, report)]
+        else:
+            assert set(fit) == {"acts"}
+
+    def test_no_fit_report_for_a_counts_survey_resampled(self, workdir):
+        data, desc = write_example_counts_survey(str(workdir))
+        survey = {"data": data, "descriptor": desc, "use": "resample"}
+        cfg = write_config(workdir / "run.json", model={"survey": survey}, n_reps=5)
+        assert main(["simulate", "--config", str(cfg), "--out-dir", str(workdir / "out")]) == 0
+        assert json.loads((workdir / "out" / "run_meta.json").read_text())["fit"] is None
 
     def test_degenerate_estimates_counted(self, workdir):
         # nobody reports violence, so every arm has zero variance

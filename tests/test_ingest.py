@@ -933,6 +933,14 @@ class TestEmpiricalResampler:
             se = np.sqrt(np.maximum(table_freq * (1 - table_freq), 1e-12) / n)
             assert np.all(np.abs(drawn_freq - table_freq) <= 4 * se + 1e-9)
 
+    def test_keeps_the_fits_it_imputes_from(self, table):
+        sampler = EmpiricalResampler(table, family="zinb")
+        assert sampler.fits == ingest._fit_acts(table, "zinb")
+        assert sampler.margins == tuple(act_fit.fit.params for act_fit in sampler.fits)
+        assert EmpiricalResampler(table, margins=sampler.margins).fits is None
+        counts, _ = simulated_table(2000, mode="counts")
+        assert EmpiricalResampler(counts).fits is None
+
     def test_category_one_imputes_exactly_one(self, table):
         sampler = EmpiricalResampler(table)
         drawn = sampler.sample_control(20_000, np.random.default_rng(2))

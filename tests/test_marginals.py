@@ -379,6 +379,14 @@ class TestFitExact:
         assert math.isfinite(fit.loglik)
 
 
+def _abnormal_end_histogram():
+    """Act index 1 of build_example_survey(8000, 2148111748): its best ZINB
+    start ends in an abnormal line search at the optimum."""
+    from ctssim.datasets import build_example_survey
+    column = build_example_survey(8000, 2148111748).values[:, 1]
+    return np.bincount(column, minlength=4).astype(float)
+
+
 class TestFitCensored:
     @staticmethod
     def categorize_counts(y):
@@ -394,21 +402,22 @@ class TestFitCensored:
 
     def test_converged_when_best_start_ends_abnormally(self):
         # On this survey column, the start that reaches the lowest objective
-        # ends in an abnormal line search at the optimum, while two other
-        # starts converge to within 1e-13 relative of it.
-        from ctssim.datasets import build_example_survey
-        column = build_example_survey(8000, 2148111748).values[:, 1]
-        hist = np.bincount(column, minlength=4).astype(float)
-        fit = fit_mle_censored(hist, "zinb")
+        # ends in an abnormal line search at the optimum, with a projected
+        # gradient of 1.1e-8 per unit of weight.
+        n = _abnormal_end_histogram()
+        fit = fit_mle_censored(n, "zinb")
         assert fit.converged
         # the model is saturated, so the optimum reproduces the frequencies
-        assert np.max(np.abs(category_probs(fit.params) - hist / hist.sum())) < 1e-6
+        assert np.max(np.abs(category_probs(fit.params) - n / n.sum())) < 1e-6
 
     @pytest.mark.parametrize("hist", [
         # ZINB ends inside its bounds with masses 0.078 off the frequencies
         [700.0, 300.0, 0.0, 0.0],
         # ZINB's rate ends on its bound e^15, and with only category 3, its dispersion on e^20
         [700.0, 0.0, 0.0, 300.0], [0.0, 0.0, 0.0, 300.0],
+        # ZINB ends inside its bounds and reproduces the frequencies, but an
+        # empty category has positive mass at every interior point
+        [0.0, 0.0, 0.0, 5.0], [10.0, 0.0, 0.0, 5.0],
     ])
     @pytest.mark.parametrize("family", ["zip", "zinb"])
     def test_no_interior_maximum_is_on_the_boundary(self, hist, family):
@@ -581,11 +590,12 @@ class TestZinbFitMatchesReference:
             ends = [(params.rate, math.exp), (params.dispersion, math.exp),
                     (params.zero_prob, lambda x: 1.0 / (1.0 + math.exp(-x)))]
             on_bound = any(end in (f(lo), f(hi)) for (end, f), (lo, hi) in zip(ends, marginals._ZINB_BOUNDS))
-            return on_bound or np.max(np.abs(category_probs(params) - n / n.sum())) > 1e-6
+            missed = np.max(np.abs(category_probs(params) - n / n.sum()))
+            return bool(np.any(n == 0)) or on_bound or missed > 1e-6
 
         def fit_each(live):
-            fits = (fit_zinb(functools.partial(zinb_censored_loglik, n), marginals._zinb_starts(n))
-                    for n in live)
+            fits = (fit_zinb(functools.partial(zinb_censored_loglik, n), marginals._zinb_starts(n),
+                             n.sum()) for n in live)
             return [(params, loglik, converged, on_boundary(n, params), n_iter)
                     for n, (params, loglik, converged, n_iter) in zip(live, fits)]
 
@@ -595,7 +605,10 @@ class TestZinbFitMatchesReference:
 
     @pytest.mark.parametrize("source", ["survey", "sparse"])
     def test_censored(self, monkeypatch, source):
-        hists = _survey_histograms() if source == "survey" else _sparse_histograms()
+        # the survey set ends with a histogram whose best start ends short of
+        # CONVERGENCE, so the fit's gradient there decides ``converged``
+        hists = (_survey_histograms() + (_abnormal_end_histogram(),) if source == "survey"
+                 else _sparse_histograms())
         fits = fit_mle_censored_batch(hists, ZINB)
         for n, fit, expected in zip(hists, fits, self.reference_fits(monkeypatch, hists)):
             assert fit == expected, n
@@ -946,7 +959,7 @@ def _example_act_counts(seeds):
 class TestExactConverged:
     """An exact ZINB fit whose L-BFGS-B run ends short of CONVERGENCE is
     converged still where its projected gradient is within
-    _EXACT_PGTOL_PER_WEIGHT per unit of weight; a negative tolerance leaves
+    _PGTOL_PER_WEIGHT per unit of weight; a negative tolerance leaves
     L-BFGS-B's own ``success`` alone to decide."""
 
     def test_an_abnormal_end_at_the_optimum_is_converged(self, monkeypatch):
@@ -957,7 +970,7 @@ class TestExactConverged:
         monkeypatch.setattr(marginals, "_nbinom_logpmf",
                             lambda *args: logpmf(*args) * np.nextafter(1.0, 2.0))
         fit = fit_mle_exact(y, ZINB)
-        monkeypatch.setattr(marginals, "_EXACT_PGTOL_PER_WEIGHT", -1.0)
+        monkeypatch.setattr(marginals, "_PGTOL_PER_WEIGHT", -1.0)
         by_success = fit_mle_exact(y, ZINB)
         assert fit.converged and not by_success.converged
         assert (fit.params, fit.loglik, fit.n_iter) == (by_success.params, by_success.loglik,
@@ -967,10 +980,79 @@ class TestExactConverged:
         cases = [(y, None) for y in _example_act_counts(range(1, 7))]
         cases += [case for source in ("samples", 0, 1) for case in _exact_zinb_cases(source)]
         fits = [fit_mle_exact(y, ZINB, w) for y, w in cases]
-        monkeypatch.setattr(marginals, "_EXACT_PGTOL_PER_WEIGHT", -1.0)
+        monkeypatch.setattr(marginals, "_PGTOL_PER_WEIGHT", -1.0)
         by_success = [fit_mle_exact(y, ZINB, w) for y, w in cases]
         for fit, old in zip(fits, by_success):
             assert fit.converged or not old.converged
             assert (fit.params, fit.loglik, fit.n_iter) == (old.params, old.loglik, old.n_iter)
         # seed 5's first act ends abnormally at its optimum
         assert sum(fit.converged for fit in fits) > sum(fit.converged for fit in by_success)
+
+
+class TestFitNbMinimize:
+    """``_fit_nb`` runs scipy's ``minimize`` with the fits' options; each run
+    equals one ``_lbfgsb_lockstep`` run of the same objective from the same
+    start: x, fun, nit, nfev and success."""
+
+    @pytest.mark.parametrize("source", ["samples", "example"])
+    def test_equals_one_lockstep_run(self, monkeypatch, source):
+        calls = []
+
+        def recording(fun, x0, **kwargs):
+            res = optimize.minimize(fun, x0, **kwargs)
+            calls.append((fun, x0, kwargs, res))
+            return res
+
+        monkeypatch.setattr(marginals, "minimize", recording)
+        if source == "samples":
+            cases = _exact_zinb_cases("samples") + _exact_zinb_cases(0)
+        else:
+            cases = [(y, None) for y in _example_act_counts(range(1, 13))]
+        for y, weights in cases:
+            fit_mle_exact(y, ZINB, weights)
+        runs, expected = [], []
+        for fun, x0, kwargs, res in calls:
+            assert kwargs["jac"] is True and kwargs["method"] == "L-BFGS-B"
+            assert kwargs["options"] == {"ftol": 1e-12, "gtol": 1e-10, "maxiter": 500}
+
+            def fun_and_grad(x, _rows, fun=fun):
+                f, g = fun(x[0])
+                return [f], [g]
+
+            runs += marginals._lbfgsb_lockstep(fun_and_grad, [x0], kwargs["bounds"])
+            expected.append(res)
+        assert_runs_match(runs, expected)
+        assert len(calls) > len(cases) // 2
+
+
+class TestCensoredConverged:
+    """A censored ZINB fit is converged by its best start: that run ended in
+    CONVERGENCE, or its projected gradient is within _PGTOL_PER_WEIGHT per
+    unit of the histogram's weight."""
+
+    def test_without_tolerance_converged_is_the_best_starts_success(self, monkeypatch):
+        hists = np.array(_survey_histograms() + (_abnormal_end_histogram(),))
+        fun_and_grad = marginals._zinb_fun_and_grad(np.repeat(hists, 3, axis=0))
+        x0 = [x for n in hists for x in marginals._zinb_starts(n)]
+        runs = marginals._lbfgsb_lockstep(fun_and_grad, x0, marginals._ZINB_BOUNDS)
+        success = [min(runs[i:i + 3], key=lambda run: run.fun).success
+                   for i in range(0, len(runs), 3)]
+        fits = fit_mle_censored_batch(hists, ZINB)
+        monkeypatch.setattr(marginals, "_PGTOL_PER_WEIGHT", -1.0)
+        by_success = fit_mle_censored_batch(hists, ZINB)
+        assert [fit.converged for fit in by_success] == success
+        assert all(fit.converged for fit in fits)
+        assert success.count(False) == 1 and not success[-1]
+        for fit, old in zip(fits, by_success):
+            assert (fit.params, fit.loglik, fit.n_iter) == (old.params, old.loglik, old.n_iter)
+
+    def test_runs_stopped_by_maxiter_are_not_converged(self, monkeypatch):
+        counts = _example_act_counts([1, 2])
+        # the acts whose exact fits run L-BFGS-B: over-dispersed positives
+        fitted = [y for y in counts if fit_mle_exact(y, ZINB).params.dispersion < math.exp(20.0)]
+        hists = _survey_histograms()[:20]
+        monkeypatch.setattr(marginals, "_LBFGS_MAXITER", 2)
+        exact = [fit_mle_exact(y, ZINB) for y in fitted]
+        censored = fit_mle_censored_batch(hists, ZINB)
+        assert len(fitted) > 10 and all(fit.n_iter == 2 for fit in exact)
+        assert not any(fit.converged for fit in exact + censored)
