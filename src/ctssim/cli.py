@@ -531,7 +531,8 @@ def cmd_simulate(args) -> int:
         "cells": len(cells),
         # shared by every cell, and by the cells of one target: not in cell_wall_s;
         # the draw is this thread's part, the prefetch the helper thread's, which
-        # ran on draw_thread_cpus (None: where the kernel put it)
+        # ran on draw_thread_cpus (None: where the kernel put it, or no helper,
+        # as in a sample_control grid, whose prefetch is 0)
         "draw_ms_per_rep": 1e3 * cells[0].draw_s / run.base.n_reps,
         "prefetch_ms_per_rep": 1e3 * cells[0].prefetch_s / run.base.n_reps,
         "draw_thread_cpus": cells[0].draw_thread_cpus,
@@ -702,9 +703,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="run a Monte Carlo scenario grid")
     p_sim.add_argument("--config", required=True, help="run config JSON path")
     p_sim.add_argument("--out-dir", required=True, help="output directory")
-    # replications run on the calling thread with one fixed helper thread
-    # for the draws; --threads is accepted and ignored so that existing
-    # command lines keep working
+    # replications run on the calling thread, with one fixed helper thread
+    # for a copula model's standard normals; --threads is accepted and
+    # ignored so that existing command lines keep working
     p_sim.add_argument("--threads", help=argparse.SUPPRESS)
     p_sim.add_argument("--seed", type=int, default=None, help="override the config seed")
     p_sim.set_defaults(func=cmd_simulate)

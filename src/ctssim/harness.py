@@ -19,7 +19,7 @@ response-type uniforms and its permutation.  So a replication's result
 does not depend on which others run, in what order, in which block or on
 which thread.  Each level of a grid does its own work once, on a block's
 stacked arrays: the grid builds the copula sampler and draws the control
-counts (``draw_streams``, then ``finish_draw``; so ``sample_control(n,
+counts (``fill_normals``, then ``finish_draw``; so ``sample_control(n,
 rng)`` must depend on ``n`` and ``rng`` alone), each set of target columns
 draws the uniforms and the permutation behind the arms and takes the
 control arm's moments (``share``), the cells of a target whose CDFs start
@@ -31,11 +31,11 @@ in its tables and takes the treated arm's moments and the true effects
 estimates them all, both codings, in one ``estimation.hc2_from_moments``
 call after the last block.
 
-A grid runs on two threads.  One helper thread, started by
-``scenario_grid`` and joined before it returns, runs ``draw_streams`` for
-the next block while the calling thread runs ``finish_draw``, ``share``,
-``hits`` and ``respond`` on the current one; the helper's standard normals
-fill without the GIL.  Every other step runs on the calling thread.
+A copula grid runs on two threads.  One helper thread, started by
+``scenario_grid`` and joined before it returns, runs ``fill_normals`` on
+the next block (numpy fills it without the GIL) while the calling thread,
+which made that block's generators and array, runs every other step on
+the current one.  A ``sample_control`` grid starts no thread.
 
 The helper runs on the CPUs the calling thread may use less the one it
 runs on when the grid starts; only the helper's own affinity is set.
@@ -95,9 +95,9 @@ def scenario_preset(name: str, **settings) -> EffectScenario:
 class ReplicationError(RuntimeError):
     """An error inside one replication, tagged with its index.
 
-    A replication's own draw (its standard normals, or ``sample_control``)
-    that fails names that replication; an error in the work a block of
-    replications shares names the block's first replication.
+    A replication whose ``sample_control`` draw fails or returns anything
+    but counts names itself; any other error, in the work a block of
+    replications shares, names the block's first replication.
     """
 
     def __init__(self, rep_index: int, cause: Exception):
@@ -112,11 +112,11 @@ class SimulationConfig:
     ``model`` is a MultiActModel or any source exposing ``acts`` and a
     ``sample_control(n, rng)`` method (e.g. the empirical resampler) whose
     draw depends on ``n`` and ``rng`` alone: a grid shares each draw
-    among its cells.  ``sample_control`` runs on the grid's helper thread
-    while the calling thread works on the previous block, so it must not
-    mutate state that the model shares.  Every run also records the
-    latent count changes.  ``n_units``, ``n_reps`` and ``seed`` must be
-    integers (``int`` or a numpy integer, not a bool).
+    among its cells.  It returns non-negative whole counts of shape
+    ``(n, len(acts))``, integers or integer-valued floats, and runs on the
+    thread that runs the grid.  Every run also records the latent count
+    changes.  ``n_units``, ``n_reps`` and ``seed`` must be integers
+    (``int`` or a numpy integer, not a bool).
     """
 
     model: object
@@ -227,58 +227,63 @@ def _helper_cpus() -> set[int] | None:
         return None
 
 
-def draw_streams(config: SimulationConfig, copula: CopulaSampler | None,
-                 reps: range) -> tuple[list[np.random.Generator], np.ndarray]:
-    """The own random draws of the replications ``reps``: each one's
-    generator as its draw left it, and the (B, n, K) block of draws, the
-    standard normals for the grid's ``copula`` sampler, or the control
-    counts of ``config.model.sample_control`` when it is None.  A
-    replication whose own draw fails raises ReplicationError with its
-    index.  The grid runs this on its helper thread."""
-    n, k = config.n_units, len(config.model.acts)
-    rngs = []
-    block = np.empty((len(reps), n, k), dtype=np.int64 if copula is None else float)
-    for j, i in enumerate(reps):
-        rng = _replication_rng(config.seed, i)
-        try:
-            if copula is not None:
-                rng.standard_normal(out=block[j])
-            else:
-                y0 = np.asarray(config.model.sample_control(n, rng), dtype=np.int64)
-                if y0.shape != (n, k) or y0.min() < 0:
-                    raise ValueError(
-                        f"sample_control must return non-negative counts of shape "
-                        f"{(n, k)}, got shape {y0.shape}"
-                    )
-                block[j] = y0
-        except Exception as exc:  # noqa: BLE001 - re-raise with replication context
-            raise ReplicationError(i, exc) from exc
-        rngs.append(rng)
-    return rngs, block
+def fill_normals(rngs: Sequence[np.random.Generator], normals: np.ndarray) -> None:
+    """Fills ``normals[j]`` with standard normals from ``rngs[j]``: a copula
+    block's own draws, and all that the grid's helper thread runs."""
+    for rng, out in zip(rngs, normals):
+        rng.standard_normal(out=out)
 
 
-def finish_draw(copula: CopulaSampler | None, block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The control counts ``y0`` of ``draw_streams``' block, mapped through
-    ``copula`` unless it is None, and their category-score row sums
+def _control_counts(drawn, shape: tuple[int, int]) -> np.ndarray:
+    """``sample_control``'s output as int64 counts, refused unless it has
+    ``shape`` and holds whole numbers from 0 to int64's maximum."""
+    y0 = np.asarray(drawn)
+    if y0.shape != shape:
+        raise ValueError(f"sample_control must return counts of shape {shape}, got shape {y0.shape}")
+    if y0.dtype.kind not in "biu":
+        if not np.isfinite(y0).all():
+            raise ValueError("sample_control returned a non-finite count")
+        if (y0 != np.trunc(y0)).any():
+            raise ValueError("sample_control returned a fractional count")
+    if (y0 < 0).any():
+        raise ValueError("sample_control returned a negative count")
+    if y0.dtype.kind in "fu" and (y0 >= 2**63).any():
+        raise ValueError("sample_control returned a count too large for int64")
+    return y0.astype(np.int64)
+
+
+def finish_draw(config: SimulationConfig, copula: CopulaSampler | None, reps: range,
+                rngs: Sequence[np.random.Generator],
+                normals: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+    """The (B, n, K) control counts ``y0`` of the replications ``reps``,
+    ``fill_normals``' block ``normals`` mapped through ``copula``, or, when
+    it is None, ``config.model.sample_control`` drawn from each
+    replication's generator in ``rngs``; and their category-score row sums
     ``score0`` over the block's B * n rows.  A row codes binary 1 when its
-    score sum is positive, and sum/3K under the sum coding."""
-    k = block.shape[2]
+    score sum is positive, and sum/3K under the sum coding.  A replication
+    whose ``sample_control`` fails raises ReplicationError with its index."""
+    shape = (config.n_units, len(config.model.acts))
     if copula is not None:
-        y0, rows, counts = copula.counts(block)
+        y0, rows, counts = copula.counts(normals)
     else:
-        y0 = block
+        y0 = np.empty((len(reps), *shape), dtype=np.int64)
+        for j, (i, rng) in enumerate(zip(reps, rngs)):
+            try:
+                y0[j] = _control_counts(config.model.sample_control(shape[0], rng), shape)
+            except Exception as exc:  # noqa: BLE001 - re-raise with replication context
+                raise ReplicationError(i, exc) from exc
         # the non-zero counts in np.nonzero's order, and their rows, from the
         # flat positions of a bool mask: numpy finds those several times
         # faster than the 2-D positions of int64 counts
         flat = np.flatnonzero(y0 != 0)
-        rows, counts = flat // k, y0.reshape(-1)[flat]
-    return y0, _category_scores(rows, counts, y0.size // k)
+        rows, counts = flat // shape[1], y0.reshape(-1)[flat]
+    return y0, _category_scores(rows, counts, y0.size // shape[1])
 
 
 def share(y0: np.ndarray, score0: np.ndarray, rngs: Sequence[np.random.Generator],
           cols: np.ndarray) -> TargetDraw:
     """The work of the target with columns ``cols``, from ``finish_draw``'s
-    output and the generators as ``draw_streams`` left them: one uniform
+    output and the generators as the control draw left them: one uniform
     per violent row, the randomization, and the control arm's codings and
     moments.  Every cell whose target has these columns can ``respond`` to
     it, with its ``hits``."""
@@ -504,13 +509,14 @@ class CellResult:
     # seconds of the control draws and of the targets' shared work (uniforms,
     # arms, control-arm moments, and each hit set's rows and count classes),
     # which the cells of one grid share, so each carries the grid's totals;
-    # not part of wall_s.  draw_s is the calling thread's: waiting for the
-    # helper's streams and finish_draw; prefetch_s is the helper thread's
-    # draw_streams, which overlaps the other work
+    # not part of wall_s.  draw_s is the calling thread's: seeding the
+    # generators, waiting for the helper's normals and finish_draw;
+    # prefetch_s is the helper thread's fill_normals, which overlaps the
+    # other work, and 0 for a sample_control grid
     draw_s: float
     prefetch_s: float
     # the sorted CPUs the helper thread was placed on, or None when the grid
-    # left it where the kernel puts it (see _helper_cpus)
+    # left it where the kernel puts it (see _helper_cpus) or had no helper
     draw_thread_cpus: tuple[int, ...] | None
     target_s: float
     stage_s: dict[str, float]  # stage of STAGES -> seconds over the replications
@@ -553,40 +559,48 @@ def scenario_grid(
     latents = [np.empty(m) for _ in kernels]
     draw_s = prefetch_s = target_s = 0.0
     clock = time.perf_counter
+    cpus = pool = None
+    if copula is not None:
+        # imported here, not at module level: importing ctssim starts no
+        # thread and loads no thread pool
+        from concurrent.futures import ThreadPoolExecutor
 
-    def streams(reps: range):
+        # the helper runs off the CPU this thread is on (see the module
+        # docstring); cpus ends empty, or is None, when it was not placed
+        cpus = _helper_cpus()
+
+        def place():
+            try:
+                os.sched_setaffinity(0, cpus)  # pid 0: the thread that runs this, the helper
+            except OSError:  # raised here, it would break the pool
+                cpus.clear()
+
+        pool = ThreadPoolExecutor(1, thread_name_prefix="ctssim-draw",
+                                  initializer=place if cpus else None)
+
+    def fill(rngs, normals):  # the helper's work and its seconds
         t0 = clock()
-        return draw_streams(base_config, copula, reps), clock() - t0
+        fill_normals(rngs, normals)
+        return clock() - t0
 
-    # imported here, not at module level: importing ctssim starts no thread
-    # and loads no thread pool
-    from concurrent.futures import ThreadPoolExecutor
+    def start(reps: range):  # a block's generators, and its normals filling on the helper
+        rngs = [_replication_rng(base_config.seed, i) for i in reps]
+        if pool is None:
+            return rngs, None, None
+        normals = np.empty((len(reps), base_config.n_units, len(model.acts)))
+        return rngs, normals, pool.submit(fill, rngs, normals)
 
-    # one helper thread draws the next block's streams (numpy fills them
-    # without the GIL) while this thread works on the current block; each
-    # target restores the generator states that followed the control draws,
-    # so every cell's replications are those it makes alone.  The helper
-    # runs off the CPU this thread is on (see the module docstring); cpus
-    # ends empty, or is None, when it was not placed
-    cpus = _helper_cpus()
-
-    def place():
-        try:
-            os.sched_setaffinity(0, cpus)  # pid 0: the thread that runs this, the helper
-        except OSError:  # raised here, it would break the pool
-            cpus.clear()
-
-    pool = ThreadPoolExecutor(1, thread_name_prefix="ctssim-draw",
-                              initializer=place if cpus else None)
-    pending = pool.submit(streams, blocks[0])
     try:
         for b, reps in enumerate(blocks):
             t0 = clock()
-            (rngs, block), helper_s = pending.result()
+            rngs, normals, filling = pending if b else start(reps)
+            if filling is not None:
+                prefetch_s += filling.result()
             if b + 1 < len(blocks):
-                pending = pool.submit(streams, blocks[b + 1])
-            prefetch_s += helper_s
-            y0, score0 = finish_draw(copula, block)
+                pending = start(blocks[b + 1])
+            y0, score0 = finish_draw(base_config, copula, reps, rngs, normals)
+            # each target restores the generator states that followed the
+            # control draws, so every cell's replications are those it makes alone
             states = [rng.bit_generator.state for rng in rngs]
             t1 = clock()
             draw_s += t1 - t0
@@ -611,7 +625,8 @@ def scenario_grid(
     except Exception as exc:  # noqa: BLE001 - re-raise with replication context
         raise ReplicationError(reps.start, exc) from exc
     finally:
-        pool.shutdown(cancel_futures=True)
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
     draw_thread_cpus = tuple(sorted(cpus)) if cpus else None
     results = []
     for kernel, cell, latent in zip(kernels, moments, latents):

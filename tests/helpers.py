@@ -73,10 +73,23 @@ def far_from_zero_counts_table() -> SurveyTable:
     return SurveyTable(acts, np.column_stack([a, b, c]), "counts")
 
 
+def control_draw(config, copula: CopulaSampler | None, reps: range) -> tuple:
+    """The control draw of the replications ``reps`` as a grid makes it, all
+    on this thread: each one's generator, its standard normals
+    (``fill_normals``) when ``copula`` is not None, then ``finish_draw``.
+    Returns the generators as the draw left them, y0 and score0."""
+    rngs = [harness._replication_rng(config.seed, i) for i in reps]
+    normals = None
+    if copula is not None:
+        normals = np.empty((len(reps), config.n_units, len(config.model.acts)))
+        harness.fill_normals(rngs, normals)
+    return rngs, *harness.finish_draw(config, copula, reps, rngs, normals)
+
+
 def replicate(kernel: CellKernel, rep_index: int, return_schedule: bool = False) -> dict:
     """Replication ``rep_index`` of ``kernel``'s cell, run as a block of
-    one (``draw_streams``, ``finish_draw``, ``share``, ``hits`` and
-    ``CellKernel.respond``); deterministic given (seed, rep_index).
+    one (``control_draw``, ``share``, ``hits`` and ``CellKernel.respond``);
+    deterministic given (seed, rep_index).
 
     Returns {"binary": {...}, "sum": {...}} with estimate, se, p_value,
     ci_low, ci_high and true_ate per coding as floats, and the mean latent
@@ -88,8 +101,7 @@ def replicate(kernel: CellKernel, rep_index: int, return_schedule: bool = False)
     config = kernel.config
     model = config.model
     copula = CopulaSampler(model) if isinstance(model, MultiActModel) else None
-    rngs, block = harness.draw_streams(config, copula, range(rep_index, rep_index + 1))
-    y0, score0 = harness.finish_draw(copula, block)
+    rngs, y0, score0 = control_draw(config, copula, range(rep_index, rep_index + 1))
     shared = harness.share(y0, score0, rngs, kernel.cols)
     treated, truth, latent = kernel.respond(
         shared, harness.hits(shared, float(kernel.cdf[0]), kernel.span))

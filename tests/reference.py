@@ -1,6 +1,6 @@
 """The reference replication pipeline: one stage function per step.
 
-``harness`` runs a replication as one fused kernel (``draw_streams``,
+``harness`` runs a replication as one fused kernel (``fill_normals``,
 ``finish_draw``, ``share``, ``hits`` and ``CellKernel.respond``).  These
 are the same steps written plainly, one function each, as the
 specification the kernel is pinned to: ``test_harness`` checks that a

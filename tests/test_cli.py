@@ -1031,6 +1031,17 @@ class TestRunMeta:
         assert main(["simulate", "--config", str(cfg), "--out-dir", str(workdir / "out")]) == 0
         assert json.loads((workdir / "out" / "run_meta.json").read_text())["fit"] is None
 
+    def test_resampled_grid_has_no_helper_thread(self, workdir):
+        # a resampler draws on the calling thread: nothing is prefetched, and
+        # there is no helper thread to place
+        data, desc = example_survey_paths()
+        survey = {"data": str(data), "descriptor": str(desc), "use": "resample"}
+        cfg = write_config(workdir / "run.json", model={"survey": survey}, n_reps=5)
+        assert main(["simulate", "--config", str(cfg), "--out-dir", str(workdir / "out")]) == 0
+        meta = json.loads((workdir / "out" / "run_meta.json").read_text())
+        assert meta["draw_thread_cpus"] is None and meta["prefetch_ms_per_rep"] == 0.0
+        assert meta["draw_ms_per_rep"] > 0.0
+
     def test_degenerate_estimates_counted(self, workdir):
         # nobody reports violence, so every arm has zero variance
         acts = small_model().acts

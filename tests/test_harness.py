@@ -33,7 +33,7 @@ from ctssim.joint import ActSpec, CopulaSampler, MultiActModel, _latent_transfor
 from ctssim.marginals import MarginalParams, cdf_table
 from ctssim.outcomes import TARGET_PRESETS, EffectScenario
 
-from helpers import replicate
+from helpers import control_draw, replicate
 from reference import (
     DRAWN_TYPES,
     PotentialOutcomeTable,
@@ -335,16 +335,60 @@ class TestKernelMatchesReference:
         run(cfg)
         assert calls == {"validate": 1, "latent": 1, "hits": hit_sets}
 
-    def test_bad_sampler_output_rejected(self):
-        class NegativeModel:
+    @pytest.mark.parametrize("draw, message", [
+        pytest.param(lambda n, rng: -np.ones((n, 3), dtype=np.int64), "returned a negative count",
+                     id="negative-int"),
+        pytest.param(lambda n, rng: -np.ones((n, 3)), "returned a negative count",
+                     id="negative-float"),
+        pytest.param(lambda n, rng: rng.random((n, 3)) * 3, "returned a fractional count",
+                     id="fractional"),
+        pytest.param(lambda n, rng: np.where(np.arange(3 * n).reshape(n, 3) == 7, np.nan, 1.0),
+                     "returned a non-finite count", id="one-nan"),
+        pytest.param(lambda n, rng: np.full((n, 3), np.inf), "returned a non-finite count",
+                     id="inf"),
+        pytest.param(lambda n, rng: np.full((n, 3), 2.0**63),
+                     "returned a count too large for int64", id="huge-float"),
+        pytest.param(lambda n, rng: np.full((n, 3), 2**63, dtype=np.uint64),
+                     "returned a count too large for int64", id="huge-uint64"),
+        pytest.param(lambda n, rng: np.zeros((n, 2), dtype=np.int64),
+                     r"must return counts of shape \(40, 3\), got shape \(40, 2\)$",
+                     id="too-few-acts"),
+        pytest.param(lambda n, rng: np.zeros(3 * n),
+                     r"of shape \(40, 3\), got shape \(120,\)$", id="flat"),
+    ])
+    def test_bad_sampler_output_rejected(self, draw, message):
+        # refused before the int64 cast, which would truncate a fraction, wrap
+        # a large count and warn on a NaN; the failing replication is named
+        class BadAtOne:
             acts = small_model().acts
 
             def sample_control(self, n, rng):
-                return -np.ones((n, 3), dtype=np.int64)
+                zeros = np.zeros((n, 3), dtype=np.int64)
+                return draw(n, rng) if rng.bit_generator.seed_seq.entropy[1] == 1 else zeros
 
-        cfg = SimulationConfig(NegativeModel(), 100, n_reps=2)
-        with pytest.raises(ReplicationError, match="non-negative counts"):
-            lone_cell(cfg, "null")
+        cfg = SimulationConfig(BadAtOne(), 40, n_reps=3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ReplicationError, match=f"^replication 1 failed: .*{message}") as info:
+                lone_cell(cfg, "cessation_only")
+        assert info.value.rep_index == 1
+
+    def test_integer_valued_float_counts_accepted(self):
+        # a resampler that returns its counts as floats gives the same cells
+        model = EmpiricalResampler(counts_survey())
+
+        class AsFloats:
+            acts = model.acts
+
+            def sample_control(self, n, rng):
+                return model.sample_control(n, rng).astype(float)
+
+        scenarios = [scenario_preset("cessation_reduction")]
+        want = scenario_grid(SimulationConfig(model, 300, n_reps=6), scenarios, ["all"])[0]
+        got = scenario_grid(SimulationConfig(AsFloats(), 300, n_reps=6), scenarios, ["all"])[0]
+        for c in CODINGS:
+            for f in REPLICATION_FIELDS:
+                assert np.array_equal(got.reps.data[c][f], want.reps.data[c][f]), (c, f)
 
     @pytest.mark.parametrize("target, message", [
         ("verbal", "unknown target preset 'verbal'"),
@@ -358,13 +402,19 @@ class TestKernelMatchesReference:
     def test_bad_target_rejected_before_any_draw(self, monkeypatch, target, message):
         # the grid's target axis is the one place a cell's target is set,
         # and target_columns its one check: a bad target costs no draw
-        def no_draw(*args):
-            raise AssertionError("a replication was drawn")
-
-        monkeypatch.setattr(harness, "draw_streams", no_draw)
+        forbid_draws(monkeypatch)
         for targets in ([target], ["all", target]):
             with pytest.raises(ValueError, match=message):
                 scenario_grid(config(), [scenario_preset("null")], targets)
+
+
+def forbid_draws(monkeypatch):
+    """Makes any replication's generator, or any block's normals, fail."""
+    def no_draw(*args):
+        raise AssertionError("a replication was drawn")
+
+    monkeypatch.setattr(harness, "_replication_rng", no_draw)
+    monkeypatch.setattr(harness, "fill_normals", no_draw)
 
 
 def random_probs(rng):
@@ -506,9 +556,7 @@ class TestReplicationMajorGrid:
                            cell.reps.latent_sum_true):
                 assert np.all(values == 0.0) and not np.signbit(values).any()
         # the two cells' treated moments, block by block
-        copula = CopulaSampler(base.model)
-        rngs, block = harness.draw_streams(base, copula, range(B))
-        y0, score0 = harness.finish_draw(copula, block)
+        rngs, y0, score0 = control_draw(base, CopulaSampler(base.model), range(B))
         for target in ("all", (2,)):
             kernels = [CellKernel(base, s, target) for s in scenarios]
             shared = harness.share(y0, score0, rngs, kernels[0].cols)
@@ -543,8 +591,7 @@ class TestReplicationMajorGrid:
     def test_replications_without_violent_units(self, df):
         # at n_units 4, some replications have no violence on act 1 alone
         base = config(n_units=4, n_reps=40, seed=3, df=df)
-        copula = CopulaSampler(base.model)
-        y0 = harness.finish_draw(copula, harness.draw_streams(base, copula, range(base.n_reps))[1])[0]
+        y0 = control_draw(base, CopulaSampler(base.model), range(base.n_reps))[1]
         violent = np.count_nonzero(y0[:, :, 0], axis=1)
         assert 0 in violent and max(violent) > 0
         scenarios = [scenario_preset(name) for name in sorted(SCENARIO_PRESETS)]
@@ -591,33 +638,81 @@ class TestReplicationMajorGrid:
         assert info.value.rep_index == B
         assert threading.active_count() == threads
 
-    @pytest.mark.parametrize("model_name", ["example", "resample"])
-    def test_one_helper_thread_draws_and_is_joined(self, kernel_models, monkeypatch, model_name):
-        # every block's own draws run on one thread other than the caller's,
-        # and that thread has ended when the grid returns; a short switch
-        # interval interleaves the two threads finely, and every cell must
-        # still equal its replications run one at a time
-        drawn_on = []
-        draw_streams = harness.draw_streams
+    def test_one_helper_thread_fills_the_normals_and_is_joined(self, kernel_models, monkeypatch):
+        # every block's standard normals are filled on one thread other than
+        # the caller's, into the float block and from the generators that
+        # the caller made, and that thread has ended when the grid returns;
+        # a short switch interval interleaves the two threads finely, and
+        # every cell must still equal its replications run one at a time
+        made, filled = [], []
+        replication_rng, fill_normals = harness._replication_rng, harness.fill_normals
 
-        def recorded(config, copula, reps):
-            drawn_on.append(threading.current_thread())
-            return draw_streams(config, copula, reps)
+        def recorded_rng(seed, rep_index):
+            made.append((threading.current_thread(), replication_rng(seed, rep_index)))
+            return made[-1][1]
 
-        monkeypatch.setattr(harness, "draw_streams", recorded)
-        base = SimulationConfig(kernel_models[model_name], n_units=BLOCK_UNITS, n_reps=2 * B + 1,
+        def recorded_fill(rngs, normals):
+            filled.append((threading.current_thread(), list(rngs), normals))
+            fill_normals(rngs, normals)
+
+        monkeypatch.setattr(harness, "_replication_rng", recorded_rng)
+        monkeypatch.setattr(harness, "fill_normals", recorded_fill)
+        base = SimulationConfig(kernel_models["example"], n_units=BLOCK_UNITS, n_reps=2 * B + 1,
                                 seed=5)
         threads, interval = threading.active_count(), sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            self.assert_cells_match_reference(base, [scenario_preset("cessation_only")], ["all"])
+            cells = self.assert_cells_match_reference(base, [scenario_preset("cessation_only")],
+                                                      ["all"])
         finally:
             sys.setswitchinterval(interval)
         assert threading.active_count() == threads
-        # the grid's 3 blocks, then the reference's 2B + 1 blocks of one
-        assert len(drawn_on) == 3 + base.n_reps
-        assert len(set(drawn_on[:3])) == 1 and drawn_on[0] is not threading.current_thread()
-        assert not drawn_on[0].is_alive()
+        # the grid's 3 blocks, then the reference's 2B + 1 blocks of one, all
+        # made on this thread
+        caller = threading.current_thread()
+        assert len(filled) == 3 + base.n_reps and len(made) == 2 * base.n_reps
+        assert all(thread is caller for thread, _ in made)
+        helper = filled[0][0]
+        assert helper is not caller and not helper.is_alive()
+        grid_fills = filled[:3]
+        assert all(thread is helper for thread, _, _ in grid_fills)
+        assert all(normals.dtype == np.float64 and normals.shape == (len(rngs), BLOCK_UNITS, 10)
+                   for _, rngs, normals in grid_fills)
+        grid_rngs = [rng for _, rngs, _ in grid_fills for rng in rngs]
+        assert all(a is b for a, (_, b) in zip(grid_rngs, made[:base.n_reps], strict=True))
+        assert cells[0].prefetch_s > 0.0 and cells[0].draw_s > 0.0
+
+    def test_sample_control_runs_on_the_calling_thread(self, kernel_models, monkeypatch):
+        # a resampling grid starts no thread and fills no normals: its model
+        # draws once per replication, in index order, on the thread that runs
+        # the grid, and its cells are the plain resampler's
+        resampler = kernel_models["resample"]
+        calls = []
+
+        class Recording:
+            acts = resampler.acts
+
+            def sample_control(self, n, rng):
+                calls.append((threading.current_thread(), threading.active_count(),
+                              rng.bit_generator.seed_seq.entropy))
+                return resampler.sample_control(n, rng)
+
+        def no_fill(*args):
+            raise AssertionError("normals were filled")
+
+        monkeypatch.setattr(harness, "fill_normals", no_fill)
+        case = dict(n_units=BLOCK_UNITS, n_reps=2 * B + 1, seed=5)
+        scenarios = [scenario_preset("cessation_reduction"), scenario_preset("null")]
+        threads = threading.active_count()
+        cells = scenario_grid(SimulationConfig(Recording(), **case), scenarios, ["all", (2, 5)])
+        assert calls == [(threading.current_thread(), threads, [5, i]) for i in range(case["n_reps"])]
+        plain = scenario_grid(SimulationConfig(resampler, **case), scenarios, ["all", (2, 5)])
+        for cell, want in zip(cells, plain, strict=True):
+            assert cell.draw_thread_cpus is None and cell.prefetch_s == 0.0
+            for c in CODINGS:
+                for f in REPLICATION_FIELDS:
+                    assert np.array_equal(cell.reps.data[c][f], want.reps.data[c][f]), (c, f)
+            assert np.array_equal(cell.reps.latent_sum_true, want.reps.latent_sum_true)
 
     @pytest.mark.parametrize("df", ["normal", "welch"])
     @pytest.mark.parametrize("model_name", ["example", "resample"])
@@ -630,23 +725,23 @@ class TestReplicationMajorGrid:
 
 
 def draw_affinities(monkeypatch, fail=False):
-    """Patches ``draw_streams`` to record the CPU affinity of the thread it
+    """Patches ``fill_normals`` to record the CPU affinity of the thread it
     runs on (failing after that when ``fail``), and ``_current_cpu`` to
     record the CPU it reads; returns the two lists they fill."""
     seen, read = [], []
-    draw_streams, current_cpu = harness.draw_streams, harness._current_cpu
+    fill_normals, current_cpu = harness.fill_normals, harness._current_cpu
 
-    def recorded(config, copula, reps):
+    def recorded(rngs, normals):
         seen.append(os.sched_getaffinity(0))
         if fail:
-            raise ReplicationError(reps.start, OSError("draw failed"))
-        return draw_streams(config, copula, reps)
+            raise OSError("fill failed")
+        fill_normals(rngs, normals)
 
     def cpu():
         read.append(current_cpu())
         return read[-1]
 
-    monkeypatch.setattr(harness, "draw_streams", recorded)
+    monkeypatch.setattr(harness, "fill_normals", recorded)
     monkeypatch.setattr(harness, "_current_cpu", cpu)
     return seen, read
 
@@ -689,14 +784,14 @@ class TestDrawThreadPlacement:
             pytest.skip("one CPU allowed")
         seen, read = draw_affinities(monkeypatch)
         cells = scenario_grid(config(**self.CASE), self.SCENARIOS, ["all"])
-        assert len(read) == 1 and len(seen) == 3  # one CPU read, one draw a block
+        assert len(read) == 1 and len(seen) == 3  # one CPU read, one fill a block
         assert all(cpus == seen[0] for cpus in seen)
         assert read[0] not in seen[0] and seen[0] == before - {read[0]}
         assert all(cell.draw_thread_cpus == tuple(sorted(seen[0])) for cell in cells)
         assert os.sched_getaffinity(0) == before
         # and after a grid that raises
         seen, read = draw_affinities(monkeypatch, fail=True)
-        with pytest.raises(ReplicationError, match="draw failed"):
+        with pytest.raises(ReplicationError, match="replication 0 failed: fill failed"):
             scenario_grid(config(**self.CASE), self.SCENARIOS, ["all"])
         assert seen == [before - {read[0]}]
         assert os.sched_getaffinity(0) == before
@@ -924,10 +1019,7 @@ class TestScenarioGrid:
         ("seed", True), ("seed", 2.0), ("seed", None),
     ])
     def test_config_integers_checked_before_any_draw(self, monkeypatch, key, value):
-        def no_draw(*args):
-            raise AssertionError("a replication was drawn")
-
-        monkeypatch.setattr(harness, "draw_streams", no_draw)
+        forbid_draws(monkeypatch)
         with pytest.raises(ValueError, match=f"^{key} must be an integer, got "):
             lone_cell(config(**{"n_units": 40, "n_reps": 3, "seed": 2, key: value}))
 
